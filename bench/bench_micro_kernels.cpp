@@ -109,9 +109,14 @@ void BM_GeqKernelScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_GeqKernelScalar)->Arg(1024)->Arg(8192);
 
-void BM_GeqBlockKernel(benchmark::State& state) {
-    // The production whole-image kernel: 784 pixels x dim thresholds with
-    // register-tiled u8 counters.
+// Per-backend benchmarks of the registry tables themselves (one set per
+// admissible backend, registered dynamically in main — see
+// register_backend_benchmarks). `table` is the backend under test.
+
+/// The production whole-image encode kernel: 784 pixels x dim thresholds
+/// with register-tiled u8 counters.
+void BM_BackendGeqBlockKernel(benchmark::State& state,
+                              const kernels::kernel_table* table) {
     const auto dim = static_cast<std::size_t>(state.range(0));
     const std::size_t pixels = 784;
     std::vector<std::uint8_t> bank(pixels * dim);
@@ -122,78 +127,65 @@ void BM_GeqBlockKernel(benchmark::State& state) {
     for (std::size_t p = 0; p < pixels; ++p) q[p] = p % 16;
     std::vector<std::int32_t> out(dim, 0);
     for (auto _ : state) {
-        kernels::geq_block_accumulate(q.data(), pixels, bank.data(), dim, dim,
-                                      out.data(), 15);
+        table->geq_block_accumulate(q.data(), pixels, bank.data(), dim, dim,
+                                    out.data(), 15);
         benchmark::DoNotOptimize(out.data());
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(pixels * dim));
 }
-BENCHMARK(BM_GeqBlockKernel)->Arg(1024)->Arg(8192);
 
-void BM_GeqKernelSwar(benchmark::State& state) {
-    const auto dim = static_cast<std::size_t>(state.range(0));
-    std::vector<std::uint8_t> thresholds(dim);
-    for (std::size_t d = 0; d < dim; ++d) thresholds[d] = d % 16;
-    std::vector<std::uint16_t> tile(dim, 0);
-    for (auto _ : state) {
-        simd::geq_accumulate_swar(7, thresholds.data(), dim, tile.data());
-        benchmark::DoNotOptimize(tile.data());
+/// Random packed memory of `classes` rows plus one query, `words` each.
+struct packed_search_case {
+    std::vector<std::uint64_t> memory;
+    std::vector<std::uint64_t> query;
+
+    packed_search_case(std::size_t classes, std::size_t words)
+        : memory(classes * words), query(words) {
+        xoshiro256ss rng(5);
+        for (auto& w : memory) w = rng.next();
+        for (auto& w : query) w = rng.next();
     }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(dim));
-}
-BENCHMARK(BM_GeqKernelSwar)->Arg(1024)->Arg(8192);
+};
 
-/// Per-backend benchmarks of the registry tables themselves (one set per
-/// admissible backend, registered dynamically in main — see
-/// register_backend_benchmarks). `table` is the backend under test.
-void BM_BackendGeqKernel(benchmark::State& state,
-                         const kernels::kernel_table* table) {
-    const auto dim = static_cast<std::size_t>(state.range(0));
-    std::vector<std::uint8_t> thresholds(dim);
-    for (std::size_t d = 0; d < dim; ++d) thresholds[d] = d % 16;
-    std::vector<std::uint16_t> tile(dim, 0);
-    for (auto _ : state) {
-        table->geq_accumulate(7, thresholds.data(), dim, tile.data(), 15);
-        benchmark::DoNotOptimize(tile.data());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(dim));
-}
-
-void BM_BackendHammingArgmin(benchmark::State& state,
+/// One-query associative search over the first D / range(1) bits of every
+/// row (range(0) = full D): divisor 1 is class_memory::nearest, 8 the first
+/// window of the dynamic-dimension cascade.
+void BM_BackendHammingSearch(benchmark::State& state,
                              const kernels::kernel_table* table) {
     const auto dim = static_cast<std::size_t>(state.range(0));
+    const auto divisor = static_cast<std::size_t>(state.range(1));
     const std::size_t classes = 10;
-    xoshiro256ss rng(5);
     const std::size_t words = kernels::sign_words(dim);
-    std::vector<std::uint64_t> memory(classes * words);
-    std::vector<std::uint64_t> query(words);
-    for (auto& w : memory) w = rng.next();
-    for (auto& w : query) w = rng.next();
+    const std::size_t window = std::max<std::size_t>(1, words / divisor);
+    const packed_search_case c(classes, words);
+    kernels::argmin2_result r{};
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            table->hamming_argmin(query.data(), memory.data(), words, classes,
-                                  nullptr));
+        table->hamming_block_argmin2_prefix(c.query.data(), words, 1,
+                                            c.memory.data(), words, window, classes,
+                                            &r);
+        benchmark::DoNotOptimize(r);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(classes * dim));
+                            static_cast<std::int64_t>(classes * window * 64));
 }
 
-/// One BM_BackendGeqKernel / BM_BackendHammingArgmin pair per backend the
-/// probe admits on this machine, so the per-ISA cost is visible in one run.
+/// One BM_BackendGeqBlockKernel / BM_BackendHammingSearch pair per backend
+/// the probe admits on this machine, so the per-ISA cost is visible in one
+/// run.
 void register_backend_benchmarks() {
     for (const kernels::kernel_table* table : kernels::admissible_backends()) {
         const std::string suffix = std::string("_") + table->name;
-        benchmark::RegisterBenchmark(("BM_BackendGeqKernel" + suffix).c_str(),
-                                     BM_BackendGeqKernel, table)
+        benchmark::RegisterBenchmark(("BM_BackendGeqBlockKernel" + suffix).c_str(),
+                                     BM_BackendGeqBlockKernel, table)
             ->Arg(1024)
             ->Arg(8192);
-        benchmark::RegisterBenchmark(("BM_BackendHammingArgmin" + suffix).c_str(),
-                                     BM_BackendHammingArgmin, table)
-            ->Arg(1024)
-            ->Arg(8192);
+        benchmark::RegisterBenchmark(("BM_BackendHammingSearch" + suffix).c_str(),
+                                     BM_BackendHammingSearch, table)
+            ->Args({1024, 1})
+            ->Args({8192, 1})
+            ->Args({1024, 8})
+            ->Args({8192, 8});
     }
 }
 
@@ -360,63 +352,23 @@ void BM_SignBinarize(benchmark::State& state) {
 }
 BENCHMARK(BM_SignBinarize)->Arg(1024)->Arg(8192);
 
-void BM_HammingArgminReference(benchmark::State& state) {
+void BM_HammingSearchReference(benchmark::State& state) {
+    // The pinned scalar oracle of the one-query search.
     const auto dim = static_cast<std::size_t>(state.range(0));
     const std::size_t classes = 10;
-    xoshiro256ss rng(5);
     const std::size_t words = kernels::sign_words(dim);
-    std::vector<std::uint64_t> memory(classes * words);
-    std::vector<std::uint64_t> query(words);
-    for (auto& w : memory) w = rng.next();
-    for (auto& w : query) w = rng.next();
+    const packed_search_case c(classes, words);
+    kernels::argmin2_result r{};
     for (auto _ : state) {
-        benchmark::DoNotOptimize(simd::hamming_argmin_reference(
-            query.data(), memory.data(), words, classes));
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(classes * dim));
-}
-BENCHMARK(BM_HammingArgminReference)->Arg(1024)->Arg(8192);
-
-void BM_HammingArgmin(benchmark::State& state) {
-    const auto dim = static_cast<std::size_t>(state.range(0));
-    const std::size_t classes = 10;
-    xoshiro256ss rng(5);
-    const std::size_t words = kernels::sign_words(dim);
-    std::vector<std::uint64_t> memory(classes * words);
-    std::vector<std::uint64_t> query(words);
-    for (auto& w : memory) w = rng.next();
-    for (auto& w : query) w = rng.next();
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            kernels::hamming_argmin(query.data(), memory.data(), words, classes));
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(classes * dim));
-}
-BENCHMARK(BM_HammingArgmin)->Arg(1024)->Arg(8192);
-
-void BM_HammingArgmin2Prefix(benchmark::State& state) {
-    // The dynamic-dimension query kernel: argmin + runner-up margin over a
-    // D/8 prefix window of each packed class row (state.range = full D).
-    const auto dim = static_cast<std::size_t>(state.range(0));
-    const std::size_t classes = 10;
-    xoshiro256ss rng(5);
-    const std::size_t words = kernels::sign_words(dim);
-    const std::size_t window = std::max<std::size_t>(1, words / 8);
-    std::vector<std::uint64_t> memory(classes * words);
-    std::vector<std::uint64_t> query(words);
-    for (auto& w : memory) w = rng.next();
-    for (auto& w : query) w = rng.next();
-    for (auto _ : state) {
-        const auto r = kernels::hamming_argmin2_prefix(query.data(), memory.data(),
-                                                    words, window, classes);
+        simd::hamming_block_argmin2_prefix_reference(c.query.data(), words, 1,
+                                                     c.memory.data(), words, words,
+                                                     classes, &r);
         benchmark::DoNotOptimize(r);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(classes * window * 64));
+                            static_cast<std::int64_t>(classes * dim));
 }
-BENCHMARK(BM_HammingArgmin2Prefix)->Arg(1024)->Arg(8192);
+BENCHMARK(BM_HammingSearchReference)->Arg(1024)->Arg(8192);
 
 void BM_BlockedDotI32(benchmark::State& state) {
     const auto dim = static_cast<std::size_t>(state.range(0));

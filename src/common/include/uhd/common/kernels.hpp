@@ -63,15 +63,10 @@ struct kernel_table {
     /// True when this backend may run on the probed CPU.
     bool (*supported)(const cpu_features& features);
 
-    /// geq16[d] += (q >= thresholds[d]) for d in [0, dim). `max_value`
-    /// upper-bounds q and every threshold (backends whose wide path has a
-    /// value precondition fall back internally when it is exceeded).
-    void (*geq_accumulate)(std::uint8_t q, const std::uint8_t* thresholds,
-                           std::size_t dim, std::uint16_t* geq16,
-                           std::uint8_t max_value);
-
     /// out[d] += sum_{p<npix} (q[p] >= bank[p*stride + d]) — the whole
-    /// encode inner double-loop (same `max_value` contract).
+    /// encode inner double-loop. `max_value` upper-bounds every q[p] and
+    /// every bank byte (backends whose wide path has a value precondition
+    /// fall back internally when it is exceeded).
     void (*geq_block_accumulate)(const std::uint8_t* q, std::size_t npix,
                                  const std::uint8_t* bank, std::size_t stride,
                                  std::size_t dim, std::int32_t* out,
@@ -100,30 +95,6 @@ struct kernel_table {
     void (*sign_binarize)(const std::int32_t* v, std::size_t n,
                           std::uint64_t* words);
 
-    /// popcount(a XOR b) over n packed words (Hamming distance).
-    std::uint64_t (*hamming_distance_words)(const std::uint64_t* a,
-                                            const std::uint64_t* b, std::size_t n);
-
-    /// Nearest row of a row-major packed memory (first-wins on ties).
-    std::size_t (*hamming_argmin)(const std::uint64_t* query,
-                                  const std::uint64_t* rows, std::size_t words,
-                                  std::size_t n_rows,
-                                  std::uint64_t* best_distance_out);
-
-    /// argmin + runner-up over the first `prefix_words` of each row.
-    argmin2_result (*hamming_argmin2_prefix)(const std::uint64_t* query,
-                                             const std::uint64_t* rows,
-                                             std::size_t row_words,
-                                             std::size_t prefix_words,
-                                             std::size_t n_rows);
-
-    /// distances[r] += popcount(query ^ row_r) over words [from_word,
-    /// to_word) — the incremental window of the early-exit cascade.
-    void (*hamming_extend_words)(const std::uint64_t* query,
-                                 const std::uint64_t* rows, std::size_t row_words,
-                                 std::size_t from_word, std::size_t to_word,
-                                 std::size_t n_rows, std::uint64_t* distances);
-
     /// Query-block window extension — the bitwise-GEMM tile kernel:
     /// distances[q * n_rows + r] += popcount(query_q ^ row_r) over words
     /// [from_word, to_word), for every q in [0, n_queries) and r in
@@ -131,7 +102,8 @@ struct kernel_table {
     /// `query_words` words each (>= to_word). Wide backends register-block
     /// the (query, row) plane so each class row is streamed once per query
     /// tile instead of once per query; the accumulated distances are exact
-    /// integers, bit-identical to per-query hamming_extend_words calls.
+    /// integers, so any blocking — n_queries = 1 included, which is how the
+    /// single-query cascade calls it — gives the same sums.
     void (*hamming_block_extend)(const std::uint64_t* queries,
                                  std::size_t query_words, std::size_t n_queries,
                                  const std::uint64_t* rows, std::size_t row_words,
@@ -139,10 +111,11 @@ struct kernel_table {
                                  std::size_t n_rows, std::uint64_t* distances);
 
     /// Fused query-block argmin + runner-up over the first `prefix_words`
-    /// of every row: results[q] is exactly hamming_argmin2_prefix(query_q)
-    /// (first-wins ties, all-ones runner-up when n_rows < 2), computed with
-    /// the same row-streaming tile as hamming_block_extend but without
-    /// materializing the queries x rows distance matrix.
+    /// of every row: results[q] is the per-query scan of query_q (first-wins
+    /// ties, all-ones runner-up when n_rows < 2), computed with the same
+    /// row-streaming tile as hamming_block_extend but without materializing
+    /// the queries x rows distance matrix. The one associative-search
+    /// primitive: a single query is the n_queries = 1 call.
     void (*hamming_block_argmin2_prefix)(const std::uint64_t* queries,
                                          std::size_t query_words,
                                          std::size_t n_queries,
@@ -157,10 +130,6 @@ struct kernel_table {
 
     /// Dot product of two int32 spans (fixed 4-lane double accumulation).
     double (*dot_i32)(const std::int32_t* a, const std::int32_t* b, std::size_t n);
-
-    /// Sum of v[i] over the set bits of a packed mask covering n values.
-    std::int64_t (*masked_sum_i32)(const std::uint64_t* mask, const std::int32_t* v,
-                                   std::size_t n);
 };
 
 /// Every backend compiled into this binary, widest-last (scalar, swar, and
@@ -203,12 +172,6 @@ void force_backend(std::string_view request);
 // cost per call is one atomic load plus an indirect call, amortized over
 // whole-image / whole-row kernel bodies.
 
-inline void geq_accumulate(std::uint8_t q, const std::uint8_t* thresholds,
-                           std::size_t dim, std::uint16_t* geq16,
-                           std::uint8_t max_value) {
-    active().geq_accumulate(q, thresholds, dim, geq16, max_value);
-}
-
 inline void geq_block_accumulate(const std::uint8_t* q, std::size_t npix,
                                  const std::uint8_t* bank, std::size_t stride,
                                  std::size_t dim, std::int32_t* out,
@@ -229,33 +192,6 @@ inline void geq_rematerialize_accumulate(const std::uint32_t* directions,
 inline void sign_binarize(const std::int32_t* v, std::size_t n,
                           std::uint64_t* words) {
     active().sign_binarize(v, n, words);
-}
-
-[[nodiscard]] inline std::uint64_t hamming_distance_words(const std::uint64_t* a,
-                                                          const std::uint64_t* b,
-                                                          std::size_t n) {
-    return active().hamming_distance_words(a, b, n);
-}
-
-[[nodiscard]] inline std::size_t hamming_argmin(
-    const std::uint64_t* query, const std::uint64_t* rows, std::size_t words,
-    std::size_t n_rows, std::uint64_t* best_distance_out = nullptr) {
-    return active().hamming_argmin(query, rows, words, n_rows, best_distance_out);
-}
-
-[[nodiscard]] inline argmin2_result hamming_argmin2_prefix(
-    const std::uint64_t* query, const std::uint64_t* rows, std::size_t row_words,
-    std::size_t prefix_words, std::size_t n_rows) {
-    return active().hamming_argmin2_prefix(query, rows, row_words, prefix_words,
-                                           n_rows);
-}
-
-inline void hamming_extend_words(const std::uint64_t* query,
-                                 const std::uint64_t* rows, std::size_t row_words,
-                                 std::size_t from_word, std::size_t to_word,
-                                 std::size_t n_rows, std::uint64_t* distances) {
-    active().hamming_extend_words(query, rows, row_words, from_word, to_word,
-                                  n_rows, distances);
 }
 
 inline void hamming_block_extend(const std::uint64_t* queries,
@@ -282,12 +218,6 @@ inline void hamming_block_argmin2_prefix(
 [[nodiscard]] inline double dot_i32(const std::int32_t* a, const std::int32_t* b,
                                     std::size_t n) {
     return active().dot_i32(a, b, n);
-}
-
-[[nodiscard]] inline std::int64_t masked_sum_i32(const std::uint64_t* mask,
-                                                 const std::int32_t* v,
-                                                 std::size_t n) {
-    return active().masked_sum_i32(mask, v, n);
 }
 
 /// argmin + runner-up over a u64 distance array (first-wins on ties; the

@@ -22,7 +22,9 @@
 //
 // Call sites use uhd::kernels; including this header directly is for
 // backend TUs, tests, and benchmarks that need a *specific* implementation
-// rather than the dispatched one.
+// rather than the dispatched one, and for the undispatched portable
+// helpers (masked_sum_i32, the encode_scalar oracle's
+// geq_accumulate_reference).
 #ifndef UHD_COMMON_SIMD_HPP
 #define UHD_COMMON_SIMD_HPP
 
@@ -97,42 +99,6 @@ UHD_SCALAR_REFERENCE inline void geq_accumulate_reference(
     }
 }
 
-/// SWAR kernel: 8 thresholds per 64-bit step. Preconditions: q <= 127 and
-/// every threshold <= 127 (guaranteed when quant_levels <= 128).
-inline void geq_accumulate_swar(std::uint8_t q, const std::uint8_t* thresholds,
-                                std::size_t dim, std::uint16_t* geq16) noexcept {
-    const std::uint64_t q_splat = splat8(q);
-    std::size_t d = 0;
-    for (; d + 8 <= dim; d += 8) {
-        std::uint64_t x;
-        __builtin_memcpy(&x, thresholds + d, 8);
-        // 0/1 per byte of the comparison result.
-        const std::uint64_t ones = geq_mask_swar(q_splat, x) >> 7;
-        // Spread the eight 0/1 bytes into two words of four u16 lanes each
-        // and add them into the accumulator tile; lane adds cannot carry
-        // into a neighbour because each lane grows by at most 1 per call
-        // and the caller flushes before 65535 pixels.
-        const std::uint64_t lo = ((ones & 0x00000000000000FFULL)) |
-                                 ((ones & 0x000000000000FF00ULL) << 8) |
-                                 ((ones & 0x0000000000FF0000ULL) << 16) |
-                                 ((ones & 0x00000000FF000000ULL) << 24);
-        const std::uint64_t hi_bytes = ones >> 32;
-        const std::uint64_t hi = ((hi_bytes & 0x00000000000000FFULL)) |
-                                 ((hi_bytes & 0x000000000000FF00ULL) << 8) |
-                                 ((hi_bytes & 0x0000000000FF0000ULL) << 16) |
-                                 ((hi_bytes & 0x00000000FF000000ULL) << 24);
-        std::uint64_t acc_lo;
-        std::uint64_t acc_hi;
-        __builtin_memcpy(&acc_lo, geq16 + d, 8);
-        __builtin_memcpy(&acc_hi, geq16 + d + 4, 8);
-        acc_lo += lo;
-        acc_hi += hi;
-        __builtin_memcpy(geq16 + d, &acc_lo, 8);
-        __builtin_memcpy(geq16 + d + 4, &acc_hi, 8);
-    }
-    geq_accumulate_scalar(q, thresholds + d, dim - d, geq16 + d);
-}
-
 /// Flush a u16 tile into the int32 accumulator: out[d] += geq16[d].
 inline void add_u16_to_i32(const std::uint16_t* geq16, std::size_t dim,
                            std::int32_t* out) noexcept {
@@ -165,8 +131,8 @@ inline void geq_block_accumulate_scalar(const std::uint8_t* q, std::size_t npix,
 }
 
 /// SWAR block kernel: 8-dimension tiles with eight u8 counters packed in
-/// one u64, flushed every 255 pixels. Preconditions as geq_accumulate_swar
-/// (all values <= 127).
+/// one u64, flushed every 255 pixels. Precondition: q and every bank byte
+/// <= swar_max_value (guaranteed when quant_levels <= 128).
 inline void geq_block_accumulate_swar(const std::uint8_t* q, std::size_t npix,
                                       const std::uint8_t* bank, std::size_t stride,
                                       std::size_t dim, std::int32_t* out) {
@@ -352,13 +318,8 @@ inline void sign_binarize_swar(const std::int32_t* v, std::size_t n,
     }
 }
 
-// The plain popcount_words / and_popcount_words reductions that used to
-// live here are gone: the bitstream layer carries its own word-level
-// popcounts and every other call site consumes the read state through the
-// uhd::kernels registry, so only the XOR reduction (the Hamming kernel
-// the packed-row scans are built on) still has consumers.
-
-/// popcount(a XOR b) over `n` packed words (Hamming distance kernel).
+/// popcount(a XOR b) over `n` packed words: the Hamming reduction the
+/// block kernels' ragged query and row edges fall back to.
 [[nodiscard]] inline std::uint64_t xor_popcount_words(const std::uint64_t* a,
                                                       const std::uint64_t* b,
                                                       std::size_t n) noexcept {
@@ -367,150 +328,20 @@ inline void sign_binarize_swar(const std::int32_t* v, std::size_t n,
     return total;
 }
 
-// --- Hamming-argmin over a packed associative memory ----------------------
-//
-// `rows` holds `n_rows` binarized class vectors back-to-back, `words` u64
-// words each. The query uses the same packing. Ties resolve to the lowest
-// row index (strict <), which is exactly the first-wins rule of the
-// per-class cosine scan it replaces: cosine = (D - 2 * hamming) / D is
-// strictly decreasing in the distance, so argmax-cosine with strict >
-// equals argmin-distance with strict <.
-
-/// Pinned scalar oracle: per-row distance via a plain popcount loop.
-UHD_SCALAR_REFERENCE inline std::size_t hamming_argmin_reference(
-    const std::uint64_t* query, const std::uint64_t* rows, std::size_t words,
-    std::size_t n_rows, std::uint64_t* best_distance_out = nullptr) noexcept {
-    std::size_t best = 0;
-    std::uint64_t best_distance = ~std::uint64_t{0};
-    for (std::size_t r = 0; r < n_rows; ++r) {
-        std::uint64_t distance = 0;
-        UHD_NOVECTOR_LOOP
-        for (std::size_t w = 0; w < words; ++w) {
-            distance += static_cast<std::uint64_t>(
-                std::popcount(query[w] ^ rows[r * words + w]));
-        }
-        if (distance < best_distance) {
-            best_distance = distance;
-            best = r;
-        }
-    }
-    if (best_distance_out != nullptr) *best_distance_out = best_distance;
-    return best;
-}
-
-/// Portable word-parallel Hamming-argmin: one pass over the row-major
-/// memory, each row reduced with xor_popcount_words.
-[[nodiscard]] inline std::size_t hamming_argmin_words(
-    const std::uint64_t* query, const std::uint64_t* rows, std::size_t words,
-    std::size_t n_rows, std::uint64_t* best_distance_out = nullptr) noexcept {
-    std::size_t best = 0;
-    std::uint64_t best_distance = ~std::uint64_t{0};
-    for (std::size_t r = 0; r < n_rows; ++r) {
-        const std::uint64_t distance =
-            xor_popcount_words(query, rows + r * words, words);
-        if (distance < best_distance) {
-            best_distance = distance;
-            best = r;
-        }
-    }
-    if (best_distance_out != nullptr) *best_distance_out = best_distance;
-    return best;
-}
-
-// --- prefix-window Hamming kernels (dynamic-dimension queries) ------------
-//
-// Same row-major packed memory as the argmin scan, but only the first
-// `prefix_words` of each `row_words`-word row are reduced — the kernel
-// behind dimension-truncated associative search (answer a query from a
-// D/8, D/4, ... prefix of every class row and escalate only when the
-// top-1/top-2 margin is too small). Ties keep the first-wins rule, so a
-// full-window call (prefix_words == row_words) is bit-identical to the
-// full argmin.
-
-/// Pinned scalar oracle for the prefix-window argmin + runner-up scan.
-UHD_SCALAR_REFERENCE inline argmin2_result hamming_argmin2_prefix_reference(
-    const std::uint64_t* query, const std::uint64_t* rows, std::size_t row_words,
-    std::size_t prefix_words, std::size_t n_rows) noexcept {
-    argmin2_result r{0, ~std::uint64_t{0}, ~std::uint64_t{0}};
-    for (std::size_t row = 0; row < n_rows; ++row) {
-        std::uint64_t distance = 0;
-        UHD_NOVECTOR_LOOP
-        for (std::size_t w = 0; w < prefix_words; ++w) {
-            distance += static_cast<std::uint64_t>(
-                std::popcount(query[w] ^ rows[row * row_words + w]));
-        }
-        if (distance < r.distance) {
-            r.runner_up = r.distance;
-            r.distance = distance;
-            r.index = row;
-        } else if (distance < r.runner_up) {
-            r.runner_up = distance;
-        }
-    }
-    return r;
-}
-
-/// Portable word-parallel prefix-window argmin + runner-up.
-[[nodiscard]] inline argmin2_result hamming_argmin2_prefix_words(
-    const std::uint64_t* query, const std::uint64_t* rows, std::size_t row_words,
-    std::size_t prefix_words, std::size_t n_rows) noexcept {
-    argmin2_result r{0, ~std::uint64_t{0}, ~std::uint64_t{0}};
-    for (std::size_t row = 0; row < n_rows; ++row) {
-        const std::uint64_t distance =
-            xor_popcount_words(query, rows + row * row_words, prefix_words);
-        if (distance < r.distance) {
-            r.runner_up = r.distance;
-            r.distance = distance;
-            r.index = row;
-        } else if (distance < r.runner_up) {
-            r.runner_up = distance;
-        }
-    }
-    return r;
-}
-
-/// Pinned scalar oracle for the incremental window extension.
-UHD_SCALAR_REFERENCE inline void hamming_extend_words_reference(
-    const std::uint64_t* query, const std::uint64_t* rows, std::size_t row_words,
-    std::size_t from_word, std::size_t to_word, std::size_t n_rows,
-    std::uint64_t* distances) noexcept {
-    for (std::size_t row = 0; row < n_rows; ++row) {
-        std::uint64_t distance = 0;
-        UHD_NOVECTOR_LOOP
-        for (std::size_t w = from_word; w < to_word; ++w) {
-            distance += static_cast<std::uint64_t>(
-                std::popcount(query[w] ^ rows[row * row_words + w]));
-        }
-        distances[row] += distance;
-    }
-}
-
-/// Extend running per-row distances by the window [from_word, to_word):
-/// distances[r] += popcount(query ^ row_r) over those words. The early-exit
-/// cascade grows each stage's window incrementally with this, so the total
-/// words scanned per query is n_rows * final_window (never re-scanned), and
-/// the accumulated distances are bit-identical to a fresh prefix scan.
-inline void hamming_extend_words_portable(
-    const std::uint64_t* query, const std::uint64_t* rows, std::size_t row_words,
-    std::size_t from_word, std::size_t to_word, std::size_t n_rows,
-    std::uint64_t* distances) noexcept {
-    const std::size_t span = to_word - from_word;
-    for (std::size_t row = 0; row < n_rows; ++row) {
-        distances[row] += xor_popcount_words(
-            query + from_word, rows + row * row_words + from_word, span);
-    }
-}
-
 // --- query-block Hamming kernels (multi-query bitwise GEMM) ---------------
 //
-// A block of packed queries against the whole row-major memory in one call:
-// the queries x rows distance plane is tiled (4 queries x 2 rows per inner
-// tile here; the wide backends use the same shape over vector words) so
-// each class row is streamed from memory once per query *tile* instead of
-// once per query. Distances are exact integer popcounts, so any tile order
-// is bit-identical to per-query scans; the fused argmin2 variant applies
-// row updates in ascending row order per query, preserving the first-wins
-// tie rule of the single-query kernels.
+// The associative search over a packed memory: `rows` holds `n_rows`
+// binarized class vectors back-to-back, `row_words` u64 words each, and a
+// block of packed queries (same packing) is scanned against all of them in
+// one call — a single query is the n_queries = 1 block. The queries x rows
+// distance plane is tiled (4 queries x 2 rows per inner tile here; the wide
+// backends use the same shape over vector words) so each class row is
+// streamed from memory once per query *tile* instead of once per query.
+// Distances are exact integer popcounts, so any tile order gives the same
+// sums. The fused argmin2 variant applies row updates in ascending row
+// order per query, so ties resolve to the lowest row index (strict <) —
+// the first-wins argmax of the per-class cosine scan it replaces, because
+// cosine = (D - 2 * hamming) / D is strictly decreasing in the distance.
 
 /// Pinned scalar oracle for the query-block window extension.
 UHD_SCALAR_REFERENCE inline void hamming_block_extend_reference(
@@ -675,8 +506,12 @@ inline void hamming_block_argmin2_prefix_portable(
         }
     }
     for (; q < n_queries; ++q) {
-        results[q] = hamming_argmin2_prefix_words(queries + q * query_words, rows,
-                                                  row_words, prefix_words, n_rows);
+        const std::uint64_t* query = queries + q * query_words;
+        for (std::size_t row = 0; row < n_rows; ++row) {
+            argmin2_update(results[q], row,
+                           xor_popcount_words(query, rows + row * row_words,
+                                              prefix_words));
+        }
     }
 }
 
@@ -729,8 +564,10 @@ inline void hamming_block_argmin2_prefix_portable(
 
 /// Sum of v[i] over the set bits of a packed mask covering n values
 /// (mask words beyond bit n must be zero — the bitstream tail invariant).
-/// This is the kernel behind the packed-query integer dot product:
-/// with bit 1 = -1, dot(query, v) = sum(v) - 2 * masked_sum(mask, v).
+/// The packed-query integer dot product behind cosine(hypervector, int
+/// row): with bit 1 = -1, dot(query, v) = sum(v) - 2 * masked_sum(mask, v).
+/// A plain portable function, not a dispatched kernel: it has one caller,
+/// and every backend ran this same loop when it was a table slot.
 [[nodiscard]] inline std::int64_t masked_sum_i32(const std::uint64_t* mask,
                                                  const std::int32_t* v,
                                                  std::size_t n) noexcept {

@@ -39,11 +39,12 @@ void geq_tail(std::uint8_t q, const std::uint8_t* thresholds, std::size_t dim,
 
 // --- threshold compare-accumulate -----------------------------------------
 
-/// 32 thresholds per step, any byte values. The unsigned comparison is
+/// One pixel row into u16 counters: geq16[d] += (q >= thresholds[d]), 32
+/// thresholds per step, any byte values. The unsigned comparison is
 /// max_epu8(q, x) == q; the 0xFF/0x00 byte mask sign-extends to -1/0 in u16
 /// lanes, so subtracting it adds the comparison result.
-void geq_accumulate(std::uint8_t q, const std::uint8_t* thresholds, std::size_t dim,
-                    std::uint16_t* geq16, std::uint8_t /*max_value*/) {
+void geq_row_accumulate(std::uint8_t q, const std::uint8_t* thresholds,
+                        std::size_t dim, std::uint16_t* geq16) {
     const __m256i vq = _mm256_set1_epi8(static_cast<char>(q));
     std::size_t d = 0;
     for (; d + 32 <= dim; d += 32) {
@@ -65,10 +66,11 @@ void geq_accumulate(std::uint8_t q, const std::uint8_t* thresholds, std::size_t 
 /// max+compare, and a byte subtract (the 0xFF mask adds 1) — no
 /// accumulator memory traffic until the every-255-pixel flush. Dimension
 /// tails fall back to the u16 row kernel above, flushed every 65535 pixels.
+/// Exact for any byte values, so `max_value` is not consulted.
 void geq_block_accumulate(const std::uint8_t* q, std::size_t npix,
                           const std::uint8_t* bank, std::size_t stride,
                           std::size_t dim, std::int32_t* out,
-                          std::uint8_t max_value) {
+                          std::uint8_t /*max_value*/) {
     constexpr std::size_t tile_dims = 128;
     const auto flush32 = [](__m256i counters, std::int32_t* dst) {
         alignas(32) std::uint8_t lanes[32];
@@ -120,7 +122,7 @@ void geq_block_accumulate(const std::uint8_t* q, std::size_t npix,
             pixels_in_tile = 0;
         };
         for (std::size_t p = 0; p < npix; ++p) {
-            geq_accumulate(q[p], bank + p * stride + d, tail_dim, tile16, max_value);
+            geq_row_accumulate(q[p], bank + p * stride + d, tail_dim, tile16);
             if (++pixels_in_tile == 65535) flush16();
         }
         if (pixels_in_tile != 0) flush16();
@@ -219,12 +221,22 @@ void sign_binarize(const std::int32_t* v, std::size_t n, std::uint64_t* words) {
     }
 }
 
-// --- XOR-popcount reductions ----------------------------------------------
+// --- query-block Hamming kernels ------------------------------------------
 
-/// popcount(a XOR b) with the pshufb nibble-LUT popcount, 4 words (256
-/// bits) per step. Bit-exact with the portable word loop.
-std::uint64_t hamming_distance_words(const std::uint64_t* a, const std::uint64_t* b,
-                                     std::size_t n) {
+/// One nibble-LUT popcount step: per-64-lane bit counts of a 256-bit word
+/// (per-byte counts <= 16; sad_epu8 folds them into four u64 lanes).
+__m256i popcount256(__m256i x, __m256i lut, __m256i low_nibble) {
+    const __m256i lo = _mm256_shuffle_epi8(lut, _mm256_and_si256(x, low_nibble));
+    const __m256i hi = _mm256_shuffle_epi8(
+        lut, _mm256_and_si256(_mm256_srli_epi32(x, 4), low_nibble));
+    return _mm256_sad_epu8(_mm256_add_epi8(lo, hi), _mm256_setzero_si256());
+}
+
+/// popcount(a XOR b), 4 words (256 bits) per step — the per-pair reduction
+/// of the block kernels' ragged query and row edges. Bit-exact with the
+/// portable word loop.
+std::uint64_t xor_popcount_words(const std::uint64_t* a, const std::uint64_t* b,
+                                 std::size_t n) {
     const __m256i low_nibble = _mm256_set1_epi8(0x0F);
     const __m256i lut =
         _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1, 1, 2,
@@ -235,75 +247,13 @@ std::uint64_t hamming_distance_words(const std::uint64_t* a, const std::uint64_t
         const __m256i x = _mm256_xor_si256(
             _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)),
             _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i)));
-        const __m256i lo = _mm256_shuffle_epi8(lut, _mm256_and_si256(x, low_nibble));
-        const __m256i hi = _mm256_shuffle_epi8(
-            lut, _mm256_and_si256(_mm256_srli_epi32(x, 4), low_nibble));
-        // Per-byte counts <= 16; sad_epu8 folds them into four u64 lanes.
-        acc = _mm256_add_epi64(
-            acc, _mm256_sad_epu8(_mm256_add_epi8(lo, hi), _mm256_setzero_si256()));
+        acc = _mm256_add_epi64(acc, popcount256(x, lut, low_nibble));
     }
     alignas(32) std::uint64_t lanes[4];
     _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
     std::uint64_t total = lanes[0] + lanes[1] + lanes[2] + lanes[3];
     for (; i < n; ++i) total += static_cast<std::uint64_t>(std::popcount(a[i] ^ b[i]));
     return total;
-}
-
-std::size_t hamming_argmin(const std::uint64_t* query, const std::uint64_t* rows,
-                           std::size_t words, std::size_t n_rows,
-                           std::uint64_t* best_distance_out) {
-    std::size_t best = 0;
-    std::uint64_t best_distance = ~std::uint64_t{0};
-    for (std::size_t r = 0; r < n_rows; ++r) {
-        const std::uint64_t distance =
-            hamming_distance_words(query, rows + r * words, words);
-        if (distance < best_distance) {
-            best_distance = distance;
-            best = r;
-        }
-    }
-    if (best_distance_out != nullptr) *best_distance_out = best_distance;
-    return best;
-}
-
-argmin2_result hamming_argmin2_prefix(const std::uint64_t* query,
-                                      const std::uint64_t* rows,
-                                      std::size_t row_words, std::size_t prefix_words,
-                                      std::size_t n_rows) {
-    argmin2_result r{0, ~std::uint64_t{0}, ~std::uint64_t{0}};
-    for (std::size_t row = 0; row < n_rows; ++row) {
-        const std::uint64_t distance =
-            hamming_distance_words(query, rows + row * row_words, prefix_words);
-        if (distance < r.distance) {
-            r.runner_up = r.distance;
-            r.distance = distance;
-            r.index = row;
-        } else if (distance < r.runner_up) {
-            r.runner_up = distance;
-        }
-    }
-    return r;
-}
-
-void hamming_extend_words(const std::uint64_t* query, const std::uint64_t* rows,
-                          std::size_t row_words, std::size_t from_word,
-                          std::size_t to_word, std::size_t n_rows,
-                          std::uint64_t* distances) {
-    const std::size_t span = to_word - from_word;
-    for (std::size_t row = 0; row < n_rows; ++row) {
-        distances[row] += hamming_distance_words(
-            query + from_word, rows + row * row_words + from_word, span);
-    }
-}
-
-// --- query-block Hamming kernels ------------------------------------------
-
-/// One nibble-LUT popcount step: per-64-lane bit counts of a 256-bit word.
-__m256i popcount256(__m256i x, __m256i lut, __m256i low_nibble) {
-    const __m256i lo = _mm256_shuffle_epi8(lut, _mm256_and_si256(x, low_nibble));
-    const __m256i hi = _mm256_shuffle_epi8(
-        lut, _mm256_and_si256(_mm256_srli_epi32(x, 4), low_nibble));
-    return _mm256_sad_epu8(_mm256_add_epi8(lo, hi), _mm256_setzero_si256());
 }
 
 /// Register-blocked tile: XOR-popcount distances over words [from_word,
@@ -376,14 +326,14 @@ void hamming_block_extend(const std::uint64_t* queries, std::size_t query_words,
             const std::uint64_t* r0 = rows + row * row_words + from_word;
             for (std::size_t qi = 0; qi < 4; ++qi) {
                 distances[(q + qi) * n_rows + row] +=
-                    hamming_distance_words(qp[qi] + from_word, r0, span);
+                    xor_popcount_words(qp[qi] + from_word, r0, span);
             }
         }
     }
     for (; q < n_queries; ++q) {
         const std::uint64_t* query = queries + q * query_words;
         for (std::size_t row = 0; row < n_rows; ++row) {
-            distances[q * n_rows + row] += hamming_distance_words(
+            distances[q * n_rows + row] += xor_popcount_words(
                 query + from_word, rows + row * row_words + from_word, span);
         }
     }
@@ -427,13 +377,17 @@ void hamming_block_argmin2_prefix(const std::uint64_t* queries,
             const std::uint64_t* r0 = rows + row * row_words;
             for (std::size_t qi = 0; qi < 4; ++qi) {
                 argmin2_update(results[q + qi], row,
-                               hamming_distance_words(qp[qi], r0, prefix_words));
+                               xor_popcount_words(qp[qi], r0, prefix_words));
             }
         }
     }
     for (; q < n_queries; ++q) {
-        results[q] = hamming_argmin2_prefix(queries + q * query_words, rows,
-                                            row_words, prefix_words, n_rows);
+        const std::uint64_t* query = queries + q * query_words;
+        for (std::size_t row = 0; row < n_rows; ++row) {
+            argmin2_update(results[q], row,
+                           xor_popcount_words(query, rows + row * row_words,
+                                              prefix_words));
+        }
     }
 }
 
@@ -475,31 +429,16 @@ double dot_i32(const std::int32_t* a, const std::int32_t* b, std::size_t n) {
     return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
 }
 
-std::int64_t masked_sum_i32(const std::uint64_t* mask, const std::int32_t* v,
-                            std::size_t n) {
-    std::int64_t total = 0;
-    const std::size_t full_words = n / 64;
-    for (std::size_t wi = 0; wi <= full_words; ++wi) {
-        const std::size_t base = wi * 64;
-        if (base >= n) break;
-        for (std::uint64_t m = mask[wi]; m != 0; m &= m - 1) {
-            total += v[base + static_cast<std::size_t>(std::countr_zero(m))];
-        }
-    }
-    return total;
-}
-
 constexpr kernel_table table{
-    "avx2",            supported,
-    geq_accumulate,    geq_block_accumulate,
+    "avx2",
+    supported,
+    geq_block_accumulate,
     geq_rematerialize_accumulate,
-    sign_binarize,     hamming_distance_words,
-    hamming_argmin,    hamming_argmin2_prefix,
-    hamming_extend_words,
+    sign_binarize,
     hamming_block_extend,
     hamming_block_argmin2_prefix,
-    sum_squares_i32,   dot_i32,
-    masked_sum_i32,
+    sum_squares_i32,
+    dot_i32,
 };
 
 } // namespace

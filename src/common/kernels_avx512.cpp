@@ -11,8 +11,8 @@
 // compiled here under -mavx512* could be COMDAT-selected for the whole
 // program and execute AVX-512 code on machines the probe rejected.
 //
-// Popcount: the XOR-popcount family (Hamming distance, argmin scans, the
-// query-block tiles) exists in two flavors, expanded from
+// Popcount: the XOR-popcount family (the two query-block Hamming kernels
+// and their per-pair reduction) exists in two flavors, expanded from
 // kernels_avx512_family.inc — a VPOPCNTDQ flavor using the native
 // _mm512_popcnt_epi64 (compiled in a #pragma GCC target region, so the
 // TU's base flags never include it), and an AVX-512BW nibble-LUT +
@@ -75,11 +75,12 @@ void argmin2_update(argmin2_result& r, std::size_t row, std::uint64_t distance) 
 
 // --- threshold compare-accumulate -----------------------------------------
 
-/// 64 thresholds per step, any byte values: one unsigned byte compare into
-/// a __mmask64, then two masked u16 subtracts of -1 (i.e. masked adds of 1)
+/// One pixel row into u16 counters: geq16[d] += (q >= thresholds[d]), 64
+/// thresholds per step, any byte values — one unsigned byte compare into a
+/// __mmask64, then two masked u16 subtracts of -1 (i.e. masked adds of 1)
 /// over the two 32-lane accumulator halves.
-void geq_accumulate(std::uint8_t q, const std::uint8_t* thresholds, std::size_t dim,
-                    std::uint16_t* geq16, std::uint8_t /*max_value*/) {
+void geq_row_accumulate(std::uint8_t q, const std::uint8_t* thresholds,
+                        std::size_t dim, std::uint16_t* geq16) {
     const __m512i vq = _mm512_set1_epi8(static_cast<char>(q));
     const __m512i minus_one16 = _mm512_set1_epi16(-1);
     std::size_t d = 0;
@@ -101,10 +102,11 @@ void geq_accumulate(std::uint8_t q, const std::uint8_t* thresholds, std::size_t 
 /// counters. Per pixel and 64 dimensions: one load, one compare-to-mask,
 /// one masked byte subtract — no accumulator memory traffic until the
 /// every-255-pixel flush. Dimension tails fall back to the u16 row kernel.
+/// Exact for any byte values, so `max_value` is not consulted.
 void geq_block_accumulate(const std::uint8_t* q, std::size_t npix,
                           const std::uint8_t* bank, std::size_t stride,
                           std::size_t dim, std::int32_t* out,
-                          std::uint8_t max_value) {
+                          std::uint8_t /*max_value*/) {
     constexpr std::size_t tile_dims = 256;
     const __m512i minus_one8 = _mm512_set1_epi8(-1);
     const auto flush64 = [](__m512i counters, std::int32_t* dst) {
@@ -156,7 +158,7 @@ void geq_block_accumulate(const std::uint8_t* q, std::size_t npix,
             pixels_in_tile = 0;
         };
         for (std::size_t p = 0; p < npix; ++p) {
-            geq_accumulate(q[p], bank + p * stride + d, tail_dim, tile16, max_value);
+            geq_row_accumulate(q[p], bank + p * stride + d, tail_dim, tile16);
             if (++pixels_in_tile == 65535) flush16();
         }
         if (pixels_in_tile != 0) flush16();
@@ -299,43 +301,6 @@ __m512i popcount512_lut(__m512i x) {
 // Table entries dispatch on the probed flavor. Both flavors compute exact
 // integer popcounts, so the choice is invisible to results — only to speed.
 
-std::uint64_t hamming_distance_words(const std::uint64_t* a, const std::uint64_t* b,
-                                     std::size_t n) {
-    return use_vpopcnt() ? hamming_distance_words_vpopcnt(a, b, n)
-                         : hamming_distance_words_lut(a, b, n);
-}
-
-std::size_t hamming_argmin(const std::uint64_t* query, const std::uint64_t* rows,
-                           std::size_t words, std::size_t n_rows,
-                           std::uint64_t* best_distance_out) {
-    return use_vpopcnt()
-               ? hamming_argmin_vpopcnt(query, rows, words, n_rows, best_distance_out)
-               : hamming_argmin_lut(query, rows, words, n_rows, best_distance_out);
-}
-
-argmin2_result hamming_argmin2_prefix(const std::uint64_t* query,
-                                      const std::uint64_t* rows,
-                                      std::size_t row_words, std::size_t prefix_words,
-                                      std::size_t n_rows) {
-    return use_vpopcnt() ? hamming_argmin2_prefix_vpopcnt(query, rows, row_words,
-                                                          prefix_words, n_rows)
-                         : hamming_argmin2_prefix_lut(query, rows, row_words,
-                                                      prefix_words, n_rows);
-}
-
-void hamming_extend_words(const std::uint64_t* query, const std::uint64_t* rows,
-                          std::size_t row_words, std::size_t from_word,
-                          std::size_t to_word, std::size_t n_rows,
-                          std::uint64_t* distances) {
-    if (use_vpopcnt()) {
-        hamming_extend_words_vpopcnt(query, rows, row_words, from_word, to_word,
-                                     n_rows, distances);
-    } else {
-        hamming_extend_words_lut(query, rows, row_words, from_word, to_word, n_rows,
-                                 distances);
-    }
-}
-
 void hamming_block_extend(const std::uint64_t* queries, std::size_t query_words,
                           std::size_t n_queries, const std::uint64_t* rows,
                           std::size_t row_words, std::size_t from_word,
@@ -404,31 +369,16 @@ double dot_i32(const std::int32_t* a, const std::int32_t* b, std::size_t n) {
     return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
 }
 
-std::int64_t masked_sum_i32(const std::uint64_t* mask, const std::int32_t* v,
-                            std::size_t n) {
-    std::int64_t total = 0;
-    const std::size_t full_words = n / 64;
-    for (std::size_t wi = 0; wi <= full_words; ++wi) {
-        const std::size_t base = wi * 64;
-        if (base >= n) break;
-        for (std::uint64_t m = mask[wi]; m != 0; m &= m - 1) {
-            total += v[base + static_cast<std::size_t>(std::countr_zero(m))];
-        }
-    }
-    return total;
-}
-
 constexpr kernel_table table{
-    "avx512",          supported,
-    geq_accumulate,    geq_block_accumulate,
+    "avx512",
+    supported,
+    geq_block_accumulate,
     geq_rematerialize_accumulate,
-    sign_binarize,     hamming_distance_words,
-    hamming_argmin,    hamming_argmin2_prefix,
-    hamming_extend_words,
+    sign_binarize,
     hamming_block_extend,
     hamming_block_argmin2_prefix,
-    sum_squares_i32,   dot_i32,
-    masked_sum_i32,
+    sum_squares_i32,
+    dot_i32,
 };
 
 } // namespace

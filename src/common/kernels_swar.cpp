@@ -14,15 +14,6 @@ namespace {
 
 bool supported(const cpu_features&) { return true; }
 
-void geq_accumulate(std::uint8_t q, const std::uint8_t* thresholds, std::size_t dim,
-                    std::uint16_t* geq16, std::uint8_t max_value) {
-    if (max_value <= simd::swar_max_value) {
-        simd::geq_accumulate_swar(q, thresholds, dim, geq16);
-    } else {
-        simd::geq_accumulate_scalar(q, thresholds, dim, geq16);
-    }
-}
-
 void geq_block_accumulate(const std::uint8_t* q, std::size_t npix,
                           const std::uint8_t* bank, std::size_t stride,
                           std::size_t dim, std::int32_t* out, std::uint8_t max_value) {
@@ -47,33 +38,6 @@ void geq_rematerialize_accumulate(const std::uint32_t* directions,
 
 void sign_binarize(const std::int32_t* v, std::size_t n, std::uint64_t* words) {
     simd::sign_binarize_swar(v, n, words);
-}
-
-std::uint64_t hamming_distance_words(const std::uint64_t* a, const std::uint64_t* b,
-                                     std::size_t n) {
-    return simd::xor_popcount_words(a, b, n);
-}
-
-std::size_t hamming_argmin(const std::uint64_t* query, const std::uint64_t* rows,
-                           std::size_t words, std::size_t n_rows,
-                           std::uint64_t* best_distance_out) {
-    return simd::hamming_argmin_words(query, rows, words, n_rows, best_distance_out);
-}
-
-argmin2_result hamming_argmin2_prefix(const std::uint64_t* query,
-                                      const std::uint64_t* rows,
-                                      std::size_t row_words, std::size_t prefix_words,
-                                      std::size_t n_rows) {
-    return simd::hamming_argmin2_prefix_words(query, rows, row_words, prefix_words,
-                                              n_rows);
-}
-
-void hamming_extend_words(const std::uint64_t* query, const std::uint64_t* rows,
-                          std::size_t row_words, std::size_t from_word,
-                          std::size_t to_word, std::size_t n_rows,
-                          std::uint64_t* distances) {
-    simd::hamming_extend_words_portable(query, rows, row_words, from_word, to_word,
-                                        n_rows, distances);
 }
 
 void hamming_block_extend(const std::uint64_t* queries, std::size_t query_words,
@@ -104,22 +68,16 @@ double dot_i32(const std::int32_t* a, const std::int32_t* b, std::size_t n) {
     return simd::dot_i32(a, b, n);
 }
 
-std::int64_t masked_sum_i32(const std::uint64_t* mask, const std::int32_t* v,
-                            std::size_t n) {
-    return simd::masked_sum_i32(mask, v, n);
-}
-
 constexpr kernel_table table{
-    "swar",            supported,
-    geq_accumulate,    geq_block_accumulate,
+    "swar",
+    supported,
+    geq_block_accumulate,
     geq_rematerialize_accumulate,
-    sign_binarize,     hamming_distance_words,
-    hamming_argmin,    hamming_argmin2_prefix,
-    hamming_extend_words,
+    sign_binarize,
     hamming_block_extend,
     hamming_block_argmin2_prefix,
-    sum_squares_i32,   dot_i32,
-    masked_sum_i32,
+    sum_squares_i32,
+    dot_i32,
 };
 
 } // namespace

@@ -1,6 +1,7 @@
 #include "uhd/core/model.hpp"
 
 #include <fstream>
+#include <string>
 #include <utility>
 
 #include "uhd/common/error.hpp"
@@ -38,6 +39,16 @@ void validate_geometry(std::size_t dim, data::image_shape shape,
                 "model threshold bank size out of range");
     UHD_REQUIRE(classes <= (std::size_t{1} << 31) / dim,
                 "model class-accumulator size out of range");
+}
+
+/// A mode word: 1 selects the named alternative, 0 the default. Any other
+/// value is a corrupt or future file, which must not load as some other
+/// model.
+[[nodiscard]] bool read_mode_flag(std::istream& is, const char* field) {
+    const std::uint32_t word = io::read_u32(is);
+    UHD_REQUIRE(word <= 1u, std::string("model file ") + field + " word is " +
+                                std::to_string(word) + " (expected 0 or 1)");
+    return word == 1u;
 }
 
 } // namespace
@@ -176,12 +187,15 @@ uhd_model uhd_model::load(std::istream& is) {
     // cleanly here rather than drive a multi-gigabyte bank/accumulator
     // allocation below.
     validate_geometry(cfg.dim, shape, classes);
-    const hdc::train_mode mode = io::read_u32(is) == 1u ? hdc::train_mode::raw_sums
-                                                        : hdc::train_mode::binarized_images;
-    const hdc::query_mode inference = io::read_u32(is) == 1u ? hdc::query_mode::integer
-                                                             : hdc::query_mode::binarized;
+    const hdc::train_mode mode = read_mode_flag(is, "train_mode")
+                                     ? hdc::train_mode::raw_sums
+                                     : hdc::train_mode::binarized_images;
+    const hdc::query_mode inference = read_mode_flag(is, "query_mode")
+                                          ? hdc::query_mode::integer
+                                          : hdc::query_mode::binarized;
     if (version >= 2) {
-        cfg.bank = io::read_u32(is) == 1u ? bank_mode::rematerialize : bank_mode::stored;
+        cfg.bank = read_mode_flag(is, "bank_mode") ? bank_mode::rematerialize
+                                                   : bank_mode::stored;
     }
     uhd_model model(cfg, shape, classes, mode, inference);
     std::vector<hdc::accumulator> accumulators;

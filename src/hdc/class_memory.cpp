@@ -28,10 +28,9 @@ std::span<const std::uint64_t> class_memory::row(std::size_t c) const {
 
 std::size_t class_memory::nearest(std::span<const std::uint64_t> query_words,
                                   std::uint64_t* distance_out) const {
-    UHD_REQUIRE(classes_ >= 1, "nearest() on an empty class memory");
-    UHD_REQUIRE(query_words.size() == words_, "query word count mismatch");
-    return kernels::hamming_argmin(query_words.data(), rows_.data(), words_, classes_,
-                                   distance_out);
+    std::size_t index = 0;
+    nearest_block(query_words, 1, {&index, 1}, distance_out);
+    return index;
 }
 
 void class_memory::nearest_block(std::span<const std::uint64_t> queries_words,
@@ -52,21 +51,6 @@ void class_memory::nearest_block(std::span<const std::uint64_t> queries_words,
         out[q] = results[q].index;
         if (distances_out != nullptr) distances_out[q] = results[q].distance;
     }
-}
-
-class_memory::prefix_result class_memory::nearest_prefix(
-    std::span<const std::uint64_t> query_words, std::size_t window_words) const {
-    UHD_REQUIRE(classes_ >= 1, "nearest_prefix() on an empty class memory");
-    UHD_REQUIRE(window_words >= 1 && window_words <= words_,
-                "prefix window out of range");
-    UHD_REQUIRE(query_words.size() >= window_words, "query shorter than window");
-    const kernels::argmin2_result r = kernels::hamming_argmin2_prefix(
-        query_words.data(), rows_.data(), words_, window_words, classes_);
-    // Saturating margin: a single-row memory has no runner-up, so every
-    // window is maximally decisive.
-    const std::uint64_t margin =
-        r.runner_up == ~std::uint64_t{0} ? ~std::uint64_t{0} : r.runner_up - r.distance;
-    return prefix_result{r.index, r.distance, margin};
 }
 
 std::size_t class_memory::nearest(const hypervector& query,

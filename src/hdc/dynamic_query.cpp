@@ -48,8 +48,8 @@ dynamic_query_policy dynamic_query_policy::calibrate(
     // One incremental pass per query (the same word economy as answer()):
     // extend the per-class distances stage by stage, recording every early
     // stage's (argmin, margin); the final stage yields the full-D answer
-    // the agreement flags compare against. Bit-identical to per-stage
-    // nearest_prefix scans at a fraction of the words touched.
+    // the agreement flags compare against. Bit-identical to a fresh prefix
+    // scan per stage at a fraction of the words touched.
     const std::size_t early_stages = policy.stages_.size() - 1;
     std::vector<std::vector<std::pair<std::uint64_t, bool>>> stage_outcomes(
         early_stages, std::vector<std::pair<std::uint64_t, bool>>(count));
@@ -61,9 +61,9 @@ dynamic_query_policy dynamic_query_policy::calibrate(
         std::size_t scanned_to = 0;
         std::size_t full_answer = 0;
         for (std::size_t s = 0; s < policy.stages_.size(); ++s) {
-            kernels::hamming_extend_words(query, mem.rows().data(), words, scanned_to,
-                                       policy.stages_[s].window_words,
-                                       mem.classes(), distances.data());
+            kernels::hamming_block_extend(query, words, 1, mem.rows().data(), words,
+                                          scanned_to, policy.stages_[s].window_words,
+                                          mem.classes(), distances.data());
             scanned_to = policy.stages_[s].window_words;
             const kernels::argmin2_result r =
                 kernels::argmin2_u64(distances.data(), mem.classes());
@@ -116,41 +116,11 @@ dynamic_query_policy dynamic_query_policy::calibrate(
 std::size_t dynamic_query_policy::answer(const class_memory& mem,
                                          std::span<const std::uint64_t> query_words,
                                          dynamic_query_stats* stats) const {
-    UHD_REQUIRE(!stages_.empty(), "answer() on a default-constructed policy");
-    UHD_REQUIRE(mem.words_per_class() == full_words(),
-                "policy was built for a different row width");
-    UHD_REQUIRE(query_words.size() == mem.words_per_class(),
-                "query word count mismatch");
-    // Running per-class distances, extended stage by stage (each word of
-    // each row is popcounted at most once per query).
-    static thread_local std::vector<std::uint64_t> distances;
-    distances.assign(mem.classes(), 0);
-
-    std::size_t scanned_to = 0;
-    for (std::size_t s = 0; s < stages_.size(); ++s) {
-        const dynamic_stage& stage = stages_[s];
-        kernels::hamming_extend_words(query_words.data(), mem.rows().data(),
-                                   mem.words_per_class(), scanned_to,
-                                   stage.window_words, mem.classes(),
-                                   distances.data());
-        scanned_to = stage.window_words;
-        const kernels::argmin2_result r =
-            kernels::argmin2_u64(distances.data(), mem.classes());
-        const std::uint64_t margin =
-            r.runner_up == ~std::uint64_t{0} ? ~std::uint64_t{0}
-                                             : r.runner_up - r.distance;
-        const bool last = s + 1 == stages_.size();
-        if (last || (stage.margin_threshold != disabled_threshold &&
-                     margin >= stage.margin_threshold)) {
-            if (stats != nullptr) {
-                stats->exit_stage = s;
-                stats->window_words = stage.window_words;
-                stats->words_scanned = mem.classes() * stage.window_words;
-            }
-            return r.index;
-        }
-    }
-    return 0; // unreachable: the final stage always answers
+    std::size_t index = 0;
+    answer_block(mem, query_words, 1, {&index, 1},
+                 stats != nullptr ? std::span<dynamic_query_stats>(stats, 1)
+                                  : std::span<dynamic_query_stats>());
+    return index;
 }
 
 void dynamic_query_policy::answer_block(const class_memory& mem,

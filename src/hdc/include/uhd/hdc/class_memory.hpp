@@ -50,7 +50,8 @@ public:
     /// Index of the row nearest to the packed query (minimum Hamming
     /// distance, lowest index on ties). `query_words` must hold
     /// words_per_class() words with tail bits zero. When `distance_out`
-    /// is non-null, receives the winning distance.
+    /// is non-null, receives the winning distance. A one-query
+    /// nearest_block() call: there is no separate single-query kernel.
     [[nodiscard]] std::size_t nearest(std::span<const std::uint64_t> query_words,
                                       std::uint64_t* distance_out = nullptr) const;
 
@@ -61,32 +62,13 @@ public:
     /// Answer a block of `n_queries` packed queries (words_per_class()
     /// words each, back-to-back in `queries_words`) in one register-blocked
     /// pass over the class rows (kernels::hamming_block_argmin2_prefix over
-    /// the full row width). out[q] is bit-identical to
-    /// nearest(query q) — same distances, same first-wins tie rule — the
-    /// blocking only changes how many queries share each streamed row.
-    /// When `distances_out` is non-null it receives the n_queries winning
-    /// distances.
+    /// the full row width). out[q] is the first-wins Hamming argmin of
+    /// query q whatever the block size — the blocking only changes how many
+    /// queries share each streamed row. When `distances_out` is non-null it
+    /// receives the n_queries winning distances.
     void nearest_block(std::span<const std::uint64_t> queries_words,
                        std::size_t n_queries, std::span<std::size_t> out,
                        std::uint64_t* distances_out = nullptr) const;
-
-    /// Result of a prefix-window associative search (nearest_prefix).
-    struct prefix_result {
-        std::size_t index;       ///< nearest row over the window (first-wins)
-        std::uint64_t distance;  ///< its Hamming distance over the window
-        std::uint64_t margin;    ///< runner-up distance minus winning distance
-                                 ///< (all-ones when the memory has one row)
-    };
-
-    /// Associative search truncated to the first `window_words` words of
-    /// every row (the first 64 * window_words of the dim() sign bits): the
-    /// dynamic-dimension query primitive. A full-window call
-    /// (window_words == words_per_class()) is bit-identical to nearest(),
-    /// and the margin is the top-1/top-2 Hamming gap the early-exit cascade
-    /// thresholds on. `query_words` must hold at least `window_words` words
-    /// with the same packing as nearest().
-    [[nodiscard]] prefix_result nearest_prefix(
-        std::span<const std::uint64_t> query_words, std::size_t window_words) const;
 
     /// Payload equality: same geometry and identical packed rows. The tail
     /// bits beyond dim() are zero by construction (store() copies from

@@ -12,8 +12,8 @@
 // from held-out data for a target agreement rate with the full-D answer.
 //
 // Determinism: the cascade extends one running distance per class
-// incrementally (kernels::hamming_extend_words), so its full-D stage is
-// bit-identical to class_memory::nearest() — same word order, same
+// incrementally (kernels::hamming_block_extend), so its full-D stage is
+// bit-identical to class_memory::nearest() — same exact distances, same
 // first-wins tie rule. Calibration is a deterministic function of the
 // memory and the calibration queries (no RNG, no data-dependent float
 // accumulation order).
@@ -142,7 +142,8 @@ public:
     /// clears its threshold (the final stage always answers). `query_words`
     /// must hold mem.words_per_class() words with tail bits zero. When every
     /// early stage is disabled — or the exit lands on the final stage — the
-    /// result is bit-identical to mem.nearest(query_words).
+    /// result is bit-identical to mem.nearest(query_words). A one-query
+    /// answer_block() call: there is no separate single-query cascade.
     [[nodiscard]] std::size_t answer(const class_memory& mem,
                                      std::span<const std::uint64_t> query_words,
                                      dynamic_query_stats* stats = nullptr) const;
@@ -161,9 +162,8 @@ public:
     /// stage threshold are answered, and the survivors are compacted so the
     /// next stage streams each class row once for the whole remainder.
     /// out[q] — and, when `stats` is non-empty (it must then hold n_queries
-    /// slots), stats[q] — are bit-identical to answer(query q): the
-    /// per-query distances, margins, and exit decisions are untouched by
-    /// the blocking.
+    /// slots), stats[q] — do not depend on the block size: the per-query
+    /// distances, margins, and exit decisions are untouched by the blocking.
     void answer_block(const class_memory& mem,
                       std::span<const std::uint64_t> queries_words,
                       std::size_t n_queries, std::span<std::size_t> out,

@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "uhd/common/error.hpp"
-#include "uhd/common/kernels.hpp"
+#include "uhd/common/simd.hpp"
 
 namespace uhd::hdc {
 
@@ -44,8 +44,8 @@ double cosine(const hypervector& query, std::span<const std::int32_t> cls) {
         norm += static_cast<double>(y) * static_cast<double>(y);
     }
     if (norm <= 0.0) return 0.0;
-    const std::int64_t negatives = kernels::masked_sum_i32(query.bits().words().data(),
-                                                           cls.data(), cls.size());
+    const std::int64_t negatives =
+        simd::masked_sum_i32(query.bits().words().data(), cls.data(), cls.size());
     const std::int64_t dot = total - 2 * negatives;
     return static_cast<double>(dot) /
            (std::sqrt(norm) *

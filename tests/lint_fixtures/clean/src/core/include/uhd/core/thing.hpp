@@ -16,6 +16,7 @@ struct thing {
 };
 
 std::uint64_t reduce(const thing& t);
+void scan(const std::uint8_t* q, std::size_t n);
 
 } // namespace uhd::core
 

@@ -11,4 +11,6 @@ std::uint64_t reduce(const thing& t) {
                                   t.words.size());
 }
 
+void scan(const std::uint8_t* q, std::size_t n) { kernels::active().alpha(q, n); }
+
 } // namespace uhd::core

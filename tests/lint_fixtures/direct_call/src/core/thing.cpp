@@ -14,4 +14,6 @@ std::uint64_t bad_reduce(const std::uint64_t* a, std::size_t n) {
     return uhd::kernels::detail::swar_table().beta(a, a, n);
 }
 
+void scan(const std::uint8_t* q, std::size_t n) { uhd::kernels::active().alpha(q, n); }
+
 } // namespace uhd::core

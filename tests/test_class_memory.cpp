@@ -114,14 +114,15 @@ TEST(ClassMemory, NearestMatchesScalarReference) {
             mem.store(c, hypervector::random(dim, rng));
         }
         const hypervector query = hypervector::random(dim, rng);
-        std::uint64_t ref_distance = 0;
-        const std::size_t ref = simd::hamming_argmin_reference(
-            query.bits().words().data(), mem.rows().data(), mem.words_per_class(),
-            classes, &ref_distance);
+        // The pinned scalar oracle of the one search primitive, one query.
+        kernels::argmin2_result ref{};
+        simd::hamming_block_argmin2_prefix_reference(
+            query.bits().words().data(), mem.words_per_class(), 1, mem.rows().data(),
+            mem.words_per_class(), mem.words_per_class(), classes, &ref);
         std::uint64_t distance = 0;
-        ASSERT_EQ(mem.nearest(query, &distance), ref)
+        ASSERT_EQ(mem.nearest(query, &distance), ref.index)
             << "dim=" << dim << " classes=" << classes;
-        ASSERT_EQ(distance, ref_distance);
+        ASSERT_EQ(distance, ref.distance);
     }
 }
 

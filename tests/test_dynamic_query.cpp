@@ -1,12 +1,16 @@
 // Tests for the dynamic-dimension query path: prefix-window associative
-// search (class_memory::nearest_prefix vs the pinned scalar oracle and vs
-// the full scan), the early-exit cascade's full-D fallback bit-identity
-// with predict_encoded, calibration determinism, and stats accounting.
+// search through the one-query block kernels (vs the pinned scalar oracle,
+// and incremental extension vs a fresh prefix scan), the early-exit
+// cascade's full-D fallback bit-identity with predict_encoded, calibration
+// guarantees, and stats accounting.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "uhd/common/error.hpp"
+#include "uhd/common/kernels.hpp"
 #include "uhd/common/rng.hpp"
 #include "uhd/common/simd.hpp"
 #include "uhd/core/encoder.hpp"
@@ -30,6 +34,18 @@ class_memory random_memory(std::size_t classes, std::size_t dim, xoshiro256ss& r
     return mem;
 }
 
+/// One-query prefix-window search: argmin + runner-up over the first
+/// `window` words of every row of `mem`.
+kernels::argmin2_result prefix_scan(const class_memory& mem,
+                                    std::span<const std::uint64_t> query,
+                                    std::size_t window) {
+    kernels::argmin2_result r{};
+    kernels::hamming_block_argmin2_prefix(query.data(), mem.words_per_class(), 1,
+                                          mem.rows().data(), mem.words_per_class(),
+                                          window, mem.classes(), &r);
+    return r;
+}
+
 TEST(DynamicQuery, PrefixKernelMatchesPinnedReference) {
     xoshiro256ss rng(101);
     for (const std::size_t dim : {64u, 200u, 1024u, 4096u}) {
@@ -39,32 +55,15 @@ TEST(DynamicQuery, PrefixKernelMatchesPinnedReference) {
             const auto words = query.bits().words();
             for (std::size_t window = 1; window <= mem.words_per_class();
                  window += (window < 4 ? 1 : 3)) {
-                const auto fast = kernels::hamming_argmin2_prefix(
-                    words.data(), mem.rows().data(), mem.words_per_class(), window,
-                    classes);
-                const auto ref = simd::hamming_argmin2_prefix_reference(
-                    words.data(), mem.rows().data(), mem.words_per_class(), window,
-                    classes);
+                const auto fast = prefix_scan(mem, words, window);
+                kernels::argmin2_result ref{};
+                simd::hamming_block_argmin2_prefix_reference(
+                    words.data(), mem.words_per_class(), 1, mem.rows().data(),
+                    mem.words_per_class(), window, classes, &ref);
                 ASSERT_EQ(fast.index, ref.index);
                 ASSERT_EQ(fast.distance, ref.distance);
                 ASSERT_EQ(fast.runner_up, ref.runner_up);
             }
-        }
-    }
-}
-
-TEST(DynamicQuery, FullWindowPrefixEqualsNearest) {
-    xoshiro256ss rng(202);
-    for (const std::size_t dim : {64u, 130u, 1024u}) {
-        const class_memory mem = random_memory(10, dim, rng);
-        for (int q = 0; q < 20; ++q) {
-            const hypervector query = random_hv(dim, rng);
-            std::uint64_t full_distance = 0;
-            const std::size_t nearest = mem.nearest(query, &full_distance);
-            const auto prefix = mem.nearest_prefix(query.bits().words(),
-                                                   mem.words_per_class());
-            EXPECT_EQ(prefix.index, nearest);
-            EXPECT_EQ(prefix.distance, full_distance);
         }
     }
 }
@@ -81,36 +80,36 @@ TEST(DynamicQuery, ExtendKernelMatchesFreshPrefixScan) {
     std::vector<std::uint64_t> running(classes, 0);
     std::size_t from = 0;
     for (const std::size_t to : {words / 8, words / 4, words / 2, words}) {
-        kernels::hamming_extend_words(qwords.data(), mem.rows().data(), words, from, to,
-                                   classes, running.data());
+        kernels::hamming_block_extend(qwords.data(), words, 1, mem.rows().data(),
+                                      words, from, to, classes, running.data());
         from = to;
-        const auto fresh = mem.nearest_prefix(qwords, to);
+        const auto fresh = prefix_scan(mem, qwords, to);
         const auto incremental = kernels::argmin2_u64(running.data(), classes);
         EXPECT_EQ(incremental.index, fresh.index);
         EXPECT_EQ(incremental.distance, fresh.distance);
-        EXPECT_EQ(incremental.runner_up - incremental.distance, fresh.margin);
+        EXPECT_EQ(incremental.runner_up, fresh.runner_up);
     }
 }
 
 TEST(DynamicQuery, SingleRowMemoryHasSaturatedMargin) {
+    // One row has no runner-up: the margin saturates, so calibration must
+    // enable every early stage ("always exit"), not leave it disabled, and
+    // the cascade answers from the first window.
     xoshiro256ss rng(404);
-    const class_memory mem = random_memory(1, 256, rng);
-    const hypervector query = random_hv(256, rng);
-    const auto r = mem.nearest_prefix(query.bits().words(), 2);
-    EXPECT_EQ(r.index, 0u);
-    EXPECT_EQ(r.margin, ~std::uint64_t{0});
-}
-
-TEST(DynamicQuery, NearestPrefixValidatesArguments) {
-    xoshiro256ss rng(505);
-    const class_memory mem = random_memory(4, 256, rng);
-    const hypervector query = random_hv(256, rng);
-    EXPECT_THROW((void)mem.nearest_prefix(query.bits().words(), 0), uhd::error);
-    EXPECT_THROW((void)mem.nearest_prefix(query.bits().words(),
-                                          mem.words_per_class() + 1),
-                 uhd::error);
-    const std::vector<std::uint64_t> short_query(1, 0);
-    EXPECT_THROW((void)mem.nearest_prefix(short_query, 2), uhd::error);
+    const class_memory mem = random_memory(1, 1024, rng);
+    const hypervector query = random_hv(1024, rng);
+    EXPECT_EQ(prefix_scan(mem, query.bits().words(), 2).runner_up,
+              ~std::uint64_t{0});
+    const auto policy =
+        dynamic_query_policy::calibrate(mem, query.bits().words(), 1, 0.99);
+    ASSERT_GE(policy.stages().size(), 2u);
+    for (std::size_t s = 0; s + 1 < policy.stages().size(); ++s) {
+        EXPECT_EQ(policy.stages()[s].margin_threshold,
+                  dynamic_query_policy::disabled_threshold - 1);
+    }
+    dynamic_query_stats stats;
+    EXPECT_EQ(policy.answer(mem, query.bits().words(), &stats), 0u);
+    EXPECT_EQ(stats.exit_stage, 0u);
 }
 
 TEST(DynamicQuery, LadderShapeAndFullScanPolicy) {
@@ -219,9 +218,9 @@ TEST(DynamicQuery, CalibrationHitsTargetAgreementOnCalibrationSet) {
         for (std::size_t i = 0; i < calib.size(); ++i) {
             enc.encode(calib.image(i), encoded);
             kernels::sign_binarize(encoded.data(), encoded.size(), words.data());
-            const auto r = clf.packed_class_memory().nearest_prefix(
-                words, stage.window_words);
-            if (r.margin < stage.margin_threshold) continue;
+            const auto r =
+                prefix_scan(clf.packed_class_memory(), words, stage.window_words);
+            if (r.runner_up - r.distance < stage.margin_threshold) continue;
             ++kept;
             if (r.index == clf.packed_class_memory().nearest(words)) ++agree;
         }

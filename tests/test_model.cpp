@@ -3,6 +3,8 @@
 
 #include <filesystem>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "uhd/common/error.hpp"
 #include "uhd/core/model.hpp"
@@ -96,6 +98,26 @@ TEST(Model, LoadRejectsImplausibleHeaderFields) {
     for (std::size_t i = 0; i < 8; ++i) bytes[8 + i] = static_cast<char>(0xFF);
     std::stringstream corrupt(bytes);
     EXPECT_THROW((void)uhd_model::load(corrupt), uhd::error);
+
+    // The three v2 mode words (train, query, bank) at offsets 60/64/68
+    // accept only 0 and 1: a 2 is a corrupt or future file, not the default.
+    const std::string saved = buffer.str();
+    for (const auto& [offset, field] :
+         {std::pair<std::size_t, std::string>{60, "train_mode"},
+          {64, "query_mode"},
+          {68, "bank_mode"}}) {
+        std::string stamped = saved;
+        const char two[4] = {2, 0, 0, 0}; // little-endian u32
+        stamped.replace(offset, 4, two, 4);
+        std::stringstream stream(stamped);
+        try {
+            (void)uhd_model::load(stream);
+            ADD_FAILURE() << field << " word 2 loaded silently";
+        } catch (const uhd::error& e) {
+            EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(Model, SaveFileReportsWriteFailure) {

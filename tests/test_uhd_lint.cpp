@@ -1,10 +1,10 @@
 // Fixture suite for the uhd_lint project-invariant analyzer.
 //
 // Each fixture tree under tests/lint_fixtures/ is a miniature project:
-// `clean` passes every rule; the five violation trees each seed the
-// violations one rule class must catch (including the acceptance-criteria
-// seeds: a dropped kernel-table backend slot and an immintrin.h include
-// in a portable header). The assertions pin rule id, file, and line, so a
+// `clean` passes every rule; the violation trees each seed the violations
+// one rule class must catch (among them a dropped kernel-table backend
+// slot, a kernel slot only a test calls, and an immintrin.h include in a
+// portable header). The assertions pin rule id, file, and line, so a
 // rule that silently stops firing — or fires on the wrong thing — fails
 // here even while the real tree stays green. The real-tree zero-finding
 // gate is the separate `uhd_lint_tree` CTest entry.
@@ -119,6 +119,18 @@ TEST(UhdLint, KernelTableParityFiresOnDroppedSlotAndMissingTu) {
     EXPECT_TRUE(only_rule(findings, "kernel-table-parity")) << dump(findings);
 }
 
+TEST(UhdLint, KernelTableParityFiresOnSlotWithoutLibraryCaller) {
+    const std::vector<finding> findings = lint_tree("slot_no_caller");
+    // `beta` is wired in every backend but named only by a test: the
+    // finding anchors at its kernel_table member. `alpha`, which the
+    // library calls, must not fire.
+    EXPECT_TRUE(has(findings, "kernel-table-parity",
+                    "src/common/include/uhd/common/kernels.hpp", 15))
+        << dump(findings);
+    EXPECT_EQ(findings.size(), 1u) << dump(findings);
+    EXPECT_TRUE(only_rule(findings, "kernel-table-parity")) << dump(findings);
+}
+
 TEST(UhdLint, DispatchOnlyFiresOnDetailNamespaceAndForceBackend) {
     const std::vector<finding> findings = lint_tree("direct_call");
     // force_backend named outside test/bench (line 7 is its first
@@ -184,9 +196,9 @@ TEST(UhdLint, StripperBlanksCommentsStringsAndRawStrings) {
 }
 
 TEST(UhdLint, TokenSearchRespectsIdentifierBoundaries) {
-    const std::string code = "hamming_argmin2_prefix hamming_argmin";
-    EXPECT_EQ(uhd_lint::find_token(code, "hamming_argmin"), 23u);
-    EXPECT_NE(uhd_lint::find_token(code, "hamming_argmin2_prefix"),
+    const std::string code = "sign_binarize_reference sign_binarize";
+    EXPECT_EQ(uhd_lint::find_token(code, "sign_binarize"), 24u);
+    EXPECT_NE(uhd_lint::find_token(code, "sign_binarize_reference"),
               std::string::npos);
 }
 

@@ -162,10 +162,15 @@ constexpr std::string_view kRegistryHeader =
     "src/common/include/uhd/common/kernels.hpp";
 constexpr std::string_view kRegistryTu = "src/common/kernels.cpp";
 
+struct table_member {
+    std::string name;
+    std::size_t offset;  ///< of the member name in kernels.hpp
+};
+
 /// Function-pointer members of `struct kernel_table`, in declaration order
 /// (includes `supported`, excludes the `name` string).
-[[nodiscard]] std::vector<std::string> kernel_table_members(const source_file& hdr) {
-    std::vector<std::string> members;
+[[nodiscard]] std::vector<table_member> kernel_table_members(const source_file& hdr) {
+    std::vector<table_member> members;
     std::size_t pos = find_token(hdr.code, "kernel_table");
     if (pos == std::string_view::npos) return members;
     const std::size_t open = hdr.code.find('{', pos);
@@ -180,8 +185,9 @@ constexpr std::string_view kRegistryTu = "src/common/kernels.cpp";
         j = skip_ws(body, j + 1);
         const std::string ident = read_ident(body, j);
         if (ident.empty()) continue;
+        const std::size_t at = j;
         j = skip_ws(body, j + ident.size());
-        if (j < body.size() && body[j] == ')') members.push_back(ident);
+        if (j < body.size() && body[j] == ')') members.push_back({ident, open + at});
     }
     return members;
 }
@@ -265,7 +271,7 @@ void rule_kernel_table_parity(const project& p, std::vector<finding>& out) {
                 std::string(hdr == nullptr ? kRegistryHeader : kRegistryTu));
         return;
     }
-    const std::vector<std::string> members = kernel_table_members(*hdr);
+    const std::vector<table_member> members = kernel_table_members(*hdr);
     if (members.empty()) {
         add(out, kKernelTableParity, *hdr, 0,
             "could not parse any function-pointer member out of struct "
@@ -325,18 +331,36 @@ void rule_kernel_table_parity(const project& p, std::vector<finding>& out) {
                 "backend '" + backend.name +
                     "' initializes a kernel slot to nullptr");
         }
-        for (const std::string& member : members) {
-            if (find_token(tu->code, member) != std::string_view::npos) continue;
+        for (const table_member& member : members) {
+            if (find_token(tu->code, member.name) != std::string_view::npos) continue;
             const bool in_inc = std::any_of(
                 common_incs.begin(), common_incs.end(),
                 [&](const source_file* inc) {
-                    return find_token(inc->code, member) != std::string_view::npos;
+                    return find_token(inc->code, member.name) != std::string_view::npos;
                 });
             if (!in_inc) {
                 add(out, kKernelTableParity, *tu, 0,
                     "backend '" + backend.name + "' never names kernel '" +
-                        member + "' — missing definition or initializer slot");
+                        member.name + "' — missing definition or initializer slot");
             }
+        }
+    }
+
+    // Every kernel slot needs a library caller: a slot that only tests or
+    // benches name costs a body per backend and buys nothing at runtime.
+    for (const table_member& member : members) {
+        if (member.name == "supported") continue;
+        const bool called = std::any_of(
+            p.files.begin(), p.files.end(), [&](const source_file& f) {
+                return f.rel_path.starts_with("src/") &&
+                       !f.rel_path.starts_with("src/common/") &&
+                       find_token(f.code, member.name) != std::string_view::npos;
+            });
+        if (!called) {
+            add(out, kKernelTableParity, *hdr, member.offset,
+                "kernel slot '" + member.name +
+                    "' has no library caller — no file under src/ outside "
+                    "src/common/ names it; delete the slot or call it");
         }
     }
 }
@@ -665,7 +689,8 @@ constexpr std::array<rule, 5> kRules = {{
      rule_isa_hermeticity},
     {kKernelTableParity,
      "every kernel_table member has a slot and definition in every "
-     "registered backend TU (incl. the pinned scalar oracle)",
+     "registered backend TU (incl. the pinned scalar oracle) and a library "
+     "caller outside src/common/",
      rule_kernel_table_parity},
     {kDispatchOnly,
      "no source outside the registry TUs names uhd::kernels::detail or "
