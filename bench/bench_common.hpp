@@ -110,6 +110,22 @@ inline double time_encode_batch(const core::uhd_encoder& enc, const data::datase
     return watch.seconds();
 }
 
+/// Seconds to encode the first `n` dataset images into packed sign rows
+/// through encode_sign_batch. `out` must hold n * sign_words(dim()) words.
+inline double time_encode_sign_batch(const core::uhd_encoder& enc,
+                                     const data::dataset& ds, std::size_t n,
+                                     std::span<std::uint64_t> out) {
+    std::vector<std::uint8_t> flat;
+    flat.reserve(n * ds.shape().pixels());
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto img = ds.image(i);
+        flat.insert(flat.end(), img.begin(), img.end());
+    }
+    stopwatch watch; // the staging copy stays outside the measurement
+    enc.encode_sign_batch(flat, n, out);
+    return watch.seconds();
+}
+
 // --- shared train-throughput measurement ----------------------------------
 
 /// Seconds for the seed-era sequential training loop over the first `n`

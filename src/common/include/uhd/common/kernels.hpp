@@ -31,6 +31,7 @@
 #ifndef UHD_COMMON_KERNELS_HPP
 #define UHD_COMMON_KERNELS_HPP
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -52,6 +53,38 @@ struct argmin2_result {
     return (n + 63) / 64;
 }
 
+// --- bit-plane threshold bank layout ---------------------------------------
+//
+// The stored threshold bank keeps M = bit_width(levels - 1) bit planes per
+// pixel (plane k holds bit k of every threshold, the paper's M-bit BRAM
+// word sliced across D). The dimension words are cut into chunks of
+// plane_chunk_words; within a chunk, pixel p's M planes sit back to back and
+// pixels follow in order, so a kernel that finishes one chunk for every
+// pixel before moving on streams the bank front to back. The last chunk is
+// as wide as the words left (no padding), so the bank is exactly
+// npix * M * words words.
+
+/// Dimension words per bank chunk (one 512-bit vector).
+inline constexpr std::size_t plane_chunk_words = 8;
+
+/// Offset, in u64 words, of word `w` of plane `k` of pixel `p` in a
+/// bit-plane bank of `npix` pixels x `m` planes x `words` words.
+[[nodiscard]] constexpr std::size_t plane_word_offset(std::size_t npix, std::size_t m,
+                                                      std::size_t words, std::size_t p,
+                                                      std::size_t k,
+                                                      std::size_t w) noexcept {
+    const std::size_t first = w - w % plane_chunk_words;
+    const std::size_t width =
+        words - first < plane_chunk_words ? words - first : plane_chunk_words;
+    return first * npix * m + (p * m + k) * width + (w - first);
+}
+
+/// Bit-sliced counter planes geq_plane_count writes for `npix` pixels:
+/// enough bits for a count of npix.
+[[nodiscard]] constexpr std::size_t count_planes(std::size_t npix) noexcept {
+    return static_cast<std::size_t>(std::bit_width(npix));
+}
+
 /// One backend: a name, its admissibility predicate, and the full hot-path
 /// kernel set as plain function pointers. Tables are immutable process-wide
 /// constants defined by the per-ISA translation units.
@@ -63,14 +96,25 @@ struct kernel_table {
     /// True when this backend may run on the probed CPU.
     bool (*supported)(const cpu_features& features);
 
-    /// out[d] += sum_{p<npix} (q[p] >= bank[p*stride + d]) — the whole
-    /// encode inner double-loop. `max_value` upper-bounds every q[p] and
-    /// every bank byte (backends whose wide path has a value precondition
-    /// fall back internally when it is exceeded).
-    void (*geq_block_accumulate)(const std::uint8_t* q, std::size_t npix,
-                                 const std::uint8_t* bank, std::size_t stride,
-                                 std::size_t dim, std::int32_t* out,
-                                 std::uint8_t max_value);
+    /// Bit-plane threshold count — the whole stored-bank encode inner
+    /// double loop. `planes` is an npix-pixel bank of `m` bit planes of
+    /// `words` u64 words each, laid out as plane_word_offset() describes;
+    /// pixel p's threshold at dimension d is S_p[d] = sum_k (bit d of plane
+    /// k) << k. Writes count[d] = #{p < npix : q[p] >= S_p[d]} for every
+    /// d < 64 * words, bit-sliced into count_planes(npix) counter planes:
+    /// bit d % 64 of counters[j * words + d / 64] is bit j of count[d].
+    /// Requires 1 <= m <= 8 and q[p] < 2^m; any npix >= 1.
+    void (*geq_plane_count)(const std::uint8_t* q, std::size_t npix,
+                            const std::uint64_t* planes, std::size_t m,
+                            std::size_t words, std::uint64_t* counters);
+
+    /// The int32 finisher of geq_plane_count: out[d] = 2 * count[d] - tau2
+    /// for d < n, reading `n_planes` bit-sliced counter planes of `words`
+    /// words (n <= 64 * words; n_planes <= 30, so 2 * count fits in int32)
+    /// — the centred encode accumulator.
+    void (*plane_count_center)(const std::uint64_t* counters, std::size_t n_planes,
+                               std::size_t words, std::size_t n, std::int32_t tau2,
+                               std::int32_t* out);
 
     /// Rematerializing encode tile: out[j] += sum_{p<npix}
     /// ((sobol_fraction_p(d_begin + j) ^ shifts[p]) <= bounds[p]) for j in
@@ -80,9 +124,9 @@ struct kernel_table {
     /// quantization comparison into `bounds` (largest raw fraction whose
     /// quantized value the pixel's intensity still reaches) and the
     /// per-pixel scramble into `shifts`, so one unsigned compare per
-    /// (pixel, dim) replaces a stored-bank byte load. Pure integer
-    /// accumulation: any dim tiling over [d_begin, d_begin + dim_count) is
-    /// bit-identical to the stored-bank geq_block_accumulate.
+    /// (pixel, dim) replaces a stored threshold. Pure integer
+    /// accumulation: any dim tiling over [d_begin, d_begin + dim_count)
+    /// counts exactly what geq_plane_count counts over the stored bank.
     void (*geq_rematerialize_accumulate)(const std::uint32_t* directions,
                                          std::size_t dir_words,
                                          const std::uint32_t* shifts,
@@ -172,11 +216,16 @@ void force_backend(std::string_view request);
 // cost per call is one atomic load plus an indirect call, amortized over
 // whole-image / whole-row kernel bodies.
 
-inline void geq_block_accumulate(const std::uint8_t* q, std::size_t npix,
-                                 const std::uint8_t* bank, std::size_t stride,
-                                 std::size_t dim, std::int32_t* out,
-                                 std::uint8_t max_value) {
-    active().geq_block_accumulate(q, npix, bank, stride, dim, out, max_value);
+inline void geq_plane_count(const std::uint8_t* q, std::size_t npix,
+                            const std::uint64_t* planes, std::size_t m,
+                            std::size_t words, std::uint64_t* counters) {
+    active().geq_plane_count(q, npix, planes, m, words, counters);
+}
+
+inline void plane_count_center(const std::uint64_t* counters, std::size_t n_planes,
+                               std::size_t words, std::size_t n, std::int32_t tau2,
+                               std::int32_t* out) {
+    active().plane_count_center(counters, n_planes, words, n, tau2, out);
 }
 
 inline void geq_rematerialize_accumulate(const std::uint32_t* directions,

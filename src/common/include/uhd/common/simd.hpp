@@ -23,8 +23,8 @@
 // Call sites use uhd::kernels; including this header directly is for
 // backend TUs, tests, and benchmarks that need a *specific* implementation
 // rather than the dispatched one, and for the undispatched portable
-// helpers (masked_sum_i32, the encode_scalar oracle's
-// geq_accumulate_reference).
+// helpers (masked_sum_i32, the packed-sign finisher plane_count_sign, the
+// encode_scalar oracle's geq_accumulate_reference).
 #ifndef UHD_COMMON_SIMD_HPP
 #define UHD_COMMON_SIMD_HPP
 
@@ -58,38 +58,9 @@ using kernels::argmin2_result;
 using kernels::argmin2_u64;
 using kernels::sign_words;
 
-/// Every byte of the word set to `b`.
-[[nodiscard]] constexpr std::uint64_t splat8(std::uint8_t b) noexcept {
-    return 0x0101010101010101ULL * b;
-}
-
-/// Highest threshold value the SWAR kernel accepts (both q and thresholds).
-inline constexpr std::uint8_t swar_max_value = 127;
-
-/// Per-byte mask (0x80 set) of bytes where q >= x, for bytes <= 127.
-///
-/// With H = 0x80 splatted, (q|H) - x stays within each byte (no borrow can
-/// cross a byte boundary because q|H >= 0x80 and x <= 0x7F), and the high
-/// bit of each byte survives exactly when q >= x.
-[[nodiscard]] constexpr std::uint64_t geq_mask_swar(std::uint64_t q_splat,
-                                                   std::uint64_t x) noexcept {
-    constexpr std::uint64_t high = 0x8080808080808080ULL;
-    return ((q_splat | high) - x) & high;
-}
-
-/// Scalar kernel: geq16[d] += (q >= thresholds[d]) for d in [0, dim).
-/// Used for vector-width tails and as the portable fallback; the compiler
-/// may auto-vectorize it.
-inline void geq_accumulate_scalar(std::uint8_t q, const std::uint8_t* thresholds,
-                                  std::size_t dim, std::uint16_t* geq16) noexcept {
-    for (std::size_t d = 0; d < dim; ++d) {
-        geq16[d] = static_cast<std::uint16_t>(geq16[d] + (q >= thresholds[d]));
-    }
-}
-
-/// True byte-at-a-time oracle: same contract as geq_accumulate_scalar but
-/// pinned to scalar code (see UHD_SCALAR_REFERENCE) so speedup numbers are
-/// measured against a genuinely scalar baseline.
+/// True byte-at-a-time oracle: geq16[d] += (q >= thresholds[d]) for d in
+/// [0, dim), pinned to scalar code (see UHD_SCALAR_REFERENCE) so the
+/// encode_scalar oracle stays a genuinely scalar baseline.
 UHD_SCALAR_REFERENCE inline void geq_accumulate_reference(
     std::uint8_t q, const std::uint8_t* thresholds, std::size_t dim,
     std::uint16_t* geq16) noexcept {
@@ -105,61 +76,238 @@ inline void add_u16_to_i32(const std::uint16_t* geq16, std::size_t dim,
     for (std::size_t d = 0; d < dim; ++d) out[d] += geq16[d];
 }
 
-// --- whole-image block kernels --------------------------------------------
+// --- bit-plane threshold count kernels ------------------------------------
 //
-// out[d] += sum_{p in [0, npix)} (q[p] >= bank[p * stride + d]) — the full
-// encode inner double-loop in one call. The wide implementations tile the
-// dimension axis so the per-dimension counters live in registers as u8
-// lanes, flushed into the int32 output at least every 255 pixels.
+// count[d] = #{p : q[p] >= S_p[d]} over a bit-plane bank (layout:
+// kernels::plane_word_offset), written as count_planes(npix) bit-sliced
+// counter planes. The comparator is bit-sliced as well: walking pixel p's
+// planes from the least significant, ge = maj(~S_k, ge, Q_k), where Q_k is
+// all-ones when bit k of q[p] is set — the highest differing bit decides
+// and equal bits keep the lower bits' verdict, starting from "equal", i.e.
+// q >= S. That is one majority per plane for 64 dimensions. The
+// word-parallel bodies count the comparator outputs with a Harley-Seal
+// carry-save tree: 16 pixels fold into the ones/twos/fours/eights planes
+// with 15 carry-save adders, and the one sixteens plane they emit ripples
+// into the counter planes above them. The counts are exact integers, so
+// every backend writes the same counter words.
 
-/// Portable fallback for the block kernel: per-pixel rows through the u16
-/// kernel, flushed before a u16 lane can overflow.
-inline void geq_block_accumulate_scalar(const std::uint8_t* q, std::size_t npix,
-                                        const std::uint8_t* bank, std::size_t stride,
-                                        std::size_t dim, std::int32_t* out) {
-    std::vector<std::uint16_t> tile(dim, 0);
+/// spread_bits[x] holds bit i of the byte x in byte lane i (0 or 1).
+struct byte_spread_table {
+    std::uint64_t lanes[256];
+};
+
+[[nodiscard]] constexpr byte_spread_table make_byte_spread_table() noexcept {
+    byte_spread_table table{};
+    for (unsigned x = 0; x < 256; ++x) {
+        for (unsigned i = 0; i < 8; ++i) {
+            table.lanes[x] |= static_cast<std::uint64_t>((x >> i) & 1u) << (8 * i);
+        }
+    }
+    return table;
+}
+
+inline constexpr byte_spread_table spread_bits = make_byte_spread_table();
+
+/// Pixel p's 64 thresholds of dimension word w, one byte each, decoded from
+/// its m plane words: each plane byte spreads its eight bits over eight
+/// byte lanes through spread_bits, shifted to the plane's bit.
+inline void decode_plane_word(const std::uint64_t* planes, std::size_t npix,
+                              std::size_t m, std::size_t words, std::size_t p,
+                              std::size_t w, std::uint8_t row[64]) noexcept {
+    std::uint64_t eight[8] = {};
+    for (std::size_t k = 0; k < m; ++k) {
+        const std::uint64_t plane =
+            planes[kernels::plane_word_offset(npix, m, words, p, k, w)];
+        for (unsigned g = 0; g < 8; ++g) {
+            eight[g] |= spread_bits.lanes[(plane >> (8 * g)) & 0xFFu] << k;
+        }
+    }
+    if constexpr (std::endian::native == std::endian::little) {
+        __builtin_memcpy(row, eight, 64); // byte lane i of eight[g] is row[8g + i]
+    } else {
+        for (unsigned b = 0; b < 64; ++b) {
+            row[b] = static_cast<std::uint8_t>(eight[b / 8] >> (8 * (b % 8)));
+        }
+    }
+}
+
+/// Pinned scalar oracle: pixel by pixel, decode the threshold row and
+/// compare each (pixel, dimension) pair byte at a time through
+/// geq_accumulate_reference into u16 lanes (flushed before they can
+/// overflow), then slice the counts into counter planes. The baseline the
+/// carry-save bodies are tested against.
+UHD_SCALAR_REFERENCE inline void geq_plane_count_reference(
+    const std::uint8_t* q, std::size_t npix, const std::uint64_t* planes,
+    std::size_t m, std::size_t words, std::uint64_t* counters) {
+    const std::size_t dims = words * 64;
+    std::vector<std::uint8_t> row(dims);
+    std::vector<std::uint16_t> tile(dims, 0);
+    std::vector<std::int32_t> count(dims, 0);
     std::size_t pixels_in_tile = 0;
     for (std::size_t p = 0; p < npix; ++p) {
-        geq_accumulate_scalar(q[p], bank + p * stride, dim, tile.data());
+        for (std::size_t w = 0; w < words; ++w) {
+            decode_plane_word(planes, npix, m, words, p, w, row.data() + w * 64);
+        }
+        geq_accumulate_reference(q[p], row.data(), dims, tile.data());
         if (++pixels_in_tile == 65535) {
-            add_u16_to_i32(tile.data(), dim, out);
+            add_u16_to_i32(tile.data(), dims, count.data());
             std::fill(tile.begin(), tile.end(), std::uint16_t{0});
             pixels_in_tile = 0;
         }
     }
-    if (pixels_in_tile != 0) add_u16_to_i32(tile.data(), dim, out);
+    add_u16_to_i32(tile.data(), dims, count.data());
+    const std::size_t n_planes = kernels::count_planes(npix);
+    for (std::size_t j = 0; j < n_planes; ++j) {
+        for (std::size_t w = 0; w < words; ++w) {
+            std::uint64_t bits = 0;
+            for (unsigned b = 0; b < 64; ++b) {
+                bits |= static_cast<std::uint64_t>((count[w * 64 + b] >> j) & 1) << b;
+            }
+            counters[j * words + w] = bits;
+        }
+    }
 }
 
-/// SWAR block kernel: 8-dimension tiles with eight u8 counters packed in
-/// one u64, flushed every 255 pixels. Precondition: q and every bank byte
-/// <= swar_max_value (guaranteed when quant_levels <= 128).
-inline void geq_block_accumulate_swar(const std::uint8_t* q, std::size_t npix,
-                                      const std::uint8_t* bank, std::size_t stride,
-                                      std::size_t dim, std::int32_t* out) {
-    constexpr std::uint64_t low_bits = 0x0101010101010101ULL;
-    std::size_t d = 0;
-    for (; d + 8 <= dim; d += 8) {
-        std::uint64_t counters = 0;
-        std::size_t pixels_in_tile = 0;
-        const auto flush = [&] {
-            for (int lane = 0; lane < 8; ++lane) {
-                out[d + static_cast<std::size_t>(lane)] +=
-                    static_cast<std::int32_t>((counters >> (8 * lane)) & 0xFF);
+/// Carry-save adder over 64 bit lanes: a + b + c = low + 2 * high.
+inline void carry_save_add(std::uint64_t& high, std::uint64_t& low, std::uint64_t a,
+                           std::uint64_t b, std::uint64_t c) noexcept {
+    const std::uint64_t u = a ^ b;
+    high = (a & b) | (u & c);
+    low = u ^ c;
+}
+
+/// Add a one-bit-per-lane value into bit-sliced counter planes from plane
+/// `from` up (counter planes never overflow: the count fits by contract).
+inline void ripple_add(std::uint64_t* counter, std::size_t from, std::size_t n_planes,
+                       std::uint64_t carry) noexcept {
+    for (std::size_t j = from; j < n_planes && carry != 0; ++j) {
+        const std::uint64_t next = counter[j] & carry;
+        counter[j] ^= carry;
+        carry = next;
+    }
+}
+
+/// SWAR body: the carry-save tree on u64 words, one dimension word of a
+/// bank chunk at a time.
+inline void geq_plane_count_swar(const std::uint8_t* q, std::size_t npix,
+                                 const std::uint64_t* planes, std::size_t m,
+                                 std::size_t words, std::uint64_t* counters) noexcept {
+    const std::size_t n_planes = kernels::count_planes(npix);
+    for (std::size_t first = 0; first < words; first += kernels::plane_chunk_words) {
+        const std::size_t width = std::min(kernels::plane_chunk_words, words - first);
+        const std::uint64_t* chunk = planes + first * npix * m;
+        for (std::size_t lane = 0; lane < width; ++lane) {
+            // Pixel p's comparator output for this word: q[p] >= S_p[d].
+            const auto ge = [&](std::size_t p) {
+                const std::uint64_t* s = chunk + p * m * width + lane;
+                std::uint64_t g = ~std::uint64_t{0};
+                for (std::size_t k = 0; k < m; ++k) {
+                    const std::uint64_t qk = 0 - static_cast<std::uint64_t>((q[p] >> k) & 1u);
+                    const std::uint64_t not_s = ~s[k * width];
+                    g = (not_s & (g | qk)) | (g & qk);
+                }
+                return g;
+            };
+            std::uint64_t counter[64] = {};
+            std::size_t p = 0;
+            if (n_planes > 4) {
+                std::uint64_t ones = 0, twos = 0, fours = 0, eights = 0;
+                std::uint64_t twos_a, twos_b, fours_a, fours_b, eights_a, eights_b, sixteens;
+                for (; p + 16 <= npix; p += 16) {
+                    carry_save_add(twos_a, ones, ones, ge(p + 0), ge(p + 1));
+                    carry_save_add(twos_b, ones, ones, ge(p + 2), ge(p + 3));
+                    carry_save_add(fours_a, twos, twos, twos_a, twos_b);
+                    carry_save_add(twos_a, ones, ones, ge(p + 4), ge(p + 5));
+                    carry_save_add(twos_b, ones, ones, ge(p + 6), ge(p + 7));
+                    carry_save_add(fours_b, twos, twos, twos_a, twos_b);
+                    carry_save_add(eights_a, fours, fours, fours_a, fours_b);
+                    carry_save_add(twos_a, ones, ones, ge(p + 8), ge(p + 9));
+                    carry_save_add(twos_b, ones, ones, ge(p + 10), ge(p + 11));
+                    carry_save_add(fours_a, twos, twos, twos_a, twos_b);
+                    carry_save_add(twos_a, ones, ones, ge(p + 12), ge(p + 13));
+                    carry_save_add(twos_b, ones, ones, ge(p + 14), ge(p + 15));
+                    carry_save_add(fours_b, twos, twos, twos_a, twos_b);
+                    carry_save_add(eights_b, fours, fours, fours_a, fours_b);
+                    carry_save_add(sixteens, eights, eights, eights_a, eights_b);
+                    ripple_add(counter, 4, n_planes, sixteens);
+                }
+                counter[0] = ones;
+                counter[1] = twos;
+                counter[2] = fours;
+                counter[3] = eights;
             }
-            counters = 0;
-            pixels_in_tile = 0;
-        };
-        for (std::size_t p = 0; p < npix; ++p) {
-            std::uint64_t x;
-            __builtin_memcpy(&x, bank + p * stride + d, 8);
-            counters += (geq_mask_swar(splat8(q[p]), x) >> 7) & low_bits;
-            if (++pixels_in_tile == 255) flush();
+            for (; p < npix; ++p) ripple_add(counter, 0, n_planes, ge(p));
+            for (std::size_t j = 0; j < n_planes; ++j) {
+                counters[j * words + first + lane] = counter[j];
+            }
         }
-        if (pixels_in_tile != 0) flush();
     }
-    if (d < dim) {
-        geq_block_accumulate_scalar(q, npix, bank + d, stride, dim - d, out + d);
+}
+
+/// Pinned scalar oracle for the int32 finisher: one counter decode per
+/// dimension.
+UHD_SCALAR_REFERENCE inline void plane_count_center_reference(
+    const std::uint64_t* counters, std::size_t n_planes, std::size_t words,
+    std::size_t n, std::int32_t tau2, std::int32_t* out) noexcept {
+    UHD_NOVECTOR_LOOP
+    for (std::size_t d = 0; d < n; ++d) {
+        std::int64_t count = 0;
+        for (std::size_t j = 0; j < n_planes; ++j) {
+            count |= static_cast<std::int64_t>((counters[j * words + d / 64] >> (d % 64)) & 1u)
+                     << j;
+        }
+        out[d] = static_cast<std::int32_t>(2 * count - tau2);
     }
+}
+
+/// Portable int32 finisher: one dimension word at a time, each counter
+/// plane added into the word's 64 lanes as a whole.
+inline void plane_count_center_portable(const std::uint64_t* counters,
+                                        std::size_t n_planes, std::size_t words,
+                                        std::size_t n, std::int32_t tau2,
+                                        std::int32_t* out) noexcept {
+    for (std::size_t w = 0; w * 64 < n; ++w) {
+        std::int32_t lanes[64];
+        for (auto& v : lanes) v = -tau2;
+        for (std::size_t j = 0; j < n_planes; ++j) {
+            const std::uint64_t plane = counters[j * words + w];
+            const std::int32_t weight = std::int32_t{2} << j;
+            for (unsigned b = 0; b < 64; ++b) {
+                lanes[b] += static_cast<std::int32_t>((plane >> b) & 1u) * weight;
+            }
+        }
+        const std::size_t count = std::min<std::size_t>(64, n - w * 64);
+        for (std::size_t b = 0; b < count; ++b) out[w * 64 + b] = lanes[b];
+    }
+}
+
+/// The packed-sign finisher of geq_plane_count: bit d of out_words is set
+/// exactly when 2 * count[d] - tau2 < 0, i.e. count[d] < ceil(tau2 / 2) —
+/// the sign_binarize convention (bit 1 = -1) applied to the centred
+/// encode without forming it. A bit-sliced compare against that constant,
+/// least significant plane first; writes sign_words(n) words with the tail
+/// bits beyond n zeroed. Portable: a handful of word operations per plane.
+inline void plane_count_sign(const std::uint64_t* counters, std::size_t n_planes,
+                             std::size_t words, std::size_t n, std::int32_t tau2,
+                             std::uint64_t* out_words) noexcept {
+    const std::int64_t limit = (static_cast<std::int64_t>(tau2) + 1) >> 1; // ceil
+    const std::size_t out_n = sign_words(n);
+    for (std::size_t w = 0; w < out_n; ++w) {
+        std::uint64_t less = 0; // no count is below a limit <= 0
+        if (limit > 0 && n_planes < 63 && (limit >> n_planes) != 0) {
+            less = ~std::uint64_t{0}; // every representable count is below it
+        } else if (limit > 0) {
+            // less = maj(~c_j, less, L_j): bit j of the limit decides where
+            // the count's bit differs, equal bits keep the lower verdict.
+            for (std::size_t j = 0; j < n_planes; ++j) {
+                const std::uint64_t not_c = ~counters[j * words + w];
+                const std::uint64_t t = 0 - static_cast<std::uint64_t>((limit >> j) & 1);
+                less = (not_c & (less | t)) | (less & t);
+            }
+        }
+        out_words[w] = less;
+    }
+    if (n % 64 != 0) out_words[out_n - 1] &= ~std::uint64_t{0} >> (64 - n % 64);
 }
 
 // --- rematerializing encode kernels ---------------------------------------
@@ -173,8 +321,8 @@ inline void geq_block_accumulate_swar(const std::uint8_t* q, std::size_t npix,
 // bit_width(dim)). The comparison against the quantized intensity is folded
 // into `bounds` (largest raw fraction the pixel's intensity still reaches)
 // and the scramble into `shifts`, so the stored-bank byte compare becomes
-// one u32 unsigned compare — bit-identical to geq_block_accumulate on the
-// materialized bank for every tile split of [0, dim).
+// one u32 unsigned compare — bit-identical to geq_plane_count on the
+// stored bank for every tile split of [0, dim).
 //
 // The blocked implementations exploit gray(16m + k) = gray(16m) ^ gray(k):
 // a 16-entry per-pixel delta table turns the serial Gray-code recurrence

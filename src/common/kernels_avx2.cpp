@@ -28,104 +28,192 @@ namespace {
 
 bool supported(const cpu_features& features) { return features.avx2_usable(); }
 
-// --- scalar tails (TU-local copies) ---------------------------------------
+// --- bit-plane threshold count -------------------------------------------
 
-void geq_tail(std::uint8_t q, const std::uint8_t* thresholds, std::size_t dim,
-              std::uint16_t* geq16) {
-    for (std::size_t d = 0; d < dim; ++d) {
-        geq16[d] = static_cast<std::uint16_t>(geq16[d] + (q >= thresholds[d]));
+/// Dimension words per bank chunk (kernels::plane_chunk_words, restated);
+/// this backend walks each chunk as two 256-bit halves.
+constexpr std::size_t chunk_words = 8;
+
+/// Comparator operand per quantized level: mask[l][k] is all-ones when bit k
+/// of level l is set, broadcast from memory (one load per plane, no integer
+/// work per pixel).
+struct level_mask_table {
+    std::uint64_t mask[256][8];
+};
+
+constexpr level_mask_table make_level_masks() {
+    level_mask_table table{};
+    for (unsigned level = 0; level < 256; ++level) {
+        for (unsigned k = 0; k < 8; ++k) {
+            table.mask[level][k] = ((level >> k) & 1u) != 0 ? ~std::uint64_t{0} : 0;
+        }
+    }
+    return table;
+}
+
+constexpr level_mask_table level_masks = make_level_masks();
+
+/// Carry-save adder over 256 bit lanes: a + b + c = low + 2 * high.
+[[gnu::always_inline]] inline void carry_save_add(__m256i& high, __m256i& low,
+                                                  __m256i a, __m256i b, __m256i c) {
+    const __m256i u = _mm256_xor_si256(a, b);
+    high = _mm256_or_si256(_mm256_and_si256(a, b), _mm256_and_si256(u, c));
+    low = _mm256_xor_si256(u, c);
+}
+
+/// Add a one-bit-per-lane vector into the counter planes [from, n_planes).
+[[gnu::always_inline]] inline void ripple_add(__m256i* counter, std::size_t from,
+                                              std::size_t n_planes, __m256i carry) {
+    for (std::size_t j = from; j < n_planes; ++j) {
+        const __m256i c = counter[j];
+        counter[j] = _mm256_xor_si256(c, carry);
+        carry = _mm256_and_si256(c, carry);
     }
 }
 
-// --- threshold compare-accumulate -----------------------------------------
-
-/// One pixel row into u16 counters: geq16[d] += (q >= thresholds[d]), 32
-/// thresholds per step, any byte values. The unsigned comparison is
-/// max_epu8(q, x) == q; the 0xFF/0x00 byte mask sign-extends to -1/0 in u16
-/// lanes, so subtracting it adds the comparison result.
-void geq_row_accumulate(std::uint8_t q, const std::uint8_t* thresholds,
-                        std::size_t dim, std::uint16_t* geq16) {
-    const __m256i vq = _mm256_set1_epi8(static_cast<char>(q));
-    std::size_t d = 0;
-    for (; d + 32 <= dim; d += 32) {
-        const __m256i row =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(thresholds + d));
-        const __m256i mask = _mm256_cmpeq_epi8(_mm256_max_epu8(vq, row), vq);
-        const __m256i lo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(mask));
-        const __m256i hi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(mask, 1));
-        __m256i* acc = reinterpret_cast<__m256i*>(geq16 + d);
-        _mm256_storeu_si256(acc, _mm256_sub_epi16(_mm256_loadu_si256(acc), lo));
-        __m256i* acc2 = reinterpret_cast<__m256i*>(geq16 + d + 16);
-        _mm256_storeu_si256(acc2, _mm256_sub_epi16(_mm256_loadu_si256(acc2), hi));
+/// One pixel's comparator output q >= S over one 256-bit half: the
+/// majority maj(~S_k, ge, Q_k) per plane as or/andnot/and/or, Q_k
+/// broadcast from the level's mask row. `s` points at the half of the
+/// pixel's plane 0; planes are `stride` words apart. A full half loads
+/// plainly; a ragged one through `lanes` (maskload reads nothing in
+/// masked-off lanes).
+template <std::size_t M, bool Full>
+[[gnu::always_inline]] inline __m256i pixel_geq(const std::uint64_t* s,
+                                                std::size_t stride, __m256i lanes,
+                                                std::uint8_t q) {
+    const std::uint64_t* level = level_masks.mask[q];
+    __m256i g = _mm256_set1_epi64x(-1);
+    for (std::size_t k = 0; k < M; ++k) {
+        const __m256i plane =
+            Full ? _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s + k * stride))
+                 : _mm256_maskload_epi64(reinterpret_cast<const long long*>(s + k * stride),
+                                         lanes);
+        const __m256i qk = _mm256_set1_epi64x(static_cast<long long>(level[k]));
+        g = _mm256_or_si256(_mm256_andnot_si256(plane, _mm256_or_si256(g, qk)),
+                            _mm256_and_si256(g, qk));
     }
-    geq_tail(q, thresholds + d, dim - d, geq16 + d);
+    return g;
 }
 
-/// Block kernel: 128-dimension tiles held in four ymm registers of u8
-/// counters. Per pixel and 32 dimensions the loop is one load, an unsigned
-/// max+compare, and a byte subtract (the 0xFF mask adds 1) — no
-/// accumulator memory traffic until the every-255-pixel flush. Dimension
-/// tails fall back to the u16 row kernel above, flushed every 65535 pixels.
-/// Exact for any byte values, so `max_value` is not consulted.
-void geq_block_accumulate(const std::uint8_t* q, std::size_t npix,
-                          const std::uint8_t* bank, std::size_t stride,
-                          std::size_t dim, std::int32_t* out,
-                          std::uint8_t /*max_value*/) {
-    constexpr std::size_t tile_dims = 128;
-    const auto flush32 = [](__m256i counters, std::int32_t* dst) {
-        alignas(32) std::uint8_t lanes[32];
-        _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), counters);
-        for (int i = 0; i < 32; ++i) dst[i] += lanes[i];
+/// One 256-bit half of a bank chunk for every pixel, M planes per pixel.
+/// `half` points at the half's first word of pixel 0's plane 0; `stride` is
+/// the chunk's width in words (plane k of pixel p sits at half + (p * M + k)
+/// * stride). The Harley-Seal tree and the counter ripple match the
+/// AVX-512 body.
+template <std::size_t M, bool Full>
+void count_half(const std::uint8_t* q, std::size_t npix, const std::uint64_t* half,
+                std::size_t stride, __m256i lanes, std::size_t n_planes,
+                __m256i* counter) {
+    const std::size_t pixel_stride = M * (Full ? chunk_words : stride);
+    const auto ge = [&](std::size_t p) {
+        return pixel_geq<M, Full>(half + p * pixel_stride, Full ? chunk_words : stride,
+                                  lanes, q[p]);
     };
-    std::size_t d = 0;
-    for (; d + tile_dims <= dim; d += tile_dims) {
-        __m256i c0 = _mm256_setzero_si256();
-        __m256i c1 = _mm256_setzero_si256();
-        __m256i c2 = _mm256_setzero_si256();
-        __m256i c3 = _mm256_setzero_si256();
-        std::size_t pixels_in_tile = 0;
-        const auto flush = [&] {
-            flush32(c0, out + d);
-            flush32(c1, out + d + 32);
-            flush32(c2, out + d + 64);
-            flush32(c3, out + d + 96);
-            c0 = c1 = c2 = c3 = _mm256_setzero_si256();
-            pixels_in_tile = 0;
-        };
-        for (std::size_t p = 0; p < npix; ++p) {
-            const __m256i vq = _mm256_set1_epi8(static_cast<char>(q[p]));
-            const std::uint8_t* row = bank + p * stride + d;
-            const auto step = [&](const std::uint8_t* src, __m256i counters) {
-                const __m256i x =
-                    _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src));
-                const __m256i mask = _mm256_cmpeq_epi8(_mm256_max_epu8(vq, x), vq);
-                return _mm256_sub_epi8(counters, mask);
-            };
-            c0 = step(row, c0);
-            c1 = step(row + 32, c1);
-            c2 = step(row + 64, c2);
-            c3 = step(row + 96, c3);
-            if (++pixels_in_tile == 255) flush();
+    for (std::size_t j = 0; j < n_planes; ++j) counter[j] = _mm256_setzero_si256();
+    std::size_t p = 0;
+    if (n_planes > 4) {
+        __m256i ones = _mm256_setzero_si256();
+        __m256i twos = ones, fours = ones, eights = ones;
+        for (; p + 16 <= npix; p += 16) {
+            __m256i twos_a, twos_b, fours_a, fours_b, eights_a, eights_b, sixteens;
+            carry_save_add(twos_a, ones, ones, ge(p + 0), ge(p + 1));
+            carry_save_add(twos_b, ones, ones, ge(p + 2), ge(p + 3));
+            carry_save_add(fours_a, twos, twos, twos_a, twos_b);
+            carry_save_add(twos_a, ones, ones, ge(p + 4), ge(p + 5));
+            carry_save_add(twos_b, ones, ones, ge(p + 6), ge(p + 7));
+            carry_save_add(fours_b, twos, twos, twos_a, twos_b);
+            carry_save_add(eights_a, fours, fours, fours_a, fours_b);
+            carry_save_add(twos_a, ones, ones, ge(p + 8), ge(p + 9));
+            carry_save_add(twos_b, ones, ones, ge(p + 10), ge(p + 11));
+            carry_save_add(fours_a, twos, twos, twos_a, twos_b);
+            carry_save_add(twos_a, ones, ones, ge(p + 12), ge(p + 13));
+            carry_save_add(twos_b, ones, ones, ge(p + 14), ge(p + 15));
+            carry_save_add(fours_b, twos, twos, twos_a, twos_b);
+            carry_save_add(eights_b, fours, fours, fours_a, fours_b);
+            carry_save_add(sixteens, eights, eights, eights_a, eights_b);
+            ripple_add(counter, 4, n_planes, sixteens);
         }
-        if (pixels_in_tile != 0) flush();
+        counter[0] = ones;
+        counter[1] = twos;
+        counter[2] = fours;
+        counter[3] = eights;
     }
-    if (d < dim) {
-        // Row-kernel fallback over the remaining dimensions with u16
-        // counters, flushed before a lane can overflow.
-        const std::size_t tail_dim = dim - d;
-        std::uint16_t tile16[tile_dims]; // tail_dim < 128
-        for (std::size_t i = 0; i < tail_dim; ++i) tile16[i] = 0;
-        std::size_t pixels_in_tile = 0;
-        const auto flush16 = [&] {
-            for (std::size_t i = 0; i < tail_dim; ++i) out[d + i] += tile16[i];
-            for (std::size_t i = 0; i < tail_dim; ++i) tile16[i] = 0;
-            pixels_in_tile = 0;
-        };
-        for (std::size_t p = 0; p < npix; ++p) {
-            geq_row_accumulate(q[p], bank + p * stride + d, tail_dim, tile16);
-            if (++pixels_in_tile == 65535) flush16();
+    for (; p < npix; ++p) ripple_add(counter, 0, n_planes, ge(p));
+}
+
+template <std::size_t M>
+void count_half(const std::uint8_t* q, std::size_t npix, const std::uint64_t* half,
+                std::size_t stride, bool full, __m256i lanes, std::size_t n_planes,
+                __m256i* counter) {
+    if (full && stride == chunk_words) {
+        count_half<M, true>(q, npix, half, stride, lanes, n_planes, counter);
+    } else {
+        count_half<M, false>(q, npix, half, stride, lanes, n_planes, counter);
+    }
+}
+
+void geq_plane_count(const std::uint8_t* q, std::size_t npix,
+                     const std::uint64_t* planes, std::size_t m, std::size_t words,
+                     std::uint64_t* counters) {
+    const auto n_planes = static_cast<std::size_t>(std::bit_width(npix));
+    __m256i counter[64];
+    for (std::size_t first = 0; first < words; first += chunk_words) {
+        const std::size_t width =
+            words - first < chunk_words ? words - first : chunk_words;
+        const std::uint64_t* chunk = planes + first * npix * m;
+        for (std::size_t offset = 0; offset < width; offset += 4) {
+            const std::size_t used = width - offset < 4 ? width - offset : 4;
+            const bool full = used == 4;
+            const __m256i lanes = _mm256_cmpgt_epi64(
+                _mm256_set1_epi64x(static_cast<long long>(used)),
+                _mm256_setr_epi64x(0, 1, 2, 3));
+            const std::uint64_t* half = chunk + offset;
+            switch (m) {
+            case 1: count_half<1>(q, npix, half, width, full, lanes, n_planes, counter); break;
+            case 2: count_half<2>(q, npix, half, width, full, lanes, n_planes, counter); break;
+            case 3: count_half<3>(q, npix, half, width, full, lanes, n_planes, counter); break;
+            case 4: count_half<4>(q, npix, half, width, full, lanes, n_planes, counter); break;
+            case 5: count_half<5>(q, npix, half, width, full, lanes, n_planes, counter); break;
+            case 6: count_half<6>(q, npix, half, width, full, lanes, n_planes, counter); break;
+            case 7: count_half<7>(q, npix, half, width, full, lanes, n_planes, counter); break;
+            default: count_half<8>(q, npix, half, width, full, lanes, n_planes, counter); break;
+            }
+            for (std::size_t j = 0; j < n_planes; ++j) {
+                _mm256_maskstore_epi64(
+                    reinterpret_cast<long long*>(counters + j * words + first + offset),
+                    lanes, counter[j]);
+            }
         }
-        if (pixels_in_tile != 0) flush16();
+    }
+}
+
+/// The int32 finisher: eight dimensions per step. Horner over the counter
+/// planes from the most significant: double the lanes, then add each
+/// plane's byte expanded to eight 0/1 lanes (broadcast, and with the lane
+/// bit, compare — the -1 lanes subtract as +1).
+void plane_count_center(const std::uint64_t* counters, std::size_t n_planes,
+                        std::size_t words, std::size_t n, std::int32_t tau2,
+                        std::int32_t* out) {
+    const __m256i lane_bit = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+    const __m256i tau = _mm256_set1_epi32(tau2);
+    for (std::size_t d = 0; d < n; d += 8) {
+        const std::uint64_t* word = counters + d / 64;
+        const unsigned shift = static_cast<unsigned>(d % 64);
+        __m256i count = _mm256_setzero_si256();
+        for (std::size_t j = n_planes; j-- > 0;) {
+            const auto byte = static_cast<int>((word[j * words] >> shift) & 0xFFu);
+            const __m256i bits = _mm256_and_si256(_mm256_set1_epi32(byte), lane_bit);
+            count = _mm256_sub_epi32(_mm256_add_epi32(count, count),
+                                     _mm256_cmpeq_epi32(bits, lane_bit));
+        }
+        const __m256i centred = _mm256_sub_epi32(_mm256_add_epi32(count, count), tau);
+        if (n - d >= 8) {
+            _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + d), centred);
+        } else {
+            alignas(32) std::int32_t lanes[8];
+            _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), centred);
+            for (std::size_t i = 0; d + i < n; ++i) out[d + i] = lanes[i];
+        }
     }
 }
 
@@ -432,7 +520,8 @@ double dot_i32(const std::int32_t* a, const std::int32_t* b, std::size_t n) {
 constexpr kernel_table table{
     "avx2",
     supported,
-    geq_block_accumulate,
+    geq_plane_count,
+    plane_count_center,
     geq_rematerialize_accumulate,
     sign_binarize,
     hamming_block_extend,

@@ -53,14 +53,7 @@ bool use_vpopcnt() {
     return value;
 }
 
-// --- scalar tails (TU-local copies) ---------------------------------------
-
-void geq_tail(std::uint8_t q, const std::uint8_t* thresholds, std::size_t dim,
-              std::uint16_t* geq16) {
-    for (std::size_t d = 0; d < dim; ++d) {
-        geq16[d] = static_cast<std::uint16_t>(geq16[d] + (q >= thresholds[d]));
-    }
-}
+// --- scalar helpers (TU-local copies) -------------------------------------
 
 /// argmin2 update (rows fed in ascending order keep the first-wins rule).
 void argmin2_update(argmin2_result& r, std::size_t row, std::uint64_t distance) {
@@ -73,95 +66,173 @@ void argmin2_update(argmin2_result& r, std::size_t row, std::uint64_t distance) 
     }
 }
 
-// --- threshold compare-accumulate -----------------------------------------
+// --- bit-plane threshold count -------------------------------------------
 
-/// One pixel row into u16 counters: geq16[d] += (q >= thresholds[d]), 64
-/// thresholds per step, any byte values — one unsigned byte compare into a
-/// __mmask64, then two masked u16 subtracts of -1 (i.e. masked adds of 1)
-/// over the two 32-lane accumulator halves.
-void geq_row_accumulate(std::uint8_t q, const std::uint8_t* thresholds,
-                        std::size_t dim, std::uint16_t* geq16) {
-    const __m512i vq = _mm512_set1_epi8(static_cast<char>(q));
-    const __m512i minus_one16 = _mm512_set1_epi16(-1);
-    std::size_t d = 0;
-    for (; d + 64 <= dim; d += 64) {
-        const __m512i x = _mm512_loadu_si512(thresholds + d);
-        const __mmask64 geq = _mm512_cmpge_epu8_mask(vq, x);
-        __m512i lo = _mm512_loadu_si512(geq16 + d);
-        lo = _mm512_mask_sub_epi16(lo, static_cast<__mmask32>(geq), lo, minus_one16);
-        _mm512_storeu_si512(geq16 + d, lo);
-        __m512i hi = _mm512_loadu_si512(geq16 + d + 32);
-        hi = _mm512_mask_sub_epi16(hi, static_cast<__mmask32>(geq >> 32), hi,
-                                   minus_one16);
-        _mm512_storeu_si512(geq16 + d + 32, hi);
+/// Dimension words per bank chunk (kernels::plane_chunk_words, restated:
+/// one zmm of every plane).
+constexpr std::size_t chunk_words = 8;
+
+/// Comparator operand per quantized level: mask[l][k] is all-ones when bit k
+/// of level l is set, broadcast from memory into the comparator's third
+/// operand (one load per plane, no integer work per pixel).
+struct level_mask_table {
+    std::uint64_t mask[256][8];
+};
+
+constexpr level_mask_table make_level_masks() {
+    level_mask_table table{};
+    for (unsigned level = 0; level < 256; ++level) {
+        for (unsigned k = 0; k < 8; ++k) {
+            table.mask[level][k] = ((level >> k) & 1u) != 0 ? ~std::uint64_t{0} : 0;
+        }
     }
-    geq_tail(q, thresholds + d, dim - d, geq16 + d);
+    return table;
 }
 
-/// Block kernel: 256-dimension tiles held in four zmm registers of u8
-/// counters. Per pixel and 64 dimensions: one load, one compare-to-mask,
-/// one masked byte subtract — no accumulator memory traffic until the
-/// every-255-pixel flush. Dimension tails fall back to the u16 row kernel.
-/// Exact for any byte values, so `max_value` is not consulted.
-void geq_block_accumulate(const std::uint8_t* q, std::size_t npix,
-                          const std::uint8_t* bank, std::size_t stride,
-                          std::size_t dim, std::int32_t* out,
-                          std::uint8_t /*max_value*/) {
-    constexpr std::size_t tile_dims = 256;
-    const __m512i minus_one8 = _mm512_set1_epi8(-1);
-    const auto flush64 = [](__m512i counters, std::int32_t* dst) {
-        alignas(64) std::uint8_t lanes[64];
-        _mm512_store_si512(lanes, counters);
-        for (int i = 0; i < 64; ++i) dst[i] += lanes[i];
-    };
-    std::size_t d = 0;
-    for (; d + tile_dims <= dim; d += tile_dims) {
-        __m512i c0 = _mm512_setzero_si512();
-        __m512i c1 = _mm512_setzero_si512();
-        __m512i c2 = _mm512_setzero_si512();
-        __m512i c3 = _mm512_setzero_si512();
-        std::size_t pixels_in_tile = 0;
-        const auto flush = [&] {
-            flush64(c0, out + d);
-            flush64(c1, out + d + 64);
-            flush64(c2, out + d + 128);
-            flush64(c3, out + d + 192);
-            c0 = c1 = c2 = c3 = _mm512_setzero_si512();
-            pixels_in_tile = 0;
-        };
-        for (std::size_t p = 0; p < npix; ++p) {
-            const __m512i vq = _mm512_set1_epi8(static_cast<char>(q[p]));
-            const std::uint8_t* row = bank + p * stride + d;
-            const auto step = [&](const std::uint8_t* src, __m512i counters) {
-                const __m512i x = _mm512_loadu_si512(src);
-                const __mmask64 geq = _mm512_cmpge_epu8_mask(vq, x);
-                return _mm512_mask_sub_epi8(counters, geq, counters, minus_one8);
-            };
-            c0 = step(row, c0);
-            c1 = step(row + 64, c1);
-            c2 = step(row + 128, c2);
-            c3 = step(row + 192, c3);
-            if (++pixels_in_tile == 255) flush();
-        }
-        if (pixels_in_tile != 0) flush();
+constexpr level_mask_table level_masks = make_level_masks();
+
+/// Carry-save adder over 512 bit lanes: a + b + c = low + 2 * high
+/// (ternary logic 0x96 is the three-way XOR, 0xE8 the majority).
+[[gnu::always_inline]] inline void carry_save_add(__m512i& high, __m512i& low,
+                                                  __m512i a, __m512i b, __m512i c) {
+    high = _mm512_ternarylogic_epi64(a, b, c, 0xE8);
+    low = _mm512_ternarylogic_epi64(a, b, c, 0x96);
+}
+
+/// Add a one-bit-per-lane vector into the counter planes [from, n_planes).
+[[gnu::always_inline]] inline void ripple_add(__m512i* counter, std::size_t from,
+                                              std::size_t n_planes, __m512i carry) {
+    for (std::size_t j = from; j < n_planes; ++j) {
+        const __m512i c = counter[j];
+        counter[j] = _mm512_xor_si512(c, carry);
+        carry = _mm512_and_si512(c, carry);
     }
-    if (d < dim) {
-        // Row-kernel fallback over the remaining dimensions with u16
-        // counters, flushed before a lane can overflow.
-        const std::size_t tail_dim = dim - d;
-        std::uint16_t tile16[tile_dims]; // tail_dim < 256
-        for (std::size_t i = 0; i < tail_dim; ++i) tile16[i] = 0;
-        std::size_t pixels_in_tile = 0;
-        const auto flush16 = [&] {
-            for (std::size_t i = 0; i < tail_dim; ++i) out[d + i] += tile16[i];
-            for (std::size_t i = 0; i < tail_dim; ++i) tile16[i] = 0;
-            pixels_in_tile = 0;
-        };
-        for (std::size_t p = 0; p < npix; ++p) {
-            geq_row_accumulate(q[p], bank + p * stride + d, tail_dim, tile16);
-            if (++pixels_in_tile == 65535) flush16();
+}
+
+/// One pixel's comparator output q >= S over one chunk: one ternary-logic
+/// op per plane, 0xB2 = maj(~S_k, ge, Q_k), Q_k broadcast from the level's
+/// mask row. `s` points at the pixel's plane 0; planes are `width` words
+/// apart. A full chunk (Full, width 8) loads plainly; a ragged one loads
+/// under `lanes`, so masked-off lanes read nothing.
+template <std::size_t M, bool Full>
+[[gnu::always_inline]] inline __m512i pixel_geq(const std::uint64_t* s,
+                                                std::size_t width, __mmask8 lanes,
+                                                std::uint8_t q) {
+    const std::uint64_t* level = level_masks.mask[q];
+    __m512i g = _mm512_set1_epi64(-1);
+    for (std::size_t k = 0; k < M; ++k) {
+        const __m512i plane = Full ? _mm512_loadu_si512(s + k * chunk_words)
+                                   : _mm512_maskz_loadu_epi64(lanes, s + k * width);
+        g = _mm512_ternarylogic_epi64(
+            g, plane, _mm512_set1_epi64(static_cast<long long>(level[k])), 0xB2);
+    }
+    return g;
+}
+
+/// One bank chunk for every pixel, M planes per pixel: sixteen comparator
+/// outputs fold through the Harley-Seal tree into the ones..eights planes
+/// and the sixteens plane ripples into counter[4..).
+template <std::size_t M, bool Full>
+void count_chunk(const std::uint8_t* q, std::size_t npix, const std::uint64_t* chunk,
+                 std::size_t width, __mmask8 lanes, std::size_t n_planes,
+                 __m512i* counter) {
+    const std::size_t stride = M * (Full ? chunk_words : width);
+    const auto ge = [&](std::size_t p) {
+        return pixel_geq<M, Full>(chunk + p * stride, width, lanes, q[p]);
+    };
+    for (std::size_t j = 0; j < n_planes; ++j) counter[j] = _mm512_setzero_si512();
+    std::size_t p = 0;
+    if (n_planes > 4) {
+        __m512i ones = _mm512_setzero_si512();
+        __m512i twos = ones, fours = ones, eights = ones;
+        for (; p + 16 <= npix; p += 16) {
+            __m512i twos_a, twos_b, fours_a, fours_b, eights_a, eights_b, sixteens;
+            carry_save_add(twos_a, ones, ones, ge(p + 0), ge(p + 1));
+            carry_save_add(twos_b, ones, ones, ge(p + 2), ge(p + 3));
+            carry_save_add(fours_a, twos, twos, twos_a, twos_b);
+            carry_save_add(twos_a, ones, ones, ge(p + 4), ge(p + 5));
+            carry_save_add(twos_b, ones, ones, ge(p + 6), ge(p + 7));
+            carry_save_add(fours_b, twos, twos, twos_a, twos_b);
+            carry_save_add(eights_a, fours, fours, fours_a, fours_b);
+            carry_save_add(twos_a, ones, ones, ge(p + 8), ge(p + 9));
+            carry_save_add(twos_b, ones, ones, ge(p + 10), ge(p + 11));
+            carry_save_add(fours_a, twos, twos, twos_a, twos_b);
+            carry_save_add(twos_a, ones, ones, ge(p + 12), ge(p + 13));
+            carry_save_add(twos_b, ones, ones, ge(p + 14), ge(p + 15));
+            carry_save_add(fours_b, twos, twos, twos_a, twos_b);
+            carry_save_add(eights_b, fours, fours, fours_a, fours_b);
+            carry_save_add(sixteens, eights, eights, eights_a, eights_b);
+            ripple_add(counter, 4, n_planes, sixteens);
         }
-        if (pixels_in_tile != 0) flush16();
+        counter[0] = ones;
+        counter[1] = twos;
+        counter[2] = fours;
+        counter[3] = eights;
+    }
+    for (; p < npix; ++p) ripple_add(counter, 0, n_planes, ge(p));
+}
+
+template <std::size_t M>
+void count_chunk(const std::uint8_t* q, std::size_t npix, const std::uint64_t* chunk,
+                 std::size_t width, __mmask8 lanes, std::size_t n_planes,
+                 __m512i* counter) {
+    if (width == chunk_words) {
+        count_chunk<M, true>(q, npix, chunk, width, lanes, n_planes, counter);
+    } else {
+        count_chunk<M, false>(q, npix, chunk, width, lanes, n_planes, counter);
+    }
+}
+
+void geq_plane_count(const std::uint8_t* q, std::size_t npix,
+                     const std::uint64_t* planes, std::size_t m, std::size_t words,
+                     std::uint64_t* counters) {
+    const auto n_planes = static_cast<std::size_t>(std::bit_width(npix));
+    __m512i counter[64];
+    for (std::size_t first = 0; first < words; first += chunk_words) {
+        const std::size_t width =
+            words - first < chunk_words ? words - first : chunk_words;
+        const auto lanes = static_cast<__mmask8>((1u << width) - 1);
+        const std::uint64_t* chunk = planes + first * npix * m;
+        switch (m) {
+        case 1: count_chunk<1>(q, npix, chunk, width, lanes, n_planes, counter); break;
+        case 2: count_chunk<2>(q, npix, chunk, width, lanes, n_planes, counter); break;
+        case 3: count_chunk<3>(q, npix, chunk, width, lanes, n_planes, counter); break;
+        case 4: count_chunk<4>(q, npix, chunk, width, lanes, n_planes, counter); break;
+        case 5: count_chunk<5>(q, npix, chunk, width, lanes, n_planes, counter); break;
+        case 6: count_chunk<6>(q, npix, chunk, width, lanes, n_planes, counter); break;
+        case 7: count_chunk<7>(q, npix, chunk, width, lanes, n_planes, counter); break;
+        default: count_chunk<8>(q, npix, chunk, width, lanes, n_planes, counter); break;
+        }
+        for (std::size_t j = 0; j < n_planes; ++j) {
+            _mm512_mask_storeu_epi64(counters + j * words + first, lanes, counter[j]);
+        }
+    }
+}
+
+/// The int32 finisher: sixteen dimensions per step, each counter plane's
+/// 16-bit slice used directly as the write mask of one masked add of the
+/// plane's weight 2^(j+1), on top of -tau2.
+void plane_count_center(const std::uint64_t* counters, std::size_t n_planes,
+                        std::size_t words, std::size_t n, std::int32_t tau2,
+                        std::int32_t* out) {
+    __m512i weight[32];
+    for (std::size_t j = 0; j < n_planes && j < 32; ++j) {
+        weight[j] = _mm512_set1_epi32(static_cast<int>(std::uint32_t{2} << j));
+    }
+    const __m512i base = _mm512_set1_epi32(-tau2);
+    for (std::size_t d = 0; d < n; d += 16) {
+        const std::uint64_t* word = counters + d / 64;
+        const unsigned shift = static_cast<unsigned>(d % 64);
+        __m512i acc = base;
+        for (std::size_t j = 0; j < n_planes; ++j) {
+            const auto bits = static_cast<__mmask16>(word[j * words] >> shift);
+            acc = _mm512_mask_add_epi32(acc, bits, acc, weight[j]);
+        }
+        const std::size_t left = n - d;
+        const auto keep =
+            left >= 16 ? static_cast<__mmask16>(0xFFFF)
+                       : static_cast<__mmask16>((1u << left) - 1);
+        _mm512_mask_storeu_epi32(out + d, keep, acc);
     }
 }
 
@@ -372,7 +443,8 @@ double dot_i32(const std::int32_t* a, const std::int32_t* b, std::size_t n) {
 constexpr kernel_table table{
     "avx512",
     supported,
-    geq_block_accumulate,
+    geq_plane_count,
+    plane_count_center,
     geq_rematerialize_accumulate,
     sign_binarize,
     hamming_block_extend,

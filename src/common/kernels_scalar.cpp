@@ -5,7 +5,6 @@
 // admissible everywhere and deliberately slow: the pinned kernels refuse
 // auto-vectorization (UHD_SCALAR_REFERENCE) to stay an honest baseline.
 #include <cstdint>
-#include <vector>
 
 #include "kernels_detail.hpp"
 #include "uhd/common/simd.hpp"
@@ -16,23 +15,19 @@ namespace {
 
 bool supported(const cpu_features&) { return true; }
 
-void geq_block_accumulate(const std::uint8_t* q, std::size_t npix,
-                          const std::uint8_t* bank, std::size_t stride,
-                          std::size_t dim, std::int32_t* out,
-                          std::uint8_t /*max_value*/) {
-    // Per-pixel rows through the pinned u16 oracle, flushed before a u16
-    // lane can overflow — the same tiling contract as the wide backends.
-    std::vector<std::uint16_t> tile(dim, 0);
-    std::size_t pixels_in_tile = 0;
-    for (std::size_t p = 0; p < npix; ++p) {
-        simd::geq_accumulate_reference(q[p], bank + p * stride, dim, tile.data());
-        if (++pixels_in_tile == 65535) {
-            simd::add_u16_to_i32(tile.data(), dim, out);
-            std::fill(tile.begin(), tile.end(), std::uint16_t{0});
-            pixels_in_tile = 0;
-        }
-    }
-    if (pixels_in_tile != 0) simd::add_u16_to_i32(tile.data(), dim, out);
+void geq_plane_count(const std::uint8_t* q, std::size_t npix,
+                     const std::uint64_t* planes, std::size_t m, std::size_t words,
+                     std::uint64_t* counters) {
+    // One threshold decode and compare per (pixel, dimension) — the
+    // reference the carry-save trees of the other backends are tested
+    // against.
+    simd::geq_plane_count_reference(q, npix, planes, m, words, counters);
+}
+
+void plane_count_center(const std::uint64_t* counters, std::size_t n_planes,
+                        std::size_t words, std::size_t n, std::int32_t tau2,
+                        std::int32_t* out) {
+    simd::plane_count_center_reference(counters, n_planes, words, n, tau2, out);
 }
 
 void geq_rematerialize_accumulate(const std::uint32_t* directions,
@@ -80,7 +75,8 @@ double dot_i32(const std::int32_t* a, const std::int32_t* b, std::size_t n) {
 constexpr kernel_table table{
     "scalar",
     supported,
-    geq_block_accumulate,
+    geq_plane_count,
+    plane_count_center,
     geq_rematerialize_accumulate,
     sign_binarize,
     hamming_block_extend,

@@ -1,8 +1,7 @@
 // The SWAR backend: 64-bit word-parallel kernels with no ISA requirement
 // beyond a 64-bit integer unit — the fast default for generic builds and
-// non-x86 targets. The geq kernels have a value precondition (all operands
-// <= 127); when a caller's max_value exceeds it, the table entry falls back
-// to the portable scalar body for that call rather than miscomputing.
+// non-x86 targets. The bit-plane count runs the carry-save tree on u64
+// words, so it has no value precondition.
 #include <cstdint>
 
 #include "kernels_detail.hpp"
@@ -14,14 +13,16 @@ namespace {
 
 bool supported(const cpu_features&) { return true; }
 
-void geq_block_accumulate(const std::uint8_t* q, std::size_t npix,
-                          const std::uint8_t* bank, std::size_t stride,
-                          std::size_t dim, std::int32_t* out, std::uint8_t max_value) {
-    if (max_value <= simd::swar_max_value) {
-        simd::geq_block_accumulate_swar(q, npix, bank, stride, dim, out);
-    } else {
-        simd::geq_block_accumulate_scalar(q, npix, bank, stride, dim, out);
-    }
+void geq_plane_count(const std::uint8_t* q, std::size_t npix,
+                     const std::uint64_t* planes, std::size_t m, std::size_t words,
+                     std::uint64_t* counters) {
+    simd::geq_plane_count_swar(q, npix, planes, m, words, counters);
+}
+
+void plane_count_center(const std::uint64_t* counters, std::size_t n_planes,
+                        std::size_t words, std::size_t n, std::int32_t tau2,
+                        std::int32_t* out) {
+    simd::plane_count_center_portable(counters, n_planes, words, n, tau2, out);
 }
 
 void geq_rematerialize_accumulate(const std::uint32_t* directions,
@@ -71,7 +72,8 @@ double dot_i32(const std::int32_t* a, const std::int32_t* b, std::size_t n) {
 constexpr kernel_table table{
     "swar",
     supported,
-    geq_block_accumulate,
+    geq_plane_count,
+    plane_count_center,
     geq_rematerialize_accumulate,
     sign_binarize,
     hamming_block_extend,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 
 #include "uhd/bitstream/unary.hpp"
 #include "uhd/common/error.hpp"
@@ -19,10 +20,7 @@ uhd_encoder::uhd_encoder(const uhd_config& config, data::image_shape shape)
     UHD_REQUIRE(config.dim >= 64, "dimension too small to be hyperdimensional");
     UHD_REQUIRE(shape.channels == 1, "uHD encoder expects grayscale images");
 
-    if (config_.bank == bank_mode::stored) {
-        bank_.emplace(directions_, shape_.pixels(), config_.dim, config_.quant_levels,
-                      config_.scramble ? config_.sobol_seed : 0);
-    } else {
+    if (config_.bank == bank_mode::rematerialize) {
         // O(pixels) generator state instead of the O(pixels * D) bank:
         // bit_width(dim) direction words cover every Gray-code advance the
         // kernels perform for point indices <= dim (including the final
@@ -39,8 +37,11 @@ uhd_encoder::uhd_encoder(const uhd_config& config, data::image_shape shape)
             shifts_[p] = pixel_shift(p);
         }
         bound_table_ = ld::quantize_bounds(config_.quant_levels);
+    } else {
+        UHD_REQUIRE(config.quant_levels >= 2 && config.quant_levels <= 256,
+                    "quantization levels must be in [2, 256]");
     }
-    build_tables();
+    build_tables(nullptr);
 }
 
 uhd_encoder::uhd_encoder(const uhd_config& config, data::image_shape shape,
@@ -48,16 +49,16 @@ uhd_encoder::uhd_encoder(const uhd_config& config, data::image_shape shape,
     : config_(config),
       shape_(shape),
       directions_(ld::sobol_directions::standard(shape.pixels(), config.sobol_seed)),
-      bank_(std::move(custom_bank)),
       ust_(config.quant_levels, config.stream_length()) {
     UHD_REQUIRE(config.bank == bank_mode::stored,
                 "a custom threshold bank has no generator to rematerialize from");
     UHD_REQUIRE(config.dim >= 64, "dimension too small to be hyperdimensional");
     UHD_REQUIRE(shape.channels == 1, "uHD encoder expects grayscale images");
-    UHD_REQUIRE(bank_->dims() == shape.pixels() && bank_->samples() == config.dim &&
-                    bank_->levels() == config.quant_levels,
+    UHD_REQUIRE(custom_bank.dims() == shape.pixels() &&
+                    custom_bank.samples() == config.dim &&
+                    custom_bank.levels() == config.quant_levels,
                 "threshold bank geometry does not match the configuration");
-    build_tables();
+    build_tables(&custom_bank);
 }
 
 std::uint32_t uhd_encoder::pixel_shift(std::size_t p) const noexcept {
@@ -72,66 +73,176 @@ void uhd_encoder::materialize_row(std::size_t p, std::uint8_t* row) const {
     ld::sobol_sequence seq(directions_.direction_numbers(p));
     const std::uint32_t shift = pixel_shift(p);
     for (std::size_t i = 0; i < config_.dim; ++i) {
-        const std::uint32_t fraction = seq.next_fraction() ^ shift;
-        row[i] = ld::quantize_unit(ld::sobol_sequence::fraction_to_unit(fraction),
-                                   config_.quant_levels);
+        row[i] = ld::quantize_fraction(seq.next_fraction() ^ shift, config_.quant_levels);
     }
 }
 
-void uhd_encoder::build_tables() {
+void uhd_encoder::build_tables(const ld::quantized_sobol_bank* custom) {
     for (unsigned x = 0; x < 256; ++x) {
         quant_lut_[x] = ld::quantize_unit(static_cast<double>(x) / 255.0,
                                           config_.quant_levels);
     }
 
     // Per-pixel threshold CDF: how many of the pixel's D thresholds a given
-    // quantized intensity reaches. Used for exact mean-centering. In
-    // rematerialize mode the rows are streamed through once here and then
-    // discarded — the CDF sidecar stays, the bank does not.
+    // quantized intensity reaches. Used for exact mean-centering. Every
+    // row is generated (or read from the custom bank) once here, counted
+    // into the CDF and, in stored mode, sliced into the pixel's bit planes;
+    // only one row is ever held, so the byte bank never exists whole.
     const unsigned xi = config_.quant_levels;
+    const bool stored = config_.bank == bank_mode::stored;
+    if (stored) {
+        plane_bits_ = config_.scalar_bits();
+        planes_.assign(shape_.pixels() * plane_bits_ * kernels::sign_words(config_.dim),
+                       0);
+    }
     cdf_counts_.assign(shape_.pixels() * xi, 0);
-    std::vector<std::uint8_t> scratch;
-    if (!bank_) scratch.resize(config_.dim);
+    std::vector<std::uint8_t> scratch(custom != nullptr ? 0 : config_.dim);
     for (std::size_t p = 0; p < shape_.pixels(); ++p) {
         std::uint32_t* cdf = cdf_counts_.data() + p * xi;
-        std::span<const std::uint8_t> row;
-        if (bank_) {
-            row = bank_->row(p);
+        const std::uint8_t* row = nullptr;
+        if (custom != nullptr) {
+            row = custom->row(p).data();
         } else {
             materialize_row(p, scratch.data());
-            row = {scratch.data(), config_.dim};
+            row = scratch.data();
         }
-        for (const std::uint8_t s : row) ++cdf[s];
+        for (std::size_t d = 0; d < config_.dim; ++d) ++cdf[row[d]];
         for (unsigned q = 1; q < xi; ++q) cdf[q] += cdf[q - 1];
+        if (stored) slice_row(p, row);
+    }
+}
+
+void uhd_encoder::slice_row(std::size_t p, const std::uint8_t* row) {
+    // Word-level bit transpose: eight thresholds form one u64 (byte i =
+    // dimension 8g + i); masking bit k of every byte and multiplying by
+    // 0x0102040810204080 gathers those eight bits, in order, into the top
+    // byte (every partial product lands on its own bit, so nothing
+    // carries) — eight plane bits per multiply instead of a per-bit loop.
+    constexpr std::uint64_t low_bits = 0x0101010101010101ULL;
+    constexpr std::uint64_t gather = 0x0102040810204080ULL;
+    const std::size_t dim = config_.dim;
+    const std::size_t words = kernels::sign_words(dim);
+    for (std::size_t w = 0; w < words; ++w) {
+        // The word's 64 thresholds, zero past dim (threshold 0 never
+        // matters: the finishers ignore dimensions >= dim).
+        std::uint8_t bytes[64] = {};
+        std::copy_n(row + w * 64, std::min<std::size_t>(64, dim - w * 64), bytes);
+        std::uint64_t plane[8] = {};
+        for (std::size_t g = 0; g < 8; ++g) {
+            std::uint64_t eight = 0;
+            if constexpr (std::endian::native == std::endian::little) {
+                std::memcpy(&eight, bytes + 8 * g, 8);
+            } else {
+                for (std::size_t i = 0; i < 8; ++i) {
+                    eight |= static_cast<std::uint64_t>(bytes[8 * g + i]) << (8 * i);
+                }
+            }
+            for (std::size_t k = 0; k < plane_bits_; ++k) {
+                plane[k] |= ((((eight >> k) & low_bits) * gather) >> 56) << (8 * g);
+            }
+        }
+        for (std::size_t k = 0; k < plane_bits_; ++k) {
+            planes_[kernels::plane_word_offset(shape_.pixels(), plane_bits_, words, p, k,
+                                               w)] = plane[k];
+        }
     }
 }
 
 std::span<const std::uint8_t> uhd_encoder::sobol_row(std::size_t p) const {
-    if (bank_) return bank_->row(p);
     UHD_REQUIRE(p < shape_.pixels(), "bank dimension out of range");
-    // Reused per thread: gate-exact unary encode and the datapath simulator
-    // fetch rows one pixel at a time.
+    // Reused per thread: gate-exact unary encode and encode_scalar fetch
+    // rows one pixel at a time.
     static thread_local std::vector<std::uint8_t> row;
     row.resize(config_.dim);
-    materialize_row(p, row.data());
-    return {row.data(), row.size()};
+    if (config_.bank == bank_mode::rematerialize) {
+        materialize_row(p, row.data());
+        return {row.data(), row.size()};
+    }
+    const std::size_t words = kernels::sign_words(config_.dim);
+    row.resize(words * 64); // whole plane words decode; the span ends at dim
+    for (std::size_t w = 0; w < words; ++w) {
+        simd::decode_plane_word(planes_.data(), shape_.pixels(), plane_bits_, words, p, w,
+                                row.data() + w * 64);
+    }
+    return {row.data(), config_.dim};
 }
+
+std::uint8_t uhd_encoder::threshold(std::size_t p, std::size_t d) const {
+    UHD_REQUIRE(p < shape_.pixels() && d < config_.dim, "threshold index out of range");
+    if (config_.bank == bank_mode::rematerialize) {
+        // Gray-code jump: the d-th fraction is the XOR of the direction
+        // numbers over the set bits of gray(d), scrambled by the shift.
+        const std::uint32_t* v = remat_dirs_.data() + p * dir_words_;
+        std::uint32_t fraction = shifts_[p];
+        for (std::uint64_t g = d ^ (d >> 1); g != 0; g &= g - 1) {
+            fraction ^= v[std::countr_zero(g)];
+        }
+        return ld::quantize_fraction(fraction, config_.quant_levels);
+    }
+    const std::size_t words = kernels::sign_words(config_.dim);
+    unsigned value = 0;
+    for (std::size_t k = 0; k < plane_bits_; ++k) {
+        const std::uint64_t plane =
+            planes_[kernels::plane_word_offset(shape_.pixels(), plane_bits_, words, p, k,
+                                               d / 64)];
+        value |= static_cast<unsigned>((plane >> (d % 64)) & 1u) << k;
+    }
+    return static_cast<std::uint8_t>(value);
+}
+
+namespace {
+
+/// 2*TOB under the mean_intensity policy: the exact per-dimension mean of
+/// the popcounts, sum_p #{d : q_p >= S_p[d]} / D, doubled and rounded.
+[[nodiscard]] std::int32_t mean_threshold(std::int64_t reach_sum, std::size_t dim) {
+    const std::int64_t d = static_cast<std::int64_t>(dim);
+    return static_cast<std::int32_t>((2 * reach_sum + d / 2) / d);
+}
+
+} // namespace
 
 std::int32_t uhd_encoder::doubled_threshold(std::span<const std::uint8_t> image) const {
     UHD_REQUIRE(image.size() == shape_.pixels(), "image size mismatch");
     if (config_.policy == binarize_policy::half_inputs) {
         return static_cast<std::int32_t>(image.size()); // 2 * (H/2)
     }
-    // mean_intensity: TOB = sum_p #{d : q_p >= S_p[d]} / D — the exact mean
-    // of the per-dimension popcounts, read from the per-pixel CDF tables.
+    // mean_intensity: read the reach counts from the per-pixel CDF tables.
     const unsigned xi = config_.quant_levels;
     std::int64_t reach_sum = 0;
     for (std::size_t p = 0; p < image.size(); ++p) {
         const std::uint8_t q = quantize_intensity(image[p]);
         reach_sum += cdf_counts_[p * xi + q];
     }
-    const std::int64_t d = static_cast<std::int64_t>(config_.dim);
-    return static_cast<std::int32_t>((2 * reach_sum + d / 2) / d);
+    return mean_threshold(reach_sum, config_.dim);
+}
+
+std::int32_t uhd_encoder::quantize_image(std::span<const std::uint8_t> image,
+                                         std::uint8_t* q) const noexcept {
+    const unsigned xi = config_.quant_levels;
+    std::int64_t reach_sum = 0;
+    for (std::size_t p = 0; p < image.size(); ++p) {
+        q[p] = quantize_intensity(image[p]);
+        reach_sum += cdf_counts_[p * xi + q[p]];
+    }
+    if (config_.policy == binarize_policy::half_inputs) {
+        return static_cast<std::int32_t>(image.size());
+    }
+    return mean_threshold(reach_sum, config_.dim);
+}
+
+std::span<const std::uint64_t> uhd_encoder::count_image(
+    std::span<const std::uint8_t> image, std::int32_t& tau2) const {
+    // Reused per thread: the batch engines call this once per image from
+    // every pool worker, so per-call allocation would dominate.
+    static thread_local std::vector<std::uint8_t> quantized;
+    static thread_local std::vector<std::uint64_t> counters;
+    quantized.resize(image.size());
+    tau2 = quantize_image(image, quantized.data());
+    const std::size_t words = kernels::sign_words(config_.dim);
+    counters.resize(kernels::count_planes(image.size()) * words);
+    kernels::geq_plane_count(quantized.data(), image.size(), planes_.data(), plane_bits_,
+                             words, counters.data());
+    return {counters.data(), counters.size()};
 }
 
 void uhd_encoder::encode(std::span<const std::uint8_t> image,
@@ -139,48 +250,71 @@ void uhd_encoder::encode(std::span<const std::uint8_t> image,
     UHD_REQUIRE(image.size() == shape_.pixels(), "image size mismatch");
     UHD_REQUIRE(out.size() == config_.dim, "output accumulator size mismatch");
 
-    // Word-parallel geq counts: quantize the image once, then run the
-    // whole pixel x dimension compare loop through the dispatched block
-    // kernel (the active uhd::kernels backend — scalar/SWAR/AVX2, selected
-    // at runtime from the CPU probe or the UHD_BACKEND override).
-    const std::uint8_t max_value = static_cast<std::uint8_t>(
-        std::min<unsigned>(config_.quant_levels - 1, 255));
-    // Reused per thread: the batch engine calls encode() once per image
-    // from every pool worker, so per-call allocation would dominate.
+    // The whole pixel x dimension compare loop runs in the dispatched
+    // kernels (the active uhd::kernels backend, selected at runtime from
+    // the CPU probe or the UHD_BACKEND override).
+    if (config_.bank == bank_mode::stored) {
+        // Bit-sliced counts of q >= S over the planes, then the int32
+        // finisher centres them (2 * count - tau2).
+        std::int32_t tau2 = 0;
+        const std::span<const std::uint64_t> counters = count_image(image, tau2);
+        kernels::plane_count_center(counters.data(), kernels::count_planes(image.size()),
+                                    kernels::sign_words(config_.dim), config_.dim, tau2,
+                                    out.data());
+        return;
+    }
+    // Fused rematerializing path: translate each pixel's quantized
+    // intensity into a raw-fraction bound (state <= bound is exactly
+    // q >= quantized threshold; see ld::quantize_bounds), then let the
+    // kernel regenerate the Sobol stream in registers. D-tiles keep the
+    // int32 accumulator slice L1-resident; integer accumulation makes
+    // every tile split bit-identical.
     static thread_local std::vector<std::uint8_t> quantized;
+    static thread_local std::vector<std::uint32_t> pixel_bounds;
     quantized.resize(image.size());
+    pixel_bounds.resize(image.size());
+    const std::int32_t tau2 = quantize_image(image, quantized.data());
     for (std::size_t p = 0; p < image.size(); ++p) {
-        quantized[p] = quantize_intensity(image[p]);
+        pixel_bounds[p] = bound_table_[quantized[p]];
     }
     std::fill(out.begin(), out.end(), 0);
-    if (config_.bank == bank_mode::rematerialize) {
-        // Fused rematerializing path: translate each pixel's quantized
-        // intensity into a raw-fraction bound (state <= bound is exactly
-        // q >= quantized threshold; see ld::quantize_bounds), then let the
-        // kernel regenerate the Sobol stream in registers. D-tiles keep the
-        // int32 accumulator slice L1-resident; integer accumulation makes
-        // every tile split bit-identical.
-        static thread_local std::vector<std::uint32_t> pixel_bounds;
-        pixel_bounds.resize(image.size());
-        for (std::size_t p = 0; p < image.size(); ++p) {
-            pixel_bounds[p] = bound_table_[quantized[p]];
-        }
-        constexpr std::size_t tile = 4096;
-        for (std::size_t d0 = 0; d0 < config_.dim; d0 += tile) {
-            const std::size_t count = std::min(tile, config_.dim - d0);
-            kernels::geq_rematerialize_accumulate(remat_dirs_.data(), dir_words_,
-                                                  shifts_.data(), pixel_bounds.data(),
-                                                  image.size(), d0, count,
-                                                  out.data() + d0);
-        }
-    } else {
-        kernels::geq_block_accumulate(quantized.data(), quantized.size(),
-                                      bank_->data().data(), bank_->samples(),
-                                      config_.dim, out.data(), max_value);
+    constexpr std::size_t tile = 4096;
+    for (std::size_t d0 = 0; d0 < config_.dim; d0 += tile) {
+        const std::size_t count = std::min(tile, config_.dim - d0);
+        kernels::geq_rematerialize_accumulate(remat_dirs_.data(), dir_words_,
+                                              shifts_.data(), pixel_bounds.data(),
+                                              image.size(), d0, count, out.data() + d0);
     }
-    const std::int32_t tau2 = doubled_threshold(image);
     for (std::size_t d = 0; d < config_.dim; ++d) {
         out[d] = 2 * out[d] - tau2;
+    }
+}
+
+void uhd_encoder::encode_sign_into(std::span<const std::uint8_t> image,
+                                   std::uint64_t* words_out) const {
+    if (config_.bank == bank_mode::rematerialize) {
+        static thread_local std::vector<std::int32_t> acc;
+        acc.resize(config_.dim);
+        encode(image, acc);
+        kernels::sign_binarize(acc.data(), acc.size(), words_out);
+        return;
+    }
+    UHD_REQUIRE(image.size() == shape_.pixels(), "image size mismatch");
+    std::int32_t tau2 = 0;
+    const std::span<const std::uint64_t> counters = count_image(image, tau2);
+    simd::plane_count_sign(counters.data(), kernels::count_planes(image.size()),
+                           kernels::sign_words(config_.dim), config_.dim, tau2, words_out);
+}
+
+void uhd_encoder::encode_sign_batch(std::span<const std::uint8_t> images,
+                                    std::size_t count,
+                                    std::span<std::uint64_t> out) const {
+    const std::size_t pixels = shape_.pixels();
+    const std::size_t words = kernels::sign_words(config_.dim);
+    UHD_REQUIRE(images.size() == count * pixels, "batch image buffer size mismatch");
+    UHD_REQUIRE(out.size() == count * words, "packed batch output size mismatch");
+    for (std::size_t i = 0; i < count; ++i) {
+        encode_sign_into(images.subspan(i * pixels, pixels), out.data() + i * words);
     }
 }
 
@@ -301,17 +435,13 @@ void uhd_encoder::encode_exact(std::span<const std::uint8_t> image,
 }
 
 hdc::hypervector uhd_encoder::encode_sign(std::span<const std::uint8_t> image) const {
-    std::vector<std::int32_t> acc(config_.dim);
-    encode(image, acc);
     bs::bitstream bits(config_.dim);
-    for (std::size_t d = 0; d < config_.dim; ++d) {
-        if (acc[d] < 0) bits.set_bit(d, true); // bit 1 = -1
-    }
+    encode_sign_into(image, bits.mutable_words().data()); // bit 1 = -1
     return hdc::hypervector(std::move(bits));
 }
 
 std::size_t uhd_encoder::threshold_bytes() const noexcept {
-    if (bank_) return bank_->memory_bytes();
+    if (config_.bank == bank_mode::stored) return planes_.size() * sizeof(std::uint64_t);
     return remat_dirs_.size() * sizeof(std::uint32_t) +
            shifts_.size() * sizeof(std::uint32_t) +
            bound_table_.size() * sizeof(std::uint32_t);

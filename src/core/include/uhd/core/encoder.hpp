@@ -13,10 +13,26 @@
 // quantization ties to +1 — the "flipped bits" the paper argues are
 // harmless).
 //
+// Threshold state. bank_mode::stored keeps the quantized Sobol bank as bit
+// planes: M = log2(xi) planes of D bits per pixel, plane k holding bit k of
+// every threshold S_p[d] — the paper's M-bit BRAM word (Fig. 3(a)) sliced
+// across D, pixels x M x D/8 bytes. bank_mode::rematerialize keeps only
+// O(1) generator state per pixel and regenerates the thresholds inside the
+// encode kernel.
+//
 // Four equivalent encode paths are provided:
-//  * encode()        — word-parallel quantized comparison (production path;
-//                      runtime-dispatched uhd::kernels backend — scalar,
-//                      SWAR, or AVX2, selected by the CPU probe)
+//  * encode()        — the production path. Stored mode counts
+//                      #{p : q_p >= S_p[d]} for every d with bitwise logic
+//                      over the planes (kernels::geq_plane_count, a
+//                      bit-sliced comparator feeding a carry-save tree) and
+//                      centres the bit-sliced counts into int32
+//                      (kernels::plane_count_center); rematerialize mode
+//                      runs kernels::geq_rematerialize_accumulate. Both go
+//                      through the runtime-dispatched uhd::kernels backend.
+//                      encode_sign() and encode_sign_batch() are the
+//                      binarized twins: in stored mode they compare the
+//                      bit-sliced counts against the TOB directly (Fig. 5)
+//                      and never form the int32 accumulator.
 //  * encode_scalar() — the byte-at-a-time formulation, retained as the
 //                      correctness oracle and the benchmark baseline
 //  * encode_unary()  — the unary datapath. Its monotone_fast fidelity uses
@@ -33,7 +49,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -57,19 +72,21 @@ enum class unary_fidelity {
 class uhd_encoder {
 public:
     /// Build the threshold state for images of `shape` and the unary stream
-    /// table. With bank_mode::stored this materializes the quantized Sobol
-    /// bank (the BRAM of Fig. 3(a)); with bank_mode::rematerialize it keeps
-    /// only O(1) generator state per pixel (compact direction numbers, the
-    /// per-pixel digital shift, and the per-level fraction bounds) and the
-    /// encode kernels regenerate threshold rows on the fly. Both modes are
+    /// table. With bank_mode::stored this builds the bit-plane bank (the
+    /// BRAM of Fig. 3(a)) one generated row at a time — no whole byte bank
+    /// ever exists; with bank_mode::rematerialize it keeps only O(1)
+    /// generator state per pixel (compact direction numbers, the per-pixel
+    /// digital shift, and the per-level fraction bounds) and the encode
+    /// kernels regenerate threshold rows on the fly. Both modes are
     /// bit-identical on every encode path.
     uhd_encoder(const uhd_config& config, data::image_shape shape);
 
     /// Build with an externally supplied threshold bank (pixels x dim rows,
     /// values < config.quant_levels). This is the hook for the sequence-
     /// family ablation: identical datapath, different threshold source.
-    /// The bank replaces the Sobol one; encode_exact() remains Sobol-based.
-    /// Requires bank_mode::stored — an arbitrary bank has no generator to
+    /// The bank replaces the Sobol one (it is sliced into bit planes and
+    /// dropped); encode_exact() remains Sobol-based. Requires
+    /// bank_mode::stored — an arbitrary bank has no generator to
     /// rematerialize from.
     uhd_encoder(const uhd_config& config, data::image_shape shape,
                 ld::quantized_sobol_bank custom_bank);
@@ -92,7 +109,7 @@ public:
         return quant_lut_[intensity];
     }
 
-    /// Fast path (word-parallel kernels). With the default mean_intensity
+    /// Fast path (dispatched kernels). With the default mean_intensity
     /// policy, out[d] = 2 * ones[d] - 2 * TOB(image) where ones[d] counts
     /// pixels with q(x_p) >= q(S_p[d]) and TOB is the image's expected
     /// popcount; with half_inputs, out[d] = 2 * ones[d] - H (the bipolar
@@ -136,14 +153,29 @@ public:
     void encode_exact(std::span<const std::uint8_t> image,
                       std::span<std::int32_t> out) const;
 
-    /// Encode and binarize (the image hypervector of Fig. 5).
+    /// Encode and binarize (the image hypervector of Fig. 5): bit d is 1
+    /// (element -1) exactly when encode()'s out[d] < 0. The one-image case
+    /// of encode_sign_batch().
     [[nodiscard]] hdc::hypervector encode_sign(std::span<const std::uint8_t> image) const;
 
-    /// The quantized Sobol thresholds of pixel `p` (BRAM row). In stored
-    /// mode this is a view into the resident bank; in rematerialize mode
-    /// the row is regenerated into a per-thread buffer, so the span is
-    /// valid until the calling thread's next sobol_row() call.
+    /// Packed batch encode: `count` images stored back-to-back in `images`
+    /// (each shape().pixels() bytes) into `out`, count rows of
+    /// kernels::sign_words(dim()) words, image-major — row i is
+    /// sign_binarize of encode(image i), tail bits zeroed. In stored mode
+    /// the sign bits come straight from the bit-sliced counts; in
+    /// rematerialize mode each row is encode() + sign_binarize.
+    void encode_sign_batch(std::span<const std::uint8_t> images, std::size_t count,
+                           std::span<std::uint64_t> out) const;
+
+    /// The quantized Sobol thresholds of pixel `p` (BRAM row), decoded from
+    /// the bit planes (stored) or regenerated (rematerialize) into a
+    /// per-thread buffer: the span is valid until the calling thread's next
+    /// sobol_row() call.
     [[nodiscard]] std::span<const std::uint8_t> sobol_row(std::size_t p) const;
+
+    /// One quantized threshold S_p[d] — sobol_row(p)[d] without building the
+    /// row: M plane bits (stored) or one Gray-code jump (rematerialize).
+    [[nodiscard]] std::uint8_t threshold(std::size_t p, std::size_t d) const;
 
     /// The unary stream table (Fig. 3(c)).
     [[nodiscard]] const bs::unary_stream_table& stream_table() const noexcept {
@@ -155,9 +187,10 @@ public:
         return directions_;
     }
 
-    /// Bytes of threshold state: the resident bank in stored mode, or the
-    /// compact per-pixel generator state (direction-number prefixes +
-    /// digital shifts + the shared bound table) in rematerialize mode.
+    /// Bytes of threshold state: the resident bit planes in stored mode
+    /// (pixels x M x sign_words(D) x 8), or the compact per-pixel generator
+    /// state (direction-number prefixes + digital shifts + the shared bound
+    /// table) in rematerialize mode.
     /// This is the O(pixels * D) -> O(pixels) term the rematerializing
     /// encoder shrinks; the bench footprint gate reads it directly.
     [[nodiscard]] std::size_t threshold_bytes() const noexcept;
@@ -171,9 +204,11 @@ private:
     uhd_config config_;
     data::image_shape shape_;
     ld::sobol_directions directions_;
-    // Threshold state, stored mode: the dense quantized bank (absent in
-    // rematerialize mode — that is the whole point).
-    std::optional<ld::quantized_sobol_bank> bank_;
+    // Threshold state, stored mode: plane_bits_ = M bit planes of
+    // sign_words(dim) words per pixel, in the kernels::plane_word_offset
+    // layout (empty in rematerialize mode — that is the whole point).
+    std::size_t plane_bits_ = 0;
+    std::vector<std::uint64_t> planes_;
     bs::unary_stream_table ust_;
     // Threshold state, rematerialize mode: per-pixel generator state fed to
     // kernels::geq_rematerialize_accumulate. remat_dirs_ holds the first
@@ -185,11 +220,11 @@ private:
     std::vector<std::uint32_t> remat_dirs_; // pixels x dir_words_
     std::vector<std::uint32_t> shifts_;     // one per pixel
     std::vector<std::uint32_t> bound_table_; // quant_levels entries
-    // cdf_counts_[p * xi + q] = #{d : bank.row(p)[d] <= q}; makes the
+    // cdf_counts_[p * xi + q] = #{d : S_p[d] <= q}; makes the
     // mean_intensity TOB the exact per-dimension mean of the popcounts
     // (one small popcount table per pixel, Fig. 3(a)'s BRAM sidecar).
-    // Identical in both bank modes: rematerialize streams the same
-    // quantized rows through it at construction.
+    // Identical in both bank modes: both stream the same quantized rows
+    // through it at construction.
     std::vector<std::uint32_t> cdf_counts_;
     // quant_lut_[x] = quantize_unit(x / 255, xi) — one lookup per pixel on
     // the hot path instead of a double multiply + round.
@@ -199,8 +234,25 @@ private:
     [[nodiscard]] std::uint32_t pixel_shift(std::size_t p) const noexcept;
     // Regenerate pixel p's quantized threshold row (dim values) into `row`.
     void materialize_row(std::size_t p, std::uint8_t* row) const;
-    // Shared ctor tail: quantization LUT + per-pixel CDF sidecar.
-    void build_tables();
+    // Shared ctor tail: quantization LUT, the per-pixel CDF sidecar and, in
+    // stored mode, the bit planes — one row at a time, from `custom` when
+    // given, else generated.
+    void build_tables(const ld::quantized_sobol_bank* custom);
+    // Slice one threshold row into pixel p's M bit planes.
+    void slice_row(std::size_t p, const std::uint8_t* row);
+    // Quantize `image` into `q` and return the doubled threshold 2*TOB
+    // (doubled_threshold's value, from the same pass).
+    [[nodiscard]] std::int32_t quantize_image(std::span<const std::uint8_t> image,
+                                              std::uint8_t* q) const noexcept;
+    // Stored mode: quantize `image` and count q >= S over the bit planes.
+    // The bit-sliced counts live in a per-thread buffer, valid until the
+    // thread's next call; `tau2` receives 2*TOB.
+    [[nodiscard]] std::span<const std::uint64_t> count_image(
+        std::span<const std::uint8_t> image, std::int32_t& tau2) const;
+    // encode_sign() / encode_sign_batch() for one image into sign_words(D)
+    // words.
+    void encode_sign_into(std::span<const std::uint8_t> image,
+                          std::uint64_t* words) const;
 };
 
 } // namespace uhd::core

@@ -108,6 +108,18 @@ private:
 /// This is the paper's Fig. 3(a) quantization rule.
 [[nodiscard]] std::uint8_t quantize_unit(double u, unsigned levels) noexcept;
 
+/// quantize_unit(sobol_sequence::fraction_to_unit(fraction), levels) in
+/// integer arithmetic: fraction * (levels - 1) / 2^32 rounded half up. Both
+/// products are exact (at most 40 significant bits), so the two agree on
+/// every fraction; this one needs no floating point or libm call, which
+/// keeps threshold generation cheap. `levels` in [2, 256].
+[[nodiscard]] constexpr std::uint8_t quantize_fraction(std::uint32_t fraction,
+                                                       unsigned levels) noexcept {
+    return static_cast<std::uint8_t>(
+        (static_cast<std::uint64_t>(fraction) * (levels - 1) + (std::uint64_t{1} << 31)) >>
+        32);
+}
+
 /// Per-level comparison bounds on the raw 32-bit fractions: bounds[q] is
 /// the largest fraction f with quantize_unit(fraction_to_unit(f), levels)
 /// <= q, so `q >= quantize(f)` is exactly `f <= bounds[q]`. Built by binary

@@ -283,7 +283,7 @@ struct stats_reply {
     std::uint64_t reactors = 0;           ///< epoll loop threads serving
     std::uint64_t raw_queries = 0;        ///< raw-feature requests encoded
                                           ///< by the engine's encode stage
-    std::uint64_t encode_kernel_calls = 0; ///< encode_batch drain calls
+    std::uint64_t encode_kernel_calls = 0; ///< batch encode drain calls
 };
 
 inline constexpr std::size_t stats_reply_fields = 17;

@@ -18,7 +18,7 @@
 //   engine's request vector — one deserialize, zero further payload
 //   copies. Raw-feature queries are NOT encoded on the reactor: the raw
 //   bytes are handed to the engine and its workers batch-encode each
-//   drained micro-batch with one encode_batch call, so the reactor does
+//   drained micro-batch with one batch encode call, so the reactor does
 //   pure I/O and encode throughput scales with workers, not loops.
 // * Sharding: with N > 1 each reactor has its own SO_REUSEPORT listener
 //   on the shared port (the kernel load-balances accepts), connection

@@ -158,6 +158,9 @@ void wire_server::stop() {
         r->thread.join();
     }
     for (auto& r : reactors_) {
+        // Connections still open at stop() close here, not in the loop:
+        // count them, so the final stats never report a live connection.
+        for (std::size_t i = 0; i < r->conns.size(); ++i) r->counters.record_close();
         r->conns.clear();
         r->listener.reset();
         r->epoll.reset();

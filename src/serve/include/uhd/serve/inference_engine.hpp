@@ -82,8 +82,10 @@ struct engine_options {
     std::size_t queue_capacity = 4096;
     /// Optional raw-feature encoder: when set, the engine accepts raw
     /// pixel queries through try_submit_raw() and its workers encode each
-    /// drained raw micro-batch with ONE encode_batch call (block kernels)
-    /// before answering — the off-loop encode stage. The encoder must
+    /// drained raw micro-batch with ONE encode call before answering — the
+    /// off-loop encode stage: encode_sign_batch straight into packed query
+    /// rows on a binarized snapshot, encode_batch into int32 accumulators
+    /// on an integer one. The encoder must
     /// outlive the engine and produce dim() accumulators; encoders are
     /// immutable after construction, so concurrent worker use is safe.
     const core::uhd_encoder* encoder = nullptr;
@@ -175,8 +177,9 @@ public:
     /// Non-blocking raw-feature enqueue (wire path): same contract as
     /// try_submit, but the payload is raw pixels (raw_pixels() bytes) and a
     /// worker encodes it off the caller's thread — drained raw requests are
-    /// batch-encoded with one encode_batch call per micro-batch, then
-    /// answered through the usual block path. On a full queue returns false
+    /// batch-encoded with one encode call per micro-batch (packed sign rows
+    /// on a binarized snapshot), then answered through the usual block
+    /// path. On a full queue returns false
     /// with `raw` handed back intact. Throws uhd::error on a size mismatch,
     /// on an engine without an encoder, on a stopped engine, or when
     /// `dynamic` is requested without a policy.
@@ -216,9 +219,10 @@ public:
 private:
     struct request {
         std::vector<std::int32_t> encoded;
-        std::vector<std::uint8_t> raw;    ///< raw pixels; non-empty until the
-                                          ///< worker's encode stage fills
-                                          ///< `encoded` from it
+        std::vector<std::uint8_t> raw;    ///< raw pixels, encoded by the
+                                          ///< worker's encode stage (into a
+                                          ///< packed row, or into `encoded`
+                                          ///< on an integer-mode engine)
         std::promise<std::size_t> answer; ///< future path (on_done empty)
         answer_callback on_done;          ///< wire path; answers via callback
         std::vector<std::int32_t>* reclaim = nullptr; ///< scratch-predict:

@@ -72,7 +72,7 @@ public:
     }
 
     /// One drained raw micro-batch: `raw` requests encoded through a
-    /// single encode_batch call (the off-loop encode stage).
+    /// single batch encode call (the off-loop encode stage).
     void record_encode(std::uint64_t raw) noexcept {
         raw_queries_.fetch_add(raw, std::memory_order_relaxed);
         encode_calls_.fetch_add(1, std::memory_order_relaxed);

@@ -227,6 +227,15 @@ void inference_engine::worker_loop() {
     std::vector<std::size_t> answers;
     std::vector<std::uint8_t> raw_gather;
     std::vector<std::int32_t> encoded_out;
+    // A binarized engine encodes raw requests straight to packed sign rows:
+    // raw_packed holds one row per raw request of the batch and raw_row[i]
+    // is batch[i]'s row (no_row for pre-encoded requests). Integer-mode
+    // engines keep the int32 stage — their full scan needs the accumulator.
+    constexpr std::size_t no_row = ~std::size_t{0};
+    const bool encode_packed = mode_ == hdc::query_mode::binarized;
+    const std::size_t words = kernels::sign_words(dim_);
+    std::vector<std::uint64_t> raw_packed;
+    std::vector<std::size_t> raw_row;
     while (queue_.pop_batch(batch, max_batch_) != 0) {
         // One snapshot load per micro-batch: every request in the batch is
         // answered from the same immutable state, concurrent publishes
@@ -234,12 +243,14 @@ void inference_engine::worker_loop() {
         const std::shared_ptr<const hdc::inference_snapshot> snap = current_.load();
         const std::uint64_t version = snap->version();
         std::uint64_t kernel_calls = 0;
+        raw_row.assign(batch.size(), no_row);
 
         // Encode stage: raw requests in the drained batch are gathered into
-        // one contiguous image block and pushed through ONE encode_batch
-        // call (the block kernels), so encoding is amortized exactly like
-        // the distance kernels below — and bit-identical to the inline
-        // single-query encode (encode_batch ≡ encode, tested per backend).
+        // one contiguous image block and pushed through ONE encode call —
+        // encode_sign_batch into packed rows (binarized) or encode_batch
+        // into int32 accumulators (integer) — so encoding is amortized
+        // exactly like the distance kernels below, and bit-identical to the
+        // inline single-query encode (tested per backend).
         if (encoder_ != nullptr) {
             group.clear();
             for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -248,7 +259,6 @@ void inference_engine::worker_loop() {
             if (!group.empty()) {
                 const std::size_t pixels = encoder_->pixels();
                 raw_gather.resize(group.size() * pixels);
-                encoded_out.resize(group.size() * dim_);
                 try {
                     for (std::size_t g = 0; g < group.size(); ++g) {
                         const std::vector<std::uint8_t>& raw = batch[group[g]].raw;
@@ -256,16 +266,27 @@ void inference_engine::worker_loop() {
                                   raw_gather.begin() +
                                       static_cast<std::ptrdiff_t>(g * pixels));
                     }
-                    encoder_->encode_batch(
-                        std::span<const std::uint8_t>(raw_gather),
-                        group.size(), std::span<std::int32_t>(encoded_out));
-                    for (std::size_t g = 0; g < group.size(); ++g) {
-                        request& req = batch[group[g]];
-                        req.encoded.assign(
-                            encoded_out.begin() +
-                                static_cast<std::ptrdiff_t>(g * dim_),
-                            encoded_out.begin() +
-                                static_cast<std::ptrdiff_t>((g + 1) * dim_));
+                    if (encode_packed) {
+                        raw_packed.resize(group.size() * words);
+                        encoder_->encode_sign_batch(
+                            std::span<const std::uint8_t>(raw_gather), group.size(),
+                            std::span<std::uint64_t>(raw_packed));
+                        for (std::size_t g = 0; g < group.size(); ++g) {
+                            raw_row[group[g]] = g;
+                        }
+                    } else {
+                        encoded_out.resize(group.size() * dim_);
+                        encoder_->encode_batch(
+                            std::span<const std::uint8_t>(raw_gather), group.size(),
+                            std::span<std::int32_t>(encoded_out));
+                        for (std::size_t g = 0; g < group.size(); ++g) {
+                            request& req = batch[group[g]];
+                            req.encoded.assign(
+                                encoded_out.begin() +
+                                    static_cast<std::ptrdiff_t>(g * dim_),
+                                encoded_out.begin() +
+                                    static_cast<std::ptrdiff_t>((g + 1) * dim_));
+                        }
                     }
                 } catch (...) {
                     for (const std::size_t i : group) {
@@ -305,21 +326,27 @@ void inference_engine::worker_loop() {
                 }
                 return;
             }
-            // ONE block-kernel call for the whole group: sign-binarize every
-            // request into one contiguous packed block, then block-argmin
-            // (or the stage-synchronized block cascade) over it.
-            // Bit-identical per request to the single-query predict paths —
-            // submit pinned every encoded size to dim(), so the group can
-            // only fail as a whole.
-            const std::size_t words = snap->words_per_class();
+            // ONE block-kernel call for the whole group: every request's
+            // packed row — the encode stage's row for a raw request, the
+            // sign-binarized accumulator otherwise — goes into one
+            // contiguous block, then block-argmin (or the stage-synchronized
+            // block cascade) runs over it. Bit-identical per request to the
+            // single-query predict paths — submit pinned every encoded size
+            // to dim(), so the group can only fail as a whole.
             packed.resize(group.size() * words);
             answers.resize(group.size());
             bool answered = false;
             try {
                 for (std::size_t g = 0; g < group.size(); ++g) {
                     const request& req = batch[group[g]];
-                    kernels::sign_binarize(req.encoded.data(), req.encoded.size(),
-                                           packed.data() + g * words);
+                    std::uint64_t* row = packed.data() + g * words;
+                    const std::size_t raw = raw_row[group[g]];
+                    if (raw != no_row) {
+                        std::copy_n(raw_packed.data() + raw * words, words, row);
+                    } else {
+                        kernels::sign_binarize(req.encoded.data(), req.encoded.size(),
+                                               row);
+                    }
                 }
                 const std::span<const std::uint64_t> block(packed.data(),
                                                            packed.size());

@@ -37,7 +37,7 @@ hdc::hypervector uhd_datapath_sim::run(std::span<const std::uint8_t> image,
             local.ust_fetches += 1;
 
             // Sobol scalar fetch (BRAM read + UST lookup).
-            const std::uint8_t s = encoder_->sobol_row(p)[d];
+            const std::uint8_t s = encoder_->threshold(p, d);
             const bs::bitstream& sobol_stream = ust.fetch(s);
             local.bram_scalar_reads += 1;
             local.ust_fetches += 1;

@@ -420,32 +420,41 @@ TEST(InferenceEngine, TrySubmitAnswersThroughTheCallbackWithVersion) {
 TEST(InferenceEngine, PerRequestRoutingMatchesBothDirectPaths) {
     // A policy engine serving a MIXED batch: dynamic=false requests answer
     // with full-scan semantics, dynamic=true with the cascade — each
-    // bit-identical to the corresponding direct snapshot path.
+    // bit-identical to the corresponding direct snapshot path — and raw
+    // requests of either kind share the answer groups with pre-encoded
+    // ones through their packed encode-stage rows.
     const auto train = data::make_synthetic_digits(150, 83);
     const auto test = data::make_synthetic_digits(60, 84);
     const auto enc = make_encoder(train, 1024);
     hd_classifier<core::uhd_encoder> clf(enc, 10);
     clf.fit(train);
     const dynamic_query_policy policy = clf.calibrate_dynamic(train, 0.95);
-    inference_engine engine(clf.snapshot(), policy);
+    engine_options opts;
+    opts.encoder = &enc;
+    inference_engine engine(clf.snapshot(), policy, opts);
     EXPECT_TRUE(engine.dynamic_capable());
     std::mutex mutex;
     std::condition_variable cv;
     std::size_t answered = 0;
     std::vector<std::size_t> labels(test.size());
     for (std::size_t i = 0; i < test.size(); ++i) {
-        auto encoded = encode_one(enc, test, i);
-        const bool dynamic = i % 2 == 1; // interleave the two kinds
-        ASSERT_TRUE(engine.try_submit(
-            encoded,
-            [&, i](std::size_t label, std::uint64_t, std::exception_ptr error) {
-                ASSERT_EQ(error, nullptr);
-                const std::lock_guard<std::mutex> lock(mutex);
-                labels[i] = label;
-                ++answered;
-                cv.notify_one();
-            },
-            dynamic));
+        const bool dynamic = i % 2 == 1; // interleave the two kinds...
+        const bool raw = i % 4 >= 2;     // ...each raw and pre-encoded
+        const auto done = [&, i](std::size_t label, std::uint64_t,
+                                 std::exception_ptr error) {
+            ASSERT_EQ(error, nullptr);
+            const std::lock_guard<std::mutex> lock(mutex);
+            labels[i] = label;
+            ++answered;
+            cv.notify_one();
+        };
+        if (raw) {
+            std::vector<std::uint8_t> pixels(test.image(i).begin(), test.image(i).end());
+            ASSERT_TRUE(engine.try_submit_raw(pixels, done, dynamic));
+        } else {
+            auto encoded = encode_one(enc, test, i);
+            ASSERT_TRUE(engine.try_submit(encoded, done, dynamic));
+        }
     }
     {
         std::unique_lock<std::mutex> lock(mutex);
@@ -531,50 +540,51 @@ TEST(InferenceEngine, TrySubmitReturnsFalseOnFullQueueAndKeepsPayload) {
 TEST(InferenceEngine, RawSubmitBatchEncodesBitIdenticalToDirectPredict) {
     // The off-loop encode stage: raw pixels through try_submit_raw must
     // answer exactly like encoding on the caller's thread and submitting
-    // pre-encoded — and the encode accounting must show batched
-    // encode_batch calls, not one call per query.
+    // pre-encoded — and the encode accounting must show batched encode
+    // calls, not one call per query. Both stages: packed sign rows on a
+    // binarized snapshot, int32 accumulators on an integer one.
     const auto train = data::make_synthetic_digits(150, 71);
     const auto test = data::make_synthetic_digits(80, 72);
     const auto enc = make_encoder(train);
-    hd_classifier<core::uhd_encoder> clf(enc, 10);
-    clf.fit(train);
-    engine_options opts;
-    opts.workers = 2;
-    opts.max_batch = 16;
-    opts.encoder = &enc;
-    inference_engine engine(clf.snapshot(), opts);
-    ASSERT_TRUE(engine.raw_capable());
-    ASSERT_EQ(engine.raw_pixels(), test.image(0).size());
-    std::mutex mutex;
-    std::vector<std::size_t> labels(test.size(), ~std::size_t{0});
-    std::atomic<std::size_t> errors{0};
-    for (std::size_t i = 0; i < test.size(); ++i) {
-        std::vector<std::uint8_t> raw(test.image(i).begin(),
-                                      test.image(i).end());
-        const bool accepted = engine.try_submit_raw(
-            raw, [&, i](std::size_t label, std::uint64_t,
-                        std::exception_ptr error) {
-                if (error != nullptr) {
-                    errors.fetch_add(1);
-                    return;
-                }
-                const std::lock_guard<std::mutex> lock(mutex);
-                labels[i] = label;
-            });
-        ASSERT_TRUE(accepted); // queue far larger than the test set
-        EXPECT_TRUE(raw.empty());
+    for (const query_mode qm : {query_mode::binarized, query_mode::integer}) {
+        hd_classifier<core::uhd_encoder> clf(enc, 10, train_mode::binarized_images, qm);
+        clf.fit(train);
+        engine_options opts;
+        opts.workers = 2;
+        opts.max_batch = 16;
+        opts.encoder = &enc;
+        inference_engine engine(clf.snapshot(), opts);
+        ASSERT_TRUE(engine.raw_capable());
+        ASSERT_EQ(engine.raw_pixels(), test.image(0).size());
+        std::mutex mutex;
+        std::vector<std::size_t> labels(test.size(), ~std::size_t{0});
+        std::atomic<std::size_t> errors{0};
+        for (std::size_t i = 0; i < test.size(); ++i) {
+            std::vector<std::uint8_t> raw(test.image(i).begin(), test.image(i).end());
+            const bool accepted = engine.try_submit_raw(
+                raw, [&, i](std::size_t label, std::uint64_t, std::exception_ptr error) {
+                    if (error != nullptr) {
+                        errors.fetch_add(1);
+                        return;
+                    }
+                    const std::lock_guard<std::mutex> lock(mutex);
+                    labels[i] = label;
+                });
+            ASSERT_TRUE(accepted); // queue far larger than the test set
+            EXPECT_TRUE(raw.empty());
+        }
+        engine.stop(); // drains: every callback has run
+        EXPECT_EQ(errors.load(), 0u);
+        for (std::size_t i = 0; i < test.size(); ++i) {
+            EXPECT_EQ(labels[i], clf.predict_encoded(encode_one(enc, test, i)))
+                << "query " << i << " integer=" << (qm == query_mode::integer);
+        }
+        const serve::serve_stats stats = engine.stats();
+        EXPECT_EQ(stats.raw_queries, test.size());
+        EXPECT_GE(stats.encode_kernel_calls, 1u);
+        EXPECT_LE(stats.encode_kernel_calls, stats.raw_queries);
+        EXPECT_GE(stats.encode_utilization(), 1.0);
     }
-    engine.stop(); // drains: every callback has run
-    EXPECT_EQ(errors.load(), 0u);
-    for (std::size_t i = 0; i < test.size(); ++i) {
-        EXPECT_EQ(labels[i], clf.predict_encoded(encode_one(enc, test, i)))
-            << "query " << i;
-    }
-    const serve::serve_stats stats = engine.stats();
-    EXPECT_EQ(stats.raw_queries, test.size());
-    EXPECT_GE(stats.encode_kernel_calls, 1u);
-    EXPECT_LE(stats.encode_kernel_calls, stats.raw_queries);
-    EXPECT_GE(stats.encode_utilization(), 1.0);
 }
 
 TEST(InferenceEngine, RawSubmitValidatesEncoderPixelsAndShutdown) {

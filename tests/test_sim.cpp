@@ -17,14 +17,20 @@ std::vector<std::uint8_t> test_image() {
 }
 
 TEST(UhdDatapath, MatchesFastEncoderMeanPolicy) {
-    core::uhd_config cfg;
-    cfg.dim = 128;
-    const core::uhd_encoder enc(cfg, {28, 28, 1});
-    const sim::uhd_datapath_sim datapath(enc);
-    const auto image = test_image();
-    const auto from_sim = datapath.run(image);
-    const auto from_encoder = enc.encode_sign(image);
-    EXPECT_EQ(from_sim, from_encoder);
+    // Both threshold sources: the simulator reads one threshold per
+    // (pixel, dimension) from the bit planes or by a Gray-code jump.
+    for (const auto bank : {uhd::bank_mode::stored, uhd::bank_mode::rematerialize}) {
+        core::uhd_config cfg;
+        cfg.dim = 128;
+        cfg.bank = bank;
+        const core::uhd_encoder enc(cfg, {28, 28, 1});
+        const sim::uhd_datapath_sim datapath(enc);
+        const auto image = test_image();
+        const auto from_sim = datapath.run(image);
+        const auto from_encoder = enc.encode_sign(image);
+        EXPECT_EQ(from_sim, from_encoder)
+            << (bank == uhd::bank_mode::stored ? "stored" : "rematerialize");
+    }
 }
 
 TEST(UhdDatapath, MatchesFastEncoderHalfInputsPolicy) {

@@ -1,6 +1,7 @@
 // Equivalence tests for the word-parallel engine: every kernel of every
 // admissible backend in the uhd::kernels registry against its pinned
-// scalar reference, the optimized encoder paths against the scalar oracle
+// scalar reference (the bit-plane count and its finishers against an
+// in-test decode of the documented layout as well), the optimized encoder paths against the scalar oracle
 // over randomized images x configurations, batch encoding against
 // per-image encoding, and thread-count determinism of the batch
 // classifier APIs.
@@ -46,94 +47,207 @@ std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint8_t max_value,
 // oracle-checked even when the active backend is something else.
 using kernels::admissible_backends;
 
-TEST(SimdKernels, GeqMaskSwarMatchesByteCompare) {
-    xoshiro256ss rng(11);
-    for (int trial = 0; trial < 2000; ++trial) {
-        const std::uint8_t q = static_cast<std::uint8_t>(rng.next() % 128);
-        std::uint8_t bytes[8];
-        for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next() % 128);
-        std::uint64_t x;
-        std::memcpy(&x, bytes, 8);
-        const std::uint64_t mask = simd::geq_mask_swar(simd::splat8(q), x);
-        for (int i = 0; i < 8; ++i) {
-            const bool expected = q >= bytes[i];
-            const bool got = ((mask >> (8 * i)) & 0x80u) != 0;
-            EXPECT_EQ(got, expected) << "q=" << int(q) << " x=" << int(bytes[i]);
+// A random bit-plane bank in the documented layout plus the per-(pixel,
+// dimension) counts read back through that layout: the in-test oracle the
+// kernel references are themselves checked against.
+struct plane_bank {
+    std::size_t npix;
+    std::size_t m;
+    std::size_t words;
+    std::vector<std::uint64_t> planes;
+    std::vector<std::uint8_t> q;
+};
+
+plane_bank random_plane_bank(std::size_t npix, std::size_t m, std::size_t words,
+                             xoshiro256ss& rng) {
+    plane_bank bank{npix, m, words, std::vector<std::uint64_t>(npix * m * words),
+                    std::vector<std::uint8_t>(npix)};
+    for (auto& w : bank.planes) w = rng.next();
+    for (auto& v : bank.q) {
+        v = static_cast<std::uint8_t>(rng.next() % (std::size_t{1} << m));
+    }
+    return bank;
+}
+
+std::vector<std::uint32_t> naive_counts(const plane_bank& bank) {
+    std::vector<std::uint32_t> count(bank.words * 64, 0);
+    for (std::size_t d = 0; d < count.size(); ++d) {
+        for (std::size_t p = 0; p < bank.npix; ++p) {
+            unsigned threshold = 0;
+            for (std::size_t k = 0; k < bank.m; ++k) {
+                const std::uint64_t word = bank.planes[kernels::plane_word_offset(
+                    bank.npix, bank.m, bank.words, p, k, d / 64)];
+                threshold |= static_cast<unsigned>((word >> (d % 64)) & 1u) << k;
+            }
+            if (bank.q[p] >= threshold) ++count[d];
+        }
+    }
+    return count;
+}
+
+std::vector<std::uint32_t> decode_counts(const std::vector<std::uint64_t>& counters,
+                                         std::size_t n_planes, std::size_t words) {
+    std::vector<std::uint32_t> count(words * 64, 0);
+    for (std::size_t d = 0; d < count.size(); ++d) {
+        for (std::size_t j = 0; j < n_planes; ++j) {
+            count[d] |= static_cast<std::uint32_t>(
+                            (counters[j * words + d / 64] >> (d % 64)) & 1u)
+                        << j;
+        }
+    }
+    return count;
+}
+
+TEST(SimdKernels, PlaneLayoutCoversTheBankExactlyOnce) {
+    // Every (pixel, plane, word) maps to a distinct offset inside the
+    // npix * m * words bank, ragged last chunk included.
+    for (const std::size_t words : {1u, 7u, 8u, 9u, 17u, 24u}) {
+        for (const std::size_t m : {1u, 4u, 8u}) {
+            const std::size_t npix = 5;
+            std::vector<int> hits(npix * m * words, 0);
+            for (std::size_t p = 0; p < npix; ++p) {
+                for (std::size_t k = 0; k < m; ++k) {
+                    for (std::size_t w = 0; w < words; ++w) {
+                        const std::size_t at =
+                            kernels::plane_word_offset(npix, m, words, p, k, w);
+                        ASSERT_LT(at, hits.size());
+                        ++hits[at];
+                    }
+                }
+            }
+            EXPECT_TRUE(std::all_of(hits.begin(), hits.end(),
+                                    [](int h) { return h == 1; }))
+                << "words=" << words << " m=" << m;
         }
     }
 }
 
-TEST(SimdKernels, BlockKernelsEveryBackendMatchesReferencePerPixelLoop) {
+TEST(SimdKernels, PlaneCountEveryBackendMatchesReference) {
     xoshiro256ss rng(66);
-    // max_value 255 puts bytes >= 128 on the line: outside the SWAR wide
-    // path (the swar table must fall back internally), and through the
-    // AVX2/AVX-512 unsigned compares of the tiles and the dimension tails.
-    constexpr std::uint8_t max_values[] = {127, 15, 255};
     for (int trial = 0; trial < 60; ++trial) {
-        const std::size_t dim = 1 + rng.next() % 300; // exercises 128/8 tails
-        const std::size_t npix = 1 + rng.next() % 600; // crosses the 255 flush
-        const std::uint8_t max_value = max_values[trial % 3];
-        const auto bank = random_bytes(npix * dim, max_value, rng);
-        const auto q = random_bytes(npix, max_value, rng);
+        // Pixel counts cross the 16-pixel carry-save groups with every
+        // remainder; word counts cover ragged 8-word chunks and both
+        // 4-word halves; m covers every plane count from 1 to 8.
+        const std::size_t npix = 1 + rng.next() % 300;
+        const std::size_t words = 1 + rng.next() % 20;
+        const std::size_t m = 1 + static_cast<std::size_t>(trial % 8);
+        const plane_bank bank = random_plane_bank(npix, m, words, rng);
+        const std::size_t n_planes = kernels::count_planes(npix);
+        const std::vector<std::uint32_t> expected = naive_counts(bank);
 
-        std::vector<std::int32_t> expected(dim, 3); // nonzero start: += semantics
-        {
-            std::vector<std::uint16_t> tile(dim, 0);
-            for (std::size_t p = 0; p < npix; ++p) {
-                simd::geq_accumulate_reference(q[p], bank.data() + p * dim, dim,
-                                               tile.data());
-            }
-            simd::add_u16_to_i32(tile.data(), dim, expected.data());
-        }
+        std::vector<std::uint64_t> reference(n_planes * words, ~std::uint64_t{0});
+        simd::geq_plane_count_reference(bank.q.data(), npix, bank.planes.data(), m,
+                                        words, reference.data());
+        ASSERT_EQ(decode_counts(reference, n_planes, words), expected)
+            << "npix=" << npix << " m=" << m << " words=" << words;
 
-        std::vector<std::int32_t> scalar(dim, 3);
-        simd::geq_block_accumulate_scalar(q.data(), npix, bank.data(), dim, dim,
-                                          scalar.data());
-        EXPECT_EQ(expected, scalar);
-
-        if (max_value <= simd::swar_max_value) {
-            std::vector<std::int32_t> swar(dim, 3);
-            simd::geq_block_accumulate_swar(q.data(), npix, bank.data(), dim, dim,
-                                            swar.data());
-            EXPECT_EQ(expected, swar);
-        }
+        std::vector<std::uint64_t> swar(n_planes * words, ~std::uint64_t{0});
+        simd::geq_plane_count_swar(bank.q.data(), npix, bank.planes.data(), m, words,
+                                   swar.data());
+        EXPECT_EQ(swar, reference) << "swar body";
 
         for (const kernels::kernel_table* backend : admissible_backends()) {
-            std::vector<std::int32_t> got(dim, 3);
-            backend->geq_block_accumulate(q.data(), npix, bank.data(), dim, dim,
-                                          got.data(), max_value);
-            EXPECT_EQ(expected, got) << "backend=" << backend->name
-                                     << " max_value=" << int(max_value);
+            std::vector<std::uint64_t> got(n_planes * words, ~std::uint64_t{0});
+            backend->geq_plane_count(bank.q.data(), npix, bank.planes.data(), m, words,
+                                     got.data());
+            EXPECT_EQ(got, reference) << "backend=" << backend->name << " npix=" << npix
+                                      << " m=" << m << " words=" << words;
         }
 
-        std::vector<std::int32_t> dispatched(dim, 3);
-        kernels::geq_block_accumulate(q.data(), npix, bank.data(), dim, dim,
-                                      dispatched.data(), max_value);
-        EXPECT_EQ(expected, dispatched);
+        std::vector<std::uint64_t> dispatched(n_planes * words, ~std::uint64_t{0});
+        kernels::geq_plane_count(bank.q.data(), npix, bank.planes.data(), m, words,
+                                 dispatched.data());
+        EXPECT_EQ(dispatched, reference);
     }
 }
 
-TEST(SimdKernels, BlockKernelHonorsRowStrideOnEveryBackend) {
-    // stride > dim: the kernel must only read the first `dim` bytes of
-    // each row.
-    xoshiro256ss rng(77);
-    const std::size_t dim = 160; // one full 128-wide tile plus a tail
-    const std::size_t stride = 200;
-    const std::size_t npix = 40;
-    const auto bank = random_bytes(npix * stride, 127, rng);
-    const auto q = random_bytes(npix, 127, rng);
-
-    std::vector<std::int32_t> expected(dim, 0);
-    for (std::size_t p = 0; p < npix; ++p) {
-        for (std::size_t d = 0; d < dim; ++d) {
-            expected[d] += q[p] >= bank[p * stride + d] ? 1 : 0;
+TEST(SimdKernels, PlaneCountExtremesOnEveryBackend) {
+    // All-zero planes (every threshold 0: every pixel counts) and all-one
+    // planes (threshold 2^m - 1: only q = 2^m - 1 counts), at a pixel count
+    // whose count needs the top counter plane.
+    xoshiro256ss rng(67);
+    const std::size_t npix = 511;
+    const std::size_t words = 9;
+    for (const std::size_t m : {1u, 8u}) {
+        for (const std::uint64_t fill : {std::uint64_t{0}, ~std::uint64_t{0}}) {
+            plane_bank bank = random_plane_bank(npix, m, words, rng);
+            std::fill(bank.planes.begin(), bank.planes.end(), fill);
+            const std::size_t n_planes = kernels::count_planes(npix);
+            const std::vector<std::uint32_t> expected = naive_counts(bank);
+            for (const kernels::kernel_table* backend : admissible_backends()) {
+                std::vector<std::uint64_t> got(n_planes * words);
+                backend->geq_plane_count(bank.q.data(), npix, bank.planes.data(), m,
+                                         words, got.data());
+                EXPECT_EQ(decode_counts(got, n_planes, words), expected)
+                    << "backend=" << backend->name << " m=" << m << " fill=" << fill;
+            }
         }
     }
+}
+
+TEST(SimdKernels, PlaneCountBeyond65535PixelsOnEveryBackend) {
+    // 70000 pixels need 17 counter planes: past any 16-bit lane.
+    xoshiro256ss rng(68);
+    const std::size_t npix = 70000;
+    const std::size_t words = 1;
+    const std::size_t m = 4;
+    const plane_bank bank = random_plane_bank(npix, m, words, rng);
+    const std::size_t n_planes = kernels::count_planes(npix);
+    ASSERT_EQ(n_planes, 17u);
+    const std::vector<std::uint32_t> expected = naive_counts(bank);
     for (const kernels::kernel_table* backend : admissible_backends()) {
-        std::vector<std::int32_t> got(dim, 0);
-        backend->geq_block_accumulate(q.data(), npix, bank.data(), stride, dim,
-                                      got.data(), 127);
-        EXPECT_EQ(expected, got) << "backend=" << backend->name;
+        std::vector<std::uint64_t> got(n_planes * words);
+        backend->geq_plane_count(bank.q.data(), npix, bank.planes.data(), m, words,
+                                 got.data());
+        EXPECT_EQ(decode_counts(got, n_planes, words), expected)
+            << "backend=" << backend->name;
+    }
+}
+
+TEST(SimdKernels, PlaneCountFinishersMatchTheCentredCount) {
+    xoshiro256ss rng(69);
+    for (int trial = 0; trial < 200; ++trial) {
+        const std::size_t words = 1 + rng.next() % 20;
+        const std::size_t n = words * 64 - rng.next() % 64; // ragged last word
+        const std::size_t n_planes = 1 + rng.next() % 20;
+        std::vector<std::uint64_t> counters(n_planes * words);
+        for (auto& w : counters) w = rng.next();
+        const std::vector<std::uint32_t> count = decode_counts(counters, n_planes, words);
+        // tau2 around the counts' doubled range and past both ends, odd
+        // and even.
+        const auto max_count =
+            static_cast<std::int64_t>((std::uint64_t{1} << n_planes) - 1);
+        const auto span = static_cast<std::uint64_t>(4 * max_count + 8);
+        const auto tau2 = static_cast<std::int32_t>(
+            static_cast<std::int64_t>(rng.next() % span) - max_count - 2);
+
+        std::vector<std::int32_t> expected(n);
+        std::vector<std::uint64_t> expected_sign(kernels::sign_words(n), 0);
+        for (std::size_t d = 0; d < n; ++d) {
+            expected[d] = 2 * static_cast<std::int32_t>(count[d]) - tau2;
+            if (expected[d] < 0) expected_sign[d / 64] |= std::uint64_t{1} << (d % 64);
+        }
+
+        std::vector<std::int32_t> reference(n, 7);
+        simd::plane_count_center_reference(counters.data(), n_planes, words, n, tau2,
+                                           reference.data());
+        ASSERT_EQ(reference, expected) << "n_planes=" << n_planes << " tau2=" << tau2;
+        std::vector<std::int32_t> portable(n, 7);
+        simd::plane_count_center_portable(counters.data(), n_planes, words, n, tau2,
+                                          portable.data());
+        EXPECT_EQ(portable, expected);
+        for (const kernels::kernel_table* backend : admissible_backends()) {
+            std::vector<std::int32_t> got(n + 1, 7); // the slot past n stays put
+            backend->plane_count_center(counters.data(), n_planes, words, n, tau2,
+                                        got.data());
+            EXPECT_EQ(got.back(), 7) << "backend=" << backend->name << " wrote past n";
+            got.pop_back();
+            EXPECT_EQ(got, expected) << "backend=" << backend->name;
+        }
+
+        std::vector<std::uint64_t> sign(kernels::sign_words(n), ~std::uint64_t{0});
+        simd::plane_count_sign(counters.data(), n_planes, words, n, tau2, sign.data());
+        EXPECT_EQ(sign, expected_sign) << "n_planes=" << n_planes << " tau2=" << tau2;
     }
 }
 
@@ -269,17 +383,40 @@ struct encoder_case {
 
 encoder_case random_case(xoshiro256ss& rng) {
     encoder_case c;
-    const std::size_t dims[] = {64, 128, 192, 256};
-    const unsigned levels[] = {4, 8, 16, 32};
-    c.cfg.dim = dims[rng.next() % 4];
-    c.cfg.quant_levels = levels[rng.next() % 4];
+    // Dims cover ragged words and ragged 8-word bank chunks (1000, 1088);
+    // levels cover every plane count M from 1 (xi = 2) to 8 (xi = 256).
+    const std::size_t dims[] = {64, 128, 192, 256, 1000, 1088};
+    const unsigned levels[] = {2, 3, 4, 8, 16, 32, 256};
+    c.cfg.dim = dims[rng.next() % std::size(dims)];
+    c.cfg.quant_levels = levels[rng.next() % std::size(levels)];
     c.cfg.scramble = rng.next() % 2 == 0;
     c.cfg.policy = rng.next() % 2 == 0 ? core::binarize_policy::mean_intensity
                                        : core::binarize_policy::half_inputs;
     c.cfg.sobol_seed = 1 + rng.next() % 1000;
-    const std::size_t side = 4 + rng.next() % 4; // 4x4 .. 7x7 images
+    const std::size_t side = 4 + rng.next() % 25; // 4x4 .. 28x28 images
     c.shape = {side, side, 1};
     return c;
+}
+
+// Every fast path against the scalar oracle on one image: the int32
+// encode, and the packed encodes against sign_binarize of it.
+void expect_matches_oracle(const core::uhd_encoder& enc,
+                           const std::vector<std::uint8_t>& image,
+                           const std::string& where) {
+    std::vector<std::int32_t> fast(enc.dim());
+    std::vector<std::int32_t> oracle(enc.dim());
+    enc.encode(image, fast);
+    enc.encode_scalar(image, oracle);
+    ASSERT_EQ(fast, oracle) << where;
+
+    std::vector<std::uint64_t> signs(kernels::sign_words(enc.dim()));
+    simd::sign_binarize_reference(oracle.data(), oracle.size(), signs.data());
+    std::vector<std::uint64_t> packed(signs.size(), ~std::uint64_t{0});
+    enc.encode_sign_batch(image, 1, packed);
+    ASSERT_EQ(packed, signs) << where;
+    const auto hv = enc.encode_sign(image);
+    ASSERT_TRUE(std::equal(signs.begin(), signs.end(), hv.bits().words().begin()))
+        << where;
 }
 
 TEST(EncoderEquivalence, WordParallelMatchesScalarOracleAcross100Configs) {
@@ -289,16 +426,28 @@ TEST(EncoderEquivalence, WordParallelMatchesScalarOracleAcross100Configs) {
         const core::uhd_encoder enc(c.cfg, c.shape);
         for (int image_i = 0; image_i < 3; ++image_i) {
             const auto image = random_bytes(c.shape.pixels(), 255, rng);
-            std::vector<std::int32_t> fast(enc.dim());
-            std::vector<std::int32_t> oracle(enc.dim());
-            enc.encode(image, fast);
-            enc.encode_scalar(image, oracle);
-            ASSERT_EQ(fast, oracle)
-                << "config " << config_i << ": dim=" << c.cfg.dim
-                << " levels=" << c.cfg.quant_levels << " scramble=" << c.cfg.scramble
-                << " backend=" << kernels::active().name;
+            expect_matches_oracle(
+                enc, image,
+                "config " + std::to_string(config_i) +
+                    ": dim=" + std::to_string(c.cfg.dim) +
+                    " levels=" + std::to_string(c.cfg.quant_levels) +
+                    " side=" + std::to_string(c.shape.rows) +
+                    " scramble=" + std::to_string(c.cfg.scramble) +
+                    " backend=" + kernels::active().name);
+            if (HasFatalFailure()) return;
         }
     }
+}
+
+TEST(EncoderEquivalence, MoreThan65535PixelsMatchScalarOracle) {
+    // 257 x 256 = 65792 pixels: the count needs 17 counter planes.
+    core::uhd_config cfg;
+    cfg.dim = 64;
+    const data::image_shape shape{257, 256, 1};
+    const core::uhd_encoder enc(cfg, shape);
+    xoshiro256ss rng(2025);
+    expect_matches_oracle(enc, random_bytes(shape.pixels(), 255, rng),
+                          std::string("65792 pixels, backend=") + kernels::active().name);
 }
 
 TEST(EncoderEquivalence, MonotoneFastMatchesGateExactUnaryPath) {

@@ -144,6 +144,22 @@ TEST(WireReactors, ShardStatsSumExactlyToAggregatedTotals) {
     EXPECT_EQ(total.frames_in, n_conns * 26u);
 }
 
+TEST(WireReactors, StopCountsConnectionsStillOpenAsClosed) {
+    // stop() tears down connections whose peers never hung up (or whose
+    // hang-up the loop has not read yet): the frozen counters must not
+    // report them as live.
+    sharded_fixture fx(2);
+    wire_client first = fx.connect();
+    wire_client second = fx.connect();
+    first.ping();
+    second.ping(); // both accepted and registered before stop()
+    fx.server->stop();
+    const wire_stats total = fx.server->stats();
+    EXPECT_EQ(total.connections_accepted, 2u);
+    EXPECT_EQ(total.connections_active, 0u);
+    EXPECT_EQ(sum_shards(*fx.server).connections_active, 0u);
+}
+
 TEST(WireReactors, RawOffLoopEncodeAcrossReactorsMatchesOracle) {
     const sharded_fixture fx(2, /*off_loop_raw=*/true);
     const hdc::inference_snapshot oracle = fx.model.snapshot();
