@@ -6,8 +6,9 @@
 // The custom main() additionally runs three direct throughput measurements
 // and writes machine-readable results (schemas in bench/README.md):
 //  * encode on 28x28 synthetic MNIST-shaped images at D=1024 (scalar vs
-//    word-parallel vs batched vs packed vs pool-parallel vs
-//    rematerializing), plus a
+//    word-parallel vs batched vs packed vs packed with no level-0 pixel vs
+//    pool-parallel vs rematerializing, each with its level-0 pixel share),
+//    plus a
 //    stored-vs-rematerialize footprint + throughput D-sweep past LLC with
 //    bit-identity and >= 100x threshold-state reduction as hard gates
 //    -> BENCH_encode.json (override the path with UHD_BENCH_JSON, workload
@@ -99,26 +100,37 @@ BENCHMARK(BM_GeqKernelReference)->Arg(1024)->Arg(8192);
 // admissible backend, registered dynamically in main — see
 // register_backend_benchmarks). `table` is the backend under test.
 
-/// The production stored-bank encode kernel: 784 pixels x dim thresholds
-/// as M = 4 bit planes (xi = 16), counted into bit-sliced counters.
+/// The production stored-bank encode kernel: a 784-pixel bank of dim
+/// thresholds as M = 4 bit planes (xi = 16), range(1) of its pixels listed
+/// (spread evenly, ascending) on a base count, counted into bit-sliced
+/// counters. 784 listed is the dense count every image paid before the
+/// level-0 skip; 349 is the median active count of the synthetic digits.
 void BM_BackendPlaneCount(benchmark::State& state, const kernels::kernel_table* table) {
     const auto dim = static_cast<std::size_t>(state.range(0));
+    const auto n_active = static_cast<std::size_t>(state.range(1));
     const std::size_t pixels = 784;
     const std::size_t m = 4;
     const std::size_t words = kernels::sign_words(dim);
+    const std::size_t n_planes = kernels::count_planes(pixels);
     std::vector<std::uint64_t> planes(pixels * m * words);
     xoshiro256ss rng(9);
     for (auto& w : planes) w = rng.next();
-    std::vector<std::uint8_t> q(pixels);
-    for (std::size_t p = 0; p < pixels; ++p) q[p] = p % 16;
-    std::vector<std::uint64_t> counters(kernels::count_planes(pixels) * words);
+    std::vector<kernels::active_pixel> active(n_active);
+    for (std::size_t i = 0; i < n_active; ++i) {
+        active[i] = {static_cast<std::uint32_t>(i * pixels / n_active),
+                     static_cast<std::uint32_t>(i % 15)};
+    }
+    // A base well inside the contract (base + n_active <= pixels).
+    std::vector<std::uint64_t> base(n_planes * words, 0);
+    for (std::size_t w = 0; w < words; ++w) base[w] = rng.next();
+    std::vector<std::uint64_t> counters(n_planes * words);
     for (auto _ : state) {
-        table->geq_plane_count(q.data(), pixels, planes.data(), m, words,
-                               counters.data());
+        table->geq_plane_count(active.data(), n_active, pixels, planes.data(), m, words,
+                               base.data(), counters.data());
         benchmark::DoNotOptimize(counters.data());
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(pixels * dim));
+                            static_cast<std::int64_t>(n_active * dim));
 }
 
 /// The int32 finisher over a 784-pixel count (10 counter planes).
@@ -183,8 +195,10 @@ void register_backend_benchmarks() {
         const std::string suffix = std::string("_") + table->name;
         benchmark::RegisterBenchmark(("BM_BackendPlaneCount" + suffix).c_str(),
                                      BM_BackendPlaneCount, table)
-            ->Arg(1024)
-            ->Arg(8192);
+            ->Args({1024, 784})
+            ->Args({8192, 784})
+            ->Args({1024, 349})
+            ->Args({8192, 349});
         benchmark::RegisterBenchmark(("BM_BackendPlaneCountCenter" + suffix).c_str(),
                                      BM_BackendPlaneCountCenter, table)
             ->Arg(1024)
@@ -463,7 +477,37 @@ struct throughput_entry {
     double images_per_s;
     double gb_per_s;
     double speedup_vs_scalar;
+    double level0_share; ///< share of the entry's pixels at quantized level 0
 };
+
+/// Share of the pixels of the first `n` images that quantize to level 0 —
+/// the pixels the stored encode skips.
+double level0_share(const core::uhd_encoder& enc, const data::dataset& ds,
+                    std::size_t n) {
+    std::size_t zeros = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        for (const std::uint8_t x : ds.image(i)) zeros += enc.quantize_intensity(x) == 0;
+    }
+    return static_cast<double>(zeros) / static_cast<double>(n * ds.shape().pixels());
+}
+
+/// `ds` with every level-0 pixel raised to the lowest intensity that
+/// quantizes to level 1: the same images with nothing to skip.
+data::dataset without_level0(const core::uhd_encoder& enc, const data::dataset& ds) {
+    unsigned level1 = 0;
+    while (enc.quantize_intensity(static_cast<std::uint8_t>(level1)) == 0) ++level1;
+    data::dataset out(ds.shape(), ds.num_classes());
+    std::vector<std::uint8_t> image;
+    for (std::size_t i = 0; i < ds.size(); ++i) {
+        const auto source = ds.image(i);
+        image.assign(source.begin(), source.end());
+        for (std::uint8_t& x : image) {
+            if (enc.quantize_intensity(x) == 0) x = static_cast<std::uint8_t>(level1);
+        }
+        out.add(image, ds.label(i));
+    }
+    return out;
+}
 
 /// One D of the stored-vs-rematerialize sweep (784 pixels throughout):
 /// exact threshold-state bytes of both modes and single-thread encode
@@ -484,7 +528,7 @@ struct sweep_row {
     bool identical;
 };
 
-/// Hard gates of the encode JSON (schema v4): remat output bit-identical
+/// Hard gates of the encode JSON (schema v5): remat output bit-identical
 /// to stored at every swept D, and >= 100x threshold-state reduction at
 /// the paper's 784 x 8192 point, measured against the 8-bit bank
 /// (pixels x D bytes) the bound was set on. throughput_hold is reported
@@ -508,7 +552,7 @@ void write_json(const std::string& path, const data::image_shape& shape,
     }
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"bench\": \"encode\",\n");
-    std::fprintf(f, "  \"schema_version\": 4,\n");
+    std::fprintf(f, "  \"schema_version\": 5,\n");
     std::fprintf(f,
                  "  \"workload\": {\"rows\": %zu, \"cols\": %zu, \"dim\": %zu, "
                  "\"quant_levels\": %u, \"images\": %zu},\n",
@@ -520,9 +564,10 @@ void write_json(const std::string& path, const data::image_shape& shape,
         std::fprintf(f,
                      "    {\"name\": \"%s\", \"threads\": %zu, \"seconds\": %.6f, "
                      "\"images_per_s\": %.1f, \"gb_per_s\": %.3f, "
-                     "\"speedup_vs_scalar\": %.2f}%s\n",
+                     "\"speedup_vs_scalar\": %.2f, \"level0_share\": %.4f}%s\n",
                      e.name.c_str(), e.threads, e.seconds, e.images_per_s, e.gb_per_s,
-                     e.speedup_vs_scalar, i + 1 < entries.size() ? "," : "");
+                     e.speedup_vs_scalar, e.level0_share,
+                     i + 1 < entries.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
     std::fprintf(f, "  \"footprint\": [\n");
@@ -570,10 +615,11 @@ int run_encode_throughput() {
     const core::uhd_encoder enc(cfg, ds.shape());
 
     const double bytes_per_image = bench::encode_bytes_per_image(enc);
+    const double digits_share = level0_share(enc, ds, images_n);
     std::vector<throughput_entry> entries;
 
     const auto record = [&](const std::string& name, std::size_t threads,
-                            double seconds, std::size_t images) {
+                            double seconds, std::size_t images, double share) {
         throughput_entry e;
         e.name = name;
         e.threads = threads;
@@ -581,38 +627,47 @@ int run_encode_throughput() {
         e.images_per_s = static_cast<double>(images) / seconds;
         e.gb_per_s = e.images_per_s * bytes_per_image * 1e-9;
         e.speedup_vs_scalar = entries.empty() ? 1.0 : entries.front().seconds / seconds;
+        e.level0_share = share;
         entries.push_back(e);
-        std::printf("%-28s %8.1f img/s %8.3f GB/s  %5.2fx\n", name.c_str(),
-                    e.images_per_s, e.gb_per_s, e.speedup_vs_scalar);
+        std::printf("%-28s %8.1f img/s %8.3f GB/s  %5.2fx  level-0 %.3f\n", name.c_str(),
+                    e.images_per_s, e.gb_per_s, e.speedup_vs_scalar, e.level0_share);
     };
 
     std::printf("\n== encode throughput: 28x28, D=%zu, xi=%u, %zu images ==\n", dim,
                 cfg.quant_levels, images_n);
 
-    record("encode_scalar", 1, bench::time_encode_scalar(enc, ds, images_n),
-           images_n);
+    record("encode_scalar", 1, bench::time_encode_scalar(enc, ds, images_n), images_n,
+           digits_share);
     record("encode_word_parallel", 1, bench::time_encode_parallel(enc, ds, images_n),
-           images_n);
+           images_n, digits_share);
 
     std::vector<std::int32_t> out(images_n * dim);
     record("encode_batch", 1, bench::time_encode_batch(enc, ds, images_n, out),
-           images_n);
+           images_n, digits_share);
     std::vector<std::uint64_t> packed(images_n * kernels::sign_words(dim));
     record("encode_sign_batch", 1,
-           bench::time_encode_sign_batch(enc, ds, images_n, packed), images_n);
+           bench::time_encode_sign_batch(enc, ds, images_n, packed), images_n,
+           digits_share);
+    // The same digits with nothing at level 0: what the level-0 skip costs
+    // on inputs without the property (the full active list every image).
+    const data::dataset no_level0 = without_level0(enc, ds);
+    record("encode_sign_batch_no_level0", 1,
+           bench::time_encode_sign_batch(enc, no_level0, images_n, packed), images_n,
+           level0_share(enc, no_level0, images_n));
     // parallel_for runs one chunk on the calling thread, so a pool of
     // N-1 workers computes on N threads; `threads` reports compute threads.
     for (const std::size_t threads : {2u, 4u}) {
         thread_pool pool(threads - 1);
         record("encode_batch_pool" + std::to_string(threads), threads,
-               bench::time_encode_batch(enc, ds, images_n, out, &pool), images_n);
+               bench::time_encode_batch(enc, ds, images_n, out, &pool), images_n,
+               digits_share);
     }
 
     core::uhd_config remat_cfg = cfg;
     remat_cfg.bank = bank_mode::rematerialize;
     const core::uhd_encoder remat_enc(remat_cfg, ds.shape());
     record("encode_remat", 1, bench::time_encode_parallel(remat_enc, ds, images_n),
-           images_n);
+           images_n, digits_share);
 
     const double speedup = entries[0].seconds / entries[1].seconds;
     std::printf("word-parallel vs scalar single-thread speedup: %.2fx %s\n", speedup,

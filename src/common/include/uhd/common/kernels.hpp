@@ -56,13 +56,14 @@ struct argmin2_result {
 // --- bit-plane threshold bank layout ---------------------------------------
 //
 // The stored threshold bank keeps M = bit_width(levels - 1) bit planes per
-// pixel (plane k holds bit k of every threshold, the paper's M-bit BRAM
-// word sliced across D). The dimension words are cut into chunks of
-// plane_chunk_words; within a chunk, pixel p's M planes sit back to back and
-// pixels follow in order, so a kernel that finishes one chunk for every
-// pixel before moving on streams the bank front to back. The last chunk is
-// as wide as the words left (no padding), so the bank is exactly
-// npix * M * words words.
+// pixel (plane k holds bit k of every stored value, the paper's M-bit BRAM
+// word sliced across D; the encoder stores each threshold S as
+// T = (S - 1) mod 2^M, see geq_plane_count). The dimension words are cut
+// into chunks of plane_chunk_words; within a chunk, pixel p's M planes sit
+// back to back and pixels follow in order, so a kernel that finishes one
+// chunk for every pixel before moving on streams the bank front to back.
+// The last chunk is as wide as the words left (no padding), so the bank is
+// exactly npix * M * words words.
 
 /// Dimension words per bank chunk (one 512-bit vector).
 inline constexpr std::size_t plane_chunk_words = 8;
@@ -85,6 +86,13 @@ inline constexpr std::size_t plane_chunk_words = 8;
     return static_cast<std::size_t>(std::bit_width(npix));
 }
 
+/// One entry of geq_plane_count's active-pixel list: a bank pixel and the
+/// level its stored values are compared against.
+struct active_pixel {
+    std::uint32_t pixel; ///< pixel index into the bank
+    std::uint32_t level; ///< comparator operand, < 2^m
+};
+
 /// One backend: a name, its admissibility predicate, and the full hot-path
 /// kernel set as plain function pointers. Tables are immutable process-wide
 /// constants defined by the per-ISA translation units.
@@ -96,17 +104,32 @@ struct kernel_table {
     /// True when this backend may run on the probed CPU.
     bool (*supported)(const cpu_features& features);
 
-    /// Bit-plane threshold count — the whole stored-bank encode inner
-    /// double loop. `planes` is an npix-pixel bank of `m` bit planes of
-    /// `words` u64 words each, laid out as plane_word_offset() describes;
-    /// pixel p's threshold at dimension d is S_p[d] = sum_k (bit d of plane
-    /// k) << k. Writes count[d] = #{p < npix : q[p] >= S_p[d]} for every
-    /// d < 64 * words, bit-sliced into count_planes(npix) counter planes:
-    /// bit d % 64 of counters[j * words + d / 64] is bit j of count[d].
-    /// Requires 1 <= m <= 8 and q[p] < 2^m; any npix >= 1.
-    void (*geq_plane_count)(const std::uint8_t* q, std::size_t npix,
-                            const std::uint64_t* planes, std::size_t m,
-                            std::size_t words, std::uint64_t* counters);
+    /// Bit-plane threshold count over an active-pixel list — the whole
+    /// stored-bank encode inner double loop. `planes` is an npix-pixel bank
+    /// of `m` bit planes of `words` u64 words each, laid out as
+    /// plane_word_offset() describes; pixel p's stored value at dimension d
+    /// is T_p[d] = sum_k (bit d of plane k) << k. `base` holds
+    /// count_planes(npix) bit-sliced counter planes of `words` words. Writes
+    ///     count[d] = base[d] + #{i < n_active : active[i].level >= T_a[d]},
+    /// a = active[i].pixel, for every d < 64 * words, bit-sliced into
+    /// count_planes(npix) counter planes: bit d % 64 of
+    /// counters[j * words + d / 64] is bit j of count[d]. Only the listed
+    /// pixels' planes are read. `active` lists distinct pixels in ascending
+    /// order, so each chunk streams front to back. Requires 1 <= m <= 8,
+    /// every level < 2^m and base[d] + n_active <= npix (every count fits
+    /// its counter planes); any npix >= 1, n_active = 0 included.
+    ///
+    /// The encoder's use: the bank stores T = (S - 1) mod 2^m for the
+    /// quantized threshold S, the list holds (p, q_p - 1) for every pixel
+    /// at level q_p >= 1, and base is Z0[d] = #{p : S_p[d] = 0}. A level-0
+    /// pixel reaches only S = 0, and S = 0 relabels to T = 2^m - 1, which
+    /// no listed level q - 1 <= 2^m - 2 reaches, so
+    ///     #{p : q_p >= S_p[d]} = Z0[d] + #{p : q_p >= 1, 1 <= S_p[d] <= q_p}
+    /// is exactly this count.
+    void (*geq_plane_count)(const active_pixel* active, std::size_t n_active,
+                            std::size_t npix, const std::uint64_t* planes,
+                            std::size_t m, std::size_t words,
+                            const std::uint64_t* base, std::uint64_t* counters);
 
     /// The int32 finisher of geq_plane_count: out[d] = 2 * count[d] - tau2
     /// for d < n, reading `n_planes` bit-sliced counter planes of `words`
@@ -216,10 +239,12 @@ void force_backend(std::string_view request);
 // cost per call is one atomic load plus an indirect call, amortized over
 // whole-image / whole-row kernel bodies.
 
-inline void geq_plane_count(const std::uint8_t* q, std::size_t npix,
-                            const std::uint64_t* planes, std::size_t m,
-                            std::size_t words, std::uint64_t* counters) {
-    active().geq_plane_count(q, npix, planes, m, words, counters);
+inline void geq_plane_count(const active_pixel* active_list, std::size_t n_active,
+                            std::size_t npix, const std::uint64_t* planes,
+                            std::size_t m, std::size_t words,
+                            const std::uint64_t* base, std::uint64_t* counters) {
+    active().geq_plane_count(active_list, n_active, npix, planes, m, words, base,
+                             counters);
 }
 
 inline void plane_count_center(const std::uint64_t* counters, std::size_t n_planes,

@@ -78,18 +78,21 @@ inline void add_u16_to_i32(const std::uint16_t* geq16, std::size_t dim,
 
 // --- bit-plane threshold count kernels ------------------------------------
 //
-// count[d] = #{p : q[p] >= S_p[d]} over a bit-plane bank (layout:
-// kernels::plane_word_offset), written as count_planes(npix) bit-sliced
-// counter planes. The comparator is bit-sliced as well: walking pixel p's
-// planes from the least significant, ge = maj(~S_k, ge, Q_k), where Q_k is
-// all-ones when bit k of q[p] is set — the highest differing bit decides
-// and equal bits keep the lower bits' verdict, starting from "equal", i.e.
-// q >= S. That is one majority per plane for 64 dimensions. The
-// word-parallel bodies count the comparator outputs with a Harley-Seal
-// carry-save tree: 16 pixels fold into the ones/twos/fours/eights planes
-// with 15 carry-save adders, and the one sixteens plane they emit ripples
-// into the counter planes above them. The counts are exact integers, so
-// every backend writes the same counter words.
+// count[d] = base[d] + #{listed p : level_p >= T_p[d]} over a bit-plane bank
+// (layout: kernels::plane_word_offset), written as count_planes(npix)
+// bit-sliced counter planes; see kernels::kernel_table::geq_plane_count for
+// the contract and the encoder's level-0 identity. The comparator is
+// bit-sliced as well: walking pixel p's planes from the least significant,
+// ge = maj(~T_k, ge, L_k), where L_k is all-ones when bit k of the level is
+// set — the highest differing bit decides and equal bits keep the lower
+// bits' verdict, starting from "equal", i.e. level >= T. That is one
+// majority per plane for 64 dimensions. The word-parallel bodies seed their
+// counters from the base planes and count the listed pixels' comparator
+// outputs with a Harley-Seal carry-save tree: 16 pixels fold into the
+// ones/twos/fours/eights planes with 15 carry-save adders, and the one
+// sixteens plane they emit ripples into the counter planes above them. The
+// counts are exact integers, so every backend writes the same counter
+// words.
 
 /// spread_bits[x] holds bit i of the byte x in byte lane i (0 or 1).
 struct byte_spread_table {
@@ -131,24 +134,34 @@ inline void decode_plane_word(const std::uint64_t* planes, std::size_t npix,
     }
 }
 
-/// Pinned scalar oracle: pixel by pixel, decode the threshold row and
-/// compare each (pixel, dimension) pair byte at a time through
-/// geq_accumulate_reference into u16 lanes (flushed before they can
-/// overflow), then slice the counts into counter planes. The baseline the
-/// carry-save bodies are tested against.
+/// Pinned scalar oracle: decode the base counts, then listed pixel by listed
+/// pixel, decode the stored row and compare each (pixel, dimension) pair
+/// byte at a time through geq_accumulate_reference into u16 lanes (flushed
+/// before they can overflow), then slice the counts into counter planes.
+/// The baseline the carry-save bodies are tested against.
 UHD_SCALAR_REFERENCE inline void geq_plane_count_reference(
-    const std::uint8_t* q, std::size_t npix, const std::uint64_t* planes,
-    std::size_t m, std::size_t words, std::uint64_t* counters) {
+    const kernels::active_pixel* active, std::size_t n_active, std::size_t npix,
+    const std::uint64_t* planes, std::size_t m, std::size_t words,
+    const std::uint64_t* base, std::uint64_t* counters) {
     const std::size_t dims = words * 64;
+    const std::size_t n_planes = kernels::count_planes(npix);
     std::vector<std::uint8_t> row(dims);
     std::vector<std::uint16_t> tile(dims, 0);
     std::vector<std::int32_t> count(dims, 0);
-    std::size_t pixels_in_tile = 0;
-    for (std::size_t p = 0; p < npix; ++p) {
-        for (std::size_t w = 0; w < words; ++w) {
-            decode_plane_word(planes, npix, m, words, p, w, row.data() + w * 64);
+    for (std::size_t d = 0; d < dims; ++d) {
+        for (std::size_t j = 0; j < n_planes; ++j) {
+            count[d] |= static_cast<std::int32_t>((base[j * words + d / 64] >> (d % 64)) & 1u)
+                        << j;
         }
-        geq_accumulate_reference(q[p], row.data(), dims, tile.data());
+    }
+    std::size_t pixels_in_tile = 0;
+    for (std::size_t i = 0; i < n_active; ++i) {
+        for (std::size_t w = 0; w < words; ++w) {
+            decode_plane_word(planes, npix, m, words, active[i].pixel, w,
+                              row.data() + w * 64);
+        }
+        geq_accumulate_reference(static_cast<std::uint8_t>(active[i].level), row.data(),
+                                 dims, tile.data());
         if (++pixels_in_tile == 65535) {
             add_u16_to_i32(tile.data(), dims, count.data());
             std::fill(tile.begin(), tile.end(), std::uint16_t{0});
@@ -156,7 +169,6 @@ UHD_SCALAR_REFERENCE inline void geq_plane_count_reference(
         }
     }
     add_u16_to_i32(tile.data(), dims, count.data());
-    const std::size_t n_planes = kernels::count_planes(npix);
     for (std::size_t j = 0; j < n_planes; ++j) {
         for (std::size_t w = 0; w < words; ++w) {
             std::uint64_t bits = 0;
@@ -189,43 +201,51 @@ inline void ripple_add(std::uint64_t* counter, std::size_t from, std::size_t n_p
 
 /// SWAR body: the carry-save tree on u64 words, one dimension word of a
 /// bank chunk at a time.
-inline void geq_plane_count_swar(const std::uint8_t* q, std::size_t npix,
+inline void geq_plane_count_swar(const kernels::active_pixel* active,
+                                 std::size_t n_active, std::size_t npix,
                                  const std::uint64_t* planes, std::size_t m,
-                                 std::size_t words, std::uint64_t* counters) noexcept {
+                                 std::size_t words, const std::uint64_t* base,
+                                 std::uint64_t* counters) noexcept {
     const std::size_t n_planes = kernels::count_planes(npix);
     for (std::size_t first = 0; first < words; first += kernels::plane_chunk_words) {
         const std::size_t width = std::min(kernels::plane_chunk_words, words - first);
         const std::uint64_t* chunk = planes + first * npix * m;
         for (std::size_t lane = 0; lane < width; ++lane) {
-            // Pixel p's comparator output for this word: q[p] >= S_p[d].
-            const auto ge = [&](std::size_t p) {
-                const std::uint64_t* s = chunk + p * m * width + lane;
+            // Listed pixel i's comparator output for this word:
+            // level >= T_p[d].
+            const auto ge = [&](std::size_t i) {
+                const std::uint64_t* s = chunk + active[i].pixel * m * width + lane;
+                const std::uint32_t level = active[i].level;
                 std::uint64_t g = ~std::uint64_t{0};
                 for (std::size_t k = 0; k < m; ++k) {
-                    const std::uint64_t qk = 0 - static_cast<std::uint64_t>((q[p] >> k) & 1u);
+                    const std::uint64_t lk = 0 - static_cast<std::uint64_t>((level >> k) & 1u);
                     const std::uint64_t not_s = ~s[k * width];
-                    g = (not_s & (g | qk)) | (g & qk);
+                    g = (not_s & (g | lk)) | (g & lk);
                 }
                 return g;
             };
-            std::uint64_t counter[64] = {};
-            std::size_t p = 0;
+            std::uint64_t counter[64];
+            for (std::size_t j = 0; j < n_planes; ++j) {
+                counter[j] = base[j * words + first + lane];
+            }
+            std::size_t i = 0;
             if (n_planes > 4) {
-                std::uint64_t ones = 0, twos = 0, fours = 0, eights = 0;
+                std::uint64_t ones = counter[0], twos = counter[1];
+                std::uint64_t fours = counter[2], eights = counter[3];
                 std::uint64_t twos_a, twos_b, fours_a, fours_b, eights_a, eights_b, sixteens;
-                for (; p + 16 <= npix; p += 16) {
-                    carry_save_add(twos_a, ones, ones, ge(p + 0), ge(p + 1));
-                    carry_save_add(twos_b, ones, ones, ge(p + 2), ge(p + 3));
+                for (; i + 16 <= n_active; i += 16) {
+                    carry_save_add(twos_a, ones, ones, ge(i + 0), ge(i + 1));
+                    carry_save_add(twos_b, ones, ones, ge(i + 2), ge(i + 3));
                     carry_save_add(fours_a, twos, twos, twos_a, twos_b);
-                    carry_save_add(twos_a, ones, ones, ge(p + 4), ge(p + 5));
-                    carry_save_add(twos_b, ones, ones, ge(p + 6), ge(p + 7));
+                    carry_save_add(twos_a, ones, ones, ge(i + 4), ge(i + 5));
+                    carry_save_add(twos_b, ones, ones, ge(i + 6), ge(i + 7));
                     carry_save_add(fours_b, twos, twos, twos_a, twos_b);
                     carry_save_add(eights_a, fours, fours, fours_a, fours_b);
-                    carry_save_add(twos_a, ones, ones, ge(p + 8), ge(p + 9));
-                    carry_save_add(twos_b, ones, ones, ge(p + 10), ge(p + 11));
+                    carry_save_add(twos_a, ones, ones, ge(i + 8), ge(i + 9));
+                    carry_save_add(twos_b, ones, ones, ge(i + 10), ge(i + 11));
                     carry_save_add(fours_a, twos, twos, twos_a, twos_b);
-                    carry_save_add(twos_a, ones, ones, ge(p + 12), ge(p + 13));
-                    carry_save_add(twos_b, ones, ones, ge(p + 14), ge(p + 15));
+                    carry_save_add(twos_a, ones, ones, ge(i + 12), ge(i + 13));
+                    carry_save_add(twos_b, ones, ones, ge(i + 14), ge(i + 15));
                     carry_save_add(fours_b, twos, twos, twos_a, twos_b);
                     carry_save_add(eights_b, fours, fours, fours_a, fours_b);
                     carry_save_add(sixteens, eights, eights, eights_a, eights_b);
@@ -236,7 +256,7 @@ inline void geq_plane_count_swar(const std::uint8_t* q, std::size_t npix,
                 counter[2] = fours;
                 counter[3] = eights;
             }
-            for (; p < npix; ++p) ripple_add(counter, 0, n_planes, ge(p));
+            for (; i < n_active; ++i) ripple_add(counter, 0, n_planes, ge(i));
             for (std::size_t j = 0; j < n_planes; ++j) {
                 counters[j * words + first + lane] = counter[j];
             }

@@ -71,8 +71,8 @@ constexpr level_mask_table level_masks = make_level_masks();
     }
 }
 
-/// One pixel's comparator output q >= S over one 256-bit half: the
-/// majority maj(~S_k, ge, Q_k) per plane as or/andnot/and/or, Q_k
+/// One listed pixel's comparator output level >= T over one 256-bit half:
+/// the majority maj(~T_k, ge, L_k) per plane as or/andnot/and/or, L_k
 /// broadcast from the level's mask row. `s` points at the half of the
 /// pixel's plane 0; planes are `stride` words apart. A full half loads
 /// plainly; a ragged one through `lanes` (maskload reads nothing in
@@ -80,54 +80,63 @@ constexpr level_mask_table level_masks = make_level_masks();
 template <std::size_t M, bool Full>
 [[gnu::always_inline]] inline __m256i pixel_geq(const std::uint64_t* s,
                                                 std::size_t stride, __m256i lanes,
-                                                std::uint8_t q) {
-    const std::uint64_t* level = level_masks.mask[q];
+                                                std::uint32_t level) {
+    const std::uint64_t* mask = level_masks.mask[level];
     __m256i g = _mm256_set1_epi64x(-1);
     for (std::size_t k = 0; k < M; ++k) {
         const __m256i plane =
             Full ? _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s + k * stride))
                  : _mm256_maskload_epi64(reinterpret_cast<const long long*>(s + k * stride),
                                          lanes);
-        const __m256i qk = _mm256_set1_epi64x(static_cast<long long>(level[k]));
-        g = _mm256_or_si256(_mm256_andnot_si256(plane, _mm256_or_si256(g, qk)),
-                            _mm256_and_si256(g, qk));
+        const __m256i lk = _mm256_set1_epi64x(static_cast<long long>(mask[k]));
+        g = _mm256_or_si256(_mm256_andnot_si256(plane, _mm256_or_si256(g, lk)),
+                            _mm256_and_si256(g, lk));
     }
     return g;
 }
 
-/// One 256-bit half of a bank chunk for every pixel, M planes per pixel.
-/// `half` points at the half's first word of pixel 0's plane 0; `stride` is
-/// the chunk's width in words (plane k of pixel p sits at half + (p * M + k)
-/// * stride). The Harley-Seal tree and the counter ripple match the
-/// AVX-512 body.
+/// One 256-bit half of a bank chunk for the listed pixels, M planes per
+/// pixel, on top of the base counts already in `counter`. `half` points at
+/// the half's first word of pixel 0's plane 0; `stride` is the chunk's width
+/// in words (plane k of pixel p sits at half + (p * M + k) * stride). The
+/// Harley-Seal tree, its seeding and the counter ripple match the AVX-512
+/// body.
 template <std::size_t M, bool Full>
-void count_half(const std::uint8_t* q, std::size_t npix, const std::uint64_t* half,
-                std::size_t stride, __m256i lanes, std::size_t n_planes,
-                __m256i* counter) {
-    const std::size_t pixel_stride = M * (Full ? chunk_words : stride);
-    const auto ge = [&](std::size_t p) {
-        return pixel_geq<M, Full>(half + p * pixel_stride, Full ? chunk_words : stride,
-                                  lanes, q[p]);
+void count_half(const active_pixel* active, std::size_t n_active,
+                const std::uint64_t* half, std::size_t stride, __m256i lanes,
+                std::size_t n_planes, __m256i* counter) {
+    // Listed pixel i's comparator output (a functor, not a lambda, for the
+    // reason given in the AVX-512 body).
+    struct listed_geq {
+        const active_pixel* active;
+        const std::uint64_t* half;
+        std::size_t stride;
+        __m256i lanes;
+        [[gnu::always_inline]] __m256i operator()(std::size_t i) const {
+            const std::size_t width = Full ? chunk_words : stride;
+            return pixel_geq<M, Full>(half + std::size_t{active[i].pixel} * M * width,
+                                      width, lanes, active[i].level);
+        }
     };
-    for (std::size_t j = 0; j < n_planes; ++j) counter[j] = _mm256_setzero_si256();
-    std::size_t p = 0;
+    const listed_geq ge{active, half, stride, lanes};
+    std::size_t i = 0;
     if (n_planes > 4) {
-        __m256i ones = _mm256_setzero_si256();
-        __m256i twos = ones, fours = ones, eights = ones;
-        for (; p + 16 <= npix; p += 16) {
+        __m256i ones = counter[0], twos = counter[1];
+        __m256i fours = counter[2], eights = counter[3];
+        for (; i + 16 <= n_active; i += 16) {
             __m256i twos_a, twos_b, fours_a, fours_b, eights_a, eights_b, sixteens;
-            carry_save_add(twos_a, ones, ones, ge(p + 0), ge(p + 1));
-            carry_save_add(twos_b, ones, ones, ge(p + 2), ge(p + 3));
+            carry_save_add(twos_a, ones, ones, ge(i + 0), ge(i + 1));
+            carry_save_add(twos_b, ones, ones, ge(i + 2), ge(i + 3));
             carry_save_add(fours_a, twos, twos, twos_a, twos_b);
-            carry_save_add(twos_a, ones, ones, ge(p + 4), ge(p + 5));
-            carry_save_add(twos_b, ones, ones, ge(p + 6), ge(p + 7));
+            carry_save_add(twos_a, ones, ones, ge(i + 4), ge(i + 5));
+            carry_save_add(twos_b, ones, ones, ge(i + 6), ge(i + 7));
             carry_save_add(fours_b, twos, twos, twos_a, twos_b);
             carry_save_add(eights_a, fours, fours, fours_a, fours_b);
-            carry_save_add(twos_a, ones, ones, ge(p + 8), ge(p + 9));
-            carry_save_add(twos_b, ones, ones, ge(p + 10), ge(p + 11));
+            carry_save_add(twos_a, ones, ones, ge(i + 8), ge(i + 9));
+            carry_save_add(twos_b, ones, ones, ge(i + 10), ge(i + 11));
             carry_save_add(fours_a, twos, twos, twos_a, twos_b);
-            carry_save_add(twos_a, ones, ones, ge(p + 12), ge(p + 13));
-            carry_save_add(twos_b, ones, ones, ge(p + 14), ge(p + 15));
+            carry_save_add(twos_a, ones, ones, ge(i + 12), ge(i + 13));
+            carry_save_add(twos_b, ones, ones, ge(i + 14), ge(i + 15));
             carry_save_add(fours_b, twos, twos, twos_a, twos_b);
             carry_save_add(eights_b, fours, fours, fours_a, fours_b);
             carry_save_add(sixteens, eights, eights, eights_a, eights_b);
@@ -138,23 +147,23 @@ void count_half(const std::uint8_t* q, std::size_t npix, const std::uint64_t* ha
         counter[2] = fours;
         counter[3] = eights;
     }
-    for (; p < npix; ++p) ripple_add(counter, 0, n_planes, ge(p));
+    for (; i < n_active; ++i) ripple_add(counter, 0, n_planes, ge(i));
 }
 
 template <std::size_t M>
-void count_half(const std::uint8_t* q, std::size_t npix, const std::uint64_t* half,
-                std::size_t stride, bool full, __m256i lanes, std::size_t n_planes,
-                __m256i* counter) {
+void count_half(const active_pixel* active, std::size_t n_active,
+                const std::uint64_t* half, std::size_t stride, bool full, __m256i lanes,
+                std::size_t n_planes, __m256i* counter) {
     if (full && stride == chunk_words) {
-        count_half<M, true>(q, npix, half, stride, lanes, n_planes, counter);
+        count_half<M, true>(active, n_active, half, stride, lanes, n_planes, counter);
     } else {
-        count_half<M, false>(q, npix, half, stride, lanes, n_planes, counter);
+        count_half<M, false>(active, n_active, half, stride, lanes, n_planes, counter);
     }
 }
 
-void geq_plane_count(const std::uint8_t* q, std::size_t npix,
+void geq_plane_count(const active_pixel* active, std::size_t n_active, std::size_t npix,
                      const std::uint64_t* planes, std::size_t m, std::size_t words,
-                     std::uint64_t* counters) {
+                     const std::uint64_t* base, std::uint64_t* counters) {
     const auto n_planes = static_cast<std::size_t>(std::bit_width(npix));
     __m256i counter[64];
     for (std::size_t first = 0; first < words; first += chunk_words) {
@@ -167,16 +176,37 @@ void geq_plane_count(const std::uint8_t* q, std::size_t npix,
             const __m256i lanes = _mm256_cmpgt_epi64(
                 _mm256_set1_epi64x(static_cast<long long>(used)),
                 _mm256_setr_epi64x(0, 1, 2, 3));
+            for (std::size_t j = 0; j < n_planes; ++j) {
+                counter[j] = _mm256_maskload_epi64(
+                    reinterpret_cast<const long long*>(base + j * words + first + offset),
+                    lanes);
+            }
             const std::uint64_t* half = chunk + offset;
             switch (m) {
-            case 1: count_half<1>(q, npix, half, width, full, lanes, n_planes, counter); break;
-            case 2: count_half<2>(q, npix, half, width, full, lanes, n_planes, counter); break;
-            case 3: count_half<3>(q, npix, half, width, full, lanes, n_planes, counter); break;
-            case 4: count_half<4>(q, npix, half, width, full, lanes, n_planes, counter); break;
-            case 5: count_half<5>(q, npix, half, width, full, lanes, n_planes, counter); break;
-            case 6: count_half<6>(q, npix, half, width, full, lanes, n_planes, counter); break;
-            case 7: count_half<7>(q, npix, half, width, full, lanes, n_planes, counter); break;
-            default: count_half<8>(q, npix, half, width, full, lanes, n_planes, counter); break;
+            case 1:
+                count_half<1>(active, n_active, half, width, full, lanes, n_planes, counter);
+                break;
+            case 2:
+                count_half<2>(active, n_active, half, width, full, lanes, n_planes, counter);
+                break;
+            case 3:
+                count_half<3>(active, n_active, half, width, full, lanes, n_planes, counter);
+                break;
+            case 4:
+                count_half<4>(active, n_active, half, width, full, lanes, n_planes, counter);
+                break;
+            case 5:
+                count_half<5>(active, n_active, half, width, full, lanes, n_planes, counter);
+                break;
+            case 6:
+                count_half<6>(active, n_active, half, width, full, lanes, n_planes, counter);
+                break;
+            case 7:
+                count_half<7>(active, n_active, half, width, full, lanes, n_planes, counter);
+                break;
+            default:
+                count_half<8>(active, n_active, half, width, full, lanes, n_planes, counter);
+                break;
             }
             for (std::size_t j = 0; j < n_planes; ++j) {
                 _mm256_maskstore_epi64(

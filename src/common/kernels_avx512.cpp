@@ -109,56 +109,67 @@ constexpr level_mask_table level_masks = make_level_masks();
     }
 }
 
-/// One pixel's comparator output q >= S over one chunk: one ternary-logic
-/// op per plane, 0xB2 = maj(~S_k, ge, Q_k), Q_k broadcast from the level's
-/// mask row. `s` points at the pixel's plane 0; planes are `width` words
-/// apart. A full chunk (Full, width 8) loads plainly; a ragged one loads
-/// under `lanes`, so masked-off lanes read nothing.
+/// One listed pixel's comparator output level >= T over one chunk: one
+/// ternary-logic op per plane, 0xB2 = maj(~T_k, ge, L_k), L_k broadcast from
+/// the level's mask row. `s` points at the pixel's plane 0; planes are
+/// `width` words apart. A full chunk (Full, width 8) loads plainly; a ragged
+/// one loads under `lanes`, so masked-off lanes read nothing.
 template <std::size_t M, bool Full>
 [[gnu::always_inline]] inline __m512i pixel_geq(const std::uint64_t* s,
                                                 std::size_t width, __mmask8 lanes,
-                                                std::uint8_t q) {
-    const std::uint64_t* level = level_masks.mask[q];
+                                                std::uint32_t level) {
+    const std::uint64_t* mask = level_masks.mask[level];
     __m512i g = _mm512_set1_epi64(-1);
     for (std::size_t k = 0; k < M; ++k) {
         const __m512i plane = Full ? _mm512_loadu_si512(s + k * chunk_words)
                                    : _mm512_maskz_loadu_epi64(lanes, s + k * width);
         g = _mm512_ternarylogic_epi64(
-            g, plane, _mm512_set1_epi64(static_cast<long long>(level[k])), 0xB2);
+            g, plane, _mm512_set1_epi64(static_cast<long long>(mask[k])), 0xB2);
     }
     return g;
 }
 
-/// One bank chunk for every pixel, M planes per pixel: sixteen comparator
-/// outputs fold through the Harley-Seal tree into the ones..eights planes
-/// and the sixteens plane ripples into counter[4..).
+/// One bank chunk for the listed pixels, M planes per pixel, on top of the
+/// base counts already in `counter`: sixteen comparator outputs fold
+/// through the Harley-Seal tree into the ones..eights planes (seeded from
+/// counter[0..3]) and the sixteens plane ripples into counter[4..).
 template <std::size_t M, bool Full>
-void count_chunk(const std::uint8_t* q, std::size_t npix, const std::uint64_t* chunk,
-                 std::size_t width, __mmask8 lanes, std::size_t n_planes,
-                 __m512i* counter) {
-    const std::size_t stride = M * (Full ? chunk_words : width);
-    const auto ge = [&](std::size_t p) {
-        return pixel_geq<M, Full>(chunk + p * stride, width, lanes, q[p]);
+void count_chunk(const active_pixel* active, std::size_t n_active,
+                 const std::uint64_t* chunk, std::size_t width, __mmask8 lanes,
+                 std::size_t n_planes, __m512i* counter) {
+    // Listed pixel i's comparator output. A functor, not a lambda: GCC
+    // declines to inline a lambda here once it indexes the list, and an
+    // out-of-line call per pixel costs more than the compare.
+    struct listed_geq {
+        const active_pixel* active;
+        const std::uint64_t* chunk;
+        std::size_t width;
+        __mmask8 lanes;
+        [[gnu::always_inline]] __m512i operator()(std::size_t i) const {
+            const std::size_t stride = M * (Full ? chunk_words : width);
+            return pixel_geq<M, Full>(chunk + std::size_t{active[i].pixel} * stride,
+                                      width, lanes, active[i].level);
+        }
     };
-    for (std::size_t j = 0; j < n_planes; ++j) counter[j] = _mm512_setzero_si512();
-    std::size_t p = 0;
+    const listed_geq ge{active, chunk, width, lanes};
+    std::size_t i = 0;
     if (n_planes > 4) {
-        __m512i ones = _mm512_setzero_si512();
-        __m512i twos = ones, fours = ones, eights = ones;
-        for (; p + 16 <= npix; p += 16) {
+        __m512i ones = counter[0], twos = counter[1];
+        __m512i fours = counter[2], eights = counter[3];
+        for (; i + 16 <= n_active; i += 16) {
             __m512i twos_a, twos_b, fours_a, fours_b, eights_a, eights_b, sixteens;
-            carry_save_add(twos_a, ones, ones, ge(p + 0), ge(p + 1));
-            carry_save_add(twos_b, ones, ones, ge(p + 2), ge(p + 3));
+            carry_save_add(twos_a, ones, ones, ge(i + 0), ge(i + 1));
+            carry_save_add(twos_b, ones, ones, ge(i + 2), ge(i + 3));
             carry_save_add(fours_a, twos, twos, twos_a, twos_b);
-            carry_save_add(twos_a, ones, ones, ge(p + 4), ge(p + 5));
-            carry_save_add(twos_b, ones, ones, ge(p + 6), ge(p + 7));
+            carry_save_add(twos_a, ones, ones, ge(i + 4), ge(i + 5));
+            carry_save_add(twos_b, ones, ones, ge(i + 6), ge(i + 7));
             carry_save_add(fours_b, twos, twos, twos_a, twos_b);
             carry_save_add(eights_a, fours, fours, fours_a, fours_b);
-            carry_save_add(twos_a, ones, ones, ge(p + 8), ge(p + 9));
-            carry_save_add(twos_b, ones, ones, ge(p + 10), ge(p + 11));
+            carry_save_add(twos_a, ones, ones, ge(i + 8), ge(i + 9));
+            carry_save_add(twos_b, ones, ones, ge(i + 10), ge(i + 11));
             carry_save_add(fours_a, twos, twos, twos_a, twos_b);
-            carry_save_add(twos_a, ones, ones, ge(p + 12), ge(p + 13));
-            carry_save_add(twos_b, ones, ones, ge(p + 14), ge(p + 15));
+            carry_save_add(twos_a, ones, ones, ge(i + 12), ge(i + 13));
+            carry_save_add(twos_b, ones, ones, ge(i + 14), ge(i + 15));
             carry_save_add(fours_b, twos, twos, twos_a, twos_b);
             carry_save_add(eights_b, fours, fours, fours_a, fours_b);
             carry_save_add(sixteens, eights, eights, eights_a, eights_b);
@@ -169,23 +180,23 @@ void count_chunk(const std::uint8_t* q, std::size_t npix, const std::uint64_t* c
         counter[2] = fours;
         counter[3] = eights;
     }
-    for (; p < npix; ++p) ripple_add(counter, 0, n_planes, ge(p));
+    for (; i < n_active; ++i) ripple_add(counter, 0, n_planes, ge(i));
 }
 
 template <std::size_t M>
-void count_chunk(const std::uint8_t* q, std::size_t npix, const std::uint64_t* chunk,
-                 std::size_t width, __mmask8 lanes, std::size_t n_planes,
-                 __m512i* counter) {
+void count_chunk(const active_pixel* active, std::size_t n_active,
+                 const std::uint64_t* chunk, std::size_t width, __mmask8 lanes,
+                 std::size_t n_planes, __m512i* counter) {
     if (width == chunk_words) {
-        count_chunk<M, true>(q, npix, chunk, width, lanes, n_planes, counter);
+        count_chunk<M, true>(active, n_active, chunk, width, lanes, n_planes, counter);
     } else {
-        count_chunk<M, false>(q, npix, chunk, width, lanes, n_planes, counter);
+        count_chunk<M, false>(active, n_active, chunk, width, lanes, n_planes, counter);
     }
 }
 
-void geq_plane_count(const std::uint8_t* q, std::size_t npix,
+void geq_plane_count(const active_pixel* active, std::size_t n_active, std::size_t npix,
                      const std::uint64_t* planes, std::size_t m, std::size_t words,
-                     std::uint64_t* counters) {
+                     const std::uint64_t* base, std::uint64_t* counters) {
     const auto n_planes = static_cast<std::size_t>(std::bit_width(npix));
     __m512i counter[64];
     for (std::size_t first = 0; first < words; first += chunk_words) {
@@ -193,15 +204,18 @@ void geq_plane_count(const std::uint8_t* q, std::size_t npix,
             words - first < chunk_words ? words - first : chunk_words;
         const auto lanes = static_cast<__mmask8>((1u << width) - 1);
         const std::uint64_t* chunk = planes + first * npix * m;
+        for (std::size_t j = 0; j < n_planes; ++j) {
+            counter[j] = _mm512_maskz_loadu_epi64(lanes, base + j * words + first);
+        }
         switch (m) {
-        case 1: count_chunk<1>(q, npix, chunk, width, lanes, n_planes, counter); break;
-        case 2: count_chunk<2>(q, npix, chunk, width, lanes, n_planes, counter); break;
-        case 3: count_chunk<3>(q, npix, chunk, width, lanes, n_planes, counter); break;
-        case 4: count_chunk<4>(q, npix, chunk, width, lanes, n_planes, counter); break;
-        case 5: count_chunk<5>(q, npix, chunk, width, lanes, n_planes, counter); break;
-        case 6: count_chunk<6>(q, npix, chunk, width, lanes, n_planes, counter); break;
-        case 7: count_chunk<7>(q, npix, chunk, width, lanes, n_planes, counter); break;
-        default: count_chunk<8>(q, npix, chunk, width, lanes, n_planes, counter); break;
+        case 1: count_chunk<1>(active, n_active, chunk, width, lanes, n_planes, counter); break;
+        case 2: count_chunk<2>(active, n_active, chunk, width, lanes, n_planes, counter); break;
+        case 3: count_chunk<3>(active, n_active, chunk, width, lanes, n_planes, counter); break;
+        case 4: count_chunk<4>(active, n_active, chunk, width, lanes, n_planes, counter); break;
+        case 5: count_chunk<5>(active, n_active, chunk, width, lanes, n_planes, counter); break;
+        case 6: count_chunk<6>(active, n_active, chunk, width, lanes, n_planes, counter); break;
+        case 7: count_chunk<7>(active, n_active, chunk, width, lanes, n_planes, counter); break;
+        default: count_chunk<8>(active, n_active, chunk, width, lanes, n_planes, counter); break;
         }
         for (std::size_t j = 0; j < n_planes; ++j) {
             _mm512_mask_storeu_epi64(counters + j * words + first, lanes, counter[j]);

@@ -15,13 +15,14 @@ namespace {
 
 bool supported(const cpu_features&) { return true; }
 
-void geq_plane_count(const std::uint8_t* q, std::size_t npix,
+void geq_plane_count(const active_pixel* active, std::size_t n_active, std::size_t npix,
                      const std::uint64_t* planes, std::size_t m, std::size_t words,
-                     std::uint64_t* counters) {
-    // One threshold decode and compare per (pixel, dimension) — the
+                     const std::uint64_t* base, std::uint64_t* counters) {
+    // One threshold decode and compare per (listed pixel, dimension) — the
     // reference the carry-save trees of the other backends are tested
     // against.
-    simd::geq_plane_count_reference(q, npix, planes, m, words, counters);
+    simd::geq_plane_count_reference(active, n_active, npix, planes, m, words, base,
+                                    counters);
 }
 
 void plane_count_center(const std::uint64_t* counters, std::size_t n_planes,

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "uhd/bitstream/unary.hpp"
 #include "uhd/common/error.hpp"
@@ -86,14 +87,19 @@ void uhd_encoder::build_tables(const ld::quantized_sobol_bank* custom) {
     // Per-pixel threshold CDF: how many of the pixel's D thresholds a given
     // quantized intensity reaches. Used for exact mean-centering. Every
     // row is generated (or read from the custom bank) once here, counted
-    // into the CDF and, in stored mode, sliced into the pixel's bit planes;
-    // only one row is ever held, so the byte bank never exists whole.
+    // into the CDF and, in stored mode, sliced into the pixel's bit planes
+    // and counted into Z0 (its zero thresholds); only one row is ever held,
+    // so the byte bank never exists whole.
     const unsigned xi = config_.quant_levels;
+    const std::size_t words = kernels::sign_words(config_.dim);
     const bool stored = config_.bank == bank_mode::stored;
+    std::vector<std::uint32_t> zeros;
     if (stored) {
+        UHD_REQUIRE(shape_.pixels() <= std::numeric_limits<std::uint32_t>::max(),
+                    "too many pixels for the active-pixel list");
         plane_bits_ = config_.scalar_bits();
-        planes_.assign(shape_.pixels() * plane_bits_ * kernels::sign_words(config_.dim),
-                       0);
+        planes_.assign(shape_.pixels() * plane_bits_ * words, 0);
+        zeros.assign(config_.dim, 0);
     }
     cdf_counts_.assign(shape_.pixels() * xi, 0);
     std::vector<std::uint8_t> scratch(custom != nullptr ? 0 : config_.dim);
@@ -108,12 +114,26 @@ void uhd_encoder::build_tables(const ld::quantized_sobol_bank* custom) {
         }
         for (std::size_t d = 0; d < config_.dim; ++d) ++cdf[row[d]];
         for (unsigned q = 1; q < xi; ++q) cdf[q] += cdf[q - 1];
-        if (stored) slice_row(p, row);
+        if (stored) {
+            for (std::size_t d = 0; d < config_.dim; ++d) zeros[d] += row[d] == 0;
+            slice_row(p, row);
+        }
+    }
+    if (!stored) return;
+    // Z0 as bit-sliced counter planes, the layout geq_plane_count starts
+    // from (dimensions past dim count 0).
+    const std::size_t n_planes = kernels::count_planes(shape_.pixels());
+    zero_base_.assign(n_planes * words, 0);
+    for (std::size_t d = 0; d < config_.dim; ++d) {
+        for (std::size_t j = 0; j < n_planes; ++j) {
+            zero_base_[j * words + d / 64] |= static_cast<std::uint64_t>((zeros[d] >> j) & 1u)
+                                              << (d % 64);
+        }
     }
 }
 
 void uhd_encoder::slice_row(std::size_t p, const std::uint8_t* row) {
-    // Word-level bit transpose: eight thresholds form one u64 (byte i =
+    // Word-level bit transpose: eight stored values form one u64 (byte i =
     // dimension 8g + i); masking bit k of every byte and multiplying by
     // 0x0102040810204080 gathers those eight bits, in order, into the top
     // byte (every partial product lands on its own bit, so nothing
@@ -122,11 +142,17 @@ void uhd_encoder::slice_row(std::size_t p, const std::uint8_t* row) {
     constexpr std::uint64_t gather = 0x0102040810204080ULL;
     const std::size_t dim = config_.dim;
     const std::size_t words = kernels::sign_words(dim);
+    const unsigned value_mask = (1u << plane_bits_) - 1;
     for (std::size_t w = 0; w < words; ++w) {
-        // The word's 64 thresholds, zero past dim (threshold 0 never
-        // matters: the finishers ignore dimensions >= dim).
+        // The word's 64 thresholds, zero past dim, relabelled to
+        // T = (S - 1) mod 2^M (a zero threshold past dim becomes
+        // T = 2^M - 1, which no listed level reaches; the finishers ignore
+        // dimensions >= dim either way).
         std::uint8_t bytes[64] = {};
         std::copy_n(row + w * 64, std::min<std::size_t>(64, dim - w * 64), bytes);
+        for (std::uint8_t& b : bytes) {
+            b = static_cast<std::uint8_t>((b - 1u) & value_mask);
+        }
         std::uint64_t plane[8] = {};
         for (std::size_t g = 0; g < 8; ++g) {
             std::uint64_t eight = 0;
@@ -164,6 +190,9 @@ std::span<const std::uint8_t> uhd_encoder::sobol_row(std::size_t p) const {
         simd::decode_plane_word(planes_.data(), shape_.pixels(), plane_bits_, words, p, w,
                                 row.data() + w * 64);
     }
+    // Undo the relabel: S = (T + 1) mod 2^M.
+    const unsigned value_mask = (1u << plane_bits_) - 1;
+    for (std::uint8_t& s : row) s = static_cast<std::uint8_t>((s + 1u) & value_mask);
     return {row.data(), config_.dim};
 }
 
@@ -187,7 +216,7 @@ std::uint8_t uhd_encoder::threshold(std::size_t p, std::size_t d) const {
                                                d / 64)];
         value |= static_cast<unsigned>((plane >> (d % 64)) & 1u) << k;
     }
-    return static_cast<std::uint8_t>(value);
+    return static_cast<std::uint8_t>((value + 1u) & ((1u << plane_bits_) - 1)); // S = T + 1
 }
 
 namespace {
@@ -217,13 +246,20 @@ std::int32_t uhd_encoder::doubled_threshold(std::span<const std::uint8_t> image)
 }
 
 std::int32_t uhd_encoder::quantize_image(std::span<const std::uint8_t> image,
-                                         std::uint8_t* q) const noexcept {
+                                         kernels::active_pixel* active,
+                                         std::size_t& n_active) const noexcept {
     const unsigned xi = config_.quant_levels;
     std::int64_t reach_sum = 0;
+    std::size_t n = 0;
     for (std::size_t p = 0; p < image.size(); ++p) {
-        q[p] = quantize_intensity(image[p]);
-        reach_sum += cdf_counts_[p * xi + q[p]];
+        const std::uint8_t q = quantize_intensity(image[p]);
+        reach_sum += cdf_counts_[p * xi + q];
+        // Branch-free append: the slot is always written, and kept only
+        // when the pixel is active (a level-0 entry is overwritten next).
+        active[n] = {static_cast<std::uint32_t>(p), q - 1u};
+        n += q != 0;
     }
+    n_active = n;
     if (config_.policy == binarize_policy::half_inputs) {
         return static_cast<std::int32_t>(image.size());
     }
@@ -234,14 +270,15 @@ std::span<const std::uint64_t> uhd_encoder::count_image(
     std::span<const std::uint8_t> image, std::int32_t& tau2) const {
     // Reused per thread: the batch engines call this once per image from
     // every pool worker, so per-call allocation would dominate.
-    static thread_local std::vector<std::uint8_t> quantized;
+    static thread_local std::vector<kernels::active_pixel> active;
     static thread_local std::vector<std::uint64_t> counters;
-    quantized.resize(image.size());
-    tau2 = quantize_image(image, quantized.data());
+    active.resize(image.size());
+    std::size_t n_active = 0;
+    tau2 = quantize_image(image, active.data(), n_active);
     const std::size_t words = kernels::sign_words(config_.dim);
     counters.resize(kernels::count_planes(image.size()) * words);
-    kernels::geq_plane_count(quantized.data(), image.size(), planes_.data(), plane_bits_,
-                             words, counters.data());
+    kernels::geq_plane_count(active.data(), n_active, image.size(), planes_.data(),
+                             plane_bits_, words, zero_base_.data(), counters.data());
     return {counters.data(), counters.size()};
 }
 
@@ -264,18 +301,20 @@ void uhd_encoder::encode(std::span<const std::uint8_t> image,
         return;
     }
     // Fused rematerializing path: translate each pixel's quantized
-    // intensity into a raw-fraction bound (state <= bound is exactly
-    // q >= quantized threshold; see ld::quantize_bounds), then let the
-    // kernel regenerate the Sobol stream in registers. D-tiles keep the
+    // intensity (level 0 for every pixel off the active list) into a
+    // raw-fraction bound (state <= bound is exactly q >= quantized
+    // threshold; see ld::quantize_bounds), then let the kernel regenerate
+    // the Sobol stream in registers over every pixel. D-tiles keep the
     // int32 accumulator slice L1-resident; integer accumulation makes
     // every tile split bit-identical.
-    static thread_local std::vector<std::uint8_t> quantized;
+    static thread_local std::vector<kernels::active_pixel> active;
     static thread_local std::vector<std::uint32_t> pixel_bounds;
-    quantized.resize(image.size());
-    pixel_bounds.resize(image.size());
-    const std::int32_t tau2 = quantize_image(image, quantized.data());
-    for (std::size_t p = 0; p < image.size(); ++p) {
-        pixel_bounds[p] = bound_table_[quantized[p]];
+    active.resize(image.size());
+    std::size_t n_active = 0;
+    const std::int32_t tau2 = quantize_image(image, active.data(), n_active);
+    pixel_bounds.assign(image.size(), bound_table_[0]);
+    for (std::size_t i = 0; i < n_active; ++i) {
+        pixel_bounds[active[i].pixel] = bound_table_[active[i].level + 1];
     }
     std::fill(out.begin(), out.end(), 0);
     constexpr std::size_t tile = 4096;
@@ -449,9 +488,11 @@ std::size_t uhd_encoder::threshold_bytes() const noexcept {
 
 std::size_t uhd_encoder::memory_bytes() const noexcept {
     // Exact Table I accounting: every resident byte of encoder state,
-    // including the CDF sidecar and the 256-entry intensity LUT.
+    // including the CDF sidecar, the Z0 planes and the 256-entry intensity
+    // LUT.
     return threshold_bytes() + ust_.memory_bytes() + directions_.memory_bytes() +
-           cdf_counts_.size() * sizeof(std::uint32_t) + sizeof(quant_lut_);
+           cdf_counts_.size() * sizeof(std::uint32_t) +
+           zero_base_.size() * sizeof(std::uint64_t) + sizeof(quant_lut_);
 }
 
 } // namespace uhd::core

@@ -14,18 +14,30 @@
 // harmless).
 //
 // Threshold state. bank_mode::stored keeps the quantized Sobol bank as bit
-// planes: M = log2(xi) planes of D bits per pixel, plane k holding bit k of
-// every threshold S_p[d] — the paper's M-bit BRAM word (Fig. 3(a)) sliced
-// across D, pixels x M x D/8 bytes. bank_mode::rematerialize keeps only
-// O(1) generator state per pixel and regenerates the thresholds inside the
+// planes: M = log2(xi) planes of D bits per pixel — the paper's M-bit BRAM
+// word (Fig. 3(a)) sliced across D, pixels x M x D/8 bytes. Plane k holds
+// bit k of T_p[d] = (S_p[d] - 1) mod 2^M, not of S_p[d] itself; sobol_row()
+// and threshold() add the 1 back. bank_mode::rematerialize keeps only O(1)
+// generator state per pixel and regenerates the thresholds inside the
 // encode kernel.
+//
+// Level-0 skip. A pixel at level 0 has an empty unary stream, so the Fig. 4
+// comparator fires for it only where S_p[d] = 0, whatever the image. Hence,
+// exactly, for every image
+//     #{p : q_p >= S_p[d]} = Z0[d] + #{p : q_p >= 1, 1 <= S_p[d] <= q_p},
+//     Z0[d] = #{p : S_p[d] = 0},
+// and 1 <= S <= q is q - 1 >= T under the relabel (S = 0 becomes
+// T = 2^M - 1, beyond every q - 1). Z0 is one set of bit-sliced counter
+// planes built with the CDF sidecar; the stored encode starts its counters
+// at Z0 and reads only the planes of the pixels at level >= 1.
 //
 // Four equivalent encode paths are provided:
 //  * encode()        — the production path. Stored mode counts
 //                      #{p : q_p >= S_p[d]} for every d with bitwise logic
-//                      over the planes (kernels::geq_plane_count, a
-//                      bit-sliced comparator feeding a carry-save tree) and
-//                      centres the bit-sliced counts into int32
+//                      over the active pixels' planes on top of Z0
+//                      (kernels::geq_plane_count, a bit-sliced comparator
+//                      feeding a carry-save tree) and centres the
+//                      bit-sliced counts into int32
 //                      (kernels::plane_count_center); rematerialize mode
 //                      runs kernels::geq_rematerialize_accumulate. Both go
 //                      through the runtime-dispatched uhd::kernels backend.
@@ -53,6 +65,7 @@
 #include <vector>
 
 #include "uhd/bitstream/stream_table.hpp"
+#include "uhd/common/kernels.hpp"
 #include "uhd/common/thread_pool.hpp"
 #include "uhd/core/config.hpp"
 #include "uhd/data/dataset.hpp"
@@ -168,13 +181,14 @@ public:
                            std::span<std::uint64_t> out) const;
 
     /// The quantized Sobol thresholds of pixel `p` (BRAM row), decoded from
-    /// the bit planes (stored) or regenerated (rematerialize) into a
-    /// per-thread buffer: the span is valid until the calling thread's next
-    /// sobol_row() call.
+    /// the bit planes as (T + 1) mod 2^M (stored) or regenerated
+    /// (rematerialize) into a per-thread buffer: the span is valid until the
+    /// calling thread's next sobol_row() call.
     [[nodiscard]] std::span<const std::uint8_t> sobol_row(std::size_t p) const;
 
     /// One quantized threshold S_p[d] — sobol_row(p)[d] without building the
-    /// row: M plane bits (stored) or one Gray-code jump (rematerialize).
+    /// row: M plane bits plus the relabel's 1 (stored) or one Gray-code jump
+    /// (rematerialize).
     [[nodiscard]] std::uint8_t threshold(std::size_t p, std::size_t d) const;
 
     /// The unary stream table (Fig. 3(c)).
@@ -188,16 +202,17 @@ public:
     }
 
     /// Bytes of threshold state: the resident bit planes in stored mode
-    /// (pixels x M x sign_words(D) x 8), or the compact per-pixel generator
-    /// state (direction-number prefixes + digital shifts + the shared bound
-    /// table) in rematerialize mode.
+    /// (pixels x M x sign_words(D) x 8; the Z0 planes are a sidecar,
+    /// counted in memory_bytes()), or the compact per-pixel generator state
+    /// (direction-number prefixes + digital shifts + the shared bound table)
+    /// in rematerialize mode.
     /// This is the O(pixels * D) -> O(pixels) term the rematerializing
     /// encoder shrinks; the bench footprint gate reads it directly.
     [[nodiscard]] std::size_t threshold_bytes() const noexcept;
 
     /// Heap footprint: threshold state + UST + direction table + the
-    /// per-pixel CDF sidecar + the intensity quantization LUT — the exact
-    /// uHD dynamic-memory term in Table I.
+    /// per-pixel CDF sidecar + the Z0 planes + the intensity quantization
+    /// LUT — the exact uHD dynamic-memory term in Table I.
     [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
 private:
@@ -205,10 +220,15 @@ private:
     data::image_shape shape_;
     ld::sobol_directions directions_;
     // Threshold state, stored mode: plane_bits_ = M bit planes of
-    // sign_words(dim) words per pixel, in the kernels::plane_word_offset
-    // layout (empty in rematerialize mode — that is the whole point).
+    // sign_words(dim) words per pixel holding T = (S - 1) mod 2^M, in the
+    // kernels::plane_word_offset layout (empty in rematerialize mode — that
+    // is the whole point).
     std::size_t plane_bits_ = 0;
     std::vector<std::uint64_t> planes_;
+    // Stored mode: Z0[d] = #{p : S_p[d] = 0} as count_planes(pixels)
+    // bit-sliced counter planes of sign_words(dim) words — the base every
+    // stored count starts from.
+    std::vector<std::uint64_t> zero_base_;
     bs::unary_stream_table ust_;
     // Threshold state, rematerialize mode: per-pixel generator state fed to
     // kernels::geq_rematerialize_accumulate. remat_dirs_ holds the first
@@ -238,15 +258,20 @@ private:
     // stored mode, the bit planes — one row at a time, from `custom` when
     // given, else generated.
     void build_tables(const ld::quantized_sobol_bank* custom);
-    // Slice one threshold row into pixel p's M bit planes.
+    // Slice one threshold row into pixel p's M bit planes (relabelled to
+    // T = (S - 1) mod 2^M).
     void slice_row(std::size_t p, const std::uint8_t* row);
-    // Quantize `image` into `q` and return the doubled threshold 2*TOB
-    // (doubled_threshold's value, from the same pass).
+    // Quantize `image`, write its active list — {p, q_p - 1} for every pixel
+    // with q_p >= 1, ascending — into `active` (room for pixels() entries)
+    // and return the doubled threshold 2*TOB (doubled_threshold's value,
+    // from the same pass). `n_active` receives the list length.
     [[nodiscard]] std::int32_t quantize_image(std::span<const std::uint8_t> image,
-                                              std::uint8_t* q) const noexcept;
-    // Stored mode: quantize `image` and count q >= S over the bit planes.
-    // The bit-sliced counts live in a per-thread buffer, valid until the
-    // thread's next call; `tau2` receives 2*TOB.
+                                              kernels::active_pixel* active,
+                                              std::size_t& n_active) const noexcept;
+    // Stored mode: quantize `image` and count q >= S as Z0 plus the active
+    // pixels' q - 1 >= T over the bit planes. The bit-sliced counts live in
+    // a per-thread buffer, valid until the thread's next call; `tau2`
+    // receives 2*TOB.
     [[nodiscard]] std::span<const std::uint64_t> count_image(
         std::span<const std::uint8_t> image, std::int32_t& tau2) const;
     // encode_sign() / encode_sign_batch() for one image into sign_words(D)

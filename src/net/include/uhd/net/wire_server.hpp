@@ -161,6 +161,9 @@ private:
         socket_fd listener;
         socket_fd epoll;
         socket_fd wake; ///< eventfd: completion arrivals + stop signal
+        /// Spare descriptor (/dev/null), given up at EMFILE/ENFILE so one
+        /// pending connection can be accepted and closed (shed_pending).
+        socket_fd reserve;
         std::thread thread;
         std::uint64_t next_conn_id = 2; ///< 0 = listener, 1 = eventfd
         std::unordered_map<std::uint64_t, std::unique_ptr<connection>> conns;
@@ -178,6 +181,7 @@ private:
 
     void loop(reactor& r);
     void accept_ready(reactor& r);
+    bool shed_pending(reactor& r);
     void drain_completions(reactor& r);
     void pump_connection(reactor& r, connection& conn);
     bool retry_parked(reactor& r, connection& conn);

@@ -17,7 +17,8 @@ namespace uhd::net {
 /// Point-in-time view of the wire counters (plain data, safe to copy) —
 /// one reactor's shard, or the sum over all shards.
 struct wire_stats {
-    std::uint64_t connections_accepted = 0; ///< accept4() successes
+    std::uint64_t connections_accepted = 0; ///< accept4() successes, shed
+                                            ///< ones (closed at once) included
     std::uint64_t connections_active = 0;   ///< currently open connections
     std::uint64_t frames_in = 0;            ///< complete request frames parsed
     std::uint64_t frames_out = 0;           ///< reply/error frames queued

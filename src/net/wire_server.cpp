@@ -7,6 +7,7 @@
 #include <span>
 #include <utility>
 
+#include <fcntl.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -118,6 +119,8 @@ void wire_server::start() {
             if (!r->epoll.valid()) throw uhd::error("epoll_create1() failed");
             r->wake.reset(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC));
             if (!r->wake.valid()) throw uhd::error("eventfd() failed");
+            r->reserve.reset(::open("/dev/null", O_RDONLY | O_CLOEXEC));
+            if (!r->reserve.valid()) throw uhd::error("open(/dev/null) failed");
 
             epoll_event ev{};
             ev.events = EPOLLIN | EPOLLET;
@@ -163,6 +166,7 @@ void wire_server::stop() {
         for (std::size_t i = 0; i < r->conns.size(); ++i) r->counters.record_close();
         r->conns.clear();
         r->listener.reset();
+        r->reserve.reset();
         r->epoll.reset();
         // Wait out requests already inside the engine: their completion
         // callbacks capture this reactor, so none may run after the shard
@@ -231,12 +235,16 @@ void wire_server::loop(reactor& r) {
 }
 
 void wire_server::accept_ready(reactor& r) {
+    // The listener is edge-triggered: a connection left in the backlog here
+    // waits for the next client's edge, so drain until EAGAIN.
     while (true) {
         const int fd = ::accept4(r.listener.get(), nullptr, nullptr,
                                  SOCK_NONBLOCK | SOCK_CLOEXEC);
         if (fd < 0) {
             if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-            if (errno == EINTR) continue;
+            // A connection that died in the backlog: the next one may not.
+            if (errno == EINTR || errno == ECONNABORTED || errno == EPROTO) continue;
+            if ((errno == EMFILE || errno == ENFILE) && shed_pending(r)) continue;
             return; // transient accept failure; listener stays armed
         }
         auto conn = std::make_unique<connection>();
@@ -256,6 +264,23 @@ void wire_server::accept_ready(reactor& r) {
         r.counters.record_accept();
         r.conns.emplace(conn->id, std::move(conn));
     }
+}
+
+bool wire_server::shed_pending(reactor& r) {
+    // Out of descriptors: free the reserve, accept the oldest pending
+    // connection and close it at once, so its client sees EOF instead of
+    // waiting in the backlog, then take the reserve back. True when a
+    // connection was shed (the caller keeps draining); a reserve lost to
+    // another thread frees nothing here, and the next call retries it.
+    r.reserve.reset();
+    const int fd = ::accept4(r.listener.get(), nullptr, nullptr, SOCK_CLOEXEC);
+    if (fd >= 0) {
+        ::close(fd);
+        r.counters.record_accept();
+        r.counters.record_close();
+    }
+    r.reserve.reset(::open("/dev/null", O_RDONLY | O_CLOEXEC));
+    return fd >= 0;
 }
 
 void wire_server::drain_completions(reactor& r) {

@@ -47,42 +47,68 @@ std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint8_t max_value,
 // oracle-checked even when the active backend is something else.
 using kernels::admissible_backends;
 
-// A random bit-plane bank in the documented layout plus the per-(pixel,
-// dimension) counts read back through that layout: the in-test oracle the
-// kernel references are themselves checked against.
+// A random bit-plane bank in the documented layout, an ascending
+// active-pixel list over it and a base count: the kernel inputs. The
+// per-(pixel, dimension) counts read back through that layout are the
+// in-test oracle the kernel references are themselves checked against.
 struct plane_bank {
     std::size_t npix;
     std::size_t m;
     std::size_t words;
     std::vector<std::uint64_t> planes;
-    std::vector<std::uint8_t> q;
+    std::vector<kernels::active_pixel> active;
+    std::vector<std::uint64_t> base; // count_planes(npix) counter planes
 };
 
-plane_bank random_plane_bank(std::size_t npix, std::size_t m, std::size_t words,
-                             xoshiro256ss& rng) {
-    plane_bank bank{npix, m, words, std::vector<std::uint64_t>(npix * m * words),
-                    std::vector<std::uint8_t>(npix)};
-    for (auto& w : bank.planes) w = rng.next();
-    for (auto& v : bank.q) {
-        v = static_cast<std::uint8_t>(rng.next() % (std::size_t{1} << m));
-    }
-    return bank;
+std::size_t n_planes_of(const plane_bank& bank) {
+    return kernels::count_planes(bank.npix);
 }
 
-std::vector<std::uint32_t> naive_counts(const plane_bank& bank) {
-    std::vector<std::uint32_t> count(bank.words * 64, 0);
+/// Slice per-dimension counts into `n_planes` bit-sliced counter planes.
+std::vector<std::uint64_t> encode_counts(const std::vector<std::uint32_t>& count,
+                                         std::size_t n_planes, std::size_t words) {
+    std::vector<std::uint64_t> planes(n_planes * words, 0);
     for (std::size_t d = 0; d < count.size(); ++d) {
-        for (std::size_t p = 0; p < bank.npix; ++p) {
-            unsigned threshold = 0;
-            for (std::size_t k = 0; k < bank.m; ++k) {
-                const std::uint64_t word = bank.planes[kernels::plane_word_offset(
-                    bank.npix, bank.m, bank.words, p, k, d / 64)];
-                threshold |= static_cast<unsigned>((word >> (d % 64)) & 1u) << k;
-            }
-            if (bank.q[p] >= threshold) ++count[d];
+        for (std::size_t j = 0; j < n_planes; ++j) {
+            planes[j * words + d / 64] |= static_cast<std::uint64_t>((count[d] >> j) & 1u)
+                                          << (d % 64);
         }
     }
-    return count;
+    return planes;
+}
+
+/// `n_active` distinct pixels of `npix`, ascending, with random levels
+/// below 2^m.
+std::vector<kernels::active_pixel> random_active_list(std::size_t npix, std::size_t m,
+                                                      std::size_t n_active,
+                                                      xoshiro256ss& rng) {
+    std::vector<std::uint32_t> pixels(npix);
+    for (std::size_t p = 0; p < npix; ++p) pixels[p] = static_cast<std::uint32_t>(p);
+    for (std::size_t i = 0; i < n_active; ++i) { // partial Fisher-Yates
+        std::swap(pixels[i], pixels[i + rng.next() % (npix - i)]);
+    }
+    std::sort(pixels.begin(), pixels.begin() + static_cast<std::ptrdiff_t>(n_active));
+    std::vector<kernels::active_pixel> active(n_active);
+    for (std::size_t i = 0; i < n_active; ++i) {
+        active[i] = {pixels[i],
+                     static_cast<std::uint32_t>(rng.next() % (std::size_t{1} << m))};
+    }
+    return active;
+}
+
+/// Random planes, a random ascending list of `n_active` pixels, and base
+/// counts in [0, npix - n_active] — so every count fits the counter planes.
+plane_bank random_plane_bank(std::size_t npix, std::size_t m, std::size_t words,
+                             std::size_t n_active, xoshiro256ss& rng) {
+    plane_bank bank{npix, m, words, std::vector<std::uint64_t>(npix * m * words),
+                    random_active_list(npix, m, n_active, rng), {}};
+    for (auto& w : bank.planes) w = rng.next();
+    std::vector<std::uint32_t> base(words * 64);
+    for (auto& v : base) {
+        v = static_cast<std::uint32_t>(rng.next() % (npix - n_active + 1));
+    }
+    bank.base = encode_counts(base, n_planes_of(bank), words);
+    return bank;
 }
 
 std::vector<std::uint32_t> decode_counts(const std::vector<std::uint64_t>& counters,
@@ -96,6 +122,39 @@ std::vector<std::uint32_t> decode_counts(const std::vector<std::uint64_t>& count
         }
     }
     return count;
+}
+
+/// Stored value T_p[d] read through plane_word_offset.
+unsigned stored_value(const plane_bank& bank, std::size_t p, std::size_t d) {
+    unsigned value = 0;
+    for (std::size_t k = 0; k < bank.m; ++k) {
+        const std::uint64_t word = bank.planes[kernels::plane_word_offset(
+            bank.npix, bank.m, bank.words, p, k, d / 64)];
+        value |= static_cast<unsigned>((word >> (d % 64)) & 1u) << k;
+    }
+    return value;
+}
+
+/// base[d] + #{listed p : level >= T_p[d]}, one (pixel, dimension) at a time.
+std::vector<std::uint32_t> naive_counts(const plane_bank& bank) {
+    std::vector<std::uint32_t> count = decode_counts(bank.base, n_planes_of(bank),
+                                                     bank.words);
+    for (std::size_t d = 0; d < count.size(); ++d) {
+        for (const kernels::active_pixel& a : bank.active) {
+            if (a.level >= stored_value(bank, a.pixel, d)) ++count[d];
+        }
+    }
+    return count;
+}
+
+/// The kernel's counter planes for `bank` through `table`.
+std::vector<std::uint64_t> count_with(const kernels::kernel_table& table,
+                                      const plane_bank& bank) {
+    std::vector<std::uint64_t> got(n_planes_of(bank) * bank.words, ~std::uint64_t{0});
+    table.geq_plane_count(bank.active.data(), bank.active.size(), bank.npix,
+                          bank.planes.data(), bank.m, bank.words, bank.base.data(),
+                          got.data());
+    return got;
 }
 
 TEST(SimdKernels, PlaneLayoutCoversTheBankExactlyOnce) {
@@ -126,81 +185,136 @@ TEST(SimdKernels, PlaneCountEveryBackendMatchesReference) {
     xoshiro256ss rng(66);
     for (int trial = 0; trial < 60; ++trial) {
         // Pixel counts cross the 16-pixel carry-save groups with every
-        // remainder; word counts cover ragged 8-word chunks and both
-        // 4-word halves; m covers every plane count from 1 to 8.
+        // remainder; the list is a random ascending subset of any length
+        // (empty and full included); word counts cover ragged 8-word
+        // chunks and both 4-word halves; m covers every plane count from
+        // 1 to 8.
         const std::size_t npix = 1 + rng.next() % 300;
+        const std::size_t n_active = trial % 10 == 0   ? 0
+                                     : trial % 10 == 1 ? npix
+                                                       : rng.next() % (npix + 1);
         const std::size_t words = 1 + rng.next() % 20;
         const std::size_t m = 1 + static_cast<std::size_t>(trial % 8);
-        const plane_bank bank = random_plane_bank(npix, m, words, rng);
-        const std::size_t n_planes = kernels::count_planes(npix);
+        const plane_bank bank = random_plane_bank(npix, m, words, n_active, rng);
+        const std::size_t n_planes = n_planes_of(bank);
         const std::vector<std::uint32_t> expected = naive_counts(bank);
 
         std::vector<std::uint64_t> reference(n_planes * words, ~std::uint64_t{0});
-        simd::geq_plane_count_reference(bank.q.data(), npix, bank.planes.data(), m,
-                                        words, reference.data());
+        simd::geq_plane_count_reference(bank.active.data(), n_active, npix,
+                                        bank.planes.data(), m, words, bank.base.data(),
+                                        reference.data());
         ASSERT_EQ(decode_counts(reference, n_planes, words), expected)
-            << "npix=" << npix << " m=" << m << " words=" << words;
+            << "npix=" << npix << " n_active=" << n_active << " m=" << m
+            << " words=" << words;
 
         std::vector<std::uint64_t> swar(n_planes * words, ~std::uint64_t{0});
-        simd::geq_plane_count_swar(bank.q.data(), npix, bank.planes.data(), m, words,
-                                   swar.data());
+        simd::geq_plane_count_swar(bank.active.data(), n_active, npix, bank.planes.data(),
+                                   m, words, bank.base.data(), swar.data());
         EXPECT_EQ(swar, reference) << "swar body";
 
         for (const kernels::kernel_table* backend : admissible_backends()) {
-            std::vector<std::uint64_t> got(n_planes * words, ~std::uint64_t{0});
-            backend->geq_plane_count(bank.q.data(), npix, bank.planes.data(), m, words,
-                                     got.data());
-            EXPECT_EQ(got, reference) << "backend=" << backend->name << " npix=" << npix
-                                      << " m=" << m << " words=" << words;
+            EXPECT_EQ(count_with(*backend, bank), reference)
+                << "backend=" << backend->name << " npix=" << npix
+                << " n_active=" << n_active << " m=" << m << " words=" << words;
         }
 
         std::vector<std::uint64_t> dispatched(n_planes * words, ~std::uint64_t{0});
-        kernels::geq_plane_count(bank.q.data(), npix, bank.planes.data(), m, words,
-                                 dispatched.data());
+        kernels::geq_plane_count(bank.active.data(), n_active, npix, bank.planes.data(),
+                                 m, words, bank.base.data(), dispatched.data());
         EXPECT_EQ(dispatched, reference);
     }
 }
 
+TEST(SimdKernels, PlaneCountEmptyListYieldsTheBaseOnEveryBackend) {
+    // No listed pixel: the counters are the base, bit for bit, for base
+    // values across [0, npix] (npix itself in the first dimensions), on
+    // both sides of the four Harley-Seal planes.
+    xoshiro256ss rng(70);
+    for (const std::size_t npix : {1u, 5u, 15u, 16u, 17u, 300u, 784u}) {
+        for (const std::size_t words : {1u, 9u, 16u}) {
+            plane_bank bank = random_plane_bank(npix, 4, words, 0, rng);
+            std::vector<std::uint32_t> base = decode_counts(bank.base, n_planes_of(bank),
+                                                            words);
+            std::fill_n(base.begin(), 3, static_cast<std::uint32_t>(npix));
+            bank.base = encode_counts(base, n_planes_of(bank), words);
+            for (const kernels::kernel_table* backend : admissible_backends()) {
+                EXPECT_EQ(count_with(*backend, bank), bank.base)
+                    << "backend=" << backend->name << " npix=" << npix
+                    << " words=" << words;
+            }
+        }
+    }
+}
+
+TEST(SimdKernels, PlaneCountFullListWithZeroBaseIsTheDenseCount) {
+    // Every pixel listed on a zero base: #{p : level_p >= T_p[d]} over the
+    // whole bank, the dense count of the kernel's former contract.
+    xoshiro256ss rng(71);
+    for (const std::size_t npix : {1u, 16u, 33u, 784u}) {
+        for (const std::size_t m : {1u, 4u, 8u}) {
+            const std::size_t words = 1 + rng.next() % 17;
+            plane_bank bank = random_plane_bank(npix, m, words, npix, rng);
+            std::fill(bank.base.begin(), bank.base.end(), 0);
+            std::vector<std::uint32_t> dense(words * 64, 0);
+            for (std::size_t d = 0; d < dense.size(); ++d) {
+                for (std::size_t p = 0; p < npix; ++p) {
+                    ASSERT_EQ(bank.active[p].pixel, p);
+                    if (bank.active[p].level >= stored_value(bank, p, d)) ++dense[d];
+                }
+            }
+            for (const kernels::kernel_table* backend : admissible_backends()) {
+                EXPECT_EQ(decode_counts(count_with(*backend, bank), n_planes_of(bank),
+                                        words),
+                          dense)
+                    << "backend=" << backend->name << " npix=" << npix << " m=" << m;
+            }
+        }
+    }
+}
+
 TEST(SimdKernels, PlaneCountExtremesOnEveryBackend) {
-    // All-zero planes (every threshold 0: every pixel counts) and all-one
-    // planes (threshold 2^m - 1: only q = 2^m - 1 counts), at a pixel count
-    // whose count needs the top counter plane.
+    // All-zero planes (every stored value 0: every listed pixel counts) and
+    // all-one planes (value 2^m - 1: only level 2^m - 1 counts), at a
+    // pixel count whose count needs the top counter plane.
     xoshiro256ss rng(67);
     const std::size_t npix = 511;
     const std::size_t words = 9;
     for (const std::size_t m : {1u, 8u}) {
         for (const std::uint64_t fill : {std::uint64_t{0}, ~std::uint64_t{0}}) {
-            plane_bank bank = random_plane_bank(npix, m, words, rng);
-            std::fill(bank.planes.begin(), bank.planes.end(), fill);
-            const std::size_t n_planes = kernels::count_planes(npix);
-            const std::vector<std::uint32_t> expected = naive_counts(bank);
-            for (const kernels::kernel_table* backend : admissible_backends()) {
-                std::vector<std::uint64_t> got(n_planes * words);
-                backend->geq_plane_count(bank.q.data(), npix, bank.planes.data(), m,
-                                         words, got.data());
-                EXPECT_EQ(decode_counts(got, n_planes, words), expected)
-                    << "backend=" << backend->name << " m=" << m << " fill=" << fill;
+            for (const std::size_t n_active : {npix, std::size_t{200}}) {
+                plane_bank bank = random_plane_bank(npix, m, words, n_active, rng);
+                std::fill(bank.planes.begin(), bank.planes.end(), fill);
+                const std::vector<std::uint32_t> expected = naive_counts(bank);
+                for (const kernels::kernel_table* backend : admissible_backends()) {
+                    EXPECT_EQ(decode_counts(count_with(*backend, bank), n_planes_of(bank),
+                                            words),
+                              expected)
+                        << "backend=" << backend->name << " m=" << m << " fill=" << fill
+                        << " n_active=" << n_active;
+                }
             }
         }
     }
 }
 
 TEST(SimdKernels, PlaneCountBeyond65535PixelsOnEveryBackend) {
-    // 70000 pixels need 17 counter planes: past any 16-bit lane.
+    // 70000 pixels need 17 counter planes: past any 16-bit lane. The full
+    // list on a zero base, and a 40000-pixel list on a base up to the
+    // remaining 30000.
     xoshiro256ss rng(68);
     const std::size_t npix = 70000;
     const std::size_t words = 1;
     const std::size_t m = 4;
-    const plane_bank bank = random_plane_bank(npix, m, words, rng);
-    const std::size_t n_planes = kernels::count_planes(npix);
-    ASSERT_EQ(n_planes, 17u);
-    const std::vector<std::uint32_t> expected = naive_counts(bank);
-    for (const kernels::kernel_table* backend : admissible_backends()) {
-        std::vector<std::uint64_t> got(n_planes * words);
-        backend->geq_plane_count(bank.q.data(), npix, bank.planes.data(), m, words,
-                                 got.data());
-        EXPECT_EQ(decode_counts(got, n_planes, words), expected)
-            << "backend=" << backend->name;
+    for (const std::size_t n_active : {npix, std::size_t{40000}}) {
+        plane_bank bank = random_plane_bank(npix, m, words, n_active, rng);
+        if (n_active == npix) std::fill(bank.base.begin(), bank.base.end(), 0);
+        ASSERT_EQ(n_planes_of(bank), 17u);
+        const std::vector<std::uint32_t> expected = naive_counts(bank);
+        for (const kernels::kernel_table* backend : admissible_backends()) {
+            EXPECT_EQ(decode_counts(count_with(*backend, bank), n_planes_of(bank), words),
+                      expected)
+                << "backend=" << backend->name << " n_active=" << n_active;
+        }
     }
 }
 
@@ -383,10 +497,11 @@ struct encoder_case {
 
 encoder_case random_case(xoshiro256ss& rng) {
     encoder_case c;
-    // Dims cover ragged words and ragged 8-word bank chunks (1000, 1088);
-    // levels cover every plane count M from 1 (xi = 2) to 8 (xi = 256).
-    const std::size_t dims[] = {64, 128, 192, 256, 1000, 1088};
-    const unsigned levels[] = {2, 3, 4, 8, 16, 32, 256};
+    // Dims cover ragged words and ragged 8-word bank chunks (1000, 1088)
+    // beside the serving D = 1024; levels cover every plane count M from 1
+    // (xi = 2) to 8 (xi = 256), and xi = 10 leaves codes of M = 4 unused.
+    const std::size_t dims[] = {64, 128, 192, 256, 1000, 1024, 1088};
+    const unsigned levels[] = {2, 3, 4, 8, 10, 16, 32, 256};
     c.cfg.dim = dims[rng.next() % std::size(dims)];
     c.cfg.quant_levels = levels[rng.next() % std::size(levels)];
     c.cfg.scramble = rng.next() % 2 == 0;
@@ -435,6 +550,63 @@ TEST(EncoderEquivalence, WordParallelMatchesScalarOracleAcross100Configs) {
                     " scramble=" + std::to_string(c.cfg.scramble) +
                     " backend=" + kernels::active().name);
             if (HasFatalFailure()) return;
+        }
+    }
+}
+
+TEST(EncoderEquivalence, LevelZeroEdgeImagesMatchScalarOracle) {
+    // The images the level-0 skip treats specially: all pixels at level 0
+    // (empty active list: the count is Z0 alone), no pixel at level 0 (full
+    // list), all at the top level, a single active pixel, and a digit-like
+    // mix. Pixel counts cover the ripple-only count (9 pixels, 4 counter
+    // planes), a partial Harley-Seal group (25) and the 784-pixel digits.
+    xoshiro256ss rng(2026);
+    const std::size_t dims[] = {64, 1000, 1024, 1088};
+    const unsigned levels[] = {2, 3, 10, 16, 256};
+    const std::size_t sides[] = {3, 5, 28};
+    int config_i = 0;
+    for (const std::size_t dim : dims) {
+        for (const unsigned xi : levels) {
+            for (const std::size_t side : sides) {
+                core::uhd_config cfg;
+                cfg.dim = dim;
+                cfg.quant_levels = xi;
+                cfg.scramble = config_i % 2 == 0;
+                cfg.policy = config_i % 3 == 0 ? core::binarize_policy::half_inputs
+                                               : core::binarize_policy::mean_intensity;
+                cfg.sobol_seed = 1 + static_cast<std::uint64_t>(config_i);
+                ++config_i;
+                const data::image_shape shape{side, side, 1};
+                const core::uhd_encoder enc(cfg, shape);
+                unsigned level1 = 0; // lowest intensity at level >= 1
+                while (enc.quantize_intensity(static_cast<std::uint8_t>(level1)) == 0) {
+                    ++level1;
+                }
+                const std::size_t n = shape.pixels();
+                const std::string where = "dim=" + std::to_string(dim) +
+                                          " levels=" + std::to_string(xi) +
+                                          " side=" + std::to_string(side) +
+                                          " backend=" + kernels::active().name;
+
+                expect_matches_oracle(enc, std::vector<std::uint8_t>(n, 0),
+                                      where + " all-zero");
+                expect_matches_oracle(enc, std::vector<std::uint8_t>(n, 255),
+                                      where + " all-max");
+                std::vector<std::uint8_t> image(n, 0);
+                image[rng.next() % n] = static_cast<std::uint8_t>(
+                    level1 + rng.next() % (256 - level1));
+                expect_matches_oracle(enc, image, where + " single-active");
+                for (auto& x : image) {
+                    x = static_cast<std::uint8_t>(level1 + rng.next() % (256 - level1));
+                }
+                expect_matches_oracle(enc, image, where + " no-level-0");
+                for (auto& x : image) {
+                    x = rng.next() % 2 == 0 ? std::uint8_t{0}
+                                            : static_cast<std::uint8_t>(rng.next() % 256);
+                }
+                expect_matches_oracle(enc, image, where + " half-zero");
+                if (HasFatalFailure()) return;
+            }
         }
     }
 }

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -17,10 +18,18 @@
 #include <thread>
 #include <vector>
 
+#include <arpa/inet.h>
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+
 #include "uhd/common/error.hpp"
 #include "uhd/core/model.hpp"
 #include "uhd/data/synthetic.hpp"
 #include "uhd/hdc/inference_snapshot.hpp"
+#include "uhd/net/socket.hpp"
 #include "uhd/net/wire_client.hpp"
 #include "uhd/net/wire_server.hpp"
 #include "uhd/serve/inference_engine.hpp"
@@ -158,6 +167,74 @@ TEST(WireReactors, StopCountsConnectionsStillOpenAsClosed) {
     EXPECT_EQ(total.connections_accepted, 2u);
     EXPECT_EQ(total.connections_active, 0u);
     EXPECT_EQ(sum_shards(*fx.server).connections_active, 0u);
+}
+
+/// Lowers this process's soft RLIMIT_NOFILE for the guard's lifetime.
+class fd_limit_guard {
+public:
+    explicit fd_limit_guard(rlim_t soft) {
+        if (::getrlimit(RLIMIT_NOFILE, &saved_) != 0) throw uhd::error("getrlimit");
+        rlimit lowered = saved_;
+        lowered.rlim_cur = soft;
+        if (::setrlimit(RLIMIT_NOFILE, &lowered) != 0) throw uhd::error("setrlimit");
+    }
+    ~fd_limit_guard() { ::setrlimit(RLIMIT_NOFILE, &saved_); }
+    fd_limit_guard(const fd_limit_guard&) = delete;
+    fd_limit_guard& operator=(const fd_limit_guard&) = delete;
+
+private:
+    rlimit saved_{};
+};
+
+TEST(WireReactors, DescriptorExhaustionShedsTheBacklogInsteadOfStallingIt) {
+    // The listener is edge-triggered. A client that connects while every
+    // descriptor is taken (accept4 fails with EMFILE) must be shed — it
+    // sees EOF — instead of waiting in the backlog for another client's
+    // edge; once descriptors are back, new clients are served.
+    sharded_fixture fx(1);
+    wire_client a = fx.connect();
+    a.ping();
+
+    // B's socket exists before the limit drops: only its connect happens
+    // while the process has no descriptor left.
+    socket_fd b(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+    ASSERT_TRUE(b.valid());
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(fx.server->port());
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    {
+        socket_fd probe(::open("/dev/null", O_RDONLY | O_CLOEXEC));
+        ASSERT_TRUE(probe.valid());
+        const auto lowest_free = static_cast<rlim_t>(probe.get());
+        probe.reset();
+        const fd_limit_guard limit(lowest_free + 4);
+        std::vector<socket_fd> fillers; // destroyed before the limit returns
+        int open_errno = 0;
+        while (open_errno == 0) {
+            const int fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+            if (fd < 0) {
+                open_errno = errno;
+            } else {
+                fillers.emplace_back(fd);
+            }
+        }
+        ASSERT_EQ(open_errno, EMFILE);
+        ASSERT_EQ(::connect(b.get(), reinterpret_cast<const sockaddr*>(&addr),
+                            sizeof(addr)),
+                  0);
+        pollfd ready{b.get(), POLLIN, 0};
+        ASSERT_EQ(::poll(&ready, 1, 2000), 1) << "B still waits in the backlog";
+        char byte = 0;
+        EXPECT_EQ(::recv(b.get(), &byte, 1, 0), 0) << "B was not shed with EOF";
+    }
+
+    wire_client c = fx.connect();
+    c.ping();
+    a.ping();
+    const wire_stats total = fx.server->stats();
+    EXPECT_EQ(total.connections_accepted, 3u); // A, B (shed), C
+    EXPECT_EQ(total.connections_active, 2u);
 }
 
 TEST(WireReactors, RawOffLoopEncodeAcrossReactorsMatchesOracle) {
