@@ -199,7 +199,7 @@ int main() {
     }
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"bench\": \"serve\",\n");
-    std::fprintf(f, "  \"schema_version\": 4,\n");
+    std::fprintf(f, "  \"schema_version\": 5,\n");
     std::fprintf(f,
                  "  \"workload\": {\"dim\": %zu, \"classes\": %zu, "
                  "\"clients\": %zu, \"queries_per_client\": %zu, "
@@ -232,7 +232,8 @@ int main() {
     // "wire" (loopback/sweep run, tools/uhd_loadgen) is non-null; the other
     // is null so consumers can tell the serve benches apart by shape. v4
     // added wire.mode / wire.scaling (reactor sweep) and the reactor +
-    // encode-stage counters to the loadgen emission; this binary's shape is
+    // encode-stage counters to the loadgen emission; v5 dropped the sweep's
+    // inline-encode row and its ratio and gate. This binary's shape is
     // unchanged.
     std::fprintf(f, "  \"wire\": null,\n");
     std::fprintf(f, "  \"gates\": {\"throughput_positive\": %s, "

@@ -65,6 +65,7 @@
 #include <vector>
 
 #include "uhd/bitstream/stream_table.hpp"
+#include "uhd/common/aligned_vector.hpp"
 #include "uhd/common/kernels.hpp"
 #include "uhd/common/thread_pool.hpp"
 #include "uhd/core/config.hpp"
@@ -224,11 +225,11 @@ private:
     // kernels::plane_word_offset layout (empty in rematerialize mode — that
     // is the whole point).
     std::size_t plane_bits_ = 0;
-    std::vector<std::uint64_t> planes_;
+    cache_aligned_vector<std::uint64_t> planes_;
     // Stored mode: Z0[d] = #{p : S_p[d] = 0} as count_planes(pixels)
     // bit-sliced counter planes of sign_words(dim) words — the base every
     // stored count starts from.
-    std::vector<std::uint64_t> zero_base_;
+    cache_aligned_vector<std::uint64_t> zero_base_;
     bs::unary_stream_table ust_;
     // Threshold state, rematerialize mode: per-pixel generator state fed to
     // kernels::geq_rematerialize_accumulate. remat_dirs_ holds the first

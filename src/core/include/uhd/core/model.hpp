@@ -99,7 +99,7 @@ public:
 
     [[nodiscard]] const uhd_encoder& encoder() const noexcept { return encoder_; }
     [[nodiscard]] std::size_t classes() const noexcept { return classifier_.classes(); }
-    [[nodiscard]] const hdc::hypervector& class_hypervector(std::size_t c) const {
+    [[nodiscard]] hdc::hypervector class_hypervector(std::size_t c) const {
         return classifier_.class_hypervector(c);
     }
 

@@ -21,6 +21,12 @@ void class_memory::store(std::size_t c, const hypervector& hv) {
     std::copy(words.begin(), words.end(), rows_.begin() + static_cast<std::ptrdiff_t>(c * words_));
 }
 
+void class_memory::store_signs(std::size_t c, std::span<const std::int32_t> values) {
+    UHD_REQUIRE(c < classes_, "class index out of range");
+    UHD_REQUIRE(values.size() == dim_, "class values dimension mismatch");
+    kernels::sign_binarize(values.data(), values.size(), rows_.data() + c * words_);
+}
+
 std::span<const std::uint64_t> class_memory::row(std::size_t c) const {
     UHD_REQUIRE(c < classes_, "class index out of range");
     return {rows_.data() + c * words_, words_};

@@ -198,27 +198,7 @@ void dynamic_query_policy::answer_block(const class_memory& mem,
     }
 }
 
-// --- snapshot overloads ---------------------------------------------------
-
-dynamic_query_policy dynamic_query_policy::full_scan(const inference_snapshot& snap) {
-    return full_scan(snap.memory());
-}
-
-dynamic_query_policy dynamic_query_policy::ladder(const inference_snapshot& snap) {
-    return ladder(snap.memory());
-}
-
-dynamic_query_policy dynamic_query_policy::calibrate(
-    const inference_snapshot& snap, std::span<const std::uint64_t> queries,
-    std::size_t count, double target_agreement) {
-    return calibrate(snap.memory(), queries, count, target_agreement);
-}
-
-std::size_t dynamic_query_policy::answer(const inference_snapshot& snap,
-                                         std::span<const std::uint64_t> query_words,
-                                         dynamic_query_stats* stats) const {
-    return answer(snap.memory(), query_words, stats);
-}
+// --- snapshot overload ----------------------------------------------------
 
 void dynamic_query_policy::answer_block(const inference_snapshot& snap,
                                         std::span<const std::uint64_t> queries_words,

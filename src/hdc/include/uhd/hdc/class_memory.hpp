@@ -39,6 +39,10 @@ public:
     /// Overwrite row `c` with the packed bits of a binarized hypervector.
     void store(std::size_t c, const hypervector& hv);
 
+    /// Overwrite row `c` with the packed signs of dim() integer values
+    /// (kernels::sign_binarize: bit 1 = negative, tail bits zero).
+    void store_signs(std::size_t c, std::span<const std::int32_t> values);
+
     /// Packed row of class `c` (tail bits beyond dim() are zero).
     [[nodiscard]] std::span<const std::uint64_t> row(std::size_t c) const;
 

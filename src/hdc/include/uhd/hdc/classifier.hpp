@@ -87,7 +87,6 @@ public:
           state_(inference, classes, encoder.dim()) {
         UHD_REQUIRE(classes >= 2, "need at least two classes");
         class_acc_.assign(classes_, accumulator(encoder.dim()));
-        class_hv_.assign(classes_, hypervector(encoder.dim()));
     }
 
     [[nodiscard]] std::size_t classes() const noexcept { return classes_; }
@@ -211,8 +210,8 @@ public:
                                         packed.data() + i * words);
                 }
             });
-        return dynamic_query_policy::calibrate(state_, packed, holdout.size(),
-                                               target_agreement);
+        return dynamic_query_policy::calibrate(state_.memory(), packed,
+                                               holdout.size(), target_agreement);
     }
 
     /// Images per encoded block drained through the snapshot's query-GEMM
@@ -362,10 +361,14 @@ public:
         return last_epoch_updates;
     }
 
-    /// Binarized class hypervector for class `c`.
-    [[nodiscard]] const hypervector& class_hypervector(std::size_t c) const {
+    /// Binarized class hypervector for class `c`: a copy of its packed
+    /// class-memory row (the one stored form of the binarized classes).
+    [[nodiscard]] hypervector class_hypervector(std::size_t c) const {
         UHD_REQUIRE(c < classes_, "class index out of range");
-        return class_hv_[c];
+        const std::span<const std::uint64_t> row = state_.memory().row(c);
+        hypervector hv(encoder_->dim());
+        std::copy(row.begin(), row.end(), hv.bits().mutable_words().begin());
+        return hv;
     }
 
     /// Integer class accumulator for class `c` (pre-binarization).
@@ -388,8 +391,8 @@ public:
     /// changed.
     [[nodiscard]] inference_snapshot snapshot() const { return state_; }
 
-    /// Restore class accumulators (deserialization support); class
-    /// hypervectors are re-derived by binarization.
+    /// Restore class accumulators (deserialization support); the read
+    /// state is re-derived from them.
     void load_state(std::vector<accumulator> accumulators) {
         UHD_REQUIRE(accumulators.size() == classes_, "class count mismatch");
         for (const auto& acc : accumulators) {
@@ -399,12 +402,11 @@ public:
         finalize();
     }
 
-    /// Heap footprint of the model (class accumulators + hypervectors +
-    /// the read-state snapshot).
+    /// Heap footprint of the model (class accumulators + the read-state
+    /// snapshot).
     [[nodiscard]] std::size_t memory_bytes() const noexcept {
         std::size_t bytes = state_.memory_bytes();
         for (const auto& a : class_acc_) bytes += a.memory_bytes();
-        for (const auto& v : class_hv_) bytes += v.memory_bytes();
         return bytes;
     }
 
@@ -423,11 +425,10 @@ private:
     }
 
     /// Re-derive one class of the read state from its accumulator: the
-    /// binarized vector, the packed row, and (integer mode) the integer row
-    /// with its cached norm.
+    /// packed sign row and (integer mode) the integer row with its cached
+    /// norm.
     void finalize_class(std::size_t c) {
-        class_hv_[c] = class_acc_[c].sign();
-        state_.store_class_row(c, class_hv_[c]);
+        state_.store_class_row(c, class_acc_[c].values());
         state_.store_class_values(c, class_acc_[c].values());
     }
 
@@ -439,7 +440,6 @@ private:
     std::size_t classes_;
     train_mode mode_;
     std::vector<accumulator> class_acc_; ///< training state (write path)
-    std::vector<hypervector> class_hv_;
     inference_snapshot state_;           ///< read state (every predict path)
     // Reused scratch buffers for partial_fit / bundle_into: online updates
     // advertise O(D) cost, so they must not pay a heap allocation per call

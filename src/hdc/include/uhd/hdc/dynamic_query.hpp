@@ -102,16 +102,6 @@ public:
     /// the thresholds that enable them.
     [[nodiscard]] static dynamic_query_policy ladder(const class_memory& mem);
 
-    /// Snapshot overloads: policies are plain data keyed only on the row
-    /// width, so one policy built for a snapshot serves every later
-    /// snapshot of the same geometry — calibrate once, publish many times.
-    [[nodiscard]] static dynamic_query_policy full_scan(
-        const inference_snapshot& snap);
-    [[nodiscard]] static dynamic_query_policy ladder(const inference_snapshot& snap);
-    [[nodiscard]] static dynamic_query_policy calibrate(
-        const inference_snapshot& snap, std::span<const std::uint64_t> queries,
-        std::size_t count, double target_agreement);
-
     /// Calibrate the ladder on `count` held-out packed queries (each
     /// mem.words_per_class() words, back-to-back in `queries`, same packing
     /// as nearest()). For each early stage, the chosen threshold is the
@@ -148,12 +138,6 @@ public:
                                      std::span<const std::uint64_t> query_words,
                                      dynamic_query_stats* stats = nullptr) const;
 
-    /// Answer against a snapshot's packed memory (see the class_memory
-    /// overload for the contract).
-    [[nodiscard]] std::size_t answer(const inference_snapshot& snap,
-                                     std::span<const std::uint64_t> query_words,
-                                     dynamic_query_stats* stats = nullptr) const;
-
     /// Answer a block of `n_queries` packed queries (mem.words_per_class()
     /// words each, back-to-back in `queries_words`) through the cascade in
     /// one stage-synchronized sweep: every stage extends the distances of
@@ -169,7 +153,10 @@ public:
                       std::size_t n_queries, std::span<std::size_t> out,
                       std::span<dynamic_query_stats> stats = {}) const;
 
-    /// Block cascade against a snapshot's packed memory.
+    /// Block cascade against a snapshot's packed memory. Policies are
+    /// plain data keyed only on the row width, so one policy built for a
+    /// snapshot serves every later snapshot of the same geometry —
+    /// calibrate once, publish many times.
     void answer_block(const inference_snapshot& snap,
                       std::span<const std::uint64_t> queries_words,
                       std::size_t n_queries, std::span<std::size_t> out,

@@ -25,7 +25,7 @@
 // the next version; const-ness is the immutability boundary — everything
 // published is shared as const and never written again.
 //
-// Bit-identity contract: predict_encoded / predict_dynamic_* answer
+// Bit-identity contract: predict_encoded / predict_dynamic_encoded answer
 // exactly like hd_classifier's pre-snapshot read paths for every backend
 // (the classifier's own paths now delegate here, and
 // tests/test_inference_snapshot.cpp holds copies to the live state).
@@ -39,7 +39,6 @@
 
 #include "uhd/hdc/class_memory.hpp"
 #include "uhd/hdc/dynamic_query.hpp"
-#include "uhd/hdc/hypervector.hpp"
 
 namespace uhd::hdc {
 
@@ -88,8 +87,10 @@ public:
     // For the single trainer building the next version; published copies
     // are shared as shared_ptr<const inference_snapshot> and never mutated.
 
-    /// Overwrite class `c`'s packed row with a binarized hypervector.
-    void store_class_row(std::size_t c, const hypervector& hv);
+    /// Overwrite class `c`'s packed row with the signs of its dim()
+    /// accumulator values (bit 1 = negative; ties to +1, like
+    /// accumulator::sign()).
+    void store_class_row(std::size_t c, std::span<const std::int32_t> values);
 
     /// Overwrite class `c`'s integer row and refresh its cached norm.
     /// No-op in binarized mode (the integer rows are never read there).
@@ -105,23 +106,12 @@ public:
     [[nodiscard]] std::size_t predict_encoded(
         std::span<const std::int32_t> encoded) const;
 
-    /// Answer an already-packed binarized query (nearest packed row).
-    [[nodiscard]] std::size_t predict_packed(
-        std::span<const std::uint64_t> query_words,
-        std::uint64_t* distance_out = nullptr) const;
-
     /// Dynamic-dimension inference from an encoded accumulator: sign-
     /// binarize and answer through the early-exit cascade. Always answers
     /// from the packed memory regardless of mode(); the full-D stage is
     /// bit-identical to binarized-mode predict_encoded.
     [[nodiscard]] std::size_t predict_dynamic_encoded(
         std::span<const std::int32_t> encoded, const dynamic_query_policy& policy,
-        dynamic_query_stats* stats = nullptr) const;
-
-    /// Dynamic-dimension inference on an already-packed query.
-    [[nodiscard]] std::size_t predict_dynamic_packed(
-        std::span<const std::uint64_t> query_words,
-        const dynamic_query_policy& policy,
         dynamic_query_stats* stats = nullptr) const;
 
     // --- block read paths -------------------------------------------------
@@ -141,26 +131,11 @@ public:
                        std::size_t n_queries, std::span<std::size_t> out) const;
 
     /// Predict a block of already-packed binarized queries
-    /// (words_per_class() words each, back-to-back).
+    /// (words_per_class() words each, back-to-back). The block cascade on
+    /// packed queries is dynamic_query_policy::answer_block.
     void predict_packed_block(std::span<const std::uint64_t> queries_words,
                               std::size_t n_queries,
                               std::span<std::size_t> out) const;
-
-    /// Dynamic-dimension inference on a block of encoded accumulators:
-    /// sign-binarize every query and run the stage-synchronized block
-    /// cascade (dynamic_query_policy::answer_block). When `stats` is
-    /// non-empty it must hold n_queries slots.
-    void predict_dynamic_block(std::span<const std::int32_t> encoded,
-                               std::size_t n_queries,
-                               const dynamic_query_policy& policy,
-                               std::span<std::size_t> out,
-                               std::span<dynamic_query_stats> stats = {}) const;
-
-    /// Block cascade on already-packed queries.
-    void predict_dynamic_packed_block(
-        std::span<const std::uint64_t> queries_words, std::size_t n_queries,
-        const dynamic_query_policy& policy, std::span<std::size_t> out,
-        std::span<dynamic_query_stats> stats = {}) const;
 
     /// Payload equality: mode, geometry, packed rows, integer rows, norms.
     /// version() is deliberately excluded — it orders publications of one

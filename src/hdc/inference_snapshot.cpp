@@ -27,8 +27,9 @@ double inference_snapshot::class_norm_sq(std::size_t c) const {
     return mode_ == query_mode::integer ? norm_sq_[c] : 0.0;
 }
 
-void inference_snapshot::store_class_row(std::size_t c, const hypervector& hv) {
-    mem_.store(c, hv); // bounds/dim checked by class_memory
+void inference_snapshot::store_class_row(std::size_t c,
+                                         std::span<const std::int32_t> values) {
+    mem_.store_signs(c, values); // bounds/dim checked by class_memory
     ++version_;
 }
 
@@ -104,22 +105,11 @@ std::size_t inference_snapshot::predict_encoded(
     return mem_.nearest(binarize_query(encoded));
 }
 
-std::size_t inference_snapshot::predict_packed(
-    std::span<const std::uint64_t> query_words, std::uint64_t* distance_out) const {
-    return mem_.nearest(query_words, distance_out);
-}
-
 std::size_t inference_snapshot::predict_dynamic_encoded(
     std::span<const std::int32_t> encoded, const dynamic_query_policy& policy,
     dynamic_query_stats* stats) const {
     UHD_REQUIRE(encoded.size() == dim(), "encoded size mismatch");
     return policy.answer(mem_, binarize_query(encoded), stats);
-}
-
-std::size_t inference_snapshot::predict_dynamic_packed(
-    std::span<const std::uint64_t> query_words, const dynamic_query_policy& policy,
-    dynamic_query_stats* stats) const {
-    return policy.answer(mem_, query_words, stats);
 }
 
 void inference_snapshot::predict_block(std::span<const std::int32_t> encoded,
@@ -144,22 +134,6 @@ void inference_snapshot::predict_packed_block(
     std::span<const std::uint64_t> queries_words, std::size_t n_queries,
     std::span<std::size_t> out) const {
     mem_.nearest_block(queries_words, n_queries, out);
-}
-
-void inference_snapshot::predict_dynamic_block(
-    std::span<const std::int32_t> encoded, std::size_t n_queries,
-    const dynamic_query_policy& policy, std::span<std::size_t> out,
-    std::span<dynamic_query_stats> stats) const {
-    UHD_REQUIRE(encoded.size() == n_queries * dim(), "encoded block size mismatch");
-    policy.answer_block(mem_, binarize_block(encoded, n_queries, dim()), n_queries,
-                        out, stats);
-}
-
-void inference_snapshot::predict_dynamic_packed_block(
-    std::span<const std::uint64_t> queries_words, std::size_t n_queries,
-    const dynamic_query_policy& policy, std::span<std::size_t> out,
-    std::span<dynamic_query_stats> stats) const {
-    policy.answer_block(mem_, queries_words, n_queries, out, stats);
 }
 
 bool inference_snapshot::operator==(const inference_snapshot& other) const noexcept {

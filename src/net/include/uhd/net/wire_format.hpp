@@ -18,7 +18,9 @@
 //   op               payload
 //   ---------------  ----------------------------------------------------
 //   predict (1)      u8 kind, then the query: kind 0 = raw u8 features
-//                    (encoder pixel count bytes; the server encodes),
+//                    (encoder pixel count bytes; the engine's encode
+//                    stage encodes them, op_error(unsupported) when the
+//                    engine has no encoder),
 //                    kind 1 = pre-encoded int32 accumulators (dim * 4
 //                    bytes, little-endian). Reply: u32 label,
 //                    u64 snapshot_version.

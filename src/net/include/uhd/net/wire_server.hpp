@@ -16,10 +16,12 @@
 //   where it already lives (the engine's micro-batch workers). Decoded
 //   queries move straight from the connection read buffer into the
 //   engine's request vector — one deserialize, zero further payload
-//   copies. Raw-feature queries are NOT encoded on the reactor: the raw
+//   copies. Raw-feature queries are never encoded on a reactor: the raw
 //   bytes are handed to the engine and its workers batch-encode each
 //   drained micro-batch with one batch encode call, so the reactor does
-//   pure I/O and encode throughput scales with workers, not loops.
+//   pure I/O and encode throughput scales with workers, not loops. An
+//   engine without an encoder (!raw_capable()) answers raw predicts with
+//   an `unsupported` error frame, trainer or not.
 // * Sharding: with N > 1 each reactor has its own SO_REUSEPORT listener
 //   on the shared port (the kernel load-balances accepts), connection
 //   table, completion mailbox + eventfd, and wire_counters shard
@@ -100,15 +102,12 @@ class wire_server {
 public:
     /// Serve `engine` over TCP. `trainer`, when given, enables
     /// partial_fit (updates are serialized across reactors by an internal
-    /// mutex); raw-feature predict payloads are answered through the
-    /// engine's off-loop encode stage when it is raw_capable(), else
-    /// encoded inline with `encoder` — which defaults to the trainer's,
-    /// so encoded-only inference servers can pass neither. The engine
-    /// must outlive the server.
+    /// mutex). Raw-feature predicts are answered through the engine's
+    /// encode stage when it is raw_capable(), and get `unsupported`
+    /// otherwise. The engine must outlive the server.
     explicit wire_server(serve::inference_engine& engine,
                          wire_server_options options = {},
-                         core::uhd_model* trainer = nullptr,
-                         const core::uhd_encoder* encoder = nullptr);
+                         core::uhd_model* trainer = nullptr);
 
     wire_server(const wire_server&) = delete;
     wire_server& operator=(const wire_server&) = delete;
@@ -144,6 +143,7 @@ public:
 
 private:
     struct connection;
+    struct predict_request;
     struct completion {
         std::uint64_t conn_id = 0;
         std::uint32_t request_id = 0;
@@ -197,10 +197,7 @@ private:
                             const std::uint8_t* payload,
                             std::size_t payload_len);
     void handle_stats(reactor& r, connection& conn, std::uint32_t request_id);
-    bool submit_decoded(reactor& r, connection& conn, std::uint32_t request_id,
-                        bool dynamic, std::vector<std::int32_t>& encoded);
-    bool submit_raw(reactor& r, connection& conn, std::uint32_t request_id,
-                    bool dynamic, std::vector<std::uint8_t>& raw);
+    bool submit_predict(reactor& r, connection& conn, predict_request& request);
     serve::answer_callback make_completion(reactor& r, std::uint64_t conn_id,
                                            std::uint32_t request_id,
                                            std::uint8_t reply_op);
@@ -213,7 +210,6 @@ private:
 
     serve::inference_engine& engine_;
     core::uhd_model* trainer_ = nullptr;
-    const core::uhd_encoder* encoder_ = nullptr;
     wire_server_options options_;
 
     std::vector<std::unique_ptr<reactor>> reactors_;

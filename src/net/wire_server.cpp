@@ -45,6 +45,15 @@ std::uint64_t thread_cpu_ns() noexcept {
 
 } // namespace
 
+/// A predict on its way into the engine: a decoded query (`encoded`) or raw
+/// features (`raw`, encoded by the engine's workers), never both.
+struct wire_server::predict_request {
+    std::vector<std::int32_t> encoded;
+    std::vector<std::uint8_t> raw;
+    std::uint32_t request_id = 0;
+    bool dynamic = false;
+};
+
 /// Per-connection state, owned by the accepting reactor's event loop.
 struct wire_server::connection {
     socket_fd sock;
@@ -68,25 +77,13 @@ struct wire_server::connection {
     bool throttle_counted = false;  ///< one throttle_event per pause episode
 
     // A request the engine queue refused (full): retried before any new
-    // frame is parsed, preserving per-connection order. Holds either a
-    // decoded query (`encoded`) or raw features (`raw`), never both.
-    struct parked_request {
-        std::vector<std::int32_t> encoded;
-        std::vector<std::uint8_t> raw;
-        std::uint32_t request_id = 0;
-        bool dynamic = false;
-    };
-    std::optional<parked_request> parked;
+    // frame is parsed, preserving per-connection order.
+    std::optional<predict_request> parked;
 };
 
 wire_server::wire_server(serve::inference_engine& engine,
-                         wire_server_options options, core::uhd_model* trainer,
-                         const core::uhd_encoder* encoder)
-    : engine_(engine), trainer_(trainer),
-      encoder_(encoder != nullptr ? encoder
-                                  : (trainer != nullptr ? &trainer->encoder()
-                                                        : nullptr)),
-      options_(options) {
+                         wire_server_options options, core::uhd_model* trainer)
+    : engine_(engine), trainer_(trainer), options_(options) {
     UHD_REQUIRE(options_.inflight_cap >= 1, "in-flight cap must be positive");
     UHD_REQUIRE(options_.max_payload >= 1, "payload cap must be positive");
     if (options_.publish_every == 0) options_.publish_every = 1;
@@ -384,18 +381,11 @@ void wire_server::pump_connection(reactor& r, connection& conn) {
     update_epoll_interest(r, conn);
 }
 
-/// Retry the parked request (decoded or raw). Returns false when the
-/// connection was closed (engine stopped underneath us).
+/// Retry the parked request. Returns false when the connection was closed
+/// (engine stopped underneath us).
 bool wire_server::retry_parked(reactor& r, connection& conn) {
-    connection::parked_request& parked = *conn.parked;
     try {
-        const bool pushed =
-            parked.raw.empty()
-                ? submit_decoded(r, conn, parked.request_id, parked.dynamic,
-                                 parked.encoded)
-                : submit_raw(r, conn, parked.request_id, parked.dynamic,
-                             parked.raw);
-        if (!pushed) {
+        if (!submit_predict(r, conn, *conn.parked)) {
             return true; // still full: stay parked, stay throttled
         }
     } catch (const uhd::error&) {
@@ -502,42 +492,7 @@ bool wire_server::handle_predict(reactor& r, connection& conn, std::uint8_t op,
     const auto kind = static_cast<query_kind>(payload[0]);
     const std::uint8_t* body = payload + 1;
     const std::size_t body_len = payload_len - 1;
-    if (kind == query_kind::raw) {
-        // Preferred path: hand the raw bytes to the engine — its workers
-        // batch-encode each drained micro-batch off this thread. Fallback
-        // (engine without an encoder, the pre-encode-stage configuration):
-        // encode inline here with the server's encoder.
-        const bool off_loop = engine_.raw_capable();
-        if (!off_loop && encoder_ == nullptr) {
-            r.counters.record_malformed();
-            queue_error(r, conn, request_id, wire_error::unsupported,
-                        "server has no encoder for raw features");
-            return true;
-        }
-        const std::size_t pixels =
-            off_loop ? engine_.raw_pixels() : encoder_->pixels();
-        if (body_len != pixels) {
-            r.counters.record_malformed();
-            queue_error(r, conn, request_id, wire_error::bad_payload,
-                        "raw payload size != encoder pixels");
-            return true;
-        }
-        if (off_loop) {
-            std::vector<std::uint8_t> raw(body, body + body_len);
-            try {
-                if (!submit_raw(r, conn, request_id, dynamic, raw)) {
-                    conn.parked.emplace(connection::parked_request{
-                        {}, std::move(raw), request_id, dynamic});
-                }
-            } catch (const uhd::error&) {
-                return false; // engine stopped: caller closes the connection
-            }
-            return true;
-        }
-    }
-    // Decode straight out of the read buffer into the request vector the
-    // engine will consume — the only transform between socket and kernel.
-    std::vector<std::int32_t> encoded;
+    predict_request request{{}, {}, request_id, dynamic};
     if (kind == query_kind::encoded) {
         if (body_len != engine_.dim() * 4) {
             r.counters.record_malformed();
@@ -545,13 +500,29 @@ bool wire_server::handle_predict(reactor& r, connection& conn, std::uint8_t op,
                         "encoded payload size != dim * 4");
             return true;
         }
-        encoded.resize(engine_.dim());
-        for (std::size_t i = 0; i < encoded.size(); ++i) {
-            encoded[i] = static_cast<std::int32_t>(load_u32(body + i * 4));
+        // Decode straight out of the read buffer into the request vector
+        // the engine will consume — the only transform between socket and
+        // kernel.
+        request.encoded.resize(engine_.dim());
+        for (std::size_t i = 0; i < request.encoded.size(); ++i) {
+            request.encoded[i] = static_cast<std::int32_t>(load_u32(body + i * 4));
         }
     } else if (kind == query_kind::raw) {
-        encoded.resize(encoder_->dim());
-        encoder_->encode(std::span<const std::uint8_t>(body, body_len), encoded);
+        // Raw features go to the engine as bytes: its workers batch-encode
+        // each drained micro-batch off this thread.
+        if (!engine_.raw_capable()) {
+            r.counters.record_malformed();
+            queue_error(r, conn, request_id, wire_error::unsupported,
+                        "engine has no encoder for raw features");
+            return true;
+        }
+        if (body_len != engine_.raw_pixels()) {
+            r.counters.record_malformed();
+            queue_error(r, conn, request_id, wire_error::bad_payload,
+                        "raw payload size != encoder pixels");
+            return true;
+        }
+        request.raw.assign(body, body + body_len);
     } else {
         r.counters.record_malformed();
         queue_error(r, conn, request_id, wire_error::bad_payload,
@@ -559,11 +530,10 @@ bool wire_server::handle_predict(reactor& r, connection& conn, std::uint8_t op,
         return true;
     }
     try {
-        if (!submit_decoded(r, conn, request_id, dynamic, encoded)) {
+        if (!submit_predict(r, conn, request)) {
             // Engine queue full: park and throttle (parse_frames stops on
             // the next throttled() check, so order is preserved).
-            conn.parked.emplace(connection::parked_request{
-                std::move(encoded), {}, request_id, dynamic});
+            conn.parked.emplace(std::move(request));
         }
     } catch (const uhd::error&) {
         return false; // engine stopped: caller closes the connection
@@ -598,11 +568,10 @@ serve::answer_callback wire_server::make_completion(reactor& r,
     };
 }
 
-bool wire_server::submit_decoded(reactor& r, connection& conn,
-                                 std::uint32_t request_id, bool dynamic,
-                                 std::vector<std::int32_t>& encoded) {
+bool wire_server::submit_predict(reactor& r, connection& conn,
+                                 predict_request& request) {
     const std::uint8_t reply_op =
-        reply_opcode(dynamic ? opcode::predict_dynamic : opcode::predict);
+        reply_opcode(request.dynamic ? opcode::predict_dynamic : opcode::predict);
     {
         // Count before submitting: the callback may fire on a worker
         // before try_submit even returns.
@@ -611,36 +580,13 @@ bool wire_server::submit_decoded(reactor& r, connection& conn,
     }
     bool pushed = false;
     try {
-        pushed = engine_.try_submit(
-            encoded, make_completion(r, conn.id, request_id, reply_op),
-            dynamic);
-    } catch (...) {
-        const std::lock_guard<std::mutex> lock(r.completions_mutex);
-        --r.outstanding;
-        throw;
-    }
-    if (!pushed) {
-        const std::lock_guard<std::mutex> lock(r.completions_mutex);
-        --r.outstanding; // callback will never run
-        return false;
-    }
-    ++conn.inflight;
-    return true;
-}
-
-bool wire_server::submit_raw(reactor& r, connection& conn,
-                             std::uint32_t request_id, bool dynamic,
-                             std::vector<std::uint8_t>& raw) {
-    const std::uint8_t reply_op =
-        reply_opcode(dynamic ? opcode::predict_dynamic : opcode::predict);
-    {
-        const std::lock_guard<std::mutex> lock(r.completions_mutex);
-        ++r.outstanding;
-    }
-    bool pushed = false;
-    try {
-        pushed = engine_.try_submit_raw(
-            raw, make_completion(r, conn.id, request_id, reply_op), dynamic);
+        serve::answer_callback done =
+            make_completion(r, conn.id, request.request_id, reply_op);
+        pushed = request.raw.empty()
+                     ? engine_.try_submit(request.encoded, std::move(done),
+                                          request.dynamic)
+                     : engine_.try_submit_raw(request.raw, std::move(done),
+                                              request.dynamic);
     } catch (...) {
         const std::lock_guard<std::mutex> lock(r.completions_mutex);
         --r.outstanding;

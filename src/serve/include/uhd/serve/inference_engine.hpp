@@ -229,17 +229,17 @@ private:
                                           ///< worker moves `encoded` back
                                           ///< here before answering
         bool dynamic = false;             ///< answer through the cascade
-        bool failed = false;              ///< already failed (encode stage);
-                                          ///< skip in the answer groups
+        std::size_t label = 0;            ///< the answer, once computed
+        std::exception_ptr error;         ///< set when a stage failed it;
+                                          ///< later stages skip it
     };
 
     void start_workers(std::size_t workers);
     void worker_loop();
-    /// Deliver one answered request through its callback or promise (hands
-    /// the encoded buffer back through req.reclaim first, when set).
-    static void complete(request& req, std::size_t label, std::uint64_t version);
-    /// Deliver a failure through the request's callback or promise.
-    static void fail(request& req, const std::exception_ptr& error);
+    /// Deliver one request's label or error through its callback or
+    /// promise (hands the encoded buffer back through req.reclaim first,
+    /// when set).
+    static void deliver(request& req, std::uint64_t version);
 
     // Snapshot geometry, pinned at construction: publish() enforces it so
     // a worker mid-batch can never see a dimension change under its feet.

@@ -184,8 +184,7 @@ void inference_engine::stop() {
     workers_.clear();
 }
 
-void inference_engine::complete(request& req, std::size_t label,
-                                std::uint64_t version) {
+void inference_engine::deliver(request& req, std::uint64_t version) {
     // Scratch-predict handoff: return the encoded buffer BEFORE the promise
     // is fulfilled — set_value/get() is the synchronization edge that makes
     // the caller's read of *reclaim race-free.
@@ -195,24 +194,17 @@ void inference_engine::complete(request& req, std::size_t label,
         // throw here must not take down the worker (it would strand every
         // later request in the drained batch), so swallow defensively.
         try {
-            req.on_done(label, version, nullptr);
+            if (req.error != nullptr) {
+                req.on_done(0, 0, req.error);
+            } else {
+                req.on_done(req.label, version, nullptr);
+            }
         } catch (...) { // NOLINT(bugprone-empty-catch)
         }
+    } else if (req.error != nullptr) {
+        req.answer.set_exception(req.error);
     } else {
-        req.answer.set_value(label);
-    }
-}
-
-void inference_engine::fail(request& req, const std::exception_ptr& error) {
-    req.failed = true;
-    if (req.reclaim != nullptr) *req.reclaim = std::move(req.encoded);
-    if (req.on_done) {
-        try {
-            req.on_done(0, 0, error);
-        } catch (...) { // NOLINT(bugprone-empty-catch)
-        }
-    } else {
-        req.answer.set_exception(error);
+        req.answer.set_value(req.label);
     }
 }
 
@@ -250,7 +242,7 @@ void inference_engine::worker_loop() {
         // encode_sign_batch into packed rows (binarized) or encode_batch
         // into int32 accumulators (integer) — so encoding is amortized
         // exactly like the distance kernels below, and bit-identical to the
-        // inline single-query encode (tested per backend).
+        // single-image encode (tested per backend).
         if (encoder_ != nullptr) {
             group.clear();
             for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -290,7 +282,7 @@ void inference_engine::worker_loop() {
                     }
                 } catch (...) {
                     for (const std::size_t i : group) {
-                        fail(batch[i], std::current_exception());
+                        batch[i].error = std::current_exception();
                     }
                 }
                 counters_.record_encode(group.size());
@@ -307,8 +299,8 @@ void inference_engine::worker_loop() {
         const auto answer_group = [&](bool dynamic) {
             group.clear();
             for (std::size_t i = 0; i < batch.size(); ++i) {
-                // failed: already answered by the encode stage's fail()
-                if (batch[i].dynamic == dynamic && !batch[i].failed) {
+                // error: the encode stage already failed the request
+                if (batch[i].dynamic == dynamic && batch[i].error == nullptr) {
                     group.push_back(i);
                 }
             }
@@ -318,9 +310,9 @@ void inference_engine::worker_loop() {
                 for (const std::size_t i : group) {
                     request& req = batch[i];
                     try {
-                        complete(req, snap->predict_encoded(req.encoded), version);
+                        req.label = snap->predict_encoded(req.encoded);
                     } catch (...) {
-                        fail(req, std::current_exception());
+                        req.error = std::current_exception();
                     }
                     ++kernel_calls;
                 }
@@ -335,7 +327,6 @@ void inference_engine::worker_loop() {
             // to dim(), so the group can only fail as a whole.
             packed.resize(group.size() * words);
             answers.resize(group.size());
-            bool answered = false;
             try {
                 for (std::size_t g = 0; g < group.size(); ++g) {
                     const request& req = batch[group[g]];
@@ -355,22 +346,22 @@ void inference_engine::worker_loop() {
                 } else {
                     snap->predict_packed_block(block, group.size(), answers);
                 }
-                answered = true;
+                for (std::size_t g = 0; g < group.size(); ++g) {
+                    batch[group[g]].label = answers[g];
+                }
             } catch (...) {
                 for (const std::size_t i : group) {
-                    fail(batch[i], std::current_exception());
+                    batch[i].error = std::current_exception();
                 }
             }
             ++kernel_calls;
-            if (answered) {
-                for (std::size_t g = 0; g < group.size(); ++g) {
-                    complete(batch[group[g]], answers[g], version);
-                }
-            }
         };
         answer_group(false);
         answer_group(true);
+        // Count the micro-batch before delivering any of it: a client that
+        // has read a reply and then asks for stats must see it counted.
         counters_.record_batch(batch.size(), kernel_calls);
+        for (request& req : batch) deliver(req, version);
     }
 }
 

@@ -200,7 +200,8 @@ TEST(ClassMemory, ClassifierMemoryTracksFinalize) {
     ASSERT_EQ(mem.dim(), 256u);
     for (std::size_t c = 0; c < 10; ++c) {
         const auto row = mem.row(c);
-        const auto words = clf.class_hypervector(c).bits().words();
+        const hypervector expected = clf.class_accumulator(c).sign();
+        const auto words = expected.bits().words();
         for (std::size_t w = 0; w < row.size(); ++w) EXPECT_EQ(row[w], words[w]);
     }
 }

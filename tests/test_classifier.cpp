@@ -176,10 +176,10 @@ TEST(Classifier, PartialFitKeepsEveryClassVectorConsistent) {
             clf.partial_fit(train.image(i), train.label(i));
         }
         for (std::size_t c = 0; c < 10; ++c) {
-            EXPECT_EQ(clf.class_hypervector(c), clf.class_accumulator(c).sign())
-                << "class " << c;
+            const hypervector expected = clf.class_accumulator(c).sign();
+            EXPECT_EQ(clf.class_hypervector(c), expected) << "class " << c;
             const auto row = clf.packed_class_memory().row(c);
-            const auto words = clf.class_hypervector(c).bits().words();
+            const auto words = expected.bits().words();
             for (std::size_t w = 0; w < row.size(); ++w) {
                 EXPECT_EQ(row[w], words[w]) << "class " << c << " word " << w;
             }

@@ -1,10 +1,12 @@
 // Unit tests for the common substrate: RNG, bit utilities, ledger, config,
-// table rendering, and binary serialization.
+// table rendering, binary serialization, and cache-aligned storage.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <sstream>
 
+#include "uhd/common/aligned_vector.hpp"
 #include "uhd/common/alloc_ledger.hpp"
 #include "uhd/common/bits.hpp"
 #include "uhd/common/config.hpp"
@@ -72,6 +74,25 @@ TEST(Rng, NextBelowCoversAllResidues) {
     std::array<int, 7> seen{};
     for (int i = 0; i < 10000; ++i) ++seen[rng.next_below(7)];
     for (const int count : seen) EXPECT_GT(count, 0);
+}
+
+TEST(AlignedVector, StorageStartsOnACacheLineThroughGrowthAndCopies) {
+    const auto offset = [](const void* p) {
+        return reinterpret_cast<std::uintptr_t>(p) % cache_line_bytes;
+    };
+    cache_aligned_vector<std::uint64_t> words;
+    for (std::size_t n = 1; n <= 4096; n = n * 3 + 1) {
+        words.assign(n, n);
+        EXPECT_EQ(offset(words.data()), 0u) << "n=" << n;
+        const cache_aligned_vector<std::uint64_t> copy = words;
+        EXPECT_EQ(offset(copy.data()), 0u) << "n=" << n;
+        EXPECT_EQ(copy, words);
+    }
+    cache_aligned_vector<std::uint8_t> bytes;
+    for (std::size_t i = 0; i < 1000; ++i) {
+        bytes.push_back(static_cast<std::uint8_t>(i));
+        EXPECT_EQ(offset(bytes.data()), 0u) << "size=" << bytes.size();
+    }
 }
 
 TEST(Bits, WordsForBits) {

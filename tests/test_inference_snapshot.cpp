@@ -81,27 +81,30 @@ TEST(InferenceSnapshot, MatchesDynamicCascadeAnswersAndStats) {
     }
 }
 
-TEST(InferenceSnapshot, PolicySnapshotOverloadsMatchClassMemoryOnes) {
+TEST(InferenceSnapshot, PackedBlockPathsMatchClassMemoryOnes) {
+    // The snapshot's packed-query entry points (the serve engine's block
+    // calls) answer exactly like the class_memory ones they wrap.
     const auto train = data::make_synthetic_digits(100, 55);
     const auto enc = make_encoder(train, 1024);
     hd_classifier<core::uhd_encoder> clf(enc, 10);
     clf.fit(train);
     const inference_snapshot snap = clf.snapshot();
-    const dynamic_query_policy from_mem =
-        dynamic_query_policy::ladder(clf.packed_class_memory());
-    const dynamic_query_policy from_snap = dynamic_query_policy::ladder(snap);
-    ASSERT_EQ(from_mem.stages().size(), from_snap.stages().size());
-    for (std::size_t s = 0; s < from_mem.stages().size(); ++s) {
-        EXPECT_EQ(from_mem.stages()[s].window_words,
-                  from_snap.stages()[s].window_words);
+    const dynamic_query_policy policy = clf.calibrate_dynamic(train, 0.9);
+    const std::size_t n = 8;
+    const std::size_t words = kernels::sign_words(enc.dim());
+    std::vector<std::uint64_t> block(n * words);
+    for (std::size_t q = 0; q < n; ++q) {
+        const auto encoded = encode_one(enc, train, q);
+        kernels::sign_binarize(encoded.data(), encoded.size(), block.data() + q * words);
     }
-    // answer() through the snapshot overload equals the class_memory one.
-    const auto encoded = encode_one(enc, train, 0);
-    std::vector<std::uint64_t> words(kernels::sign_words(enc.dim()));
-    kernels::sign_binarize(encoded.data(), encoded.size(), words.data());
-    const dynamic_query_policy full = dynamic_query_policy::full_scan(snap);
-    EXPECT_EQ(full.answer(snap, words), full.answer(snap.memory(), words));
-    EXPECT_EQ(snap.predict_packed(words), snap.memory().nearest(words));
+    std::vector<std::size_t> from_snap(n);
+    std::vector<std::size_t> from_mem(n);
+    policy.answer_block(snap, block, n, from_snap);
+    policy.answer_block(snap.memory(), block, n, from_mem);
+    EXPECT_EQ(from_snap, from_mem);
+    snap.predict_packed_block(block, n, from_snap);
+    snap.memory().nearest_block(block, n, from_mem);
+    EXPECT_EQ(from_snap, from_mem);
 }
 
 TEST(InferenceSnapshot, CopyIsIndependentOfContinuedTraining) {
@@ -282,7 +285,8 @@ TEST(InferenceSnapshot, RejectsMismatchedQueries) {
     const std::vector<std::int32_t> wrong(128, 0);
     EXPECT_THROW((void)snap.predict_encoded(wrong), uhd::error);
     const std::vector<std::uint64_t> wrong_words(1, 0);
-    EXPECT_THROW((void)snap.predict_packed(wrong_words), uhd::error);
+    std::vector<std::size_t> out(1);
+    EXPECT_THROW(snap.predict_packed_block(wrong_words, 1, out), uhd::error);
 }
 
 } // namespace

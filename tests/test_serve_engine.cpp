@@ -179,6 +179,47 @@ TEST(InferenceEngine, StatsAccountForEveryQueryAndSwap) {
     EXPECT_EQ(stats.snapshot_version, clf.snapshot().version());
 }
 
+TEST(InferenceEngine, CompletionSeesItsOwnMicroBatchCounted) {
+    // A worker counts a micro-batch before it delivers any answer from it:
+    // a client that has read its n-th reply and then asks for stats must
+    // see at least n queries. One worker delivers in order, so the n-th
+    // callback to run needs queries >= n (and raw_queries >= its raw count).
+    const auto train = data::make_synthetic_digits(60, 79);
+    const auto enc = make_encoder(train, 256);
+    hd_classifier<core::uhd_encoder> clf(enc, 10);
+    clf.fit(train);
+    engine_options opts;
+    opts.workers = 1;
+    opts.max_batch = 8;
+    opts.encoder = &enc;
+    inference_engine engine(clf.snapshot(), opts);
+    std::atomic<std::size_t> delivered{0};
+    std::atomic<std::size_t> delivered_raw{0};
+    std::atomic<std::size_t> undercounted{0};
+    const auto callback = [&](bool raw) {
+        return [&, raw](std::size_t, std::uint64_t, std::exception_ptr error) {
+            const std::size_t seen = delivered.fetch_add(1) + 1;
+            const std::size_t seen_raw = delivered_raw.fetch_add(raw ? 1 : 0) +
+                                         (raw ? 1 : 0);
+            const serve::serve_stats stats = engine.stats();
+            if (error != nullptr || stats.queries < seen ||
+                stats.raw_queries < seen_raw) {
+                undercounted.fetch_add(1);
+            }
+        };
+    };
+    const std::size_t rounds = 24;
+    for (std::size_t i = 0; i < rounds; ++i) {
+        auto encoded = encode_one(enc, train, i);
+        ASSERT_TRUE(engine.try_submit(encoded, callback(false)));
+        std::vector<std::uint8_t> raw(train.image(i).begin(), train.image(i).end());
+        ASSERT_TRUE(engine.try_submit_raw(raw, callback(true)));
+    }
+    engine.stop(); // drains: every callback has run
+    EXPECT_EQ(delivered.load(), 2 * rounds);
+    EXPECT_EQ(undercounted.load(), 0u);
+}
+
 TEST(InferenceEngine, RejectsBadQueriesAndBadPublishes) {
     const auto train = data::make_synthetic_digits(60, 76);
     const auto enc = make_encoder(train, 256);
@@ -208,7 +249,7 @@ TEST(InferenceEngine, MismatchedDynamicPolicyFailsAtConstruction) {
     clf.fit(train);
     wide.fit(train);
     const dynamic_query_policy wide_policy =
-        dynamic_query_policy::full_scan(wide.snapshot());
+        dynamic_query_policy::full_scan(wide.packed_class_memory());
     EXPECT_THROW(inference_engine(clf.snapshot(), wide_policy), uhd::error);
 }
 

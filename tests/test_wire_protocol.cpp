@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <sys/time.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -50,16 +51,13 @@ struct server_fixture {
     std::optional<wire_server> server;
 
     explicit server_fixture(bool dynamic = false,
-                            wire_server_options options = {},
-                            std::size_t dim = 512, bool off_loop_raw = false)
-        : model(make_config(dim), train.shape(), train.num_classes(),
+                            wire_server_options options = {})
+        : model(make_config(), train.shape(), train.num_classes(),
                 hdc::train_mode::raw_sums, hdc::query_mode::binarized) {
         model.fit(train);
+        // The engine's encode stage is the server's only raw-query path.
         serve::engine_options engine_options;
-        // off_loop_raw routes raw-feature frames through the engine's
-        // batched encode stage; otherwise the server encodes inline on
-        // the reactor (the trainer provides the encoder).
-        if (off_loop_raw) engine_options.encoder = &model.encoder();
+        engine_options.encoder = &model.encoder();
         if (dynamic) {
             engine.emplace(model.snapshot(),
                            model.calibrate_dynamic(train, 0.95),
@@ -71,9 +69,9 @@ struct server_fixture {
         server->start();
     }
 
-    static core::uhd_config make_config(std::size_t dim) {
+    static core::uhd_config make_config() {
         core::uhd_config cfg;
-        cfg.dim = dim;
+        cfg.dim = 512;
         return cfg;
     }
 
@@ -219,27 +217,22 @@ TEST(WireServer, PredictAnswersBitIdenticalToSnapshotOracle) {
     }
 }
 
-TEST(WireServer, RawFeaturePredictMatchesEncodedPredict) {
-    const server_fixture fx;
-    wire_client client = fx.connect();
-    for (std::size_t i = 0; i < 10; ++i) {
-        const predict_reply raw = client.predict_raw(fx.test.image(i));
-        const predict_reply encoded = client.predict_encoded(fx.encoded_query(i));
-        EXPECT_EQ(raw.label, encoded.label) << "query " << i;
-    }
-}
-
 TEST(WireServer, RawPredictThroughOffLoopEncodeStageMatchesOracle) {
-    // Engine configured with the encoder: raw frames are batch-encoded by
-    // the serve workers (one encode_batch per drained micro-batch), not
-    // inline on the reactor — answers must still be bit-identical.
-    const server_fixture fx(false, {}, 512, /*off_loop_raw=*/true);
+    // Raw frames are batch-encoded by the serve workers (one batch encode
+    // per drained micro-batch), never on the reactor: answers must be
+    // bit-identical to the oracle and to the same query sent pre-encoded.
+    const server_fixture fx;
     const hdc::inference_snapshot oracle = fx.model.snapshot();
     wire_client client = fx.connect();
     for (std::size_t i = 0; i < fx.test.size(); ++i) {
         const predict_reply reply = client.predict_raw(fx.test.image(i));
         EXPECT_EQ(reply.label, oracle.predict_encoded(fx.encoded_query(i)))
             << "query " << i;
+        if (i < 10) {
+            EXPECT_EQ(reply.label,
+                      client.predict_encoded(fx.encoded_query(i)).label)
+                << "query " << i;
+        }
     }
     // The encode stage accounted its work, and the counters surface over
     // the wire (schema: 17-field stats reply).
@@ -550,11 +543,12 @@ TEST(WireFuzz, ByteAtATimeDeliveryHitsEverySplitBoundary) {
     for (const std::uint8_t byte : stream) {
         client.send_bytes(std::span<const std::uint8_t>(&byte, 1));
     }
-    // The pong is answered inline on the loop thread and may overtake the
-    // engine-routed predict replies; match replies by request_id instead
-    // of arrival order (predict replies do stay in submission order).
+    // The pong is answered on the loop thread and may overtake the
+    // engine-routed predict replies, and two engine workers may finish
+    // one connection's micro-batches out of order: the protocol promises
+    // only matching by request_id, so match replies that way.
     bool saw_pong = false;
-    std::size_t predicts = 0;
+    std::vector<bool> answered(expected.size(), false);
     for (std::size_t r = 0; r < 4; ++r) {
         const wire_frame reply = client.read_frame();
         if (reply.header.op == reply_opcode(opcode::ping)) {
@@ -563,22 +557,22 @@ TEST(WireFuzz, ByteAtATimeDeliveryHitsEverySplitBoundary) {
             continue;
         }
         EXPECT_EQ(reply.header.op, reply_opcode(opcode::predict));
-        EXPECT_EQ(reply.header.request_id, predicts);
         const auto parsed = parse_predict_reply(reply.payload);
         ASSERT_TRUE(parsed.has_value());
         ASSERT_LT(reply.header.request_id, expected.size());
+        EXPECT_FALSE(answered[reply.header.request_id]) << "duplicate reply";
+        answered[reply.header.request_id] = true;
         EXPECT_EQ(parsed->label, expected[reply.header.request_id]);
-        ++predicts;
     }
     EXPECT_TRUE(saw_pong);
-    EXPECT_EQ(predicts, 3u);
+    EXPECT_EQ(std::count(answered.begin(), answered.end(), true), 3);
 }
 
 TEST(WireFuzz, RawFramesByteAtATimeHitEverySplitBoundary) {
-    // The raw opcode under the frame fuzzer, through the off-loop encode
+    // The raw opcode under the frame fuzzer, through the engine's encode
     // stage: pipelined raw-feature frames delivered one byte per send()
     // must reassemble and answer bit-identically.
-    const server_fixture fx(false, {}, 512, /*off_loop_raw=*/true);
+    const server_fixture fx;
     const hdc::inference_snapshot oracle = fx.model.snapshot();
     wire_client client = fx.connect();
     std::vector<std::uint8_t> stream;
@@ -591,68 +585,73 @@ TEST(WireFuzz, RawFramesByteAtATimeHitEverySplitBoundary) {
     for (const std::uint8_t byte : stream) {
         client.send_bytes(std::span<const std::uint8_t>(&byte, 1));
     }
+    // Micro-batches of one connection may finish out of order: match
+    // replies by request_id.
+    std::vector<bool> answered(expected.size(), false);
     for (std::size_t i = 0; i < expected.size(); ++i) {
         const wire_frame reply = client.read_frame();
         EXPECT_EQ(reply.header.op, reply_opcode(opcode::predict));
-        EXPECT_EQ(reply.header.request_id, i);
         const auto parsed = parse_predict_reply(reply.payload);
         ASSERT_TRUE(parsed.has_value());
-        EXPECT_EQ(parsed->label, expected[i]);
+        ASSERT_LT(reply.header.request_id, expected.size());
+        EXPECT_FALSE(answered[reply.header.request_id]) << "duplicate reply";
+        answered[reply.header.request_id] = true;
+        EXPECT_EQ(parsed->label, expected[reply.header.request_id]);
     }
 }
 
 TEST(WireFuzz, RawPredictWithWrongPixelCountGetsBadPayload) {
-    // Wrong `pixels` length is a request-level error on BOTH raw paths
-    // (off-loop encode stage and inline reactor encode): error frame,
+    // Wrong `pixels` length is a request-level error: error frame,
     // connection lives.
-    for (const bool off_loop : {false, true}) {
-        const server_fixture fx(false, {}, 512, off_loop);
-        wire_client client = fx.connect();
-        const std::size_t pixels = fx.test.image(0).size();
-        for (const std::size_t bad_len : {pixels - 1, pixels + 7,
-                                          std::size_t{0}}) {
-            std::vector<std::uint8_t> junk;
-            const std::vector<std::uint8_t> body(bad_len, 0x40);
-            append_predict_raw(junk, opcode::predict, 5, body);
-            client.send_bytes(junk);
-            const wire_frame reply = client.read_frame();
-            EXPECT_EQ(reply.header.op, op_error) << "off_loop=" << off_loop;
-            EXPECT_EQ(load_u16(reply.payload.data()),
-                      static_cast<std::uint16_t>(wire_error::bad_payload));
-        }
-        // Correctly-sized raw traffic still answers on the same stream.
-        const predict_reply good = client.predict_raw(fx.test.image(0));
-        EXPECT_EQ(good.label,
-                  fx.model.snapshot().predict_encoded(fx.encoded_query(0)));
+    const server_fixture fx;
+    wire_client client = fx.connect();
+    const std::size_t pixels = fx.test.image(0).size();
+    for (const std::size_t bad_len : {pixels - 1, pixels + 7, std::size_t{0}}) {
+        std::vector<std::uint8_t> junk;
+        const std::vector<std::uint8_t> body(bad_len, 0x40);
+        append_predict_raw(junk, opcode::predict, 5, body);
+        client.send_bytes(junk);
+        const wire_frame reply = client.read_frame();
+        EXPECT_EQ(reply.header.op, op_error) << "bad_len=" << bad_len;
+        EXPECT_EQ(load_u16(reply.payload.data()),
+                  static_cast<std::uint16_t>(wire_error::bad_payload));
     }
+    // Correctly-sized raw traffic still answers on the same stream.
+    const predict_reply good = client.predict_raw(fx.test.image(0));
+    EXPECT_EQ(good.label, fx.model.snapshot().predict_encoded(fx.encoded_query(0)));
 }
 
-TEST(WireFuzz, RawPredictOnAnEncoderlessServerGetsUnsupported) {
-    // No trainer, no server-side encoder, engine without the off-loop
-    // stage: raw frames are valid protocol the server cannot serve.
+TEST(WireFuzz, RawPredictOnAnEncoderlessEngineGetsUnsupported) {
+    // An engine without an encoder cannot serve raw frames, and a trainer
+    // does not change that: the server never encodes on a reactor.
     data::dataset train = data::make_synthetic_digits(120, 91);
-    core::uhd_model model(server_fixture::make_config(512), train.shape(),
+    core::uhd_model model(server_fixture::make_config(), train.shape(),
                           train.num_classes(), hdc::train_mode::raw_sums,
                           hdc::query_mode::binarized);
     model.fit(train);
     serve::inference_engine engine(model.snapshot());
-    wire_server server(engine, {}, /*trainer=*/nullptr);
-    server.start();
-    wire_client client("127.0.0.1", server.port());
-    client.set_recv_timeout_ms(recv_timeout_ms);
-    std::vector<std::uint8_t> frame;
-    append_predict_raw(frame, opcode::predict, 1, train.image(0));
-    client.send_bytes(frame);
-    const wire_frame reply = client.read_frame();
-    EXPECT_EQ(reply.header.op, op_error);
-    EXPECT_EQ(load_u16(reply.payload.data()),
-              static_cast<std::uint16_t>(wire_error::unsupported));
-    // Pre-encoded traffic is unaffected.
-    std::vector<std::int32_t> encoded(model.encoder().dim());
-    model.encoder().encode(train.image(0), encoded);
-    EXPECT_EQ(client.predict_encoded(encoded).label,
-              model.snapshot().predict_encoded(encoded));
-    server.stop();
+    for (core::uhd_model* trainer : {static_cast<core::uhd_model*>(nullptr), &model}) {
+        wire_server server(engine, {}, trainer);
+        server.start();
+        wire_client client("127.0.0.1", server.port());
+        client.set_recv_timeout_ms(recv_timeout_ms);
+        std::vector<std::uint8_t> frame;
+        append_predict_raw(frame, opcode::predict, 1, train.image(0));
+        client.send_bytes(frame);
+        const wire_frame reply = client.read_frame();
+        EXPECT_EQ(reply.header.op, op_error) << "trainer=" << (trainer != nullptr);
+        ASSERT_GE(reply.payload.size(), 2u);
+        EXPECT_EQ(load_u16(reply.payload.data()),
+                  static_cast<std::uint16_t>(wire_error::unsupported))
+            << "trainer=" << (trainer != nullptr);
+        // Pre-encoded traffic is unaffected.
+        std::vector<std::int32_t> encoded(model.encoder().dim());
+        model.encoder().encode(train.image(0), encoded);
+        EXPECT_EQ(client.predict_encoded(encoded).label,
+                  model.snapshot().predict_encoded(encoded));
+        EXPECT_EQ(engine.stats().raw_queries, 0u);
+        server.stop();
+    }
 }
 
 TEST(WireFuzz, SeededRandomGarbageNeverCrashesTheServer) {

@@ -41,8 +41,8 @@ using namespace uhd::net;
 
 constexpr long recv_timeout_ms = 20000;
 
-/// Serving fixture pinned to a reactor count (and optionally the
-/// engine-side off-loop raw encode stage).
+/// Serving fixture pinned to a reactor count; the engine carries the
+/// encoder, so raw frames take the engine's encode stage.
 struct sharded_fixture {
     data::dataset train = data::make_synthetic_digits(120, 91);
     data::dataset test = data::make_synthetic_digits(40, 92);
@@ -50,12 +50,12 @@ struct sharded_fixture {
     std::optional<serve::inference_engine> engine;
     std::optional<wire_server> server;
 
-    explicit sharded_fixture(std::size_t reactors, bool off_loop_raw = false)
+    explicit sharded_fixture(std::size_t reactors)
         : model(make_config(), train.shape(), train.num_classes(),
                 hdc::train_mode::raw_sums, hdc::query_mode::binarized) {
         model.fit(train);
         serve::engine_options engine_options;
-        if (off_loop_raw) engine_options.encoder = &model.encoder();
+        engine_options.encoder = &model.encoder();
         engine.emplace(model.snapshot(), engine_options);
         wire_server_options options;
         options.reactors = reactors;
@@ -238,7 +238,7 @@ TEST(WireReactors, DescriptorExhaustionShedsTheBacklogInsteadOfStallingIt) {
 }
 
 TEST(WireReactors, RawOffLoopEncodeAcrossReactorsMatchesOracle) {
-    const sharded_fixture fx(2, /*off_loop_raw=*/true);
+    const sharded_fixture fx(2);
     const hdc::inference_snapshot oracle = fx.model.snapshot();
     constexpr std::size_t n_conns = 4;
     std::vector<std::thread> threads;

@@ -6,15 +6,15 @@
 //   to saturation, and verifies EVERY reply bit-identical against an
 //   in-process inference_snapshot oracle rebuilt from the same
 //   deterministic workload — then emits wire-level p50/p99/throughput as
-//   BENCH_serve.json schema v4 (results: null, wire populated,
+//   BENCH_serve.json schema v5 (results: null, wire populated,
 //   wire.scaling null).
 // * sweep: reactor-scaling study, fully in-process. For each reactor
 //   count in UHD_LOADGEN_SWEEP_REACTORS (default "1,2") it starts its
 //   own engine + wire_server and drives encoded and raw payloads over
-//   loopback — raw both through the engine's off-loop encode stage and,
-//   as the baseline, inline on a single reactor — recording qps/p50/p99,
-//   per-reactor CPU utilization (loop_cpu_ns / wall) and the encode-
-//   stage accounting into the schema v4 wire.scaling section.
+//   loopback — raw through the engine's encode stage, the server's only
+//   raw path — recording qps/p50/p99, per-reactor CPU utilization
+//   (loop_cpu_ns / wall) and the encode-stage accounting into the
+//   schema v5 wire.scaling section.
 //
 // Bit-identity is a hard exit gate in BOTH modes; throughput ratios are
 // recorded in gates as telemetry (shared CI boxes — and this one exposes
@@ -275,7 +275,6 @@ std::vector<std::vector<std::uint8_t>> make_frames(
 struct sweep_row {
     std::size_t reactors = 0;
     bool raw = false;
-    bool inline_encode = false;
     drive_stats st;
     std::vector<double> reactor_cpu; ///< loop_cpu_ns / wall, per reactor
     std::uint64_t raw_queries = 0;
@@ -361,30 +360,22 @@ int main() {
         struct plan_entry {
             std::size_t reactors;
             bool raw;
-            bool inline_encode;
         };
         std::vector<plan_entry> plan;
-        // Raw inline on one reactor FIRST: the baseline the off-loop rows
-        // are judged against (PR 9's serving configuration).
-        plan.push_back({1, true, true});
-        for (const std::size_t n : reactor_counts) plan.push_back({n, false, false});
-        for (const std::size_t n : reactor_counts) plan.push_back({n, true, false});
+        for (const std::size_t n : reactor_counts) plan.push_back({n, false});
+        for (const std::size_t n : reactor_counts) plan.push_back({n, true});
 
         std::vector<sweep_row> rows;
         for (const plan_entry& entry : plan) {
             serve::engine_options engine_options;
             engine_options.workers = env_count("UHD_SERVE_WORKERS", 2);
             engine_options.max_batch = env_count("UHD_SERVE_BATCH", 32);
-            if (entry.raw && !entry.inline_encode) {
-                engine_options.encoder = &work.model.encoder();
-            }
+            engine_options.encoder = &work.model.encoder();
             serve::inference_engine engine(work.model.snapshot(),
                                            engine_options);
             net::wire_server_options server_options;
             server_options.reactors = entry.reactors;
-            // Inline fallback needs the server-side encoder; passing the
-            // trainer provides it (and matches the uhd_serve setup).
-            net::wire_server server(engine, server_options, &work.model);
+            net::wire_server server(engine, server_options);
             server.start();
 
             drive_config cfg;
@@ -401,7 +392,6 @@ int main() {
             sweep_row row;
             row.reactors = entry.reactors;
             row.raw = entry.raw;
-            row.inline_encode = entry.inline_encode;
             row.st = drive(cfg);
             // Per-reactor utilization + the shard-sum invariant, read
             // before stop() tears anything down.
@@ -428,11 +418,10 @@ int main() {
             server.stop();
             engine.stop();
 
-            std::printf("# sweep reactors=%zu kind=%s%s: %.0f qps, p50 %.1f us, "
+            std::printf("# sweep reactors=%zu kind=%s: %.0f qps, p50 %.1f us, "
                         "p99 %.1f us, bit_identity=%d, shard_sum_ok=%d, "
                         "encode_calls=%llu\n",
-                        row.reactors, row.raw ? "raw" : "encoded",
-                        row.inline_encode ? " (inline)" : "", row.st.qps,
+                        row.reactors, row.raw ? "raw" : "encoded", row.st.qps,
                         row.st.p50, row.st.p99, row.st.bit_identity ? 1 : 0,
                         row.shard_sum_ok ? 1 : 0,
                         static_cast<unsigned long long>(row.encode_kernel_calls));
@@ -440,28 +429,22 @@ int main() {
         }
 
         // Ratio telemetry: encoded wire at max reactors vs the in-process
-        // baseline; raw off-loop at max reactors vs raw inline at 1.
+        // baseline.
         double encoded_best = 0.0;
-        double raw_best = 0.0;
-        double raw_inline = 0.0;
         bool all_identical = true;
         bool all_shards_ok = true;
         for (const sweep_row& row : rows) {
             all_identical = all_identical && row.st.bit_identity;
             all_shards_ok = all_shards_ok && row.shard_sum_ok;
-            if (row.raw && row.inline_encode) raw_inline = row.st.qps;
-            if (row.raw && !row.inline_encode) raw_best = std::max(raw_best, row.st.qps);
             if (!row.raw) encoded_best = std::max(encoded_best, row.st.qps);
         }
-        const double raw_vs_inline =
-            raw_inline > 0.0 ? raw_best / raw_inline : 0.0;
         const double encoded_vs_inprocess =
             baseline_value > 0.0 ? encoded_best / baseline_value : 0.0;
 
         if (!open_json()) return 1;
         std::fprintf(f, "{\n");
         std::fprintf(f, "  \"bench\": \"serve\",\n");
-        std::fprintf(f, "  \"schema_version\": 4,\n");
+        std::fprintf(f, "  \"schema_version\": 5,\n");
         std::fprintf(f,
                      "  \"workload\": {\"dim\": %zu, \"classes\": %zu, "
                      "\"connections\": %zu, \"requests_per_connection\": %zu, "
@@ -477,13 +460,12 @@ int main() {
             const sweep_row& row = rows[i];
             std::fprintf(f,
                          "    {\"reactors\": %zu, \"kind\": \"%s\", "
-                         "\"inline_encode\": %s, \"throughput_qps\": %.1f, "
+                         "\"throughput_qps\": %.1f, "
                          "\"p50_us\": %.2f, \"p99_us\": %.2f, "
                          "\"bit_identity\": %s, \"shard_sum_ok\": %s, "
                          "\"raw_queries\": %llu, \"encode_kernel_calls\": %llu, "
                          "\"reactor_cpu\": [",
-                         row.reactors, row.raw ? "raw" : "encoded",
-                         row.inline_encode ? "true" : "false", row.st.qps,
+                         row.reactors, row.raw ? "raw" : "encoded", row.st.qps,
                          row.st.p50, row.st.p99,
                          row.st.bit_identity ? "true" : "false",
                          row.shard_sum_ok ? "true" : "false",
@@ -498,21 +480,17 @@ int main() {
         }
         std::fprintf(f, "  ],\n");
         std::fprintf(f,
-                     "    \"raw_offloop_vs_inline\": %.3f, "
-                     "\"encoded_vs_inprocess\": %s},\n",
-                     raw_vs_inline,
+                     "    \"encoded_vs_inprocess\": %s},\n",
                      baseline_value > 0.0
                          ? (std::to_string(encoded_vs_inprocess).c_str())
                          : "null");
         std::fprintf(f,
                      "  \"gates\": {\"bit_identity\": %s, "
                      "\"throughput_positive\": %s, \"shard_sum_ok\": %s, "
-                     "\"raw_offloop_ge_2x_inline\": %s, "
                      "\"encoded_ge_inprocess\": %s}\n",
                      all_identical ? "true" : "false",
                      rows.empty() || rows[0].st.qps > 0.0 ? "true" : "false",
                      all_shards_ok ? "true" : "false",
-                     raw_vs_inline >= 2.0 ? "true" : "false",
                      (!have_baseline || encoded_vs_inprocess >= 1.0) ? "true"
                                                                      : "false");
         std::fprintf(f, "}\n");
@@ -626,7 +604,7 @@ int main() {
     if (!open_json()) return 1;
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"bench\": \"serve\",\n");
-    std::fprintf(f, "  \"schema_version\": 4,\n");
+    std::fprintf(f, "  \"schema_version\": 5,\n");
     std::fprintf(f,
                  "  \"workload\": {\"dim\": %zu, \"classes\": %zu, "
                  "\"connections\": %zu, \"requests_per_connection\": %zu, "

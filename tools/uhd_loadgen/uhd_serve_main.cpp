@@ -6,14 +6,14 @@
 //   UHD_SERVE_PORT=7548 ./uhd_serve &
 //   ./uhd_loadgen
 //
+// Raw-feature queries are encoded by the engine's workers, one batch
+// encode per drained micro-batch; the reactors never encode.
+//
 // Knobs (see README.md): UHD_SERVE_PORT, UHD_SERVE_BACKLOG,
 // UHD_SERVE_INFLIGHT, UHD_SERVE_WORKERS, UHD_SERVE_BATCH,
 // UHD_SERVE_PUBLISH_EVERY, UHD_SERVE_DYNAMIC, UHD_SERVE_PORT_FILE,
-// UHD_SERVE_INLINE_ENCODE (encode raw queries on the reactor thread —
-// the pre-encode-stage baseline — instead of the engine's off-loop
-// batched stage), UHD_NET_REACTORS / UHD_AFFINITY (resolved by the
-// server/engine), UHD_BENCH_SERVE_DIM (workload geometry, shared with
-// the loadgen).
+// UHD_NET_REACTORS / UHD_AFFINITY (resolved by the server/engine),
+// UHD_BENCH_SERVE_DIM (workload geometry, shared with the loadgen).
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -50,12 +50,7 @@ int main() {
     serve::engine_options engine_options;
     engine_options.workers = env_count("UHD_SERVE_WORKERS", 2);
     engine_options.max_batch = env_count("UHD_SERVE_BATCH", 32);
-    // Off-loop raw-query encoding is the default: the engine workers
-    // batch-encode raw payloads via encode_batch. UHD_SERVE_INLINE_ENCODE
-    // reverts to encoding inline on the reactor thread (the baseline the
-    // encode-stage speedup is measured against).
-    const bool inline_encode = env_bool("UHD_SERVE_INLINE_ENCODE", false);
-    if (!inline_encode) engine_options.encoder = &work.model.encoder();
+    engine_options.encoder = &work.model.encoder();
 
     // The engine is either plain (full scan only; predict_dynamic frames
     // get an `unsupported` error) or policy-configured (both opcodes
@@ -81,13 +76,11 @@ int main() {
     server.start();
 
     std::printf("uhd_serve: backend=%s dim=%zu classes=%zu port=%u reactors=%zu "
-                "workers=%zu batch=%zu inflight_cap=%zu dynamic=%d "
-                "inline_encode=%d\n",
+                "workers=%zu batch=%zu inflight_cap=%zu dynamic=%d\n",
                 kernels::active().name, work.dim,
                 static_cast<std::size_t>(work.train.num_classes()),
                 server.port(), server.reactor_count(), engine_options.workers,
-                engine_options.max_batch, options.inflight_cap, dynamic ? 1 : 0,
-                inline_encode ? 1 : 0);
+                engine_options.max_batch, options.inflight_cap, dynamic ? 1 : 0);
     std::fflush(stdout);
 
     // Readiness file: written only after start() succeeded, so a waiting
