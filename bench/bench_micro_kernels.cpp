@@ -1,16 +1,14 @@
-// Kernel micro-benchmarks (google-benchmark): the per-operation costs
-// behind Table I's runtime rows — comparator styles, encode kernels
-// (scalar oracle vs word-parallel), sequence generation, and similarity
-// search.
-//
-// The custom main() additionally runs three direct throughput measurements
-// and writes machine-readable results (schemas in bench/README.md):
+// The one timing harness: encode, train and inference throughput, and the
+// per-backend kernels under them. Every timed row is the median of a fixed
+// sample count with its quartiles (bench::time_median). Writes three
+// machine-readable files (schemas in bench/README.md) and exits nonzero
+// when a correctness gate fails or a file cannot be written:
 //  * encode on 28x28 synthetic MNIST-shaped images at D=1024 (scalar vs
 //    word-parallel vs batched vs packed vs packed with no level-0 pixel vs
 //    pool-parallel vs rematerializing, each with its level-0 pixel share),
-//    plus a
-//    stored-vs-rematerialize footprint + throughput D-sweep past LLC with
-//    bit-identity and >= 100x threshold-state reduction as hard gates
+//    a stored-vs-rematerialize footprint + throughput D-sweep past LLC with
+//    bit-identity and >= 100x threshold-state reduction as hard gates, and
+//    the bit-plane count and its int32 finisher on every admissible backend
 //    -> BENCH_encode.json (override the path with UHD_BENCH_JSON, workload
 //    with UHD_BENCH_IMAGES);
 //  * training on the same MNIST-shaped workload (seed sequential loop vs
@@ -21,430 +19,52 @@
 //    per-class-cosine path vs the packed associative-memory engine, both
 //    query modes, plus the calibrated dynamic-dimension cascade with its
 //    agreement/scan gates, plus the multi-query blocked path over a
-//    many-class memory at block sizes 1/4/8/16/32, identity-checked and
-//    speedup-gated) -> BENCH_inference.json (override with
-//    UHD_BENCH_INFER_JSON, workload with UHD_BENCH_QUERIES /
-//    UHD_BENCH_BLOCK_CLASSES / UHD_BENCH_BLOCK_QUERIES).
-#include <benchmark/benchmark.h>
-
+//    4096-class memory at block sizes 1/4/8/16/32, identity-checked and
+//    speedup-gated), and sign-binarize and the associative search on every
+//    admissible backend -> BENCH_inference.json (override with
+//    UHD_BENCH_INFER_JSON, workload with UHD_BENCH_QUERIES).
 #include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "uhd/bitstream/unary.hpp"
 #include "uhd/common/config.hpp"
 #include "uhd/common/cpu_features.hpp"
 #include "uhd/common/kernels.hpp"
-#include "uhd/common/simd.hpp"
-#include "uhd/common/stopwatch.hpp"
+#include "uhd/common/rng.hpp"
 #include "uhd/common/thread_pool.hpp"
-#include "uhd/core/binarizer.hpp"
 #include "uhd/core/encoder.hpp"
 #include "uhd/data/synthetic.hpp"
-#include "uhd/common/rng.hpp"
-#include "uhd/hdc/baseline_encoder.hpp"
 #include "uhd/hdc/class_memory.hpp"
 #include "uhd/hdc/classifier.hpp"
 #include "uhd/hdc/hypervector.hpp"
 #include "uhd/hdc/similarity.hpp"
-#include "uhd/lowdisc/lfsr.hpp"
-#include "uhd/lowdisc/sobol.hpp"
 
 namespace {
 
 using namespace uhd;
 
-const data::dataset& digits() {
-    static const data::dataset ds = data::make_synthetic_digits(16, 5);
-    return ds;
+// --- JSON output ----------------------------------------------------------
+
+/// Write one BENCH_*.json through `body`. A failed open, write or close
+/// fails the run: returns false after naming the file.
+template <typename Fn>
+[[nodiscard]] bool write_json_file(const std::string& path, const Fn& body) {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    bool ok = f != nullptr;
+    if (ok) {
+        body(f);
+        ok = std::ferror(f) == 0;
+        ok = std::fclose(f) == 0 && ok;
+    }
+    if (!ok) {
+        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+        return false;
+    }
+    std::printf("# wrote %s\n", path.c_str());
+    return true;
 }
-
-void BM_UnaryComparatorGateLevel(benchmark::State& state) {
-    const auto a = bs::unary_encode(7, 16);
-    const auto b = bs::unary_encode(11, 16);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(bs::unary_compare_geq(a, b));
-    }
-}
-BENCHMARK(BM_UnaryComparatorGateLevel);
-
-void BM_QuantizedIntegerCompare(benchmark::State& state) {
-    // The fast-path equivalent of the unary comparator (one byte compare).
-    volatile std::uint8_t a = 7;
-    volatile std::uint8_t b = 11;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(a >= b);
-    }
-}
-BENCHMARK(BM_QuantizedIntegerCompare);
-
-void BM_GeqKernelReference(benchmark::State& state) {
-    // The pinned byte-at-a-time oracle: the baseline every speedup claim
-    // is measured against.
-    const auto dim = static_cast<std::size_t>(state.range(0));
-    std::vector<std::uint8_t> thresholds(dim);
-    for (std::size_t d = 0; d < dim; ++d) thresholds[d] = d % 16;
-    std::vector<std::uint16_t> tile(dim, 0);
-    for (auto _ : state) {
-        simd::geq_accumulate_reference(7, thresholds.data(), dim, tile.data());
-        benchmark::DoNotOptimize(tile.data());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(dim));
-}
-BENCHMARK(BM_GeqKernelReference)->Arg(1024)->Arg(8192);
-
-// Per-backend benchmarks of the registry tables themselves (one set per
-// admissible backend, registered dynamically in main — see
-// register_backend_benchmarks). `table` is the backend under test.
-
-/// The production stored-bank encode kernel: a 784-pixel bank of dim
-/// thresholds as M = 4 bit planes (xi = 16), range(1) of its pixels listed
-/// (spread evenly, ascending) on a base count, counted into bit-sliced
-/// counters. 784 listed is the dense count every image paid before the
-/// level-0 skip; 349 is the median active count of the synthetic digits.
-void BM_BackendPlaneCount(benchmark::State& state, const kernels::kernel_table* table) {
-    const auto dim = static_cast<std::size_t>(state.range(0));
-    const auto n_active = static_cast<std::size_t>(state.range(1));
-    const std::size_t pixels = 784;
-    const std::size_t m = 4;
-    const std::size_t words = kernels::sign_words(dim);
-    const std::size_t n_planes = kernels::count_planes(pixels);
-    std::vector<std::uint64_t> planes(pixels * m * words);
-    xoshiro256ss rng(9);
-    for (auto& w : planes) w = rng.next();
-    std::vector<kernels::active_pixel> active(n_active);
-    for (std::size_t i = 0; i < n_active; ++i) {
-        active[i] = {static_cast<std::uint32_t>(i * pixels / n_active),
-                     static_cast<std::uint32_t>(i % 15)};
-    }
-    // A base well inside the contract (base + n_active <= pixels).
-    std::vector<std::uint64_t> base(n_planes * words, 0);
-    for (std::size_t w = 0; w < words; ++w) base[w] = rng.next();
-    std::vector<std::uint64_t> counters(n_planes * words);
-    for (auto _ : state) {
-        table->geq_plane_count(active.data(), n_active, pixels, planes.data(), m, words,
-                               base.data(), counters.data());
-        benchmark::DoNotOptimize(counters.data());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(n_active * dim));
-}
-
-/// The int32 finisher over a 784-pixel count (10 counter planes).
-void BM_BackendPlaneCountCenter(benchmark::State& state,
-                                const kernels::kernel_table* table) {
-    const auto dim = static_cast<std::size_t>(state.range(0));
-    const std::size_t words = kernels::sign_words(dim);
-    const std::size_t n_planes = kernels::count_planes(784);
-    std::vector<std::uint64_t> counters(n_planes * words);
-    xoshiro256ss rng(10);
-    for (auto& w : counters) w = rng.next();
-    std::vector<std::int32_t> out(dim);
-    for (auto _ : state) {
-        table->plane_count_center(counters.data(), n_planes, words, dim, 784,
-                                  out.data());
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(dim));
-}
-
-/// Random packed memory of `classes` rows plus one query, `words` each.
-struct packed_search_case {
-    std::vector<std::uint64_t> memory;
-    std::vector<std::uint64_t> query;
-
-    packed_search_case(std::size_t classes, std::size_t words)
-        : memory(classes * words), query(words) {
-        xoshiro256ss rng(5);
-        for (auto& w : memory) w = rng.next();
-        for (auto& w : query) w = rng.next();
-    }
-};
-
-/// One-query associative search over the first D / range(1) bits of every
-/// row (range(0) = full D): divisor 1 is class_memory::nearest, 8 the first
-/// window of the dynamic-dimension cascade.
-void BM_BackendHammingSearch(benchmark::State& state,
-                             const kernels::kernel_table* table) {
-    const auto dim = static_cast<std::size_t>(state.range(0));
-    const auto divisor = static_cast<std::size_t>(state.range(1));
-    const std::size_t classes = 10;
-    const std::size_t words = kernels::sign_words(dim);
-    const std::size_t window = std::max<std::size_t>(1, words / divisor);
-    const packed_search_case c(classes, words);
-    kernels::argmin2_result r{};
-    for (auto _ : state) {
-        table->hamming_block_argmin2_prefix(c.query.data(), words, 1,
-                                            c.memory.data(), words, window, classes,
-                                            &r);
-        benchmark::DoNotOptimize(r);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(classes * window * 64));
-}
-
-/// One BM_BackendPlaneCount / BM_BackendPlaneCountCenter /
-/// BM_BackendHammingSearch set per backend the probe admits on this
-/// machine, so the per-ISA cost is visible in one run.
-void register_backend_benchmarks() {
-    for (const kernels::kernel_table* table : kernels::admissible_backends()) {
-        const std::string suffix = std::string("_") + table->name;
-        benchmark::RegisterBenchmark(("BM_BackendPlaneCount" + suffix).c_str(),
-                                     BM_BackendPlaneCount, table)
-            ->Args({1024, 784})
-            ->Args({8192, 784})
-            ->Args({1024, 349})
-            ->Args({8192, 349});
-        benchmark::RegisterBenchmark(("BM_BackendPlaneCountCenter" + suffix).c_str(),
-                                     BM_BackendPlaneCountCenter, table)
-            ->Arg(1024)
-            ->Arg(8192);
-        benchmark::RegisterBenchmark(("BM_BackendHammingSearch" + suffix).c_str(),
-                                     BM_BackendHammingSearch, table)
-            ->Args({1024, 1})
-            ->Args({8192, 1})
-            ->Args({1024, 8})
-            ->Args({8192, 8});
-    }
-}
-
-void BM_UhdEncodeScalar(benchmark::State& state) {
-    const auto dim = static_cast<std::size_t>(state.range(0));
-    core::uhd_config cfg;
-    cfg.dim = dim;
-    const core::uhd_encoder enc(cfg, digits().shape());
-    std::vector<std::int32_t> acc(dim);
-    std::size_t i = 0;
-    for (auto _ : state) {
-        enc.encode_scalar(digits().image(i++ % digits().size()), acc);
-        benchmark::DoNotOptimize(acc.data());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(dim * digits().shape().pixels()));
-}
-BENCHMARK(BM_UhdEncodeScalar)->Arg(1024)->Arg(8192);
-
-void BM_UhdEncode(benchmark::State& state) {
-    const auto dim = static_cast<std::size_t>(state.range(0));
-    core::uhd_config cfg;
-    cfg.dim = dim;
-    const core::uhd_encoder enc(cfg, digits().shape());
-    std::vector<std::int32_t> acc(dim);
-    std::size_t i = 0;
-    for (auto _ : state) {
-        enc.encode(digits().image(i++ % digits().size()), acc);
-        benchmark::DoNotOptimize(acc.data());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(dim * digits().shape().pixels()));
-}
-BENCHMARK(BM_UhdEncode)->Arg(1024)->Arg(8192);
-
-void BM_UhdEncodeSign(benchmark::State& state) {
-    // The packed encode: sign words straight from the bit-sliced counts.
-    const auto dim = static_cast<std::size_t>(state.range(0));
-    core::uhd_config cfg;
-    cfg.dim = dim;
-    const core::uhd_encoder enc(cfg, digits().shape());
-    std::vector<std::uint64_t> words(kernels::sign_words(dim));
-    std::size_t i = 0;
-    for (auto _ : state) {
-        enc.encode_sign_batch(digits().image(i++ % digits().size()), 1, words);
-        benchmark::DoNotOptimize(words.data());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(dim * digits().shape().pixels()));
-}
-BENCHMARK(BM_UhdEncodeSign)->Arg(1024)->Arg(8192);
-
-void BM_UhdRematEncode(benchmark::State& state) {
-    const auto dim = static_cast<std::size_t>(state.range(0));
-    core::uhd_config cfg;
-    cfg.dim = dim;
-    cfg.bank = bank_mode::rematerialize;
-    const core::uhd_encoder enc(cfg, digits().shape());
-    std::vector<std::int32_t> acc(dim);
-    std::size_t i = 0;
-    for (auto _ : state) {
-        enc.encode(digits().image(i++ % digits().size()), acc);
-        benchmark::DoNotOptimize(acc.data());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(dim * digits().shape().pixels()));
-}
-BENCHMARK(BM_UhdRematEncode)->Arg(1024)->Arg(8192);
-
-void BM_UhdEncodeBatch(benchmark::State& state) {
-    const auto dim = static_cast<std::size_t>(state.range(0));
-    core::uhd_config cfg;
-    cfg.dim = dim;
-    const core::uhd_encoder enc(cfg, digits().shape());
-    std::vector<std::int32_t> out(digits().size() * dim);
-    for (auto _ : state) {
-        enc.encode_batch(digits(), out);
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(digits().size() * dim *
-                                                      digits().shape().pixels()));
-}
-BENCHMARK(BM_UhdEncodeBatch)->Arg(1024);
-
-void BM_BaselineEncode(benchmark::State& state) {
-    const auto dim = static_cast<std::size_t>(state.range(0));
-    hdc::baseline_config cfg;
-    cfg.dim = dim;
-    const hdc::baseline_encoder enc(cfg, digits().shape());
-    std::vector<std::int32_t> acc(dim);
-    std::size_t i = 0;
-    for (auto _ : state) {
-        enc.encode(digits().image(i++ % digits().size()), acc);
-        benchmark::DoNotOptimize(acc.data());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(dim * digits().shape().pixels()));
-}
-BENCHMARK(BM_BaselineEncode)->Arg(1024)->Arg(8192);
-
-void BM_SobolSequenceNext(benchmark::State& state) {
-    const auto table = ld::sobol_directions::standard(4);
-    ld::sobol_sequence seq(table.direction_numbers(3));
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(seq.next_fraction());
-    }
-}
-BENCHMARK(BM_SobolSequenceNext);
-
-void BM_LfsrStep(benchmark::State& state) {
-    ld::lfsr reg(32, 0xACE1, ld::lfsr_kind::fibonacci);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(reg.step());
-    }
-}
-BENCHMARK(BM_LfsrStep);
-
-void BM_QuantizedBankBuild(benchmark::State& state) {
-    const auto table = ld::sobol_directions::standard(64);
-    for (auto _ : state) {
-        ld::quantized_sobol_bank bank(table, 64, 1024, 16);
-        benchmark::DoNotOptimize(bank.row(0).data());
-    }
-}
-BENCHMARK(BM_QuantizedBankBuild);
-
-void BM_HypervectorCosine(benchmark::State& state) {
-    const auto dim = static_cast<std::size_t>(state.range(0));
-    xoshiro256ss rng(3);
-    const hdc::hypervector a = hdc::hypervector::random(dim, rng);
-    const hdc::hypervector b = hdc::hypervector::random(dim, rng);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(hdc::cosine(a, b));
-    }
-}
-BENCHMARK(BM_HypervectorCosine)->Arg(1024)->Arg(8192);
-
-void BM_PackedQueryCosine(benchmark::State& state) {
-    // The fixed inner loop of integer-mode inference: packed query against
-    // an int32 class accumulator (word-level sign masks).
-    const auto dim = static_cast<std::size_t>(state.range(0));
-    xoshiro256ss rng(3);
-    const hdc::hypervector query = hdc::hypervector::random(dim, rng);
-    std::vector<std::int32_t> cls(dim);
-    for (auto& v : cls) v = static_cast<std::int32_t>(rng.next() % 2001) - 1000;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            hdc::cosine(query, std::span<const std::int32_t>(cls)));
-    }
-}
-BENCHMARK(BM_PackedQueryCosine)->Arg(1024)->Arg(8192);
-
-void BM_SignBinarizeReference(benchmark::State& state) {
-    const auto dim = static_cast<std::size_t>(state.range(0));
-    xoshiro256ss rng(4);
-    std::vector<std::int32_t> values(dim);
-    for (auto& v : values) v = static_cast<std::int32_t>(rng.next() % 2001) - 1000;
-    std::vector<std::uint64_t> words(kernels::sign_words(dim));
-    for (auto _ : state) {
-        simd::sign_binarize_reference(values.data(), dim, words.data());
-        benchmark::DoNotOptimize(words.data());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(dim));
-}
-BENCHMARK(BM_SignBinarizeReference)->Arg(1024)->Arg(8192);
-
-void BM_SignBinarize(benchmark::State& state) {
-    const auto dim = static_cast<std::size_t>(state.range(0));
-    xoshiro256ss rng(4);
-    std::vector<std::int32_t> values(dim);
-    for (auto& v : values) v = static_cast<std::int32_t>(rng.next() % 2001) - 1000;
-    std::vector<std::uint64_t> words(kernels::sign_words(dim));
-    for (auto _ : state) {
-        kernels::sign_binarize(values.data(), dim, words.data());
-        benchmark::DoNotOptimize(words.data());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(dim));
-}
-BENCHMARK(BM_SignBinarize)->Arg(1024)->Arg(8192);
-
-void BM_HammingSearchReference(benchmark::State& state) {
-    // The pinned scalar oracle of the one-query search.
-    const auto dim = static_cast<std::size_t>(state.range(0));
-    const std::size_t classes = 10;
-    const std::size_t words = kernels::sign_words(dim);
-    const packed_search_case c(classes, words);
-    kernels::argmin2_result r{};
-    for (auto _ : state) {
-        simd::hamming_block_argmin2_prefix_reference(c.query.data(), words, 1,
-                                                     c.memory.data(), words, words,
-                                                     classes, &r);
-        benchmark::DoNotOptimize(r);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(classes * dim));
-}
-BENCHMARK(BM_HammingSearchReference)->Arg(1024)->Arg(8192);
-
-void BM_BlockedDotI32(benchmark::State& state) {
-    const auto dim = static_cast<std::size_t>(state.range(0));
-    xoshiro256ss rng(6);
-    std::vector<std::int32_t> a(dim);
-    std::vector<std::int32_t> b(dim);
-    for (auto& v : a) v = static_cast<std::int32_t>(rng.next() % 2001) - 1000;
-    for (auto& v : b) v = static_cast<std::int32_t>(rng.next() % 2001) - 1000;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(kernels::dot_i32(a.data(), b.data(), dim));
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(dim));
-}
-BENCHMARK(BM_BlockedDotI32)->Arg(1024)->Arg(8192);
-
-void BM_PopcountBinarizerFeed(benchmark::State& state) {
-    for (auto _ : state) {
-        core::popcount_binarizer bin(784);
-        for (std::size_t i = 0; i < 784; ++i) bin.feed((i & 3) == 0);
-        benchmark::DoNotOptimize(bin.sign_bit());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 784);
-}
-BENCHMARK(BM_PopcountBinarizerFeed);
-
-void BM_UstFetch(benchmark::State& state) {
-    const bs::unary_stream_table ust(16, 16);
-    std::size_t q = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(ust.fetch(q++ % 16));
-    }
-}
-BENCHMARK(BM_UstFetch);
-
-// --- direct encode-throughput comparison + BENCH_encode.json --------------
 
 /// Shared "backend" block of every BENCH_*.json: which kernel backend the
 /// run selected, the UHD_BACKEND override in effect (null when unset), the
@@ -470,15 +90,205 @@ void write_backend_json(std::FILE* f) {
     std::fprintf(f, "]},\n");
 }
 
+/// A timed row's `key`: its sample count, quartiles and median in seconds.
+void write_timing(std::FILE* f, const char* key, const bench::timing& t) {
+    std::fprintf(f,
+                 "\"%s\": {\"samples\": %zu, \"q1\": %.6g, \"median\": %.6g, "
+                 "\"q3\": %.6g}",
+                 key, bench::timing_samples, t.q1, t.median, t.q3);
+}
+
+// --- per-backend kernels ----------------------------------------------------
+//
+// Each admissible backend's table is called directly, so the per-ISA cost
+// of the encode, binarize and search layers is visible in one run whatever
+// backend the process selected.
+
+/// One timed call shape of a kernel: `dim` dimensions and, for a kernel
+/// whose series names one, a second size (listed pixels, prefix words).
+struct kernel_point {
+    std::size_t dim;
+    std::size_t param;
+    bench::timing seconds; ///< per call
+};
+
+struct kernel_series {
+    const char* kernel;
+    const char* param_name; ///< nullptr: the kernel takes dim only
+    std::vector<kernel_point> points;
+};
+
+/// One backend's kernel timings.
+struct kernel_row {
+    const char* backend;
+    std::vector<kernel_series> series;
+};
+
+void print_kernel_rows(const std::vector<kernel_row>& rows) {
+    for (const kernel_row& row : rows) {
+        for (const kernel_series& s : row.series) {
+            for (const kernel_point& p : s.points) {
+                std::string shape = "D=" + std::to_string(p.dim);
+                if (s.param_name != nullptr) {
+                    shape += std::string(" ") + s.param_name + "=" + std::to_string(p.param);
+                }
+                std::printf("%-7s %-29s %-24s %10.3f us  (q1 %.3f, q3 %.3f)\n",
+                            row.backend, s.kernel, shape.c_str(), p.seconds.median * 1e6,
+                            p.seconds.q1 * 1e6, p.seconds.q3 * 1e6);
+            }
+        }
+    }
+}
+
+void write_kernels_json(std::FILE* f, const std::vector<kernel_row>& rows) {
+    std::fprintf(f, "  \"kernels\": [\n");
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+        std::fprintf(f, "    {\"backend\": \"%s\"", rows[r].backend);
+        for (const kernel_series& s : rows[r].series) {
+            std::fprintf(f, ",\n     \"%s\": [", s.kernel);
+            for (std::size_t i = 0; i < s.points.size(); ++i) {
+                const kernel_point& p = s.points[i];
+                std::fprintf(f, "\n       {\"dim\": %zu, ", p.dim);
+                if (s.param_name != nullptr) {
+                    std::fprintf(f, "\"%s\": %zu, ", s.param_name, p.param);
+                }
+                write_timing(f, "seconds", p.seconds);
+                std::fprintf(f, "}%s", i + 1 < s.points.size() ? "," : "]");
+            }
+        }
+        std::fprintf(f, "}%s\n", r + 1 < rows.size() ? "," : "");
+    }
+    std::fprintf(f, "  ],\n");
+}
+
+/// The stored-bank encode count: a 784-pixel bank of `dim` thresholds as
+/// M = 4 bit planes (xi = 16), `listed` of its pixels (spread evenly,
+/// ascending) counted on a base into bit-sliced counters. 784 listed is
+/// the dense count every image paid before the level-0 skip; 349 is the
+/// median active count of the synthetic digits.
+bench::timing time_plane_count(const kernels::kernel_table& table, std::size_t dim,
+                               std::size_t listed) {
+    const std::size_t pixels = 784;
+    const std::size_t m = 4;
+    const std::size_t words = kernels::sign_words(dim);
+    const std::size_t n_planes = kernels::count_planes(pixels);
+    std::vector<std::uint64_t> planes(pixels * m * words);
+    xoshiro256ss rng(9);
+    for (auto& w : planes) w = rng.next();
+    std::vector<kernels::active_pixel> active(listed);
+    for (std::size_t i = 0; i < listed; ++i) {
+        active[i] = {static_cast<std::uint32_t>(i * pixels / listed),
+                     static_cast<std::uint32_t>(i % 15)};
+    }
+    // A base well inside the contract (base + listed <= pixels).
+    std::vector<std::uint64_t> base(n_planes * words, 0);
+    for (std::size_t w = 0; w < words; ++w) base[w] = rng.next();
+    std::vector<std::uint64_t> counters(n_planes * words);
+    return bench::time_median([&] {
+        table.geq_plane_count(active.data(), listed, pixels, planes.data(), m, words,
+                              base.data(), counters.data());
+    });
+}
+
+/// The int32 finisher over a 784-pixel count (10 counter planes).
+bench::timing time_plane_count_center(const kernels::kernel_table& table,
+                                      std::size_t dim) {
+    const std::size_t words = kernels::sign_words(dim);
+    const std::size_t n_planes = kernels::count_planes(784);
+    std::vector<std::uint64_t> counters(n_planes * words);
+    xoshiro256ss rng(10);
+    for (auto& w : counters) w = rng.next();
+    std::vector<std::int32_t> out(dim);
+    return bench::time_median([&] {
+        table.plane_count_center(counters.data(), n_planes, words, dim, 784, out.data());
+    });
+}
+
+bench::timing time_sign_binarize(const kernels::kernel_table& table, std::size_t dim) {
+    xoshiro256ss rng(4);
+    std::vector<std::int32_t> values(dim);
+    for (auto& v : values) v = static_cast<std::int32_t>(rng.next() % 2001) - 1000;
+    std::vector<std::uint64_t> words(kernels::sign_words(dim));
+    return bench::time_median(
+        [&] { table.sign_binarize(values.data(), dim, words.data()); });
+}
+
+/// Classes of the one-query search: the digits memory.
+constexpr std::size_t search_classes = 10;
+
+/// One-query associative search over the first `prefix_words` words of
+/// every row of a random packed memory: the full row is
+/// class_memory::nearest, D/8 the first window of the dynamic cascade.
+bench::timing time_search(const kernels::kernel_table& table, std::size_t dim,
+                          std::size_t prefix_words) {
+    const std::size_t words = kernels::sign_words(dim);
+    std::vector<std::uint64_t> memory(search_classes * words);
+    std::vector<std::uint64_t> query(words);
+    xoshiro256ss rng(5);
+    for (auto& w : memory) w = rng.next();
+    for (auto& w : query) w = rng.next();
+    kernels::argmin2_result r{};
+    return bench::time_median([&] {
+        table.hamming_block_argmin2_prefix(query.data(), words, 1, memory.data(), words,
+                                           prefix_words, search_classes, &r);
+    });
+}
+
+[[nodiscard]] std::vector<kernel_row> time_encode_kernels() {
+    std::vector<kernel_row> rows;
+    for (const kernels::kernel_table* table : kernels::admissible_backends()) {
+        kernel_series count{"geq_plane_count", "listed", {}};
+        kernel_series center{"plane_count_center", nullptr, {}};
+        for (const std::size_t dim : {1024u, 8192u}) {
+            for (const std::size_t listed : {784u, 349u}) {
+                count.points.push_back(
+                    {dim, listed, time_plane_count(*table, dim, listed)});
+            }
+            center.points.push_back({dim, 0, time_plane_count_center(*table, dim)});
+        }
+        rows.push_back({table->name, {count, center}});
+    }
+    return rows;
+}
+
+[[nodiscard]] std::vector<kernel_row> time_inference_kernels() {
+    std::vector<kernel_row> rows;
+    for (const kernels::kernel_table* table : kernels::admissible_backends()) {
+        kernel_series binarize{"sign_binarize", nullptr, {}};
+        kernel_series search{"hamming_block_argmin2_prefix", "prefix_words", {}};
+        for (const std::size_t dim : {1024u, 8192u}) {
+            binarize.points.push_back({dim, 0, time_sign_binarize(*table, dim)});
+            const std::size_t words = kernels::sign_words(dim);
+            for (const std::size_t prefix : {words, words / 8}) {
+                search.points.push_back({dim, prefix, time_search(*table, dim, prefix)});
+            }
+        }
+        rows.push_back({table->name, {binarize, search}});
+    }
+    return rows;
+}
+
+// --- encode throughput + BENCH_encode.json ----------------------------------
+
 struct throughput_entry {
     std::string name;
     std::size_t threads;
-    double seconds;
+    bench::timing seconds; ///< per pass over the workload's images
     double images_per_s;
     double gb_per_s;
     double speedup_vs_scalar;
     double level0_share; ///< share of the entry's pixels at quantized level 0
 };
+
+/// Median seconds to encode the first `n` images of `ds` one at a time
+/// through the word-parallel single-image path.
+bench::timing time_encode(const core::uhd_encoder& enc, const data::dataset& ds,
+                          std::size_t n) {
+    std::vector<std::int32_t> acc(enc.dim());
+    return bench::time_median([&] {
+        for (std::size_t i = 0; i < n; ++i) enc.encode(ds.image(i), acc);
+    });
+}
 
 /// Share of the pixels of the first `n` images that quantize to level 0 —
 /// the pixels the stored encode skips.
@@ -521,6 +331,8 @@ struct sweep_row {
     std::size_t remat_bytes;
     double reduction;
     double stored_reduction;
+    bench::timing stored_seconds; ///< per image
+    bench::timing remat_seconds;  ///< per image
     double stored_img_per_s;
     double remat_img_per_s;
     double stored_gcmp_per_s;
@@ -528,12 +340,11 @@ struct sweep_row {
     bool identical;
 };
 
-/// Hard gates of the encode JSON (schema v5): remat output bit-identical
-/// to stored at every swept D, and >= 100x threshold-state reduction at
-/// the paper's 784 x 8192 point, measured against the 8-bit bank
-/// (pixels x D bytes) the bound was set on. throughput_hold is reported
-/// alongside:
-/// remat compare-rate at the largest D (bank far past LLC) relative to the
+/// Hard gates of the encode JSON: remat output bit-identical to stored at
+/// every swept D, and >= 100x threshold-state reduction at the paper's
+/// 784 x 8192 point, measured against the 8-bit bank (pixels x D bytes)
+/// the bound was set on. throughput_hold is reported alongside: remat
+/// compare-rate at the largest D (bank far past LLC) relative to the
 /// smallest D.
 struct encode_gates {
     bool bit_identity;
@@ -541,18 +352,15 @@ struct encode_gates {
     double throughput_hold;
 };
 
-void write_json(const std::string& path, const data::image_shape& shape,
-                std::size_t dim, unsigned quant_levels, std::size_t images,
-                const std::vector<throughput_entry>& entries,
-                const std::vector<sweep_row>& sweep, const encode_gates& gates) {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return;
-    }
+void write_encode_json(std::FILE* f, const data::image_shape& shape, std::size_t dim,
+                       unsigned quant_levels, std::size_t images,
+                       const std::vector<throughput_entry>& entries,
+                       const std::vector<sweep_row>& sweep,
+                       const std::vector<kernel_row>& kernel_rows,
+                       const encode_gates& gates) {
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"bench\": \"encode\",\n");
-    std::fprintf(f, "  \"schema_version\": 5,\n");
+    std::fprintf(f, "  \"schema_version\": 6,\n");
     std::fprintf(f,
                  "  \"workload\": {\"rows\": %zu, \"cols\": %zu, \"dim\": %zu, "
                  "\"quant_levels\": %u, \"images\": %zu},\n",
@@ -561,12 +369,13 @@ void write_json(const std::string& path, const data::image_shape& shape,
     std::fprintf(f, "  \"entries\": [\n");
     for (std::size_t i = 0; i < entries.size(); ++i) {
         const auto& e = entries[i];
+        std::fprintf(f, "    {\"name\": \"%s\", \"threads\": %zu, ", e.name.c_str(),
+                     e.threads);
+        write_timing(f, "seconds", e.seconds);
         std::fprintf(f,
-                     "    {\"name\": \"%s\", \"threads\": %zu, \"seconds\": %.6f, "
-                     "\"images_per_s\": %.1f, \"gb_per_s\": %.3f, "
+                     ", \"images_per_s\": %.1f, \"gb_per_s\": %.3f, "
                      "\"speedup_vs_scalar\": %.2f, \"level0_share\": %.4f}%s\n",
-                     e.name.c_str(), e.threads, e.seconds, e.images_per_s, e.gb_per_s,
-                     e.speedup_vs_scalar, e.level0_share,
+                     e.images_per_s, e.gb_per_s, e.speedup_vs_scalar, e.level0_share,
                      i + 1 < entries.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
@@ -585,27 +394,29 @@ void write_json(const std::string& path, const data::image_shape& shape,
     std::fprintf(f, "  \"dsweep\": [\n");
     for (std::size_t i = 0; i < sweep.size(); ++i) {
         const auto& r = sweep[i];
+        std::fprintf(f, "    {\"dim\": %zu, ", r.dim);
+        write_timing(f, "stored_seconds", r.stored_seconds);
+        std::fprintf(f, ", ");
+        write_timing(f, "remat_seconds", r.remat_seconds);
         std::fprintf(f,
-                     "    {\"dim\": %zu, \"stored_img_per_s\": %.1f, "
-                     "\"remat_img_per_s\": %.1f, \"stored_gcmp_per_s\": %.3f, "
-                     "\"remat_gcmp_per_s\": %.3f, \"identical\": %s}%s\n",
-                     r.dim, r.stored_img_per_s, r.remat_img_per_s,
-                     r.stored_gcmp_per_s, r.remat_gcmp_per_s,
-                     r.identical ? "true" : "false",
+                     ",\n     \"stored_img_per_s\": %.1f, \"remat_img_per_s\": %.1f, "
+                     "\"stored_gcmp_per_s\": %.3f, \"remat_gcmp_per_s\": %.3f, "
+                     "\"identical\": %s}%s\n",
+                     r.stored_img_per_s, r.remat_img_per_s, r.stored_gcmp_per_s,
+                     r.remat_gcmp_per_s, r.identical ? "true" : "false",
                      i + 1 < sweep.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
+    write_kernels_json(f, kernel_rows);
     std::fprintf(f,
                  "  \"gates\": {\"bit_identity\": %s, \"footprint_100x\": %s, "
                  "\"throughput_hold\": %.3f}\n",
                  gates.bit_identity ? "true" : "false",
                  gates.footprint_100x ? "true" : "false", gates.throughput_hold);
     std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("# wrote %s\n", path.c_str());
 }
 
-int run_encode_throughput() {
+[[nodiscard]] int run_encode_throughput() {
     const std::size_t dim = 1024;
     const auto images_n = std::max<std::size_t>(
         1, static_cast<std::size_t>(env_int("UHD_BENCH_IMAGES", 64)));
@@ -614,19 +425,23 @@ int run_encode_throughput() {
     cfg.dim = dim;
     const core::uhd_encoder enc(cfg, ds.shape());
 
-    const double bytes_per_image = bench::encode_bytes_per_image(enc);
+    // gb_per_s counts threshold compares in units of the 8-bit bank:
+    // pixels x dim bytes per image, the unit every schema version has used.
+    const double bytes_per_image =
+        static_cast<double>(enc.pixels()) * static_cast<double>(enc.dim());
     const double digits_share = level0_share(enc, ds, images_n);
     std::vector<throughput_entry> entries;
 
     const auto record = [&](const std::string& name, std::size_t threads,
-                            double seconds, std::size_t images, double share) {
+                            const bench::timing& seconds, double share) {
         throughput_entry e;
         e.name = name;
         e.threads = threads;
         e.seconds = seconds;
-        e.images_per_s = static_cast<double>(images) / seconds;
+        e.images_per_s = static_cast<double>(images_n) / seconds.median;
         e.gb_per_s = e.images_per_s * bytes_per_image * 1e-9;
-        e.speedup_vs_scalar = entries.empty() ? 1.0 : entries.front().seconds / seconds;
+        e.speedup_vs_scalar =
+            entries.empty() ? 1.0 : entries.front().seconds.median / seconds.median;
         e.level0_share = share;
         entries.push_back(e);
         std::printf("%-28s %8.1f img/s %8.3f GB/s  %5.2fx  level-0 %.3f\n", name.c_str(),
@@ -636,40 +451,49 @@ int run_encode_throughput() {
     std::printf("\n== encode throughput: 28x28, D=%zu, xi=%u, %zu images ==\n", dim,
                 cfg.quant_levels, images_n);
 
-    record("encode_scalar", 1, bench::time_encode_scalar(enc, ds, images_n), images_n,
+    // The speedup baseline: the pinned byte-at-a-time scalar oracle.
+    std::vector<std::int32_t> acc(dim);
+    record("encode_scalar", 1, bench::time_median([&] {
+               for (std::size_t i = 0; i < images_n; ++i) {
+                   enc.encode_scalar(ds.image(i), acc);
+               }
+           }),
            digits_share);
-    record("encode_word_parallel", 1, bench::time_encode_parallel(enc, ds, images_n),
-           images_n, digits_share);
+    record("encode_word_parallel", 1, time_encode(enc, ds, images_n), digits_share);
 
+    const std::vector<std::uint8_t> flat = bench::flat_images(ds, images_n);
     std::vector<std::int32_t> out(images_n * dim);
-    record("encode_batch", 1, bench::time_encode_batch(enc, ds, images_n, out),
-           images_n, digits_share);
+    record("encode_batch", 1,
+           bench::time_median([&] { enc.encode_batch(flat, images_n, out); }),
+           digits_share);
     std::vector<std::uint64_t> packed(images_n * kernels::sign_words(dim));
     record("encode_sign_batch", 1,
-           bench::time_encode_sign_batch(enc, ds, images_n, packed), images_n,
+           bench::time_median([&] { enc.encode_sign_batch(flat, images_n, packed); }),
            digits_share);
     // The same digits with nothing at level 0: what the level-0 skip costs
     // on inputs without the property (the full active list every image).
     const data::dataset no_level0 = without_level0(enc, ds);
-    record("encode_sign_batch_no_level0", 1,
-           bench::time_encode_sign_batch(enc, no_level0, images_n, packed), images_n,
+    const std::vector<std::uint8_t> flat_no_level0 =
+        bench::flat_images(no_level0, images_n);
+    record("encode_sign_batch_no_level0", 1, bench::time_median([&] {
+               enc.encode_sign_batch(flat_no_level0, images_n, packed);
+           }),
            level0_share(enc, no_level0, images_n));
     // parallel_for runs one chunk on the calling thread, so a pool of
     // N-1 workers computes on N threads; `threads` reports compute threads.
     for (const std::size_t threads : {2u, 4u}) {
         thread_pool pool(threads - 1);
         record("encode_batch_pool" + std::to_string(threads), threads,
-               bench::time_encode_batch(enc, ds, images_n, out, &pool), images_n,
+               bench::time_median([&] { enc.encode_batch(flat, images_n, out, &pool); }),
                digits_share);
     }
 
     core::uhd_config remat_cfg = cfg;
     remat_cfg.bank = bank_mode::rematerialize;
     const core::uhd_encoder remat_enc(remat_cfg, ds.shape());
-    record("encode_remat", 1, bench::time_encode_parallel(remat_enc, ds, images_n),
-           images_n, digits_share);
+    record("encode_remat", 1, time_encode(remat_enc, ds, images_n), digits_share);
 
-    const double speedup = entries[0].seconds / entries[1].seconds;
+    const double speedup = entries[0].seconds.median / entries[1].seconds.median;
     std::printf("word-parallel vs scalar single-thread speedup: %.2fx %s\n", speedup,
                 speedup >= 5.0 ? "(target >= 5x: PASS)" : "(target >= 5x: MISS)");
 
@@ -715,13 +539,14 @@ int run_encode_throughput() {
         }
         bit_identity = bit_identity && row.identical;
 
-        const double pixels = static_cast<double>(ds.shape().pixels());
-        row.stored_img_per_s = static_cast<double>(sweep_images) /
-                               bench::time_encode_parallel(stored, ds, sweep_images);
-        row.remat_img_per_s = static_cast<double>(sweep_images) /
-                              bench::time_encode_parallel(remat, ds, sweep_images);
+        const auto per_image = static_cast<double>(sweep_images);
+        row.stored_seconds = time_encode(stored, ds, sweep_images).per(per_image);
+        row.remat_seconds = time_encode(remat, ds, sweep_images).per(per_image);
+        row.stored_img_per_s = 1.0 / row.stored_seconds.median;
+        row.remat_img_per_s = 1.0 / row.remat_seconds.median;
         // Compare-ops/s normalizes out the D-proportional work per image:
         // this is the rate that must hold flat for remat past LLC.
+        const double pixels = static_cast<double>(ds.shape().pixels());
         row.stored_gcmp_per_s =
             row.stored_img_per_s * static_cast<double>(d) * pixels * 1e-9;
         row.remat_gcmp_per_s =
@@ -746,8 +571,15 @@ int run_encode_throughput() {
                 gates.footprint_100x ? "PASS" : "FAIL", sweep.front().dim,
                 sweep.back().dim, gates.throughput_hold);
 
-    write_json(env_string("UHD_BENCH_JSON", "BENCH_encode.json"), ds.shape(), dim,
-               cfg.quant_levels, images_n, entries, sweep, gates);
+    std::printf("\n== encode kernels, every admissible backend (784-pixel bank) ==\n");
+    const std::vector<kernel_row> kernel_rows = time_encode_kernels();
+    print_kernel_rows(kernel_rows);
+
+    const bool written = write_json_file(
+        env_string("UHD_BENCH_JSON", "BENCH_encode.json"), [&](std::FILE* f) {
+            write_encode_json(f, ds.shape(), dim, cfg.quant_levels, images_n, entries,
+                              sweep, kernel_rows, gates);
+        });
     if (!gates.bit_identity) {
         std::fprintf(stderr,
                      "FAIL: rematerialized encode diverged from the stored bank\n");
@@ -758,31 +590,43 @@ int run_encode_throughput() {
                      "FAIL: threshold-state reduction below 100x at 784 x 8192\n");
         return 1;
     }
-    return 0;
+    return written ? 0 : 1;
 }
 
-// --- direct train-throughput comparison + BENCH_train.json ----------------
+// --- train throughput + BENCH_train.json ------------------------------------
 
 struct train_entry {
     std::string name;
     std::size_t threads;
-    double seconds;
+    bench::timing seconds; ///< per fit over the workload's images
     double images_per_s;
     double speedup_vs_seed;
 };
 
-void write_train_json(const std::string& path, const data::image_shape& shape,
-                      std::size_t dim, unsigned quant_levels, std::size_t images,
-                      std::size_t classes, bool deterministic,
-                      const std::vector<train_entry>& entries) {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return;
+/// The seed-era sequential training loop over the first `n` dataset
+/// images: per-image pinned-scalar-oracle encode + bundle into the class
+/// accumulator, then per-class sign binarization — the baseline every
+/// training speedup is measured against. Returns a value of the result so
+/// the loop cannot be elided.
+std::size_t fit_seed(const core::uhd_encoder& enc, const data::dataset& ds,
+                     std::size_t n) {
+    std::vector<hdc::accumulator> acc(ds.num_classes(), hdc::accumulator(enc.dim()));
+    std::vector<std::int32_t> scratch(enc.dim());
+    for (std::size_t i = 0; i < n; ++i) {
+        enc.encode_scalar(ds.image(i), scratch);
+        acc[ds.label(i)].add_values(scratch);
     }
+    std::size_t negatives = 0;
+    for (const auto& a : acc) negatives += a.sign().count_negative();
+    return negatives;
+}
+
+void write_train_json(std::FILE* f, const data::image_shape& shape, std::size_t dim,
+                      unsigned quant_levels, std::size_t images, std::size_t classes,
+                      bool deterministic, const std::vector<train_entry>& entries) {
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"bench\": \"train\",\n");
-    std::fprintf(f, "  \"schema_version\": 2,\n");
+    std::fprintf(f, "  \"schema_version\": 3,\n");
     std::fprintf(f,
                  "  \"workload\": {\"rows\": %zu, \"cols\": %zu, \"dim\": %zu, "
                  "\"quant_levels\": %u, \"images\": %zu, \"classes\": %zu},\n",
@@ -793,15 +637,14 @@ void write_train_json(const std::string& path, const data::image_shape& shape,
     std::fprintf(f, "  \"entries\": [\n");
     for (std::size_t i = 0; i < entries.size(); ++i) {
         const auto& e = entries[i];
-        std::fprintf(f,
-                     "    {\"name\": \"%s\", \"threads\": %zu, \"seconds\": %.6f, "
-                     "\"images_per_s\": %.1f, \"speedup_vs_seed\": %.2f}%s\n",
-                     e.name.c_str(), e.threads, e.seconds, e.images_per_s,
-                     e.speedup_vs_seed, i + 1 < entries.size() ? "," : "");
+        std::fprintf(f, "    {\"name\": \"%s\", \"threads\": %zu, ", e.name.c_str(),
+                     e.threads);
+        write_timing(f, "seconds", e.seconds);
+        std::fprintf(f, ", \"images_per_s\": %.1f, \"speedup_vs_seed\": %.2f}%s\n",
+                     e.images_per_s, e.speedup_vs_seed,
+                     i + 1 < entries.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("# wrote %s\n", path.c_str());
 }
 
 [[nodiscard]] int run_train_throughput() {
@@ -817,17 +660,16 @@ void write_train_json(const std::string& path, const data::image_shape& shape,
     core::uhd_config cfg;
     cfg.dim = dim;
     const core::uhd_encoder enc(cfg, ds.shape());
+    using classifier = hdc::hd_classifier<core::uhd_encoder>;
 
     // Determinism gate before any timing: the parallel engine must be
     // bit-identical to the sequential fit, or its speedup means nothing.
-    hdc::hd_classifier<core::uhd_encoder> clf_seq(enc, ds.num_classes(),
-                                                  hdc::train_mode::raw_sums);
+    classifier clf_seq(enc, ds.num_classes(), hdc::train_mode::raw_sums);
     clf_seq.fit(ds);
     bool deterministic = true;
     {
         thread_pool pool(3);
-        hdc::hd_classifier<core::uhd_encoder> clf_par(enc, ds.num_classes(),
-                                                      hdc::train_mode::raw_sums);
+        classifier clf_par(enc, ds.num_classes(), hdc::train_mode::raw_sums);
         clf_par.fit_parallel(ds, &pool);
         for (std::size_t c = 0; c < clf_seq.classes() && deterministic; ++c) {
             const auto a = clf_seq.class_accumulator(c).values();
@@ -843,13 +685,14 @@ void write_train_json(const std::string& path, const data::image_shape& shape,
 
     std::vector<train_entry> entries;
     const auto record = [&](const std::string& name, std::size_t threads,
-                            double seconds) {
+                            const bench::timing& seconds) {
         train_entry e;
         e.name = name;
         e.threads = threads;
         e.seconds = seconds;
-        e.images_per_s = static_cast<double>(images_n) / seconds;
-        e.speedup_vs_seed = entries.empty() ? 1.0 : entries.front().seconds / seconds;
+        e.images_per_s = static_cast<double>(images_n) / seconds.median;
+        e.speedup_vs_seed =
+            entries.empty() ? 1.0 : entries.front().seconds.median / seconds.median;
         entries.push_back(e);
         std::printf("%-28s %8.1f img/s  %5.2fx\n", name.c_str(), e.images_per_s,
                     e.speedup_vs_seed);
@@ -860,30 +703,25 @@ void write_train_json(const std::string& path, const data::image_shape& shape,
     std::printf("parallel-fit vs sequential fit: %s\n",
                 deterministic ? "bit-identical" : "MISMATCH!");
 
-    record("fit_seed_sequential", 1, bench::time_fit_seed(enc, ds, images_n));
+    record("fit_seed_sequential", 1,
+           bench::time_median([&] { bench::keep(fit_seed(enc, ds, images_n)); }));
+    // A fit adds into the class accumulators, so every sample of one
+    // classifier does the same work.
     {
-        hdc::hd_classifier<core::uhd_encoder> clf(enc, ds.num_classes(),
-                                                  hdc::train_mode::raw_sums);
-        stopwatch watch;
-        clf.fit(ds);
-        record("fit_sequential", 1, watch.seconds());
+        classifier clf(enc, ds.num_classes(), hdc::train_mode::raw_sums);
+        record("fit_sequential", 1, bench::time_median([&] { clf.fit(ds); }));
     }
     {
-        hdc::hd_classifier<core::uhd_encoder> clf(enc, ds.num_classes(),
-                                                  hdc::train_mode::raw_sums);
-        stopwatch watch;
-        clf.fit_parallel(ds, nullptr);
-        record("fit_parallel_1t", 1, watch.seconds());
+        classifier clf(enc, ds.num_classes(), hdc::train_mode::raw_sums);
+        record("fit_parallel_1t", 1,
+               bench::time_median([&] { clf.fit_parallel(ds, nullptr); }));
     }
     double best_parallel_speedup = 0.0;
     for (const std::size_t threads : {2u, 4u}) {
         thread_pool pool(threads - 1);
-        hdc::hd_classifier<core::uhd_encoder> clf(enc, ds.num_classes(),
-                                                  hdc::train_mode::raw_sums);
-        stopwatch watch;
-        clf.fit_parallel(ds, &pool);
+        classifier clf(enc, ds.num_classes(), hdc::train_mode::raw_sums);
         record("fit_parallel_" + std::to_string(threads) + "t", threads,
-               watch.seconds());
+               bench::time_median([&] { clf.fit_parallel(ds, &pool); }));
         best_parallel_speedup =
             std::max(best_parallel_speedup, entries.back().speedup_vs_seed);
     }
@@ -893,19 +731,93 @@ void write_train_json(const std::string& path, const data::image_shape& shape,
                 best_parallel_speedup,
                 speedup_ok ? "(target >= 4x: PASS)" : "(target >= 4x: MISS)");
 
-    write_train_json(env_string("UHD_BENCH_TRAIN_JSON", "BENCH_train.json"),
-                     ds.shape(), dim, cfg.quant_levels, images_n, ds.num_classes(),
-                     deterministic, entries);
-    return deterministic && speedup_ok ? 0 : 1;
+    const bool written = write_json_file(
+        env_string("UHD_BENCH_TRAIN_JSON", "BENCH_train.json"), [&](std::FILE* f) {
+            write_train_json(f, ds.shape(), dim, cfg.quant_levels, images_n,
+                             ds.num_classes(), deterministic, entries);
+        });
+    return deterministic && speedup_ok && written ? 0 : 1;
 }
 
-// --- direct inference-throughput comparison + BENCH_inference.json --------
+// --- inference throughput + BENCH_inference.json ----------------------------
+//
+// Queries are pre-encoded (encode has its own file), so these rows time the
+// pure inference stage: binarize + argmax. The scalar baselines reproduce
+// the seed-era predict exactly: per-element set_bit binarization + one
+// cosine() call per class (binarized mode), and a per-class
+// double-accumulating cosine scan (integer mode).
+
+/// Same trained state as `src` under a different query mode, without a
+/// second training pass (accumulators copied through load_state).
+template <typename Encoder>
+hdc::hd_classifier<Encoder> clone_with_query_mode(const hdc::hd_classifier<Encoder>& src,
+                                                  hdc::query_mode qm) {
+    hdc::hd_classifier<Encoder> out(src.encoder(), src.classes(), src.mode(), qm);
+    std::vector<hdc::accumulator> accs;
+    accs.reserve(src.classes());
+    for (std::size_t c = 0; c < src.classes(); ++c) {
+        accs.push_back(src.class_accumulator(c));
+    }
+    out.load_state(std::move(accs));
+    return out;
+}
+
+/// Seed-era binarized inference over a pre-encoded query: per-element
+/// set_bit + per-class cosine, strict-> first-wins argmax.
+template <typename Classifier>
+std::size_t seed_predict_binarized(const Classifier& clf,
+                                   std::span<const std::int32_t> encoded) {
+    bs::bitstream bits(encoded.size());
+    for (std::size_t d = 0; d < encoded.size(); ++d) {
+        if (encoded[d] < 0) bits.set_bit(d, true);
+    }
+    const hdc::hypervector query(std::move(bits));
+    std::size_t best = 0;
+    double best_similarity = -2.0;
+    for (std::size_t c = 0; c < clf.classes(); ++c) {
+        const double similarity = hdc::cosine(query, clf.class_hypervector(c));
+        if (similarity > best_similarity) {
+            best_similarity = similarity;
+            best = c;
+        }
+    }
+    return best;
+}
+
+/// Seed-era integer inference over a pre-encoded query: one
+/// double-accumulating cosine() per class.
+template <typename Classifier>
+std::size_t seed_predict_integer(const Classifier& clf,
+                                 std::span<const std::int32_t> encoded) {
+    std::size_t best = 0;
+    double best_similarity = -2.0;
+    for (std::size_t c = 0; c < clf.classes(); ++c) {
+        const double similarity =
+            hdc::cosine(encoded, clf.class_accumulator(c).values());
+        if (similarity > best_similarity) {
+            best_similarity = similarity;
+            best = c;
+        }
+    }
+    return best;
+}
+
+/// Median seconds per query of `predict(i)` over queries [0, n).
+template <typename Fn>
+bench::timing time_queries(std::size_t n, const Fn& predict) {
+    return bench::time_median([&] {
+               std::size_t answers = 0;
+               for (std::size_t i = 0; i < n; ++i) answers += predict(i);
+               bench::keep(answers);
+           })
+        .per(static_cast<double>(n));
+}
 
 struct inference_entry {
     std::string name;
     std::string mode;
     std::size_t threads;
-    double seconds;
+    bench::timing seconds; ///< per query
     double queries_per_s;
     double speedup_vs_scalar;
 };
@@ -924,15 +836,18 @@ struct dynamic_report {
 /// One block-size point of the multi-query blocked-inference sweep.
 struct block_entry {
     std::size_t block = 1;          ///< queries per nearest_block call
-    double seconds = 0.0;           ///< seconds per query
+    bench::timing seconds;          ///< per query
     double queries_per_s = 0.0;
     double speedup_vs_per_query = 0.0;
 };
 
-/// Blocked-inference measurements for the inference JSON (schema v4).
+/// The blocked-inference sweep's memory: enough class rows (8 MiB packed
+/// at D=8192) to outgrow the fast caches, and its query count.
+constexpr std::size_t block_classes = 4096;
+constexpr std::size_t block_queries = 128;
+
+/// Blocked-inference measurements for the inference JSON.
 struct block_report {
-    std::size_t classes = 0;
-    std::size_t queries = 0;
     bool identical = true;          ///< block answers == per-query answers
     double best_speedup = 0.0;      ///< max over the sweep
     std::vector<block_entry> entries;
@@ -945,48 +860,44 @@ struct block_report {
 /// Every block answer is checked bit-identical to the per-query one.
 [[nodiscard]] block_report run_block_throughput(std::size_t dim) {
     block_report report;
-    report.classes = std::max<std::size_t>(
-        2, static_cast<std::size_t>(env_int("UHD_BENCH_BLOCK_CLASSES", 4096)));
-    report.queries = std::max<std::size_t>(
-        32, static_cast<std::size_t>(env_int("UHD_BENCH_BLOCK_QUERIES", 128)));
-
     xoshiro256ss rng(0x9e3779b97f4a7c15ull);
-    hdc::class_memory mem(report.classes, dim);
-    for (std::size_t c = 0; c < report.classes; ++c) {
+    hdc::class_memory mem(block_classes, dim);
+    for (std::size_t c = 0; c < block_classes; ++c) {
         mem.store(c, hdc::hypervector::random(dim, rng));
     }
     const std::size_t words = mem.words_per_class();
-    std::vector<std::uint64_t> packed(report.queries * words);
-    for (std::size_t q = 0; q < report.queries; ++q) {
+    std::vector<std::uint64_t> packed(block_queries * words);
+    for (std::size_t q = 0; q < block_queries; ++q) {
         const auto query_words = hdc::hypervector::random(dim, rng).bits().words();
         std::copy(query_words.begin(), query_words.end(),
                   packed.begin() + static_cast<std::ptrdiff_t>(q * words));
     }
-    const auto query = [&](std::size_t q) {
-        return std::span<const std::uint64_t>(packed.data() + q * words, words);
-    };
 
     std::printf("\n== blocked inference (query-GEMM): D=%zu, %zu classes "
                 "(%.1f MiB packed), %zu queries ==\n",
-                dim, report.classes,
-                static_cast<double>(report.classes * words * 8) / (1024.0 * 1024.0),
-                report.queries);
+                dim, block_classes,
+                static_cast<double>(block_classes * words * 8) / (1024.0 * 1024.0),
+                block_queries);
 
-    std::vector<std::size_t> per_query(report.queries);
-    std::size_t sink = 0;
-    const double per_query_s = bench::time_inference(
-        report.queries,
-        [&](std::size_t q) { return per_query[q] = mem.nearest(query(q)); }, sink);
-    report.entries.push_back(
-        {1, per_query_s, 1.0 / per_query_s, 1.0});
+    std::vector<std::size_t> per_query(block_queries);
+    const auto answer_per_query = [&] {
+        for (std::size_t q = 0; q < block_queries; ++q) {
+            per_query[q] = mem.nearest(
+                std::span<const std::uint64_t>(packed.data() + q * words, words));
+        }
+    };
+    answer_per_query();
+    const bench::timing per_query_s =
+        bench::time_median(answer_per_query).per(static_cast<double>(block_queries));
+    report.entries.push_back({1, per_query_s, 1.0 / per_query_s.median, 1.0});
     std::printf("block=%-3zu %12.1f query/s  %6.2fx\n", std::size_t{1},
-                1.0 / per_query_s, 1.0);
+                1.0 / per_query_s.median, 1.0);
 
-    std::vector<std::size_t> blocked(report.queries);
+    std::vector<std::size_t> blocked(block_queries);
     for (const std::size_t block : {4u, 8u, 16u, 32u}) {
         const auto answer_blocked = [&] {
-            for (std::size_t q = 0; q < report.queries; q += block) {
-                const std::size_t count = std::min(block, report.queries - q);
+            for (std::size_t q = 0; q < block_queries; q += block) {
+                const std::size_t count = std::min(block, block_queries - q);
                 mem.nearest_block(
                     std::span<const std::uint64_t>(packed.data() + q * words,
                                                    count * words),
@@ -995,21 +906,14 @@ struct block_report {
         };
         answer_blocked();
         if (blocked != per_query) report.identical = false;
-        stopwatch watch;
-        std::size_t done = 0;
-        do {
-            answer_blocked();
-            done += report.queries;
-        } while (watch.seconds() < 0.05);
-        const double seconds = watch.seconds() / static_cast<double>(done);
-        const double speedup = per_query_s / seconds;
-        report.entries.push_back({block, seconds, 1.0 / seconds, speedup});
+        const bench::timing seconds =
+            bench::time_median(answer_blocked).per(static_cast<double>(block_queries));
+        const double speedup = per_query_s.median / seconds.median;
+        report.entries.push_back({block, seconds, 1.0 / seconds.median, speedup});
         report.best_speedup = std::max(report.best_speedup, speedup);
-        std::printf("block=%-3zu %12.1f query/s  %6.2fx\n", block, 1.0 / seconds,
+        std::printf("block=%-3zu %12.1f query/s  %6.2fx\n", block, 1.0 / seconds.median,
                     speedup);
-        benchmark::DoNotOptimize(blocked.data());
     }
-    benchmark::DoNotOptimize(sink);
     std::printf("block answers bit-identical to per-query: %s; best speedup "
                 "%.2fx %s\n",
                 report.identical ? "yes" : "NO (MISMATCH!)", report.best_speedup,
@@ -1018,19 +922,14 @@ struct block_report {
     return report;
 }
 
-void write_inference_json(const std::string& path, std::size_t dim,
-                          std::size_t classes, std::size_t queries,
-                          std::size_t matched, const dynamic_report& dynamic,
-                          const block_report& block,
-                          const std::vector<inference_entry>& entries) {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return;
-    }
+void write_inference_json(std::FILE* f, std::size_t dim, std::size_t classes,
+                          std::size_t queries, std::size_t matched,
+                          const dynamic_report& dynamic, const block_report& block,
+                          const std::vector<inference_entry>& entries,
+                          const std::vector<kernel_row>& kernel_rows) {
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"bench\": \"inference\",\n");
-    std::fprintf(f, "  \"schema_version\": 4,\n");
+    std::fprintf(f, "  \"schema_version\": 5,\n");
     std::fprintf(f,
                  "  \"workload\": {\"dim\": %zu, \"classes\": %zu, "
                  "\"queries\": %zu},\n",
@@ -1067,45 +966,42 @@ void write_inference_json(const std::string& path, std::size_t dim,
                      s + 1 < dynamic.stages.size() ? "," : "");
     }
     std::fprintf(f, "    ]\n  },\n");
-    // Schema v4: the multi-query blocked path (query-GEMM) over a
-    // many-class memory, swept across block sizes, with its bit-identity
-    // flag and the >= 2x acceptance gate.
+    // The multi-query blocked path (query-GEMM) over a many-class memory,
+    // swept across block sizes, with its bit-identity flag and the >= 2x
+    // acceptance gate.
     std::fprintf(f, "  \"block\": {\n");
     std::fprintf(f,
                  "    \"workload\": {\"dim\": %zu, \"classes\": %zu, "
                  "\"queries\": %zu},\n",
-                 dim, block.classes, block.queries);
+                 dim, block_classes, block_queries);
     std::fprintf(f, "    \"identical_to_per_query\": %s,\n",
                  block.identical ? "true" : "false");
     std::fprintf(f, "    \"best_speedup\": %.2f,\n", block.best_speedup);
     std::fprintf(f, "    \"entries\": [\n");
     for (std::size_t i = 0; i < block.entries.size(); ++i) {
         const block_entry& e = block.entries[i];
-        std::fprintf(f,
-                     "      {\"block\": %zu, \"seconds\": %.9f, "
-                     "\"queries_per_s\": %.1f, \"speedup_vs_per_query\": "
-                     "%.2f}%s\n",
-                     e.block, e.seconds, e.queries_per_s, e.speedup_vs_per_query,
+        std::fprintf(f, "      {\"block\": %zu, ", e.block);
+        write_timing(f, "seconds", e.seconds);
+        std::fprintf(f, ", \"queries_per_s\": %.1f, \"speedup_vs_per_query\": %.2f}%s\n",
+                     e.queries_per_s, e.speedup_vs_per_query,
                      i + 1 < block.entries.size() ? "," : "");
     }
     std::fprintf(f, "    ],\n");
     std::fprintf(f, "    \"gates\": {\"speedup_2x\": %s}\n",
                  block.best_speedup >= 2.0 ? "true" : "false");
     std::fprintf(f, "  },\n");
+    write_kernels_json(f, kernel_rows);
     std::fprintf(f, "  \"entries\": [\n");
     for (std::size_t i = 0; i < entries.size(); ++i) {
         const auto& e = entries[i];
-        std::fprintf(f,
-                     "    {\"name\": \"%s\", \"mode\": \"%s\", \"threads\": %zu, "
-                     "\"seconds\": %.9f, \"queries_per_s\": %.1f, "
-                     "\"speedup_vs_scalar\": %.2f}%s\n",
-                     e.name.c_str(), e.mode.c_str(), e.threads, e.seconds,
+        std::fprintf(f, "    {\"name\": \"%s\", \"mode\": \"%s\", \"threads\": %zu, ",
+                     e.name.c_str(), e.mode.c_str(), e.threads);
+        write_timing(f, "seconds", e.seconds);
+        std::fprintf(f, ", \"queries_per_s\": %.1f, \"speedup_vs_scalar\": %.2f}%s\n",
                      e.queries_per_s, e.speedup_vs_scalar,
                      i + 1 < entries.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("# wrote %s\n", path.c_str());
 }
 
 [[nodiscard]] int run_inference_throughput() {
@@ -1124,8 +1020,7 @@ void write_inference_json(const std::string& path, std::size_t dim,
                                                   hdc::train_mode::raw_sums,
                                                   hdc::query_mode::binarized);
     clf_bin.fit(train_set);
-    const auto clf_int =
-        bench::clone_with_query_mode(clf_bin, hdc::query_mode::integer);
+    const auto clf_int = clone_with_query_mode(clf_bin, hdc::query_mode::integer);
 
     const std::vector<std::int32_t> encoded =
         bench::encode_queries(enc, query_set, queries_n);
@@ -1137,8 +1032,7 @@ void write_inference_json(const std::string& path, std::size_t dim,
     // its speedup means anything.
     std::size_t mismatches = 0;
     for (std::size_t i = 0; i < queries_n; ++i) {
-        if (clf_bin.predict_encoded(query(i)) !=
-            bench::seed_predict_binarized(clf_bin, query(i))) {
+        if (clf_bin.predict_encoded(query(i)) != seed_predict_binarized(clf_bin, query(i))) {
             ++mismatches;
         }
     }
@@ -1147,16 +1041,16 @@ void write_inference_json(const std::string& path, std::size_t dim,
     double binarized_scalar_s = 0.0;
     double integer_scalar_s = 0.0;
     const auto record = [&](const std::string& name, const std::string& mode,
-                            double seconds) {
+                            const bench::timing& seconds) {
         inference_entry e;
         e.name = name;
         e.mode = mode;
         e.threads = 1;
         e.seconds = seconds;
-        e.queries_per_s = 1.0 / seconds;
-        const double baseline =
-            mode == "binarized" ? binarized_scalar_s : integer_scalar_s;
-        e.speedup_vs_scalar = baseline > 0.0 ? baseline / seconds : 1.0;
+        e.queries_per_s = 1.0 / seconds.median;
+        double& baseline = mode == "binarized" ? binarized_scalar_s : integer_scalar_s;
+        if (baseline == 0.0) baseline = seconds.median;
+        e.speedup_vs_scalar = baseline / seconds.median;
         entries.push_back(e);
         std::printf("%-28s %10.1f query/s  %6.2fx\n", name.c_str(), e.queries_per_s,
                     e.speedup_vs_scalar);
@@ -1169,27 +1063,19 @@ void write_inference_json(const std::string& path, std::size_t dim,
                 queries_n - mismatches, queries_n,
                 mismatches == 0 ? "" : "  (MISMATCH!)");
 
-    std::size_t sink = 0;
-    binarized_scalar_s = bench::time_inference(
-        queries_n,
-        [&](std::size_t i) { return bench::seed_predict_binarized(clf_bin, query(i)); },
-        sink);
-    record("inference_cosine_scalar", "binarized", binarized_scalar_s);
-    record("inference_packed_am", "binarized",
-           bench::time_inference(
-               queries_n,
-               [&](std::size_t i) { return clf_bin.predict_encoded(query(i)); },
-               sink));
-    integer_scalar_s = bench::time_inference(
-        queries_n,
-        [&](std::size_t i) { return bench::seed_predict_integer(clf_int, query(i)); },
-        sink);
-    record("inference_integer_scalar", "integer", integer_scalar_s);
-    record("inference_integer_blocked", "integer",
-           bench::time_inference(
-               queries_n,
-               [&](std::size_t i) { return clf_int.predict_encoded(query(i)); },
-               sink));
+    // Each mode's first row is its scalar baseline.
+    record("inference_cosine_scalar", "binarized", time_queries(queries_n, [&](std::size_t i) {
+               return seed_predict_binarized(clf_bin, query(i));
+           }));
+    record("inference_packed_am", "binarized", time_queries(queries_n, [&](std::size_t i) {
+               return clf_bin.predict_encoded(query(i));
+           }));
+    record("inference_integer_scalar", "integer", time_queries(queries_n, [&](std::size_t i) {
+               return seed_predict_integer(clf_int, query(i));
+           }));
+    record("inference_integer_blocked", "integer", time_queries(queries_n, [&](std::size_t i) {
+               return clf_int.predict_encoded(query(i));
+           }));
 
     // --- dynamic-dimension early-exit cascade ----------------------------
     // Calibrated on a held-out synthetic set (fresh seed) for 99% agreement
@@ -1221,14 +1107,9 @@ void write_inference_json(const std::string& path, std::size_t dim,
     const double scan_fraction =
         dyn.avg_words_scanned / static_cast<double>(dyn.full_words);
 
-    record("inference_dynamic_am", "binarized",
-           bench::time_inference(
-               queries_n,
-               [&](std::size_t i) {
-                   return clf_bin.predict_dynamic_encoded(query(i), policy);
-               },
-               sink));
-    benchmark::DoNotOptimize(sink);
+    record("inference_dynamic_am", "binarized", time_queries(queries_n, [&](std::size_t i) {
+               return clf_bin.predict_dynamic_encoded(query(i), policy);
+           }));
 
     std::printf("dynamic cascade (target %.0f%%): agreement %zu/%zu, avg words "
                 "scanned %.1f/%zu (%.1f%%)\n",
@@ -1246,7 +1127,7 @@ void write_inference_json(const std::string& path, std::size_t dim,
     // --- multi-query blocked path (query-GEMM) ---------------------------
     const block_report block = run_block_throughput(dim);
 
-    const double speedup = entries[0].seconds / entries[1].seconds;
+    const double speedup = entries[0].seconds.median / entries[1].seconds.median;
     std::printf("packed associative-memory vs seed cosine speedup: %.2fx %s\n",
                 speedup,
                 speedup >= 5.0 ? "(target >= 5x: PASS)" : "(target >= 5x: MISS)");
@@ -1257,9 +1138,17 @@ void write_inference_json(const std::string& path, std::size_t dim,
                 dynamic_agreement_ok ? "PASS" : "MISS",
                 dynamic_scan_ok ? "PASS" : "MISS");
 
-    write_inference_json(env_string("UHD_BENCH_INFER_JSON", "BENCH_inference.json"),
-                         dim, clf_bin.classes(), queries_n, queries_n - mismatches,
-                         dyn, block, entries);
+    std::printf("\n== inference kernels, every admissible backend (%zu classes) ==\n",
+                search_classes);
+    const std::vector<kernel_row> kernel_rows = time_inference_kernels();
+    print_kernel_rows(kernel_rows);
+
+    const bool written = write_json_file(
+        env_string("UHD_BENCH_INFER_JSON", "BENCH_inference.json"), [&](std::FILE* f) {
+            write_inference_json(f, dim, clf_bin.classes(), queries_n,
+                                 queries_n - mismatches, dyn, block, entries,
+                                 kernel_rows);
+        });
     // A broken bit-identity — or a cascade that misses its calibrated
     // agreement/scan targets, or a block path that diverges from the
     // per-query answers — is a regression, not a bench result: fail the
@@ -1267,14 +1156,14 @@ void write_inference_json(const std::string& path, std::size_t dim,
     // JSON gate, not an exit gate: it holds on cache-tiered hardware but a
     // throttled CI runner must not flake the build over it.)
     return mismatches == 0 && dynamic_agreement_ok && dynamic_scan_ok &&
-                   block.identical
+                   block.identical && written
                ? 0
                : 1;
 }
 
 } // namespace
 
-int main(int argc, char** argv) {
+int main() {
     // Resolve the backend before anything times: an invalid UHD_BACKEND
     // must fail the run here, loudly, not midway through a measurement.
     std::printf("# kernel backend: %s (override: %s, cpu: %s)\n",
@@ -1283,11 +1172,8 @@ int main(int argc, char** argv) {
                     ? "none"
                     : std::string(kernels::backend_override()).c_str(),
                 cpu().to_string().c_str());
-    register_backend_benchmarks();
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
+    std::printf("# every timed row: median of %zu samples after one warm-up\n",
+                bench::timing_samples);
     const int encode_status = run_encode_throughput();
     const int train_status = run_train_throughput();
     const int inference_status = run_inference_throughput();

@@ -18,170 +18,6 @@
 #include "uhd/hdc/baseline_encoder.hpp"
 #include "uhd/hdc/classifier.hpp"
 
-namespace {
-
-/// Encode-throughput report for one encoder at one D: scalar oracle vs
-/// word-parallel vs pool-batched, in images/s and effective GB/s of
-/// threshold-bank traffic (shared measurement helpers in bench_common.hpp).
-void report_encode_throughput(const uhd::core::uhd_encoder& enc,
-                              const uhd::data::dataset& ds) {
-    using namespace uhd;
-    const std::size_t n = ds.size() < 64 ? ds.size() : 64;
-    const double bytes_per_image = bench::encode_bytes_per_image(enc);
-
-    const double scalar_s = bench::time_encode_scalar(enc, ds, n);
-    const double parallel_s = bench::time_encode_parallel(enc, ds, n);
-    std::vector<std::int32_t> out(n * enc.dim());
-    const double batched_s =
-        bench::time_encode_batch(enc, ds, n, out, &thread_pool::shared());
-
-    const auto line = [&](const char* name, double seconds) {
-        const double ips = static_cast<double>(n) / seconds;
-        std::printf("#   %-22s %9.1f img/s %7.3f GB/s  %5.2fx\n", name, ips,
-                    ips * bytes_per_image * 1e-9, scalar_s / seconds);
-    };
-    std::printf("# encode throughput at D=%zu (%zu images):\n", enc.dim(), n);
-    line("scalar oracle", scalar_s);
-    line("word-parallel", parallel_s);
-    line("batched (shared pool)", batched_s);
-}
-
-/// Train-throughput report for one encoder at one D: the seed sequential
-/// loop (pinned-scalar encode + bundle per image) vs the current sequential
-/// fit vs the mini-batch parallel engine on the shared pool.
-void report_train_throughput(const uhd::core::uhd_encoder& enc,
-                             const uhd::data::dataset& full_train) {
-    using namespace uhd;
-    const std::size_t n = full_train.size() < 128 ? full_train.size() : 128;
-    data::dataset train(full_train.shape(), full_train.num_classes());
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto img = full_train.image(i);
-        train.add(std::vector<std::uint8_t>(img.begin(), img.end()),
-                  full_train.label(i));
-    }
-
-    const double seed_s = bench::time_fit_seed(enc, train, n);
-    double fit_s = 0.0;
-    {
-        hdc::hd_classifier<core::uhd_encoder> clf(enc, train.num_classes(),
-                                                  hdc::train_mode::raw_sums);
-        stopwatch watch;
-        clf.fit(train);
-        fit_s = watch.seconds();
-    }
-    double parallel_s = 0.0;
-    {
-        hdc::hd_classifier<core::uhd_encoder> clf(enc, train.num_classes(),
-                                                  hdc::train_mode::raw_sums);
-        stopwatch watch;
-        clf.fit_parallel(train, &thread_pool::shared());
-        parallel_s = watch.seconds();
-    }
-
-    const auto line = [&](const char* name, double seconds) {
-        std::printf("#   %-22s %9.1f img/s  %5.2fx\n", name,
-                    static_cast<double>(n) / seconds, seed_s / seconds);
-    };
-    std::printf("# train throughput at D=%zu (%zu images):\n", enc.dim(), n);
-    line("seed sequential loop", seed_s);
-    line("fit (sequential)", fit_s);
-    line("fit_parallel (pool)", parallel_s);
-}
-
-/// Dynamic-dimension inference report for one trained classifier at one D:
-/// cascade calibrated on training data for 99% agreement, evaluated on the
-/// test set (argmax agreement with full-D, average packed words scanned,
-/// per-stage exit histogram).
-void report_dynamic_inference(
-    const uhd::hdc::hd_classifier<uhd::core::uhd_encoder>& clf_int,
-    const uhd::data::dataset& train, const uhd::data::dataset& test) {
-    using namespace uhd;
-    const auto clf_bin =
-        bench::clone_with_query_mode(clf_int, hdc::query_mode::binarized);
-    const std::size_t n = test.size() < 256 ? test.size() : 256;
-
-    const hdc::dynamic_query_policy policy =
-        clf_bin.calibrate_dynamic(train, 0.99, &thread_pool::shared());
-    const std::size_t full_words = clf_bin.packed_class_memory().classes() *
-                                   clf_bin.packed_class_memory().words_per_class();
-
-    // Pre-encode each query once; both the cascade and the full-D answer
-    // read the same accumulator.
-    const core::uhd_encoder& enc = clf_bin.encoder();
-    const std::vector<std::int32_t> encoded = bench::encode_queries(enc, test, n);
-    hdc::dynamic_query_summary summary(policy.stages().size());
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::span<const std::int32_t> query(encoded.data() + i * enc.dim(),
-                                                  enc.dim());
-        hdc::dynamic_query_stats stats;
-        const std::size_t answer =
-            clf_bin.predict_dynamic_encoded(query, policy, &stats);
-        summary.record(stats, answer == clf_bin.predict_encoded(query));
-    }
-    std::printf("# dynamic inference at D=%zu (%zu queries, calibrated 99%%): "
-                "agreement %zu/%zu, avg words %.1f/%zu (%.1f%%), exits",
-                clf_bin.encoder().dim(), n, summary.agreements, n,
-                summary.avg_words_scanned(), full_words,
-                100.0 * summary.avg_words_scanned() /
-                    static_cast<double>(full_words));
-    for (std::size_t s = 0; s < policy.stages().size(); ++s) {
-        std::printf(" D/%zu:%zu",
-                    clf_bin.packed_class_memory().words_per_class() /
-                        policy.stages()[s].window_words,
-                    summary.exits[s]);
-    }
-    std::printf("\n");
-}
-
-/// Inference-throughput report for one trained classifier at one D: the
-/// seed per-class-cosine path vs the packed associative-memory engine
-/// (binarized mode) and the blocked dot-product kernels (integer mode),
-/// over pre-encoded queries, single thread.
-void report_inference_throughput(
-    const uhd::hdc::hd_classifier<uhd::core::uhd_encoder>& clf_int,
-    const uhd::data::dataset& ds) {
-    using namespace uhd;
-    const core::uhd_encoder& enc = clf_int.encoder();
-    const std::size_t n = ds.size() < 64 ? ds.size() : 64;
-
-    // Same trained state, binarized query mode (packed engine).
-    const auto clf_bin =
-        bench::clone_with_query_mode(clf_int, hdc::query_mode::binarized);
-
-    const std::vector<std::int32_t> encoded = bench::encode_queries(enc, ds, n);
-    const auto query = [&](std::size_t i) {
-        return std::span<const std::int32_t>(encoded).subspan(i * enc.dim(),
-                                                              enc.dim());
-    };
-
-    std::size_t sink = 0;
-    const double bin_scalar_s = bench::time_inference(
-        n, [&](std::size_t i) { return bench::seed_predict_binarized(clf_bin, query(i)); },
-        sink);
-    const double bin_packed_s = bench::time_inference(
-        n, [&](std::size_t i) { return clf_bin.predict_encoded(query(i)); }, sink);
-    const double int_scalar_s = bench::time_inference(
-        n, [&](std::size_t i) { return bench::seed_predict_integer(clf_int, query(i)); },
-        sink);
-    const double int_blocked_s = bench::time_inference(
-        n, [&](std::size_t i) { return clf_int.predict_encoded(query(i)); }, sink);
-    if (sink == static_cast<std::size_t>(-1)) std::printf("#\n"); // keep sink live
-
-    const auto line = [&](const char* name, double seconds, double baseline) {
-        std::printf("#   %-26s %11.1f query/s  %6.2fx\n", name, 1.0 / seconds,
-                    baseline / seconds);
-    };
-    std::printf("# inference throughput at D=%zu (%zu pre-encoded queries, "
-                "1 thread):\n",
-                enc.dim(), n);
-    line("cosine scalar (seed)", bin_scalar_s, bin_scalar_s);
-    line("packed associative mem", bin_packed_s, bin_scalar_s);
-    line("integer cosine scalar", int_scalar_s, int_scalar_s);
-    line("integer blocked dot", int_blocked_s, int_scalar_s);
-}
-
-} // namespace
-
 int main() {
     using namespace uhd;
     const auto w = bench::load_workload(1000, 300, 5);
@@ -229,10 +65,6 @@ int main() {
         uhd_clf.fit_parallel(train, &thread_pool::shared());
         const double uhd_accuracy = uhd_clf.evaluate(test, nullptr,
                                                      &thread_pool::shared());
-        report_encode_throughput(uhd, test);
-        report_train_throughput(uhd, train);
-        report_inference_throughput(uhd_clf, test);
-        report_dynamic_inference(uhd_clf, train, test);
 
         std::vector<std::string> cells = {dim == 1024   ? "1K"
                                           : dim == 2048 ? "2K"

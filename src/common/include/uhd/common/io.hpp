@@ -42,8 +42,10 @@ template <typename T>
 void write_pod_vector(std::ostream& os, const std::vector<T>& v);
 
 /// Read a vector of trivially-copyable elements written by write_pod_vector.
+/// Throws uhd::error, before allocating, when the stored element count
+/// exceeds `max_count`.
 template <typename T>
-std::vector<T> read_pod_vector(std::istream& is);
+std::vector<T> read_pod_vector(std::istream& is, std::size_t max_count);
 
 // --- implementation of templates -----------------------------------------
 
@@ -62,10 +64,13 @@ void write_pod_vector(std::ostream& os, const std::vector<T>& v) {
     write_pod_span(os, std::span<const T>(v.data(), v.size()));
 }
 
+void require_count(std::uint64_t count, std::size_t max_count);
+
 template <typename T>
-std::vector<T> read_pod_vector(std::istream& is) {
+std::vector<T> read_pod_vector(std::istream& is, std::size_t max_count) {
     static_assert(std::is_trivially_copyable_v<T>, "POD serialization only");
     const std::uint64_t n = read_u64(is);
+    require_count(n, max_count);
     std::vector<T> v(static_cast<std::size_t>(n));
     if (n != 0) read_bytes(is, v.data(), v.size() * sizeof(T));
     return v;

@@ -17,6 +17,12 @@ void read_bytes(std::istream& is, void* data, std::size_t n) {
     UHD_REQUIRE(is.gcount() == static_cast<std::streamsize>(n), "stream read truncated");
 }
 
+void require_count(std::uint64_t count, std::size_t max_count) {
+    UHD_REQUIRE(count <= max_count, "stored element count " + std::to_string(count) +
+                                        " exceeds the bound " +
+                                        std::to_string(max_count));
+}
+
 void write_header(std::ostream& os, std::uint32_t magic, std::uint32_t version) {
     write_u32(os, magic);
     write_u32(os, version);

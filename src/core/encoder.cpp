@@ -12,9 +12,19 @@
 #include "uhd/common/simd.hpp" // pinned-scalar oracle kernels (encode_scalar)
 
 namespace uhd::core {
+namespace {
+
+/// The quantization range every encoder supports. Both constructors check
+/// it first, in the member-init list: the level count sizes the unary
+/// stream table.
+void require_levels(unsigned levels) {
+    UHD_REQUIRE(levels >= 2 && levels <= 256, "quantization levels must be in [2, 256]");
+}
+
+} // namespace
 
 uhd_encoder::uhd_encoder(const uhd_config& config, data::image_shape shape)
-    : config_(config),
+    : config_((require_levels(config.quant_levels), config)),
       shape_(shape),
       directions_(ld::sobol_directions::standard(shape.pixels(), config.sobol_seed)),
       ust_(config.quant_levels, config.stream_length()) {
@@ -38,16 +48,13 @@ uhd_encoder::uhd_encoder(const uhd_config& config, data::image_shape shape)
             shifts_[p] = pixel_shift(p);
         }
         bound_table_ = ld::quantize_bounds(config_.quant_levels);
-    } else {
-        UHD_REQUIRE(config.quant_levels >= 2 && config.quant_levels <= 256,
-                    "quantization levels must be in [2, 256]");
     }
     build_tables(nullptr);
 }
 
 uhd_encoder::uhd_encoder(const uhd_config& config, data::image_shape shape,
                          ld::quantized_sobol_bank custom_bank)
-    : config_(config),
+    : config_((require_levels(config.quant_levels), config)),
       shape_(shape),
       directions_(ld::sobol_directions::standard(shape.pixels(), config.sobol_seed)),
       ust_(config.quant_levels, config.stream_length()) {

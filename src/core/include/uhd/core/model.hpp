@@ -123,7 +123,9 @@ public:
     /// Serialize to a binary stream (magic 'uHDm', versioned).
     void save(std::ostream& os) const;
 
-    /// Save to a file path; throws on I/O failure.
+    /// Save to a file path; throws on I/O failure. The model is written to
+    /// a temp file beside `path`, synced and renamed over it, so a failed
+    /// save leaves the previous file intact.
     void save_file(const std::string& path) const;
 
     /// Deserialize a model previously written by save().

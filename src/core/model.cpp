@@ -1,5 +1,11 @@
 #include "uhd/core/model.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -20,10 +26,13 @@ constexpr std::uint32_t model_version = 2;
 // Geometry bounds shared by construction and load: every model the library
 // can build passes them (so save/load round-trips by construction), and a
 // corrupt stream trips them before any allocation sized from its fields.
-void validate_geometry(std::size_t dim, data::image_shape shape,
+void validate_geometry(const uhd_config& config, data::image_shape shape,
                        std::size_t classes) {
+    const std::size_t dim = config.dim;
     UHD_REQUIRE(dim >= 1 && dim <= (std::size_t{1} << 30),
                 "model dimension out of range");
+    UHD_REQUIRE(config.quant_levels >= 2 && config.quant_levels <= 256,
+                "model quantization levels out of range");
     // Per-field bounds first: pixels() is a product that could wrap modulo
     // 2^64 for absurd individual fields. 2^20 each keeps it exact.
     for (const std::size_t field : {shape.rows, shape.cols, shape.channels}) {
@@ -41,6 +50,16 @@ void validate_geometry(std::size_t dim, data::image_shape shape,
                 "model class-accumulator size out of range");
 }
 
+/// fsync `path` (a file, or a directory with O_DIRECTORY in `flags`)
+/// through a descriptor of its own.
+void sync_path(const std::string& path, int flags) {
+    const int fd = ::open(path.c_str(), flags | O_CLOEXEC);
+    UHD_REQUIRE(fd >= 0, "cannot open for sync: " + path);
+    const bool synced = ::fsync(fd) == 0;
+    const bool closed = ::close(fd) == 0;
+    UHD_REQUIRE(synced && closed, "cannot sync: " + path);
+}
+
 /// A mode word: 1 selects the named alternative, 0 the default. Any other
 /// value is a corrupt or future file, which must not load as some other
 /// model.
@@ -56,7 +75,7 @@ void validate_geometry(std::size_t dim, data::image_shape shape,
 uhd_model::uhd_model(const uhd_config& config, data::image_shape shape,
                      std::size_t classes, hdc::train_mode mode,
                      hdc::query_mode inference)
-    : encoder_((validate_geometry(config.dim, shape, classes), config), shape),
+    : encoder_((validate_geometry(config, shape, classes), config), shape),
       classifier_(encoder_, classes, mode, inference) {}
 
 uhd_model::uhd_model(const uhd_model& other)
@@ -163,13 +182,30 @@ void uhd_model::save(std::ostream& os) const {
 }
 
 void uhd_model::save_file(const std::string& path) const {
-    std::ofstream os(path, std::ios::binary);
-    UHD_REQUIRE(os.good(), "cannot open model file for writing: " + path);
-    save(os);
-    // A full disk can fail a buffered write after save() returns; flush and
-    // re-check so truncated models are an error, not a silent artifact.
-    os.flush();
-    UHD_REQUIRE(os.good(), "short write while saving model file: " + path);
+    // Write a temp file beside the target, make it durable, then rename it
+    // over the target: a save that fails at any point (full disk, file-size
+    // limit, crash) leaves the previous file whole. The pid and a
+    // per-process count keep concurrent saves off each other's temp file.
+    static std::atomic<unsigned> saves{0};
+    const std::string temp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                             std::to_string(saves.fetch_add(1));
+    try {
+        std::ofstream os(temp, std::ios::binary);
+        UHD_REQUIRE(os.good(), "cannot open model file for writing: " + temp);
+        save(os);
+        // A full disk can fail a buffered write after save() returns; close
+        // and re-check so a truncated model is an error, never renamed in.
+        os.close();
+        UHD_REQUIRE(!os.fail(), "short write while saving model file: " + temp);
+        sync_path(temp, O_RDONLY);
+        UHD_REQUIRE(std::rename(temp.c_str(), path.c_str()) == 0,
+                    "cannot replace model file: " + path);
+    } catch (...) {
+        ::unlink(temp.c_str());
+        throw;
+    }
+    const std::filesystem::path dir = std::filesystem::path(path).parent_path();
+    sync_path(dir.empty() ? "." : dir.string(), O_RDONLY | O_DIRECTORY);
 }
 
 uhd_model uhd_model::load(std::istream& is) {
@@ -186,7 +222,7 @@ uhd_model uhd_model::load(std::istream& is) {
     // Same bounds the constructor enforces: a corrupt stream must fail
     // cleanly here rather than drive a multi-gigabyte bank/accumulator
     // allocation below.
-    validate_geometry(cfg.dim, shape, classes);
+    validate_geometry(cfg, shape, classes);
     const hdc::train_mode mode = read_mode_flag(is, "train_mode")
                                      ? hdc::train_mode::raw_sums
                                      : hdc::train_mode::binarized_images;
@@ -197,16 +233,18 @@ uhd_model uhd_model::load(std::istream& is) {
         cfg.bank = read_mode_flag(is, "bank_mode") ? bank_mode::rematerialize
                                                    : bank_mode::stored;
     }
-    uhd_model model(cfg, shape, classes, mode, inference);
+    // Every accumulator is read and checked before the model and its
+    // O(pixels * D) encoder are built, each count before its allocation.
     std::vector<hdc::accumulator> accumulators;
     accumulators.reserve(classes);
     for (std::size_t c = 0; c < classes; ++c) {
-        const auto values = io::read_pod_vector<std::int32_t>(is);
+        const auto values = io::read_pod_vector<std::int32_t>(is, cfg.dim);
         UHD_REQUIRE(values.size() == cfg.dim, "model file accumulator size mismatch");
         hdc::accumulator acc(cfg.dim);
         for (std::size_t d = 0; d < values.size(); ++d) acc.values()[d] = values[d];
         accumulators.push_back(std::move(acc));
     }
+    uhd_model model(cfg, shape, classes, mode, inference);
     model.classifier_.load_state(std::move(accumulators));
     return model;
 }

@@ -231,7 +231,7 @@ TEST(Io, PodVectorRoundTrip) {
     std::stringstream ss;
     std::vector<std::int32_t> v = {1, -2, 3, 2000000000};
     io::write_pod_vector(ss, v);
-    EXPECT_EQ(io::read_pod_vector<std::int32_t>(ss), v);
+    EXPECT_EQ(io::read_pod_vector<std::int32_t>(ss, v.size()), v);
 }
 
 TEST(Io, TruncatedReadThrows) {

@@ -1,6 +1,11 @@
 // Tests for the end-to-end uHD model and its serialization.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <unistd.h>
+
+#include <csignal>
+#include <cstdint>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -118,17 +123,105 @@ TEST(Model, LoadRejectsImplausibleHeaderFields) {
                 << e.what();
         }
     }
+
+    // quant_levels (offset 16) sizes the encoder's unary stream table, and
+    // the first accumulator's element count (offset 72) sizes a vector.
+    // Both must be range-checked before anything is allocated from them:
+    // an absurd value is a uhd::error, never bad_alloc or length_error.
+    const auto stamp = [&](std::size_t offset, auto value, std::uint32_t bank) {
+        std::string stamped = saved;
+        stamped.replace(offset, sizeof value, reinterpret_cast<const char*>(&value),
+                        sizeof value);
+        stamped.replace(68, sizeof bank, reinterpret_cast<const char*>(&bank),
+                        sizeof bank);
+        return stamped;
+    };
+    for (const std::uint32_t bank : {0u, 1u}) { // stored, rematerialize
+        for (const std::uint32_t levels : {0u, 1u, 257u, 0x7FFFFFFFu, 0xFFFFFFFFu}) {
+            std::stringstream stream(stamp(16, levels, bank));
+            EXPECT_THROW((void)uhd_model::load(stream), uhd::error)
+                << "quant_levels " << levels << ", bank word " << bank;
+        }
+        for (const std::uint64_t count :
+             {std::uint64_t{0}, std::uint64_t{255}, std::uint64_t{1} << 28,
+              std::uint64_t{1} << 36, std::uint64_t{1} << 62}) {
+            std::stringstream stream(stamp(72, count, bank));
+            EXPECT_THROW((void)uhd_model::load(stream), uhd::error)
+                << "accumulator count " << count << ", bank word " << bank;
+        }
+    }
 }
 
-TEST(Model, SaveFileReportsWriteFailure) {
-    // /dev/full accepts the open but fails every flush with ENOSPC — the
-    // exact silent-truncation case save_file must surface.
-    if (!std::filesystem::exists("/dev/full")) {
-        GTEST_SKIP() << "/dev/full not available";
+/// Lowers this process's soft RLIMIT_FSIZE and ignores SIGXFSZ for the
+/// guard's lifetime, so a write past the limit fails with EFBIG instead of
+/// killing the process.
+class file_size_limit_guard {
+public:
+    explicit file_size_limit_guard(rlim_t soft) {
+        if (::getrlimit(RLIMIT_FSIZE, &saved_) != 0) throw uhd::error("getrlimit");
+        saved_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+        rlimit lowered = saved_;
+        lowered.rlim_cur = soft;
+        if (::setrlimit(RLIMIT_FSIZE, &lowered) != 0) {
+            std::signal(SIGXFSZ, saved_handler_);
+            throw uhd::error("setrlimit");
+        }
     }
-    const auto train = data::make_synthetic_digits(40, 35);
-    const uhd_model model = uhd_model::train(small_config(), train);
-    EXPECT_THROW(model.save_file("/dev/full"), uhd::error);
+    ~file_size_limit_guard() {
+        ::setrlimit(RLIMIT_FSIZE, &saved_);
+        std::signal(SIGXFSZ, saved_handler_);
+    }
+    file_size_limit_guard(const file_size_limit_guard&) = delete;
+    file_size_limit_guard& operator=(const file_size_limit_guard&) = delete;
+
+private:
+    rlimit saved_{};
+    void (*saved_handler_)(int) = SIG_DFL;
+};
+
+TEST(Model, FailedSaveFileKeepsThePreviousModel) {
+    // A save that dies mid-write (full disk, file-size limit, crash) must
+    // leave the file it was replacing intact and loadable, and must not
+    // leave its partial output behind.
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() /
+                         ("uhd_model_save_test." + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    fs::create_directory(dir);
+    const fs::path path = dir / "model.bin";
+
+    const auto train = data::make_synthetic_digits(60, 35);
+    const uhd_model saved = uhd_model::train(small_config(), train);
+    saved.save_file(path.string());
+    const auto saved_size = fs::file_size(path);
+    ASSERT_GT(saved_size, 4096u);
+
+    uhd_config other = small_config();
+    other.sobol_seed = 99;
+    const uhd_model replacement =
+        uhd_model::train(other, data::make_synthetic_digits(60, 36));
+    {
+        const file_size_limit_guard limit(4096);
+        EXPECT_THROW(replacement.save_file(path.string()), uhd::error);
+    }
+
+    EXPECT_EQ(fs::file_size(path), saved_size);
+    const uhd_model loaded = uhd_model::load_file(path.string());
+    for (std::size_t i = 0; i < train.size(); ++i) {
+        EXPECT_EQ(loaded.predict(train.image(i)), saved.predict(train.image(i)));
+    }
+    std::size_t entries = 0;
+    for (const auto& entry : fs::directory_iterator(dir)) {
+        ++entries;
+        EXPECT_EQ(entry.path().filename(), "model.bin") << "left behind: " << entry.path();
+    }
+    EXPECT_EQ(entries, 1u);
+
+    // With the limit gone the same save replaces the file.
+    replacement.save_file(path.string());
+    const uhd_model reloaded = uhd_model::load_file(path.string());
+    EXPECT_EQ(reloaded.encoder().config().sobol_seed, 99u);
+    fs::remove_all(dir);
 }
 
 TEST(Model, PartialFitMatchesBatchFitForRawSums) {

@@ -151,6 +151,16 @@ TEST(UhdEncoder, ScrambleOffStillWorks) {
 TEST(UhdEncoder, Validation) {
     EXPECT_THROW(uhd_encoder(uhd_config{.dim = 32}, {4, 4, 1}), uhd::error);
     EXPECT_THROW(uhd_encoder(small_config(), {4, 4, 3}), uhd::error);
+    // The level count sizes the unary stream table, so it is range-checked
+    // before anything is built from it, in both bank modes.
+    for (const uhd::bank_mode bank : {uhd::bank_mode::stored, uhd::bank_mode::rematerialize}) {
+        for (const unsigned levels : {1u, 257u, 0xFFFFFFFFu}) {
+            uhd_config cfg = small_config();
+            cfg.quant_levels = levels;
+            cfg.bank = bank;
+            EXPECT_THROW(uhd_encoder(cfg, {4, 4, 1}), uhd::error) << "levels " << levels;
+        }
+    }
     const uhd_encoder enc(small_config(), {4, 4, 1});
     std::vector<std::int32_t> wrong(enc.dim() + 1);
     EXPECT_THROW(enc.encode(ramp_image(16), wrong), uhd::error);
