@@ -3,25 +3,37 @@
 //
 // Threading model (sharded reactors, default 1):
 //
-//   clients ══ TCP ══▶ N reactor threads ──try_submit[_raw]()──▶ engine
-//              (SO_REUSEPORT listeners;       │                  workers
+//   clients ══ TCP ══▶ N reactor threads ──try_submit(batch)──▶ engine
+//              (SO_REUSEPORT listeners;       │                 workers
 //               epoll, edge-triggered,        │                    │
 //               non-blocking accept4)         │                    │
 //                     ▲      ▲                │                    │
-//                     │      └── per-reactor eventfd ◀── completion
-//                     └────────── write buffers          callback
+//                     │      └── mailbox + eventfd ◀── deliver(), one
+//                     └────────── write buffers        call per batch
 //
 // * The I/O layer owns no inference threads: each reactor runs one epoll
 //   loop over the connections *it* accepted; inference parallelism stays
-//   where it already lives (the engine's micro-batch workers). Decoded
-//   queries move straight from the connection read buffer into the
-//   engine's request vector — one deserialize, zero further payload
-//   copies. Raw-feature queries are never encoded on a reactor: the raw
-//   bytes are handed to the engine and its workers batch-encode each
-//   drained micro-batch with one batch encode call, so the reactor does
-//   pure I/O and encode throughput scales with workers, not loops. An
-//   engine without an encoder (!raw_capable()) answers raw predicts with
-//   an `unsupported` error frame, trainer or not.
+//   where it already lives (the engine's micro-batch workers). An encoded
+//   query is decoded once, straight out of the connection read buffer
+//   into the vector the engine consumes. Raw-feature queries are never
+//   encoded on a reactor: the raw bytes are copied into the request, and
+//   the worker gathers each drained micro-batch's raw requests into one
+//   block (one more copy) for a single batch encode call, so the reactor
+//   does pure I/O and encode throughput scales with workers, not loops.
+//   An engine without an encoder (!raw_capable()) answers raw predicts
+//   with an `unsupported` error frame, trainer or not.
+// * The framework is paid per micro-batch, not per request. Every
+//   predict parsed from one read of a connection enters the engine in
+//   one try_submit call (one queue lock, one notify). The reactor itself
+//   is the answer_sink of its requests, and each request's answer_tag
+//   carries the full connection id, the request id and the reply opcode.
+//   A worker hands a micro-batch's answers for one reactor over in one
+//   deliver() call: one mailbox lock, one `outstanding` decrement, and
+//   an eventfd write only when the mailbox was empty (counted by
+//   wire_stats::wake_writes). The loop then swaps the mailbox with a
+//   second buffer it owns, appends the replies, and re-pumps each
+//   connection that got one, once. Workers never touch sockets and no
+//   loop ever waits on inference.
 // * Sharding: with N > 1 each reactor has its own SO_REUSEPORT listener
 //   on the shared port (the kernel load-balances accepts), connection
 //   table, completion mailbox + eventfd, and wire_counters shard
@@ -29,18 +41,17 @@
 //   reactor that accepted it, so every per-connection invariant —
 //   backpressure caps, write-buffer re-arming, poison handling, FIFO
 //   order — holds per shard exactly as it did with one loop.
-// * Completions come back on worker threads; the callback only appends
-//   {connection, request_id, answer} to the owning reactor's mailbox and
-//   kicks that reactor's eventfd, so workers never touch sockets and no
-//   loop ever waits on inference.
 // * Backpressure is layered the way the queue contract wants it: the
-//   engine queue is never blocked on — a full try_submit parks the
-//   request on its connection and the loop simply stops reading that
-//   socket (edge-triggered epoll makes "stop reading" free). A slow
-//   *reader* is throttled the same way: while a connection exceeds its
-//   in-flight cap or its write buffer is over the cap, its reads pause
-//   until completions drain / EPOLLOUT flushes. Sockets throttle;
-//   the queue never deadlocks, other connections never stall.
+//   engine queue is never blocked on. When a batch submit finds the queue
+//   full, the refused tail is parked on its connection, in order; the
+//   loop stops reading that socket (edge-triggered epoll makes "stop
+//   reading" free), submits the tail before handling any other frame of
+//   the connection, and retries it every loop round until the queue takes
+//   it. A slow *reader* is throttled the same way: while a connection's
+//   parsed-but-unanswered predicts reach its in-flight cap or its write
+//   buffer is over the cap, its reads pause until completions drain /
+//   EPOLLOUT flushes. Sockets throttle; the queue never deadlocks, other
+//   connections never stall.
 // * Malformed traffic: protocol-poisoning frames (bad magic/version,
 //   oversized length) get one error frame, then the connection is
 //   flushed and closed; per-request junk (unknown opcode, bad payload)
@@ -59,6 +70,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -78,9 +90,10 @@ struct wire_server_options {
     std::uint16_t port = 0;
     /// listen() backlog (per reactor listener).
     int backlog = 128;
-    /// Per-connection cap on requests submitted but not yet answered;
-    /// reads pause above it (backpressure against slow readers and
-    /// against pipelining far past the engine's micro-batch depth).
+    /// Per-connection cap on predicts parsed but not yet answered
+    /// (submitted or still waiting to be); reads pause at it
+    /// (backpressure against slow readers and against pipelining far past
+    /// the engine's micro-batch depth).
     std::size_t inflight_cap = 128;
     /// Per-connection cap on buffered unsent reply bytes; reads pause
     /// above it until EPOLLOUT drains the backlog.
@@ -120,8 +133,8 @@ public:
     void start();
 
     /// Shut down: stop accepting, close connections, join every reactor,
-    /// and wait until every request already inside the engine has
-    /// completed (so no engine callback can outlive this object).
+    /// and wait until every request already inside the engine has been
+    /// delivered (so no engine delivery can outlive this object).
     /// Idempotent.
     void stop();
 
@@ -143,20 +156,11 @@ public:
 
 private:
     struct connection;
-    struct predict_request;
-    struct completion {
-        std::uint64_t conn_id = 0;
-        std::uint32_t request_id = 0;
-        std::uint8_t reply_op = 0;
-        std::uint32_t label = 0;
-        std::uint64_t snapshot_version = 0;
-        bool failed = false;
-    };
 
     /// One sharded event loop: everything the former single loop owned,
-    /// now per reactor. Heap-pinned (vector of unique_ptr) so completion
-    /// callbacks can capture a stable pointer.
-    struct reactor {
+    /// now per reactor. It is also the engine's answer_sink for every
+    /// predict it submits, so it is heap-pinned (vector of unique_ptr).
+    struct reactor final : serve::answer_sink {
         std::size_t index = 0;
         socket_fd listener;
         socket_fd epoll;
@@ -168,28 +172,42 @@ private:
         std::uint64_t next_conn_id = 2; ///< 0 = listener, 1 = eventfd
         std::unordered_map<std::uint64_t, std::unique_ptr<connection>> conns;
 
-        // Completion mailbox: engine workers push, this reactor drains.
-        // The outstanding count lets stop() wait until no callback that
-        // captures this reactor can still be in flight.
+        // Completion mailbox: engine workers deliver() into `completions`;
+        // the loop swaps it with `draining` and drains that, so both
+        // buffers keep their capacity. `outstanding` counts submitted
+        // predicts not yet delivered, so stop() can wait until no worker
+        // still holds this sink.
         std::mutex completions_mutex;
-        std::vector<completion> completions;
+        std::vector<serve::answer> completions;
+        std::vector<serve::answer> draining;
         std::size_t outstanding = 0;
         std::condition_variable outstanding_zero;
 
+        // Loop-only scratch lists of connection ids, reused every round.
+        std::vector<std::uint64_t> touched;  ///< answered in this drain
+        std::vector<std::uint64_t> parked;   ///< holding a refused tail
+        std::vector<std::uint64_t> retrying; ///< retry_parked's swap buffer
+
         wire_counters counters; ///< this reactor's stats shard
+
+        /// Worker side: one micro-batch's answers for this reactor, under
+        /// one mailbox lock, with one `outstanding` decrement and an
+        /// eventfd write only when the mailbox was empty.
+        void deliver(std::span<const serve::answer> answers) noexcept override;
     };
 
     void loop(reactor& r);
     void accept_ready(reactor& r);
     bool shed_pending(reactor& r);
     void drain_completions(reactor& r);
+    void retry_parked(reactor& r);
     void pump_connection(reactor& r, connection& conn);
-    bool retry_parked(reactor& r, connection& conn);
+    bool submit_pending(reactor& r, connection& conn);
     bool parse_frames(reactor& r, connection& conn);
-    bool handle_frame(reactor& r, connection& conn, std::uint8_t op,
+    void handle_frame(reactor& r, connection& conn, std::uint8_t op,
                       std::uint32_t request_id, const std::uint8_t* payload,
                       std::size_t payload_len);
-    bool handle_predict(reactor& r, connection& conn, std::uint8_t op,
+    void handle_predict(reactor& r, connection& conn, std::uint8_t op,
                         std::uint32_t request_id, const std::uint8_t* payload,
                         std::size_t payload_len);
     void handle_partial_fit(reactor& r, connection& conn,
@@ -197,10 +215,6 @@ private:
                             const std::uint8_t* payload,
                             std::size_t payload_len);
     void handle_stats(reactor& r, connection& conn, std::uint32_t request_id);
-    bool submit_predict(reactor& r, connection& conn, predict_request& request);
-    serve::answer_callback make_completion(reactor& r, std::uint64_t conn_id,
-                                           std::uint32_t request_id,
-                                           std::uint8_t reply_op);
     void queue_error(reactor& r, connection& conn, std::uint32_t request_id,
                      wire_error code, const char* message);
     void flush_writes(reactor& r, connection& conn);

@@ -1,11 +1,11 @@
-// Wire front-end counters: relaxed atomics bumped by one reactor loop
-// (and, for completions, by engine workers), snapshotted into a plain
+// Wire front-end counters: relaxed atomics bumped by the reactor loops
+// (and, for wake_writes, by engine workers), snapshotted into a plain
 // struct. Same consistency contract as serve_stats: individually
 // consistent, possibly torn across fields mid-flight.
 //
 // Sharding: with N reactors the server keeps one wire_counters per
-// reactor; each shard is written only by its own loop thread, and
-// wire_server::stats() sums the shards on read (wire_stats::operator+=).
+// reactor, and wire_server::stats() sums the shards on read
+// (wire_stats::operator+=).
 #ifndef UHD_NET_WIRE_STATS_HPP
 #define UHD_NET_WIRE_STATS_HPP
 
@@ -29,6 +29,9 @@ struct wire_stats {
     std::uint64_t loop_cpu_ns = 0;          ///< CLOCK_THREAD_CPUTIME_ID of the
                                             ///< reactor thread (utilization =
                                             ///< loop_cpu_ns / wall time)
+    std::uint64_t wake_writes = 0;          ///< completion eventfd writes; at
+                                            ///< most one per engine micro-batch
+                                            ///< per reactor
 
     /// Shard aggregation: field-wise sum (all counters are additive,
     /// including active-connection gauges — each connection lives in
@@ -43,29 +46,27 @@ struct wire_stats {
         malformed_frames += other.malformed_frames;
         throttle_events += other.throttle_events;
         loop_cpu_ns += other.loop_cpu_ns;
+        wake_writes += other.wake_writes;
         return *this;
     }
 };
 
 /// Live counters behind wire_server::stats() — one shard per reactor.
-/// Each shard has a single writer (its reactor loop; completions bump
-/// frames_out from the loop too, after the mailbox drain), but stats()
-/// is callable from any thread, so these are atomics; relaxed ordering —
+/// Every field but wake_writes is written only by the shard's reactor loop
+/// (frames_out of a predict reply too: the loop bumps it when it drains
+/// the mailbox). wake_writes is bumped by the engine workers, under the
+/// reactor's mailbox lock, when a delivery kicks the eventfd. stats() is
+/// callable from any thread, so these are atomics; relaxed ordering —
 /// telemetry, not synchronization.
 ///
 /// The shard as a whole is alignas(64): adjacent shards in the reactor
 /// array must not share a cache line, or reactor A's counter bumps would
 /// ping-pong the line under reactor B (the same false-sharing pattern
 /// measured on serve_counters, where padding bought ~10% wire qps on a
-/// multi-core box). Unlike serve_counters, fields within one shard share
-/// lines on purpose — they have one writer, so there is no intra-shard
-/// contention to pad away. Honest caveat: the dev box exposes a single
-/// allowed CPU (reactors time-share one core, so lines never ping-pong
-/// between sockets), and the before/after there showed no difference —
-/// best-of-3 sweep qps at 2 reactors, encoded payloads, was 159k padded
-/// vs 160k unpadded, inside run-to-run noise. The layout is adopted for
-/// the multi-core case the sharding exists for, at a cost of
-/// sizeof(wire_counters) 72 -> 128 bytes per reactor.
+/// multi-core box), at the cost of padding each shard to whole cache lines
+/// (128 bytes). Unlike serve_counters, fields within one shard share lines
+/// on purpose — the loop is their main writer, and a worker's wake_writes
+/// bump comes at most once per micro-batch.
 class alignas(64) wire_counters {
 public:
     void record_accept() noexcept {
@@ -93,6 +94,9 @@ public:
     void record_throttle() noexcept {
         throttles_.fetch_add(1, std::memory_order_relaxed);
     }
+    void record_wake_write() noexcept {
+        wake_writes_.fetch_add(1, std::memory_order_relaxed);
+    }
     /// Publish the reactor thread's cumulative CPU time (sampled by the
     /// loop once per epoll_wait round; an absolute store, not an add).
     void record_loop_cpu(std::uint64_t total_ns) noexcept {
@@ -110,6 +114,7 @@ public:
         out.malformed_frames = malformed_.load(std::memory_order_relaxed);
         out.throttle_events = throttles_.load(std::memory_order_relaxed);
         out.loop_cpu_ns = loop_cpu_ns_.load(std::memory_order_relaxed);
+        out.wake_writes = wake_writes_.load(std::memory_order_relaxed);
         return out;
     }
 
@@ -123,6 +128,7 @@ private:
     std::atomic<std::uint64_t> malformed_{0};
     std::atomic<std::uint64_t> throttles_{0};
     std::atomic<std::uint64_t> loop_cpu_ns_{0};
+    std::atomic<std::uint64_t> wake_writes_{0};
 };
 
 } // namespace uhd::net

@@ -3,7 +3,6 @@
 #include <cerrno>
 #include <cstring>
 #include <ctime>
-#include <optional>
 #include <span>
 #include <utility>
 
@@ -43,16 +42,22 @@ std::uint64_t thread_cpu_ns() noexcept {
            static_cast<std::uint64_t>(ts.tv_nsec);
 }
 
-} // namespace
+/// A predict's engine tag: the full connection id, and the request id with
+/// the reply opcode above it.
+serve::answer_tag predict_tag(std::uint64_t conn_id, std::uint32_t request_id,
+                              std::uint8_t reply_op) noexcept {
+    return {conn_id, request_id | (std::uint64_t{reply_op} << 32)};
+}
 
-/// A predict on its way into the engine: a decoded query (`encoded`) or raw
-/// features (`raw`, encoded by the engine's workers), never both.
-struct wire_server::predict_request {
-    std::vector<std::int32_t> encoded;
-    std::vector<std::uint8_t> raw;
-    std::uint32_t request_id = 0;
-    bool dynamic = false;
-};
+std::uint32_t tag_request_id(const serve::answer_tag& tag) noexcept {
+    return static_cast<std::uint32_t>(tag.item);
+}
+
+std::uint8_t tag_reply_op(const serve::answer_tag& tag) noexcept {
+    return static_cast<std::uint8_t>(tag.item >> 32);
+}
+
+} // namespace
 
 /// Per-connection state, owned by the accepting reactor's event loop.
 struct wire_server::connection {
@@ -75,10 +80,14 @@ struct wire_server::connection {
     std::size_t inflight = 0;       ///< submitted, not yet answered
     bool close_after_flush = false; ///< poisoned stream: flush error, close
     bool throttle_counted = false;  ///< one throttle_event per pause episode
+    bool touched = false;           ///< listed in reactor::touched
 
-    // A request the engine queue refused (full): retried before any new
-    // frame is parsed, preserving per-connection order.
-    std::optional<predict_request> parked;
+    // Predicts parsed but not yet in the engine, in arrival order. Each
+    // read's predicts enter the engine in one call; a tail the full queue
+    // refused stays here (`parked`, listed in reactor::parked) and is
+    // submitted before any further frame is handled.
+    std::vector<serve::sink_request> pending;
+    bool parked = false;
 };
 
 wire_server::wire_server(serve::inference_engine& engine,
@@ -165,10 +174,9 @@ void wire_server::stop() {
         r->listener.reset();
         r->reserve.reset();
         r->epoll.reset();
-        // Wait out requests already inside the engine: their completion
-        // callbacks capture this reactor, so none may run after the shard
-        // is torn down. The callbacks only touch the mailbox (connections
-        // are already gone).
+        // Wait out predicts already inside the engine: it delivers them to
+        // this reactor, so none may arrive after the shard is torn down.
+        // Delivery only touches the mailbox (connections are already gone).
         std::unique_lock<std::mutex> pending(r->completions_mutex);
         r->outstanding_zero.wait(pending, [&r] { return r->outstanding == 0; });
         r->completions.clear();
@@ -193,7 +201,10 @@ void wire_server::loop(reactor& r) {
     pin_this_thread(); // UHD_AFFINITY=auto: distinct core per reactor
     epoll_event events[64];
     while (running_.load(std::memory_order_acquire)) {
-        const int n = ::epoll_wait(r.epoll.get(), events, 64, 100);
+        // A parked connection may wait on queue slots that another
+        // reactor's requests hold, with no event of its own to come: poll.
+        const int timeout_ms = r.parked.empty() ? 100 : 1;
+        const int n = ::epoll_wait(r.epoll.get(), events, 64, timeout_ms);
         if (n < 0) {
             if (errno == EINTR) continue;
             break; // epoll fd gone: shutdown race
@@ -223,8 +234,10 @@ void wire_server::loop(reactor& r) {
             pump_connection(r, conn);
         }
         // Completions may have arrived during the handling above (or the
-        // eventfd fired): deliver replies and un-throttle connections.
+        // eventfd fired): deliver replies and un-throttle connections, then
+        // offer the freed queue slots to parked connections.
         drain_completions(r);
+        retry_parked(r);
         // Publish this thread's cumulative CPU time: the reactor
         // utilization numerator (divide by wall time to get busy share).
         r.counters.record_loop_cpu(thread_cpu_ns());
@@ -280,48 +293,92 @@ bool wire_server::shed_pending(reactor& r) {
     return fd >= 0;
 }
 
+void wire_server::reactor::deliver(std::span<const serve::answer> answers) noexcept {
+    const std::lock_guard<std::mutex> lock(completions_mutex);
+    const bool was_empty = completions.empty();
+    completions.insert(completions.end(), answers.begin(), answers.end());
+    // Everything below stays under the mutex on purpose — stop() tears the
+    // shard down right after it observes outstanding == 0, so the eventfd
+    // write must precede the decrement (stop() closes wake), and the
+    // notify must happen while the lock pins the waiter inside its wait
+    // (notify-after-unlock would race the cv's destruction). Only an empty
+    // mailbox needs the write: a non-empty one has a wake-up the loop has
+    // not yet consumed, or is about to be swapped by the loop without
+    // blocking first. An eventfd write never blocks in practice — the
+    // counter would have to hit 2^64-1.
+    if (was_empty) {
+        const std::uint64_t one = 1;
+        [[maybe_unused]] const ssize_t n = ::write(wake.get(), &one, sizeof(one));
+        counters.record_wake_write();
+    }
+    outstanding -= answers.size();
+    if (outstanding == 0) outstanding_zero.notify_all();
+}
+
 void wire_server::drain_completions(reactor& r) {
-    std::vector<completion> batch;
     {
         const std::lock_guard<std::mutex> lock(r.completions_mutex);
-        batch.swap(r.completions);
+        r.draining.swap(r.completions);
     }
-    if (batch.empty()) return;
-    for (const completion& done : batch) {
-        const auto it = r.conns.find(done.conn_id);
+    for (const serve::answer& done : r.draining) {
+        const auto it = r.conns.find(done.tag.owner);
         if (it == r.conns.end()) continue; // connection died while in flight
         connection& conn = *it->second;
         if (conn.inflight > 0) --conn.inflight;
-        std::uint8_t payload[12];
-        if (done.failed) {
-            queue_error(r, conn, done.request_id, wire_error::internal,
+        const std::uint32_t request_id = tag_request_id(done.tag);
+        if (done.error != nullptr) {
+            queue_error(r, conn, request_id, wire_error::internal,
                         "engine failed to answer");
         } else {
-            store_u32(payload, done.label);
+            std::uint8_t payload[12];
+            store_u32(payload, static_cast<std::uint32_t>(done.label));
             store_u64(payload + 4, done.snapshot_version);
-            append_frame(conn.wbuf, done.reply_op, done.request_id,
+            append_frame(conn.wbuf, tag_reply_op(done.tag), request_id,
                          std::span<const std::uint8_t>(payload, sizeof(payload)));
             r.counters.record_frame_out();
         }
+        if (!conn.touched) {
+            conn.touched = true;
+            r.touched.push_back(conn.id);
+        }
     }
+    r.draining.clear();
     // Re-pump every touched connection once: flush the replies and, now
     // that in-flight counts dropped, resume throttled reads.
-    for (const completion& done : batch) {
-        const auto it = r.conns.find(done.conn_id);
-        if (it != r.conns.end()) pump_connection(r, *it->second);
+    for (const std::uint64_t id : r.touched) {
+        const auto it = r.conns.find(id);
+        if (it == r.conns.end()) continue;
+        it->second->touched = false;
+        pump_connection(r, *it->second);
     }
+    r.touched.clear();
+}
+
+void wire_server::retry_parked(reactor& r) {
+    r.retrying.swap(r.parked);
+    for (const std::uint64_t id : r.retrying) {
+        const auto it = r.conns.find(id);
+        // Gone, or already unparked by a pump this round.
+        if (it == r.conns.end() || !it->second->parked) continue;
+        it->second->parked = false; // a refusal parks it (and lists it) again
+        pump_connection(r, *it->second);
+    }
+    r.retrying.clear();
 }
 
 bool wire_server::throttled(const connection& conn) const noexcept {
-    return conn.parked.has_value() || conn.inflight >= options_.inflight_cap ||
+    // Parsed-but-unsubmitted predicts count toward the in-flight cap.
+    return conn.parked ||
+           conn.inflight + conn.pending.size() >= options_.inflight_cap ||
            conn.wbuf.size() - conn.wpos > options_.write_buffer_cap;
 }
 
 void wire_server::pump_connection(reactor& r, connection& conn) {
     const std::uint64_t id = conn.id;
-    // Retry the parked request first: order within a connection is FIFO.
-    if (conn.parked.has_value() && !retry_parked(r, conn)) {
-        return; // helper closed the connection
+    // Retry a parked tail first: order within a connection is FIFO.
+    if (!submit_pending(r, conn)) {
+        close_connection(r, id); // engine stopped underneath us
+        return;
     }
     while (true) {
         // Parse whatever is already buffered.
@@ -367,33 +424,49 @@ void wire_server::pump_connection(reactor& r, connection& conn) {
     }
     flush_writes(r, conn);
     if (r.conns.find(id) == r.conns.end()) return; // flush hit a dead socket
-    // EOF: once nothing is in flight and nothing is buffered, we are done.
-    if (conn.peer_eof && conn.inflight == 0 && !conn.parked.has_value() &&
-        conn.wpos == conn.wbuf.size()) {
-        close_connection(r, id);
-        return;
-    }
-    if (conn.close_after_flush && conn.wpos == conn.wbuf.size() &&
-        conn.inflight == 0) {
+    // EOF or a poisoned stream: once every parsed predict is answered and
+    // nothing is buffered, we are done.
+    if ((conn.peer_eof || conn.close_after_flush) && conn.inflight == 0 &&
+        conn.pending.empty() && conn.wpos == conn.wbuf.size()) {
         close_connection(r, id);
         return;
     }
     update_epoll_interest(r, conn);
 }
 
-/// Retry the parked request. Returns false when the connection was closed
-/// (engine stopped underneath us).
-bool wire_server::retry_parked(reactor& r, connection& conn) {
-    try {
-        if (!submit_predict(r, conn, *conn.parked)) {
-            return true; // still full: stay parked, stay throttled
-        }
-    } catch (const uhd::error&) {
-        close_connection(r, conn.id);
-        return false;
+/// Submit the connection's pending predicts in one engine call. A refused
+/// tail stays pending and parks the connection. Returns false when the
+/// engine is stopped (the caller closes the connection).
+bool wire_server::submit_pending(reactor& r, connection& conn) {
+    if (conn.pending.empty()) return true;
+    const std::size_t n = conn.pending.size();
+    {
+        // Count before submitting: a worker may deliver before try_submit
+        // even returns.
+        const std::lock_guard<std::mutex> lock(r.completions_mutex);
+        r.outstanding += n;
     }
-    conn.parked.reset();
-    return true;
+    std::size_t accepted = 0;
+    bool stopped = false;
+    try {
+        accepted = engine_.try_submit(std::span<serve::sink_request>(conn.pending), r);
+    } catch (const uhd::error&) {
+        stopped = true;
+    }
+    if (accepted != n) {
+        const std::lock_guard<std::mutex> lock(r.completions_mutex);
+        r.outstanding -= n - accepted; // never delivered
+    }
+    conn.inflight += accepted;
+    conn.pending.erase(conn.pending.begin(),
+                       conn.pending.begin() + static_cast<std::ptrdiff_t>(accepted));
+    if (conn.pending.empty()) {
+        conn.parked = false;
+    } else if (!conn.parked) {
+        conn.parked = true; // engine queue full: throttled until a retry
+        r.parked.push_back(conn.id);
+    }
+    return !stopped;
 }
 
 bool wire_server::parse_frames(reactor& r, connection& conn) {
@@ -402,6 +475,13 @@ bool wire_server::parse_frames(reactor& r, connection& conn) {
         if (avail < wire_header_size) break;
         const std::uint8_t* base = conn.rbuf.data() + conn.rpos;
         const frame_header header = decode_header(base);
+        const auto op = static_cast<opcode>(header.op);
+        if (op != opcode::predict && op != opcode::predict_dynamic) {
+            // The predicts parsed so far enter the engine before any
+            // other frame is handled.
+            if (!submit_pending(r, conn)) return false;
+            if (conn.parked) break;
+        }
         if (header.magic != wire_magic) {
             r.counters.record_malformed();
             queue_error(r, conn, header.request_id, wire_error::bad_magic,
@@ -426,11 +506,12 @@ bool wire_server::parse_frames(reactor& r, connection& conn) {
         if (avail < wire_header_size + header.payload_len) break; // truncated
         r.counters.record_frame_in();
         conn.rpos += wire_header_size + header.payload_len;
-        if (!handle_frame(r, conn, header.op, header.request_id,
-                          base + wire_header_size, header.payload_len)) {
-            return false; // engine stopped: drop the connection
-        }
+        handle_frame(r, conn, header.op, header.request_id,
+                     base + wire_header_size, header.payload_len);
     }
+    // This read's predicts: one engine call for all of them (a tail
+    // parked just now waits for retry_parked or the next pump).
+    if (!conn.parked && !submit_pending(r, conn)) return false;
     // Compact once parsing stalls; steady-state pipelining consumes the
     // whole buffer, making this a cheap clear().
     if (conn.rpos == conn.rbuf.size()) {
@@ -445,34 +526,35 @@ bool wire_server::parse_frames(reactor& r, connection& conn) {
     return true;
 }
 
-bool wire_server::handle_frame(reactor& r, connection& conn, std::uint8_t op,
+void wire_server::handle_frame(reactor& r, connection& conn, std::uint8_t op,
                                std::uint32_t request_id,
                                const std::uint8_t* payload,
                                std::size_t payload_len) {
     switch (static_cast<opcode>(op)) {
     case opcode::predict:
     case opcode::predict_dynamic:
-        return handle_predict(r, conn, op, request_id, payload, payload_len);
+        handle_predict(r, conn, op, request_id, payload, payload_len);
+        return;
     case opcode::partial_fit:
         handle_partial_fit(r, conn, request_id, payload, payload_len);
-        return true;
+        return;
     case opcode::stats:
         handle_stats(r, conn, request_id);
-        return true;
+        return;
     case opcode::ping:
         append_frame(conn.wbuf, reply_opcode(opcode::ping), request_id,
                      std::span<const std::uint8_t>(payload, payload_len));
         r.counters.record_frame_out();
-        return true;
+        return;
     default:
         r.counters.record_malformed();
         queue_error(r, conn, request_id, wire_error::bad_opcode,
                     "unknown request opcode");
-        return true; // framing is intact: the connection survives
+        return; // framing is intact: the connection survives
     }
 }
 
-bool wire_server::handle_predict(reactor& r, connection& conn, std::uint8_t op,
+void wire_server::handle_predict(reactor& r, connection& conn, std::uint8_t op,
                                  std::uint32_t request_id,
                                  const std::uint8_t* payload,
                                  std::size_t payload_len) {
@@ -481,24 +563,26 @@ bool wire_server::handle_predict(reactor& r, connection& conn, std::uint8_t op,
         r.counters.record_malformed();
         queue_error(r, conn, request_id, wire_error::unsupported,
                     "engine has no dynamic policy");
-        return true;
+        return;
     }
     if (payload_len < 1) {
         r.counters.record_malformed();
         queue_error(r, conn, request_id, wire_error::bad_payload,
                     "empty predict payload");
-        return true;
+        return;
     }
     const auto kind = static_cast<query_kind>(payload[0]);
     const std::uint8_t* body = payload + 1;
     const std::size_t body_len = payload_len - 1;
-    predict_request request{{}, {}, request_id, dynamic};
+    serve::sink_request request;
+    request.tag = predict_tag(conn.id, request_id, reply_opcode(static_cast<opcode>(op)));
+    request.dynamic = dynamic;
     if (kind == query_kind::encoded) {
         if (body_len != engine_.dim() * 4) {
             r.counters.record_malformed();
             queue_error(r, conn, request_id, wire_error::bad_payload,
                         "encoded payload size != dim * 4");
-            return true;
+            return;
         }
         // Decode straight out of the read buffer into the request vector
         // the engine will consume — the only transform between socket and
@@ -514,91 +598,23 @@ bool wire_server::handle_predict(reactor& r, connection& conn, std::uint8_t op,
             r.counters.record_malformed();
             queue_error(r, conn, request_id, wire_error::unsupported,
                         "engine has no encoder for raw features");
-            return true;
+            return;
         }
         if (body_len != engine_.raw_pixels()) {
             r.counters.record_malformed();
             queue_error(r, conn, request_id, wire_error::bad_payload,
                         "raw payload size != encoder pixels");
-            return true;
+            return;
         }
         request.raw.assign(body, body + body_len);
     } else {
         r.counters.record_malformed();
         queue_error(r, conn, request_id, wire_error::bad_payload,
                     "unknown query kind");
-        return true;
+        return;
     }
-    try {
-        if (!submit_predict(r, conn, request)) {
-            // Engine queue full: park and throttle (parse_frames stops on
-            // the next throttled() check, so order is preserved).
-            conn.parked.emplace(std::move(request));
-        }
-    } catch (const uhd::error&) {
-        return false; // engine stopped: caller closes the connection
-    }
-    return true;
-}
-
-serve::answer_callback wire_server::make_completion(reactor& r,
-                                                    std::uint64_t conn_id,
-                                                    std::uint32_t request_id,
-                                                    std::uint8_t reply_op) {
-    reactor* shard = &r; // heap-pinned; outlives every outstanding callback
-    return [shard, conn_id, request_id, reply_op](std::size_t label,
-                                                  std::uint64_t version,
-                                                  std::exception_ptr error) {
-        const std::lock_guard<std::mutex> lock(shard->completions_mutex);
-        shard->completions.push_back(completion{
-            conn_id, request_id, reply_op, static_cast<std::uint32_t>(label),
-            version, error != nullptr});
-        // Everything below stays under the mutex on purpose — stop()
-        // tears the shard down right after it observes outstanding == 0,
-        // so the eventfd write must precede the decrement (stop() closes
-        // wake), and the notify must happen while the lock pins the
-        // waiter inside its wait (notify-after-unlock would race the cv's
-        // destruction). An eventfd write never blocks in practice — the
-        // counter would have to hit 2^64-1.
-        const std::uint64_t one = 1;
-        [[maybe_unused]] const ssize_t n =
-            ::write(shard->wake.get(), &one, sizeof(one));
-        --shard->outstanding;
-        if (shard->outstanding == 0) shard->outstanding_zero.notify_all();
-    };
-}
-
-bool wire_server::submit_predict(reactor& r, connection& conn,
-                                 predict_request& request) {
-    const std::uint8_t reply_op =
-        reply_opcode(request.dynamic ? opcode::predict_dynamic : opcode::predict);
-    {
-        // Count before submitting: the callback may fire on a worker
-        // before try_submit even returns.
-        const std::lock_guard<std::mutex> lock(r.completions_mutex);
-        ++r.outstanding;
-    }
-    bool pushed = false;
-    try {
-        serve::answer_callback done =
-            make_completion(r, conn.id, request.request_id, reply_op);
-        pushed = request.raw.empty()
-                     ? engine_.try_submit(request.encoded, std::move(done),
-                                          request.dynamic)
-                     : engine_.try_submit_raw(request.raw, std::move(done),
-                                              request.dynamic);
-    } catch (...) {
-        const std::lock_guard<std::mutex> lock(r.completions_mutex);
-        --r.outstanding;
-        throw;
-    }
-    if (!pushed) {
-        const std::lock_guard<std::mutex> lock(r.completions_mutex);
-        --r.outstanding; // callback will never run
-        return false;
-    }
-    ++conn.inflight;
-    return true;
+    // Submitted with the rest of this read's predicts (submit_pending).
+    conn.pending.push_back(std::move(request));
 }
 
 void wire_server::handle_partial_fit(reactor& r, connection& conn,

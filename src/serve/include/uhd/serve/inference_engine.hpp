@@ -3,11 +3,13 @@
 //
 // Architecture (RCU-style single-writer / many-readers):
 //
-//   clients ──submit()──▶ micro_batch_queue ──pop_batch()──▶ workers
-//                                                              │
-//   trainer ──partial_fit/retrain on its PRIVATE classifier    │ load
-//      │                                                       ▼
-//      └──publish(classifier.snapshot()) ──▶ snapshot_cell ◀───┘
+//   clients ──try_submit()──▶ micro_batch_queue ──pop_batch()──▶ workers
+//      ▲                                                            │
+//      └──── answer_sink::deliver(): one call per batch per sink ◀──┤
+//                                                                   │ load
+//   trainer ──partial_fit/retrain on its PRIVATE classifier         │
+//      │                                                            ▼
+//      └──publish(classifier.snapshot()) ──▶ snapshot_cell ◀────────┘
 //                       (shared_ptr<const inference_snapshot> slot)
 //
 // * The current snapshot lives in one snapshot_cell (atomic-shared_ptr
@@ -37,15 +39,19 @@
 //   are bit-identical to predict_encoded / predict_dynamic on the same
 //   snapshot for every backend.
 //
-// Queries are pre-encoded int32 accumulators (encoding is
-// encoder-specific and has its own batch engine); submit() returns a
-// future, predict() is the blocking convenience. An engine configured
-// with a dynamic_query_policy answers through the early-exit cascade
-// instead of the full scan.
+// Queries are pre-encoded int32 accumulators or, on an engine with an
+// encoder, raw pixels that the workers batch-encode. Every request is
+// answered through an answer_sink: after a micro-batch is answered, its
+// worker hands each sink all of that batch's answers for it in ONE
+// deliver() call — the wire front-end's reactors are sinks, so a batch
+// costs them one mailbox lock and at most one wake-up, not one per
+// request. submit()/predict() (futures) and the callback
+// try_submit()/try_submit_raw() are one-request adapters over the same
+// path. An engine configured with a dynamic_query_policy answers through
+// the early-exit cascade instead of the full scan.
 #ifndef UHD_SERVE_INFERENCE_ENGINE_HPP
 #define UHD_SERVE_INFERENCE_ENGINE_HPP
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
@@ -56,6 +62,7 @@
 #include <optional>
 #include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "uhd/hdc/dynamic_query.hpp"
@@ -78,25 +85,71 @@ struct engine_options {
     /// one snapshot load. Larger batches amortize more but lengthen the
     /// tail a burst adds to the last request in the batch.
     std::size_t max_batch = 32;
-    /// Bounded backlog; producers block (backpressure) when it is full.
+    /// Bounded backlog; when it is full, submit() blocks and try_submit()
+    /// refuses (backpressure).
     std::size_t queue_capacity = 4096;
     /// Optional raw-feature encoder: when set, the engine accepts raw
-    /// pixel queries through try_submit_raw() and its workers encode each
-    /// drained raw micro-batch with ONE encode call before answering — the
-    /// off-loop encode stage: encode_sign_batch straight into packed query
-    /// rows on a binarized snapshot, encode_batch into int32 accumulators
-    /// on an integer one. The encoder must
-    /// outlive the engine and produce dim() accumulators; encoders are
-    /// immutable after construction, so concurrent worker use is safe.
+    /// pixel queries (sink_request::raw, try_submit_raw()) and its workers
+    /// encode each drained raw micro-batch with ONE encode call before
+    /// answering — the off-loop encode stage: encode_sign_batch straight
+    /// into packed query rows on a binarized snapshot, encode_batch into
+    /// int32 accumulators on an integer one. The encoder must outlive the
+    /// engine and produce dim() accumulators; encoders are immutable after
+    /// construction, so concurrent worker use is safe.
     const core::uhd_encoder* encoder = nullptr;
 };
 
-/// Completion callback for the wire-path submit: invoked exactly once, from
-/// a worker thread, with the predicted label and the version() of the
-/// snapshot that answered — or with a non-null exception_ptr (label/version
-/// are then meaningless). Callbacks must be cheap and non-blocking: they run
-/// inside the worker's drain loop (the wire front-end just queues the
-/// completion and signals its event loop).
+/// Caller-chosen identity of one sink-routed request, handed back verbatim
+/// with its answer. Two opaque words: the wire front-end keeps its 64-bit
+/// connection id in `owner` and the request id plus reply opcode in `item`.
+struct answer_tag {
+    std::uint64_t owner = 0;
+    std::uint64_t item = 0;
+};
+
+/// One answered request, as a sink receives it.
+struct answer {
+    answer_tag tag;
+    std::size_t label = 0;             ///< predicted class (error == nullptr)
+    std::uint64_t snapshot_version = 0; ///< version() of the answering snapshot
+    std::exception_ptr error;          ///< non-null when a stage failed the
+                                       ///< request; label/version meaningless
+};
+
+/// Receiver of answers. A worker calls deliver() once per micro-batch per
+/// sink, with every answer of that batch routed to the sink (in submit
+/// order), and never touches the sink again for those requests. deliver()
+/// must be cheap and must not wait on new work entering the engine: it
+/// runs inside the worker's drain loop. The engine holds a sink by address
+/// until its last answer is delivered, so sinks are neither copied nor
+/// moved.
+class answer_sink {
+public:
+    answer_sink(const answer_sink&) = delete;
+    answer_sink& operator=(const answer_sink&) = delete;
+
+    virtual void deliver(std::span<const answer> answers) noexcept = 0;
+
+protected:
+    answer_sink() = default;
+    ~answer_sink() = default;
+};
+
+/// One request of a batch try_submit(): a pre-encoded query (`encoded`,
+/// dim() values) or raw pixels (`raw`, raw_pixels() bytes, encoded by the
+/// workers) — `raw` non-empty selects the raw kind.
+struct sink_request {
+    std::vector<std::int32_t> encoded;
+    std::vector<std::uint8_t> raw;
+    answer_tag tag;       ///< echoed in the answer
+    bool dynamic = false; ///< answer through the cascade (needs a policy)
+};
+
+/// Completion callback of the one-request try_submit adapters: invoked
+/// exactly once, from a worker thread, with the predicted label and the
+/// version() of the snapshot that answered — or with a non-null
+/// exception_ptr (label/version are then meaningless). Same rules as
+/// answer_sink::deliver: cheap, and never waiting on new engine work.
 using answer_callback = std::function<void(
     std::size_t label, std::uint64_t snapshot_version, std::exception_ptr error)>;
 
@@ -136,53 +189,49 @@ public:
     /// self-consistent even across concurrent publishes.
     [[nodiscard]] std::shared_ptr<const hdc::inference_snapshot> current() const;
 
-    /// Enqueue one pre-encoded query (dim() int32 values; the vector is
-    /// moved into the request). The future yields the predicted class, or
-    /// rethrows if the engine is stopped before the request is served.
-    /// Throws uhd::error on a size mismatch or when already stopped.
-    [[nodiscard]] std::future<std::size_t> submit(std::vector<std::int32_t> encoded);
-
-    /// Blocking convenience: submit + wait. The span is copied into the
-    /// request; prefer submit() with a moved vector, or the scratch
-    /// overload below, on hot paths.
-    [[nodiscard]] std::size_t predict(std::span<const std::int32_t> encoded);
-
-    /// Allocation-reusing predict: the span is copied into `scratch`
-    /// (reusing its capacity — no allocation once warm), the request moves
-    /// the buffer through the queue, and the worker hands the allocation
-    /// back into `scratch` before fulfilling the future. The promise/future
-    /// edge sequences the handoff, so when this returns the caller owns the
-    /// (repopulated) scratch again and the next call is allocation-free.
-    [[nodiscard]] std::size_t predict(std::span<const std::int32_t> encoded,
-                                      std::vector<std::int32_t>& scratch);
-
-    /// Non-blocking wire-path enqueue: never waits for queue capacity, and
-    /// answers through `done` instead of a future, so a single-threaded
-    /// event loop can feed the engine without stalling or parking a thread
-    /// per request. On success returns true and `encoded` is moved from; on
-    /// a full queue returns false, `encoded` is left intact in the caller's
-    /// hands (park it and retry after a completion frees a slot), and
-    /// `done` is never invoked. Throws uhd::error on a size mismatch, on a
-    /// stopped engine, or when `dynamic` is requested without a policy.
+    /// Non-blocking batch enqueue, the wire path: never waits for queue
+    /// capacity, so a single-threaded event loop can feed the engine
+    /// without stalling. Pushes the longest prefix of `requests` that fits,
+    /// under one queue lock with one notify, and returns its length; those
+    /// requests are moved from and will be answered through `sink`, which
+    /// must outlive their delivery. The refused tail is left intact (park
+    /// it and retry after a completion frees a slot). Validates every
+    /// request first and throws uhd::error — consuming nothing — on a size
+    /// mismatch, a raw request without an encoder, `dynamic` without a
+    /// policy, or a stopped engine.
     ///
     /// Per-request routing (unlike submit(), which always answers through
     /// the engine's configured default): `dynamic = false` answers with the
     /// full scan (predict_encoded semantics) even on a policy-configured
     /// engine; `dynamic = true` answers through the early-exit cascade
     /// (predict_dynamic_encoded semantics). A drained micro-batch holding
-    /// both kinds is answered with one block-kernel call per kind.
+    /// both kinds is answered with one block-kernel call per kind. Raw
+    /// requests are batch-encoded by the workers with one encode call per
+    /// micro-batch (packed sign rows on a binarized snapshot), then
+    /// answered through the same block path.
+    [[nodiscard]] std::size_t try_submit(std::span<sink_request> requests,
+                                         answer_sink& sink);
+
+    /// One-request adapter: enqueue one pre-encoded query (dim() int32
+    /// values, moved into the request), blocking while the queue is full,
+    /// answered through the engine's default route. The future yields the
+    /// predicted class, or rethrows the error of the stage that failed the
+    /// request. Throws uhd::error on a size mismatch or when already
+    /// stopped.
+    [[nodiscard]] std::future<std::size_t> submit(std::vector<std::int32_t> encoded);
+
+    /// Blocking convenience: submit + wait. The span is copied into the
+    /// request.
+    [[nodiscard]] std::size_t predict(std::span<const std::int32_t> encoded);
+
+    /// One-request adapter of the batch try_submit, answering through
+    /// `done`: true when queued (`encoded` moved from); false on a full
+    /// queue, with `encoded` handed back intact and `done` never invoked.
+    /// Throws like the batch form, leaving `encoded` intact.
     [[nodiscard]] bool try_submit(std::vector<std::int32_t>& encoded,
                                   answer_callback done, bool dynamic = false);
 
-    /// Non-blocking raw-feature enqueue (wire path): same contract as
-    /// try_submit, but the payload is raw pixels (raw_pixels() bytes) and a
-    /// worker encodes it off the caller's thread — drained raw requests are
-    /// batch-encoded with one encode call per micro-batch (packed sign rows
-    /// on a binarized snapshot), then answered through the usual block
-    /// path. On a full queue returns false
-    /// with `raw` handed back intact. Throws uhd::error on a size mismatch,
-    /// on an engine without an encoder, on a stopped engine, or when
-    /// `dynamic` is requested without a policy.
+    /// Same for a raw-pixel query (raw_pixels() bytes).
     [[nodiscard]] bool try_submit_raw(std::vector<std::uint8_t>& raw,
                                       answer_callback done,
                                       bool dynamic = false);
@@ -209,37 +258,35 @@ public:
     [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
     [[nodiscard]] std::size_t classes() const noexcept { return classes_; }
 
-    /// Close the queue, serve the backlog, join the workers. Unserved
-    /// requests (none, once the backlog drains) would see broken-promise
-    /// futures. Idempotent and safe against concurrent callers (a racing
-    /// stop() blocks until the first one has joined); called by the
-    /// destructor.
+    /// Close the queue, serve the backlog, join the workers: every request
+    /// accepted before stop() is delivered before it returns. Idempotent
+    /// and safe against concurrent callers (a racing stop() blocks until
+    /// the first one has joined); called by the destructor.
     void stop();
 
 private:
-    struct request {
-        std::vector<std::int32_t> encoded;
-        std::vector<std::uint8_t> raw;    ///< raw pixels, encoded by the
-                                          ///< worker's encode stage (into a
-                                          ///< packed row, or into `encoded`
-                                          ///< on an integer-mode engine)
-        std::promise<std::size_t> answer; ///< future path (on_done empty)
-        answer_callback on_done;          ///< wire path; answers via callback
-        std::vector<std::int32_t>* reclaim = nullptr; ///< scratch-predict:
-                                          ///< worker moves `encoded` back
-                                          ///< here before answering
-        bool dynamic = false;             ///< answer through the cascade
-        std::size_t label = 0;            ///< the answer, once computed
-        std::exception_ptr error;         ///< set when a stage failed it;
-                                          ///< later stages skip it
+    /// A queued request: the submitted query (raw pixels are encoded by the
+    /// worker's encode stage into a packed row, or into `encoded` on an
+    /// integer-mode engine) plus where its answer goes.
+    struct request : sink_request {
+        request(sink_request&& query, answer_sink* to)
+            : sink_request(std::move(query)), sink(to) {}
+        answer_sink* sink = nullptr;
+        std::size_t label = 0;    ///< the answer, once computed
+        std::exception_ptr error; ///< set when a stage failed it; later
+                                  ///< stages skip it
     };
 
     void start_workers(std::size_t workers);
     void worker_loop();
-    /// Deliver one request's label or error through its callback or
-    /// promise (hands the encoded buffer back through req.reclaim first,
-    /// when set).
-    static void deliver(request& req, std::uint64_t version);
+    /// Throws uhd::error unless this engine can answer `req`.
+    void check(const sink_request& req) const;
+    /// The callback adapters' shared body: queue one request (`raw`
+    /// non-empty selects the raw kind) for a one-request sink that invokes
+    /// `done`; when refused or rejected, both payloads are handed back.
+    bool try_submit_one(std::vector<std::int32_t>& encoded,
+                        std::vector<std::uint8_t>& raw, answer_callback done,
+                        bool dynamic);
 
     // Snapshot geometry, pinned at construction: publish() enforces it so
     // a worker mid-batch can never see a dimension change under its feet.
@@ -254,7 +301,6 @@ private:
     std::size_t max_batch_;
     serve_counters counters_;
     std::vector<std::thread> workers_;
-    std::atomic<bool> stopped_{false};
     std::mutex stop_mutex_; ///< serializes stop() callers around the joins
 };
 

@@ -1,14 +1,17 @@
 // Bounded MPMC request queue with micro-batch draining — the admission
 // path of the serving engine.
 //
-// Producers (client threads) push one request at a time; consumers (pool
-// workers) drain up to `max_batch` requests in one critical section, so a
-// burst of concurrent queries is answered as a few batches — each batch
-// loads the current inference snapshot once and amortizes the wake-up and
-// pointer-chase over every request in it. The capacity bound gives
-// backpressure: when readers fall behind, producers block instead of
-// growing an unbounded backlog (tail latency becomes visible at the
-// client, not hidden in a queue).
+// Producers push one request at a time (push) or a run of them under one
+// lock with one notify (try_push_batch, the wire front-end's path);
+// consumers (pool workers) drain up to `max_batch` requests in one
+// critical section, so a burst of concurrent queries is answered as a few
+// batches — each batch loads the current inference snapshot once and
+// amortizes the wake-up and pointer-chase over every request in it. A
+// consumer that leaves items behind wakes the next one, so a batch push's
+// single notify still reaches every idle worker it needs. The capacity
+// bound gives backpressure: when readers fall behind, producers block (or
+// are refused) instead of growing an unbounded backlog (tail latency
+// becomes visible at the client, not hidden in a queue).
 //
 // close() wakes everyone: producers get `false`, consumers drain what is
 // left and then get an empty batch — the engine's shutdown handshake.
@@ -19,19 +22,13 @@
 #include <cstddef>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "uhd/common/error.hpp"
 
 namespace uhd::serve {
-
-/// Outcome of a non-blocking try_push().
-enum class push_result {
-    pushed, ///< item enqueued
-    full,   ///< queue at capacity; the item was NOT consumed — retry later
-    closed, ///< queue closed; the item was NOT consumed and never will be
-};
 
 /// Bounded multi-producer/multi-consumer queue drained in micro-batches.
 template <typename T>
@@ -57,20 +54,27 @@ public:
         return true;
     }
 
-    /// Non-blocking enqueue for callers that must never stall (the epoll
-    /// event loop of the wire front-end): returns immediately with `full`
-    /// instead of waiting for capacity. On `full`/`closed` the item is left
-    /// untouched in the caller's hands (it is only moved from on `pushed`),
-    /// so a throttled producer can park it and retry.
-    [[nodiscard]] push_result try_push(T&& item) {
+    /// Non-blocking batch enqueue for callers that must never stall (the
+    /// epoll event loop of the wire front-end): appends make(0), make(1),
+    /// ... while capacity lasts — at most `count` items, under one lock,
+    /// with one notify. Returns how many were pushed; make() is called for
+    /// exactly those, in order, so a refused tail is never touched and a
+    /// throttled producer can park it and retry. Returns nullopt (make()
+    /// never called) when the queue is closed.
+    template <typename Make>
+    [[nodiscard]] std::optional<std::size_t> try_push_batch(std::size_t count,
+                                                            Make make) {
+        std::size_t pushed = 0;
         {
             const std::lock_guard<std::mutex> lock(mutex_);
-            if (closed_) return push_result::closed;
-            if (items_.size() >= capacity_) return push_result::full;
-            items_.push_back(std::move(item));
+            if (closed_) return std::nullopt;
+            while (pushed < count && items_.size() < capacity_) {
+                items_.push_back(make(pushed));
+                ++pushed;
+            }
         }
-        not_empty_.notify_one();
-        return push_result::pushed;
+        if (pushed != 0) not_empty_.notify_one();
+        return pushed;
     }
 
     /// Drain up to `max_batch` items into `out` (cleared first), blocking
@@ -86,9 +90,13 @@ public:
             out.push_back(std::move(items_.front()));
             items_.pop_front();
         }
+        const bool left_behind = !items_.empty();
         lock.unlock();
         // Every drained slot frees capacity; taken == 0 only at shutdown.
         if (take != 0) not_full_.notify_all();
+        // A batch push notified one consumer; pass the wake-up on for what
+        // this one left, or an idle worker would sleep beside a backlog.
+        if (left_behind) not_empty_.notify_one();
         return take;
     }
 

@@ -1,6 +1,8 @@
 #include "uhd/serve/inference_engine.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <numeric>
 #include <span>
 #include <utility>
 
@@ -69,98 +71,131 @@ std::shared_ptr<const hdc::inference_snapshot> inference_engine::current() const
     return current_.load();
 }
 
+namespace {
+
+/// try_submit's one-request sink: invokes the callback, then frees itself.
+class callback_sink final : public answer_sink {
+public:
+    explicit callback_sink(answer_callback done) : done_(std::move(done)) {}
+
+    void deliver(std::span<const answer> answers) noexcept override {
+        // Callbacks are documented cheap and non-throwing; a throw here must
+        // not take down the worker (it would strand every later answer of
+        // the batch), so swallow defensively.
+        for (const answer& a : answers) {
+            try {
+                if (a.error != nullptr) {
+                    done_(0, 0, a.error);
+                } else {
+                    done_(a.label, a.snapshot_version, nullptr);
+                }
+            } catch (...) { // NOLINT(bugprone-empty-catch)
+            }
+        }
+        delete this;
+    }
+
+private:
+    answer_callback done_;
+};
+
+/// submit()'s one-request sink: fulfils the future, then frees itself.
+class promise_sink final : public answer_sink {
+public:
+    [[nodiscard]] std::future<std::size_t> future() { return answer_.get_future(); }
+
+    void deliver(std::span<const answer> answers) noexcept override {
+        const answer& a = answers.front();
+        if (a.error != nullptr) {
+            answer_.set_exception(a.error);
+        } else {
+            answer_.set_value(a.label);
+        }
+        delete this;
+    }
+
+private:
+    std::promise<std::size_t> answer_;
+};
+
+} // namespace
+
+void inference_engine::check(const sink_request& req) const {
+    if (req.raw.empty()) {
+        UHD_REQUIRE(req.encoded.size() == dim_, "encoded query size mismatch");
+    } else {
+        UHD_REQUIRE(encoder_ != nullptr, "raw submit on an engine without an encoder");
+        UHD_REQUIRE(req.raw.size() == encoder_->pixels(), "raw query size mismatch");
+    }
+    UHD_REQUIRE(!req.dynamic || policy_.has_value(),
+                "dynamic request on an engine without a dynamic policy");
+}
+
+std::size_t inference_engine::try_submit(std::span<sink_request> requests,
+                                         answer_sink& sink) {
+    for (const sink_request& req : requests) check(req);
+    const std::optional<std::size_t> pushed =
+        queue_.try_push_batch(requests.size(), [&](std::size_t i) {
+            return request(std::move(requests[i]), &sink);
+        });
+    if (!pushed.has_value()) throw uhd::error("try_submit() on a stopped engine");
+    return *pushed;
+}
+
 std::future<std::size_t> inference_engine::submit(
     std::vector<std::int32_t> encoded) {
-    UHD_REQUIRE(encoded.size() == dim_, "encoded query size mismatch");
-    UHD_REQUIRE(!stopped_.load(std::memory_order_acquire),
-                "submit() on a stopped engine");
-    request req;
-    req.encoded = std::move(encoded);
     // The future path keeps the engine's configured default: a policy
     // engine answers through the cascade, a plain one with the full scan.
-    req.dynamic = policy_.has_value();
-    std::future<std::size_t> result = req.answer.get_future();
+    auto sink = std::make_unique<promise_sink>();
+    request req({std::move(encoded), {}, {}, policy_.has_value()}, sink.get());
+    check(req);
+    std::future<std::size_t> result = sink->future();
     if (!queue_.push(std::move(req))) {
-        // Raced with stop(): the request never entered the queue.
         throw uhd::error("submit() on a stopped engine");
     }
+    (void)sink.release(); // delivery frees it
     return result;
-}
-
-bool inference_engine::try_submit(std::vector<std::int32_t>& encoded,
-                                  answer_callback done, bool dynamic) {
-    UHD_REQUIRE(encoded.size() == dim_, "encoded query size mismatch");
-    UHD_REQUIRE(done != nullptr, "try_submit() needs a completion callback");
-    UHD_REQUIRE(!dynamic || policy_.has_value(),
-                "dynamic request on an engine without a dynamic policy");
-    UHD_REQUIRE(!stopped_.load(std::memory_order_acquire),
-                "try_submit() on a stopped engine");
-    request req;
-    req.encoded = std::move(encoded);
-    req.on_done = std::move(done);
-    req.dynamic = dynamic;
-    switch (queue_.try_push(std::move(req))) {
-    case push_result::pushed:
-        return true;
-    case push_result::full:
-        // Hand the payload back untouched so the caller can park + retry.
-        encoded = std::move(req.encoded);
-        return false;
-    case push_result::closed:
-    default:
-        throw uhd::error("try_submit() on a stopped engine");
-    }
-}
-
-bool inference_engine::try_submit_raw(std::vector<std::uint8_t>& raw,
-                                      answer_callback done, bool dynamic) {
-    UHD_REQUIRE(encoder_ != nullptr,
-                "raw submit on an engine without an encoder");
-    UHD_REQUIRE(raw.size() == encoder_->pixels(), "raw query size mismatch");
-    UHD_REQUIRE(done != nullptr, "try_submit_raw() needs a completion callback");
-    UHD_REQUIRE(!dynamic || policy_.has_value(),
-                "dynamic request on an engine without a dynamic policy");
-    UHD_REQUIRE(!stopped_.load(std::memory_order_acquire),
-                "try_submit_raw() on a stopped engine");
-    request req;
-    req.raw = std::move(raw);
-    req.on_done = std::move(done);
-    req.dynamic = dynamic;
-    switch (queue_.try_push(std::move(req))) {
-    case push_result::pushed:
-        return true;
-    case push_result::full:
-        // Hand the payload back untouched so the caller can park + retry.
-        raw = std::move(req.raw);
-        return false;
-    case push_result::closed:
-    default:
-        throw uhd::error("try_submit_raw() on a stopped engine");
-    }
 }
 
 std::size_t inference_engine::predict(std::span<const std::int32_t> encoded) {
     return submit(std::vector<std::int32_t>(encoded.begin(), encoded.end())).get();
 }
 
-std::size_t inference_engine::predict(std::span<const std::int32_t> encoded,
-                                      std::vector<std::int32_t>& scratch) {
-    UHD_REQUIRE(encoded.size() == dim_, "encoded query size mismatch");
-    UHD_REQUIRE(!stopped_.load(std::memory_order_acquire),
-                "predict() on a stopped engine");
-    scratch.assign(encoded.begin(), encoded.end()); // reuses capacity
-    request req;
-    req.encoded = std::move(scratch);
-    req.reclaim = &scratch;
-    req.dynamic = policy_.has_value();
-    std::future<std::size_t> result = req.answer.get_future();
-    if (!queue_.push(std::move(req))) {
-        throw uhd::error("predict() on a stopped engine");
+bool inference_engine::try_submit_one(std::vector<std::int32_t>& encoded,
+                                      std::vector<std::uint8_t>& raw,
+                                      answer_callback done, bool dynamic) {
+    UHD_REQUIRE(done != nullptr, "try_submit() needs a completion callback");
+    auto sink = std::make_unique<callback_sink>(std::move(done));
+    sink_request req{std::move(encoded), std::move(raw), {}, dynamic};
+    std::size_t queued = 0;
+    std::exception_ptr failure;
+    try {
+        queued = try_submit(std::span<sink_request>(&req, 1), *sink);
+    } catch (...) {
+        failure = std::current_exception();
     }
-    // The worker moves the buffer back into `scratch` before set_value, and
-    // get() happens-after set_value, so the caller re-owns the allocation
-    // (now warm) the moment this returns.
-    return result.get();
+    if (queued == 1) {
+        (void)sink.release(); // delivery frees it
+        return true;
+    }
+    // Refused or rejected: the request was not consumed, so hand the
+    // payload back untouched (a full queue's caller parks and retries).
+    encoded = std::move(req.encoded);
+    raw = std::move(req.raw);
+    if (failure != nullptr) std::rethrow_exception(failure);
+    return false;
+}
+
+bool inference_engine::try_submit(std::vector<std::int32_t>& encoded,
+                                  answer_callback done, bool dynamic) {
+    std::vector<std::uint8_t> no_raw;
+    return try_submit_one(encoded, no_raw, std::move(done), dynamic);
+}
+
+bool inference_engine::try_submit_raw(std::vector<std::uint8_t>& raw,
+                                      answer_callback done, bool dynamic) {
+    std::vector<std::int32_t> no_encoded;
+    return try_submit_one(no_encoded, raw, std::move(done), dynamic);
 }
 
 std::size_t inference_engine::raw_pixels() const noexcept {
@@ -172,7 +207,6 @@ serve_stats inference_engine::stats() const {
 }
 
 void inference_engine::stop() {
-    stopped_.store(true, std::memory_order_release);
     queue_.close();
     // Serialize concurrent stop() callers (e.g. an explicit shutdown path
     // racing the destructor): exactly one thread joins and clears the
@@ -182,30 +216,6 @@ void inference_engine::stop() {
         if (worker.joinable()) worker.join();
     }
     workers_.clear();
-}
-
-void inference_engine::deliver(request& req, std::uint64_t version) {
-    // Scratch-predict handoff: return the encoded buffer BEFORE the promise
-    // is fulfilled — set_value/get() is the synchronization edge that makes
-    // the caller's read of *reclaim race-free.
-    if (req.reclaim != nullptr) *req.reclaim = std::move(req.encoded);
-    if (req.on_done) {
-        // Wire-path callbacks are documented cheap and non-throwing; a
-        // throw here must not take down the worker (it would strand every
-        // later request in the drained batch), so swallow defensively.
-        try {
-            if (req.error != nullptr) {
-                req.on_done(0, 0, req.error);
-            } else {
-                req.on_done(req.label, version, nullptr);
-            }
-        } catch (...) { // NOLINT(bugprone-empty-catch)
-        }
-    } else if (req.error != nullptr) {
-        req.answer.set_exception(req.error);
-    } else {
-        req.answer.set_value(req.label);
-    }
 }
 
 void inference_engine::worker_loop() {
@@ -228,6 +238,10 @@ void inference_engine::worker_loop() {
     const std::size_t words = kernels::sign_words(dim_);
     std::vector<std::uint64_t> raw_packed;
     std::vector<std::size_t> raw_row;
+    // Delivery scratch: the batch's request indices ordered by sink, and
+    // one sink's answers.
+    std::vector<std::size_t> by_sink;
+    std::vector<answer> outbox;
     while (queue_.pop_batch(batch, max_batch_) != 0) {
         // One snapshot load per micro-batch: every request in the batch is
         // answered from the same immutable state, concurrent publishes
@@ -361,7 +375,27 @@ void inference_engine::worker_loop() {
         // Count the micro-batch before delivering any of it: a client that
         // has read a reply and then asks for stats must see it counted.
         counters_.record_batch(batch.size(), kernel_calls);
-        for (request& req : batch) deliver(req, version);
+        // Delivery: each sink gets all of this batch's answers for it in
+        // ONE deliver() call, in submit order (requests sorted by sink,
+        // then by batch position; std::sort, unlike std::stable_sort,
+        // allocates nothing).
+        by_sink.resize(batch.size());
+        std::iota(by_sink.begin(), by_sink.end(), std::size_t{0});
+        std::sort(by_sink.begin(), by_sink.end(), [&](std::size_t a, std::size_t b) {
+            const answer_sink* sa = batch[a].sink;
+            const answer_sink* sb = batch[b].sink;
+            return sa == sb ? a < b : std::less<>{}(sa, sb);
+        });
+        for (std::size_t i = 0; i < by_sink.size();) {
+            answer_sink* sink = batch[by_sink[i]].sink;
+            outbox.clear();
+            for (; i < by_sink.size() && batch[by_sink[i]].sink == sink; ++i) {
+                request& req = batch[by_sink[i]];
+                outbox.push_back(
+                    answer{req.tag, req.label, version, std::move(req.error)});
+            }
+            sink->deliver(outbox);
+        }
     }
 }
 

@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <future>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -368,32 +370,37 @@ TEST(InferenceEngineConcurrent, StopWithConcurrentSubmittersIsClean) {
 
 // --- micro_batch_queue: non-blocking push + close/submit edges ------------
 
-TEST(MicroBatchQueue, TryPushReportsFullAndClosedWithoutConsuming) {
+/// try_push_batch item maker: first, first + 1, ...
+auto counting_from(int first) {
+    return [first](std::size_t i) { return first + static_cast<int>(i); };
+}
+
+TEST(MicroBatchQueue, TryPushBatchPushesWhatFitsAndReportsClosed) {
     micro_batch_queue<int> queue(2);
-    EXPECT_EQ(queue.try_push(1), serve::push_result::pushed);
-    EXPECT_EQ(queue.try_push(2), serve::push_result::pushed);
-    EXPECT_EQ(queue.try_push(3), serve::push_result::full); // never blocks
+    EXPECT_EQ(queue.try_push_batch(3, counting_from(1)), 2u); // never blocks
+    EXPECT_EQ(queue.try_push_batch(1, counting_from(3)), 0u); // full
     std::vector<int> batch;
     EXPECT_EQ(queue.pop_batch(batch, 1), 1u);
-    EXPECT_EQ(queue.try_push(3), serve::push_result::pushed); // slot freed
+    EXPECT_EQ(queue.try_push_batch(2, counting_from(3)), 1u); // slot freed
     queue.close();
-    EXPECT_EQ(queue.try_push(4), serve::push_result::closed);
+    EXPECT_FALSE(queue.try_push_batch(1, counting_from(4)).has_value());
     EXPECT_EQ(queue.pop_batch(batch, 8), 2u); // backlog still served
     EXPECT_EQ(batch, (std::vector<int>{2, 3}));
 }
 
-TEST(MicroBatchQueue, TryPushLeavesTheItemIntactWhenRefused) {
-    // The wire server parks the refused payload and retries it later; a
-    // move-out on `full` would silently destroy the request.
-    micro_batch_queue<std::vector<int>> queue(1);
-    std::vector<int> first{1, 2, 3};
-    ASSERT_EQ(queue.try_push(std::move(first)), serve::push_result::pushed);
-    std::vector<int> second{4, 5, 6};
-    ASSERT_EQ(queue.try_push(std::move(second)), serve::push_result::full);
-    EXPECT_EQ(second, (std::vector<int>{4, 5, 6})); // untouched
+TEST(MicroBatchQueue, TryPushBatchMakesOnlyThePushedItems) {
+    // The wire server parks a refused tail and retries it later. make() is
+    // where a request's payload is moved from, so a call for a refused
+    // item would silently destroy it.
+    micro_batch_queue<std::vector<int>> queue(2);
+    std::vector<std::vector<int>> items{{1}, {2}, {3, 4}};
+    const auto take = [&](std::size_t i) { return std::move(items[i]); };
+    ASSERT_EQ(queue.try_push_batch(items.size(), take), 2u);
+    EXPECT_EQ(items[2], (std::vector<int>{3, 4})); // untouched
     queue.close();
-    ASSERT_EQ(queue.try_push(std::move(second)), serve::push_result::closed);
-    EXPECT_EQ(second, (std::vector<int>{4, 5, 6})); // still untouched
+    const auto take_last = [&](std::size_t) { return std::move(items[2]); };
+    ASSERT_FALSE(queue.try_push_batch(1, take_last).has_value());
+    EXPECT_EQ(items[2], (std::vector<int>{3, 4})); // still untouched
 }
 
 TEST(MicroBatchQueue, RacingCloseDuringFullQueueWaitCannotDeadlock) {
@@ -414,7 +421,7 @@ TEST(MicroBatchQueue, RacingCloseDuringFullQueueWaitCannotDeadlock) {
         queue.close();
         for (auto& t : producers) t.join(); // would hang on a lost wakeup
         EXPECT_EQ(refused.load(), 4);
-        EXPECT_EQ(queue.try_push(2), serve::push_result::closed);
+        EXPECT_FALSE(queue.try_push_batch(1, counting_from(2)).has_value());
     }
 }
 
@@ -653,27 +660,194 @@ TEST(InferenceEngine, RawSubmitValidatesEncoderPixelsAndShutdown) {
     EXPECT_THROW((void)engine.try_submit_raw(raw, ignore), uhd::error);
 }
 
-TEST(InferenceEngine, ScratchPredictReusesTheAllocationAndMatches) {
-    const auto train = data::make_synthetic_digits(120, 77);
-    const auto test = data::make_synthetic_digits(40, 78);
-    const auto enc = make_encoder(train);
+// --- inference_engine: batch submits through answer sinks ----------------
+
+/// Records every deliver() call's answers.
+class recording_sink final : public serve::answer_sink {
+public:
+    void deliver(std::span<const serve::answer> answers) noexcept override {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        calls_.emplace_back(answers.begin(), answers.end());
+    }
+    [[nodiscard]] std::vector<std::vector<serve::answer>> calls() {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        return calls_;
+    }
+
+private:
+    std::mutex mutex_;
+    std::vector<std::vector<serve::answer>> calls_;
+};
+
+/// `n` pre-encoded requests for test images first..first+n-1, tagged with
+/// item = the image index.
+std::vector<serve::sink_request> tagged_requests(const core::uhd_encoder& enc,
+                                                 const data::dataset& set,
+                                                 std::size_t first, std::size_t n) {
+    std::vector<serve::sink_request> out(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        out[i].encoded = encode_one(enc, set, first + i);
+        out[i].tag = {7, first + i};
+    }
+    return out;
+}
+
+TEST(InferenceEngine, BatchSubmitPushesThePrefixThatFitsAndDeliversPerSink) {
+    // One worker, plugged by a callback that blocks, so everything
+    // submitted meanwhile is drained as ONE micro-batch afterwards. The
+    // batch interleaves two sinks; each must get exactly one deliver()
+    // call holding its own answers in submit order. A batch submit that
+    // meets a full queue takes the prefix that fits and leaves the tail
+    // untouched.
+    const auto train = data::make_synthetic_digits(80, 87);
+    const auto test = data::make_synthetic_digits(20, 88);
+    const auto enc = make_encoder(train, 256);
     hd_classifier<core::uhd_encoder> clf(enc, 10);
     clf.fit(train);
-    inference_engine engine(clf.snapshot());
-    std::vector<std::int32_t> scratch;
-    // Warm-up call owns the one allocation.
-    const auto first = encode_one(enc, test, 0);
-    EXPECT_EQ(engine.predict(first, scratch), clf.predict_encoded(first));
-    ASSERT_EQ(scratch.size(), enc.dim()); // the buffer came back
-    const std::int32_t* warm = scratch.data();
-    for (std::size_t i = 1; i < test.size(); ++i) {
-        const auto encoded = encode_one(enc, test, i);
-        EXPECT_EQ(engine.predict(encoded, scratch),
-                  clf.predict_encoded(encoded))
-            << "query " << i;
-        // Same allocation round-trips through the queue every call.
-        EXPECT_EQ(scratch.data(), warm) << "scratch reallocated, query " << i;
+    recording_sink first_sink;
+    recording_sink second_sink; // both outlive the engine's deliveries
+    engine_options opts;
+    opts.workers = 1;
+    opts.max_batch = 32;
+    opts.queue_capacity = 7;
+    inference_engine engine(clf.snapshot(), opts);
+
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool plugged = false;
+    bool release = false;
+    auto plug = encode_one(enc, train, 0);
+    ASSERT_TRUE(engine.try_submit(plug, [&](std::size_t, std::uint64_t,
+                                            std::exception_ptr) {
+        std::unique_lock<std::mutex> lock(mutex);
+        plugged = true;
+        cv.notify_all();
+        cv.wait(lock, [&] { return release; });
+    }));
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10), [&] { return plugged; }));
     }
+
+    auto a1 = tagged_requests(enc, test, 0, 2);
+    auto b1 = tagged_requests(enc, test, 2, 2);
+    auto a2 = tagged_requests(enc, test, 4, 2);
+    auto b2 = tagged_requests(enc, test, 6, 3);
+    EXPECT_EQ(engine.try_submit(a1, first_sink), 2u);
+    EXPECT_EQ(engine.try_submit(b1, second_sink), 2u);
+    EXPECT_EQ(engine.try_submit(a2, first_sink), 2u);
+    EXPECT_TRUE(a1[0].encoded.empty()); // accepted payloads are moved from
+    // One slot left: the first request fits, the refused tail keeps its
+    // payloads.
+    EXPECT_EQ(engine.try_submit(b2, second_sink), 1u);
+    EXPECT_TRUE(b2[0].encoded.empty());
+    EXPECT_EQ(b2[1].encoded.size(), enc.dim());
+    EXPECT_EQ(b2[2].encoded.size(), enc.dim());
+    {
+        const std::lock_guard<std::mutex> lock(mutex);
+        release = true;
+    }
+    cv.notify_all();
+    engine.stop(); // every accepted request is delivered before this returns
+
+    const auto check_calls = [&](recording_sink& sink,
+                                 const std::vector<std::size_t>& items) {
+        const auto calls = sink.calls();
+        ASSERT_EQ(calls.size(), 1u) << "one deliver() per sink per batch";
+        ASSERT_EQ(calls[0].size(), items.size());
+        for (std::size_t k = 0; k < items.size(); ++k) {
+            const serve::answer& got = calls[0][k];
+            EXPECT_EQ(got.tag.owner, 7u);
+            EXPECT_EQ(got.tag.item, items[k]) << "submit order within the sink";
+            EXPECT_EQ(got.error, nullptr);
+            EXPECT_EQ(got.label, clf.predict_encoded(encode_one(enc, test, items[k])));
+            EXPECT_EQ(got.snapshot_version, clf.snapshot().version());
+        }
+    };
+    check_calls(first_sink, {0, 1, 4, 5});
+    check_calls(second_sink, {2, 3, 6});
+    const serve::serve_stats stats = engine.stats();
+    EXPECT_EQ(stats.batches, 2u); // the plug, then all seven together
+    EXPECT_EQ(stats.queries, 8u);
+}
+
+TEST(InferenceEngine, BatchSubmitRejectsBadRequestsWithoutConsumingAny) {
+    const auto train = data::make_synthetic_digits(60, 89);
+    const auto enc = make_encoder(train, 256);
+    hd_classifier<core::uhd_encoder> clf(enc, 10);
+    clf.fit(train);
+    recording_sink sink;
+    inference_engine engine(clf.snapshot());
+    auto batch = tagged_requests(enc, train, 0, 3);
+    batch[2].encoded.pop_back(); // one bad request fails the whole call
+    EXPECT_THROW((void)engine.try_submit(batch, sink), uhd::error);
+    EXPECT_EQ(batch[0].encoded.size(), enc.dim());
+    batch[2].encoded = encode_one(enc, train, 2);
+    batch[1].dynamic = true; // no policy on this engine
+    EXPECT_THROW((void)engine.try_submit(batch, sink), uhd::error);
+    batch[1].dynamic = false;
+    batch[1].raw.assign(train.image(1).begin(), train.image(1).end()); // no encoder
+    EXPECT_THROW((void)engine.try_submit(batch, sink), uhd::error);
+    EXPECT_EQ(batch[0].encoded.size(), enc.dim());
+    engine.stop();
+    batch[1].raw.clear();
+    EXPECT_THROW((void)engine.try_submit(batch, sink), uhd::error);
+    EXPECT_EQ(batch[0].encoded.size(), enc.dim());
+    EXPECT_TRUE(sink.calls().empty());
+}
+
+/// Every delivery waits (for at most 5 s) until `expected` answers have
+/// been delivered in total — so the first delivery can only finish after
+/// another worker has delivered too.
+class rendezvous_sink final : public serve::answer_sink {
+public:
+    explicit rendezvous_sink(std::size_t expected) : expected_(expected) {}
+
+    void deliver(std::span<const serve::answer> answers) noexcept override {
+        std::unique_lock<std::mutex> lock(mutex_);
+        delivered_ += answers.size();
+        arrived_.notify_all();
+        (void)arrived_.wait_for(lock, std::chrono::seconds(5),
+                                [&] { return delivered_ >= expected_; });
+    }
+    /// Whether all `expected` answers arrive within `limit`.
+    [[nodiscard]] bool all_delivered_within(std::chrono::seconds limit) {
+        std::unique_lock<std::mutex> lock(mutex_);
+        return arrived_.wait_for(lock, limit, [&] { return delivered_ >= expected_; });
+    }
+
+private:
+    std::mutex mutex_;
+    std::condition_variable arrived_;
+    std::size_t expected_;
+    std::size_t delivered_ = 0;
+};
+
+TEST(InferenceEngine, BatchSubmitWakesEveryWorkerItNeeds) {
+    // One batch submit is one notify. With max_batch 1 the woken worker
+    // takes one request, leaves the other queued, and blocks delivering
+    // until the second answer is delivered — which only the other worker
+    // can do. So a worker that leaves items in the queue must wake the
+    // next one; without that, the rendezvous times out (a failure, not a
+    // hang: stop() then drains the leftover).
+    const auto train = data::make_synthetic_digits(60, 90);
+    const auto enc = make_encoder(train, 256);
+    hd_classifier<core::uhd_encoder> clf(enc, 10);
+    clf.fit(train);
+    rendezvous_sink sink(2); // outlives the engine's deliveries
+    engine_options opts;
+    opts.workers = 2;
+    opts.max_batch = 1;
+    inference_engine engine(clf.snapshot(), opts);
+    // Let both workers park on the empty queue first.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    auto batch = tagged_requests(enc, train, 0, 2);
+    ASSERT_EQ(engine.try_submit(batch, sink), 2u);
+    // Checked before stop(): closing the queue would wake the idle worker.
+    EXPECT_TRUE(sink.all_delivered_within(std::chrono::seconds(5)))
+        << "the leftover request sat in the queue beside an idle worker";
+    engine.stop();
+    EXPECT_EQ(engine.stats().batches, 2u);
 }
 
 } // namespace

@@ -51,12 +51,12 @@ struct server_fixture {
     std::optional<wire_server> server;
 
     explicit server_fixture(bool dynamic = false,
-                            wire_server_options options = {})
+                            wire_server_options options = {},
+                            serve::engine_options engine_options = {})
         : model(make_config(), train.shape(), train.num_classes(),
                 hdc::train_mode::raw_sums, hdc::query_mode::binarized) {
         model.fit(train);
         // The engine's encode stage is the server's only raw-query path.
-        serve::engine_options engine_options;
         engine_options.encoder = &model.encoder();
         if (dynamic) {
             engine.emplace(model.snapshot(),
@@ -374,6 +374,85 @@ TEST(WireServer, SmallInflightCapStillAnswersEverything) {
         ++answered;
     }
     EXPECT_EQ(answered, burst_size);
+}
+
+TEST(WireServer, FullEngineQueueParksAndAnswersEveryRequestOnce) {
+    // An engine queue of 2 against 4 connections pipelining 128 predicts
+    // each: almost every read's batch submit is cut short, its tail parks
+    // on the connection and is retried as slots free up — including on
+    // connections with nothing in flight, which no completion of their own
+    // would ever re-pump. Every request is answered exactly once, with the
+    // oracle's label, in encoded and raw kinds alike.
+    serve::engine_options engine_options;
+    engine_options.queue_capacity = 2;
+    const server_fixture fx(false, {}, engine_options);
+    const hdc::inference_snapshot oracle = fx.model.snapshot();
+    constexpr std::size_t n_conns = 4;
+    constexpr std::size_t burst_size = 128;
+    std::vector<std::size_t> expected(burst_size);
+    for (std::size_t i = 0; i < burst_size; ++i) {
+        expected[i] = oracle.predict_encoded(fx.encoded_query(i));
+    }
+    std::atomic<std::size_t> mismatches{0};
+    std::atomic<std::size_t> duplicates{0};
+    std::atomic<std::size_t> unanswered{0};
+    std::atomic<std::size_t> stalled{0};
+    const auto drive = [&](std::size_t c) {
+        wire_client client = fx.connect();
+        std::vector<std::uint8_t> burst;
+        for (std::size_t i = 0; i < burst_size; ++i) {
+            const auto id = static_cast<std::uint32_t>(i);
+            if ((i + c) % 2 == 0) {
+                append_predict_encoded(burst, opcode::predict, id, fx.encoded_query(i));
+            } else {
+                append_predict_raw(burst, opcode::predict, id,
+                                   fx.test.image(i % fx.test.size()));
+            }
+        }
+        client.send_bytes(burst);
+        std::vector<bool> answered(burst_size, false);
+        for (std::size_t r = 0; r < burst_size; ++r) {
+            const wire_frame reply = client.read_frame();
+            const auto parsed = parse_predict_reply(reply.payload);
+            const std::size_t id = reply.header.request_id;
+            if (reply.header.op != reply_opcode(opcode::predict) ||
+                !parsed.has_value() || id >= burst_size) {
+                mismatches.fetch_add(1);
+                continue;
+            }
+            if (answered[id]) duplicates.fetch_add(1);
+            answered[id] = true;
+            if (parsed->label != expected[id]) mismatches.fetch_add(1);
+        }
+        unanswered.fetch_add(static_cast<std::size_t>(
+            std::count(answered.begin(), answered.end(), false)));
+        // Nothing else is owed: the next frame is the pong.
+        std::vector<std::uint8_t> probe;
+        append_frame(probe, static_cast<std::uint8_t>(opcode::ping), 9999, {});
+        client.send_bytes(probe);
+        const wire_frame pong = client.read_frame();
+        if (pong.header.op != reply_opcode(opcode::ping) ||
+            pong.header.request_id != 9999) {
+            duplicates.fetch_add(1);
+        }
+    };
+    std::vector<std::thread> threads;
+    for (std::size_t c = 0; c < n_conns; ++c) {
+        threads.emplace_back([&, c] {
+            try {
+                drive(c);
+            } catch (const uhd::error&) {
+                stalled.fetch_add(1); // a read timed out: a reply never came
+            }
+        });
+    }
+    for (auto& t : threads) t.join();
+    EXPECT_EQ(stalled.load(), 0u);
+    EXPECT_EQ(mismatches.load(), 0u);
+    EXPECT_EQ(duplicates.load(), 0u);
+    EXPECT_EQ(unanswered.load(), 0u);
+    EXPECT_GT(fx.server->stats().throttle_events, 0u);
+    EXPECT_EQ(fx.engine->stats().queries, n_conns * burst_size);
 }
 
 TEST(WireServer, ServesManyConnectionsConcurrently) {

@@ -147,6 +147,7 @@ TEST(WireReactors, ShardStatsSumExactlyToAggregatedTotals) {
     EXPECT_EQ(summed.malformed_frames, total.malformed_frames);
     EXPECT_EQ(summed.throttle_events, total.throttle_events);
     EXPECT_EQ(summed.loop_cpu_ns, total.loop_cpu_ns);
+    EXPECT_EQ(summed.wake_writes, total.wake_writes);
     EXPECT_GT(total.loop_cpu_ns, 0u);
     EXPECT_EQ(total.connections_accepted, n_conns);
     EXPECT_EQ(total.connections_active, 0u);
@@ -261,6 +262,55 @@ TEST(WireReactors, RawOffLoopEncodeAcrossReactorsMatchesOracle) {
     EXPECT_EQ(engine_stats.raw_queries, n_conns * 30u);
     EXPECT_GE(engine_stats.encode_kernel_calls, 1u);
     EXPECT_LE(engine_stats.encode_kernel_calls, engine_stats.raw_queries);
+}
+
+TEST(WireReactors, PipelinedBurstsWakeEachReactorAtMostOncePerMicroBatch) {
+    // A worker hands each reactor a micro-batch's answers in one delivery
+    // and writes the eventfd only when the mailbox was empty, so a reactor
+    // is woken at most once per micro-batch, never once per request. The
+    // bursts go one connection at a time, so every micro-batch belongs to
+    // one reactor and the bound holds for the sum over shards too.
+    for (const std::size_t reactors : {std::size_t{1}, std::size_t{2}}) {
+        sharded_fixture fx(reactors);
+        const hdc::inference_snapshot oracle = fx.model.snapshot();
+        constexpr std::size_t burst_size = 64;
+        std::size_t mismatches = 0;
+        for (const bool raw : {false, true}) {
+            for (std::size_t c = 0; c < 4; ++c) {
+                wire_client client = fx.connect();
+                std::vector<std::uint8_t> burst;
+                std::vector<std::size_t> expected(burst_size);
+                for (std::size_t i = 0; i < burst_size; ++i) {
+                    const std::size_t q = c * 7 + i;
+                    const auto id = static_cast<std::uint32_t>(i);
+                    if (raw) {
+                        append_predict_raw(burst, opcode::predict, id,
+                                           fx.test.image(q % fx.test.size()));
+                    } else {
+                        append_predict_encoded(burst, opcode::predict, id,
+                                               fx.encoded_query(q));
+                    }
+                    expected[i] = oracle.predict_encoded(fx.encoded_query(q));
+                }
+                client.send_bytes(burst);
+                for (std::size_t r = 0; r < burst_size; ++r) {
+                    const wire_frame reply = client.read_frame();
+                    const auto parsed = parse_predict_reply(reply.payload);
+                    if (!parsed.has_value() || reply.header.request_id >= burst_size ||
+                        parsed->label != expected[reply.header.request_id]) {
+                        ++mismatches;
+                    }
+                }
+            }
+        }
+        EXPECT_EQ(mismatches, 0u) << "reactors=" << reactors;
+        fx.server->stop(); // quiesce
+        const wire_stats wire = fx.server->stats();
+        const serve::serve_stats engine_stats = fx.engine->stats();
+        EXPECT_EQ(engine_stats.queries, 2 * 4 * burst_size);
+        EXPECT_GE(wire.wake_writes, 1u);
+        EXPECT_LE(wire.wake_writes, engine_stats.batches) << "reactors=" << reactors;
+    }
 }
 
 TEST(WireReactors, PartialFitStaysSerializedAcrossReactors) {
