@@ -3,6 +3,7 @@
 #ifndef UHD_COMMON_IO_HPP
 #define UHD_COMMON_IO_HPP
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
@@ -43,7 +44,9 @@ void write_pod_vector(std::ostream& os, const std::vector<T>& v);
 
 /// Read a vector of trivially-copyable elements written by write_pod_vector.
 /// Throws uhd::error, before allocating, when the stored element count
-/// exceeds `max_count`.
+/// exceeds `max_count`. The vector grows with the bytes that arrive, not
+/// with the stored count: a stream that ends early throws uhd::error after
+/// allocating at most about twice what it held plus 1 MiB.
 template <typename T>
 std::vector<T> read_pod_vector(std::istream& is, std::size_t max_count);
 
@@ -71,8 +74,19 @@ std::vector<T> read_pod_vector(std::istream& is, std::size_t max_count) {
     static_assert(std::is_trivially_copyable_v<T>, "POD serialization only");
     const std::uint64_t n = read_u64(is);
     require_count(n, max_count);
-    std::vector<T> v(static_cast<std::size_t>(n));
-    if (n != 0) read_bytes(is, v.data(), v.size() * sizeof(T));
+    // Each step reads at most max(1 MiB, what has arrived so far), so the
+    // vector never outgrows the stream by more than one step, and a long
+    // vector still costs O(n) copying in all.
+    constexpr std::size_t min_step = std::max<std::size_t>(1, (std::size_t{1} << 20) / sizeof(T));
+    std::vector<T> v;
+    while (v.size() < n) {
+        const std::size_t done = v.size();
+        const std::size_t step =
+            std::min(static_cast<std::size_t>(n) - done, std::max(min_step, done));
+        v.reserve(done + step);
+        v.resize(done + step);
+        read_bytes(is, v.data() + done, step * sizeof(T));
+    }
     return v;
 }
 

@@ -64,6 +64,13 @@ struct argmin2_result {
 // chunk for every pixel before moving on streams the bank front to back.
 // The last chunk is as wide as the words left (no padding), so the bank is
 // exactly npix * M * words words.
+//
+// A chunk is itself a bank: the chunk of `width` words at word `first`
+// starts at first * npix * M, and inside it word w of plane k of pixel p
+// sits at plane_word_offset(npix, M, width, p, k, w). The stored encode
+// relies on this. It counts a whole batch one chunk at a time, passing
+// each chunk to geq_plane_count as a `width`-word bank with the matching
+// slice of its base (SimdKernels.PlaneBankChunksAreStandaloneBanks).
 
 /// Dimension words per bank chunk (one 512-bit vector).
 inline constexpr std::size_t plane_chunk_words = 8;

@@ -5,11 +5,12 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 
 #include "uhd/bitstream/unary.hpp"
 #include "uhd/common/error.hpp"
 #include "uhd/common/kernels.hpp"
-#include "uhd/common/simd.hpp" // pinned-scalar oracle kernels (encode_scalar)
+#include "uhd/common/simd.hpp" // plane_count_sign; pinned-scalar oracles (encode_scalar)
 
 namespace uhd::core {
 namespace {
@@ -127,14 +128,16 @@ void uhd_encoder::build_tables(const ld::quantized_sobol_bank* custom) {
         }
     }
     if (!stored) return;
-    // Z0 as bit-sliced counter planes, the layout geq_plane_count starts
-    // from (dimensions past dim count 0).
+    // Z0 as bit-sliced counter planes (dimensions past dim count 0), laid
+    // out chunk by chunk like a one-pixel bank of n_planes planes: the
+    // chunk at word `first` is the counter block geq_plane_count starts
+    // from when count_stored hands it that chunk as a bank of its own.
     const std::size_t n_planes = kernels::count_planes(shape_.pixels());
     zero_base_.assign(n_planes * words, 0);
     for (std::size_t d = 0; d < config_.dim; ++d) {
         for (std::size_t j = 0; j < n_planes; ++j) {
-            zero_base_[j * words + d / 64] |= static_cast<std::uint64_t>((zeros[d] >> j) & 1u)
-                                              << (d % 64);
+            zero_base_[kernels::plane_word_offset(1, n_planes, words, 0, j, d / 64)] |=
+                static_cast<std::uint64_t>((zeros[d] >> j) & 1u) << (d % 64);
         }
     }
 }
@@ -235,6 +238,14 @@ namespace {
     return static_cast<std::int32_t>((2 * reach_sum + d / 2) / d);
 }
 
+/// One image of a count_stored batch: where its active list starts in the
+/// batch's list buffer, how long it is, and the image's 2*TOB.
+struct listed_image {
+    std::size_t offset;
+    std::size_t n_active;
+    std::int32_t tau2;
+};
+
 } // namespace
 
 std::int32_t uhd_encoder::doubled_threshold(std::span<const std::uint8_t> image) const {
@@ -273,20 +284,62 @@ std::int32_t uhd_encoder::quantize_image(std::span<const std::uint8_t> image,
     return mean_threshold(reach_sum, config_.dim);
 }
 
-std::span<const std::uint64_t> uhd_encoder::count_image(
-    std::span<const std::uint8_t> image, std::int32_t& tau2) const {
-    // Reused per thread: the batch engines call this once per image from
-    // every pool worker, so per-call allocation would dominate.
-    static thread_local std::vector<kernels::active_pixel> active;
-    static thread_local std::vector<std::uint64_t> counters;
-    active.resize(image.size());
-    std::size_t n_active = 0;
-    tau2 = quantize_image(image, active.data(), n_active);
+void uhd_encoder::count_stored(std::span<const std::uint8_t> images, std::size_t count,
+                               std::uint64_t* signs, std::int32_t* centred) const {
+    const std::size_t npix = shape_.pixels();
     const std::size_t words = kernels::sign_words(config_.dim);
-    counters.resize(kernels::count_planes(image.size()) * words);
-    kernels::geq_plane_count(active.data(), n_active, image.size(), planes_.data(),
-                             plane_bits_, words, zero_base_.data(), counters.data());
-    return {counters.data(), counters.size()};
+    const std::size_t n_planes = kernels::count_planes(npix);
+    // Per-thread scratch: the serve workers and the trainer's pool workers
+    // call this once per batch or image, so per-call allocation would
+    // dominate. The batch's active lists share one buffer, image i's at
+    // lists[i].offset. quantize_image writes at most npix slots from an
+    // image's offset (its list plus one slot it may overwrite), so
+    // count * npix entries hold any batch; the buffer grows before the
+    // batch is listed, never during it. It is left uninitialized, so a
+    // batch touches only the pages its lists fill.
+    static thread_local std::unique_ptr<kernels::active_pixel[]> active;
+    static thread_local std::size_t active_capacity = 0;
+    static thread_local std::vector<listed_image> lists;
+    static thread_local std::vector<std::uint64_t> counters;
+    if (active_capacity < count * npix) {
+        active = std::make_unique_for_overwrite<kernels::active_pixel[]>(count * npix);
+        active_capacity = count * npix;
+    }
+    lists.resize(count);
+    std::size_t offset = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+        std::size_t n_active = 0;
+        const std::int32_t tau2 =
+            quantize_image(images.subspan(i * npix, npix), active.get() + offset, n_active);
+        lists[i] = {offset, n_active, tau2};
+        offset += n_active;
+    }
+    // Chunk by chunk: under plane_word_offset, the chunk of `width` words
+    // at word `first` is itself a bank of `width` words (pixel p's plane k
+    // at (p * M + k) * width), and so is Z0's block for it, so every
+    // image's count over the chunk is one geq_plane_count call on that
+    // chunk alone, followed by the chunk's finisher. Each chunk is read
+    // from memory once and stays cache-resident for the rest of the batch.
+    counters.resize(n_planes * kernels::plane_chunk_words);
+    for (std::size_t first = 0; first < words; first += kernels::plane_chunk_words) {
+        const std::size_t width = std::min(kernels::plane_chunk_words, words - first);
+        const std::uint64_t* chunk = planes_.data() + first * npix * plane_bits_;
+        const std::uint64_t* base = zero_base_.data() + first * n_planes;
+        const std::size_t dims = std::min(64 * width, config_.dim - 64 * first);
+        for (std::size_t i = 0; i < count; ++i) {
+            const listed_image& image = lists[i];
+            kernels::geq_plane_count(active.get() + image.offset, image.n_active, npix,
+                                     chunk, plane_bits_, width, base, counters.data());
+            if (signs != nullptr) {
+                simd::plane_count_sign(counters.data(), n_planes, width, dims, image.tau2,
+                                       signs + i * words + first);
+            } else {
+                kernels::plane_count_center(counters.data(), n_planes, width, dims,
+                                            image.tau2,
+                                            centred + i * config_.dim + 64 * first);
+            }
+        }
+    }
 }
 
 void uhd_encoder::encode(std::span<const std::uint8_t> image,
@@ -299,12 +352,8 @@ void uhd_encoder::encode(std::span<const std::uint8_t> image,
     // the CPU probe or the UHD_BACKEND override).
     if (config_.bank == bank_mode::stored) {
         // Bit-sliced counts of q >= S over the planes, then the int32
-        // finisher centres them (2 * count - tau2).
-        std::int32_t tau2 = 0;
-        const std::span<const std::uint64_t> counters = count_image(image, tau2);
-        kernels::plane_count_center(counters.data(), kernels::count_planes(image.size()),
-                                    kernels::sign_words(config_.dim), config_.dim, tau2,
-                                    out.data());
+        // finisher centres them (2 * count - tau2): a batch of one.
+        count_stored(image, 1, nullptr, out.data());
         return;
     }
     // Fused rematerializing path: translate each pixel's quantized
@@ -336,22 +385,6 @@ void uhd_encoder::encode(std::span<const std::uint8_t> image,
     }
 }
 
-void uhd_encoder::encode_sign_into(std::span<const std::uint8_t> image,
-                                   std::uint64_t* words_out) const {
-    if (config_.bank == bank_mode::rematerialize) {
-        static thread_local std::vector<std::int32_t> acc;
-        acc.resize(config_.dim);
-        encode(image, acc);
-        kernels::sign_binarize(acc.data(), acc.size(), words_out);
-        return;
-    }
-    UHD_REQUIRE(image.size() == shape_.pixels(), "image size mismatch");
-    std::int32_t tau2 = 0;
-    const std::span<const std::uint64_t> counters = count_image(image, tau2);
-    simd::plane_count_sign(counters.data(), kernels::count_planes(image.size()),
-                           kernels::sign_words(config_.dim), config_.dim, tau2, words_out);
-}
-
 void uhd_encoder::encode_sign_batch(std::span<const std::uint8_t> images,
                                     std::size_t count,
                                     std::span<std::uint64_t> out) const {
@@ -359,8 +392,15 @@ void uhd_encoder::encode_sign_batch(std::span<const std::uint8_t> images,
     const std::size_t words = kernels::sign_words(config_.dim);
     UHD_REQUIRE(images.size() == count * pixels, "batch image buffer size mismatch");
     UHD_REQUIRE(out.size() == count * words, "packed batch output size mismatch");
+    if (config_.bank == bank_mode::stored) {
+        count_stored(images, count, out.data(), nullptr);
+        return;
+    }
+    static thread_local std::vector<std::int32_t> acc;
+    acc.resize(config_.dim);
     for (std::size_t i = 0; i < count; ++i) {
-        encode_sign_into(images.subspan(i * pixels, pixels), out.data() + i * words);
+        encode(images.subspan(i * pixels, pixels), acc);
+        kernels::sign_binarize(acc.data(), acc.size(), out.data() + i * words);
     }
 }
 
@@ -482,7 +522,7 @@ void uhd_encoder::encode_exact(std::span<const std::uint8_t> image,
 
 hdc::hypervector uhd_encoder::encode_sign(std::span<const std::uint8_t> image) const {
     bs::bitstream bits(config_.dim);
-    encode_sign_into(image, bits.mutable_words().data()); // bit 1 = -1
+    encode_sign_batch(image, 1, bits.mutable_words()); // bit 1 = -1
     return hdc::hypervector(std::move(bits));
 }
 

@@ -31,6 +31,22 @@
 // planes built with the CDF sidecar; the stored encode starts its counters
 // at Z0 and reads only the planes of the pixels at level >= 1.
 //
+// One stored count path. Every stored-mode encode goes through one private
+// routine that takes a batch: it quantizes every image into one list
+// buffer, then walks the bank one chunk (kernels::plane_chunk_words words,
+// 512 dimensions; 200 KiB of planes at 784 pixels x M = 4) at a time and
+// counts every image over that chunk before the next one, so the bank is
+// read once per batch instead of once per image. That pays once the bank
+// is past L2 (3 MiB at 784 x 8192): each chunk is read from L3 once and
+// then served from L2 to the rest of the batch. encode_sign_batch() — the
+// serve engine's one call per raw micro-batch — passes its whole batch;
+// encode(), encode_sign() and encode_batch() pass one image at a time (a
+// batch of one walks the chunks in the same order the kernel does).
+// encode_batch() stays per image on purpose: counting the trainer's
+// 64-image batches chunk by chunk cut perfbench's online_learn setup_s
+// from 0.11-0.14 to about 0.08 s, but raised peak RSS by 1.3-1.8 MiB on
+// both raw workloads (raw_query and online_learn; 4-vCPU AVX-512 VM).
+//
 // Four equivalent encode paths are provided:
 //  * encode()        — the production path. Stored mode counts
 //                      #{p : q_p >= S_p[d]} for every d with bitwise logic
@@ -176,8 +192,10 @@ public:
     /// (each shape().pixels() bytes) into `out`, count rows of
     /// kernels::sign_words(dim()) words, image-major — row i is
     /// sign_binarize of encode(image i), tail bits zeroed. In stored mode
-    /// the sign bits come straight from the bit-sliced counts; in
-    /// rematerialize mode each row is encode() + sign_binarize.
+    /// the sign bits come straight from the bit-sliced counts, and the
+    /// whole batch is counted one bank chunk at a time (the bank is read
+    /// once per call); in rematerialize mode each row is encode() +
+    /// sign_binarize.
     void encode_sign_batch(std::span<const std::uint8_t> images, std::size_t count,
                            std::span<std::uint64_t> out) const;
 
@@ -228,7 +246,9 @@ private:
     cache_aligned_vector<std::uint64_t> planes_;
     // Stored mode: Z0[d] = #{p : S_p[d] = 0} as count_planes(pixels)
     // bit-sliced counter planes of sign_words(dim) words — the base every
-    // stored count starts from.
+    // stored count starts from. Chunk-major, like a one-pixel bank of
+    // count_planes(pixels) planes under kernels::plane_word_offset, so each
+    // bank chunk's base is one contiguous block.
     cache_aligned_vector<std::uint64_t> zero_base_;
     bs::unary_stream_table ust_;
     // Threshold state, rematerialize mode: per-pixel generator state fed to
@@ -269,16 +289,14 @@ private:
     [[nodiscard]] std::int32_t quantize_image(std::span<const std::uint8_t> image,
                                               kernels::active_pixel* active,
                                               std::size_t& n_active) const noexcept;
-    // Stored mode: quantize `image` and count q >= S as Z0 plus the active
-    // pixels' q - 1 >= T over the bit planes. The bit-sliced counts live in
-    // a per-thread buffer, valid until the thread's next call; `tau2`
-    // receives 2*TOB.
-    [[nodiscard]] std::span<const std::uint64_t> count_image(
-        std::span<const std::uint8_t> image, std::int32_t& tau2) const;
-    // encode_sign() / encode_sign_batch() for one image into sign_words(D)
-    // words.
-    void encode_sign_into(std::span<const std::uint8_t> image,
-                          std::uint64_t* words) const;
+    // The stored count path: quantize the `count` images in `images` (each
+    // pixels() bytes) into one list buffer, then for each bank chunk count
+    // q >= S as Z0 plus every image's active pixels' q - 1 >= T over that
+    // chunk, and finish image i's slice of the chunk: packed sign words into
+    // row i of `signs` (sign_words(D) words per row) when `signs` is
+    // non-null, else the int32 encode into row i of `centred` (D per row).
+    void count_stored(std::span<const std::uint8_t> images, std::size_t count,
+                      std::uint64_t* signs, std::int32_t* centred) const;
 };
 
 } // namespace uhd::core

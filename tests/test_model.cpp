@@ -4,9 +4,11 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -222,6 +224,60 @@ TEST(Model, FailedSaveFileKeepsThePreviousModel) {
     const uhd_model reloaded = uhd_model::load_file(path.string());
     EXPECT_EQ(reloaded.encoder().config().sobol_seed, 99u);
     fs::remove_all(dir);
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define UHD_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define UHD_TEST_SANITIZED 1
+#endif
+#endif
+
+/// Lowers this process's soft RLIMIT_AS to `headroom` bytes above the
+/// address space it maps now, for the guard's lifetime: an allocation past
+/// that fails with std::bad_alloc instead of committing memory.
+class address_space_limit_guard {
+public:
+    explicit address_space_limit_guard(rlim_t headroom) {
+        if (::getrlimit(RLIMIT_AS, &saved_) != 0) throw uhd::error("getrlimit");
+        std::ifstream statm("/proc/self/statm");
+        std::uint64_t mapped_pages = 0;
+        if (!(statm >> mapped_pages)) throw uhd::error("cannot read /proc/self/statm");
+        const auto mapped = static_cast<rlim_t>(mapped_pages) *
+                            static_cast<rlim_t>(::sysconf(_SC_PAGESIZE));
+        rlimit lowered = saved_;
+        lowered.rlim_cur = std::min(saved_.rlim_cur, mapped + headroom);
+        if (::setrlimit(RLIMIT_AS, &lowered) != 0) throw uhd::error("setrlimit");
+    }
+    ~address_space_limit_guard() { ::setrlimit(RLIMIT_AS, &saved_); }
+    address_space_limit_guard(const address_space_limit_guard&) = delete;
+    address_space_limit_guard& operator=(const address_space_limit_guard&) = delete;
+
+private:
+    rlimit saved_{};
+};
+
+TEST(Model, TruncatedFileClaimingAHugeAccumulatorFailsWithoutAllocatingIt) {
+#ifdef UHD_TEST_SANITIZED
+    GTEST_SKIP() << "sanitizer shadow memory does not fit under an address-space limit";
+#endif
+    // A 2x2-image, 2-class model at D = 2^30 passes the geometry checks, so
+    // its header may claim a 4 GiB accumulator. This file holds 16 bytes of
+    // it. load must throw uhd::error after allocating about what the stream
+    // held, never the claimed 4 GiB; under 1 GiB of address-space headroom
+    // that allocation would be std::bad_alloc.
+    const uhd_model small(small_config(), data::image_shape{2, 2, 1}, 2);
+    std::stringstream buffer;
+    small.save(buffer);
+    std::string bytes = buffer.str();
+    const std::uint64_t dim = std::uint64_t{1} << 30;
+    bytes.replace(8, sizeof dim, reinterpret_cast<const char*>(&dim), sizeof dim);
+    bytes.replace(72, sizeof dim, reinterpret_cast<const char*>(&dim), sizeof dim);
+    bytes.resize(72 + sizeof dim + 16);
+    std::stringstream truncated(bytes);
+    const address_space_limit_guard limit(rlim_t{1} << 30);
+    EXPECT_THROW((void)uhd_model::load(truncated), uhd::error);
 }
 
 TEST(Model, PartialFitMatchesBatchFitForRawSums) {

@@ -181,6 +181,81 @@ TEST(SimdKernels, PlaneLayoutCoversTheBankExactlyOnce) {
     }
 }
 
+TEST(SimdKernels, PlaneBankChunksAreStandaloneBanks) {
+    // The stored encode counts a batch one bank chunk at a time, handing
+    // each chunk to geq_plane_count as a bank of its own `width` words.
+    // That is exact because word w of plane k of pixel p of the chunk at
+    // word `first` sits where a standalone `width`-word bank puts it,
+    // shifted by first * npix * m — ragged last chunks included.
+    std::size_t mismatches = 0;
+    for (std::size_t npix = 1; npix <= 300; ++npix) {
+        for (std::size_t m = 1; m <= 8; ++m) {
+            for (std::size_t words = 1; words <= 20; ++words) {
+                for (std::size_t first = 0; first < words;
+                     first += kernels::plane_chunk_words) {
+                    const std::size_t width =
+                        std::min(kernels::plane_chunk_words, words - first);
+                    for (std::size_t p = 0; p < npix; ++p) {
+                        for (std::size_t k = 0; k < m; ++k) {
+                            for (std::size_t w = 0; w < width; ++w) {
+                                const std::size_t in_bank = kernels::plane_word_offset(
+                                    npix, m, words, p, k, first + w);
+                                const std::size_t in_chunk =
+                                    first * npix * m +
+                                    kernels::plane_word_offset(npix, m, width, p, k, w);
+                                if (in_bank != in_chunk && mismatches++ == 0) {
+                                    ADD_FAILURE() << "npix=" << npix << " m=" << m
+                                                  << " words=" << words << " p=" << p
+                                                  << " k=" << k << " w=" << first + w;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(mismatches, 0u);
+
+    // So one whole-bank count equals the per-chunk counts, with the base
+    // and the counters sliced to each chunk, on every backend.
+    xoshiro256ss rng(72);
+    for (int trial = 0; trial < 48; ++trial) {
+        const std::size_t npix = 1 + rng.next() % 300;
+        const std::size_t n_active = trial % 6 == 0   ? 0
+                                     : trial % 6 == 1 ? npix
+                                                      : rng.next() % (npix + 1);
+        const std::size_t words = 1 + rng.next() % 20;
+        const std::size_t m = 1 + static_cast<std::size_t>(trial % 8);
+        const plane_bank bank = random_plane_bank(npix, m, words, n_active, rng);
+        const std::size_t n_planes = n_planes_of(bank);
+        for (const kernels::kernel_table* backend : admissible_backends()) {
+            const std::vector<std::uint64_t> whole = count_with(*backend, bank);
+            for (std::size_t first = 0; first < words; first += kernels::plane_chunk_words) {
+                const std::size_t width = std::min(kernels::plane_chunk_words, words - first);
+                std::vector<std::uint64_t> base(n_planes * width);
+                for (std::size_t j = 0; j < n_planes; ++j) {
+                    for (std::size_t w = 0; w < width; ++w) {
+                        base[j * width + w] = bank.base[j * words + first + w];
+                    }
+                }
+                std::vector<std::uint64_t> chunk(n_planes * width, ~std::uint64_t{0});
+                backend->geq_plane_count(bank.active.data(), n_active, npix,
+                                         bank.planes.data() + first * npix * m, m, width,
+                                         base.data(), chunk.data());
+                for (std::size_t j = 0; j < n_planes; ++j) {
+                    for (std::size_t w = 0; w < width; ++w) {
+                        ASSERT_EQ(chunk[j * width + w], whole[j * words + first + w])
+                            << "backend=" << backend->name << " npix=" << npix
+                            << " n_active=" << n_active << " m=" << m << " words=" << words
+                            << " chunk at " << first << " plane " << j << " word " << w;
+                    }
+                }
+            }
+        }
+    }
+}
+
 TEST(SimdKernels, PlaneCountEveryBackendMatchesReference) {
     xoshiro256ss rng(66);
     for (int trial = 0; trial < 60; ++trial) {

@@ -2,8 +2,15 @@
 // exact paths; threshold semantics; paper worked examples.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <string>
+#include <vector>
+
 #include "uhd/common/error.hpp"
+#include "uhd/common/kernels.hpp"
 #include "uhd/core/encoder.hpp"
+#include "uhd/data/synthetic.hpp"
 
 namespace {
 
@@ -182,6 +189,71 @@ TEST(UhdEncoder, MemoryScalesWithDimAndPixels) {
     const uhd_encoder a(small_config(), {4, 4, 1});
     const uhd_encoder b(big, {4, 4, 1});
     EXPECT_GT(b.memory_bytes(), a.memory_bytes());
+}
+
+TEST(EncoderEquivalence, BatchOrderMatchesScalarOracle) {
+    // encode_sign_batch counts its whole batch one bank chunk at a time;
+    // row i must still be the sign of image i's byte-at-a-time oracle
+    // encode. Batch sizes straddle the serve engine's 32-request
+    // micro-batch. D = 64 is one ragged chunk, 1000 two chunks with a
+    // ragged last word, 1088 a one-word last chunk, and 8192 sixteen
+    // chunks (a bank past L2). xi = 2, 16 and 256 give M = 1, 4 and 8
+    // planes. The batches mix digits with all-zero images (empty active
+    // lists) and all-max images (every pixel listed).
+    const uhd::data::dataset digits = uhd::data::make_synthetic_digits(64, 19);
+    const std::size_t pixels = digits.shape().pixels();
+    // Distinct images: all-zero, all-max, then the digits. The 64-image
+    // batch pool repeats the first two among the digits, and each distinct
+    // image is run through the oracle once.
+    std::vector<std::vector<std::uint8_t>> distinct = {
+        std::vector<std::uint8_t>(pixels, 0), std::vector<std::uint8_t>(pixels, 255)};
+    const char* const kind[] = {"all-zero", "all-max", "digit"};
+    std::vector<std::size_t> pool;
+    std::vector<std::uint8_t> images;
+    for (std::size_t i = 0; i < 64; ++i) {
+        if (i % 3 == 1) {
+            pool.push_back(0);
+        } else if (i % 5 == 2) {
+            pool.push_back(1);
+        } else {
+            const auto digit = digits.image(i);
+            distinct.emplace_back(digit.begin(), digit.end());
+            pool.push_back(distinct.size() - 1);
+        }
+        images.insert(images.end(), distinct[pool.back()].begin(),
+                      distinct[pool.back()].end());
+    }
+    for (const unsigned xi : {2u, 16u, 256u}) {
+        for (const std::size_t dim : {64u, 1000u, 1088u, 8192u}) {
+            uhd_config cfg;
+            cfg.dim = dim;
+            cfg.quant_levels = xi;
+            const uhd_encoder enc(cfg, digits.shape());
+            const std::size_t words = uhd::kernels::sign_words(dim);
+            // The oracle rows: bit d set exactly when the encode is < 0.
+            std::vector<std::uint64_t> expected(distinct.size() * words, 0);
+            std::vector<std::int32_t> acc(dim);
+            for (std::size_t k = 0; k < distinct.size(); ++k) {
+                enc.encode_scalar(distinct[k], acc);
+                for (std::size_t d = 0; d < dim; ++d) {
+                    if (acc[d] < 0) expected[k * words + d / 64] |= std::uint64_t{1} << (d % 64);
+                }
+            }
+            for (const std::size_t count : {1u, 2u, 31u, 32u, 33u, 64u}) {
+                std::vector<std::uint64_t> got(count * words, ~std::uint64_t{0});
+                enc.encode_sign_batch(std::span(images).first(count * pixels), count, got);
+                for (std::size_t i = 0; i < count; ++i) {
+                    for (std::size_t w = 0; w < words; ++w) {
+                        ASSERT_EQ(got[i * words + w], expected[pool[i] * words + w])
+                            << "xi=" << xi << " D=" << dim << " batch of " << count
+                            << ": image " << i << " (" << kind[std::min<std::size_t>(pool[i], 2)]
+                            << "), word " << w << ", backend "
+                            << uhd::kernels::active().name;
+                    }
+                }
+            }
+        }
+    }
 }
 
 } // namespace
