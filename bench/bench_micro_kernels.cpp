@@ -24,6 +24,7 @@
 //    admissible backend -> BENCH_inference.json (override with
 //    UHD_BENCH_INFER_JSON, workload with UHD_BENCH_QUERIES).
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -615,10 +616,11 @@ void write_encode_json(std::FILE* f, const data::image_shape& shape, std::size_t
 
 struct train_entry {
     std::string name;
+    std::size_t dim;
     std::size_t threads;
     bench::timing seconds; ///< per fit over the workload's images
     double images_per_s;
-    double speedup_vs_seed;
+    double speedup_vs_seed; ///< NaN when the seed loop did not run at this dim
 };
 
 /// The seed-era sequential training loop over the first `n` dataset
@@ -644,7 +646,7 @@ void write_train_json(std::FILE* f, const data::image_shape& shape, std::size_t 
                       bool deterministic, const std::vector<train_entry>& entries) {
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"bench\": \"train\",\n");
-    std::fprintf(f, "  \"schema_version\": 3,\n");
+    std::fprintf(f, "  \"schema_version\": 4,\n");
     std::fprintf(f,
                  "  \"workload\": {\"rows\": %zu, \"cols\": %zu, \"dim\": %zu, "
                  "\"quant_levels\": %u, \"images\": %zu, \"classes\": %zu},\n",
@@ -655,12 +657,16 @@ void write_train_json(std::FILE* f, const data::image_shape& shape, std::size_t 
     std::fprintf(f, "  \"entries\": [\n");
     for (std::size_t i = 0; i < entries.size(); ++i) {
         const auto& e = entries[i];
-        std::fprintf(f, "    {\"name\": \"%s\", \"threads\": %zu, ", e.name.c_str(),
-                     e.threads);
+        std::fprintf(f, "    {\"name\": \"%s\", \"dim\": %zu, \"threads\": %zu, ",
+                     e.name.c_str(), e.dim, e.threads);
         write_timing(f, "seconds", e.seconds);
-        std::fprintf(f, ", \"images_per_s\": %.1f, \"speedup_vs_seed\": %.2f}%s\n",
-                     e.images_per_s, e.speedup_vs_seed,
-                     i + 1 < entries.size() ? "," : "");
+        std::fprintf(f, ", \"images_per_s\": %.1f, \"speedup_vs_seed\": ", e.images_per_s);
+        if (std::isnan(e.speedup_vs_seed)) {
+            std::fprintf(f, "null");
+        } else {
+            std::fprintf(f, "%.2f", e.speedup_vs_seed);
+        }
+        std::fprintf(f, "}%s\n", i + 1 < entries.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
 }
@@ -670,50 +676,57 @@ void write_train_json(std::FILE* f, const data::image_shape& shape, std::size_t 
     // D=1024, 10 classes. The baseline is the seed's per-image sequential
     // loop (pinned-scalar encode + bundle); the engine entries are the
     // current sequential fit (word-parallel encode) and the mini-batch
-    // parallel fit at several pool sizes.
+    // parallel fit at several pool sizes. One more parallel fit runs the
+    // same digits at D=8192, where the bank (3 MiB) is past L2 and the
+    // batch path reads it once per 32 images instead of once per image.
     const std::size_t dim = 1024;
+    const std::size_t wide_dim = 8192;
     const auto images_n = std::max<std::size_t>(
         1, static_cast<std::size_t>(env_int("UHD_BENCH_TRAIN_IMAGES", 128)));
     const data::dataset ds = data::make_synthetic_digits(images_n, 7); // 28x28
     core::uhd_config cfg;
     cfg.dim = dim;
     const core::uhd_encoder enc(cfg, ds.shape());
+    core::uhd_config wide_cfg = cfg;
+    wide_cfg.dim = wide_dim;
+    const core::uhd_encoder wide_enc(wide_cfg, ds.shape());
     using classifier = hdc::hd_classifier<core::uhd_encoder>;
 
-    // Determinism gate before any timing: the parallel engine must be
-    // bit-identical to the sequential fit, or its speedup means nothing.
-    classifier clf_seq(enc, ds.num_classes(), hdc::train_mode::raw_sums);
-    clf_seq.fit(ds);
-    bool deterministic = true;
-    {
+    // Determinism gate before any timing, at both D: the parallel engine
+    // must be bit-identical to the sequential fit, or its speedup means
+    // nothing.
+    const auto parallel_matches_sequential = [&](const core::uhd_encoder& encoder) {
+        classifier clf_seq(encoder, ds.num_classes(), hdc::train_mode::raw_sums);
+        clf_seq.fit(ds);
         thread_pool pool(3);
-        classifier clf_par(enc, ds.num_classes(), hdc::train_mode::raw_sums);
+        classifier clf_par(encoder, ds.num_classes(), hdc::train_mode::raw_sums);
         clf_par.fit_parallel(ds, &pool);
-        for (std::size_t c = 0; c < clf_seq.classes() && deterministic; ++c) {
+        for (std::size_t c = 0; c < clf_seq.classes(); ++c) {
             const auto a = clf_seq.class_accumulator(c).values();
             const auto b = clf_par.class_accumulator(c).values();
-            for (std::size_t d = 0; d < a.size(); ++d) {
-                if (a[d] != b[d]) {
-                    deterministic = false;
-                    break;
-                }
-            }
+            if (!std::equal(a.begin(), a.end(), b.begin())) return false;
         }
-    }
+        return true;
+    };
+    const bool deterministic =
+        parallel_matches_sequential(enc) && parallel_matches_sequential(wide_enc);
 
     std::vector<train_entry> entries;
-    const auto record = [&](const std::string& name, std::size_t threads,
-                            const bench::timing& seconds) {
+    const auto record = [&](const std::string& name, std::size_t entry_dim,
+                            std::size_t threads, const bench::timing& seconds) {
         train_entry e;
         e.name = name;
+        e.dim = entry_dim;
         e.threads = threads;
         e.seconds = seconds;
         e.images_per_s = static_cast<double>(images_n) / seconds.median;
-        e.speedup_vs_seed =
-            entries.empty() ? 1.0 : entries.front().seconds.median / seconds.median;
+        e.speedup_vs_seed = entries.empty() ? 1.0
+                            : entry_dim == dim
+                                ? entries.front().seconds.median / seconds.median
+                                : std::nan("");
         entries.push_back(e);
-        std::printf("%-28s %8.1f img/s  %5.2fx\n", name.c_str(), e.images_per_s,
-                    e.speedup_vs_seed);
+        std::printf("%-28s D=%-5zu %8.1f img/s  %5.2fx\n", name.c_str(), entry_dim,
+                    e.images_per_s, e.speedup_vs_seed);
     };
 
     std::printf("\n== train throughput: 28x28, D=%zu, %zu classes, %zu images ==\n",
@@ -721,27 +734,33 @@ void write_train_json(std::FILE* f, const data::image_shape& shape, std::size_t 
     std::printf("parallel-fit vs sequential fit: %s\n",
                 deterministic ? "bit-identical" : "MISMATCH!");
 
-    record("fit_seed_sequential", 1,
+    record("fit_seed_sequential", dim, 1,
            bench::time_median([&] { bench::keep(fit_seed(enc, ds, images_n)); }));
     // A fit adds into the class accumulators, so every sample of one
     // classifier does the same work.
     {
         classifier clf(enc, ds.num_classes(), hdc::train_mode::raw_sums);
-        record("fit_sequential", 1, bench::time_median([&] { clf.fit(ds); }));
+        record("fit_sequential", dim, 1, bench::time_median([&] { clf.fit(ds); }));
     }
     {
         classifier clf(enc, ds.num_classes(), hdc::train_mode::raw_sums);
-        record("fit_parallel_1t", 1,
+        record("fit_parallel_1t", dim, 1,
                bench::time_median([&] { clf.fit_parallel(ds, nullptr); }));
     }
     double best_parallel_speedup = 0.0;
     for (const std::size_t threads : {2u, 4u}) {
         thread_pool pool(threads - 1);
         classifier clf(enc, ds.num_classes(), hdc::train_mode::raw_sums);
-        record("fit_parallel_" + std::to_string(threads) + "t", threads,
+        record("fit_parallel_" + std::to_string(threads) + "t", dim, threads,
                bench::time_median([&] { clf.fit_parallel(ds, &pool); }));
         best_parallel_speedup =
             std::max(best_parallel_speedup, entries.back().speedup_vs_seed);
+    }
+    {
+        thread_pool pool(2);
+        classifier clf(wide_enc, ds.num_classes(), hdc::train_mode::raw_sums);
+        record("fit_parallel_3t", wide_dim, 3,
+               bench::time_median([&] { clf.fit_parallel(ds, &pool); }));
     }
 
     const bool speedup_ok = best_parallel_speedup >= 4.0;

@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <span>
-#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -25,13 +24,11 @@ void write_u32(std::ostream& os, std::uint32_t v);
 void write_u64(std::ostream& os, std::uint64_t v);
 void write_i64(std::ostream& os, std::int64_t v);
 void write_f64(std::ostream& os, double v);
-void write_string(std::ostream& os, const std::string& s);
 
 std::uint32_t read_u32(std::istream& is);
 std::uint64_t read_u64(std::istream& is);
 std::int64_t read_i64(std::istream& is);
 double read_f64(std::istream& is);
-std::string read_string(std::istream& is);
 
 /// Write a span of trivially-copyable elements (length-prefixed), straight
 /// from the caller's storage — no intermediate copy.

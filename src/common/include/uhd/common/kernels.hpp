@@ -138,10 +138,11 @@ struct kernel_table {
                             std::size_t m, std::size_t words,
                             const std::uint64_t* base, std::uint64_t* counters);
 
-    /// The int32 finisher of geq_plane_count: out[d] = 2 * count[d] - tau2
+    /// The int32 finisher of geq_plane_count: out[d] += 2 * count[d] - tau2
     /// for d < n, reading `n_planes` bit-sliced counter planes of `words`
     /// words (n <= 64 * words; n_planes <= 30, so 2 * count fits in int32)
-    /// — the centred encode accumulator.
+    /// — the centred encode added into a caller's accumulator row (a
+    /// zeroed row receives the encode itself).
     void (*plane_count_center)(const std::uint64_t* counters, std::size_t n_planes,
                                std::size_t words, std::size_t n, std::int32_t tau2,
                                std::int32_t* out);

@@ -264,8 +264,8 @@ inline void geq_plane_count_swar(const kernels::active_pixel* active,
     }
 }
 
-/// Pinned scalar oracle for the int32 finisher: one counter decode per
-/// dimension.
+/// Pinned scalar oracle for the int32 finisher (out[d] += 2 * count[d] -
+/// tau2): one counter decode per dimension.
 UHD_SCALAR_REFERENCE inline void plane_count_center_reference(
     const std::uint64_t* counters, std::size_t n_planes, std::size_t words,
     std::size_t n, std::int32_t tau2, std::int32_t* out) noexcept {
@@ -276,12 +276,13 @@ UHD_SCALAR_REFERENCE inline void plane_count_center_reference(
             count |= static_cast<std::int64_t>((counters[j * words + d / 64] >> (d % 64)) & 1u)
                      << j;
         }
-        out[d] = static_cast<std::int32_t>(2 * count - tau2);
+        out[d] = static_cast<std::int32_t>(out[d] + 2 * count - tau2);
     }
 }
 
 /// Portable int32 finisher: one dimension word at a time, each counter
-/// plane added into the word's 64 lanes as a whole.
+/// plane added into the word's 64 lanes as a whole, the lanes then added
+/// into `out`.
 inline void plane_count_center_portable(const std::uint64_t* counters,
                                         std::size_t n_planes, std::size_t words,
                                         std::size_t n, std::int32_t tau2,
@@ -297,7 +298,7 @@ inline void plane_count_center_portable(const std::uint64_t* counters,
             }
         }
         const std::size_t count = std::min<std::size_t>(64, n - w * 64);
-        for (std::size_t b = 0; b < count; ++b) out[w * 64 + b] = lanes[b];
+        for (std::size_t b = 0; b < count; ++b) out[w * 64 + b] += lanes[b];
     }
 }
 

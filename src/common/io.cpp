@@ -2,6 +2,7 @@
 
 #include <istream>
 #include <ostream>
+#include <string>
 
 #include "uhd/common/error.hpp"
 
@@ -41,11 +42,6 @@ void write_u64(std::ostream& os, std::uint64_t v) { write_bytes(os, &v, sizeof v
 void write_i64(std::ostream& os, std::int64_t v) { write_bytes(os, &v, sizeof v); }
 void write_f64(std::ostream& os, double v) { write_bytes(os, &v, sizeof v); }
 
-void write_string(std::ostream& os, const std::string& s) {
-    write_u64(os, s.size());
-    if (!s.empty()) write_bytes(os, s.data(), s.size());
-}
-
 std::uint32_t read_u32(std::istream& is) {
     std::uint32_t v{};
     read_bytes(is, &v, sizeof v);
@@ -68,13 +64,6 @@ double read_f64(std::istream& is) {
     double v{};
     read_bytes(is, &v, sizeof v);
     return v;
-}
-
-std::string read_string(std::istream& is) {
-    const std::uint64_t n = read_u64(is);
-    std::string s(static_cast<std::size_t>(n), '\0');
-    if (n != 0) read_bytes(is, s.data(), s.size());
-    return s;
 }
 
 } // namespace uhd::io

@@ -220,7 +220,8 @@ void geq_plane_count(const active_pixel* active, std::size_t n_active, std::size
 /// The int32 finisher: eight dimensions per step. Horner over the counter
 /// planes from the most significant: double the lanes, then add each
 /// plane's byte expanded to eight 0/1 lanes (broadcast, and with the lane
-/// bit, compare — the -1 lanes subtract as +1).
+/// bit, compare — the -1 lanes subtract as +1). The centred lanes are
+/// added into `out`.
 void plane_count_center(const std::uint64_t* counters, std::size_t n_planes,
                         std::size_t words, std::size_t n, std::int32_t tau2,
                         std::int32_t* out) {
@@ -238,11 +239,12 @@ void plane_count_center(const std::uint64_t* counters, std::size_t n_planes,
         }
         const __m256i centred = _mm256_sub_epi32(_mm256_add_epi32(count, count), tau);
         if (n - d >= 8) {
-            _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + d), centred);
+            auto* slot = reinterpret_cast<__m256i*>(out + d);
+            _mm256_storeu_si256(slot, _mm256_add_epi32(_mm256_loadu_si256(slot), centred));
         } else {
             alignas(32) std::int32_t lanes[8];
             _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), centred);
-            for (std::size_t i = 0; d + i < n; ++i) out[d + i] = lanes[i];
+            for (std::size_t i = 0; d + i < n; ++i) out[d + i] += lanes[i];
         }
     }
 }

@@ -225,7 +225,7 @@ void geq_plane_count(const active_pixel* active, std::size_t n_active, std::size
 
 /// The int32 finisher: sixteen dimensions per step, each counter plane's
 /// 16-bit slice used directly as the write mask of one masked add of the
-/// plane's weight 2^(j+1), on top of -tau2.
+/// plane's weight 2^(j+1), on top of out - tau2.
 void plane_count_center(const std::uint64_t* counters, std::size_t n_planes,
                         std::size_t words, std::size_t n, std::int32_t tau2,
                         std::int32_t* out) {
@@ -233,19 +233,19 @@ void plane_count_center(const std::uint64_t* counters, std::size_t n_planes,
     for (std::size_t j = 0; j < n_planes && j < 32; ++j) {
         weight[j] = _mm512_set1_epi32(static_cast<int>(std::uint32_t{2} << j));
     }
-    const __m512i base = _mm512_set1_epi32(-tau2);
+    const __m512i tau = _mm512_set1_epi32(tau2);
     for (std::size_t d = 0; d < n; d += 16) {
         const std::uint64_t* word = counters + d / 64;
         const unsigned shift = static_cast<unsigned>(d % 64);
-        __m512i acc = base;
-        for (std::size_t j = 0; j < n_planes; ++j) {
-            const auto bits = static_cast<__mmask16>(word[j * words] >> shift);
-            acc = _mm512_mask_add_epi32(acc, bits, acc, weight[j]);
-        }
         const std::size_t left = n - d;
         const auto keep =
             left >= 16 ? static_cast<__mmask16>(0xFFFF)
                        : static_cast<__mmask16>((1u << left) - 1);
+        __m512i acc = _mm512_sub_epi32(_mm512_maskz_loadu_epi32(keep, out + d), tau);
+        for (std::size_t j = 0; j < n_planes; ++j) {
+            const auto bits = static_cast<__mmask16>(word[j * words] >> shift);
+            acc = _mm512_mask_add_epi32(acc, bits, acc, weight[j]);
+        }
         _mm512_mask_storeu_epi32(out + d, keep, acc);
     }
 }

@@ -285,77 +285,69 @@ std::int32_t uhd_encoder::quantize_image(std::span<const std::uint8_t> image,
 }
 
 void uhd_encoder::count_stored(std::span<const std::uint8_t> images, std::size_t count,
-                               std::uint64_t* signs, std::int32_t* centred) const {
+                               std::uint64_t* signs, std::int32_t* const* rows) const {
     const std::size_t npix = shape_.pixels();
     const std::size_t words = kernels::sign_words(config_.dim);
     const std::size_t n_planes = kernels::count_planes(npix);
     // Per-thread scratch: the serve workers and the trainer's pool workers
     // call this once per batch or image, so per-call allocation would
-    // dominate. The batch's active lists share one buffer, image i's at
+    // dominate. A sub-batch's active lists share one buffer, image i's at
     // lists[i].offset. quantize_image writes at most npix slots from an
     // image's offset (its list plus one slot it may overwrite), so
-    // count * npix entries hold any batch; the buffer grows before the
-    // batch is listed, never during it. It is left uninitialized, so a
-    // batch touches only the pages its lists fill.
+    // sub_batch_images * npix entries hold any sub-batch; the buffer grows
+    // before the first sub-batch is listed, never during one. It is left
+    // uninitialized, so a sub-batch touches only the pages its lists fill.
     static thread_local std::unique_ptr<kernels::active_pixel[]> active;
     static thread_local std::size_t active_capacity = 0;
     static thread_local std::vector<listed_image> lists;
     static thread_local std::vector<std::uint64_t> counters;
-    if (active_capacity < count * npix) {
-        active = std::make_unique_for_overwrite<kernels::active_pixel[]>(count * npix);
-        active_capacity = count * npix;
+    const std::size_t capacity = std::min(count, sub_batch_images) * npix;
+    if (active_capacity < capacity) {
+        active = std::make_unique_for_overwrite<kernels::active_pixel[]>(capacity);
+        active_capacity = capacity;
     }
-    lists.resize(count);
-    std::size_t offset = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-        std::size_t n_active = 0;
-        const std::int32_t tau2 =
-            quantize_image(images.subspan(i * npix, npix), active.get() + offset, n_active);
-        lists[i] = {offset, n_active, tau2};
-        offset += n_active;
-    }
-    // Chunk by chunk: under plane_word_offset, the chunk of `width` words
-    // at word `first` is itself a bank of `width` words (pixel p's plane k
-    // at (p * M + k) * width), and so is Z0's block for it, so every
-    // image's count over the chunk is one geq_plane_count call on that
-    // chunk alone, followed by the chunk's finisher. Each chunk is read
-    // from memory once and stays cache-resident for the rest of the batch.
     counters.resize(n_planes * kernels::plane_chunk_words);
-    for (std::size_t first = 0; first < words; first += kernels::plane_chunk_words) {
-        const std::size_t width = std::min(kernels::plane_chunk_words, words - first);
-        const std::uint64_t* chunk = planes_.data() + first * npix * plane_bits_;
-        const std::uint64_t* base = zero_base_.data() + first * n_planes;
-        const std::size_t dims = std::min(64 * width, config_.dim - 64 * first);
-        for (std::size_t i = 0; i < count; ++i) {
-            const listed_image& image = lists[i];
-            kernels::geq_plane_count(active.get() + image.offset, image.n_active, npix,
-                                     chunk, plane_bits_, width, base, counters.data());
-            if (signs != nullptr) {
-                simd::plane_count_sign(counters.data(), n_planes, width, dims, image.tau2,
-                                       signs + i * words + first);
-            } else {
-                kernels::plane_count_center(counters.data(), n_planes, width, dims,
-                                            image.tau2,
-                                            centred + i * config_.dim + 64 * first);
+    for (std::size_t begin = 0; begin < count; begin += sub_batch_images) {
+        const std::size_t n = std::min(sub_batch_images, count - begin);
+        lists.resize(n);
+        std::size_t offset = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            std::size_t n_active = 0;
+            const std::int32_t tau2 = quantize_image(images.subspan((begin + i) * npix, npix),
+                                                     active.get() + offset, n_active);
+            lists[i] = {offset, n_active, tau2};
+            offset += n_active;
+        }
+        // Chunk by chunk: under plane_word_offset, the chunk of `width`
+        // words at word `first` is itself a bank of `width` words (pixel
+        // p's plane k at (p * M + k) * width), and so is Z0's block for it,
+        // so every image's count over the chunk is one geq_plane_count call
+        // on that chunk alone, followed by the chunk's finisher. Each chunk
+        // is read from memory once and stays cache-resident for the rest
+        // of the sub-batch.
+        for (std::size_t first = 0; first < words; first += kernels::plane_chunk_words) {
+            const std::size_t width = std::min(kernels::plane_chunk_words, words - first);
+            const std::uint64_t* chunk = planes_.data() + first * npix * plane_bits_;
+            const std::uint64_t* base = zero_base_.data() + first * n_planes;
+            const std::size_t dims = std::min(64 * width, config_.dim - 64 * first);
+            for (std::size_t i = 0; i < n; ++i) {
+                const listed_image& image = lists[i];
+                kernels::geq_plane_count(active.get() + image.offset, image.n_active, npix,
+                                         chunk, plane_bits_, width, base, counters.data());
+                if (signs != nullptr) {
+                    simd::plane_count_sign(counters.data(), n_planes, width, dims,
+                                           image.tau2, signs + (begin + i) * words + first);
+                } else {
+                    kernels::plane_count_center(counters.data(), n_planes, width, dims,
+                                                image.tau2, rows[begin + i] + 64 * first);
+                }
             }
         }
     }
 }
 
-void uhd_encoder::encode(std::span<const std::uint8_t> image,
-                         std::span<std::int32_t> out) const {
-    UHD_REQUIRE(image.size() == shape_.pixels(), "image size mismatch");
-    UHD_REQUIRE(out.size() == config_.dim, "output accumulator size mismatch");
-
-    // The whole pixel x dimension compare loop runs in the dispatched
-    // kernels (the active uhd::kernels backend, selected at runtime from
-    // the CPU probe or the UHD_BACKEND override).
-    if (config_.bank == bank_mode::stored) {
-        // Bit-sliced counts of q >= S over the planes, then the int32
-        // finisher centres them (2 * count - tau2): a batch of one.
-        count_stored(image, 1, nullptr, out.data());
-        return;
-    }
+std::span<const std::int32_t> uhd_encoder::encode_remat(
+    std::span<const std::uint8_t> image) const {
     // Fused rematerializing path: translate each pixel's quantized
     // intensity (level 0 for every pixel off the active list) into a
     // raw-fraction bound (state <= bound is exactly q >= quantized
@@ -365,6 +357,7 @@ void uhd_encoder::encode(std::span<const std::uint8_t> image,
     // every tile split bit-identical.
     static thread_local std::vector<kernels::active_pixel> active;
     static thread_local std::vector<std::uint32_t> pixel_bounds;
+    static thread_local std::vector<std::int32_t> out;
     active.resize(image.size());
     std::size_t n_active = 0;
     const std::int32_t tau2 = quantize_image(image, active.data(), n_active);
@@ -372,7 +365,7 @@ void uhd_encoder::encode(std::span<const std::uint8_t> image,
     for (std::size_t i = 0; i < n_active; ++i) {
         pixel_bounds[active[i].pixel] = bound_table_[active[i].level + 1];
     }
-    std::fill(out.begin(), out.end(), 0);
+    out.assign(config_.dim, 0);
     constexpr std::size_t tile = 4096;
     for (std::size_t d0 = 0; d0 < config_.dim; d0 += tile) {
         const std::size_t count = std::min(tile, config_.dim - d0);
@@ -380,8 +373,37 @@ void uhd_encoder::encode(std::span<const std::uint8_t> image,
                                               shifts_.data(), pixel_bounds.data(),
                                               image.size(), d0, count, out.data() + d0);
     }
-    for (std::size_t d = 0; d < config_.dim; ++d) {
-        out[d] = 2 * out[d] - tau2;
+    for (std::int32_t& v : out) v = 2 * v - tau2;
+    return {out.data(), out.size()};
+}
+
+void uhd_encoder::encode(std::span<const std::uint8_t> image,
+                         std::span<std::int32_t> out) const {
+    UHD_REQUIRE(image.size() == shape_.pixels(), "image size mismatch");
+    UHD_REQUIRE(out.size() == config_.dim, "output accumulator size mismatch");
+    std::fill(out.begin(), out.end(), 0);
+    std::int32_t* const row = out.data();
+    encode_add_batch(image, 1, {&row, 1});
+}
+
+void uhd_encoder::encode_add_batch(std::span<const std::uint8_t> images,
+                                   std::size_t count,
+                                   std::span<std::int32_t* const> rows) const {
+    const std::size_t pixels = shape_.pixels();
+    UHD_REQUIRE(images.size() == count * pixels, "batch image buffer size mismatch");
+    UHD_REQUIRE(rows.size() == count, "one accumulator row per image");
+    // The whole pixel x dimension compare loop runs in the dispatched
+    // kernels (the active uhd::kernels backend, selected at runtime from
+    // the CPU probe or the UHD_BACKEND override).
+    if (config_.bank == bank_mode::stored) {
+        count_stored(images, count, nullptr, rows.data());
+        return;
+    }
+    for (std::size_t i = 0; i < count; ++i) {
+        const std::span<const std::int32_t> encoded =
+            encode_remat(images.subspan(i * pixels, pixels));
+        std::int32_t* const row = rows[i];
+        for (std::size_t d = 0; d < config_.dim; ++d) row[d] += encoded[d];
     }
 }
 
@@ -396,11 +418,10 @@ void uhd_encoder::encode_sign_batch(std::span<const std::uint8_t> images,
         count_stored(images, count, out.data(), nullptr);
         return;
     }
-    static thread_local std::vector<std::int32_t> acc;
-    acc.resize(config_.dim);
     for (std::size_t i = 0; i < count; ++i) {
-        encode(images.subspan(i * pixels, pixels), acc);
-        kernels::sign_binarize(acc.data(), acc.size(), out.data() + i * words);
+        const std::span<const std::int32_t> encoded =
+            encode_remat(images.subspan(i * pixels, pixels));
+        kernels::sign_binarize(encoded.data(), encoded.size(), out.data() + i * words);
     }
 }
 
@@ -441,25 +462,21 @@ void uhd_encoder::encode_batch(std::span<const std::uint8_t> images, std::size_t
     UHD_REQUIRE(images.size() == count * pixels, "batch image buffer size mismatch");
     UHD_REQUIRE(out.size() == count * config_.dim, "batch output size mismatch");
     thread_pool::maybe_parallel_for(pool, count, [&](std::size_t begin, std::size_t end) {
+        std::fill(out.begin() + static_cast<std::ptrdiff_t>(begin * config_.dim),
+                  out.begin() + static_cast<std::ptrdiff_t>(end * config_.dim), 0);
+        std::vector<std::int32_t*> rows(end - begin);
         for (std::size_t i = begin; i < end; ++i) {
-            encode(images.subspan(i * pixels, pixels),
-                   out.subspan(i * config_.dim, config_.dim));
+            rows[i - begin] = out.data() + i * config_.dim;
         }
+        encode_add_batch(images.subspan(begin * pixels, (end - begin) * pixels),
+                         end - begin, rows);
     });
 }
 
 void uhd_encoder::encode_batch(const data::dataset& set, std::span<std::int32_t> out,
                                thread_pool* pool) const {
     UHD_REQUIRE(set.shape() == shape_, "dataset shape mismatch");
-    UHD_REQUIRE(out.size() == set.size() * config_.dim, "batch output size mismatch");
-    thread_pool::maybe_parallel_for(pool, set.size(),
-                                    [&](std::size_t begin, std::size_t end) {
-                                        for (std::size_t i = begin; i < end; ++i) {
-                                            encode(set.image(i),
-                                                   out.subspan(i * config_.dim,
-                                                               config_.dim));
-                                        }
-                                    });
+    encode_batch(set.images(0, set.size()), set.size(), out, pool);
 }
 
 void uhd_encoder::encode_unary(std::span<const std::uint8_t> image,

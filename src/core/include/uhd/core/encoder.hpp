@@ -32,35 +32,47 @@
 // at Z0 and reads only the planes of the pixels at level >= 1.
 //
 // One stored count path. Every stored-mode encode goes through one private
-// routine that takes a batch: it quantizes every image into one list
-// buffer, then walks the bank one chunk (kernels::plane_chunk_words words,
-// 512 dimensions; 200 KiB of planes at 784 pixels x M = 4) at a time and
-// counts every image over that chunk before the next one, so the bank is
-// read once per batch instead of once per image. That pays once the bank
-// is past L2 (3 MiB at 784 x 8192): each chunk is read from L3 once and
-// then served from L2 to the rest of the batch. encode_sign_batch() — the
-// serve engine's one call per raw micro-batch — passes its whole batch;
-// encode(), encode_sign() and encode_batch() pass one image at a time (a
-// batch of one walks the chunks in the same order the kernel does).
-// encode_batch() stays per image on purpose: counting the trainer's
-// 64-image batches chunk by chunk cut perfbench's online_learn setup_s
-// from 0.11-0.14 to about 0.08 s, but raised peak RSS by 1.3-1.8 MiB on
-// both raw workloads (raw_query and online_learn; 4-vCPU AVX-512 VM).
+// routine that takes a batch: it quantizes a sub-batch of images into one
+// list buffer, then walks the bank one chunk (kernels::plane_chunk_words
+// words, 512 dimensions; 200 KiB of planes at 784 pixels x M = 4) at a
+// time and counts every image of the sub-batch over that chunk before the
+// next one, so the bank is read once per sub-batch instead of once per
+// image. That pays once the bank is past L2 (3 MiB at 784 x 8192): each
+// chunk is read from L3 once and then served from L2 to the rest of the
+// sub-batch. The counts end in one of two finishers: packed sign words
+// (encode_sign_batch, encode_sign) or centred int32 added into one
+// caller row per image (encode_add_batch, and through it encode and
+// encode_batch). The int32 path has no image rows of its own: the
+// trainer names each image's class accumulator as its row, so a fit adds
+// every image's counts straight into its class.
+//
+// A sub-batch is at most sub_batch_images (32) images, the serve engine's
+// default micro-batch, so a raw micro-batch is one sub-batch. The bound
+// keeps the per-thread list buffer at 32 x pixels entries (200 KiB at 784
+// pixels) however many images a caller passes: an encode_batch worker
+// passes its whole range in one call, and a buffer sized to it would grow
+// with the batch. 32 images already read the bank once per 32: at D = 8192
+// a 32-image encode_add_batch took 27-29 us per image against 49-52 us
+// one image at a time (best of 7 passes over 2,048 digits, one pinned
+// core of a 4-vCPU AVX-512 VM); at D = 1024, where the bank fits in L2,
+// the two were within noise.
 //
 // Four equivalent encode paths are provided:
 //  * encode()        — the production path. Stored mode counts
 //                      #{p : q_p >= S_p[d]} for every d with bitwise logic
 //                      over the active pixels' planes on top of Z0
 //                      (kernels::geq_plane_count, a bit-sliced comparator
-//                      feeding a carry-save tree) and centres the
-//                      bit-sliced counts into int32
+//                      feeding a carry-save tree) and adds the centred
+//                      bit-sliced counts into the zeroed int32 output
 //                      (kernels::plane_count_center); rematerialize mode
 //                      runs kernels::geq_rematerialize_accumulate. Both go
 //                      through the runtime-dispatched uhd::kernels backend.
-//                      encode_sign() and encode_sign_batch() are the
-//                      binarized twins: in stored mode they compare the
-//                      bit-sliced counts against the TOB directly (Fig. 5)
-//                      and never form the int32 accumulator.
+//                      encode_add_batch() is the batch form every int32
+//                      encode runs through. encode_sign() and
+//                      encode_sign_batch() are the binarized twins: in
+//                      stored mode they compare the bit-sliced counts
+//                      against the TOB directly (Fig. 5) and never form
+//                      the int32 accumulator.
 //  * encode_scalar() — the byte-at-a-time formulation, retained as the
 //                      correctness oracle and the benchmark baseline
 //  * encode_unary()  — the unary datapath. Its monotone_fast fidelity uses
@@ -101,6 +113,11 @@ enum class unary_fidelity {
 /// Sobol-index-embedding level encoder (no position hypervectors).
 class uhd_encoder {
 public:
+    /// Most images the stored count path lists and counts together: a
+    /// longer batch is walked in sub-batches of this many (the serve
+    /// engine's default micro-batch, serve::engine_options::max_batch).
+    static constexpr std::size_t sub_batch_images = 32;
+
     /// Build the threshold state for images of `shape` and the unary stream
     /// table. With bank_mode::stored this builds the bit-plane bank (the
     /// BRAM of Fig. 3(a)) one generated row at a time — no whole byte bank
@@ -144,8 +161,21 @@ public:
     /// pixels with q(x_p) >= q(S_p[d]) and TOB is the image's expected
     /// popcount; with half_inputs, out[d] = 2 * ones[d] - H (the bipolar
     /// bundle sum_p L_p[d]). sign(out[d]) is the Fig. 5 class-hypervector
-    /// bit. Bit-identical to encode_scalar().
+    /// bit. Bit-identical to encode_scalar(). Zero-fills `out` and runs as
+    /// an encode_add_batch() of one image.
     void encode(std::span<const std::uint8_t> image, std::span<std::int32_t> out) const;
+
+    /// Add encode(image i) into rows[i] for each of the `count` images
+    /// stored back-to-back in `images` (each shape().pixels() bytes). Every
+    /// row points at dim() int32 values; rows may repeat (images sharing a
+    /// row add into it in turn), which is how the trainer bundles each
+    /// image straight into its class accumulator. Stored mode counts the
+    /// batch chunk by chunk in sub-batches of sub_batch_images and adds
+    /// each chunk's centred counts into the rows, with no int32 image row
+    /// in between; rematerialize mode encodes image by image into a
+    /// per-thread row and adds it.
+    void encode_add_batch(std::span<const std::uint8_t> images, std::size_t count,
+                          std::span<std::int32_t* const> rows) const;
 
     /// The original byte-at-a-time formulation of encode(): the correctness
     /// oracle for the word-parallel kernels and the benchmark baseline.
@@ -154,8 +184,10 @@ public:
 
     /// Encode `count` images stored back-to-back in `images` (each
     /// shape().pixels() bytes) into `out` (count * dim() accumulators,
-    /// image-major). When `pool` is non-null the batch is split across its
-    /// workers; results are bit-identical for every thread count.
+    /// image-major): each worker zero-fills its range of `out` and adds
+    /// into it with one encode_add_batch() call. When `pool` is non-null the batch is
+    /// split across its workers; results are bit-identical for every
+    /// thread count.
     void encode_batch(std::span<const std::uint8_t> images, std::size_t count,
                       std::span<std::int32_t> out, thread_pool* pool = nullptr) const;
 
@@ -192,10 +224,10 @@ public:
     /// (each shape().pixels() bytes) into `out`, count rows of
     /// kernels::sign_words(dim()) words, image-major — row i is
     /// sign_binarize of encode(image i), tail bits zeroed. In stored mode
-    /// the sign bits come straight from the bit-sliced counts, and the
-    /// whole batch is counted one bank chunk at a time (the bank is read
-    /// once per call); in rematerialize mode each row is encode() +
-    /// sign_binarize.
+    /// the sign bits come straight from the bit-sliced counts, and each
+    /// sub-batch of sub_batch_images is counted one bank chunk at a time
+    /// (a batch of up to 32 reads the bank once); in rematerialize mode
+    /// each row is the image's int32 encode + sign_binarize.
     void encode_sign_batch(std::span<const std::uint8_t> images, std::size_t count,
                            std::span<std::uint64_t> out) const;
 
@@ -289,14 +321,19 @@ private:
     [[nodiscard]] std::int32_t quantize_image(std::span<const std::uint8_t> image,
                                               kernels::active_pixel* active,
                                               std::size_t& n_active) const noexcept;
-    // The stored count path: quantize the `count` images in `images` (each
-    // pixels() bytes) into one list buffer, then for each bank chunk count
-    // q >= S as Z0 plus every image's active pixels' q - 1 >= T over that
-    // chunk, and finish image i's slice of the chunk: packed sign words into
-    // row i of `signs` (sign_words(D) words per row) when `signs` is
-    // non-null, else the int32 encode into row i of `centred` (D per row).
+    // The stored count path, one sub-batch of at most sub_batch_images at a
+    // time: quantize the sub-batch's images (each pixels() bytes) into one
+    // list buffer, then for each bank chunk count q >= S as Z0 plus every
+    // image's active pixels' q - 1 >= T over that chunk, and finish image
+    // i's slice of the chunk: packed sign words into row i of `signs`
+    // (sign_words(D) words per row) when `signs` is non-null, else the
+    // centred int32 encode added into rows[i] (D per row).
     void count_stored(std::span<const std::uint8_t> images, std::size_t count,
-                      std::uint64_t* signs, std::int32_t* centred) const;
+                      std::uint64_t* signs, std::int32_t* const* rows) const;
+    // Rematerialize mode: the int32 encode of one image into a per-thread
+    // row, valid until the calling thread's next call.
+    [[nodiscard]] std::span<const std::int32_t> encode_remat(
+        std::span<const std::uint8_t> image) const;
 };
 
 } // namespace uhd::core

@@ -51,9 +51,8 @@ public:
     void fit(const data::dataset& train_set);
 
     /// Mini-batch thread-parallel fit: bit-identical to fit() for every
-    /// thread count and batch size (see hdc::hd_classifier::fit_parallel).
-    void fit_parallel(const data::dataset& train_set, thread_pool* pool = nullptr,
-                      hdc::trainer_options options = {});
+    /// thread count (see hdc::hd_classifier::fit_parallel).
+    void fit_parallel(const data::dataset& train_set, thread_pool* pool = nullptr);
 
     /// Online update with one labeled image (dynamic training).
     void partial_fit(std::span<const std::uint8_t> image, std::size_t label);

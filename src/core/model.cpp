@@ -117,9 +117,8 @@ uhd_model uhd_model::train(const uhd_config& config, const data::dataset& train_
 
 void uhd_model::fit(const data::dataset& train_set) { classifier_.fit(train_set); }
 
-void uhd_model::fit_parallel(const data::dataset& train_set, thread_pool* pool,
-                             hdc::trainer_options options) {
-    classifier_.fit_parallel(train_set, pool, options);
+void uhd_model::fit_parallel(const data::dataset& train_set, thread_pool* pool) {
+    classifier_.fit_parallel(train_set, pool);
 }
 
 void uhd_model::partial_fit(std::span<const std::uint8_t> image, std::size_t label) {

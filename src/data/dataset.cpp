@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "uhd/common/error.hpp"
@@ -15,6 +16,9 @@ dataset::dataset(image_shape shape, std::size_t num_classes)
     UHD_REQUIRE(shape.channels == 1 || shape.channels == 3,
                 "only 1- or 3-channel images are supported");
     UHD_REQUIRE(num_classes >= 2, "need at least two classes");
+    // Labels are stored as uint16: a larger label would wrap on add().
+    UHD_REQUIRE(num_classes <= std::size_t{std::numeric_limits<std::uint16_t>::max()} + 1,
+                "at most 65536 classes");
 }
 
 void dataset::add(std::span<const std::uint8_t> pixels, std::size_t label) {

@@ -38,7 +38,8 @@ class dataset {
 public:
     dataset() = default;
 
-    /// Empty dataset for images of `shape` with labels in [0, num_classes).
+    /// Empty dataset for images of `shape` with labels in [0, num_classes);
+    /// 2 <= num_classes <= 65536 (labels are stored as 16-bit values).
     dataset(image_shape shape, std::size_t num_classes);
 
     /// Append one image; `pixels` must have shape.values() entries and

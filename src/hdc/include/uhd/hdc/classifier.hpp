@@ -38,9 +38,9 @@
 //
 // Training scales two ways beyond the sequential fit() loop:
 // * fit_parallel — the mini-batch thread-parallel engine (hdc/trainer.hpp):
-//   per-worker class accumulators filled through the encoder's batch path
-//   and reduced in fixed class/lane order, bit-identical to fit() for any
-//   thread count.
+//   per-worker class accumulators that the encoder's batch path adds each
+//   image's counts into, reduced in fixed class/lane order, bit-identical
+//   to fit() for any thread count.
 // * retrain(train, epochs, pool) — mini-batch parallel perceptron epochs
 //   (binarized mode; bit-identical to the sequential retrain).
 // Inference scales down as well as out: predict_dynamic answers queries
@@ -109,9 +109,18 @@ public:
     void fit(const data::dataset& train) {
         UHD_REQUIRE(train.num_classes() <= classes_, "dataset has too many classes");
         std::vector<std::int32_t> scratch(encoder_->dim());
+        std::vector<std::uint64_t> signs(kernels::sign_words(encoder_->dim()));
         for (std::size_t i = 0; i < train.size(); ++i) {
             encoder_->encode(train.image(i), scratch);
-            bundle_into(train.label(i), scratch);
+            accumulator& into = class_acc_[train.label(i)];
+            if (mode_ == train_mode::raw_sums) {
+                into.add_values(scratch);
+                continue;
+            }
+            // Binarize the image hypervector first (hardware semantics);
+            // the kernel zeroes the tail bits add_sign_words requires.
+            kernels::sign_binarize(scratch.data(), scratch.size(), signs.data());
+            into.add_sign_words(signs);
         }
         finalize();
     }
@@ -120,12 +129,11 @@ public:
     /// is split into one contiguous chunk per pool lane, each chunk bundled
     /// into private per-class accumulators through the encoder's batch
     /// path, and the lane sets reduced in fixed class/lane order. The
-    /// trained state is bit-identical to fit() for every thread count and
-    /// batch size — the same determinism contract as predict_batch.
-    void fit_parallel(const data::dataset& train, thread_pool* pool = nullptr,
-                      trainer_options options = {}) {
+    /// trained state is bit-identical to fit() for every thread count —
+    /// the same determinism contract as predict_batch.
+    void fit_parallel(const data::dataset& train, thread_pool* pool = nullptr) {
         UHD_REQUIRE(train.num_classes() <= classes_, "dataset has too many classes");
-        const batch_trainer<Encoder> trainer(*encoder_, classes_, mode_, options);
+        const batch_trainer<Encoder> trainer(*encoder_, classes_, mode_);
         const std::vector<accumulator> delta = trainer.accumulate(train, pool);
         for (std::size_t c = 0; c < classes_; ++c) class_acc_[c].add(delta[c]);
         finalize();
@@ -133,13 +141,13 @@ public:
 
     /// Incrementally add one labeled example (dynamic/online training).
     /// Only the touched class is re-finalized, so an online update costs
-    /// O(D) rather than O(classes * D); the encode scratch is a reused
-    /// per-instance buffer, so steady-state updates are allocation-free.
+    /// O(D) rather than O(classes * D). It is fit_parallel's bundling
+    /// step (bundle_images) on one image: raw_sums adds the encode straight
+    /// into the class accumulator. Steady-state updates are allocation-free.
     void partial_fit(std::span<const std::uint8_t> image, std::size_t label) {
         UHD_REQUIRE(label < classes_, "label out of range");
-        partial_scratch_.resize(encoder_->dim());
-        encoder_->encode(image, partial_scratch_);
-        bundle_into(label, partial_scratch_);
+        bundle_images(*encoder_, mode_, image, 1, [label](std::size_t) { return label; },
+                      class_acc_);
         finalize_class(label);
     }
 
@@ -411,19 +419,6 @@ public:
     }
 
 private:
-    void bundle_into(std::size_t label, std::span<const std::int32_t> encoded) {
-        if (mode_ == train_mode::raw_sums) {
-            class_acc_[label].add_values(encoded);
-            return;
-        }
-        // Binarize the image hypervector first (hardware semantics); the
-        // kernel zeroes the tail bits, so the packed words satisfy the
-        // add_sign_words contract directly — no bitstream materialized.
-        sign_scratch_.resize(kernels::sign_words(encoder_->dim()));
-        kernels::sign_binarize(encoded.data(), encoded.size(), sign_scratch_.data());
-        class_acc_[label].add_sign_words(sign_scratch_);
-    }
-
     /// Re-derive one class of the read state from its accumulator: the
     /// packed sign row and (integer mode) the integer row with its cached
     /// norm.
@@ -441,11 +436,6 @@ private:
     train_mode mode_;
     std::vector<accumulator> class_acc_; ///< training state (write path)
     inference_snapshot state_;           ///< read state (every predict path)
-    // Reused scratch buffers for partial_fit / bundle_into: online updates
-    // advertise O(D) cost, so they must not pay a heap allocation per call
-    // in either train mode.
-    std::vector<std::int32_t> partial_scratch_;
-    std::vector<std::uint64_t> sign_scratch_;
 };
 
 } // namespace uhd::hdc

@@ -7,15 +7,14 @@
 // set can be split into contiguous per-worker chunks, each chunk bundled
 // into its own private class-accumulator set, and the lane sets reduced in
 // fixed class/lane order at the end. The result is bit-identical to the
-// sequential per-image loop for every thread count, chunking, and
-// mini-batch size: the same determinism contract as predict_batch.
+// sequential per-image loop for every thread count and chunking: the same
+// determinism contract as predict_batch.
 //
-// Within a chunk, images are encoded in mini-batches through the encoder's
-// batch engine when it has one (uhd_encoder::encode_batch over the
-// dataset's contiguous image buffer — the word-parallel block kernels),
-// falling back to per-image encode() for encoders that only satisfy the
-// minimal contract (dim() + encode()). Mini-batching bounds the encode
-// scratch at batch_images * dim int32 per lane regardless of set size.
+// Bundling (bundle_images, shared with hd_classifier::partial_fit) builds
+// no int32 image rows when the encoder has a batch path (uhd_encoder): the
+// encoder adds each image's bit-sliced counts straight into its class
+// accumulator. Encoders that only satisfy the minimal contract (dim() +
+// encode()) encode one image at a time into one dim()-sized row.
 //
 // Train/serve contract: everything here mutates only *training* state —
 // the caller's accumulators — never the read state concurrent queries run
@@ -28,6 +27,7 @@
 #define UHD_HDC_TRAINER_HPP
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -49,21 +49,68 @@ enum class train_mode {
     raw_sums,         ///< bundle the integer accumulators directly
 };
 
-/// Tuning knobs for the mini-batch trainer.
-struct trainer_options {
-    /// Images encoded per mini-batch within each worker lane. Bounds the
-    /// per-lane encode scratch at batch_images * dim() int32 values; the
-    /// trained result is independent of this value.
-    std::size_t batch_images = 64;
-};
-
-/// Detected at compile time: encoders with a span batch-encode entry point
-/// (count images back-to-back) get the block-kernel batch path.
+/// Detected at compile time: encoders that add each image's int32 encode
+/// into a caller's row (encode_add_batch) and write packed sign rows
+/// (encode_sign_batch) get the batch bundling path.
 template <typename Encoder>
 concept batch_encoder = requires(const Encoder& e, std::span<const std::uint8_t> imgs,
-                                 std::size_t n, std::span<std::int32_t> out) {
-    e.encode_batch(imgs, n, out, static_cast<thread_pool*>(nullptr));
+                                 std::size_t n, std::span<std::int32_t* const> rows,
+                                 std::span<std::uint64_t> packed) {
+    e.encode_add_batch(imgs, n, rows);
+    e.encode_sign_batch(imgs, n, packed);
 };
+
+/// Images per bundling block: one encoder sub-batch (the serve engine's
+/// default micro-batch).
+inline constexpr std::size_t bundle_block_images = 32;
+
+/// Bundle `count` >= 1 equally sized images stored back-to-back in
+/// `images` into their classes, image i into acc[label_of(i)]. With a
+/// batch encoder each block of bundle_block_images images is one
+/// encode_add_batch whose rows are the images' class accumulators
+/// (raw_sums), or one encode_sign_batch whose packed rows are added as
+/// signs (binarized_images). Scratch is per thread, so a steady stream of
+/// calls allocates nothing.
+template <typename Encoder, typename LabelOf>
+void bundle_images(const Encoder& encoder, train_mode mode,
+                   std::span<const std::uint8_t> images, std::size_t count,
+                   const LabelOf& label_of, std::span<accumulator> acc) {
+    const std::size_t pixels = images.size() / count;
+    const std::size_t words = kernels::sign_words(encoder.dim());
+    static thread_local std::vector<std::uint64_t> signs;
+    if (mode == train_mode::binarized_images) signs.resize(bundle_block_images * words);
+    if constexpr (batch_encoder<Encoder>) {
+        std::array<std::int32_t*, bundle_block_images> rows{};
+        for (std::size_t b = 0; b < count; b += bundle_block_images) {
+            const std::size_t n = std::min(bundle_block_images, count - b);
+            const auto block = images.subspan(b * pixels, n * pixels);
+            if (mode == train_mode::raw_sums) {
+                for (std::size_t i = 0; i < n; ++i) {
+                    rows[i] = acc[label_of(b + i)].values().data();
+                }
+                encoder.encode_add_batch(block, n, {rows.data(), n});
+                continue;
+            }
+            encoder.encode_sign_batch(block, n, {signs.data(), n * words});
+            for (std::size_t i = 0; i < n; ++i) {
+                acc[label_of(b + i)].add_sign_words({signs.data() + i * words, words});
+            }
+        }
+    } else {
+        // One row; the sign kernel zeroes the tail bits add_sign_words needs.
+        static thread_local std::vector<std::int32_t> encoded;
+        encoded.resize(encoder.dim());
+        for (std::size_t i = 0; i < count; ++i) {
+            encoder.encode(images.subspan(i * pixels, pixels), encoded);
+            if (mode == train_mode::raw_sums) {
+                acc[label_of(i)].add_values(encoded);
+            } else {
+                kernels::sign_binarize(encoded.data(), encoded.size(), signs.data());
+                acc[label_of(i)].add_sign_words({signs.data(), words});
+            }
+        }
+    }
+}
 
 /// Mini-batch parallel bundling of a dataset into per-class accumulators.
 template <typename Encoder>
@@ -72,18 +119,16 @@ public:
     /// `mode` follows hd_classifier's train_mode (binarized_images
     /// sign-binarizes each image encoding before bundling, raw_sums adds
     /// the integer encodings directly).
-    batch_trainer(const Encoder& encoder, std::size_t classes, train_mode mode,
-                  trainer_options options = {})
-        : encoder_(&encoder), classes_(classes), mode_(mode), options_(options) {
+    batch_trainer(const Encoder& encoder, std::size_t classes, train_mode mode)
+        : encoder_(&encoder), classes_(classes), mode_(mode) {
         UHD_REQUIRE(classes >= 1, "trainer needs at least one class");
-        if (options_.batch_images == 0) options_.batch_images = 1;
     }
 
     /// Encode + bundle the whole dataset into one accumulator per class
     /// (the *delta* of a training pass — callers add it onto their model
     /// state). With a pool the set is split into one contiguous chunk per
     /// worker lane; without one the single chunk runs inline. Bit-identical
-    /// for every thread count and batch size.
+    /// for every thread count.
     [[nodiscard]] std::vector<accumulator> accumulate(const data::dataset& train,
                                                       thread_pool* pool = nullptr) const {
         const std::size_t dim = encoder_->dim();
@@ -105,8 +150,10 @@ public:
             pool, chunks, [&](std::size_t chunk_begin, std::size_t chunk_end) {
                 for (std::size_t c = chunk_begin; c < chunk_end; ++c) {
                     const std::size_t begin = c * base + (c < extra ? c : extra);
-                    const std::size_t end = begin + base + (c < extra ? 1 : 0);
-                    bundle_range(train, begin, end, lane_acc[c]);
+                    const std::size_t n_images = base + (c < extra ? 1 : 0);
+                    bundle_images(*encoder_, mode_, train.images(begin, n_images), n_images,
+                                  [&](std::size_t i) { return train.label(begin + i); },
+                                  lane_acc[c]);
                 }
             });
 
@@ -123,50 +170,9 @@ public:
     }
 
 private:
-    /// Bundle images [begin, end) into `acc` (one accumulator per class),
-    /// encoding in mini-batches of options_.batch_images.
-    void bundle_range(const data::dataset& train, std::size_t begin, std::size_t end,
-                      std::vector<accumulator>& acc) const {
-        const std::size_t dim = encoder_->dim();
-        const std::size_t batch = options_.batch_images;
-        std::vector<std::int32_t> encoded(std::min(batch, end - begin) * dim);
-        std::vector<std::uint64_t> sign_scratch(kernels::sign_words(dim));
-        for (std::size_t b = begin; b < end; b += batch) {
-            const std::size_t count = std::min(batch, end - b);
-            const std::span<std::int32_t> out(encoded.data(), count * dim);
-            if constexpr (batch_encoder<Encoder>) {
-                encoder_->encode_batch(train.images(b, count), count, out, nullptr);
-            } else {
-                for (std::size_t i = 0; i < count; ++i) {
-                    encoder_->encode(train.image(b + i), out.subspan(i * dim, dim));
-                }
-            }
-            for (std::size_t i = 0; i < count; ++i) {
-                bundle_one(acc[train.label(b + i)], out.subspan(i * dim, dim),
-                           sign_scratch);
-            }
-        }
-    }
-
-    /// Same semantics as hd_classifier's per-image bundling step: raw_sums
-    /// adds the integer encoding, binarized_images sign-binarizes it
-    /// word-parallel first (the kernel zeroes the tail bits, satisfying the
-    /// add_sign_words contract; `sign_scratch` is the per-chunk reused
-    /// packed buffer, so bundling allocates nothing per image).
-    void bundle_one(accumulator& into, std::span<const std::int32_t> encoded,
-                    std::vector<std::uint64_t>& sign_scratch) const {
-        if (mode_ == train_mode::raw_sums) {
-            into.add_values(encoded);
-            return;
-        }
-        kernels::sign_binarize(encoded.data(), encoded.size(), sign_scratch.data());
-        into.add_sign_words(sign_scratch);
-    }
-
     const Encoder* encoder_;
     std::size_t classes_;
     train_mode mode_;
-    trainer_options options_;
 };
 
 } // namespace uhd::hdc

@@ -208,11 +208,9 @@ TEST(Io, RoundTripScalars) {
     io::write_header(ss, 0x1234u, 3);
     io::write_u64(ss, 77);
     io::write_f64(ss, 2.5);
-    io::write_string(ss, "hello");
     EXPECT_EQ(io::read_header(ss, 0x1234u, 5), 3u);
     EXPECT_EQ(io::read_u64(ss), 77u);
     EXPECT_DOUBLE_EQ(io::read_f64(ss), 2.5);
-    EXPECT_EQ(io::read_string(ss), "hello");
 }
 
 TEST(Io, HeaderMagicMismatchThrows) {

@@ -30,6 +30,15 @@ TEST(Dataset, ShapeValidation) {
     EXPECT_THROW(dataset(image_shape{2, 2, 1}, 1), uhd::error);
 }
 
+TEST(Dataset, ClassCountFitsTheStoredLabels) {
+    // Labels are stored in 16 bits: 65536 classes is the most that keeps
+    // every label, and a larger count would silently wrap label 65536 to 0.
+    EXPECT_THROW(dataset(image_shape{2, 2, 1}, 65537), uhd::error);
+    dataset ds(image_shape{2, 2, 1}, 65536);
+    ds.add({1, 2, 3, 4}, 65535);
+    EXPECT_EQ(ds.label(0), 65535u);
+}
+
 TEST(Dataset, AddAndAccess) {
     const dataset ds = tiny_dataset();
     EXPECT_EQ(ds.size(), 4u);

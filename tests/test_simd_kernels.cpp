@@ -417,26 +417,72 @@ TEST(SimdKernels, PlaneCountFinishersMatchTheCentredCount) {
             if (expected[d] < 0) expected_sign[d / 64] |= std::uint64_t{1} << (d % 64);
         }
 
+        // The int32 finisher adds into its row: a row of 7s ends at 7 plus
+        // the centred count.
+        std::vector<std::int32_t> added(n);
+        for (std::size_t d = 0; d < n; ++d) added[d] = 7 + expected[d];
         std::vector<std::int32_t> reference(n, 7);
         simd::plane_count_center_reference(counters.data(), n_planes, words, n, tau2,
                                            reference.data());
-        ASSERT_EQ(reference, expected) << "n_planes=" << n_planes << " tau2=" << tau2;
+        ASSERT_EQ(reference, added) << "n_planes=" << n_planes << " tau2=" << tau2;
         std::vector<std::int32_t> portable(n, 7);
         simd::plane_count_center_portable(counters.data(), n_planes, words, n, tau2,
                                           portable.data());
-        EXPECT_EQ(portable, expected);
+        EXPECT_EQ(portable, added);
         for (const kernels::kernel_table* backend : admissible_backends()) {
             std::vector<std::int32_t> got(n + 1, 7); // the slot past n stays put
             backend->plane_count_center(counters.data(), n_planes, words, n, tau2,
                                         got.data());
             EXPECT_EQ(got.back(), 7) << "backend=" << backend->name << " wrote past n";
             got.pop_back();
-            EXPECT_EQ(got, expected) << "backend=" << backend->name;
+            EXPECT_EQ(got, added) << "backend=" << backend->name;
         }
 
         std::vector<std::uint64_t> sign(kernels::sign_words(n), ~std::uint64_t{0});
         simd::plane_count_sign(counters.data(), n_planes, words, n, tau2, sign.data());
         EXPECT_EQ(sign, expected_sign) << "n_planes=" << n_planes << " tau2=" << tau2;
+    }
+}
+
+TEST(SimdKernels, PlaneCountCenterAddsIntoARowOnEveryBackend) {
+    // The trainer's rows are class accumulators that already hold earlier
+    // images' sums, so the int32 finisher must add into a row of arbitrary
+    // values, not overwrite it. Lengths: one lane, the 8- and 16-lane
+    // steps' ragged tails on both sides, two ragged words and a full
+    // 17-word row; 10 and 11 counter planes (784 and 1088 pixels).
+    xoshiro256ss rng(70);
+    for (const std::size_t n : {1u, 15u, 16u, 17u, 1000u, 1088u}) {
+        for (const std::size_t n_planes : {10u, 11u}) {
+            const std::size_t words = kernels::sign_words(n);
+            std::vector<std::uint64_t> counters(n_planes * words);
+            for (auto& w : counters) w = rng.next();
+            const std::vector<std::uint32_t> count = decode_counts(counters, n_planes, words);
+            const auto tau2 =
+                static_cast<std::int32_t>(rng.next() % (std::uint64_t{2} << n_planes));
+            std::vector<std::int32_t> start(n + 1); // the slot past n stays put
+            for (auto& v : start) {
+                v = static_cast<std::int32_t>(rng.next() % 200000001) - 100000000;
+            }
+            std::vector<std::int32_t> expected = start;
+            for (std::size_t d = 0; d < n; ++d) {
+                expected[d] += 2 * static_cast<std::int32_t>(count[d]) - tau2;
+            }
+            std::vector<std::int32_t> reference = start;
+            simd::plane_count_center_reference(counters.data(), n_planes, words, n, tau2,
+                                               reference.data());
+            ASSERT_EQ(reference, expected) << "n=" << n << " n_planes=" << n_planes;
+            std::vector<std::int32_t> portable = start;
+            simd::plane_count_center_portable(counters.data(), n_planes, words, n, tau2,
+                                              portable.data());
+            EXPECT_EQ(portable, reference) << "n=" << n << " n_planes=" << n_planes;
+            for (const kernels::kernel_table* backend : admissible_backends()) {
+                std::vector<std::int32_t> got = start;
+                backend->plane_count_center(counters.data(), n_planes, words, n, tau2,
+                                            got.data());
+                EXPECT_EQ(got, reference)
+                    << "backend=" << backend->name << " n=" << n << " n_planes=" << n_planes;
+            }
+        }
     }
 }
 

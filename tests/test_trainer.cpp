@@ -1,9 +1,10 @@
 // Tests for the mini-batch parallel training engine: fit_parallel must be
-// bit-identical to the sequential fit() for every thread count, batch size,
+// bit-identical to the sequential fit() for every thread count, lane range,
 // chunking, and train_mode (class accumulators AND packed class rows), and
 // the pool retrain overload must match the sequential retrain exactly.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "uhd/common/thread_pool.hpp"
@@ -64,22 +65,35 @@ TEST(Trainer, FitParallelBitIdenticalAcrossThreadCountsAndModes) {
     }
 }
 
-TEST(Trainer, FitParallelIndependentOfBatchSize) {
-    const auto train = data::make_synthetic_digits(60, 6);
+TEST(Trainer, FitParallelMatchesFitAcrossSubBatchesAndPools) {
+    // A lane bundles its range through the encoder's batch path: one
+    // encode_add_batch over the range (raw_sums), walked in 32-image
+    // sub-batches, or 32-image encode_sign_batch blocks (binarized_images).
+    // Lane ranges of 1, 31, 32 and 33 images and a 70-image range with a
+    // ragged tail, inline and on pools of 1-3 workers (2-4 lanes).
+    const auto digits = data::make_synthetic_digits(70 * 4, 13);
     core::uhd_config cfg;
-    cfg.dim = 128;
-    const core::uhd_encoder enc(cfg, train.shape());
-    hd_classifier<core::uhd_encoder> sequential(enc, 10, train_mode::raw_sums);
-    sequential.fit(train);
-
-    thread_pool pool(3);
-    for (const std::size_t batch : {std::size_t{1}, std::size_t{3}, std::size_t{64},
-                                    std::size_t{1000}}) {
-        trainer_options options;
-        options.batch_images = batch;
-        hd_classifier<core::uhd_encoder> clf(enc, 10, train_mode::raw_sums);
-        clf.fit_parallel(train, &pool, options);
-        expect_identical_state(sequential, clf);
+    cfg.dim = 200;
+    const core::uhd_encoder enc(cfg, digits.shape());
+    for (const std::size_t range : {1u, 31u, 32u, 33u, 70u}) {
+        for (const std::size_t workers : {0u, 1u, 2u, 3u}) {
+            data::dataset train(digits.shape(), digits.num_classes());
+            for (std::size_t i = 0; i < range * (workers + 1); ++i) {
+                train.add(digits.image(i), digits.label(i));
+            }
+            std::unique_ptr<thread_pool> pool;
+            if (workers != 0) pool = std::make_unique<thread_pool>(workers);
+            for (const train_mode tm : {train_mode::binarized_images, train_mode::raw_sums}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "range " << range << ", workers " << workers << ", "
+                             << (tm == train_mode::raw_sums ? "raw_sums" : "binarized_images"));
+                hd_classifier<core::uhd_encoder> sequential(enc, 10, tm);
+                sequential.fit(train);
+                hd_classifier<core::uhd_encoder> clf(enc, 10, tm);
+                clf.fit_parallel(train, pool.get());
+                expect_identical_state(sequential, clf);
+            }
+        }
     }
 }
 

@@ -5,10 +5,12 @@
 #include <algorithm>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "uhd/common/error.hpp"
 #include "uhd/common/kernels.hpp"
+#include "uhd/common/rng.hpp"
 #include "uhd/core/encoder.hpp"
 #include "uhd/data/synthetic.hpp"
 
@@ -250,6 +252,86 @@ TEST(EncoderEquivalence, BatchOrderMatchesScalarOracle) {
                             << "), word " << w << ", backend "
                             << uhd::kernels::active().name;
                     }
+                }
+            }
+        }
+    }
+}
+
+TEST(EncoderEquivalence, AddBatchAddsTheScalarOracleIntoSharedRows) {
+    // encode_add_batch adds image i's encode into rows[i]. The stored path
+    // lists and counts sub-batches of 32 images chunk by chunk; batches of
+    // 1, 31, 32, 33 and 70 cross that sub-batch with a ragged tail. The
+    // rows start at random values and images share rows (the trainer names
+    // each image's class accumulator as its row), so each row must end at
+    // its start plus the byte-at-a-time oracle encodes of every image that
+    // names it, in both bank modes. D and xi as in
+    // BatchOrderMatchesScalarOracle, on 10x10 images (the row bookkeeping
+    // does not depend on the pixel count, and the small bank keeps the
+    // scalar backend's run short): all-zero, all-max and random images
+    // with about 40% of pixels at level 0. encode_batch, which zero-fills
+    // and adds through the same path, must give each image its oracle row.
+    const uhd::data::image_shape shape{10, 10, 1};
+    const std::size_t pixels = shape.pixels();
+    uhd::xoshiro256ss rng(24);
+    std::vector<std::vector<std::uint8_t>> distinct = {
+        std::vector<std::uint8_t>(pixels, 0), std::vector<std::uint8_t>(pixels, 255)};
+    for (int k = 0; k < 10; ++k) {
+        std::vector<std::uint8_t> image(pixels);
+        for (auto& x : image) {
+            x = rng.next() % 5 < 2 ? 0 : static_cast<std::uint8_t>(rng.next() % 256);
+        }
+        distinct.push_back(std::move(image));
+    }
+    constexpr std::size_t max_batch = 70;
+    constexpr std::size_t n_rows = 5;
+    std::vector<std::size_t> image_of(max_batch);
+    std::vector<std::size_t> row_of(max_batch);
+    std::vector<std::uint8_t> images;
+    for (std::size_t i = 0; i < max_batch; ++i) {
+        image_of[i] = rng.next() % distinct.size();
+        row_of[i] = rng.next() % n_rows;
+        images.insert(images.end(), distinct[image_of[i]].begin(),
+                      distinct[image_of[i]].end());
+    }
+    for (const unsigned xi : {2u, 16u, 256u}) {
+        for (const std::size_t dim : {64u, 1088u, 8192u}) {
+            uhd_config cfg;
+            cfg.dim = dim;
+            cfg.quant_levels = xi;
+            const uhd_encoder stored(cfg, shape);
+            cfg.bank = uhd::bank_mode::rematerialize;
+            const uhd_encoder remat(cfg, shape);
+            std::vector<std::int32_t> oracle(distinct.size() * dim);
+            for (std::size_t k = 0; k < distinct.size(); ++k) {
+                stored.encode_scalar(distinct[k], std::span(oracle).subspan(k * dim, dim));
+            }
+            std::vector<std::int32_t> start(n_rows * dim);
+            for (auto& v : start) v = static_cast<std::int32_t>(rng.next() % 2000001) - 1000000;
+            for (const uhd_encoder* enc : {&stored, &remat}) {
+                const char* const mode = enc == &stored ? "stored" : "remat";
+                for (const std::size_t count : {1u, 31u, 32u, 33u, 70u}) {
+                    std::vector<std::int32_t> rows = start;
+                    std::vector<std::int32_t> expected = start;
+                    std::vector<std::int32_t*> row_ptrs(count);
+                    for (std::size_t i = 0; i < count; ++i) {
+                        row_ptrs[i] = rows.data() + row_of[i] * dim;
+                        for (std::size_t d = 0; d < dim; ++d) {
+                            expected[row_of[i] * dim + d] += oracle[image_of[i] * dim + d];
+                        }
+                    }
+                    enc->encode_add_batch(std::span(images).first(count * pixels), count,
+                                          row_ptrs);
+                    ASSERT_EQ(rows, expected)
+                        << mode << " xi=" << xi << " D=" << dim << " batch of " << count
+                        << ", backend " << uhd::kernels::active().name;
+                }
+                std::vector<std::int32_t> batch(max_batch * dim, 7);
+                enc->encode_batch(images, max_batch, batch);
+                for (std::size_t i = 0; i < max_batch; ++i) {
+                    ASSERT_TRUE(std::equal(batch.begin() + i * dim, batch.begin() + (i + 1) * dim,
+                                           oracle.begin() + image_of[i] * dim))
+                        << mode << " xi=" << xi << " D=" << dim << ": encode_batch image " << i;
                 }
             }
         }
