@@ -111,6 +111,33 @@ struct kernel_table {
     /// True when this backend may run on the probed CPU.
     bool (*supported)(const cpu_features& features);
 
+    /// The stored bank's producer: one pixel's whole build in one pass
+    /// over its Sobol stream. The pixel's threshold at dimension d < dim is
+    ///     S[d] = ((x(d) ^ shift) * (levels - 1) + 2^31) >> 32,
+    /// ld::quantize_fraction's integer rule on the digitally shifted
+    /// fraction x(d) ^ shift, where x(d) is the XOR of directions[i] over
+    /// the set bits of d ^ (d >> 1): the Gray-code order stream of
+    /// ld::sobol_sequence, whose 32 direction numbers `directions` holds
+    /// (v_1 first). Writes
+    ///  * the pixel's m = bit_width(levels - 1) plane rows of the
+    ///    npix-pixel bank `planes`, word w of plane k at
+    ///    plane_word_offset(npix, m, sign_words(dim), pixel, k, w): bit d of
+    ///    plane k is bit k of T[d] = (S[d] - 1) mod 2^m (the relabel
+    ///    geq_plane_count reads), and every plane bit past dim is 1;
+    ///  * level_counts[q] = #{d < dim : S[d] = q} for every q < levels;
+    ///  * zero_words, sign_words(dim) words: bit d is set iff d < dim and
+    ///    S[d] = 0 (no bit past dim).
+    /// No other pixel's words are touched, and nothing is read from
+    /// `planes`. Requires 2 <= levels <= 256 and 1 <= dim <= 2^31. The
+    /// scalar body generates, quantizes and slices one value at a time;
+    /// the others walk the stream in aligned blocks,
+    /// x(2^j a + u) = x(2^j a) ^ x(u) for u < 2^j, so a block is one
+    /// broadcast state XOR a per-pixel delta table.
+    void (*sobol_plane_row)(const std::uint32_t* directions, std::uint32_t shift,
+                            unsigned levels, std::size_t dim, std::size_t npix,
+                            std::size_t pixel, std::uint64_t* planes,
+                            std::uint32_t* level_counts, std::uint64_t* zero_words);
+
     /// Bit-plane threshold count over an active-pixel list — the whole
     /// stored-bank encode inner double loop. `planes` is an npix-pixel bank
     /// of `m` bit planes of `words` u64 words each, laid out as
@@ -246,6 +273,14 @@ void force_backend(std::string_view request);
 // Thin wrappers over active() so call sites read like plain functions; the
 // cost per call is one atomic load plus an indirect call, amortized over
 // whole-image / whole-row kernel bodies.
+
+inline void sobol_plane_row(const std::uint32_t* directions, std::uint32_t shift,
+                            unsigned levels, std::size_t dim, std::size_t npix,
+                            std::size_t pixel, std::uint64_t* planes,
+                            std::uint32_t* level_counts, std::uint64_t* zero_words) {
+    active().sobol_plane_row(directions, shift, levels, dim, npix, pixel, planes,
+                             level_counts, zero_words);
+}
 
 inline void geq_plane_count(const active_pixel* active_list, std::size_t n_active,
                             std::size_t npix, const std::uint64_t* planes,

@@ -76,6 +76,160 @@ inline void add_u16_to_i32(const std::uint16_t* geq16, std::size_t dim,
     for (std::size_t d = 0; d < dim; ++d) out[d] += geq16[d];
 }
 
+// --- Sobol bit-plane bank build -------------------------------------------
+//
+// One pixel's stored-bank build (kernels::kernel_table::sobol_plane_row):
+// generate its Sobol thresholds, slice them into its bank planes as
+// T = (S - 1) mod 2^m, count them per level and mark the zero ones. The
+// kernels sit below the lowdisc module, so the Gray-code recurrence and
+// ld::quantize_fraction's rule are restated here.
+
+/// ld::quantize_fraction: fraction * (levels - 1) / 2^32, rounded half up.
+[[nodiscard]] constexpr std::uint8_t quantize_fraction(std::uint32_t fraction,
+                                                       unsigned levels) noexcept {
+    return static_cast<std::uint8_t>(
+        (static_cast<std::uint64_t>(fraction) * (levels - 1) + (std::uint64_t{1} << 31)) >>
+        32);
+}
+
+/// Plane word k of 64 stored values packed eight per u64 (byte i of
+/// eight[g] = value 8g + i): masking bit k of every byte and multiplying by
+/// 0x0102040810204080 gathers those eight bits, in order, into the top byte
+/// (every partial product lands on its own bit, so nothing carries), so a
+/// plane word is eight multiplies instead of a per-bit loop.
+[[nodiscard]] inline std::uint64_t gather_plane_bits(const std::uint64_t eight[8],
+                                                     std::size_t k) noexcept {
+    constexpr std::uint64_t low_bits = 0x0101010101010101ULL;
+    constexpr std::uint64_t gather = 0x0102040810204080ULL;
+    std::uint64_t word = 0;
+    for (std::size_t g = 0; g < 8; ++g) {
+        word |= ((((eight[g] >> k) & low_bits) * gather) >> 56) << (8 * g);
+    }
+    return word;
+}
+
+/// The per-value build of one pixel from a row of `dim` thresholds (one
+/// byte each, < levels): count each value into level_counts, mark the
+/// zero ones in zero_words, and slice the row into the pixel's m plane
+/// rows of an npix-pixel bank, relabelled to T = (S - 1) mod 2^m — the
+/// writes of kernels::kernel_table::sobol_plane_row. Values past dim
+/// slice as S = 0, whose relabel is all-ones.
+inline void slice_threshold_row(const std::uint8_t* row, unsigned levels, std::size_t dim,
+                                std::size_t npix, std::size_t pixel, std::uint64_t* planes,
+                                std::uint32_t* level_counts,
+                                std::uint64_t* zero_words) noexcept {
+    const std::size_t words = sign_words(dim);
+    const auto m = static_cast<std::size_t>(std::bit_width(levels - 1));
+    const unsigned value_mask = (1u << m) - 1;
+    std::fill_n(level_counts, levels, std::uint32_t{0});
+    for (std::size_t w = 0; w < words; ++w) {
+        std::uint64_t eight[8] = {};
+        std::uint64_t zero = 0;
+        for (std::size_t b = 0; b < 64; ++b) {
+            const std::size_t d = 64 * w + b;
+            unsigned t = value_mask;
+            if (d < dim) {
+                ++level_counts[row[d]];
+                zero |= static_cast<std::uint64_t>(row[d] == 0) << b;
+                t = (row[d] - 1u) & value_mask;
+            }
+            eight[b / 8] |= static_cast<std::uint64_t>(t) << (8 * (b % 8));
+        }
+        zero_words[w] = zero;
+        for (std::size_t k = 0; k < m; ++k) {
+            planes[kernels::plane_word_offset(npix, m, words, pixel, k, w)] =
+                gather_plane_bits(eight, k);
+        }
+    }
+}
+
+/// Pinned scalar oracle: the per-value build — one Gray-code step and one
+/// quantize per threshold into a row, then slice_threshold_row's count,
+/// zero mark and byte transpose per value.
+UHD_SCALAR_REFERENCE inline void sobol_plane_row_reference(
+    const std::uint32_t* directions, std::uint32_t shift, unsigned levels,
+    std::size_t dim, std::size_t npix, std::size_t pixel, std::uint64_t* planes,
+    std::uint32_t* level_counts, std::uint64_t* zero_words) {
+    std::vector<std::uint8_t> row(dim);
+    std::uint32_t state = 0;
+    UHD_NOVECTOR_LOOP
+    for (std::size_t d = 0; d < dim; ++d) {
+        row[d] = quantize_fraction(state ^ shift, levels);
+        state ^= directions[std::countr_zero(d + 1)];
+    }
+    slice_threshold_row(row.data(), levels, dim, npix, pixel, planes, level_counts,
+                        zero_words);
+}
+
+/// Gray-code delta table over v[0..3]: delta[k] = x(k), the XOR of v[i]
+/// over the set bits of gray(k), so x(16a + k) = x(16a) ^ delta[k].
+inline void remat_delta_table(const std::uint32_t* v,
+                              std::uint32_t delta[16]) noexcept {
+    delta[0] = 0;
+    for (unsigned k = 1; k < 16; ++k) {
+        delta[k] = delta[k - 1] ^ v[std::countr_zero(k)];
+    }
+}
+
+/// SWAR body: the reference's passes fused per dimension word, with no
+/// row and no byte array. Four 16-value Gray blocks (one state XOR the
+/// delta table each) are quantized straight into T, packed eight per u64
+/// in registers and counted into four interleaved histograms (so
+/// neighbouring values never wait on one counter); the plane words are
+/// gathered from the packed bytes, and the zero mask is every plane's AND
+/// (T all-ones is S = 0).
+inline void sobol_plane_row_swar(const std::uint32_t* directions, std::uint32_t shift,
+                                 unsigned levels, std::size_t dim, std::size_t npix,
+                                 std::size_t pixel, std::uint64_t* planes,
+                                 std::uint32_t* level_counts,
+                                 std::uint64_t* zero_words) noexcept {
+    const std::size_t words = sign_words(dim);
+    const auto m = static_cast<std::size_t>(std::bit_width(levels - 1));
+    const std::uint64_t value_mask = (std::uint64_t{1} << m) - 1;
+    const std::uint64_t scale = levels - 1;
+    // quantize_fraction's rounding constant less 2^32: the product's high
+    // word is then S - 1, and S = 0 wraps to all-ones.
+    const std::uint64_t round = (std::uint64_t{1} << 31) - (std::uint64_t{1} << 32);
+    std::uint32_t delta[16];
+    remat_delta_table(directions, delta);
+    std::uint32_t histogram[4][256] = {};
+    std::uint32_t block = shift; // x(16a) ^ shift for the next block a
+    for (std::size_t w = 0; w < words; ++w) {
+        const std::size_t n = std::min<std::size_t>(64, dim - 64 * w);
+        std::uint64_t eight[8];
+        for (std::size_t b = 0; b < 4; ++b) {
+            for (std::size_t h = 0; h < 2; ++h) {
+                std::uint64_t packed = 0;
+                for (unsigned i = 0; i < 8; ++i) {
+                    const std::uint64_t t =
+                        ((static_cast<std::uint64_t>(block ^ delta[8 * h + i]) * scale +
+                          round) >> 32) & value_mask;
+                    packed |= t << (8 * i);
+                    histogram[i % 4][t] += static_cast<std::uint32_t>(16 * b + 8 * h + i < n);
+                }
+                eight[2 * b + h] = packed;
+            }
+            // Block step a -> a + 1: gray(16a) ^ gray(16a + 16) has exactly
+            // bits {3, countr_zero(a + 1) + 4} set.
+            block ^= directions[3] ^ directions[std::countr_zero(4 * w + b + 1) + 4];
+        }
+        const std::uint64_t valid =
+            n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+        std::uint64_t zero = valid;
+        for (std::size_t k = 0; k < m; ++k) {
+            const std::uint64_t plane = gather_plane_bits(eight, k) | ~valid;
+            zero &= plane;
+            planes[kernels::plane_word_offset(npix, m, words, pixel, k, w)] = plane;
+        }
+        zero_words[w] = zero;
+    }
+    for (unsigned q = 0; q < levels; ++q) {
+        const std::uint64_t t = (q - 1u) & value_mask;
+        level_counts[q] =
+            histogram[0][t] + histogram[1][t] + histogram[2][t] + histogram[3][t];
+    }
+}
+
 // --- bit-plane threshold count kernels ------------------------------------
 //
 // count[d] = base[d] + #{listed p : level_p >= T_p[d]} over a bit-plane bank
@@ -372,16 +526,6 @@ UHD_SCALAR_REFERENCE inline void geq_rematerialize_accumulate_reference(
             state ^= v[std::countr_zero(index + 1)];
             ++index;
         }
-    }
-}
-
-/// Build the 16-entry Gray-code delta table over v[0..3]:
-/// delta[k] = XOR of v[i] over the set bits of gray(k).
-inline void remat_delta_table(const std::uint32_t* v,
-                              std::uint32_t delta[16]) noexcept {
-    delta[0] = 0;
-    for (unsigned k = 1; k < 16; ++k) {
-        delta[k] = delta[k - 1] ^ v[std::countr_zero(k)];
     }
 }
 

@@ -511,6 +511,140 @@ void hamming_block_argmin2_prefix(const std::uint64_t* queries,
     }
 }
 
+// --- Sobol bit-plane bank build -------------------------------------------
+
+/// ld::quantize_fraction's rule on 8 u32 lanes: (f * scale + 2^31) >> 32,
+/// two 32 x 32 -> 64 multiplies (even lanes, then the odd lanes shifted
+/// down), each result the high dword of its product.
+[[gnu::always_inline]] inline __m256i quantize8(__m256i f, __m256i scale, __m256i half) {
+    const __m256i even = _mm256_add_epi64(_mm256_mul_epu32(f, scale), half);
+    const __m256i odd =
+        _mm256_add_epi64(_mm256_mul_epu32(_mm256_srli_epi64(f, 32), scale), half);
+    return _mm256_blend_epi32(_mm256_srli_epi64(even, 32), odd, 0xAA);
+}
+
+/// One pixel's build for M planes, the AVX-512 body's order on 256-bit
+/// vectors. Half a dimension word is one aligned Gray block of 32,
+/// x(32h + j) = x(32h) ^ x(j): the broadcast state XORs four 8-lane delta
+/// vectors, laid out so that the two packs' 128-bit interleave puts
+/// dimension b in byte b. Minus one gives T, and plane k's 32 bits are the
+/// byte sign bits once bit k is shifted to the top. A chunk's plane rows
+/// are then read back four words at a time and split into the 2^M
+/// minterms T = t, whose popcounts are the level counts; minterm 2^M - 1
+/// is the zero mask.
+template <std::size_t M>
+void sobol_plane_row_m(const std::uint32_t* v, std::uint32_t shift, unsigned levels,
+                       std::size_t dim, std::size_t npix, std::size_t pixel,
+                       std::uint64_t* planes, std::uint32_t* level_counts,
+                       std::uint64_t* zero_words) {
+    constexpr std::size_t terms = std::size_t{1} << M;
+    const std::size_t words = (dim + 63) / 64;
+    alignas(32) std::uint32_t gray[32];
+    gray[0] = 0;
+    for (unsigned j = 1; j < 32; ++j) gray[j] = gray[j - 1] ^ v[std::countr_zero(j)];
+    __m256i delta[4];
+    for (unsigned g = 0; g < 4; ++g) {
+        alignas(32) std::uint32_t lanes[8];
+        for (unsigned i = 0; i < 8; ++i) lanes[i] = gray[16 * (i / 4) + 4 * g + i % 4];
+        delta[g] = _mm256_load_si256(reinterpret_cast<const __m256i*>(lanes));
+    }
+    const std::uint32_t second_half = v[4] ^ v[5]; // x(32)
+    const __m256i scale = _mm256_set1_epi64x(static_cast<long long>(levels - 1));
+    const __m256i half = _mm256_set1_epi64x(1LL << 31);
+    const __m256i one = _mm256_set1_epi8(1);
+    const __m256i byte_index = _mm256_setr_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13,
+                                                14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24,
+                                                25, 26, 27, 28, 29, 30, 31);
+    const __m256i quad_index = _mm256_setr_epi64x(0, 1, 2, 3);
+    const __m256i low_nibble = _mm256_set1_epi8(0x0F);
+    const __m256i lut =
+        _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1, 1, 2,
+                         1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
+    __m256i counts[terms];
+    for (__m256i& c : counts) c = _mm256_setzero_si256();
+    std::uint32_t state = shift; // x(64w) ^ shift
+    for (std::size_t first = 0; first < words; first += chunk_words) {
+        const std::size_t width = words - first < chunk_words ? words - first : chunk_words;
+        std::uint64_t* rows = planes + first * npix * M + pixel * M * width;
+        alignas(32) std::uint64_t valid[chunk_words] = {};
+        for (std::size_t i = 0; i < width; ++i) {
+            const std::size_t w = first + i;
+            std::uint64_t bits[M] = {};
+            for (std::size_t h = 0; h < 2; ++h) {
+                const __m256i base =
+                    _mm256_set1_epi32(static_cast<int>(h == 0 ? state : state ^ second_half));
+                const __m256i low = _mm256_packus_epi32(
+                    quantize8(_mm256_xor_si256(base, delta[0]), scale, half),
+                    quantize8(_mm256_xor_si256(base, delta[1]), scale, half));
+                const __m256i high = _mm256_packus_epi32(
+                    quantize8(_mm256_xor_si256(base, delta[2]), scale, half),
+                    quantize8(_mm256_xor_si256(base, delta[3]), scale, half));
+                __m256i t = _mm256_sub_epi8(_mm256_packus_epi16(low, high), one);
+                const std::size_t left = dim - 64 * w;
+                const std::size_t n = left > 32 * h ? left - 32 * h : 0; // valid bytes
+                if (n < 32) {
+                    // T past dim is all-ones: bytes b >= n, i.e. b > n - 1.
+                    t = _mm256_or_si256(
+                        t, _mm256_cmpgt_epi8(byte_index,
+                                             _mm256_set1_epi8(static_cast<char>(n - 1))));
+                }
+                for (std::size_t k = 0; k < M; ++k) {
+                    const auto sign = static_cast<std::uint32_t>(_mm256_movemask_epi8(
+                        _mm256_slli_epi16(t, static_cast<int>(7 - k))));
+                    bits[k] |= static_cast<std::uint64_t>(sign) << (32 * h);
+                }
+            }
+            for (std::size_t k = 0; k < M; ++k) rows[k * width + i] = bits[k];
+            const std::size_t n = dim - 64 * w;
+            valid[i] = n >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+            // Block step w -> w + 1: gray(64w) ^ gray(64w + 64) has exactly
+            // bits {5, countr_zero(w + 1) + 6} set.
+            if (w + 1 < words) state ^= v[5] ^ v[std::countr_zero(w + 1) + 6];
+        }
+        for (std::size_t offset = 0; offset < width; offset += 4) {
+            const __m256i lanes = _mm256_cmpgt_epi64(
+                _mm256_set1_epi64x(static_cast<long long>(width - offset)), quad_index);
+            __m256i node[terms];
+            node[0] = _mm256_load_si256(reinterpret_cast<const __m256i*>(valid + offset));
+            for (std::size_t k = M; k-- > 0;) {
+                const __m256i plane = _mm256_maskload_epi64(
+                    reinterpret_cast<const long long*>(rows + k * width + offset), lanes);
+                for (std::size_t j = terms >> (k + 1); j-- > 0;) {
+                    node[2 * j + 1] = _mm256_and_si256(node[j], plane);
+                    node[2 * j] = _mm256_andnot_si256(plane, node[j]);
+                }
+            }
+            _mm256_maskstore_epi64(reinterpret_cast<long long*>(zero_words + first + offset),
+                                   lanes, node[terms - 1]);
+            for (std::size_t j = 0; j < terms; ++j) {
+                counts[j] = _mm256_add_epi64(counts[j], popcount256(node[j], lut, low_nibble));
+            }
+        }
+    }
+    for (unsigned q = 0; q < levels; ++q) {
+        alignas(32) std::uint64_t lanes[4];
+        _mm256_store_si256(reinterpret_cast<__m256i*>(lanes),
+                           counts[(q - 1) & (terms - 1)]);
+        level_counts[q] = static_cast<std::uint32_t>(lanes[0] + lanes[1] + lanes[2] + lanes[3]);
+    }
+}
+
+void sobol_plane_row(const std::uint32_t* directions, std::uint32_t shift,
+                     unsigned levels, std::size_t dim, std::size_t npix, std::size_t pixel,
+                     std::uint64_t* planes, std::uint32_t* level_counts,
+                     std::uint64_t* zero_words) {
+    switch (std::bit_width(levels - 1)) {
+    case 1: sobol_plane_row_m<1>(directions, shift, levels, dim, npix, pixel, planes, level_counts, zero_words); break;
+    case 2: sobol_plane_row_m<2>(directions, shift, levels, dim, npix, pixel, planes, level_counts, zero_words); break;
+    case 3: sobol_plane_row_m<3>(directions, shift, levels, dim, npix, pixel, planes, level_counts, zero_words); break;
+    case 4: sobol_plane_row_m<4>(directions, shift, levels, dim, npix, pixel, planes, level_counts, zero_words); break;
+    case 5: sobol_plane_row_m<5>(directions, shift, levels, dim, npix, pixel, planes, level_counts, zero_words); break;
+    case 6: sobol_plane_row_m<6>(directions, shift, levels, dim, npix, pixel, planes, level_counts, zero_words); break;
+    case 7: sobol_plane_row_m<7>(directions, shift, levels, dim, npix, pixel, planes, level_counts, zero_words); break;
+    default: sobol_plane_row_m<8>(directions, shift, levels, dim, npix, pixel, planes, level_counts, zero_words); break;
+    }
+}
+
 // --- blocked int32 dot kernels --------------------------------------------
 //
 // Identical fixed 4-lane algorithm as the portable bodies (simd.hpp): the
@@ -552,6 +686,7 @@ double dot_i32(const std::int32_t* a, const std::int32_t* b, std::size_t n) {
 constexpr kernel_table table{
     "avx2",
     supported,
+    sobol_plane_row,
     geq_plane_count,
     plane_count_center,
     geq_rematerialize_accumulate,

@@ -368,6 +368,116 @@ __m512i popcount512_lut(__m512i x) {
     return _mm512_sad_epu8(_mm512_add_epi8(lo, hi), _mm512_setzero_si512());
 }
 
+// --- Sobol bit-plane bank build -------------------------------------------
+
+/// ld::quantize_fraction's rule on 16 u32 lanes: (f * scale + 2^31) >> 32,
+/// two 32 x 32 -> 64 multiplies (even lanes, then the odd lanes shifted
+/// down), each result the high dword of its product.
+[[gnu::always_inline]] inline __m512i quantize16(__m512i f, __m512i scale,
+                                                 __m512i half) {
+    const __m512i even = _mm512_add_epi64(_mm512_mul_epu32(f, scale), half);
+    const __m512i odd =
+        _mm512_add_epi64(_mm512_mul_epu32(_mm512_srli_epi64(f, 32), scale), half);
+    return _mm512_mask_blend_epi32(0xAAAA, _mm512_srli_epi64(even, 32), odd);
+}
+
+/// One pixel's build for M planes. A dimension word is one aligned Gray
+/// block of 64, x(64w + j) = x(64w) ^ x(j): the broadcast state XORs four
+/// 16-lane delta vectors, which are quantized and narrowed to 64 bytes by
+/// two unsigned-saturating packs. The packs interleave within 128-bit
+/// lanes, so delta vector g lane i holds x(16 (i / 4) + 4 g + i % 4) and
+/// byte b of the packed word is dimension b. Minus one gives T (S = 0
+/// wraps to all-ones), and bit k of every byte is one test-to-mask: plane
+/// k's word. Once a chunk's words are written, its plane rows are read
+/// back and split into the 2^M minterms T = t over the valid dimensions;
+/// their popcounts are the level counts, and minterm 2^M - 1 (S = 0) is
+/// the zero mask.
+template <std::size_t M>
+void sobol_plane_row_m(const std::uint32_t* v, std::uint32_t shift, unsigned levels,
+                       std::size_t dim, std::size_t npix, std::size_t pixel,
+                       std::uint64_t* planes, std::uint32_t* level_counts,
+                       std::uint64_t* zero_words) {
+    constexpr std::size_t terms = std::size_t{1} << M;
+    const std::size_t words = (dim + 63) / 64;
+    alignas(64) std::uint32_t gray[64];
+    gray[0] = 0;
+    for (unsigned j = 1; j < 64; ++j) gray[j] = gray[j - 1] ^ v[std::countr_zero(j)];
+    __m512i delta[4];
+    for (unsigned g = 0; g < 4; ++g) {
+        alignas(64) std::uint32_t lanes[16];
+        for (unsigned i = 0; i < 16; ++i) lanes[i] = gray[16 * (i / 4) + 4 * g + i % 4];
+        delta[g] = _mm512_load_si512(lanes);
+    }
+    const __m512i scale = _mm512_set1_epi64(static_cast<long long>(levels - 1));
+    const __m512i half = _mm512_set1_epi64(1LL << 31);
+    const __m512i one = _mm512_set1_epi8(1);
+    const __m512i all_ones = _mm512_set1_epi64(-1);
+    __m512i counts[terms];
+    for (__m512i& c : counts) c = _mm512_setzero_si512();
+    std::uint32_t state = shift; // x(64w) ^ shift
+    for (std::size_t first = 0; first < words; first += chunk_words) {
+        const std::size_t width = words - first < chunk_words ? words - first : chunk_words;
+        std::uint64_t* rows = planes + first * npix * M + pixel * M * width;
+        alignas(64) std::uint64_t valid[chunk_words] = {};
+        for (std::size_t i = 0; i < width; ++i) {
+            const std::size_t w = first + i;
+            const __m512i base = _mm512_set1_epi32(static_cast<int>(state));
+            const __m512i low = _mm512_packus_epi32(
+                quantize16(_mm512_xor_si512(base, delta[0]), scale, half),
+                quantize16(_mm512_xor_si512(base, delta[1]), scale, half));
+            const __m512i high = _mm512_packus_epi32(
+                quantize16(_mm512_xor_si512(base, delta[2]), scale, half),
+                quantize16(_mm512_xor_si512(base, delta[3]), scale, half));
+            const std::size_t n = dim - 64 * w;
+            valid[i] = n >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+            // T past dim is all-ones.
+            const __m512i t = _mm512_mask_blend_epi8(
+                valid[i], all_ones, _mm512_sub_epi8(_mm512_packus_epi16(low, high), one));
+            for (std::size_t k = 0; k < M; ++k) {
+                rows[k * width + i] = static_cast<std::uint64_t>(_mm512_test_epi8_mask(
+                    t, _mm512_set1_epi8(static_cast<char>(1u << k))));
+            }
+            // Block step w -> w + 1: gray(64w) ^ gray(64w + 64) has exactly
+            // bits {5, countr_zero(w + 1) + 6} set.
+            if (w + 1 < words) state ^= v[5] ^ v[std::countr_zero(w + 1) + 6];
+        }
+        const auto lanes = static_cast<__mmask8>((1u << width) - 1);
+        __m512i node[terms];
+        node[0] = _mm512_load_si512(valid);
+        for (std::size_t k = M; k-- > 0;) {
+            const __m512i plane = _mm512_maskz_loadu_epi64(lanes, rows + k * width);
+            for (std::size_t j = terms >> (k + 1); j-- > 0;) {
+                node[2 * j + 1] = _mm512_and_si512(node[j], plane);
+                node[2 * j] = _mm512_andnot_si512(plane, node[j]);
+            }
+        }
+        _mm512_mask_storeu_epi64(zero_words + first, lanes, node[terms - 1]);
+        for (std::size_t j = 0; j < terms; ++j) {
+            counts[j] = _mm512_add_epi64(counts[j], popcount512_lut(node[j]));
+        }
+    }
+    for (unsigned q = 0; q < levels; ++q) {
+        level_counts[q] =
+            static_cast<std::uint32_t>(reduce_add_u64(counts[(q - 1) & (terms - 1)]));
+    }
+}
+
+void sobol_plane_row(const std::uint32_t* directions, std::uint32_t shift,
+                     unsigned levels, std::size_t dim, std::size_t npix, std::size_t pixel,
+                     std::uint64_t* planes, std::uint32_t* level_counts,
+                     std::uint64_t* zero_words) {
+    switch (std::bit_width(levels - 1)) {
+    case 1: sobol_plane_row_m<1>(directions, shift, levels, dim, npix, pixel, planes, level_counts, zero_words); break;
+    case 2: sobol_plane_row_m<2>(directions, shift, levels, dim, npix, pixel, planes, level_counts, zero_words); break;
+    case 3: sobol_plane_row_m<3>(directions, shift, levels, dim, npix, pixel, planes, level_counts, zero_words); break;
+    case 4: sobol_plane_row_m<4>(directions, shift, levels, dim, npix, pixel, planes, level_counts, zero_words); break;
+    case 5: sobol_plane_row_m<5>(directions, shift, levels, dim, npix, pixel, planes, level_counts, zero_words); break;
+    case 6: sobol_plane_row_m<6>(directions, shift, levels, dim, npix, pixel, planes, level_counts, zero_words); break;
+    case 7: sobol_plane_row_m<7>(directions, shift, levels, dim, npix, pixel, planes, level_counts, zero_words); break;
+    default: sobol_plane_row_m<8>(directions, shift, levels, dim, npix, pixel, planes, level_counts, zero_words); break;
+    }
+}
+
 #define UHD_AVX512_FN(name) name##_lut
 #define UHD_AVX512_POPCNT(x) popcount512_lut(x)
 #include "kernels_avx512_family.inc"
@@ -457,6 +567,7 @@ double dot_i32(const std::int32_t* a, const std::int32_t* b, std::size_t n) {
 constexpr kernel_table table{
     "avx512",
     supported,
+    sobol_plane_row,
     geq_plane_count,
     plane_count_center,
     geq_rematerialize_accumulate,

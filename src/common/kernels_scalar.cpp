@@ -15,6 +15,16 @@ namespace {
 
 bool supported(const cpu_features&) { return true; }
 
+void sobol_plane_row(const std::uint32_t* directions, std::uint32_t shift,
+                     unsigned levels, std::size_t dim, std::size_t npix, std::size_t pixel,
+                     std::uint64_t* planes, std::uint32_t* level_counts,
+                     std::uint64_t* zero_words) {
+    // One Gray-code step, quantize, count and bit transpose per value: the
+    // reference the fused and vector bodies are tested against.
+    simd::sobol_plane_row_reference(directions, shift, levels, dim, npix, pixel, planes,
+                                    level_counts, zero_words);
+}
+
 void geq_plane_count(const active_pixel* active, std::size_t n_active, std::size_t npix,
                      const std::uint64_t* planes, std::size_t m, std::size_t words,
                      const std::uint64_t* base, std::uint64_t* counters) {
@@ -76,6 +86,7 @@ double dot_i32(const std::int32_t* a, const std::int32_t* b, std::size_t n) {
 constexpr kernel_table table{
     "scalar",
     supported,
+    sobol_plane_row,
     geq_plane_count,
     plane_count_center,
     geq_rematerialize_accumulate,

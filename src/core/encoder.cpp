@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <memory>
+#include <numeric>
 
 #include "uhd/bitstream/unary.hpp"
 #include "uhd/common/error.hpp"
@@ -92,94 +92,60 @@ void uhd_encoder::build_tables(const ld::quantized_sobol_bank* custom) {
                                           config_.quant_levels);
     }
 
-    // Per-pixel threshold CDF: how many of the pixel's D thresholds a given
-    // quantized intensity reaches. Used for exact mean-centering. Every
-    // row is generated (or read from the custom bank) once here, counted
-    // into the CDF and, in stored mode, sliced into the pixel's bit planes
-    // and counted into Z0 (its zero thresholds); only one row is ever held,
-    // so the byte bank never exists whole.
+    // Per pixel: its level counts, summed into the threshold CDF (how many
+    // of its D thresholds a quantized intensity reaches; used for exact
+    // mean-centering), and in stored mode its bit planes and its zero
+    // thresholds, counted into Z0. A Sobol pixel is one
+    // kernels::sobol_plane_row call, which generates, slices and counts the
+    // row in one pass; rematerialize mode keeps only the counts, so it
+    // hands the kernel a one-pixel bank of its own. A custom bank's rows are
+    // bytes already: simd::slice_threshold_row counts and slices them value
+    // by value, as the scalar reference does. No byte row of a Sobol pixel
+    // is ever built.
     const unsigned xi = config_.quant_levels;
+    const std::size_t npix = shape_.pixels();
     const std::size_t words = kernels::sign_words(config_.dim);
+    const std::size_t m = config_.scalar_bits();
     const bool stored = config_.bank == bank_mode::stored;
-    std::vector<std::uint32_t> zeros;
-    if (stored) {
-        UHD_REQUIRE(shape_.pixels() <= std::numeric_limits<std::uint32_t>::max(),
-                    "too many pixels for the active-pixel list");
-        plane_bits_ = config_.scalar_bits();
-        planes_.assign(shape_.pixels() * plane_bits_ * words, 0);
-        zeros.assign(config_.dim, 0);
-    }
-    cdf_counts_.assign(shape_.pixels() * xi, 0);
-    std::vector<std::uint8_t> scratch(custom != nullptr ? 0 : config_.dim);
-    for (std::size_t p = 0; p < shape_.pixels(); ++p) {
-        std::uint32_t* cdf = cdf_counts_.data() + p * xi;
-        const std::uint8_t* row = nullptr;
-        if (custom != nullptr) {
-            row = custom->row(p).data();
-        } else {
-            materialize_row(p, scratch.data());
-            row = scratch.data();
-        }
-        for (std::size_t d = 0; d < config_.dim; ++d) ++cdf[row[d]];
-        for (unsigned q = 1; q < xi; ++q) cdf[q] += cdf[q - 1];
-        if (stored) {
-            for (std::size_t d = 0; d < config_.dim; ++d) zeros[d] += row[d] == 0;
-            slice_row(p, row);
-        }
-    }
-    if (!stored) return;
     // Z0 as bit-sliced counter planes (dimensions past dim count 0), laid
     // out chunk by chunk like a one-pixel bank of n_planes planes: the
     // chunk at word `first` is the counter block geq_plane_count starts
     // from when count_stored hands it that chunk as a bank of its own.
-    const std::size_t n_planes = kernels::count_planes(shape_.pixels());
-    zero_base_.assign(n_planes * words, 0);
-    for (std::size_t d = 0; d < config_.dim; ++d) {
-        for (std::size_t j = 0; j < n_planes; ++j) {
-            zero_base_[kernels::plane_word_offset(1, n_planes, words, 0, j, d / 64)] |=
-                static_cast<std::uint64_t>((zeros[d] >> j) & 1u) << (d % 64);
-        }
+    const std::size_t n_planes = kernels::count_planes(npix);
+    if (stored) {
+        UHD_REQUIRE(npix <= std::numeric_limits<std::uint32_t>::max(),
+                    "too many pixels for the active-pixel list");
+        plane_bits_ = m;
+        planes_.assign(npix * m * words, 0);
+        zero_base_.assign(n_planes * words, 0);
     }
-}
-
-void uhd_encoder::slice_row(std::size_t p, const std::uint8_t* row) {
-    // Word-level bit transpose: eight stored values form one u64 (byte i =
-    // dimension 8g + i); masking bit k of every byte and multiplying by
-    // 0x0102040810204080 gathers those eight bits, in order, into the top
-    // byte (every partial product lands on its own bit, so nothing
-    // carries) — eight plane bits per multiply instead of a per-bit loop.
-    constexpr std::uint64_t low_bits = 0x0101010101010101ULL;
-    constexpr std::uint64_t gather = 0x0102040810204080ULL;
-    const std::size_t dim = config_.dim;
-    const std::size_t words = kernels::sign_words(dim);
-    const unsigned value_mask = (1u << plane_bits_) - 1;
-    for (std::size_t w = 0; w < words; ++w) {
-        // The word's 64 thresholds, zero past dim, relabelled to
-        // T = (S - 1) mod 2^M (a zero threshold past dim becomes
-        // T = 2^M - 1, which no listed level reaches; the finishers ignore
-        // dimensions >= dim either way).
-        std::uint8_t bytes[64] = {};
-        std::copy_n(row + w * 64, std::min<std::size_t>(64, dim - w * 64), bytes);
-        for (std::uint8_t& b : bytes) {
-            b = static_cast<std::uint8_t>((b - 1u) & value_mask);
+    cdf_counts_.assign(npix * xi, 0);
+    std::vector<std::uint64_t> pixel_planes(stored ? 0 : m * words);
+    std::vector<std::uint32_t> counts(xi);
+    std::vector<std::uint64_t> zeros(words);
+    for (std::size_t p = 0; p < npix; ++p) {
+        if (custom != nullptr) {
+            simd::slice_threshold_row(custom->row(p).data(), xi, config_.dim, npix, p,
+                                      planes_.data(), counts.data(), zeros.data());
+        } else {
+            kernels::sobol_plane_row(directions_.direction_numbers(p).data(), pixel_shift(p),
+                                     xi, config_.dim, stored ? npix : 1, stored ? p : 0,
+                                     stored ? planes_.data() : pixel_planes.data(),
+                                     counts.data(), zeros.data());
         }
-        std::uint64_t plane[8] = {};
-        for (std::size_t g = 0; g < 8; ++g) {
-            std::uint64_t eight = 0;
-            if constexpr (std::endian::native == std::endian::little) {
-                std::memcpy(&eight, bytes + 8 * g, 8);
-            } else {
-                for (std::size_t i = 0; i < 8; ++i) {
-                    eight |= static_cast<std::uint64_t>(bytes[8 * g + i]) << (8 * i);
-                }
+        std::partial_sum(counts.begin(), counts.end(), cdf_counts_.begin() + p * xi);
+        if (!stored) continue;
+        // Add the pixel's zero marks into Z0's counter planes, a ripple
+        // carry per word.
+        for (std::size_t w = 0; w < words; ++w) {
+            std::uint64_t carry = zeros[w];
+            for (std::size_t j = 0; j < n_planes && carry != 0; ++j) {
+                std::uint64_t& counter =
+                    zero_base_[kernels::plane_word_offset(1, n_planes, words, 0, j, w)];
+                const std::uint64_t next = counter & carry;
+                counter ^= carry;
+                carry = next;
             }
-            for (std::size_t k = 0; k < plane_bits_; ++k) {
-                plane[k] |= ((((eight >> k) & low_bits) * gather) >> 56) << (8 * g);
-            }
-        }
-        for (std::size_t k = 0; k < plane_bits_; ++k) {
-            planes_[kernels::plane_word_offset(shape_.pixels(), plane_bits_, words, p, k,
-                                               w)] = plane[k];
         }
     }
 }

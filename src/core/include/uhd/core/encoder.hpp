@@ -21,6 +21,20 @@
 // generator state per pixel and regenerates the thresholds inside the
 // encode kernel.
 //
+// Construction. The constructor builds the threshold state from the seed,
+// and uhd_model::load runs it again (model files keep only the seed), so
+// the build is set-up cost on every start. Each Sobol pixel is one
+// kernels::sobol_plane_row call: the pixel's stream is generated in
+// aligned Gray-code blocks, quantized, and written straight into its bank
+// planes, with its per-level counts (summed into the CDF sidecar) and its
+// S = 0 mask (summed into Z0) from the same pass. No byte row is built.
+// At 784 pixels it takes 2.2-2.4 ms at D = 1024 and 5.4-5.6 ms at
+// D = 8192, direction table included (median of 11, AVX-512, pinned to
+// one core of a 4-vCPU Xeon VM), against 11.5-12.1 and 53-55 ms when each
+// value was generated, quantized, counted and transposed on its own. Rematerialize mode runs
+// the same kernel into a one-pixel bank of its own for the counts only; a
+// custom bank's byte rows are still counted and sliced value by value.
+//
 // Level-0 skip. A pixel at level 0 has an empty unary stream, so the Fig. 4
 // comparator fires for it only where S_p[d] = 0, whatever the image. Hence,
 // exactly, for every image
@@ -120,8 +134,9 @@ public:
 
     /// Build the threshold state for images of `shape` and the unary stream
     /// table. With bank_mode::stored this builds the bit-plane bank (the
-    /// BRAM of Fig. 3(a)) one generated row at a time — no whole byte bank
-    /// ever exists; with bank_mode::rematerialize it keeps only O(1)
+    /// BRAM of Fig. 3(a)) with one kernels::sobol_plane_row call per pixel
+    /// — no byte row or byte bank ever exists; with
+    /// bank_mode::rematerialize it keeps only O(1)
     /// generator state per pixel (compact direction numbers, the per-pixel
     /// digital shift, and the per-level fraction bounds) and the encode
     /// kernels regenerate threshold rows on the fly. Both modes are
@@ -296,8 +311,8 @@ private:
     // cdf_counts_[p * xi + q] = #{d : S_p[d] <= q}; makes the
     // mean_intensity TOB the exact per-dimension mean of the popcounts
     // (one small popcount table per pixel, Fig. 3(a)'s BRAM sidecar).
-    // Identical in both bank modes: both stream the same quantized rows
-    // through it at construction.
+    // Identical in both bank modes: both count the same generated rows at
+    // construction (kernels::sobol_plane_row's level counts).
     std::vector<std::uint32_t> cdf_counts_;
     // quant_lut_[x] = quantize_unit(x / 255, xi) — one lookup per pixel on
     // the hot path instead of a double multiply + round.
@@ -305,15 +320,13 @@ private:
 
     // Per-pixel digital shift (the bank ctor's formula; 0 when unscrambled).
     [[nodiscard]] std::uint32_t pixel_shift(std::size_t p) const noexcept;
-    // Regenerate pixel p's quantized threshold row (dim values) into `row`.
+    // Regenerate pixel p's quantized threshold row (dim values) into `row`
+    // (rematerialize mode's sobol_row() and threshold()).
     void materialize_row(std::size_t p, std::uint8_t* row) const;
     // Shared ctor tail: quantization LUT, the per-pixel CDF sidecar and, in
-    // stored mode, the bit planes — one row at a time, from `custom` when
-    // given, else generated.
+    // stored mode, the bit planes and Z0 — one pixel at a time, from
+    // `custom`'s rows when given, else one kernels::sobol_plane_row call.
     void build_tables(const ld::quantized_sobol_bank* custom);
-    // Slice one threshold row into pixel p's M bit planes (relabelled to
-    // T = (S - 1) mod 2^M).
-    void slice_row(std::size_t p, const std::uint8_t* row);
     // Quantize `image`, write its active list — {p, q_p - 1} for every pixel
     // with q_p >= 1, ascending — into `active` (room for pixels() entries)
     // and return the doubled threshold 2*TOB (doubled_threshold's value,

@@ -62,33 +62,83 @@ std::vector<std::uint64_t> prime_factors(std::uint64_t n) {
     return factors;
 }
 
+namespace {
+
+/// (a * b) mod p for a, b of degree below d = deg(p) >= 2: Horner over b's
+/// bits from the top, reducing after every shift, so no intermediate
+/// reaches degree d + 1.
+std::uint64_t mulmod_reduced(std::uint64_t a, std::uint64_t b, gf2_poly p, int d) noexcept {
+    const std::uint64_t top = std::uint64_t{1} << d;
+    std::uint64_t r = 0;
+    for (int i = d - 1; i >= 0; --i) {
+        r <<= 1;
+        if ((r & top) != 0) r ^= p;
+        if (((b >> i) & 1u) != 0) r ^= a;
+    }
+    return r;
+}
+
+/// The order test for a degree-d polynomial (2 <= d <= 32) with constant
+/// term 1, given the prime factors of 2^d - 1: x^(2^d) = x (d squarings;
+/// x is invertible mod p, so this is x^(2^d - 1) = 1) and
+/// x^((2^d - 1) / q) != 1 for every prime factor q.
+bool has_full_order(gf2_poly p, int d, const std::vector<std::uint64_t>& factors) noexcept {
+    std::uint64_t x = 2;
+    for (int i = 0; i < d; ++i) x = mulmod_reduced(x, x, p, d);
+    if (x != 2) return false;
+    const std::uint64_t order = (std::uint64_t{1} << d) - 1;
+    for (const std::uint64_t q : factors) {
+        std::uint64_t result = 1;
+        std::uint64_t base = 2;
+        for (std::uint64_t e = order / q; e != 0; e >>= 1) {
+            if ((e & 1u) != 0) result = mulmod_reduced(result, base, p, d);
+            base = mulmod_reduced(base, base, p, d);
+        }
+        if (result == 1) return false;
+    }
+    return true;
+}
+
+/// Visit the primitive polynomials of `degree` in value order until
+/// `take` returns false. The prime factors of 2^d - 1 are computed once
+/// for the degree, and even-weight candidates are skipped: x + 1 divides
+/// each of them (p(1) = 0), so none of degree >= 2 is irreducible.
+template <typename Take>
+void for_each_primitive(int degree, Take take) {
+    if (degree == 1) {
+        take(gf2_poly{0b11}); // x + 1 is the only degree-1 primitive
+        return;
+    }
+    const std::vector<std::uint64_t> factors =
+        prime_factors((std::uint64_t{1} << degree) - 1);
+    const gf2_poly top = gf2_poly{1} << degree;
+    // Interior coefficients enumerate 0 .. 2^(d-1) - 1; constant term is 1.
+    const gf2_poly interior_count = gf2_poly{1} << (degree - 1);
+    for (gf2_poly interior = 0; interior < interior_count; ++interior) {
+        const gf2_poly candidate = top | (interior << 1) | 1u;
+        if (std::popcount(candidate) % 2 == 0) continue;
+        if (has_full_order(candidate, degree, factors) && !take(candidate)) return;
+    }
+}
+
+} // namespace
+
 bool is_primitive(gf2_poly p) {
     const int d = gf2_degree(p);
     if (d < 1 || d > 32) return false;
     if ((p & 1u) == 0) return false; // constant term must be 1
     if (d == 1) return p == 0b11;    // x + 1 is the only degree-1 primitive
-
-    const std::uint64_t order = (d == 64) ? ~std::uint64_t{0}
-                                          : (std::uint64_t{1} << d) - 1;
-    if (gf2_pow_x(order, p) != 1u) return false;
-    for (const std::uint64_t q : prime_factors(order)) {
-        if (gf2_pow_x(order / q, p) == 1u) return false;
-    }
-    return true;
+    return has_full_order(p, d, prime_factors((std::uint64_t{1} << d) - 1));
 }
 
 std::vector<gf2_poly> primitive_polynomials(std::size_t count) {
     std::vector<gf2_poly> polys;
     polys.reserve(count);
     for (int degree = 1; degree <= 32 && polys.size() < count; ++degree) {
-        const gf2_poly top = gf2_poly{1} << degree;
-        // Interior coefficients enumerate 0 .. 2^(d-1) - 1; constant term is 1.
-        const gf2_poly interior_count = gf2_poly{1} << (degree - 1);
-        for (gf2_poly interior = 0; interior < interior_count && polys.size() < count;
-             ++interior) {
-            const gf2_poly candidate = top | (interior << 1) | 1u;
-            if (is_primitive(candidate)) polys.push_back(candidate);
-        }
+        for_each_primitive(degree, [&](gf2_poly p) {
+            polys.push_back(p);
+            return polys.size() < count;
+        });
     }
     UHD_REQUIRE(polys.size() == count, "could not enumerate enough primitive polynomials");
     return polys;
@@ -96,13 +146,15 @@ std::vector<gf2_poly> primitive_polynomials(std::size_t count) {
 
 gf2_poly first_primitive_of_degree(int degree) {
     UHD_REQUIRE(degree >= 1 && degree <= 32, "degree must be in [1, 32]");
-    const gf2_poly top = gf2_poly{1} << degree;
-    const gf2_poly interior_count = gf2_poly{1} << (degree - 1);
-    for (gf2_poly interior = 0; interior < interior_count; ++interior) {
-        const gf2_poly candidate = top | (interior << 1) | 1u;
-        if (is_primitive(candidate)) return candidate;
+    gf2_poly first = 0;
+    for_each_primitive(degree, [&](gf2_poly p) {
+        first = p;
+        return false;
+    });
+    if (first == 0) {
+        throw uhd::error("no primitive polynomial found (unreachable for valid degrees)");
     }
-    throw uhd::error("no primitive polynomial found (unreachable for valid degrees)");
+    return first;
 }
 
 } // namespace uhd::ld

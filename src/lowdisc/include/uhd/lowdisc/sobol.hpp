@@ -16,6 +16,7 @@
 #define UHD_LOWDISC_SOBOL_HPP
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -70,8 +71,18 @@ public:
     /// Bind to one dimension's direction numbers (copied; 32 entries).
     explicit sobol_sequence(std::span<const std::uint32_t, sobol_bits> directions);
 
-    /// Next point as a 32-bit binary fraction.
-    std::uint32_t next_fraction() noexcept;
+    /// Next point as a 32-bit binary fraction. Inline: the per-value
+    /// generation loops (rematerialized rows, the byte bank, sobol_points,
+    /// encode_exact) call it once per value.
+    std::uint32_t next_fraction() noexcept {
+        const std::uint32_t out = state_;
+        // Antonov–Saleev: flip the direction number indexed by the lowest
+        // zero run of the point counter (== countr_zero(index + 1)).
+        const int c = std::countr_zero(index_ + 1);
+        state_ ^= v_[static_cast<std::size_t>(c < sobol_bits ? c : sobol_bits - 1)];
+        ++index_;
+        return out;
+    }
 
     /// Next point as a double in [0, 1).
     double next() noexcept { return fraction_to_unit(next_fraction()); }

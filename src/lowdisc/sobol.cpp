@@ -1,6 +1,5 @@
 #include "uhd/lowdisc/sobol.hpp"
 
-#include <bit>
 #include <cmath>
 
 #include "uhd/common/error.hpp"
@@ -110,16 +109,6 @@ std::size_t sobol_directions::memory_bytes() const noexcept {
 sobol_sequence::sobol_sequence(std::span<const std::uint32_t, sobol_bits> directions) {
     for (int i = 0; i < sobol_bits; ++i)
         v_[static_cast<std::size_t>(i)] = directions[static_cast<std::size_t>(i)];
-}
-
-std::uint32_t sobol_sequence::next_fraction() noexcept {
-    const std::uint32_t out = state_;
-    // Antonov–Saleev: flip the direction number indexed by the lowest zero
-    // run of the point counter (== countr_zero(index + 1)).
-    const int c = std::countr_zero(index_ + 1);
-    state_ ^= v_[static_cast<std::size_t>(c < sobol_bits ? c : sobol_bits - 1)];
-    ++index_;
-    return out;
 }
 
 void sobol_sequence::reset() noexcept {

@@ -1,8 +1,10 @@
 #include "uhd/net/wire_server.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <ctime>
+#include <memory>
 #include <span>
 #include <utility>
 
@@ -57,6 +59,46 @@ std::uint8_t tag_reply_op(const serve::answer_tag& tag) noexcept {
     return static_cast<std::uint8_t>(tag.item >> 32);
 }
 
+/// A connection's received bytes: [0, size()) filled, room behind them up
+/// to the capacity. Making room never writes it, so a read pays no
+/// zero-fill: a std::vector sized up before each recv value-initializes
+/// the 64 KiB chunk every time, the read of each pump that finds nothing
+/// (EAGAIN) included.
+class read_buffer {
+public:
+    [[nodiscard]] const std::uint8_t* data() const noexcept { return bytes_.get(); }
+    [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+    /// At least `n` bytes of room after size(); returns where it starts.
+    /// Growth at least doubles the capacity and keeps the filled bytes.
+    [[nodiscard]] std::uint8_t* room(std::size_t n) {
+        if (capacity_ - size_ < n) {
+            const std::size_t capacity = std::max(size_ + n, 2 * capacity_);
+            auto grown = std::make_unique_for_overwrite<std::uint8_t[]>(capacity);
+            if (size_ != 0) std::memcpy(grown.get(), bytes_.get(), size_);
+            bytes_ = std::move(grown);
+            capacity_ = capacity;
+        }
+        return bytes_.get() + size_;
+    }
+
+    /// Count `n` bytes written into room() as filled.
+    void fill(std::size_t n) noexcept { size_ += n; }
+
+    void clear() noexcept { size_ = 0; }
+
+    /// Drop the first `n` filled bytes, moving the rest to the front.
+    void drop_front(std::size_t n) noexcept {
+        std::memmove(bytes_.get(), bytes_.get() + n, size_ - n);
+        size_ -= n;
+    }
+
+private:
+    std::unique_ptr<std::uint8_t[]> bytes_;
+    std::size_t size_ = 0;
+    std::size_t capacity_ = 0;
+};
+
 } // namespace
 
 /// Per-connection state, owned by the accepting reactor's event loop.
@@ -67,7 +109,7 @@ struct wire_server::connection {
     // Read side: bytes appended at the tail, frames parsed from rpos.
     // Compacted when fully parsed (the steady state for well-behaved
     // pipelining), so a payload is decoded exactly once, in place.
-    std::vector<std::uint8_t> rbuf;
+    read_buffer rbuf;
     std::size_t rpos = 0;
     bool read_ready = false; ///< ET bookkeeping: EPOLLIN seen, EAGAIN not yet
     bool peer_eof = false;   ///< read() returned 0; close once drained
@@ -400,16 +442,13 @@ void wire_server::pump_connection(reactor& r, connection& conn) {
         // NOT treated as drained — a FIN that arrived alongside the last
         // bytes is already pending and would never raise a fresh edge, so
         // stopping early would strand the EOF (and the connection) forever.
-        const std::size_t base = conn.rbuf.size();
-        conn.rbuf.resize(base + read_chunk);
         const ssize_t got =
-            ::recv(conn.sock.get(), conn.rbuf.data() + base, read_chunk, 0);
+            ::recv(conn.sock.get(), conn.rbuf.room(read_chunk), read_chunk, 0);
         if (got > 0) {
-            conn.rbuf.resize(base + static_cast<std::size_t>(got));
+            conn.rbuf.fill(static_cast<std::size_t>(got));
             r.counters.record_bytes_in(static_cast<std::uint64_t>(got));
             continue;
         }
-        conn.rbuf.resize(base);
         if (got == 0) {
             conn.peer_eof = true;
             break;
@@ -518,9 +557,7 @@ bool wire_server::parse_frames(reactor& r, connection& conn) {
         conn.rbuf.clear();
         conn.rpos = 0;
     } else if (conn.rpos > read_chunk) {
-        conn.rbuf.erase(conn.rbuf.begin(),
-                        conn.rbuf.begin() +
-                            static_cast<std::ptrdiff_t>(conn.rpos));
+        conn.rbuf.drop_front(conn.rpos);
         conn.rpos = 0;
     }
     return true;

@@ -2,12 +2,46 @@
 // that replaces the Joe–Kuo direction-number tables.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "uhd/common/error.hpp"
 #include "uhd/lowdisc/gf2.hpp"
 
 namespace {
 
 using namespace uhd::ld;
+
+/// The enumerator as it stood before the fast search: every candidate of
+/// every degree, even-weight ones included, through the generic order
+/// test, with the prime factors of 2^d - 1 recomputed per candidate and
+/// the multiply-then-reduce gf2_pow_x.
+bool reference_is_primitive(gf2_poly p) {
+    const int d = gf2_degree(p);
+    if (d < 1 || d > 32) return false;
+    if ((p & 1u) == 0) return false;
+    if (d == 1) return p == 0b11;
+    const std::uint64_t order = (std::uint64_t{1} << d) - 1;
+    if (gf2_pow_x(order, p) != 1u) return false;
+    for (const std::uint64_t q : prime_factors(order)) {
+        if (gf2_pow_x(order / q, p) == 1u) return false;
+    }
+    return true;
+}
+
+std::vector<gf2_poly> reference_primitive_polynomials(std::size_t count) {
+    std::vector<gf2_poly> polys;
+    for (int degree = 1; degree <= 32 && polys.size() < count; ++degree) {
+        const gf2_poly top = gf2_poly{1} << degree;
+        const gf2_poly interior_count = gf2_poly{1} << (degree - 1);
+        for (gf2_poly interior = 0; interior < interior_count && polys.size() < count;
+             ++interior) {
+            const gf2_poly candidate = top | (interior << 1) | 1u;
+            if (reference_is_primitive(candidate)) polys.push_back(candidate);
+        }
+    }
+    return polys;
+}
 
 TEST(Gf2, Degree) {
     EXPECT_EQ(gf2_degree(0), -1);
@@ -120,6 +154,25 @@ TEST(Gf2, FirstPrimitiveOfDegree) {
         EXPECT_TRUE(is_primitive(first_primitive_of_degree(d))) << "degree " << d;
     }
     EXPECT_THROW((void)first_primitive_of_degree(0), uhd::error);
+}
+
+TEST(Gf2, FastEnumerationMatchesReference) {
+    // The Sobol direction table rests on this list: 2,000 polynomials reach
+    // degree 15, past every image size the benches use.
+    EXPECT_EQ(primitive_polynomials(2000), reference_primitive_polynomials(2000));
+    // The order test alone, on every candidate of degree <= 12 (odd and
+    // even weight) and on each degree's first primitive up to 20.
+    for (gf2_poly p = 0; p < (gf2_poly{1} << 13); ++p) {
+        ASSERT_EQ(is_primitive(p), reference_is_primitive(p)) << "p=" << p;
+    }
+    for (int d = 1; d <= 20; ++d) {
+        const gf2_poly top = gf2_poly{1} << d;
+        gf2_poly first = 0;
+        for (gf2_poly candidate = top | 1u; first == 0; candidate += 2) {
+            if (reference_is_primitive(candidate)) first = candidate;
+        }
+        EXPECT_EQ(first_primitive_of_degree(d), first) << "degree " << d;
+    }
 }
 
 } // namespace

@@ -265,10 +265,13 @@ TEST(RematEncoder, ThresholdStateShrinksAndBatchMatches) {
 }
 
 TEST(RematEncoder, RowsMatchAnIndependentlyBuiltBank) {
-    // The bit-plane slicing pinned to an independent source: every decoded
-    // row equals the quantized_sobol_bank row built the old way, for the
-    // Sobol constructor (both modes) and for the custom-bank constructor.
-    for (const std::size_t dim : {64u, 1000u, 1088u}) {
+    // The bank build pinned to an independent source: every decoded row
+    // equals the quantized_sobol_bank row built the old way, value by
+    // value, for the Sobol constructor (both modes) and for the
+    // custom-bank constructor, up to a D = 8192 bank; and doubled_threshold
+    // (read from the CDF the build counts) equals the mean popcount of
+    // that bank for random images.
+    for (const std::size_t dim : {64u, 1000u, 1088u, 8192u}) {
         for (const unsigned levels : {2u, 16u, 256u}) {
             core::uhd_config cfg;
             cfg.dim = dim;
@@ -300,6 +303,21 @@ TEST(RematEncoder, RowsMatchAnIndependentlyBuiltBank) {
                     << "custom dim=" << dim << " levels=" << levels << " p=" << p;
             }
             EXPECT_EQ(custom.threshold_bytes(), stored.threshold_bytes());
+            for (int trial = 0; trial < 4; ++trial) {
+                std::vector<std::uint8_t> image(shape.pixels());
+                for (auto& x : image) x = static_cast<std::uint8_t>(rng.next());
+                std::int64_t reach = 0;
+                for (std::size_t p = 0; p < shape.pixels(); ++p) {
+                    const std::uint8_t q = stored.quantize_intensity(image[p]);
+                    for (const std::uint8_t s : bank.row(p)) reach += q >= s;
+                }
+                const auto d = static_cast<std::int64_t>(dim);
+                const auto tau2 = static_cast<std::int32_t>((2 * reach + d / 2) / d);
+                EXPECT_EQ(stored.doubled_threshold(image), tau2)
+                    << "stored dim=" << dim << " levels=" << levels;
+                EXPECT_EQ(remat.doubled_threshold(image), tau2)
+                    << "remat dim=" << dim << " levels=" << levels;
+            }
         }
     }
 }

@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -28,6 +30,7 @@
 #include "uhd/core/encoder.hpp"
 #include "uhd/data/synthetic.hpp"
 #include "uhd/hdc/classifier.hpp"
+#include "uhd/lowdisc/sobol.hpp"
 
 namespace {
 
@@ -481,6 +484,119 @@ TEST(SimdKernels, PlaneCountCenterAddsIntoARowOnEveryBackend) {
                                             got.data());
                 EXPECT_EQ(got, reference)
                     << "backend=" << backend->name << " n=" << n << " n_planes=" << n_planes;
+            }
+        }
+    }
+}
+
+// --- Sobol bit-plane bank build ------------------------------------------
+
+/// What sobol_plane_row writes for one pixel of a bank.
+struct plane_row_build {
+    std::vector<std::uint64_t> planes;
+    std::vector<std::uint32_t> level_counts;
+    std::vector<std::uint64_t> zero_words;
+};
+
+/// Word written into every slot before a build: a slot that still holds it
+/// afterwards was never written.
+constexpr std::uint64_t poison = 0x5a5a'a5a5'5a5a'a5a5ULL;
+
+/// Run one backend's bank build for `pixel` of an npix-pixel bank whose
+/// every word, count and zero word starts poisoned.
+plane_row_build build_plane_row(const kernels::kernel_table& table,
+                                const std::uint32_t* directions, std::uint32_t shift,
+                                unsigned levels, std::size_t dim, std::size_t npix,
+                                std::size_t pixel) {
+    const std::size_t words = kernels::sign_words(dim);
+    const std::size_t m = static_cast<std::size_t>(std::bit_width(levels - 1));
+    plane_row_build out{std::vector<std::uint64_t>(npix * m * words, poison),
+                        std::vector<std::uint32_t>(levels, 0xdeadbeefu),
+                        std::vector<std::uint64_t>(words, poison)};
+    table.sobol_plane_row(directions, shift, levels, dim, npix, pixel, out.planes.data(),
+                          out.level_counts.data(), out.zero_words.data());
+    return out;
+}
+
+TEST(SimdKernels, SobolPlaneRowEveryBackendMatchesReference) {
+    // Every admissible backend's bank build against the scalar reference,
+    // and the reference against thresholds generated one at a time by
+    // ld::sobol_sequence and ld::quantize_fraction: the pixel's plane
+    // words read back through the bank layout (T = (S - 1) mod 2^m,
+    // all-ones past dim), its level counts and its zero words. D covers one
+    // word, ragged words and chunks and a bank past L2; the levels cover
+    // m = 1, 2, 4, 7 and 8 with and without unused T values; direction rows
+    // are standard Sobol rows and random words (no net structure a body
+    // could lean on); shifts are 0 and random. The pixel sits between two
+    // others of a poisoned bank, whose words must stay untouched.
+    xoshiro256ss rng(417);
+    const ld::sobol_directions standard = ld::sobol_directions::standard(64);
+    const std::size_t npix = 3;
+    const std::size_t pixel = 1;
+    for (const std::size_t dim : {64u, 65u, 1000u, 1088u, 8192u}) {
+        for (const unsigned levels : {2u, 3u, 16u, 97u, 256u}) {
+            for (int variant = 0; variant < 4; ++variant) {
+                std::array<std::uint32_t, ld::sobol_bits> directions{};
+                if (variant < 2) {
+                    const auto row = standard.direction_numbers(1 + rng.next() % 63);
+                    std::copy(row.begin(), row.end(), directions.begin());
+                } else {
+                    for (auto& v : directions) v = static_cast<std::uint32_t>(rng.next());
+                }
+                const std::uint32_t shift =
+                    variant % 2 == 0 ? 0u : static_cast<std::uint32_t>(rng.next());
+                const std::string where = "dim=" + std::to_string(dim) +
+                                          " levels=" + std::to_string(levels) +
+                                          " variant=" + std::to_string(variant);
+
+                const std::size_t words = kernels::sign_words(dim);
+                const std::size_t m = static_cast<std::size_t>(std::bit_width(levels - 1));
+                ld::sobol_sequence seq(directions);
+                std::vector<std::uint8_t> thresholds(dim);
+                std::vector<std::uint32_t> counts(levels, 0);
+                std::vector<std::uint64_t> zeros(words, 0);
+                for (std::size_t d = 0; d < dim; ++d) {
+                    thresholds[d] = ld::quantize_fraction(seq.next_fraction() ^ shift, levels);
+                    ++counts[thresholds[d]];
+                    if (thresholds[d] == 0) zeros[d / 64] |= std::uint64_t{1} << (d % 64);
+                }
+
+                const plane_row_build reference = build_plane_row(
+                    *kernels::find_backend("scalar"), directions.data(), shift, levels, dim,
+                    npix, pixel);
+                ASSERT_EQ(reference.level_counts, counts) << where;
+                ASSERT_EQ(reference.zero_words, zeros) << where;
+                for (std::size_t p = 0; p < npix; ++p) {
+                    for (std::size_t k = 0; k < m; ++k) {
+                        for (std::size_t w = 0; w < words; ++w) {
+                            const std::uint64_t word =
+                                reference.planes[kernels::plane_word_offset(npix, m, words, p,
+                                                                            k, w)];
+                            if (p != pixel) {
+                                ASSERT_EQ(word, poison) << where << " p=" << p;
+                                continue;
+                            }
+                            for (std::size_t b = 0; b < 64; ++b) {
+                                const std::size_t d = 64 * w + b;
+                                const unsigned t =
+                                    d < dim ? (thresholds[d] - 1u) & ((1u << m) - 1) : ~0u;
+                                ASSERT_EQ((word >> b) & 1u, (t >> k) & 1u)
+                                    << where << " d=" << d << " k=" << k;
+                            }
+                        }
+                    }
+                }
+
+                for (const kernels::kernel_table* backend : admissible_backends()) {
+                    const plane_row_build got = build_plane_row(
+                        *backend, directions.data(), shift, levels, dim, npix, pixel);
+                    EXPECT_EQ(got.planes, reference.planes)
+                        << "backend=" << backend->name << " " << where;
+                    EXPECT_EQ(got.level_counts, reference.level_counts)
+                        << "backend=" << backend->name << " " << where;
+                    EXPECT_EQ(got.zero_words, reference.zero_words)
+                        << "backend=" << backend->name << " " << where;
+                }
             }
         }
     }

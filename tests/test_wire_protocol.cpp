@@ -647,6 +647,45 @@ TEST(WireFuzz, ByteAtATimeDeliveryHitsEverySplitBoundary) {
     EXPECT_EQ(std::count(answered.begin(), answered.end(), true), 3);
 }
 
+TEST(WireFuzz, MixedWriteSizesAcrossReadChunksAnswerEveryRequest) {
+    // One pipelined stream sent in 1-byte, 4,109-byte (one D = 1024
+    // encoded frame) and 70 KiB writes in turn: reads end mid-header and
+    // mid-payload, one write overruns the reactor's 64 KiB read chunk, and
+    // the read buffer grows, compacts and is reused across reads. Every
+    // reply must still match the oracle.
+    const server_fixture fx;
+    const hdc::inference_snapshot oracle = fx.model.snapshot();
+    wire_client client = fx.connect();
+    std::vector<std::uint8_t> stream;
+    std::vector<std::size_t> expected;
+    for (std::size_t i = 0; i < 160; ++i) {
+        const auto encoded = fx.encoded_query(i);
+        append_predict_encoded(stream, opcode::predict, static_cast<std::uint32_t>(i),
+                               encoded);
+        expected.push_back(oracle.predict_encoded(encoded));
+    }
+    const std::size_t writes[] = {1, 4109, 70 * 1024};
+    std::size_t sent = 0;
+    for (std::size_t k = 0; sent < stream.size(); ++k) {
+        const std::size_t n = std::min(writes[k % 3], stream.size() - sent);
+        client.send_bytes(std::span<const std::uint8_t>(stream.data() + sent, n));
+        sent += n;
+    }
+    // Micro-batches of one connection may finish out of order: match
+    // replies by request_id.
+    std::vector<bool> answered(expected.size(), false);
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        const wire_frame reply = client.read_frame();
+        EXPECT_EQ(reply.header.op, reply_opcode(opcode::predict));
+        const auto parsed = parse_predict_reply(reply.payload);
+        ASSERT_TRUE(parsed.has_value());
+        ASSERT_LT(reply.header.request_id, expected.size());
+        EXPECT_FALSE(answered[reply.header.request_id]) << "duplicate reply";
+        answered[reply.header.request_id] = true;
+        EXPECT_EQ(parsed->label, expected[reply.header.request_id]);
+    }
+}
+
 TEST(WireFuzz, RawFramesByteAtATimeHitEverySplitBoundary) {
     // The raw opcode under the frame fuzzer, through the engine's encode
     // stage: pipelined raw-feature frames delivered one byte per send()
