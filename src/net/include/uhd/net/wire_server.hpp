@@ -13,20 +13,36 @@
 //
 // * The I/O layer owns no inference threads: each reactor runs one epoll
 //   loop over the connections *it* accepted; inference parallelism stays
-//   where it already lives (the engine's micro-batch workers). An encoded
-//   query is decoded once, straight out of the connection read buffer
-//   into the vector the engine consumes. Raw-feature queries are never
-//   encoded on a reactor: the raw bytes are copied into the request, and
-//   the worker gathers each drained micro-batch's raw requests into one
-//   block (one more copy) for a single batch encode call, so the reactor
-//   does pure I/O and encode throughput scales with workers, not loops.
-//   An engine without an encoder (!raw_capable()) answers raw predicts
-//   with an `unsupported` error frame, trainer or not.
+//   where it already lives (the engine's micro-batch workers).
+// * Query payloads live in reactor-owned slots, not in per-request heap
+//   vectors. Each reactor keeps a pool of fixed-size slots (sized at
+//   start() from the engine's geometry) in pages that grow to its
+//   in-flight high-water mark; a slot never moves while its reactor
+//   lives. handle_predict puts each query into a slot once, in the form
+//   its route reads, and submits a view of it: a pre-encoded query on a
+//   packed route (a full scan on a binarized snapshot, or any cascade) is
+//   sign-binarized there, so 128 B per query travel to the worker at
+//   D = 1024 instead of 4 KiB of int32, and no worker binarizes; the
+//   integer-mode full scan gets its int32 values; raw features are copied
+//   in, and the worker gathers each drained micro-batch's raw requests
+//   into one block for a single batch encode call, so encode throughput
+//   scales with workers, not loops. The slot index rides in the answer
+//   tag, which the engine echoes, and the slot returns to the pool when
+//   its answer is drained (connection open or not), when
+//   close_connection drops a parked tail, and at stop(), which first
+//   waits until no worker still holds one of the reactor's requests.
+//   Only the reactor touches its pool; the queue mutex orders its write
+//   of a slot before a worker's read, and the mailbox mutex orders that
+//   read before the slot's reuse (wire_stats::query_slots and
+//   query_slots_in_use gauge the pools). An engine without an encoder
+//   (!raw_capable()) answers raw predicts with an `unsupported` error
+//   frame, trainer or not.
 // * The framework is paid per micro-batch, not per request. Every
 //   predict parsed from one read of a connection enters the engine in
 //   one try_submit call (one queue lock, one notify). The reactor itself
 //   is the answer_sink of its requests, and each request's answer_tag
-//   carries the full connection id, the request id and the reply opcode.
+//   carries the full connection id, the request id, the reply opcode and
+//   the payload slot.
 //   A worker hands a micro-batch's answers for one reactor over in one
 //   deliver() call: one mailbox lock, one `outstanding` decrement, and
 //   an eventfd write only when the mailbox was empty (counted by
@@ -70,11 +86,13 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "uhd/common/aligned_vector.hpp"
 #include "uhd/core/model.hpp"
 #include "uhd/net/socket.hpp"
 #include "uhd/net/wire_format.hpp"
@@ -157,6 +175,41 @@ public:
 private:
     struct connection;
 
+    /// One reactor's query payload slots: fixed-size, cache-line aligned,
+    /// in pages of page_slots that are allocated when no slot is free and
+    /// never freed or moved while the pool lives. Single-threaded: only
+    /// the owning reactor acquires and releases.
+    class slot_pool {
+    public:
+        static constexpr std::size_t page_slots = 32;
+        /// Slot indices must fit the answer tag's 24 slot bits.
+        static constexpr std::size_t max_slots = std::size_t{1} << 24;
+
+        /// Empty pool of slots holding at least `slot_bytes` bytes each.
+        explicit slot_pool(std::size_t slot_bytes = 0);
+
+        /// A free slot's index, growing the pool by a page when none is
+        /// free; nullopt when the pool already holds max_slots.
+        [[nodiscard]] std::optional<std::uint32_t> acquire();
+        /// Return an acquired slot (allocates nothing).
+        void release(std::uint32_t slot) noexcept;
+        /// The slot's storage: at least `slot_bytes` bytes, 64-byte aligned.
+        [[nodiscard]] std::uint64_t* data(std::uint32_t slot) noexcept;
+
+        /// Slots allocated (the in-flight high-water mark, in pages).
+        [[nodiscard]] std::size_t size() const noexcept {
+            return pages_.size() * page_slots;
+        }
+        [[nodiscard]] std::size_t in_use() const noexcept {
+            return size() - free_.size();
+        }
+
+    private:
+        std::size_t slot_words_ = 0;
+        std::vector<cache_aligned_vector<std::uint64_t>> pages_;
+        std::vector<std::uint32_t> free_; ///< LIFO: reuse the warmest slot
+    };
+
     /// One sharded event loop: everything the former single loop owned,
     /// now per reactor. It is also the engine's answer_sink for every
     /// predict it submits, so it is heap-pinned (vector of unique_ptr).
@@ -188,7 +241,18 @@ private:
         std::vector<std::uint64_t> parked;   ///< holding a refused tail
         std::vector<std::uint64_t> retrying; ///< retry_parked's swap buffer
 
+        slot_pool slots; ///< predict payloads, from parse to answer
+        /// A pre-encoded frame body decoded to int32, aligned for the
+        /// kernels (the body sits at any offset of the read buffer).
+        std::vector<std::int32_t> decoded;
+
         wire_counters counters; ///< this reactor's stats shard
+
+        /// Store the pool's gauges in the stats shard; called after every
+        /// change, so a connection's close never shows before its slots.
+        void publish_slots() noexcept {
+            counters.record_slots(slots.size(), slots.in_use());
+        }
 
         /// Worker side: one micro-batch's answers for this reactor, under
         /// one mailbox lock, with one `outstanding` decrement and an
@@ -220,6 +284,8 @@ private:
     void flush_writes(reactor& r, connection& conn);
     void update_epoll_interest(reactor& r, connection& conn);
     void close_connection(reactor& r, std::uint64_t conn_id);
+    /// Return the slots of the connection's unsubmitted predicts.
+    static void release_pending(reactor& r, connection& conn) noexcept;
     [[nodiscard]] bool throttled(const connection& conn) const noexcept;
 
     serve::inference_engine& engine_;

@@ -32,6 +32,11 @@ struct wire_stats {
     std::uint64_t wake_writes = 0;          ///< completion eventfd writes; at
                                             ///< most one per engine micro-batch
                                             ///< per reactor
+    std::uint64_t query_slots = 0;          ///< gauge: query payload slots
+                                            ///< allocated (the reactors'
+                                            ///< in-flight high-water marks)
+    std::uint64_t query_slots_in_use = 0;   ///< gauge: slots holding a
+                                            ///< predict not yet answered
 
     /// Shard aggregation: field-wise sum (all counters are additive,
     /// including active-connection gauges — each connection lives in
@@ -47,6 +52,8 @@ struct wire_stats {
         throttle_events += other.throttle_events;
         loop_cpu_ns += other.loop_cpu_ns;
         wake_writes += other.wake_writes;
+        query_slots += other.query_slots;
+        query_slots_in_use += other.query_slots_in_use;
         return *this;
     }
 };
@@ -102,6 +109,12 @@ public:
     void record_loop_cpu(std::uint64_t total_ns) noexcept {
         loop_cpu_ns_.store(total_ns, std::memory_order_relaxed);
     }
+    /// Publish the reactor's slot pool gauges (absolute stores, made by
+    /// the reactor after each change to its pool).
+    void record_slots(std::uint64_t allocated, std::uint64_t in_use) noexcept {
+        slots_.store(allocated, std::memory_order_relaxed);
+        slots_in_use_.store(in_use, std::memory_order_relaxed);
+    }
 
     [[nodiscard]] wire_stats load() const noexcept {
         wire_stats out;
@@ -115,6 +128,8 @@ public:
         out.throttle_events = throttles_.load(std::memory_order_relaxed);
         out.loop_cpu_ns = loop_cpu_ns_.load(std::memory_order_relaxed);
         out.wake_writes = wake_writes_.load(std::memory_order_relaxed);
+        out.query_slots = slots_.load(std::memory_order_relaxed);
+        out.query_slots_in_use = slots_in_use_.load(std::memory_order_relaxed);
         return out;
     }
 
@@ -129,6 +144,8 @@ private:
     std::atomic<std::uint64_t> throttles_{0};
     std::atomic<std::uint64_t> loop_cpu_ns_{0};
     std::atomic<std::uint64_t> wake_writes_{0};
+    std::atomic<std::uint64_t> slots_{0};
+    std::atomic<std::uint64_t> slots_in_use_{0};
 };
 
 } // namespace uhd::net

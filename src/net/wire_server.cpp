@@ -17,6 +17,7 @@
 #include "uhd/common/affinity.hpp"
 #include "uhd/common/config.hpp"
 #include "uhd/common/error.hpp"
+#include "uhd/common/kernels.hpp"
 #include "uhd/net/wire_format.hpp"
 
 namespace uhd::net {
@@ -44,11 +45,13 @@ std::uint64_t thread_cpu_ns() noexcept {
            static_cast<std::uint64_t>(ts.tv_nsec);
 }
 
-/// A predict's engine tag: the full connection id, and the request id with
-/// the reply opcode above it.
+/// A predict's engine tag: the full connection id in `owner`; in `item`,
+/// the request id, the reply opcode above it and the payload slot above
+/// that (24 bits, slot_pool::max_slots).
 serve::answer_tag predict_tag(std::uint64_t conn_id, std::uint32_t request_id,
-                              std::uint8_t reply_op) noexcept {
-    return {conn_id, request_id | (std::uint64_t{reply_op} << 32)};
+                              std::uint8_t reply_op, std::uint32_t slot) noexcept {
+    return {conn_id, request_id | (std::uint64_t{reply_op} << 32) |
+                         (std::uint64_t{slot} << 40)};
 }
 
 std::uint32_t tag_request_id(const serve::answer_tag& tag) noexcept {
@@ -57,6 +60,10 @@ std::uint32_t tag_request_id(const serve::answer_tag& tag) noexcept {
 
 std::uint8_t tag_reply_op(const serve::answer_tag& tag) noexcept {
     return static_cast<std::uint8_t>(tag.item >> 32);
+}
+
+std::uint32_t tag_slot(const serve::answer_tag& tag) noexcept {
+    return static_cast<std::uint32_t>(tag.item >> 40);
 }
 
 /// A connection's received bytes: [0, size()) filled, room behind them up
@@ -132,6 +139,34 @@ struct wire_server::connection {
     bool parked = false;
 };
 
+wire_server::slot_pool::slot_pool(std::size_t slot_bytes)
+    // Whole cache lines: a worker reading one slot never shares a line
+    // with the reactor writing the next.
+    : slot_words_((slot_bytes + cache_line_bytes - 1) / cache_line_bytes *
+                  (cache_line_bytes / sizeof(std::uint64_t))) {}
+
+std::optional<std::uint32_t> wire_server::slot_pool::acquire() {
+    if (free_.empty()) {
+        if (size() + page_slots > max_slots) return std::nullopt;
+        const auto first = static_cast<std::uint32_t>(size());
+        pages_.emplace_back(page_slots * slot_words_);
+        // Room for every slot, so release() never allocates.
+        free_.reserve(size());
+        for (std::uint32_t i = page_slots; i-- > 0;) free_.push_back(first + i);
+    }
+    const std::uint32_t slot = free_.back();
+    free_.pop_back();
+    return slot;
+}
+
+void wire_server::slot_pool::release(std::uint32_t slot) noexcept {
+    free_.push_back(slot);
+}
+
+std::uint64_t* wire_server::slot_pool::data(std::uint32_t slot) noexcept {
+    return pages_[slot / page_slots].data() + (slot % page_slots) * slot_words_;
+}
+
 wire_server::wire_server(serve::inference_engine& engine,
                          wire_server_options options, core::uhd_model* trainer)
     : engine_(engine), trainer_(trainer), options_(options) {
@@ -156,10 +191,19 @@ void wire_server::start() {
     // kernel load-balances accepts. The first bind may be ephemeral
     // (port 0); the rest bind the concrete port it resolved to.
     const bool reuse = n > 1;
+    // A slot holds the largest payload a predict can put in it: raw
+    // pixels, a packed route's sign words, or (integer-mode full scan
+    // only) int32 values.
+    const std::size_t dim = engine_.dim();
+    const std::size_t slot_bytes = std::max(
+        {engine_.raw_pixels(), kernels::sign_words(dim) * sizeof(std::uint64_t),
+         engine_.packed_route(false) ? std::size_t{0} : dim * sizeof(std::int32_t)});
     try {
         for (std::size_t i = 0; i < n; ++i) {
             auto r = std::make_unique<reactor>();
             r->index = i;
+            r->slots = slot_pool(slot_bytes);
+            r->decoded.resize(dim);
             r->listener = listen_tcp(i == 0 ? options_.port : port_,
                                      options_.backlog, reuse);
             if (i == 0) port_ = local_port(r->listener.get());
@@ -211,18 +255,26 @@ void wire_server::stop() {
     for (auto& r : reactors_) {
         // Connections still open at stop() close here, not in the loop:
         // count them, so the final stats never report a live connection.
-        for (std::size_t i = 0; i < r->conns.size(); ++i) r->counters.record_close();
+        for (auto& [id, conn] : r->conns) {
+            release_pending(*r, *conn);
+            r->counters.record_close();
+        }
         r->conns.clear();
         r->listener.reset();
         r->reserve.reset();
         r->epoll.reset();
         // Wait out predicts already inside the engine: it delivers them to
-        // this reactor, so none may arrive after the shard is torn down.
-        // Delivery only touches the mailbox (connections are already gone).
+        // this reactor, so none may arrive after the shard is torn down,
+        // and no worker still reads a slot once the pool goes. Delivery
+        // only touches the mailbox (connections are already gone).
         std::unique_lock<std::mutex> pending(r->completions_mutex);
         r->outstanding_zero.wait(pending, [&r] { return r->outstanding == 0; });
+        for (const serve::answer& done : r->completions) {
+            r->slots.release(tag_slot(done.tag));
+        }
         r->completions.clear();
         r->wake.reset();
+        r->publish_slots();
     }
     // reactors_ stays populated (threads joined, fds closed) so stats()
     // keeps reporting the final shard counters; the next start() clears it.
@@ -363,6 +415,9 @@ void wire_server::drain_completions(reactor& r) {
         r.draining.swap(r.completions);
     }
     for (const serve::answer& done : r.draining) {
+        // The worker is done reading the payload: its slot is free again,
+        // whether or not the connection is still there.
+        r.slots.release(tag_slot(done.tag));
         const auto it = r.conns.find(done.tag.owner);
         if (it == r.conns.end()) continue; // connection died while in flight
         connection& conn = *it->second;
@@ -385,6 +440,7 @@ void wire_server::drain_completions(reactor& r) {
         }
     }
     r.draining.clear();
+    r.publish_slots();
     // Re-pump every touched connection once: flush the replies and, now
     // that in-flight counts dropped, resume throttled reads.
     for (const std::uint64_t id : r.touched) {
@@ -611,26 +667,15 @@ void wire_server::handle_predict(reactor& r, connection& conn, std::uint8_t op,
     const auto kind = static_cast<query_kind>(payload[0]);
     const std::uint8_t* body = payload + 1;
     const std::size_t body_len = payload_len - 1;
-    serve::sink_request request;
-    request.tag = predict_tag(conn.id, request_id, reply_opcode(static_cast<opcode>(op)));
-    request.dynamic = dynamic;
+    const std::size_t dim = engine_.dim();
     if (kind == query_kind::encoded) {
-        if (body_len != engine_.dim() * 4) {
+        if (body_len != dim * 4) {
             r.counters.record_malformed();
             queue_error(r, conn, request_id, wire_error::bad_payload,
                         "encoded payload size != dim * 4");
             return;
         }
-        // Decode straight out of the read buffer into the request vector
-        // the engine will consume — the only transform between socket and
-        // kernel.
-        request.encoded.resize(engine_.dim());
-        for (std::size_t i = 0; i < request.encoded.size(); ++i) {
-            request.encoded[i] = static_cast<std::int32_t>(load_u32(body + i * 4));
-        }
     } else if (kind == query_kind::raw) {
-        // Raw features go to the engine as bytes: its workers batch-encode
-        // each drained micro-batch off this thread.
         if (!engine_.raw_capable()) {
             r.counters.record_malformed();
             queue_error(r, conn, request_id, wire_error::unsupported,
@@ -643,15 +688,46 @@ void wire_server::handle_predict(reactor& r, connection& conn, std::uint8_t op,
                         "raw payload size != encoder pixels");
             return;
         }
-        request.raw.assign(body, body + body_len);
     } else {
         r.counters.record_malformed();
         queue_error(r, conn, request_id, wire_error::bad_payload,
                     "unknown query kind");
         return;
     }
+    const std::optional<std::uint32_t> slot = r.slots.acquire();
+    if (!slot.has_value()) {
+        queue_error(r, conn, request_id, wire_error::internal,
+                    "reactor out of query slots");
+        return;
+    }
+    r.publish_slots();
+    std::uint64_t* const words = r.slots.data(*slot);
+    serve::sink_request request;
+    request.tag = predict_tag(conn.id, request_id,
+                              reply_opcode(static_cast<opcode>(op)), *slot);
+    request.dynamic = dynamic;
+    if (kind == query_kind::raw) {
+        // Raw features go to the engine as bytes: its workers batch-encode
+        // each drained micro-batch off this thread.
+        std::memcpy(words, body, body_len);
+        request.raw = {reinterpret_cast<const std::uint8_t*>(words), body_len};
+    } else {
+        // The body sits at any offset of the read buffer: decode it into
+        // the aligned scratch, then put the form the route reads into the
+        // slot — the only transform between socket and kernel.
+        for (std::size_t i = 0; i < dim; ++i) {
+            r.decoded[i] = static_cast<std::int32_t>(load_u32(body + i * 4));
+        }
+        if (engine_.packed_route(dynamic)) {
+            kernels::sign_binarize(r.decoded.data(), dim, words);
+            request.packed = {words, kernels::sign_words(dim)};
+        } else {
+            std::memcpy(words, r.decoded.data(), dim * sizeof(std::int32_t));
+            request.encoded = {reinterpret_cast<const std::int32_t*>(words), dim};
+        }
+    }
     // Submitted with the rest of this read's predicts (submit_pending).
-    conn.pending.push_back(std::move(request));
+    conn.pending.push_back(request);
 }
 
 void wire_server::handle_partial_fit(reactor& r, connection& conn,
@@ -779,10 +855,21 @@ void wire_server::update_epoll_interest(reactor& r, connection& conn) {
 void wire_server::close_connection(reactor& r, std::uint64_t conn_id) {
     const auto it = r.conns.find(conn_id);
     if (it == r.conns.end()) return;
+    // A parked tail never entered the engine: its slots come back here.
+    // Those of in-flight requests come back when their answers are drained.
+    release_pending(r, *it->second);
     // socket_fd close also removes the fd from the epoll set; completions
     // for in-flight requests find the id gone and are dropped.
     r.conns.erase(it);
     r.counters.record_close();
+}
+
+void wire_server::release_pending(reactor& r, connection& conn) noexcept {
+    for (const serve::sink_request& request : conn.pending) {
+        r.slots.release(tag_slot(request.tag));
+    }
+    conn.pending.clear();
+    r.publish_slots();
 }
 
 } // namespace uhd::net

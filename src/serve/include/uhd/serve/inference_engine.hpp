@@ -20,8 +20,8 @@
 //   a half-updated model.
 // * A drained micro-batch is answered with ONE block-kernel call whenever
 //   the engine serves from the packed memory (binarized mode, or any
-//   policy-configured engine): the requests are sign-binarized into one
-//   contiguous packed block and pushed through the register-blocked
+//   policy-configured engine): the requests' sign words are gathered into
+//   one contiguous packed block and pushed through the register-blocked
 //   query-GEMM kernels (inference_snapshot::predict_packed_block /
 //   dynamic_query_policy::answer_block), so each packed class row is
 //   streamed once per query tile instead of once per request. Bit-identical
@@ -39,16 +39,22 @@
 //   are bit-identical to predict_encoded / predict_dynamic on the same
 //   snapshot for every backend.
 //
-// Queries are pre-encoded int32 accumulators or, on an engine with an
-// encoder, raw pixels that the workers batch-encode. Every request is
-// answered through an answer_sink: after a micro-batch is answered, its
-// worker hands each sink all of that batch's answers for it in ONE
-// deliver() call — the wire front-end's reactors are sinks, so a batch
-// costs them one mailbox lock and at most one wake-up, not one per
-// request. submit()/predict() (futures) and the callback
-// try_submit()/try_submit_raw() are one-request adapters over the same
-// path. An engine configured with a dynamic_query_policy answers through
-// the early-exit cascade instead of the full scan.
+// A request views its query; it does not own it. The view is in the form
+// its route reads: sign words on a packed route (a full scan on a
+// binarized snapshot, or any cascade), int32 accumulators on the one
+// route that reads them (a full scan on an integer-mode snapshot), or, on
+// an engine with an encoder, raw pixels that the workers batch-encode. So
+// a pre-encoded query is sign-binarized once, by whoever submits it, and
+// no worker ever binarizes. Every request is answered through an
+// answer_sink: after a micro-batch is answered, its worker hands each
+// sink all of that batch's answers for it in ONE deliver() call — the
+// wire front-end's reactors are sinks, so a batch costs them one mailbox
+// lock and at most one wake-up, not one per request. submit()/predict()
+// (futures) and the callback try_submit()/try_submit_raw() are
+// one-request adapters over the same path: each owns its payload in the
+// sink it allocates per request. An engine configured with a
+// dynamic_query_policy answers through the early-exit cascade instead of
+// the full scan.
 #ifndef UHD_SERVE_INFERENCE_ENGINE_HPP
 #define UHD_SERVE_INFERENCE_ENGINE_HPP
 
@@ -135,12 +141,19 @@ protected:
     ~answer_sink() = default;
 };
 
-/// One request of a batch try_submit(): a pre-encoded query (`encoded`,
-/// dim() values) or raw pixels (`raw`, raw_pixels() bytes, encoded by the
-/// workers) — `raw` non-empty selects the raw kind.
+/// One request of a batch try_submit(): a view of its query, in exactly
+/// one of three forms. The submitter keeps the viewed bytes alive, and
+/// unchanged, until the request's answer is delivered.
 struct sink_request {
-    std::vector<std::int32_t> encoded;
-    std::vector<std::uint8_t> raw;
+    /// raw_pixels() bytes, encoded by the workers' encode stage.
+    std::span<const std::uint8_t> raw;
+    /// A packed route's query: sign_words(dim()) words, bit d set iff
+    /// value d is negative (the kernels::sign_binarize layout), tail bits
+    /// past dim() zero.
+    std::span<const std::uint64_t> packed;
+    /// dim() int32 accumulators, only for a full scan on an integer-mode
+    /// snapshot (the one route that reads them).
+    std::span<const std::int32_t> encoded;
     answer_tag tag;       ///< echoed in the answer
     bool dynamic = false; ///< answer through the cascade (needs a policy)
 };
@@ -193,12 +206,16 @@ public:
     /// capacity, so a single-threaded event loop can feed the engine
     /// without stalling. Pushes the longest prefix of `requests` that fits,
     /// under one queue lock with one notify, and returns its length; those
-    /// requests are moved from and will be answered through `sink`, which
-    /// must outlive their delivery. The refused tail is left intact (park
-    /// it and retry after a completion frees a slot). Validates every
-    /// request first and throws uhd::error — consuming nothing — on a size
-    /// mismatch, a raw request without an encoder, `dynamic` without a
-    /// policy, or a stopped engine.
+    /// requests will be answered through `sink`, which must outlive their
+    /// delivery. The engine copies the views, not the payloads: the caller
+    /// keeps each pushed request's bytes alive and unchanged until its
+    /// answer is delivered, because a worker reads them then. The refused
+    /// tail is not consumed (park it and retry after a completion frees a
+    /// slot). Validates every request first and throws uhd::error —
+    /// consuming nothing — unless it views exactly one payload of the right
+    /// size and form for its route (packed on a packed_route(), int32
+    /// otherwise, raw only with an encoder, a packed view's tail bits
+    /// zero), on `dynamic` without a policy, or on a stopped engine.
     ///
     /// Per-request routing (unlike submit(), which always answers through
     /// the engine's configured default): `dynamic = false` answers with the
@@ -213,25 +230,27 @@ public:
                                          answer_sink& sink);
 
     /// One-request adapter: enqueue one pre-encoded query (dim() int32
-    /// values, moved into the request), blocking while the queue is full,
-    /// answered through the engine's default route. The future yields the
-    /// predicted class, or rethrows the error of the stage that failed the
-    /// request. Throws uhd::error on a size mismatch or when already
-    /// stopped.
+    /// values), blocking while the queue is full, answered through the
+    /// engine's default route. The request's sink owns the payload: on a
+    /// packed route the values are sign-binarized here, on the calling
+    /// thread, and only their sign words are kept; otherwise the vector
+    /// moves into the sink. The future yields the predicted class, or
+    /// rethrows the error of the stage that failed the request. Throws
+    /// uhd::error on a size mismatch or when already stopped.
     [[nodiscard]] std::future<std::size_t> submit(std::vector<std::int32_t> encoded);
 
-    /// Blocking convenience: submit + wait. The span is copied into the
-    /// request.
+    /// Blocking convenience: submit a copy of the span + wait.
     [[nodiscard]] std::size_t predict(std::span<const std::int32_t> encoded);
 
     /// One-request adapter of the batch try_submit, answering through
-    /// `done`: true when queued (`encoded` moved from); false on a full
-    /// queue, with `encoded` handed back intact and `done` never invoked.
-    /// Throws like the batch form, leaving `encoded` intact.
+    /// `done`, with its payload owned by the request's sink as in submit():
+    /// true when queued (`encoded` is left empty); false on a full queue,
+    /// with `encoded` handed back intact and `done` never invoked. Throws
+    /// like the batch form, leaving `encoded` intact.
     [[nodiscard]] bool try_submit(std::vector<std::int32_t>& encoded,
                                   answer_callback done, bool dynamic = false);
 
-    /// Same for a raw-pixel query (raw_pixels() bytes).
+    /// Same for a raw-pixel query (raw_pixels() bytes, moved into the sink).
     [[nodiscard]] bool try_submit_raw(std::vector<std::uint8_t>& raw,
                                       answer_callback done,
                                       bool dynamic = false);
@@ -251,6 +270,14 @@ public:
     /// Raw query payload size in bytes (0 when !raw_capable()).
     [[nodiscard]] std::size_t raw_pixels() const noexcept;
 
+    /// Whether a request with this `dynamic` flag is answered from sign
+    /// words: through the cascade, or by the full scan of a binarized
+    /// snapshot. A pre-encoded query on such a route must be submitted as
+    /// its packed view; only the integer-mode full scan reads int32 values.
+    [[nodiscard]] bool packed_route(bool dynamic) const noexcept {
+        return dynamic || mode_ == hdc::query_mode::binarized;
+    }
+
     /// Point-in-time counters (see serve_stats for the consistency note).
     [[nodiscard]] serve_stats stats() const;
 
@@ -265,12 +292,12 @@ public:
     void stop();
 
 private:
-    /// A queued request: the submitted query (raw pixels are encoded by the
-    /// worker's encode stage into a packed row, or into `encoded` on an
-    /// integer-mode engine) plus where its answer goes.
+    /// A queued request: the submitted view (raw pixels are encoded by the
+    /// worker's encode stage into a packed row, or into an int32 row on the
+    /// integer-mode full scan) plus where its answer goes.
     struct request : sink_request {
-        request(sink_request&& query, answer_sink* to)
-            : sink_request(std::move(query)), sink(to) {}
+        request(const sink_request& query, answer_sink* to)
+            : sink_request(query), sink(to) {}
         answer_sink* sink = nullptr;
         std::size_t label = 0;    ///< the answer, once computed
         std::exception_ptr error; ///< set when a stage failed it; later
@@ -281,12 +308,6 @@ private:
     void worker_loop();
     /// Throws uhd::error unless this engine can answer `req`.
     void check(const sink_request& req) const;
-    /// The callback adapters' shared body: queue one request (`raw`
-    /// non-empty selects the raw kind) for a one-request sink that invokes
-    /// `done`; when refused or rejected, both payloads are handed back.
-    bool try_submit_one(std::vector<std::int32_t>& encoded,
-                        std::vector<std::uint8_t>& raw, answer_callback done,
-                        bool dynamic);
 
     // Snapshot geometry, pinned at construction: publish() enforces it so
     // a worker mid-batch can never see a dimension change under its feet.

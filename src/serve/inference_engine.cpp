@@ -73,8 +73,32 @@ std::shared_ptr<const hdc::inference_snapshot> inference_engine::current() const
 
 namespace {
 
+/// Base of the one-request adapters' sinks: it owns the request's payload
+/// until the answer is delivered, and the queued request views it.
+class owning_sink : public answer_sink {
+public:
+    std::vector<std::int32_t> encoded; ///< the integer-mode full scan's values
+    std::vector<std::uint64_t> packed; ///< a packed route's sign words
+    std::vector<std::uint8_t> raw;     ///< raw pixels
+
+    /// Keep `values` as sign words, binarized on the calling thread.
+    void binarize(std::span<const std::int32_t> values) {
+        packed.resize(kernels::sign_words(values.size()));
+        kernels::sign_binarize(values.data(), values.size(), packed.data());
+    }
+
+    /// The request viewing this payload.
+    [[nodiscard]] sink_request request(bool dynamic) const {
+        return {raw, packed, encoded, {}, dynamic};
+    }
+
+protected:
+    owning_sink() = default;
+    ~owning_sink() = default;
+};
+
 /// try_submit's one-request sink: invokes the callback, then frees itself.
-class callback_sink final : public answer_sink {
+class callback_sink final : public owning_sink {
 public:
     explicit callback_sink(answer_callback done) : done_(std::move(done)) {}
 
@@ -100,7 +124,7 @@ private:
 };
 
 /// submit()'s one-request sink: fulfils the future, then frees itself.
-class promise_sink final : public answer_sink {
+class promise_sink final : public owning_sink {
 public:
     [[nodiscard]] std::future<std::size_t> future() { return answer_.get_future(); }
 
@@ -118,14 +142,50 @@ private:
     std::promise<std::size_t> answer_;
 };
 
+/// The callback adapters' shared tail: submit `sink`'s one request. True
+/// when queued (delivery then frees the sink). Otherwise the request was
+/// not consumed: `give_back` hands the payload back to the caller before
+/// the sink is freed here, and a rejection is rethrown.
+template <typename GiveBack>
+bool submit_one(inference_engine& engine, std::unique_ptr<callback_sink> sink,
+                bool dynamic, GiveBack give_back) {
+    sink_request req = sink->request(dynamic);
+    std::size_t queued = 0;
+    try {
+        queued = engine.try_submit(std::span<sink_request>(&req, 1), *sink);
+    } catch (...) {
+        give_back(*sink);
+        throw;
+    }
+    if (queued == 1) {
+        (void)sink.release(); // delivery frees it
+        return true;
+    }
+    give_back(*sink);
+    return false;
+}
+
 } // namespace
 
 void inference_engine::check(const sink_request& req) const {
-    if (req.raw.empty()) {
-        UHD_REQUIRE(req.encoded.size() == dim_, "encoded query size mismatch");
-    } else {
+    const int views = static_cast<int>(!req.raw.empty()) +
+                      static_cast<int>(!req.packed.empty()) +
+                      static_cast<int>(!req.encoded.empty());
+    UHD_REQUIRE(views == 1, "a request must view exactly one query payload");
+    if (!req.raw.empty()) {
         UHD_REQUIRE(encoder_ != nullptr, "raw submit on an engine without an encoder");
         UHD_REQUIRE(req.raw.size() == encoder_->pixels(), "raw query size mismatch");
+    } else if (!req.packed.empty()) {
+        UHD_REQUIRE(req.packed.size() == kernels::sign_words(dim_),
+                    "packed query size mismatch");
+        UHD_REQUIRE(dim_ % 64 == 0 || (req.packed.back() >> (dim_ % 64)) == 0,
+                    "packed query has bits set past dim");
+        UHD_REQUIRE(packed_route(req.dynamic),
+                    "packed query on an integer-mode full scan");
+    } else {
+        UHD_REQUIRE(req.encoded.size() == dim_, "encoded query size mismatch");
+        UHD_REQUIRE(!packed_route(req.dynamic),
+                    "int32 query on a packed route: submit its sign words");
     }
     UHD_REQUIRE(!req.dynamic || policy_.has_value(),
                 "dynamic request on an engine without a dynamic policy");
@@ -136,7 +196,7 @@ std::size_t inference_engine::try_submit(std::span<sink_request> requests,
     for (const sink_request& req : requests) check(req);
     const std::optional<std::size_t> pushed =
         queue_.try_push_batch(requests.size(), [&](std::size_t i) {
-            return request(std::move(requests[i]), &sink);
+            return request(requests[i], &sink);
         });
     if (!pushed.has_value()) throw uhd::error("try_submit() on a stopped engine");
     return *pushed;
@@ -144,10 +204,17 @@ std::size_t inference_engine::try_submit(std::span<sink_request> requests,
 
 std::future<std::size_t> inference_engine::submit(
     std::vector<std::int32_t> encoded) {
+    UHD_REQUIRE(encoded.size() == dim_, "encoded query size mismatch");
     // The future path keeps the engine's configured default: a policy
     // engine answers through the cascade, a plain one with the full scan.
+    const bool dynamic = policy_.has_value();
     auto sink = std::make_unique<promise_sink>();
-    request req({std::move(encoded), {}, {}, policy_.has_value()}, sink.get());
+    if (packed_route(dynamic)) {
+        sink->binarize(encoded);
+    } else {
+        sink->encoded = std::move(encoded);
+    }
+    request req(sink->request(dynamic), sink.get());
     check(req);
     std::future<std::size_t> result = sink->future();
     if (!queue_.push(std::move(req))) {
@@ -161,41 +228,33 @@ std::size_t inference_engine::predict(std::span<const std::int32_t> encoded) {
     return submit(std::vector<std::int32_t>(encoded.begin(), encoded.end())).get();
 }
 
-bool inference_engine::try_submit_one(std::vector<std::int32_t>& encoded,
-                                      std::vector<std::uint8_t>& raw,
-                                      answer_callback done, bool dynamic) {
-    UHD_REQUIRE(done != nullptr, "try_submit() needs a completion callback");
-    auto sink = std::make_unique<callback_sink>(std::move(done));
-    sink_request req{std::move(encoded), std::move(raw), {}, dynamic};
-    std::size_t queued = 0;
-    std::exception_ptr failure;
-    try {
-        queued = try_submit(std::span<sink_request>(&req, 1), *sink);
-    } catch (...) {
-        failure = std::current_exception();
-    }
-    if (queued == 1) {
-        (void)sink.release(); // delivery frees it
-        return true;
-    }
-    // Refused or rejected: the request was not consumed, so hand the
-    // payload back untouched (a full queue's caller parks and retries).
-    encoded = std::move(req.encoded);
-    raw = std::move(req.raw);
-    if (failure != nullptr) std::rethrow_exception(failure);
-    return false;
-}
-
 bool inference_engine::try_submit(std::vector<std::int32_t>& encoded,
                                   answer_callback done, bool dynamic) {
-    std::vector<std::uint8_t> no_raw;
-    return try_submit_one(encoded, no_raw, std::move(done), dynamic);
+    UHD_REQUIRE(done != nullptr, "try_submit() needs a completion callback");
+    UHD_REQUIRE(encoded.size() == dim_, "encoded query size mismatch");
+    auto sink = std::make_unique<callback_sink>(std::move(done));
+    // A packed route keeps only the sign words; the caller's values are
+    // then consumed by clearing them once the request is queued.
+    const bool packed = packed_route(dynamic);
+    if (packed) {
+        sink->binarize(encoded);
+    } else {
+        sink->encoded = std::move(encoded);
+    }
+    const bool queued = submit_one(*this, std::move(sink), dynamic, [&](owning_sink& s) {
+        if (!packed) encoded = std::move(s.encoded);
+    });
+    if (queued && packed) encoded.clear();
+    return queued;
 }
 
 bool inference_engine::try_submit_raw(std::vector<std::uint8_t>& raw,
                                       answer_callback done, bool dynamic) {
-    std::vector<std::int32_t> no_encoded;
-    return try_submit_one(no_encoded, raw, std::move(done), dynamic);
+    UHD_REQUIRE(done != nullptr, "try_submit() needs a completion callback");
+    auto sink = std::make_unique<callback_sink>(std::move(done));
+    sink->raw = std::move(raw);
+    return submit_one(*this, std::move(sink), dynamic,
+                      [&](owning_sink& s) { raw = std::move(s.raw); });
 }
 
 std::size_t inference_engine::raw_pixels() const noexcept {
@@ -222,21 +281,19 @@ void inference_engine::worker_loop() {
     pin_this_thread(); // UHD_AFFINITY=auto: distinct core per worker
     std::vector<request> batch;
     // Worker-local block scratch, reused across drains: the group index
-    // list, the packed query block (one sign-binarized row per request),
-    // the answer slots, and the encode-stage gather/output buffers.
+    // list, the packed query block (one row per request), the answer
+    // slots, and the encode stage's gather block.
     std::vector<std::size_t> group;
     std::vector<std::uint64_t> packed;
     std::vector<std::size_t> answers;
     std::vector<std::uint8_t> raw_gather;
-    std::vector<std::int32_t> encoded_out;
-    // A binarized engine encodes raw requests straight to packed sign rows:
-    // raw_packed holds one row per raw request of the batch and raw_row[i]
-    // is batch[i]'s row (no_row for pre-encoded requests). Integer-mode
-    // engines keep the int32 stage — their full scan needs the accumulator.
+    // The encode stage's output: raw_row[i] is batch[i]'s row (no_row for
+    // a submitted view), in raw_packed on a packed route and in raw_values
+    // on the integer-mode full scan.
     constexpr std::size_t no_row = ~std::size_t{0};
-    const bool encode_packed = mode_ == hdc::query_mode::binarized;
     const std::size_t words = kernels::sign_words(dim_);
     std::vector<std::uint64_t> raw_packed;
+    std::vector<std::int32_t> raw_values;
     std::vector<std::size_t> raw_row;
     // Delivery scratch: the batch's request indices ordered by sink, and
     // one sink's answers.
@@ -251,48 +308,44 @@ void inference_engine::worker_loop() {
         std::uint64_t kernel_calls = 0;
         raw_row.assign(batch.size(), no_row);
 
-        // Encode stage: raw requests in the drained batch are gathered into
-        // one contiguous image block and pushed through ONE encode call —
-        // encode_sign_batch into packed rows (binarized) or encode_batch
-        // into int32 accumulators (integer) — so encoding is amortized
-        // exactly like the distance kernels below, and bit-identical to the
-        // single-image encode (tested per backend).
+        // Encode stage: the drained batch's raw requests whose routes read
+        // the same form are gathered into one contiguous image block and
+        // pushed through ONE encode call — encode_sign_batch into packed
+        // rows on a packed route, encode_batch into int32 rows on the
+        // integer-mode full scan — so encoding is amortized exactly like
+        // the distance kernels below, and bit-identical to the single-image
+        // encode (tested per backend). Only an integer-mode engine with a
+        // policy can need both calls for one batch.
         if (encoder_ != nullptr) {
-            group.clear();
-            for (std::size_t i = 0; i < batch.size(); ++i) {
-                if (!batch[i].raw.empty()) group.push_back(i);
-            }
-            if (!group.empty()) {
+            for (const bool to_packed : {true, false}) {
+                group.clear();
+                for (std::size_t i = 0; i < batch.size(); ++i) {
+                    if (!batch[i].raw.empty() &&
+                        packed_route(batch[i].dynamic) == to_packed) {
+                        group.push_back(i);
+                    }
+                }
+                if (group.empty()) continue;
                 const std::size_t pixels = encoder_->pixels();
                 raw_gather.resize(group.size() * pixels);
                 try {
                     for (std::size_t g = 0; g < group.size(); ++g) {
-                        const std::vector<std::uint8_t>& raw = batch[group[g]].raw;
-                        std::copy(raw.begin(), raw.end(),
-                                  raw_gather.begin() +
-                                      static_cast<std::ptrdiff_t>(g * pixels));
+                        std::ranges::copy(batch[group[g]].raw,
+                                          raw_gather.begin() +
+                                              static_cast<std::ptrdiff_t>(g * pixels));
                     }
-                    if (encode_packed) {
+                    const std::span<const std::uint8_t> images(raw_gather);
+                    if (to_packed) {
                         raw_packed.resize(group.size() * words);
-                        encoder_->encode_sign_batch(
-                            std::span<const std::uint8_t>(raw_gather), group.size(),
-                            std::span<std::uint64_t>(raw_packed));
-                        for (std::size_t g = 0; g < group.size(); ++g) {
-                            raw_row[group[g]] = g;
-                        }
+                        encoder_->encode_sign_batch(images, group.size(),
+                                                    std::span<std::uint64_t>(raw_packed));
                     } else {
-                        encoded_out.resize(group.size() * dim_);
-                        encoder_->encode_batch(
-                            std::span<const std::uint8_t>(raw_gather), group.size(),
-                            std::span<std::int32_t>(encoded_out));
-                        for (std::size_t g = 0; g < group.size(); ++g) {
-                            request& req = batch[group[g]];
-                            req.encoded.assign(
-                                encoded_out.begin() +
-                                    static_cast<std::ptrdiff_t>(g * dim_),
-                                encoded_out.begin() +
-                                    static_cast<std::ptrdiff_t>((g + 1) * dim_));
-                        }
+                        raw_values.resize(group.size() * dim_);
+                        encoder_->encode_batch(images, group.size(),
+                                               std::span<std::int32_t>(raw_values));
+                    }
+                    for (std::size_t g = 0; g < group.size(); ++g) {
+                        raw_row[group[g]] = g;
                     }
                 } catch (...) {
                     for (const std::size_t i : group) {
@@ -319,12 +372,16 @@ void inference_engine::worker_loop() {
                 }
             }
             if (group.empty()) return;
-            if (!dynamic && mode_ == hdc::query_mode::integer) {
+            if (!packed_route(dynamic)) {
                 // Integer full-cosine has no block kernel: per-request loop.
                 for (const std::size_t i : group) {
                     request& req = batch[i];
+                    const std::size_t row = raw_row[i];
                     try {
-                        req.label = snap->predict_encoded(req.encoded);
+                        req.label = snap->predict_encoded(
+                            row == no_row ? req.encoded
+                                          : std::span<const std::int32_t>(
+                                                raw_values.data() + row * dim_, dim_));
                     } catch (...) {
                         req.error = std::current_exception();
                     }
@@ -334,24 +391,20 @@ void inference_engine::worker_loop() {
             }
             // ONE block-kernel call for the whole group: every request's
             // packed row — the encode stage's row for a raw request, the
-            // sign-binarized accumulator otherwise — goes into one
-            // contiguous block, then block-argmin (or the stage-synchronized
-            // block cascade) runs over it. Bit-identical per request to the
-            // single-query predict paths — submit pinned every encoded size
-            // to dim(), so the group can only fail as a whole.
+            // submitted sign words otherwise — goes into one contiguous
+            // block, then block-argmin (or the stage-synchronized block
+            // cascade) runs over it. Bit-identical per request to the
+            // single-query predict paths — check() pinned every packed view
+            // to sign_words(dim()), so the group can only fail as a whole.
             packed.resize(group.size() * words);
             answers.resize(group.size());
             try {
                 for (std::size_t g = 0; g < group.size(); ++g) {
                     const request& req = batch[group[g]];
-                    std::uint64_t* row = packed.data() + g * words;
-                    const std::size_t raw = raw_row[group[g]];
-                    if (raw != no_row) {
-                        std::copy_n(raw_packed.data() + raw * words, words, row);
-                    } else {
-                        kernels::sign_binarize(req.encoded.data(), req.encoded.size(),
-                                               row);
-                    }
+                    const std::size_t row = raw_row[group[g]];
+                    std::copy_n(row == no_row ? req.packed.data()
+                                              : raw_packed.data() + row * words,
+                                words, packed.data() + g * words);
                 }
                 const std::span<const std::uint64_t> block(packed.data(),
                                                            packed.size());

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "uhd/common/error.hpp"
+#include "uhd/common/kernels.hpp"
 #include "uhd/core/encoder.hpp"
 #include "uhd/data/synthetic.hpp"
 #include "uhd/hdc/classifier.hpp"
@@ -97,10 +98,15 @@ TEST(MicroBatchQueue, BlockedProducerUnblocksOnClose) {
 // --- inference_engine: identity and stats ---------------------------------
 
 TEST(InferenceEngine, AnswersMatchDirectSnapshotPredictions) {
+    // Every one-request adapter answers like the snapshot in both query
+    // modes. On a packed route (binarized full scan, or the cascade) the
+    // adapter keeps the query's sign words, binarized on the calling
+    // thread; on the integer-mode full scan it keeps the int32 values.
     const auto train = data::make_synthetic_digits(150, 71);
     const auto test = data::make_synthetic_digits(80, 72);
     const auto enc = make_encoder(train);
     for (const query_mode qm : {query_mode::binarized, query_mode::integer}) {
+        SCOPED_TRACE(qm == query_mode::integer ? "integer" : "binarized");
         hd_classifier<core::uhd_encoder> clf(enc, 10, train_mode::raw_sums, qm);
         clf.fit(train);
         engine_options opts;
@@ -114,7 +120,36 @@ TEST(InferenceEngine, AnswersMatchDirectSnapshotPredictions) {
         for (std::size_t i = 0; i < test.size(); ++i) {
             EXPECT_EQ(answers[i].get(),
                       clf.predict_encoded(encode_one(enc, test, i)))
-                << "mode=" << static_cast<int>(qm) << " query=" << i;
+                << "query=" << i;
+        }
+        for (std::size_t i = 0; i < 10; ++i) {
+            const auto encoded = encode_one(enc, test, i);
+            EXPECT_EQ(engine.predict(encoded), clf.predict_encoded(encoded)) << "query=" << i;
+        }
+
+        // The callback adapter on a policy engine, both routes interleaved.
+        const dynamic_query_policy policy = clf.calibrate_dynamic(train, 0.95);
+        inference_engine routed(clf.snapshot(), policy, opts);
+        std::mutex mutex;
+        std::vector<std::size_t> labels(test.size(), ~std::size_t{0});
+        for (std::size_t i = 0; i < test.size(); ++i) {
+            auto encoded = encode_one(enc, test, i);
+            ASSERT_TRUE(routed.try_submit(
+                encoded,
+                [&, i](std::size_t label, std::uint64_t, std::exception_ptr error) {
+                    if (error != nullptr) return;
+                    const std::lock_guard<std::mutex> lock(mutex);
+                    labels[i] = label;
+                },
+                /*dynamic=*/i % 2 == 1));
+            EXPECT_TRUE(encoded.empty()); // consumed by the request
+        }
+        routed.stop(); // drains: every callback has run
+        for (std::size_t i = 0; i < test.size(); ++i) {
+            const auto encoded = encode_one(enc, test, i);
+            EXPECT_EQ(labels[i], i % 2 == 1 ? clf.predict_dynamic_encoded(encoded, policy)
+                                            : clf.predict_encoded(encoded))
+                << "query=" << i;
         }
     }
 }
@@ -589,19 +624,22 @@ TEST(InferenceEngine, RawSubmitBatchEncodesBitIdenticalToDirectPredict) {
     // The off-loop encode stage: raw pixels through try_submit_raw must
     // answer exactly like encoding on the caller's thread and submitting
     // pre-encoded — and the encode accounting must show batched encode
-    // calls, not one call per query. Both stages: packed sign rows on a
-    // binarized snapshot, int32 accumulators on an integer one.
+    // calls, not one call per query. Both stages: packed sign rows for the
+    // cascade and a binarized snapshot's full scan, int32 accumulators for
+    // an integer snapshot's full scan, in one micro-batch when the two
+    // routes mix.
     const auto train = data::make_synthetic_digits(150, 71);
     const auto test = data::make_synthetic_digits(80, 72);
     const auto enc = make_encoder(train);
     for (const query_mode qm : {query_mode::binarized, query_mode::integer}) {
         hd_classifier<core::uhd_encoder> clf(enc, 10, train_mode::binarized_images, qm);
         clf.fit(train);
+        const dynamic_query_policy policy = clf.calibrate_dynamic(train, 0.95);
         engine_options opts;
         opts.workers = 2;
         opts.max_batch = 16;
         opts.encoder = &enc;
-        inference_engine engine(clf.snapshot(), opts);
+        inference_engine engine(clf.snapshot(), policy, opts);
         ASSERT_TRUE(engine.raw_capable());
         ASSERT_EQ(engine.raw_pixels(), test.image(0).size());
         std::mutex mutex;
@@ -617,14 +655,17 @@ TEST(InferenceEngine, RawSubmitBatchEncodesBitIdenticalToDirectPredict) {
                     }
                     const std::lock_guard<std::mutex> lock(mutex);
                     labels[i] = label;
-                });
+                },
+                /*dynamic=*/i % 3 == 1);
             ASSERT_TRUE(accepted); // queue far larger than the test set
             EXPECT_TRUE(raw.empty());
         }
         engine.stop(); // drains: every callback has run
         EXPECT_EQ(errors.load(), 0u);
         for (std::size_t i = 0; i < test.size(); ++i) {
-            EXPECT_EQ(labels[i], clf.predict_encoded(encode_one(enc, test, i)))
+            const auto encoded = encode_one(enc, test, i);
+            EXPECT_EQ(labels[i], i % 3 == 1 ? clf.predict_dynamic_encoded(encoded, policy)
+                                            : clf.predict_encoded(encoded))
                 << "query " << i << " integer=" << (qm == query_mode::integer);
         }
         const serve::serve_stats stats = engine.stats();
@@ -679,15 +720,43 @@ private:
     std::vector<std::vector<serve::answer>> calls_;
 };
 
-/// `n` pre-encoded requests for test images first..first+n-1, tagged with
-/// item = the image index.
-std::vector<serve::sink_request> tagged_requests(const core::uhd_encoder& enc,
-                                                 const data::dataset& set,
-                                                 std::size_t first, std::size_t n) {
-    std::vector<serve::sink_request> out(n);
+/// Sign words of one pre-encoded query: the view a packed route reads.
+std::vector<std::uint64_t> packed_one(const core::uhd_encoder& enc,
+                                      const data::dataset& set, std::size_t i) {
+    const auto encoded = encode_one(enc, set, i);
+    std::vector<std::uint64_t> out(kernels::sign_words(encoded.size()));
+    kernels::sign_binarize(encoded.data(), encoded.size(), out.data());
+    return out;
+}
+
+/// `n` queries for images first..first+n-1 and the batch requests viewing
+/// them, tagged with item = the image index: sign words for a packed
+/// route, int32 values for the integer-mode full scan. The queries outlive
+/// every delivery of the requests.
+struct tagged_batch {
+    std::vector<std::vector<std::uint64_t>> packed;
+    std::vector<std::vector<std::int32_t>> values;
+    std::vector<serve::sink_request> requests;
+};
+
+tagged_batch tagged_requests(const core::uhd_encoder& enc, const data::dataset& set,
+                             std::size_t first, std::size_t n, bool packed = true) {
+    tagged_batch out;
+    out.requests.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-        out[i].encoded = encode_one(enc, set, first + i);
-        out[i].tag = {7, first + i};
+        if (packed) {
+            out.packed.push_back(packed_one(enc, set, first + i));
+        } else {
+            out.values.push_back(encode_one(enc, set, first + i));
+        }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+        if (packed) {
+            out.requests[i].packed = out.packed[i];
+        } else {
+            out.requests[i].encoded = out.values[i];
+        }
+        out.requests[i].tag = {7, first + i};
     }
     return out;
 }
@@ -733,16 +802,14 @@ TEST(InferenceEngine, BatchSubmitPushesThePrefixThatFitsAndDeliversPerSink) {
     auto b1 = tagged_requests(enc, test, 2, 2);
     auto a2 = tagged_requests(enc, test, 4, 2);
     auto b2 = tagged_requests(enc, test, 6, 3);
-    EXPECT_EQ(engine.try_submit(a1, first_sink), 2u);
-    EXPECT_EQ(engine.try_submit(b1, second_sink), 2u);
-    EXPECT_EQ(engine.try_submit(a2, first_sink), 2u);
-    EXPECT_TRUE(a1[0].encoded.empty()); // accepted payloads are moved from
+    EXPECT_EQ(engine.try_submit(a1.requests, first_sink), 2u);
+    EXPECT_EQ(engine.try_submit(b1.requests, second_sink), 2u);
+    EXPECT_EQ(engine.try_submit(a2.requests, first_sink), 2u);
     // One slot left: the first request fits, the refused tail keeps its
-    // payloads.
-    EXPECT_EQ(engine.try_submit(b2, second_sink), 1u);
-    EXPECT_TRUE(b2[0].encoded.empty());
-    EXPECT_EQ(b2[1].encoded.size(), enc.dim());
-    EXPECT_EQ(b2[2].encoded.size(), enc.dim());
+    // views.
+    EXPECT_EQ(engine.try_submit(b2.requests, second_sink), 1u);
+    EXPECT_EQ(b2.requests[1].packed.data(), b2.packed[1].data());
+    EXPECT_EQ(b2.requests[2].packed.size(), kernels::sign_words(enc.dim()));
     {
         const std::lock_guard<std::mutex> lock(mutex);
         release = true;
@@ -772,28 +839,75 @@ TEST(InferenceEngine, BatchSubmitPushesThePrefixThatFitsAndDeliversPerSink) {
 }
 
 TEST(InferenceEngine, BatchSubmitRejectsBadRequestsWithoutConsumingAny) {
+    // A view its request's route cannot read fails the whole call before
+    // anything is queued, in either query mode: the engine neither answers
+    // nor counts any request of the batch, and the same batch with the bad
+    // request put back is then served.
     const auto train = data::make_synthetic_digits(60, 89);
-    const auto enc = make_encoder(train, 256);
-    hd_classifier<core::uhd_encoder> clf(enc, 10);
-    clf.fit(train);
-    recording_sink sink;
-    inference_engine engine(clf.snapshot());
-    auto batch = tagged_requests(enc, train, 0, 3);
-    batch[2].encoded.pop_back(); // one bad request fails the whole call
-    EXPECT_THROW((void)engine.try_submit(batch, sink), uhd::error);
-    EXPECT_EQ(batch[0].encoded.size(), enc.dim());
-    batch[2].encoded = encode_one(enc, train, 2);
-    batch[1].dynamic = true; // no policy on this engine
-    EXPECT_THROW((void)engine.try_submit(batch, sink), uhd::error);
-    batch[1].dynamic = false;
-    batch[1].raw.assign(train.image(1).begin(), train.image(1).end()); // no encoder
-    EXPECT_THROW((void)engine.try_submit(batch, sink), uhd::error);
-    EXPECT_EQ(batch[0].encoded.size(), enc.dim());
-    engine.stop();
-    batch[1].raw.clear();
-    EXPECT_THROW((void)engine.try_submit(batch, sink), uhd::error);
-    EXPECT_EQ(batch[0].encoded.size(), enc.dim());
-    EXPECT_TRUE(sink.calls().empty());
+    const auto enc = make_encoder(train, 200); // a ragged last sign word
+    const std::size_t words = kernels::sign_words(enc.dim());
+    const auto values = encode_one(enc, train, 2);
+    const auto signs = packed_one(enc, train, 2);
+    auto tail_bit = signs;
+    tail_bit.back() |= std::uint64_t{1} << 63; // past dim = 200
+    const std::vector<std::uint8_t> pixels(train.image(1).begin(), train.image(1).end());
+    for (const query_mode qm : {query_mode::binarized, query_mode::integer}) {
+        SCOPED_TRACE(qm == query_mode::integer ? "integer" : "binarized");
+        hd_classifier<core::uhd_encoder> clf(enc, 10, train_mode::raw_sums, qm);
+        clf.fit(train);
+        recording_sink sink;
+        inference_engine engine(clf.snapshot());
+        const bool packed = engine.packed_route(false);
+        EXPECT_EQ(packed, qm == query_mode::binarized);
+        auto batch = tagged_requests(enc, train, 0, 3, packed);
+        const auto rejected = [&](std::size_t i, const serve::sink_request& bad) {
+            const serve::sink_request good = batch.requests[i];
+            batch.requests[i] = bad;
+            EXPECT_THROW((void)engine.try_submit(batch.requests, sink), uhd::error);
+            batch.requests[i] = good;
+        };
+        serve::sink_request bad;
+        bad.packed = std::span<const std::uint64_t>(signs).first(words - 1);
+        rejected(2, bad); // a packed view of the wrong length
+        bad.packed = tail_bit;
+        rejected(2, bad); // sign bits past dim
+        bad = {};
+        bad.encoded = std::span<const std::int32_t>(values).first(enc.dim() - 1);
+        rejected(2, bad); // an int32 view of the wrong length
+        bad = {};
+        bad.raw = pixels;
+        rejected(1, bad); // a raw view on an engine without an encoder
+        bad = batch.requests[1];
+        bad.dynamic = true;
+        rejected(1, bad); // a cascade on an engine without a policy
+        bad = batch.requests[1];
+        bad.raw = pixels;
+        rejected(1, bad); // two views
+        rejected(1, serve::sink_request{}); // no view
+        // The other route's form: int32 values on a packed route, sign
+        // words on the integer-mode full scan.
+        bad = {};
+        if (packed) {
+            bad.encoded = values;
+        } else {
+            bad.packed = signs;
+        }
+        rejected(0, bad);
+        EXPECT_TRUE(sink.calls().empty());
+        EXPECT_EQ(engine.stats().queries, 0u);
+
+        ASSERT_EQ(engine.try_submit(batch.requests, sink), 3u);
+        engine.stop();
+        EXPECT_THROW((void)engine.try_submit(batch.requests, sink), uhd::error);
+        std::size_t answered = 0;
+        for (const auto& call : sink.calls()) {
+            for (const serve::answer& got : call) {
+                EXPECT_EQ(got.label, clf.predict_encoded(encode_one(enc, train, got.tag.item)));
+                ++answered;
+            }
+        }
+        EXPECT_EQ(answered, 3u);
+    }
 }
 
 /// Every delivery waits (for at most 5 s) until `expected` answers have
@@ -842,7 +956,7 @@ TEST(InferenceEngine, BatchSubmitWakesEveryWorkerItNeeds) {
     // Let both workers park on the empty queue first.
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     auto batch = tagged_requests(enc, train, 0, 2);
-    ASSERT_EQ(engine.try_submit(batch, sink), 2u);
+    ASSERT_EQ(engine.try_submit(batch.requests, sink), 2u);
     // Checked before stop(): closing the queue would wake the idle worker.
     EXPECT_TRUE(sink.all_delivered_within(std::chrono::seconds(5)))
         << "the leftover request sat in the queue beside an idle worker";

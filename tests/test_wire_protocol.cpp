@@ -12,9 +12,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <mutex>
 #include <optional>
 #include <random>
 #include <span>
@@ -52,9 +56,10 @@ struct server_fixture {
 
     explicit server_fixture(bool dynamic = false,
                             wire_server_options options = {},
-                            serve::engine_options engine_options = {})
+                            serve::engine_options engine_options = {},
+                            hdc::query_mode mode = hdc::query_mode::binarized)
         : model(make_config(), train.shape(), train.num_classes(),
-                hdc::train_mode::raw_sums, hdc::query_mode::binarized) {
+                hdc::train_mode::raw_sums, mode) {
         model.fit(train);
         // The engine's encode stage is the server's only raw-query path.
         engine_options.encoder = &model.encoder();
@@ -123,6 +128,56 @@ struct raw_connection {
         return out;
     }
 };
+
+/// Poll the server's shard-summed stats until `done` holds; false after
+/// 20 s without it.
+template <typename Done>
+bool wait_for_stats(const wire_server& server, Done done) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (!done(server.stats())) {
+        if (std::chrono::steady_clock::now() > deadline) return false;
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    return true;
+}
+
+/// `n` pipelined predicts, pre-encoded and raw in turn, with request id i
+/// for query i (both kinds of query i have the same answer).
+std::vector<std::uint8_t> mixed_burst(const server_fixture& fx, std::size_t n) {
+    std::vector<std::uint8_t> burst;
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto id = static_cast<std::uint32_t>(i);
+        if (i % 2 == 0) {
+            append_predict_encoded(burst, opcode::predict, id, fx.encoded_query(i));
+        } else {
+            append_predict_raw(burst, opcode::predict, id, fx.test.image(i % fx.test.size()));
+        }
+    }
+    return burst;
+}
+
+/// Pipeline mixed_burst(n) on a fresh connection, far past any in-flight
+/// cap, and count the replies that are wrong or duplicated (a missing one
+/// times the read out, which throws).
+std::size_t pipelined_mismatches(const server_fixture& fx, std::size_t n) {
+    const hdc::inference_snapshot oracle = fx.model.snapshot();
+    wire_client client = fx.connect();
+    client.send_bytes(mixed_burst(fx, n));
+    std::vector<bool> answered(n, false);
+    std::size_t bad = 0;
+    for (std::size_t r = 0; r < n; ++r) {
+        const wire_frame reply = client.read_frame();
+        const auto parsed = parse_predict_reply(reply.payload);
+        const std::size_t id = reply.header.request_id;
+        if (!parsed.has_value() || id >= n || answered[id] ||
+            parsed->label != oracle.predict_encoded(fx.encoded_query(id))) {
+            ++bad;
+            continue;
+        }
+        answered[id] = true;
+    }
+    return bad;
+}
 
 /// Parse the first complete frame out of a byte stream (test-side).
 std::optional<wire_frame> first_frame(const std::vector<std::uint8_t>& bytes) {
@@ -263,6 +318,58 @@ TEST(WireServer, WireRoutingMatchesBothDirectPathsOnAPolicyServer) {
         kernels::sign_binarize(encoded.data(), encoded.size(), packed.data());
         policy.answer_block(oracle, packed, 1, answer);
         EXPECT_EQ(cascade.label, answer[0]) << "query " << i;
+    }
+}
+
+TEST(WireServer, IntegerModeEngineAnswersBothRoutesLikeTheSnapshot) {
+    // An integer-mode snapshot with a calibrated policy: a predict frame
+    // takes the integer cosine route, which reads int32 values, and a
+    // predict_dynamic frame the cascade, which reads sign words. One
+    // connection pipelines both kinds, pre-encoded and raw; every reply
+    // must equal the snapshot's own answer for that route.
+    const server_fixture fx(/*dynamic=*/true, {}, {}, hdc::query_mode::integer);
+    const hdc::inference_snapshot oracle = fx.model.snapshot();
+    ASSERT_EQ(oracle.mode(), hdc::query_mode::integer);
+    const hdc::dynamic_query_policy policy = fx.model.calibrate_dynamic(fx.train, 0.95);
+    constexpr std::size_t burst_size = 96;
+    std::vector<std::uint8_t> burst;
+    std::vector<std::size_t> expected(burst_size);
+    std::vector<bool> dynamic(burst_size);
+    std::size_t routes_differ = 0;
+    for (std::size_t i = 0; i < burst_size; ++i) {
+        dynamic[i] = i % 2 == 1;
+        const opcode op = dynamic[i] ? opcode::predict_dynamic : opcode::predict;
+        const auto id = static_cast<std::uint32_t>(i);
+        const auto encoded = fx.encoded_query(i / 2);
+        if (i % 4 < 2) {
+            append_predict_encoded(burst, op, id, encoded);
+        } else {
+            append_predict_raw(burst, op, id, fx.test.image((i / 2) % fx.test.size()));
+        }
+        expected[i] = dynamic[i] ? oracle.predict_dynamic_encoded(encoded, policy)
+                                 : oracle.predict_encoded(encoded);
+        if (oracle.predict_dynamic_encoded(encoded, policy) !=
+            oracle.predict_encoded(encoded)) {
+            ++routes_differ;
+        }
+    }
+    // The two routes must disagree somewhere, or a mixed-up route would
+    // go unseen.
+    EXPECT_GT(routes_differ, 0u);
+    wire_client client = fx.connect();
+    client.send_bytes(burst);
+    std::vector<bool> answered(burst_size, false);
+    for (std::size_t r = 0; r < burst_size; ++r) {
+        const wire_frame reply = client.read_frame();
+        const std::size_t id = reply.header.request_id;
+        ASSERT_LT(id, burst_size);
+        EXPECT_EQ(reply.header.op, reply_opcode(dynamic[id] ? opcode::predict_dynamic
+                                                            : opcode::predict));
+        const auto parsed = parse_predict_reply(reply.payload);
+        ASSERT_TRUE(parsed.has_value());
+        EXPECT_FALSE(answered[id]) << "duplicate reply";
+        answered[id] = true;
+        EXPECT_EQ(parsed->label, expected[id]) << "request " << id;
     }
 }
 
@@ -493,6 +600,137 @@ TEST(WireServer, StopWithInflightRequestsShutsDownCleanly) {
     fx.server->stop(); // races the in-flight answers on purpose
     fx.server.reset();
     fx.engine.reset();
+}
+
+// --- query payload slots --------------------------------------------------
+//
+// A reactor keeps each predict's payload in a slot of its own pool from
+// parse to answer. These suites check that every slot comes back — from
+// connections that close with answers in flight, from parked tails, and at
+// stop() — by the pool gauges in wire_stats: nothing in use once the
+// server is quiet, and a pool no larger than one connection's in-flight
+// cap when connections come one at a time. A slot freed too early (before
+// its answer is delivered) shows as wrong answers on the fresh connection
+// that follows, or as a ThreadSanitizer report.
+
+constexpr std::size_t slot_test_cap = 64; // pipelining depth of each connection
+
+TEST(WireSlots, ComeBackFromConnectionsClosedBeforeReadingAReply) {
+    wire_server_options options;
+    options.inflight_cap = slot_test_cap;
+    const server_fixture fx(false, options);
+    const std::vector<std::uint8_t> burst = mixed_burst(fx, slot_test_cap);
+    for (std::size_t c = 0; c < 1000; ++c) {
+        raw_connection conn(fx.server->port());
+        conn.send_all(burst);
+        ASSERT_TRUE(wait_for_stats(*fx.server, [c](const wire_stats& w) {
+            return w.frames_in == (c + 1) * slot_test_cap;
+        })) << "connection " << c << ": its burst was never parsed";
+        conn.sock.reset(); // no reply read: a reset, answers still owed
+        ASSERT_TRUE(wait_for_stats(*fx.server, [](const wire_stats& w) {
+            return w.connections_active == 0 && w.query_slots_in_use == 0;
+        })) << "connection " << c << ": " << fx.server->stats().query_slots_in_use
+            << " slots never came back";
+    }
+    EXPECT_EQ(pipelined_mismatches(fx, 2048), 0u);
+    ASSERT_TRUE(wait_for_stats(*fx.server, [](const wire_stats& w) {
+        return w.query_slots_in_use == 0;
+    }));
+    const wire_stats wire = fx.server->stats();
+    EXPECT_GE(wire.query_slots, 1u);
+    EXPECT_LE(wire.query_slots, slot_test_cap);
+}
+
+TEST(WireSlots, ComeBackFromParkedTailsOfClosedConnections) {
+    // One worker, plugged inside an answer callback, and a queue of 2 that
+    // two more requests fill: every predict a connection sends is parked.
+    // Each connection then resets while parked, so close_connection alone
+    // can return its slots.
+    wire_server_options options;
+    options.inflight_cap = slot_test_cap;
+    serve::engine_options engine_options;
+    engine_options.workers = 1;
+    engine_options.queue_capacity = 2;
+    server_fixture fx(false, options, engine_options);
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool plugged = false;
+    bool release = false;
+    const std::function<void()> unplug = [&] {
+        {
+            const std::lock_guard<std::mutex> lock(mutex);
+            release = true;
+        }
+        cv.notify_all();
+    };
+    // Unplugs on every exit, an early one included, so the engine can stop.
+    struct on_exit {
+        const std::function<void()>& run;
+        ~on_exit() { run(); }
+    } const unplug_guard{unplug};
+    auto plug = fx.encoded_query(0);
+    ASSERT_TRUE(fx.engine->try_submit(plug, [&](std::size_t, std::uint64_t, std::exception_ptr) {
+        std::unique_lock<std::mutex> lock(mutex);
+        plugged = true;
+        cv.notify_all();
+        cv.wait(lock, [&] { return release; });
+    }));
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10), [&] { return plugged; }));
+    }
+    const serve::answer_callback ignore = [](std::size_t, std::uint64_t, std::exception_ptr) {};
+    for (std::size_t i = 0; i < 2; ++i) {
+        auto filler = fx.encoded_query(i);
+        ASSERT_TRUE(fx.engine->try_submit(filler, ignore));
+    }
+    const std::vector<std::uint8_t> burst = mixed_burst(fx, slot_test_cap);
+    for (std::size_t c = 0; c < 50; ++c) {
+        raw_connection conn(fx.server->port());
+        conn.send_all(burst);
+        // A parked connection reads no further, so the predicts of its
+        // first read stay parked.
+        ASSERT_TRUE(wait_for_stats(*fx.server, [](const wire_stats& w) {
+            return w.query_slots_in_use > 0;
+        })) << "connection " << c << " never parked a predict";
+        const linger abort{1, 0}; // close with a reset: EPOLLHUP at once
+        ASSERT_EQ(::setsockopt(conn.sock.get(), SOL_SOCKET, SO_LINGER, &abort, sizeof(abort)),
+                  0);
+        conn.sock.reset();
+        ASSERT_TRUE(wait_for_stats(*fx.server, [](const wire_stats& w) {
+            return w.connections_active == 0 && w.query_slots_in_use == 0;
+        })) << "connection " << c << ": " << fx.server->stats().query_slots_in_use
+            << " parked slots never came back";
+    }
+    unplug();
+    EXPECT_EQ(pipelined_mismatches(fx, 1024), 0u);
+    ASSERT_TRUE(wait_for_stats(*fx.server, [](const wire_stats& w) {
+        return w.query_slots_in_use == 0;
+    }));
+    EXPECT_LE(fx.server->stats().query_slots, slot_test_cap);
+    EXPECT_EQ(fx.engine->stats().queries, 3 + 1024u); // no parked predict ran
+}
+
+TEST(WireSlots, ComeBackWhenStopRacesInflightPredicts) {
+    // stop() with predicts in flight on several connections: it waits out
+    // every delivery, then returns each slot (parked, in flight or in the
+    // mailbox). A restarted server then serves fresh traffic correctly.
+    wire_server_options options;
+    options.inflight_cap = slot_test_cap;
+    options.reactors = 2;
+    server_fixture fx(false, options);
+    for (int round = 0; round < 3; ++round) {
+        const std::vector<std::uint8_t> burst = mixed_burst(fx, 4 * slot_test_cap);
+        std::vector<wire_client> clients;
+        for (std::size_t c = 0; c < 4; ++c) {
+            clients.push_back(fx.connect());
+            clients.back().send_bytes(burst);
+        }
+        fx.server->stop(); // races the in-flight answers on purpose
+        EXPECT_EQ(fx.server->stats().query_slots_in_use, 0u) << "round " << round;
+        fx.server->start();
+        EXPECT_EQ(pipelined_mismatches(fx, 512), 0u) << "round " << round;
+    }
 }
 
 // --- frame fuzzing --------------------------------------------------------
