@@ -13,7 +13,8 @@
 //    with UHD_BENCH_IMAGES);
 //  * training on the same MNIST-shaped workload (seed sequential loop vs
 //    the current sequential fit vs the mini-batch parallel engine at
-//    several pool sizes, determinism-gated) -> BENCH_train.json (override
+//    several pool sizes, plus 3-thread fits of perfbench's training sets,
+//    determinism-gated for every set and D) -> BENCH_train.json (override
 //    with UHD_BENCH_TRAIN_JSON, workload with UHD_BENCH_TRAIN_IMAGES);
 //  * inference over pre-encoded queries at D=8192 / 10 classes (seed
 //    per-class-cosine path vs the packed associative-memory engine, both
@@ -647,10 +648,21 @@ void write_encode_json(std::FILE* f, const data::image_shape& shape, std::size_t
 struct train_entry {
     std::string name;
     std::size_t dim;
+    std::size_t images; ///< training images per fit
     std::size_t threads;
-    bench::timing seconds; ///< per fit over the workload's images
+    bench::timing seconds; ///< per fit over `images` images
     double images_per_s;
-    double speedup_vs_seed; ///< NaN when the seed loop did not run at this dim
+    double speedup_vs_seed; ///< NaN unless the seed loop ran on the same set and D
+};
+
+/// One (set, D) pair the determinism gate checked: fit_parallel on
+/// `threads` threads against the sequential fit, class accumulator by
+/// accumulator.
+struct train_gate {
+    std::size_t images;
+    std::size_t dim;
+    std::size_t threads;
+    bool identical;
 };
 
 /// The seed-era sequential training loop over the first `n` dataset
@@ -673,22 +685,31 @@ std::size_t fit_seed(const core::uhd_encoder& enc, const data::dataset& ds,
 
 void write_train_json(std::FILE* f, const data::image_shape& shape, std::size_t dim,
                       unsigned quant_levels, std::size_t images, std::size_t classes,
-                      bool deterministic, const std::vector<train_entry>& entries) {
+                      bool deterministic, const std::vector<train_gate>& gates,
+                      const std::vector<train_entry>& entries) {
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"bench\": \"train\",\n");
-    std::fprintf(f, "  \"schema_version\": 4,\n");
+    std::fprintf(f, "  \"schema_version\": 5,\n");
     std::fprintf(f,
                  "  \"workload\": {\"rows\": %zu, \"cols\": %zu, \"dim\": %zu, "
                  "\"quant_levels\": %u, \"images\": %zu, \"classes\": %zu},\n",
                  shape.rows, shape.cols, dim, quant_levels, images, classes);
     write_backend_json(f);
-    std::fprintf(f, "  \"determinism\": {\"parallel_matches_sequential\": %s},\n",
+    std::fprintf(f, "  \"determinism\": {\"parallel_matches_sequential\": %s, \"sets\": [",
                  deterministic ? "true" : "false");
+    for (std::size_t i = 0; i < gates.size(); ++i) {
+        std::fprintf(f, "{\"images\": %zu, \"dim\": %zu, \"threads\": %zu, \"identical\": %s}%s",
+                     gates[i].images, gates[i].dim, gates[i].threads,
+                     gates[i].identical ? "true" : "false", i + 1 < gates.size() ? ", " : "");
+    }
+    std::fprintf(f, "]},\n");
     std::fprintf(f, "  \"entries\": [\n");
     for (std::size_t i = 0; i < entries.size(); ++i) {
         const auto& e = entries[i];
-        std::fprintf(f, "    {\"name\": \"%s\", \"dim\": %zu, \"threads\": %zu, ",
-                     e.name.c_str(), e.dim, e.threads);
+        std::fprintf(f,
+                     "    {\"name\": \"%s\", \"dim\": %zu, \"images\": %zu, "
+                     "\"threads\": %zu, ",
+                     e.name.c_str(), e.dim, e.images, e.threads);
         write_timing(f, "seconds", e.seconds);
         std::fprintf(f, ", \"images_per_s\": %.1f, \"speedup_vs_seed\": ", e.images_per_s);
         if (std::isnan(e.speedup_vs_seed)) {
@@ -707,13 +728,20 @@ void write_train_json(std::FILE* f, const data::image_shape& shape, std::size_t 
     // loop (pinned-scalar encode + bundle); the engine entries are the
     // current sequential fit (word-parallel encode) and the mini-batch
     // parallel fit at several pool sizes. One more parallel fit runs the
-    // same digits at D=8192, where the bank (3 MiB) is past L2 and the
-    // batch path reads it once per 32 images instead of once per image.
+    // same digits at D=8192, where the bank (3 MiB) is past L2. These
+    // small-set fits stay on the trainer's per-image lanes (below its
+    // histogram size rule). Two more 3-thread fits run perfbench's
+    // training sets, which take the histogram path: 30,000 digits at
+    // D=1024 and 2,000 at D=8192. UHD_BENCH_TRAIN_IMAGES sizes the small
+    // set (default 128); when set, it also caps the large ones.
     const std::size_t dim = 1024;
     const std::size_t wide_dim = 8192;
-    const auto images_n = std::max<std::size_t>(
-        1, static_cast<std::size_t>(env_int("UHD_BENCH_TRAIN_IMAGES", 128)));
+    const auto knob = static_cast<std::size_t>(env_int("UHD_BENCH_TRAIN_IMAGES", 0));
+    const std::size_t images_n = knob == 0 ? 128 : knob;
+    const auto large = [&](std::size_t n) { return knob == 0 ? n : std::min(n, knob); };
     const data::dataset ds = data::make_synthetic_digits(images_n, 7); // 28x28
+    const data::dataset raw_query_set = data::make_synthetic_digits(large(30000), 8);
+    const data::dataset online_learn_set = data::make_synthetic_digits(large(2000), 9);
     core::uhd_config cfg;
     cfg.dim = dim;
     const core::uhd_encoder enc(cfg, ds.shape());
@@ -722,75 +750,93 @@ void write_train_json(std::FILE* f, const data::image_shape& shape, std::size_t 
     const core::uhd_encoder wide_enc(wide_cfg, ds.shape());
     using classifier = hdc::hd_classifier<core::uhd_encoder>;
 
-    // Determinism gate before any timing, at both D: the parallel engine
-    // must be bit-identical to the sequential fit, or its speedup means
-    // nothing.
-    const auto parallel_matches_sequential = [&](const core::uhd_encoder& encoder) {
-        classifier clf_seq(encoder, ds.num_classes(), hdc::train_mode::raw_sums);
-        clf_seq.fit(ds);
-        thread_pool pool(3);
-        classifier clf_par(encoder, ds.num_classes(), hdc::train_mode::raw_sums);
-        clf_par.fit_parallel(ds, &pool);
+    // Determinism gate before any timing, for every (set, D) pair timed:
+    // the parallel engine must be bit-identical to the sequential fit, or
+    // its speedup means nothing. The 128-image sets are gated on 4 threads
+    // (the widest row timed on them), perfbench's sets on the 3 their rows
+    // run on.
+    std::vector<train_gate> gates;
+    const auto gate = [&](const core::uhd_encoder& encoder, const data::dataset& set,
+                          std::size_t threads) {
+        classifier clf_seq(encoder, set.num_classes(), hdc::train_mode::raw_sums);
+        clf_seq.fit(set);
+        thread_pool pool(threads - 1);
+        classifier clf_par(encoder, set.num_classes(), hdc::train_mode::raw_sums);
+        clf_par.fit_parallel(set, &pool);
+        bool identical = true;
         for (std::size_t c = 0; c < clf_seq.classes(); ++c) {
             const auto a = clf_seq.class_accumulator(c).values();
             const auto b = clf_par.class_accumulator(c).values();
-            if (!std::equal(a.begin(), a.end(), b.begin())) return false;
+            identical = identical && std::equal(a.begin(), a.end(), b.begin());
         }
-        return true;
+        gates.push_back({set.size(), encoder.dim(), threads, identical});
     };
-    const bool deterministic =
-        parallel_matches_sequential(enc) && parallel_matches_sequential(wide_enc);
+    gate(enc, ds, 4);
+    gate(wide_enc, ds, 4);
+    gate(enc, raw_query_set, 3);
+    gate(wide_enc, online_learn_set, 3);
+    bool deterministic = true;
+    for (const train_gate& g : gates) deterministic = deterministic && g.identical;
 
     std::vector<train_entry> entries;
     const auto record = [&](const std::string& name, std::size_t entry_dim,
-                            std::size_t threads, const bench::timing& seconds) {
+                            std::size_t images, std::size_t threads,
+                            const bench::timing& seconds) {
         train_entry e;
         e.name = name;
         e.dim = entry_dim;
+        e.images = images;
         e.threads = threads;
         e.seconds = seconds;
-        e.images_per_s = static_cast<double>(images_n) / seconds.median;
+        e.images_per_s = static_cast<double>(images) / seconds.median;
         e.speedup_vs_seed = entries.empty() ? 1.0
-                            : entry_dim == dim
+                            : entry_dim == dim && images == images_n
                                 ? entries.front().seconds.median / seconds.median
                                 : std::nan("");
         entries.push_back(e);
-        std::printf("%-28s D=%-5zu %8.1f img/s  %5.2fx\n", name.c_str(), entry_dim,
-                    e.images_per_s, e.speedup_vs_seed);
+        std::printf("%-28s D=%-5zu %6zu images %10.1f img/s  %5.2fx\n", name.c_str(),
+                    entry_dim, images, e.images_per_s, e.speedup_vs_seed);
     };
 
     std::printf("\n== train throughput: 28x28, D=%zu, %zu classes, %zu images ==\n",
                 dim, ds.num_classes(), images_n);
-    std::printf("parallel-fit vs sequential fit: %s\n",
-                deterministic ? "bit-identical" : "MISMATCH!");
+    for (const train_gate& g : gates) {
+        std::printf("parallel-fit (%zu threads) vs sequential fit, %zu images at D=%zu: %s\n",
+                    g.threads, g.images, g.dim, g.identical ? "bit-identical" : "MISMATCH!");
+    }
 
-    record("fit_seed_sequential", dim, 1,
+    record("fit_seed_sequential", dim, images_n, 1,
            bench::time_median([&] { bench::keep(fit_seed(enc, ds, images_n)); }));
     // A fit adds into the class accumulators, so every sample of one
     // classifier does the same work.
     {
         classifier clf(enc, ds.num_classes(), hdc::train_mode::raw_sums);
-        record("fit_sequential", dim, 1, bench::time_median([&] { clf.fit(ds); }));
+        record("fit_sequential", dim, images_n, 1, bench::time_median([&] { clf.fit(ds); }));
     }
     {
         classifier clf(enc, ds.num_classes(), hdc::train_mode::raw_sums);
-        record("fit_parallel_1t", dim, 1,
+        record("fit_parallel_1t", dim, images_n, 1,
                bench::time_median([&] { clf.fit_parallel(ds, nullptr); }));
     }
     double best_parallel_speedup = 0.0;
     for (const std::size_t threads : {2u, 4u}) {
         thread_pool pool(threads - 1);
         classifier clf(enc, ds.num_classes(), hdc::train_mode::raw_sums);
-        record("fit_parallel_" + std::to_string(threads) + "t", dim, threads,
+        record("fit_parallel_" + std::to_string(threads) + "t", dim, images_n, threads,
                bench::time_median([&] { clf.fit_parallel(ds, &pool); }));
         best_parallel_speedup =
             std::max(best_parallel_speedup, entries.back().speedup_vs_seed);
     }
     {
         thread_pool pool(2);
-        classifier clf(wide_enc, ds.num_classes(), hdc::train_mode::raw_sums);
-        record("fit_parallel_3t", wide_dim, 3,
-               bench::time_median([&] { clf.fit_parallel(ds, &pool); }));
+        const auto fit_3t = [&](const core::uhd_encoder& encoder, const data::dataset& set) {
+            classifier clf(encoder, set.num_classes(), hdc::train_mode::raw_sums);
+            record("fit_parallel_3t", encoder.dim(), set.size(), 3,
+                   bench::time_median([&] { clf.fit_parallel(set, &pool); }));
+        };
+        fit_3t(wide_enc, ds);
+        fit_3t(enc, raw_query_set);
+        fit_3t(wide_enc, online_learn_set);
     }
 
     const bool speedup_ok = best_parallel_speedup >= 4.0;
@@ -801,7 +847,7 @@ void write_train_json(std::FILE* f, const data::image_shape& shape, std::size_t 
     const bool written = write_json_file(
         env_string("UHD_BENCH_TRAIN_JSON", "BENCH_train.json"), [&](std::FILE* f) {
             write_train_json(f, ds.shape(), dim, cfg.quant_levels, images_n,
-                             ds.num_classes(), deterministic, entries);
+                             ds.num_classes(), deterministic, gates, entries);
         });
     return deterministic && speedup_ok && written ? 0 : 1;
 }

@@ -39,7 +39,9 @@
 // Marker for reference kernels that must stay byte-at-a-time scalar code:
 // they are the oracle the word-parallel kernels are measured against, so
 // letting the compiler auto-vectorize them would silently turn the
-// baseline into another SIMD implementation.
+// baseline into another SIMD implementation. The trainer's threshold
+// lookups (hdc/trainer.cpp) use it too, for speed: vectorized without a
+// gather instruction, their table lookups ran 1.7-3x slower.
 #if defined(__clang__)
 #define UHD_SCALAR_REFERENCE __attribute__((noinline))
 #define UHD_NOVECTOR_LOOP _Pragma("clang loop vectorize(disable) interleave(disable)")

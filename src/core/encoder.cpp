@@ -214,40 +214,53 @@ struct listed_image {
 
 } // namespace
 
-std::int32_t uhd_encoder::doubled_threshold(std::span<const std::uint8_t> image) const {
-    UHD_REQUIRE(image.size() == shape_.pixels(), "image size mismatch");
-    if (config_.policy == binarize_policy::half_inputs) {
-        return static_cast<std::int32_t>(image.size()); // 2 * (H/2)
-    }
-    // mean_intensity: read the reach counts from the per-pixel CDF tables.
+template <typename OnPixel>
+std::int32_t uhd_encoder::quantize_pass(std::span<const std::uint8_t> image,
+                                        OnPixel&& on_pixel) const noexcept {
     const unsigned xi = config_.quant_levels;
     std::int64_t reach_sum = 0;
     for (std::size_t p = 0; p < image.size(); ++p) {
         const std::uint8_t q = quantize_intensity(image[p]);
         reach_sum += cdf_counts_[p * xi + q];
+        on_pixel(p, q);
+    }
+    if (config_.policy == binarize_policy::half_inputs) {
+        return static_cast<std::int32_t>(image.size()); // 2 * (H/2)
     }
     return mean_threshold(reach_sum, config_.dim);
+}
+
+std::int32_t uhd_encoder::doubled_threshold(std::span<const std::uint8_t> image) const {
+    UHD_REQUIRE(image.size() == shape_.pixels(), "image size mismatch");
+    return quantize_pass(image, [](std::size_t, std::uint8_t) {});
+}
+
+std::int32_t uhd_encoder::add_level_counts(std::span<const std::uint8_t> image,
+                                           std::span<std::uint32_t> counts) const {
+    const std::size_t npix = shape_.pixels();
+    UHD_REQUIRE(image.size() == npix, "image size mismatch");
+    UHD_REQUIRE(counts.size() == config_.quant_levels * npix,
+                "level histogram size mismatch");
+    // Level-major: an image's pixels are mostly at a few levels, so
+    // neighbouring pixels at one level bump neighbouring counts.
+    std::uint32_t* const table = counts.data();
+    return quantize_pass(image, [table, npix](std::size_t p, std::uint8_t q) {
+        ++table[q * npix + p];
+    });
 }
 
 std::int32_t uhd_encoder::quantize_image(std::span<const std::uint8_t> image,
                                          kernels::active_pixel* active,
                                          std::size_t& n_active) const noexcept {
-    const unsigned xi = config_.quant_levels;
-    std::int64_t reach_sum = 0;
     std::size_t n = 0;
-    for (std::size_t p = 0; p < image.size(); ++p) {
-        const std::uint8_t q = quantize_intensity(image[p]);
-        reach_sum += cdf_counts_[p * xi + q];
+    const std::int32_t tau2 = quantize_pass(image, [active, &n](std::size_t p, std::uint8_t q) {
         // Branch-free append: the slot is always written, and kept only
         // when the pixel is active (a level-0 entry is overwritten next).
         active[n] = {static_cast<std::uint32_t>(p), q - 1u};
         n += q != 0;
-    }
+    });
     n_active = n;
-    if (config_.policy == binarize_policy::half_inputs) {
-        return static_cast<std::int32_t>(image.size());
-    }
-    return mean_threshold(reach_sum, config_.dim);
+    return tau2;
 }
 
 void uhd_encoder::count_stored(std::span<const std::uint8_t> images, std::size_t count,

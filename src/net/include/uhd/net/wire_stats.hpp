@@ -1,7 +1,9 @@
 // Wire front-end counters: relaxed atomics bumped by the reactor loops
 // (and, for wake_writes, by engine workers), snapshotted into a plain
 // struct. Same consistency contract as serve_stats: individually
-// consistent, possibly torn across fields mid-flight.
+// consistent, possibly torn across fields mid-flight — except the
+// connection pair, which is always consistent: connections_active is
+// accepted - closed, with closes read first (see wire_counters::load).
 //
 // Sharding: with N reactors the server keeps one wire_counters per
 // reactor, and wire_server::stats() sums the shards on read
@@ -78,10 +80,12 @@ class alignas(64) wire_counters {
 public:
     void record_accept() noexcept {
         accepted_.fetch_add(1, std::memory_order_relaxed);
-        active_.fetch_add(1, std::memory_order_relaxed);
     }
+    /// Count one close of a connection this shard accepted. Release pairs
+    /// with load()'s acquire: a reader that sees this close also sees the
+    /// accept before it.
     void record_close() noexcept {
-        active_.fetch_sub(1, std::memory_order_relaxed);
+        closed_.fetch_add(1, std::memory_order_release);
     }
     void record_frame_in() noexcept {
         frames_in_.fetch_add(1, std::memory_order_relaxed);
@@ -116,10 +120,15 @@ public:
         slots_in_use_.store(in_use, std::memory_order_relaxed);
     }
 
+    /// connections_active is accepted - closed. Closes are read first
+    /// (acquire), so every close counted has its accept counted too: active
+    /// never wraps below zero, and accepted == n with active == 0 means all
+    /// n connections have closed.
     [[nodiscard]] wire_stats load() const noexcept {
         wire_stats out;
+        const std::uint64_t closed = closed_.load(std::memory_order_acquire);
         out.connections_accepted = accepted_.load(std::memory_order_relaxed);
-        out.connections_active = active_.load(std::memory_order_relaxed);
+        out.connections_active = out.connections_accepted - closed;
         out.frames_in = frames_in_.load(std::memory_order_relaxed);
         out.frames_out = frames_out_.load(std::memory_order_relaxed);
         out.bytes_in = bytes_in_.load(std::memory_order_relaxed);
@@ -135,7 +144,7 @@ public:
 
 private:
     std::atomic<std::uint64_t> accepted_{0};
-    std::atomic<std::uint64_t> active_{0};
+    std::atomic<std::uint64_t> closed_{0}; // monotonic: active = accepted - closed
     std::atomic<std::uint64_t> frames_in_{0};
     std::atomic<std::uint64_t> frames_out_{0};
     std::atomic<std::uint64_t> bytes_in_{0};

@@ -9,11 +9,15 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "uhd/common/error.hpp"
+#include "uhd/common/rng.hpp"
+#include "uhd/common/thread_pool.hpp"
 #include "uhd/core/model.hpp"
 #include "uhd/data/synthetic.hpp"
 
@@ -278,6 +282,135 @@ TEST(Model, TruncatedFileClaimingAHugeAccumulatorFailsWithoutAllocatingIt) {
     std::stringstream truncated(bytes);
     const address_space_limit_guard limit(rlim_t{1} << 30);
     EXPECT_THROW((void)uhd_model::load(truncated), uhd::error);
+}
+
+/// Save `model` to a string.
+std::string saved_bytes(const uhd_model& model) {
+    std::stringstream buffer;
+    model.save(buffer);
+    return buffer.str();
+}
+
+/// Load `bytes`: a uhd::error is a clean rejection; a model must save and
+/// reload to the same bytes. Any other exception fails the test.
+/// Returns the loaded model's bytes, if it loaded.
+std::optional<std::string> load_or_reject(const std::string& bytes, const std::string& what) {
+    std::stringstream stream(bytes);
+    std::optional<uhd_model> model;
+    try {
+        model.emplace(uhd_model::load(stream));
+    } catch (const uhd::error&) {
+        return std::nullopt;
+    }
+    const std::string once = saved_bytes(*model);
+    std::stringstream again(once);
+    EXPECT_EQ(saved_bytes(uhd_model::load(again)), once) << what;
+    return once;
+}
+
+TEST(Model, LoadSurvivesADeterministicMutationFuzz) {
+    // Small models in both train modes and both bank modes, mutated from a
+    // fixed seed: single-byte flips across the 72-byte header and the first
+    // accumulator (its count and D = 64 values), three random masks per
+    // byte, truncation at every length through the header and at 32 random
+    // longer lengths, and 1-64 appended random bytes.
+    //
+    // Bytes 1 and 2 of the rows and cols fields get explicit masks instead.
+    // load builds the encoder for whatever geometry the header names (up to
+    // 2^30 pixels, so valid models of large images load), and a random mask
+    // there names a valid geometry of up to about 8 million pixels: up to
+    // seconds and hundreds of MiB per load. Mask 0x01 in byte 1 names 264
+    // rows (or cols), which load and must round-trip (about 10 ms each);
+    // masks 0x10 and 0x80 in byte 2 push the field past its 2^20 bound,
+    // which load rejects before any allocation. A checksum over the file
+    // would let load reject every such flip cheaply.
+    const data::image_shape shape{8, 8, 1};
+    data::dataset train(shape, 3);
+    xoshiro256ss rng(20261019);
+    std::vector<std::uint8_t> image(shape.pixels());
+    for (std::size_t i = 0; i < 12; ++i) {
+        for (std::uint8_t& v : image) v = static_cast<std::uint8_t>(rng.next_below(256));
+        train.add(image, i % 3);
+    }
+    constexpr std::size_t header_bytes = 72;
+    constexpr std::size_t rows_field = 28; // u64 rows, then u64 cols
+    constexpr std::size_t cols_field = 36;
+    for (const auto mode : {hdc::train_mode::raw_sums, hdc::train_mode::binarized_images}) {
+        for (const auto bank : {bank_mode::stored, bank_mode::rematerialize}) {
+            uhd_config cfg;
+            cfg.dim = 64;
+            cfg.bank = bank;
+            uhd_model model(cfg, shape, 3, mode, hdc::query_mode::binarized);
+            model.fit(train);
+            const std::string original = saved_bytes(model);
+            const std::size_t first_accumulator_end = header_bytes + 8 + 64 * 4;
+            ASSERT_GT(original.size(), first_accumulator_end);
+            const std::string where = std::string(mode == hdc::train_mode::raw_sums
+                                                      ? "raw_sums"
+                                                      : "binarized_images") +
+                                      (bank == bank_mode::stored ? ", stored" : ", remat");
+            for (std::size_t at = 0; at < first_accumulator_end; ++at) {
+                // Byte k of the rows or cols field, 0 outside them.
+                const std::size_t field_byte =
+                    at >= rows_field && at < cols_field + 8 ? (at - rows_field) % 8 : 0;
+                const bool geometry = field_byte == 1 || field_byte == 2;
+                std::vector<unsigned> masks;
+                if (geometry) {
+                    masks = field_byte == 1 ? std::vector<unsigned>{0x01}
+                                            : std::vector<unsigned>{0x10, 0x80};
+                } else {
+                    for (int flip = 0; flip < 3; ++flip) masks.push_back(1 + rng.next_below(255));
+                }
+                for (const unsigned mask : masks) {
+                    std::string bytes = original;
+                    bytes[at] = static_cast<char>(static_cast<unsigned char>(bytes[at]) ^ mask);
+                    const std::string what =
+                        where + ", byte " + std::to_string(at) + " ^ " + std::to_string(mask);
+                    const bool loaded = load_or_reject(bytes, what).has_value();
+                    if (geometry) {
+                        EXPECT_EQ(loaded, field_byte == 1) << what;
+                    }
+                }
+            }
+            std::vector<std::size_t> cuts;
+            for (std::size_t cut = 0; cut <= header_bytes; ++cut) cuts.push_back(cut);
+            for (int i = 0; i < 32; ++i) {
+                const std::size_t longer = original.size() - header_bytes - 1;
+                cuts.push_back(header_bytes + 1 + rng.next_below(longer));
+            }
+            for (const std::size_t cut : cuts) {
+                EXPECT_FALSE(load_or_reject(original.substr(0, cut),
+                                            where + ", cut at " + std::to_string(cut)))
+                    << where << ": a file cut at " << cut << " loaded";
+            }
+            for (const std::size_t extra : {1u, 7u, 64u}) {
+                std::string bytes = original;
+                for (std::size_t i = 0; i < extra; ++i) {
+                    bytes.push_back(static_cast<char>(rng.next_below(256)));
+                }
+                EXPECT_EQ(load_or_reject(bytes, where + ", appended " + std::to_string(extra)),
+                          original);
+            }
+        }
+    }
+}
+
+TEST(Model, SavedAfterFitParallelIsByteIdenticalToFit) {
+    // 1,000 digits over 10 classes take fit_parallel's histogram path
+    // (hdc/trainer.hpp): the saved model must be fit()'s, byte for byte.
+    const auto train = data::make_synthetic_digits(1000, 36);
+    thread_pool pool(2);
+    for (const auto bank : {bank_mode::stored, bank_mode::rematerialize}) {
+        uhd_config cfg;
+        cfg.dim = bank == bank_mode::stored ? 1024 : 256;
+        cfg.bank = bank;
+        uhd_model sequential(cfg, train.shape(), 10);
+        sequential.fit(train);
+        uhd_model parallel(cfg, train.shape(), 10);
+        parallel.fit_parallel(train, &pool);
+        EXPECT_EQ(saved_bytes(sequential), saved_bytes(parallel))
+            << (bank == bank_mode::stored ? "stored" : "rematerialize");
+    }
 }
 
 TEST(Model, PartialFitMatchesBatchFitForRawSums) {

@@ -32,6 +32,7 @@
 #include "uhd/net/socket.hpp"
 #include "uhd/net/wire_client.hpp"
 #include "uhd/net/wire_server.hpp"
+#include "uhd/net/wire_stats.hpp"
 #include "uhd/serve/inference_engine.hpp"
 
 namespace {
@@ -370,6 +371,46 @@ TEST(WireReactors, StopRacingInflightTrafficShutsDownCleanly) {
         fx.server.reset();
         fx.engine.reset();
     }
+}
+
+TEST(WireReactors, ConnectionCountersNeverShowAnOpenConnectionAsClosed) {
+    // One thread plays a reactor: accept a connection, announce that it
+    // is closing, close it; another reads the counters throughout. Every
+    // close the counters report must be one the writer began, so
+    // accepted - active never runs ahead of the announced closes, and
+    // active never wraps below zero. A tear that reads a new accept with
+    // an old active count reports an open connection as closed.
+    wire_counters counters;
+    std::atomic<std::uint64_t> closing{0};
+    std::atomic<bool> done{false};
+    constexpr std::uint64_t connections = 200000;
+    std::thread reactor([&] {
+        for (std::uint64_t k = 1; k <= connections; ++k) {
+            counters.record_accept();
+            closing.store(k, std::memory_order_relaxed);
+            counters.record_close();
+        }
+        done.store(true, std::memory_order_release);
+    });
+    std::uint64_t reads = 0;
+    std::uint64_t torn = 0;
+    std::uint64_t last_accepted = 0;
+    while (!done.load(std::memory_order_acquire) || reads == 0) {
+        const wire_stats stats = counters.load();
+        const std::uint64_t announced = closing.load(std::memory_order_relaxed);
+        ++reads;
+        if (stats.connections_active > stats.connections_accepted ||
+            stats.connections_accepted - stats.connections_active > announced ||
+            stats.connections_accepted < last_accepted) {
+            ++torn;
+        }
+        last_accepted = stats.connections_accepted;
+    }
+    reactor.join();
+    const wire_stats final_stats = counters.load();
+    EXPECT_EQ(final_stats.connections_accepted, connections);
+    EXPECT_EQ(final_stats.connections_active, 0u);
+    EXPECT_EQ(torn, 0u) << "of " << reads << " reads";
 }
 
 TEST(WireReactors, ReactorCountResolvesFromEnvAndValidates) {
