@@ -9,14 +9,6 @@ bitstream::bitstream(std::size_t length, bool fill)
     mask_tail();
 }
 
-bitstream bitstream::from_bools(const std::vector<bool>& bits) {
-    bitstream out(bits.size());
-    for (std::size_t i = 0; i < bits.size(); ++i) {
-        if (bits[i]) out.words_[i / word_bits] |= std::uint64_t{1} << (i % word_bits);
-    }
-    return out;
-}
-
 bitstream bitstream::from_string(std::string_view text) {
     bitstream out(text.size());
     for (std::size_t i = 0; i < text.size(); ++i) {
@@ -46,11 +38,6 @@ std::size_t bitstream::popcount() const noexcept {
     std::size_t ones = 0;
     for (const std::uint64_t w : words_) ones += static_cast<std::size_t>(popcount64(w));
     return ones;
-}
-
-double bitstream::value() const {
-    UHD_REQUIRE(size_ > 0, "value() of empty bitstream");
-    return static_cast<double>(popcount()) / static_cast<double>(size_);
 }
 
 bool bitstream::all() const noexcept { return popcount() == size_; }
@@ -112,16 +99,6 @@ std::size_t hamming_distance(const bitstream& a, const bitstream& b) {
     for (std::size_t w = 0; w < wa.size(); ++w)
         distance += static_cast<std::size_t>(popcount64(wa[w] ^ wb[w]));
     return distance;
-}
-
-std::size_t overlap_count(const bitstream& a, const bitstream& b) {
-    UHD_REQUIRE(a.size() == b.size(), "bitstream length mismatch");
-    std::size_t overlap = 0;
-    const auto wa = a.words();
-    const auto wb = b.words();
-    for (std::size_t w = 0; w < wa.size(); ++w)
-        overlap += static_cast<std::size_t>(popcount64(wa[w] & wb[w]));
-    return overlap;
 }
 
 } // namespace uhd::bs

@@ -28,9 +28,6 @@ public:
     /// Stream of `length` bits, all set to `fill`.
     explicit bitstream(std::size_t length, bool fill = false);
 
-    /// Build from a vector of bools (index 0 = first bit).
-    [[nodiscard]] static bitstream from_bools(const std::vector<bool>& bits);
-
     /// Build from a string of '0'/'1' characters; throws on other characters.
     [[nodiscard]] static bitstream from_string(std::string_view text);
 
@@ -48,10 +45,6 @@ public:
 
     /// Number of logic-1s in the stream.
     [[nodiscard]] std::size_t popcount() const noexcept;
-
-    /// Stochastic-computing value interpretation: popcount / size in [0, 1].
-    /// Throws for empty streams.
-    [[nodiscard]] double value() const;
 
     /// True when every bit is 1 (vacuously true for empty streams).
     [[nodiscard]] bool all() const noexcept;
@@ -115,9 +108,6 @@ private:
 /// Number of positions where `a` and `b` differ (Hamming distance).
 /// Throws when lengths differ.
 [[nodiscard]] std::size_t hamming_distance(const bitstream& a, const bitstream& b);
-
-/// Number of positions where both streams are 1 (overlap count).
-[[nodiscard]] std::size_t overlap_count(const bitstream& a, const bitstream& b);
 
 } // namespace uhd::bs
 

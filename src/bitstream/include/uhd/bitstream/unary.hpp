@@ -42,27 +42,12 @@ enum class unary_alignment {
 [[nodiscard]] bool is_unary(const bitstream& stream,
                             unary_alignment align = unary_alignment::ones_trailing);
 
-/// Minimum of two equally-aligned unary streams: bit-wise AND.
-[[nodiscard]] bitstream unary_min(const bitstream& a, const bitstream& b);
-
-/// Maximum of two equally-aligned unary streams: bit-wise OR.
-[[nodiscard]] bitstream unary_max(const bitstream& a, const bitstream& b);
-
 /// The paper's Fig. 4 comparator: true iff value(a) >= value(b).
 ///
 /// Gate-for-gate faithful to the proposed circuit (AND for the minimum, OR
 /// against the inverted second operand, N-input AND reduction); both inputs
 /// must be thermometer streams with the same length and alignment.
 [[nodiscard]] bool unary_compare_geq(const bitstream& a, const bitstream& b);
-
-/// Saturating unary addition: value(out) = min(value(a)+value(b), N).
-/// Computed in the unary domain (no binary conversion).
-[[nodiscard]] bitstream unary_saturating_add(const bitstream& a, const bitstream& b,
-                                             unary_alignment align = unary_alignment::ones_trailing);
-
-/// Absolute difference |value(a) - value(b)| computed as XOR of equally
-/// aligned thermometer streams (which is itself a contiguous run of 1s).
-[[nodiscard]] std::size_t unary_abs_diff(const bitstream& a, const bitstream& b);
 
 } // namespace uhd::bs
 

@@ -2,12 +2,12 @@
 //
 // Thermometer codes are runs of 1s at one end of the stream, so every
 // operation here reduces to whole-word arithmetic on the packed storage:
-// encode is a word fill plus one boundary mask, min/max are word-wise
-// AND/OR, and the Fig. 4 comparator folds its three gate stages into one
-// pass of word loads with no temporary streams. Each rewrite is bit- and
-// result-identical to the original bit-at-a-time formulation
-// (tests/test_unary.cpp keeps per-bit reference implementations and checks
-// equivalence over randomized values, lengths, and alignments).
+// encode is a word fill plus one boundary mask, and the Fig. 4 comparator
+// folds its three gate stages into one pass of word loads with no
+// temporary streams. Each rewrite is bit- and result-identical to the
+// original bit-at-a-time formulation (tests/test_unary.cpp keeps per-bit
+// reference implementations and checks equivalence over randomized values,
+// lengths, and alignments).
 #include "uhd/bitstream/unary.hpp"
 
 #include "uhd/common/bits.hpp"
@@ -49,27 +49,6 @@ std::size_t unary_decode(const bitstream& stream, unary_alignment align) {
     return stream.popcount();
 }
 
-bitstream unary_min(const bitstream& a, const bitstream& b) {
-    UHD_REQUIRE(a.size() == b.size(), "unary min inputs must have equal length");
-    // Equally aligned thermometer codes are maximally correlated, so the
-    // word-wise AND of the packed storage is the smaller value's code.
-    bitstream out = a;
-    const auto out_words = out.mutable_words();
-    const auto b_words = b.words();
-    for (std::size_t w = 0; w < out_words.size(); ++w) out_words[w] &= b_words[w];
-    return out;
-}
-
-bitstream unary_max(const bitstream& a, const bitstream& b) {
-    UHD_REQUIRE(a.size() == b.size(), "unary max inputs must have equal length");
-    // Dual of unary_min: word-wise OR yields the larger value's code.
-    bitstream out = a;
-    const auto out_words = out.mutable_words();
-    const auto b_words = b.words();
-    for (std::size_t w = 0; w < out_words.size(); ++w) out_words[w] |= b_words[w];
-    return out;
-}
-
 bool unary_compare_geq(const bitstream& a, const bitstream& b) {
     UHD_REQUIRE(a.size() == b.size(), "unary comparator inputs must have equal length");
     // Fig. 4: minimum via AND, then OR with the inverted second operand,
@@ -84,21 +63,6 @@ bool unary_compare_geq(const bitstream& a, const bitstream& b) {
         if ((b_words[w] & ~a_words[w]) != 0) return false;
     }
     return true;
-}
-
-bitstream unary_saturating_add(const bitstream& a, const bitstream& b, unary_alignment align) {
-    UHD_REQUIRE(a.size() == b.size(), "unary add inputs must have equal length");
-    const std::size_t va = unary_decode(a, align);
-    const std::size_t vb = unary_decode(b, align);
-    const std::size_t n = a.size();
-    const std::size_t sum = va + vb > n ? n : va + vb;
-    return unary_encode(sum, n, align);
-}
-
-std::size_t unary_abs_diff(const bitstream& a, const bitstream& b) {
-    UHD_REQUIRE(a.size() == b.size(), "unary diff inputs must have equal length");
-    // Equally aligned thermometer codes differ exactly on |va - vb| positions.
-    return (a ^ b).popcount();
 }
 
 } // namespace uhd::bs

@@ -31,16 +31,6 @@ std::int64_t env_int(const std::string& name, std::int64_t fallback) {
     }
 }
 
-double env_double(const std::string& name, double fallback) {
-    const auto raw = getenv_str(name);
-    if (!raw || raw->empty()) return fallback;
-    try {
-        return std::stod(*raw);
-    } catch (const std::exception&) {
-        return fallback;
-    }
-}
-
 std::string env_string(const std::string& name, const std::string& fallback) {
     const auto raw = getenv_str(name);
     return raw ? *raw : fallback;

@@ -15,9 +15,6 @@ namespace uhd {
 /// unparseable; throws uhd::error when set to a negative value.
 [[nodiscard]] std::int64_t env_int(const std::string& name, std::int64_t fallback);
 
-/// Floating-point environment override.
-[[nodiscard]] double env_double(const std::string& name, double fallback);
-
 /// String environment override.
 [[nodiscard]] std::string env_string(const std::string& name, const std::string& fallback);
 

@@ -1,5 +1,5 @@
-// Minimal binary serialization helpers (little-endian, versioned headers)
-// used for model save/load and dataset caching.
+// Minimal binary serialization helpers (little-endian, versioned headers,
+// CRC32C) used for model save/load.
 #ifndef UHD_COMMON_IO_HPP
 #define UHD_COMMON_IO_HPP
 
@@ -22,13 +22,17 @@ std::uint32_t read_header(std::istream& is, std::uint32_t magic, std::uint32_t m
 
 void write_u32(std::ostream& os, std::uint32_t v);
 void write_u64(std::ostream& os, std::uint64_t v);
-void write_i64(std::ostream& os, std::int64_t v);
 void write_f64(std::ostream& os, double v);
 
 std::uint32_t read_u32(std::istream& is);
 std::uint64_t read_u64(std::istream& is);
-std::int64_t read_i64(std::istream& is);
 double read_f64(std::istream& is);
+
+/// CRC32C (Castagnoli) of `n` bytes, continued from `crc`, the CRC of the
+/// bytes before them (0 for none): crc32c(crc32c(0, a), b) is the CRC of
+/// a followed by b.
+[[nodiscard]] std::uint32_t crc32c(std::uint32_t crc, const void* data,
+                                   std::size_t n) noexcept;
 
 /// Write a span of trivially-copyable elements (length-prefixed), straight
 /// from the caller's storage — no intermediate copy.

@@ -119,7 +119,8 @@ public:
     /// backend).
     [[nodiscard]] hdc::inference_snapshot snapshot() const;
 
-    /// Serialize to a binary stream (magic 'uHDm', versioned).
+    /// Serialize to a binary stream (magic 'uHDm', versioned, ending in a
+    /// CRC32C of every byte before it).
     void save(std::ostream& os) const;
 
     /// Save to a file path; throws on I/O failure. The model is written to
@@ -127,7 +128,9 @@ public:
     /// save leaves the previous file intact.
     void save_file(const std::string& path) const;
 
-    /// Deserialize a model previously written by save().
+    /// Deserialize a model previously written by save(). Throws uhd::error
+    /// on a corrupt stream, before building the encoder when a v3 file's
+    /// CRC32C does not match.
     [[nodiscard]] static uhd_model load(std::istream& is);
 
     /// Load from a file path; throws on I/O failure.

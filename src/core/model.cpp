@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <streambuf>
 #include <string>
 #include <utility>
 
@@ -20,8 +21,10 @@ constexpr std::uint32_t model_magic = 0x6d444875u; // "uHDm" little-endian
 // v2 appends the bank-mode word (seed-only serialization: the threshold
 // state is always regenerated from sobol_seed, never written to the file,
 // so the on-disk format is O(classes * D) in both modes). v1 files — the
-// stored-bank era — load as bank_mode::stored.
-constexpr std::uint32_t model_version = 2;
+// stored-bank era — load as bank_mode::stored. v3 appends a CRC32C of every
+// byte from the magic through the last accumulator, so a flipped byte cannot
+// load as another valid model; v1 and v2 files carry no trailer.
+constexpr std::uint32_t model_version = 3;
 
 // Geometry bounds shared by construction and load: every model the library
 // can build passes them (so save/load round-trips by construction), and a
@@ -59,6 +62,47 @@ void sync_path(const std::string& path, int flags) {
     const bool closed = ::close(fd) == 0;
     UHD_REQUIRE(synced && closed, "cannot sync: " + path);
 }
+
+// The io helpers move bytes only through ostream::write and istream::read,
+// which call sputn and sgetn. So these two buffers forward just those, and
+// fold every byte that passes into a CRC32C; a single-character put or get
+// would see a failed stream, never a wrong checksum.
+
+/// Passes writes through to `sink` and folds each byte written into a CRC32C.
+class crc_writer final : public std::streambuf {
+public:
+    explicit crc_writer(std::streambuf* sink) : sink_(sink) {}
+    [[nodiscard]] std::uint32_t crc() const noexcept { return crc_; }
+
+protected:
+    std::streamsize xsputn(const char* s, std::streamsize n) override {
+        const std::streamsize put = sink_->sputn(s, n);
+        crc_ = io::crc32c(crc_, s, static_cast<std::size_t>(put));
+        return put;
+    }
+
+private:
+    std::streambuf* sink_;
+    std::uint32_t crc_ = 0;
+};
+
+/// Passes reads through from `source` and folds each byte read into a CRC32C.
+class crc_reader final : public std::streambuf {
+public:
+    explicit crc_reader(std::streambuf* source) : source_(source) {}
+    [[nodiscard]] std::uint32_t crc() const noexcept { return crc_; }
+
+protected:
+    std::streamsize xsgetn(char* s, std::streamsize n) override {
+        const std::streamsize got = source_->sgetn(s, n);
+        crc_ = io::crc32c(crc_, s, static_cast<std::size_t>(got));
+        return got;
+    }
+
+private:
+    std::streambuf* source_;
+    std::uint32_t crc_ = 0;
+};
 
 /// A mode word: 1 selects the named alternative, 0 the default. Any other
 /// value is a corrupt or future file, which must not load as some other
@@ -163,21 +207,24 @@ hdc::dynamic_query_policy uhd_model::calibrate_dynamic(const data::dataset& hold
 }
 
 void uhd_model::save(std::ostream& os) const {
-    io::write_header(os, model_magic, model_version);
+    crc_writer body(os.rdbuf());
+    std::ostream out(&body);
+    io::write_header(out, model_magic, model_version);
     const uhd_config& cfg = encoder_.config();
-    io::write_u64(os, cfg.dim);
-    io::write_u32(os, cfg.quant_levels);
-    io::write_u64(os, cfg.sobol_seed);
-    io::write_u64(os, encoder_.shape().rows);
-    io::write_u64(os, encoder_.shape().cols);
-    io::write_u64(os, encoder_.shape().channels);
-    io::write_u64(os, classifier_.classes());
-    io::write_u32(os, classifier_.mode() == hdc::train_mode::raw_sums ? 1u : 0u);
-    io::write_u32(os, classifier_.inference() == hdc::query_mode::integer ? 1u : 0u);
-    io::write_u32(os, cfg.bank == bank_mode::rematerialize ? 1u : 0u);
+    io::write_u64(out, cfg.dim);
+    io::write_u32(out, cfg.quant_levels);
+    io::write_u64(out, cfg.sobol_seed);
+    io::write_u64(out, encoder_.shape().rows);
+    io::write_u64(out, encoder_.shape().cols);
+    io::write_u64(out, encoder_.shape().channels);
+    io::write_u64(out, classifier_.classes());
+    io::write_u32(out, classifier_.mode() == hdc::train_mode::raw_sums ? 1u : 0u);
+    io::write_u32(out, classifier_.inference() == hdc::query_mode::integer ? 1u : 0u);
+    io::write_u32(out, cfg.bank == bank_mode::rematerialize ? 1u : 0u);
     for (std::size_t c = 0; c < classifier_.classes(); ++c) {
-        io::write_pod_span(os, classifier_.class_accumulator(c).values());
+        io::write_pod_span(out, classifier_.class_accumulator(c).values());
     }
+    io::write_u32(out, body.crc());
 }
 
 void uhd_model::save_file(const std::string& path) const {
@@ -208,28 +255,30 @@ void uhd_model::save_file(const std::string& path) const {
 }
 
 uhd_model uhd_model::load(std::istream& is) {
-    const std::uint32_t version = io::read_header(is, model_magic, model_version);
+    crc_reader body(is.rdbuf());
+    std::istream in(&body);
+    const std::uint32_t version = io::read_header(in, model_magic, model_version);
     uhd_config cfg;
-    cfg.dim = static_cast<std::size_t>(io::read_u64(is));
-    cfg.quant_levels = io::read_u32(is);
-    cfg.sobol_seed = io::read_u64(is);
+    cfg.dim = static_cast<std::size_t>(io::read_u64(in));
+    cfg.quant_levels = io::read_u32(in);
+    cfg.sobol_seed = io::read_u64(in);
     data::image_shape shape;
-    shape.rows = static_cast<std::size_t>(io::read_u64(is));
-    shape.cols = static_cast<std::size_t>(io::read_u64(is));
-    shape.channels = static_cast<std::size_t>(io::read_u64(is));
-    const std::size_t classes = static_cast<std::size_t>(io::read_u64(is));
+    shape.rows = static_cast<std::size_t>(io::read_u64(in));
+    shape.cols = static_cast<std::size_t>(io::read_u64(in));
+    shape.channels = static_cast<std::size_t>(io::read_u64(in));
+    const std::size_t classes = static_cast<std::size_t>(io::read_u64(in));
     // Same bounds the constructor enforces: a corrupt stream must fail
     // cleanly here rather than drive a multi-gigabyte bank/accumulator
     // allocation below.
     validate_geometry(cfg, shape, classes);
-    const hdc::train_mode mode = read_mode_flag(is, "train_mode")
+    const hdc::train_mode mode = read_mode_flag(in, "train_mode")
                                      ? hdc::train_mode::raw_sums
                                      : hdc::train_mode::binarized_images;
-    const hdc::query_mode inference = read_mode_flag(is, "query_mode")
+    const hdc::query_mode inference = read_mode_flag(in, "query_mode")
                                           ? hdc::query_mode::integer
                                           : hdc::query_mode::binarized;
     if (version >= 2) {
-        cfg.bank = read_mode_flag(is, "bank_mode") ? bank_mode::rematerialize
+        cfg.bank = read_mode_flag(in, "bank_mode") ? bank_mode::rematerialize
                                                    : bank_mode::stored;
     }
     // Every accumulator is read and checked before the model and its
@@ -237,11 +286,17 @@ uhd_model uhd_model::load(std::istream& is) {
     std::vector<hdc::accumulator> accumulators;
     accumulators.reserve(classes);
     for (std::size_t c = 0; c < classes; ++c) {
-        const auto values = io::read_pod_vector<std::int32_t>(is, cfg.dim);
+        const auto values = io::read_pod_vector<std::int32_t>(in, cfg.dim);
         UHD_REQUIRE(values.size() == cfg.dim, "model file accumulator size mismatch");
         hdc::accumulator acc(cfg.dim);
         for (std::size_t d = 0; d < values.size(); ++d) acc.values()[d] = values[d];
         accumulators.push_back(std::move(acc));
+    }
+    // The trailer is checked before the encoder is built: a flipped header
+    // byte that still names a valid geometry costs only the read.
+    if (version >= 3) {
+        const std::uint32_t crc = body.crc();
+        UHD_REQUIRE(io::read_u32(in) == crc, "model file checksum mismatch");
     }
     uhd_model model(cfg, shape, classes, mode, inference);
     model.classifier_.load_state(std::move(accumulators));

@@ -28,20 +28,6 @@ void accumulator::add_sign_words(std::span<const std::uint64_t> words) {
     }
 }
 
-void accumulator::subtract(const hypervector& v) {
-    UHD_REQUIRE(v.dim() == dim(), "hypervector dimension mismatch");
-    const auto words = v.bits().words();
-    for (std::size_t w = 0; w < words.size(); ++w) {
-        std::uint64_t bits = words[w];
-        const std::size_t base = w * 64;
-        const std::size_t lanes = std::min<std::size_t>(64, dim() - base);
-        for (std::size_t j = 0; j < lanes; ++j) {
-            values_[base + j] -= 1 - 2 * static_cast<std::int32_t>(bits & 1u);
-            bits >>= 1;
-        }
-    }
-}
-
 void accumulator::add(const accumulator& other) {
     UHD_REQUIRE(other.dim() == dim(), "accumulator dimension mismatch");
     for (std::size_t i = 0; i < values_.size(); ++i) values_[i] += other.values_[i];
@@ -67,13 +53,6 @@ hypervector accumulator::sign() const {
         if (values_[i] < 0) bits.set_bit(i, true); // bit 1 = -1
     }
     return hypervector(std::move(bits));
-}
-
-hypervector majority(std::span<const hypervector> inputs) {
-    UHD_REQUIRE(!inputs.empty(), "majority of empty set");
-    accumulator acc(inputs.front().dim());
-    for (const auto& v : inputs) acc.add(v);
-    return acc.sign();
 }
 
 } // namespace uhd::hdc

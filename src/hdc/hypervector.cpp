@@ -19,19 +19,4 @@ std::int64_t hypervector::dot(const hypervector& other) const {
     return static_cast<std::int64_t>(dim()) - 2 * mismatches;
 }
 
-hypervector bind(const hypervector& a, const hypervector& b) {
-    return hypervector(a.bits() ^ b.bits());
-}
-
-hypervector permute(const hypervector& v, std::size_t shift) {
-    const std::size_t d = v.dim();
-    UHD_REQUIRE(d > 0, "permute of empty hypervector");
-    shift %= d;
-    bs::bitstream out(d);
-    for (std::size_t i = 0; i < d; ++i) {
-        out.set_bit((i + shift) % d, v.bits().bit(i));
-    }
-    return hypervector(std::move(out));
-}
-
 } // namespace uhd::hdc

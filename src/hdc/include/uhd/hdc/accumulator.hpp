@@ -42,9 +42,6 @@ public:
     /// allocation-free bundling path of the training engine.
     void add_sign_words(std::span<const std::uint64_t> words);
 
-    /// Subtract a packed hypervector element-wise.
-    void subtract(const hypervector& v);
-
     /// Add another accumulator element-wise.
     void add(const accumulator& other);
 
@@ -69,10 +66,6 @@ public:
 private:
     std::vector<std::int32_t> values_;
 };
-
-/// Majority (bundling + sign) of an odd or even set of hypervectors;
-/// even-count ties resolve to +1.
-[[nodiscard]] hypervector majority(std::span<const hypervector> inputs);
 
 } // namespace uhd::hdc
 

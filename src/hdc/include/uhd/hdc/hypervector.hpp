@@ -67,12 +67,6 @@ private:
     bs::bitstream bits_;
 };
 
-/// Binding (element-wise bipolar multiplication): bit-wise XOR.
-[[nodiscard]] hypervector bind(const hypervector& a, const hypervector& b);
-
-/// Cyclic permutation by `shift` positions (HDC's sequence-encoding op).
-[[nodiscard]] hypervector permute(const hypervector& v, std::size_t shift);
-
 } // namespace uhd::hdc
 
 #endif // UHD_HDC_HYPERVECTOR_HPP

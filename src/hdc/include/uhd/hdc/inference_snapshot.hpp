@@ -78,10 +78,6 @@ public:
     /// Integer row of class `c` (empty span in binarized mode).
     [[nodiscard]] std::span<const std::int32_t> class_values(std::size_t c) const;
 
-    /// Cached squared norm of class `c`'s integer row (0.0 in binarized
-    /// mode — never read there).
-    [[nodiscard]] double class_norm_sq(std::size_t c) const;
-
     // --- writer API -------------------------------------------------------
     //
     // For the single trainer building the next version; published copies

@@ -22,9 +22,6 @@ namespace uhd::hdc {
 /// Cosine similarity of a binarized query against an integer class vector.
 [[nodiscard]] double cosine(const hypervector& query, std::span<const std::int32_t> cls);
 
-/// Normalized Hamming similarity in [0, 1]: 1 - distance / D.
-[[nodiscard]] double hamming_similarity(const hypervector& a, const hypervector& b);
-
 } // namespace uhd::hdc
 
 #endif // UHD_HDC_SIMILARITY_HPP

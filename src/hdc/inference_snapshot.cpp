@@ -22,11 +22,6 @@ std::span<const std::int32_t> inference_snapshot::class_values(std::size_t c) co
     return {values_.data() + c * dim(), dim()};
 }
 
-double inference_snapshot::class_norm_sq(std::size_t c) const {
-    UHD_REQUIRE(c < classes(), "class index out of range");
-    return mode_ == query_mode::integer ? norm_sq_[c] : 0.0;
-}
-
 void inference_snapshot::store_class_row(std::size_t c,
                                          std::span<const std::int32_t> values) {
     mem_.store_signs(c, values); // bounds/dim checked by class_memory

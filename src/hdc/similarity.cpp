@@ -52,10 +52,4 @@ double cosine(const hypervector& query, std::span<const std::int32_t> cls) {
             std::sqrt(static_cast<double>(query.dim())));
 }
 
-double hamming_similarity(const hypervector& a, const hypervector& b) {
-    UHD_REQUIRE(a.dim() == b.dim() && a.dim() > 0, "hypervector dimension mismatch");
-    const double distance = static_cast<double>(bs::hamming_distance(a.bits(), b.bits()));
-    return 1.0 - distance / static_cast<double>(a.dim());
-}
-
 } // namespace uhd::hdc

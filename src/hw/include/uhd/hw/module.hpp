@@ -62,11 +62,6 @@ struct hw_module {
                                           double activity_scale = 1.0) const {
         return cells.full_toggle_energy_fj(library) * activity * activity_scale;
     }
-
-    /// Area x delay product in um^2 * s.
-    [[nodiscard]] double area_delay_um2s(const cell_library& library) const {
-        return area_um2(library) * delay_ps(library) * 1e-12;
-    }
 };
 
 /// Memory macro model (BRAM block or register-file bank, Fig. 3(a)).
@@ -87,9 +82,6 @@ struct memory_model {
     [[nodiscard]] double area_um2() const { return area_um2_per_bit * static_cast<double>(bits); }
     [[nodiscard]] double read_energy_fj(std::size_t bits_read) const {
         return read_energy_fj_per_bit * static_cast<double>(bits_read);
-    }
-    [[nodiscard]] double write_energy_fj(std::size_t bits_written) const {
-        return write_energy_fj_per_bit * static_cast<double>(bits_written);
     }
 };
 

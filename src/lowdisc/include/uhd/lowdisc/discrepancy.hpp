@@ -5,6 +5,9 @@
 // sequence elements below x converges to x at rate O(log n / n) for LD
 // sequences versus O(1/sqrt(n)) for pseudo-random ones, which directly
 // bounds the level-hypervector encoding error.
+//
+// uhd-lint: test-reference — test_sobol and test_discrepancy measure the
+// uniformity of the Sobol, Halton and LFSR generators with it.
 #ifndef UHD_LOWDISC_DISCREPANCY_HPP
 #define UHD_LOWDISC_DISCREPANCY_HPP
 

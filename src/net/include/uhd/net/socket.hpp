@@ -54,9 +54,6 @@ private:
 /// uhd::error on failure.
 [[nodiscard]] socket_fd connect_tcp(const std::string& host, std::uint16_t port);
 
-/// Flip O_NONBLOCK on. Throws uhd::error on failure.
-void set_nonblocking(int fd);
-
 /// Disable Nagle (small request/response frames; latency over batching).
 void set_tcp_nodelay(int fd);
 

@@ -39,9 +39,6 @@ public:
     /// EOF, timeout, or a header that is not a sane uHD frame.
     [[nodiscard]] wire_frame read_frame();
 
-    /// True once the peer has closed (detected by a read returning EOF).
-    [[nodiscard]] bool peer_closed() const noexcept { return peer_closed_; }
-
     // -- one-shot helpers (send one request, read its reply) ------------
 
     /// predict / predict_dynamic with a pre-encoded query. Throws
@@ -68,7 +65,6 @@ private:
 
     socket_fd sock_;
     std::uint32_t next_request_id_ = 1;
-    bool peer_closed_ = false;
 };
 
 } // namespace uhd::net

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -65,14 +64,6 @@ socket_fd connect_tcp(const std::string& host, std::uint16_t port) {
     }
     set_tcp_nodelay(sock.get());
     return sock;
-}
-
-void set_nonblocking(int fd) {
-    const int flags = ::fcntl(fd, F_GETFL, 0);
-    if (flags < 0) throw_errno("fcntl(F_GETFL)");
-    if (::fcntl(fd, F_SETFL, flags | O_NONBLOCK) != 0) {
-        throw_errno("fcntl(F_SETFL, O_NONBLOCK)");
-    }
 }
 
 void set_tcp_nodelay(int fd) {

@@ -40,14 +40,11 @@ void wire_client::send_bytes(std::span<const std::uint8_t> bytes) {
 
 namespace {
 
-void recv_exact(int fd, std::uint8_t* out, std::size_t len, bool& peer_closed) {
+void recv_exact(int fd, std::uint8_t* out, std::size_t len) {
     std::size_t got = 0;
     while (got < len) {
         const ssize_t n = ::recv(fd, out + got, len - got, 0);
-        if (n == 0) {
-            peer_closed = true;
-            throw uhd::error("connection closed by server mid-frame");
-        }
+        if (n == 0) throw uhd::error("connection closed by server mid-frame");
         if (n < 0) {
             if (errno == EINTR) continue;
             throw uhd::error(std::string("recv() failed: ") +
@@ -61,7 +58,7 @@ void recv_exact(int fd, std::uint8_t* out, std::size_t len, bool& peer_closed) {
 
 wire_frame wire_client::read_frame() {
     std::uint8_t raw[wire_header_size];
-    recv_exact(sock_.get(), raw, sizeof(raw), peer_closed_);
+    recv_exact(sock_.get(), raw, sizeof(raw));
     wire_frame frame;
     frame.header = decode_header(raw);
     UHD_REQUIRE(frame.header.magic == wire_magic,
@@ -71,8 +68,7 @@ wire_frame wire_client::read_frame() {
                 "reply frame payload implausibly large");
     frame.payload.resize(frame.header.payload_len);
     if (!frame.payload.empty()) {
-        recv_exact(sock_.get(), frame.payload.data(), frame.payload.size(),
-                   peer_closed_);
+        recv_exact(sock_.get(), frame.payload.data(), frame.payload.size());
     }
     return frame;
 }

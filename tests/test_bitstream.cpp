@@ -55,17 +55,6 @@ TEST(Bitstream, FromStringRejectsGarbage) {
     EXPECT_THROW((void)bitstream::from_string("01x"), uhd::error);
 }
 
-TEST(Bitstream, FromBools) {
-    const bitstream s = bitstream::from_bools({true, false, true});
-    EXPECT_EQ(s.to_string(), "101");
-}
-
-TEST(Bitstream, ValueInterpretation) {
-    const bitstream s = bitstream::from_string("1100");
-    EXPECT_DOUBLE_EQ(s.value(), 0.5);
-    EXPECT_THROW((void)bitstream().value(), uhd::error);
-}
-
 TEST(Bitstream, LogicOps) {
     const bitstream a = bitstream::from_string("1100");
     const bitstream b = bitstream::from_string("1010");
@@ -105,12 +94,6 @@ TEST(Bitstream, HammingDistance) {
     const bitstream b = bitstream::from_string("101010");
     EXPECT_EQ(hamming_distance(a, b), 2u);
     EXPECT_EQ(hamming_distance(a, a), 0u);
-}
-
-TEST(Bitstream, OverlapCount) {
-    const bitstream a = bitstream::from_string("1101");
-    const bitstream b = bitstream::from_string("1011");
-    EXPECT_EQ(overlap_count(a, b), 2u);
 }
 
 TEST(Bitstream, EqualityIsValueBased) {

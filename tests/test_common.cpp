@@ -239,6 +239,22 @@ TEST(Io, TruncatedReadThrows) {
     EXPECT_THROW((void)io::read_u64(ss), uhd::error);
 }
 
+TEST(Io, Crc32cMatchesTheCheckValueAndChains) {
+    // The CRC32C check value (RFC 3720, appendix B.4): "123456789".
+    const std::string check = "123456789";
+    EXPECT_EQ(io::crc32c(0, check.data(), check.size()), 0xE3069283u);
+    EXPECT_EQ(io::crc32c(0, nullptr, 0), 0u);
+    // Any split continues to the same CRC: the 8-byte steps and the byte
+    // tail agree.
+    std::string text;
+    for (int i = 0; i < 100; ++i) text.push_back(static_cast<char>(i * 37 + 11));
+    const std::uint32_t whole = io::crc32c(0, text.data(), text.size());
+    for (std::size_t cut = 0; cut <= text.size(); ++cut) {
+        const std::uint32_t head = io::crc32c(0, text.data(), cut);
+        EXPECT_EQ(io::crc32c(head, text.data() + cut, text.size() - cut), whole) << cut;
+    }
+}
+
 TEST(Stopwatch, TimeAdvances) {
     stopwatch sw;
     volatile double sink = 0.0;

@@ -1,4 +1,4 @@
-// Tests for hypervectors, binding/permutation, accumulators, and similarity.
+// Tests for hypervectors, accumulators, and similarity.
 #include <gtest/gtest.h>
 
 #include "uhd/common/error.hpp"
@@ -54,41 +54,6 @@ TEST(Hypervector, DotDimensionMismatchThrows) {
     EXPECT_THROW((void)hypervector(8).dot(hypervector(9)), uhd::error);
 }
 
-TEST(Bind, IsBipolarMultiplication) {
-    uhd::xoshiro256ss rng(7);
-    const hypervector a = hypervector::random(256, rng);
-    const hypervector b = hypervector::random(256, rng);
-    const hypervector bound = bind(a, b);
-    for (std::size_t i = 0; i < 256; ++i) {
-        EXPECT_EQ(bound.element(i), a.element(i) * b.element(i));
-    }
-}
-
-TEST(Bind, SelfBindingIsIdentityVector) {
-    uhd::xoshiro256ss rng(8);
-    const hypervector a = hypervector::random(128, rng);
-    EXPECT_EQ(bind(a, a).count_positive(), 128u);
-}
-
-TEST(Bind, BoundVectorIsOrthogonalToInputs) {
-    uhd::xoshiro256ss rng(9);
-    const hypervector a = hypervector::random(4096, rng);
-    const hypervector b = hypervector::random(4096, rng);
-    const hypervector bound = bind(a, b);
-    EXPECT_LT(std::abs(bound.dot(a)), 320);
-    EXPECT_LT(std::abs(bound.dot(b)), 320);
-}
-
-TEST(Permute, RotationPreservesCountsAndIsInvertible) {
-    uhd::xoshiro256ss rng(10);
-    const hypervector a = hypervector::random(100, rng);
-    const hypervector rotated = permute(a, 17);
-    EXPECT_EQ(rotated.count_negative(), a.count_negative());
-    EXPECT_EQ(permute(rotated, 100 - 17), a);
-    EXPECT_EQ(permute(a, 0), a);
-    EXPECT_EQ(permute(a, 100), a);
-}
-
 TEST(Accumulator, AddAndSign) {
     accumulator acc(4);
     hypervector v(4);
@@ -112,15 +77,6 @@ TEST(Accumulator, SignTiesGoPositive) {
     EXPECT_EQ(acc.sign().element(0), +1); // zero accumulator -> +1
 }
 
-TEST(Accumulator, SubtractUndoesAdd) {
-    uhd::xoshiro256ss rng(11);
-    const hypervector v = hypervector::random(64, rng);
-    accumulator acc(64);
-    acc.add(v);
-    acc.subtract(v);
-    for (std::size_t i = 0; i < 64; ++i) EXPECT_EQ(acc.value(i), 0);
-}
-
 TEST(Accumulator, AddValuesAndClear) {
     accumulator acc(3);
     const std::vector<std::int32_t> raw = {5, -2, 0};
@@ -138,20 +94,6 @@ TEST(Accumulator, DimensionMismatchThrows) {
     accumulator acc(8);
     EXPECT_THROW(acc.add(hypervector(9)), uhd::error);
     EXPECT_THROW((void)acc.value(8), uhd::error);
-}
-
-TEST(Majority, OddSetFollowsElementwiseMajority) {
-    hypervector a(4);
-    hypervector b(4);
-    hypervector c(4);
-    a.set_element(0, -1);
-    b.set_element(0, -1);
-    c.set_element(1, -1);
-    const std::vector<hypervector> inputs = {a, b, c};
-    const hypervector m = majority(inputs);
-    EXPECT_EQ(m.element(0), -1);
-    EXPECT_EQ(m.element(1), +1);
-    EXPECT_THROW((void)majority(std::vector<hypervector>{}), uhd::error);
 }
 
 TEST(Similarity, CosineOfBinarizedVectors) {
@@ -179,15 +121,6 @@ TEST(Similarity, MixedQueryClassCosine) {
     EXPECT_NEAR(cosine(q, cls), 1.0, 1e-12);
     q.set_element(0, -1);
     EXPECT_LT(cosine(q, cls), 1.0);
-}
-
-TEST(Similarity, HammingSimilarity) {
-    uhd::xoshiro256ss rng(13);
-    const hypervector a = hypervector::random(512, rng);
-    EXPECT_DOUBLE_EQ(hamming_similarity(a, a), 1.0);
-    EXPECT_DOUBLE_EQ(hamming_similarity(a, -a), 0.0);
-    const hypervector b = hypervector::random(512, rng);
-    EXPECT_NEAR(hamming_similarity(a, b), 0.5, 0.1);
 }
 
 } // namespace

@@ -315,15 +315,10 @@ TEST(Model, LoadSurvivesADeterministicMutationFuzz) {
     // byte, truncation at every length through the header and at 32 random
     // longer lengths, and 1-64 appended random bytes.
     //
-    // Bytes 1 and 2 of the rows and cols fields get explicit masks instead.
-    // load builds the encoder for whatever geometry the header names (up to
-    // 2^30 pixels, so valid models of large images load), and a random mask
-    // there names a valid geometry of up to about 8 million pixels: up to
-    // seconds and hundreds of MiB per load. Mask 0x01 in byte 1 names 264
-    // rows (or cols), which load and must round-trip (about 10 ms each);
-    // masks 0x10 and 0x80 in byte 2 push the field past its 2^20 bound,
-    // which load rejects before any allocation. A checksum over the file
-    // would let load reject every such flip cheaply.
+    // Random masks reach bytes 1 and 2 of the rows and cols fields too. A
+    // flip there can name a valid geometry of up to about 8 million pixels,
+    // whose encoder takes seconds and hundreds of MiB to build; load
+    // rejects it at the CRC32C trailer, before building anything.
     const data::image_shape shape{8, 8, 1};
     data::dataset train(shape, 3);
     xoshiro256ss rng(20261019);
@@ -333,8 +328,6 @@ TEST(Model, LoadSurvivesADeterministicMutationFuzz) {
         train.add(image, i % 3);
     }
     constexpr std::size_t header_bytes = 72;
-    constexpr std::size_t rows_field = 28; // u64 rows, then u64 cols
-    constexpr std::size_t cols_field = 36;
     for (const auto mode : {hdc::train_mode::raw_sums, hdc::train_mode::binarized_images}) {
         for (const auto bank : {bank_mode::stored, bank_mode::rematerialize}) {
             uhd_config cfg;
@@ -350,26 +343,12 @@ TEST(Model, LoadSurvivesADeterministicMutationFuzz) {
                                                       : "binarized_images") +
                                       (bank == bank_mode::stored ? ", stored" : ", remat");
             for (std::size_t at = 0; at < first_accumulator_end; ++at) {
-                // Byte k of the rows or cols field, 0 outside them.
-                const std::size_t field_byte =
-                    at >= rows_field && at < cols_field + 8 ? (at - rows_field) % 8 : 0;
-                const bool geometry = field_byte == 1 || field_byte == 2;
-                std::vector<unsigned> masks;
-                if (geometry) {
-                    masks = field_byte == 1 ? std::vector<unsigned>{0x01}
-                                            : std::vector<unsigned>{0x10, 0x80};
-                } else {
-                    for (int flip = 0; flip < 3; ++flip) masks.push_back(1 + rng.next_below(255));
-                }
-                for (const unsigned mask : masks) {
+                for (int flip = 0; flip < 3; ++flip) {
+                    const auto mask = static_cast<unsigned>(1 + rng.next_below(255));
                     std::string bytes = original;
                     bytes[at] = static_cast<char>(static_cast<unsigned char>(bytes[at]) ^ mask);
-                    const std::string what =
-                        where + ", byte " + std::to_string(at) + " ^ " + std::to_string(mask);
-                    const bool loaded = load_or_reject(bytes, what).has_value();
-                    if (geometry) {
-                        EXPECT_EQ(loaded, field_byte == 1) << what;
-                    }
+                    (void)load_or_reject(bytes, where + ", byte " + std::to_string(at) +
+                                                    " ^ " + std::to_string(mask));
                 }
             }
             std::vector<std::size_t> cuts;
@@ -392,6 +371,87 @@ TEST(Model, LoadSurvivesADeterministicMutationFuzz) {
                           original);
             }
         }
+    }
+}
+
+TEST(Model, EverySingleByteFlipOfAV3FileIsRejected) {
+    // A v3 file ends in a CRC32C of every byte before it, and a CRC32C
+    // catches any change confined to 32 consecutive bits, so no flip of one
+    // byte loads a model. Every offset is flipped: with all 255 masks in
+    // the header, whose fields load parses before it reaches the trailer,
+    // and in the trailer; with the 8 one-bit masks and 0xFF in the
+    // accumulator rows (a rejected load costs about 12 us here).
+    //
+    // The version word is the exception. Flipping one of its two low bits
+    // names version 2 or 1. A v2 parse reads the same fields and ignores
+    // the trailer, so it loads the same model. A v1 parse expects no bank
+    // word, reads the first accumulator's count 4 bytes early, and rejects
+    // the file.
+    const data::image_shape shape{2, 2, 1};
+    data::dataset train(shape, 2);
+    xoshiro256ss rng(20261020);
+    std::vector<std::uint8_t> image(shape.pixels());
+    for (std::size_t i = 0; i < 4; ++i) {
+        for (std::uint8_t& v : image) v = static_cast<std::uint8_t>(rng.next_below(256));
+        train.add(image, i % 2);
+    }
+    uhd_config cfg;
+    cfg.dim = 64;
+    uhd_model model(cfg, shape, 2);
+    model.fit(train);
+    const std::string original = saved_bytes(model);
+    constexpr std::size_t header_bytes = 72;
+    EXPECT_EQ(original.size(), header_bytes + 2 * (8 + 64 * 4) + 4); // rows, trailer
+
+    constexpr std::size_t version_byte = 4;
+    const auto flipped = [&](std::size_t at, unsigned mask) {
+        std::string bytes = original;
+        bytes[at] = static_cast<char>(static_cast<unsigned char>(bytes[at]) ^ mask);
+        return bytes;
+    };
+    const std::vector<unsigned> row_masks = {0x01, 0x02, 0x04, 0x08, 0x10,
+                                             0x20, 0x40, 0x80, 0xFF};
+    std::vector<unsigned> all_masks;
+    for (unsigned mask = 1; mask < 256; ++mask) all_masks.push_back(mask);
+    std::stringstream stream;
+    for (std::size_t at = 0; at < original.size(); ++at) {
+        const bool row = at >= header_bytes && at + 4 < original.size();
+        for (const unsigned mask : row ? row_masks : all_masks) {
+            if (at == version_byte && mask == 1) continue; // the v2 parse below
+            stream.clear();
+            stream.str(flipped(at, mask));
+            try {
+                (void)uhd_model::load(stream);
+            } catch (const uhd::error&) {
+                continue;
+            }
+            // Stop at the first: without the trailer, a flip in rows or
+            // cols can go on to build encoders of millions of pixels.
+            FAIL() << "byte " << at << " ^ " << mask << " loaded a model";
+        }
+    }
+
+    std::stringstream as_v1(flipped(version_byte, 2));
+    EXPECT_THROW((void)uhd_model::load(as_v1), uhd::error);
+    std::stringstream as_v2(flipped(version_byte, 1));
+    EXPECT_EQ(saved_bytes(uhd_model::load(as_v2)), original);
+}
+
+TEST(Model, V1AndV2FilesLoadToTheSameModel) {
+    // v2 is v3 without the trailer, and v1 (the stored-bank era) is v2
+    // without the bank word at offset 68. Both load as the model that
+    // saves back to the v3 bytes.
+    const auto train = data::make_synthetic_digits(60, 37);
+    const uhd_model model = uhd_model::train(small_config(), train);
+    const std::string v3 = saved_bytes(model);
+    std::string v2 = v3.substr(0, v3.size() - 4);
+    v2[4] = 2;
+    std::string v1 = v2;
+    v1[4] = 1;
+    v1.erase(68, 4);
+    for (const auto& [bytes, version] : {std::pair{v1, "v1"}, std::pair{v2, "v2"}}) {
+        std::stringstream stream(bytes);
+        EXPECT_EQ(saved_bytes(uhd_model::load(stream)), v3) << version;
     }
 }
 

@@ -3,11 +3,12 @@
 // Each fixture tree under tests/lint_fixtures/ is a miniature project:
 // `clean` passes every rule; the violation trees each seed the violations
 // one rule class must catch (among them a dropped kernel-table backend
-// slot, a kernel slot only a test calls, and an immintrin.h include in a
-// portable header). The assertions pin rule id, file, and line, so a
-// rule that silently stops firing — or fires on the wrong thing — fails
-// here even while the real tree stays green. The real-tree zero-finding
-// gate is the separate `uhd_lint_tree` CTest entry.
+// slot, a kernel slot only a test calls, an immintrin.h include in a
+// portable header, and a public header only a test includes). The
+// assertions pin rule id, file, and line, so a rule that silently stops
+// firing — or fires on the wrong thing — fails here even while the real
+// tree stays green. The real-tree zero-finding gate is the separate
+// `uhd_lint_tree` CTest entry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -67,14 +68,14 @@ TEST(UhdLint, CleanTreePasses) {
     EXPECT_TRUE(findings.empty()) << dump(findings);
 }
 
-TEST(UhdLint, RuleRegistryListsAllFiveClasses) {
+TEST(UhdLint, RuleRegistryListsAllSixClasses) {
     std::vector<std::string> ids;
     for (const uhd_lint::rule& r : uhd_lint::all_rules()) {
         ids.emplace_back(r.id);
     }
     const std::vector<std::string> expected = {
         "isa-hermeticity", "kernel-table-parity", "dispatch-only",
-        "bench-schema-sync", "header-hygiene"};
+        "bench-schema-sync", "header-hygiene", "test-only-header"};
     EXPECT_EQ(ids, expected);
 }
 
@@ -164,6 +165,24 @@ TEST(UhdLint, HeaderHygieneFiresOnMissingGuardAndMissingIncludes) {
     EXPECT_TRUE(has(findings, "header-hygiene", header, 10)) << dump(findings);
     EXPECT_EQ(findings.size(), 3u) << dump(findings);
     EXPECT_TRUE(only_rule(findings, "header-hygiene")) << dump(findings);
+}
+
+TEST(UhdLint, TestOnlyHeaderFiresOnUnreachedHeaderAndStaleMarker) {
+    const std::vector<finding> findings = lint_tree("test_only");
+    // probe.hpp: only its own TU and a test include it, and it carries no
+    // marker. The finding anchors at line 1.
+    EXPECT_TRUE(has(findings, "test-only-header",
+                    "src/core/include/uhd/core/probe.hpp", 1))
+        << dump(findings);
+    // stale.hpp: marked as a test reference, yet thing.hpp includes it.
+    // The finding anchors at the marker.
+    EXPECT_TRUE(has(findings, "test-only-header",
+                    "src/core/include/uhd/core/stale.hpp", 4))
+        << dump(findings);
+    // thing.hpp (an example includes it) and reference.hpp (marked, only a
+    // test includes it) must not fire.
+    EXPECT_EQ(findings.size(), 2u) << dump(findings);
+    EXPECT_TRUE(only_rule(findings, "test-only-header")) << dump(findings);
 }
 
 TEST(UhdLint, RuleFilterRunsOnlySelectedRules) {

@@ -43,21 +43,9 @@ TEST(Unary, DecodeRejectsNonThermometer) {
     EXPECT_THROW((void)unary_decode(bitstream::from_string("0101")), uhd::error);
 }
 
-TEST(Unary, SaturatingAdd) {
-    const bitstream a = unary_encode(3, 8);
-    const bitstream b = unary_encode(4, 8);
-    EXPECT_EQ(unary_decode(unary_saturating_add(a, b)), 7u);
-    const bitstream c = unary_encode(6, 8);
-    EXPECT_EQ(unary_decode(unary_saturating_add(c, c)), 8u); // saturates
-}
-
-TEST(Unary, AbsDiff) {
-    EXPECT_EQ(unary_abs_diff(unary_encode(2, 8), unary_encode(6, 8)), 4u);
-    EXPECT_EQ(unary_abs_diff(unary_encode(5, 8), unary_encode(5, 8)), 0u);
-}
-
 // Exhaustive property tests over all (a, b) pairs for a given stream length:
-// AND is min, OR is max, XOR is |a-b|, comparator is (a >= b).
+// AND is min and OR is max (the algebra the Fig. 4 comparator rests on),
+// and the comparator is (a >= b).
 class UnaryPairs : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(UnaryPairs, AndIsMinimum) {
@@ -66,7 +54,7 @@ TEST_P(UnaryPairs, AndIsMinimum) {
         for (std::size_t b = 0; b <= n; ++b) {
             const bitstream sa = unary_encode(a, n);
             const bitstream sb = unary_encode(b, n);
-            EXPECT_EQ(unary_decode(unary_min(sa, sb)), std::min(a, b));
+            EXPECT_EQ(unary_decode(sa & sb), std::min(a, b));
         }
     }
 }
@@ -77,17 +65,7 @@ TEST_P(UnaryPairs, OrIsMaximum) {
         for (std::size_t b = 0; b <= n; ++b) {
             const bitstream sa = unary_encode(a, n);
             const bitstream sb = unary_encode(b, n);
-            EXPECT_EQ(unary_decode(unary_max(sa, sb)), std::max(a, b));
-        }
-    }
-}
-
-TEST_P(UnaryPairs, XorIsAbsoluteDifference) {
-    const std::size_t n = GetParam();
-    for (std::size_t a = 0; a <= n; ++a) {
-        for (std::size_t b = 0; b <= n; ++b) {
-            EXPECT_EQ(unary_abs_diff(unary_encode(a, n), unary_encode(b, n)),
-                      (a > b) ? a - b : b - a);
+            EXPECT_EQ(unary_decode(sa | sb), std::max(a, b));
         }
     }
 }
@@ -113,7 +91,7 @@ TEST(UnaryComparator, PaperFig4WorkedExample) {
     EXPECT_FALSE(unary_compare_geq(data, sobol));
     EXPECT_TRUE(unary_compare_geq(sobol, data));
     // The intermediate minimum must be the smaller stream.
-    EXPECT_EQ(unary_min(data, sobol), data);
+    EXPECT_EQ(data & sobol, data);
 }
 
 TEST(UnaryComparator, LengthMismatchThrows) {
@@ -155,11 +133,12 @@ TEST(StreamTable, FetchedStreamsCompareLikeValues) {
 
 // --- word-level rewrite vs bit-at-a-time references -----------------------
 //
-// unary_encode / unary_min / unary_max / unary_compare_geq run word-level
-// on the packed storage. These references restate the original per-bit
-// formulations; the production ops must match them bit-for-bit on lengths
-// that straddle 64-bit word boundaries (the cases a single-word test like
-// UnaryPairs can never catch).
+// unary_encode and unary_compare_geq run word-level on the packed storage,
+// and so do bitstream's & and |, the comparator's min and max. These
+// references restate the original per-bit formulations; the production ops
+// must match them bit-for-bit on lengths that straddle 64-bit word
+// boundaries (the cases a single-word test like UnaryPairs can never
+// catch).
 
 bitstream reference_encode(std::size_t value, std::size_t length,
                            unary_alignment align) {
@@ -221,9 +200,9 @@ TEST(UnaryWordLevel, MinMaxCompareMatchPerBitReferencesAcrossWordBoundaries) {
             for (const std::size_t vb : values) {
                 const bitstream a = unary_encode(va, n);
                 const bitstream b = unary_encode(vb, n);
-                ASSERT_EQ(unary_min(a, b), reference_combine(a, b, true))
+                ASSERT_EQ(a & b, reference_combine(a, b, true))
                     << "n=" << n << " a=" << va << " b=" << vb;
-                ASSERT_EQ(unary_max(a, b), reference_combine(a, b, false))
+                ASSERT_EQ(a | b, reference_combine(a, b, false))
                     << "n=" << n << " a=" << va << " b=" << vb;
                 ASSERT_EQ(unary_compare_geq(a, b), reference_compare_geq(a, b))
                     << "n=" << n << " a=" << va << " b=" << vb;
@@ -256,11 +235,6 @@ TEST(UnaryWordLevel, ComparatorMatchesGateReferenceOnNonThermometerInputs) {
                 << "n=" << n << " trial=" << trial;
         }
     }
-}
-
-TEST(UnaryWordLevel, MinMaxLengthMismatchThrows) {
-    EXPECT_THROW((void)unary_min(unary_encode(1, 4), unary_encode(1, 5)), uhd::error);
-    EXPECT_THROW((void)unary_max(unary_encode(1, 4), unary_encode(1, 5)), uhd::error);
 }
 
 } // namespace

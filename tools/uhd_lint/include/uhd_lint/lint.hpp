@@ -26,6 +26,12 @@
 //                        table documented in bench/README.md
 //   header-hygiene     — public headers carry include guards and directly
 //                        include what they use (std symbol map)
+//   test-only-header   — every public header is included by a file outside
+//                        tests/ other than its own TU, unless a comment marks
+//                        it `uhd-lint: test-reference <reason>`; a marked
+//                        header that is included there is a stale marker.
+//                        perfbench/ is not scanned, so a header only it
+//                        included would be flagged (none is today)
 #ifndef UHD_LINT_LINT_HPP
 #define UHD_LINT_LINT_HPP
 

@@ -1,4 +1,4 @@
-// The five project-invariant rules of uhd_lint.
+// The six project-invariant rules of uhd_lint.
 //
 // Each rule is a structural property of the tree that the build system and
 // reviewers used to guard by hand. They all operate on the stripped "code"
@@ -682,7 +682,78 @@ void rule_header_hygiene(const project& p, std::vector<finding>& out) {
     }
 }
 
-constexpr std::array<rule, 5> kRules = {{
+// --- rule: test-only-header -------------------------------------------------
+//
+// A public header src/<m>/include/uhd/<m>/<name>.hpp is reached when a
+// scanned file outside tests/ includes it directly; its own TU,
+// src/<m>/<name>.cpp, does not count. Another header counts, since it is a
+// scanned file too. An unreached header is library code only tests use, so
+// it is a finding unless a comment in it carries the test-reference marker
+// and a reason (a reference the tests compare against). A marked header
+// that is reached is a finding too, so a marker cannot go stale.
+//
+// Limit: perfbench/ is not scanned, so a header that only perfbench
+// includes would be flagged. No header is in that position today.
+
+constexpr std::string_view kTestOnlyHeader = "test-only-header";
+constexpr std::string_view kTestReferenceMarker = "uhd-lint: test-reference";
+
+/// Offset of a test-reference marker that sits in a comment and is followed
+/// by a reason on its line; npos when the header has none.
+[[nodiscard]] std::size_t test_reference_marker(const source_file& f) {
+    for (std::size_t at = f.raw.find(kTestReferenceMarker); at != std::string::npos;
+         at = f.raw.find(kTestReferenceMarker, at + 1)) {
+        if (f.code[at] != ' ') continue;  // not blanked: outside a comment
+        const std::size_t begin = at + kTestReferenceMarker.size();
+        const std::size_t eol = std::min(f.raw.find('\n', begin), f.raw.size());
+        const std::string_view reason(f.raw.data() + begin, eol - begin);
+        if (std::any_of(reason.begin(), reason.end(), [](char c) {
+                return std::isalpha(static_cast<unsigned char>(c)) != 0;
+            })) {
+            return at;
+        }
+    }
+    return std::string::npos;
+}
+
+void rule_test_only_header(const project& p, std::vector<finding>& out) {
+    // Include spelling -> the files outside tests/ that include it directly.
+    std::map<std::string, std::vector<std::string_view>> includers;
+    for (const source_file& f : p.files) {
+        if (f.rel_path.starts_with("tests/") || f.rel_path.ends_with(".md")) continue;
+        for (const std::string& inc : direct_includes(f)) {
+            includers[inc].push_back(f.rel_path);
+        }
+    }
+    static constexpr std::string_view kInclude = "/include/";
+    for (const source_file& f : p.files) {
+        if (!public_header(f.rel_path)) continue;
+        const std::size_t root = f.rel_path.find(kInclude);
+        const std::string spelling = f.rel_path.substr(root + kInclude.size());
+        const std::string name = basename_of(f.rel_path);
+        const std::string own_tu = f.rel_path.substr(0, root) + "/" +
+                                   name.substr(0, name.size() - 4) + ".cpp";
+        const auto it = includers.find(spelling);
+        const bool reached =
+            it != includers.end() &&
+            std::any_of(it->second.begin(), it->second.end(),
+                        [&](std::string_view by) { return by != own_tu; });
+        const std::size_t marker = test_reference_marker(f);
+        if (!reached && marker == std::string::npos) {
+            add(out, kTestOnlyHeader, f, 0,
+                "no file outside tests/ includes this header (its own TU " + own_tu +
+                    " aside): delete the code only tests reach, or mark a test "
+                    "reference with a '" + std::string(kTestReferenceMarker) +
+                    " <reason>' comment");
+        } else if (reached && marker != std::string::npos) {
+            add(out, kTestOnlyHeader, f, marker,
+                "stale '" + std::string(kTestReferenceMarker) +
+                    "' marker: a file outside tests/ includes this header");
+        }
+    }
+}
+
+constexpr std::array<rule, 6> kRules = {{
     {kIsaHermeticity,
      "intrinsics headers and __AVX*/__SSE*/_mm* tokens only in the "
      "designated backend TUs",
@@ -703,6 +774,10 @@ constexpr std::array<rule, 5> kRules = {{
      "public headers carry include guards and directly include the std "
      "headers they use",
      rule_header_hygiene},
+    {kTestOnlyHeader,
+     "every public header is included outside tests/ (its own TU aside) "
+     "unless marked as a test reference, and no marked header is",
+     rule_test_only_header},
 }};
 
 } // namespace
