@@ -794,8 +794,13 @@ void write_train_json(std::FILE* f, const data::image_shape& shape, std::size_t 
                                 ? entries.front().seconds.median / seconds.median
                                 : std::nan("");
         entries.push_back(e);
-        std::printf("%-28s D=%-5zu %6zu images %10.1f img/s  %5.2fx\n", name.c_str(),
-                    entry_dim, images, e.images_per_s, e.speedup_vs_seed);
+        // A row without a seed baseline (NaN, null in the JSON) prints '-'.
+        char speedup[16] = "     -";
+        if (!std::isnan(e.speedup_vs_seed)) {
+            std::snprintf(speedup, sizeof speedup, "%5.2fx", e.speedup_vs_seed);
+        }
+        std::printf("%-28s D=%-5zu %6zu images %10.1f img/s  %s\n", name.c_str(),
+                    entry_dim, images, e.images_per_s, speedup);
     };
 
     std::printf("\n== train throughput: 28x28, D=%zu, %zu classes, %zu images ==\n",

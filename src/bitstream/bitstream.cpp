@@ -9,6 +9,7 @@ bitstream::bitstream(std::size_t length, bool fill)
     mask_tail();
 }
 
+// uhd-lint: test-reference test_unary and test_bitstream write their streams with it
 bitstream bitstream::from_string(std::string_view text) {
     bitstream out(text.size());
     for (std::size_t i = 0; i < text.size(); ++i) {
@@ -19,6 +20,7 @@ bitstream bitstream::from_string(std::string_view text) {
     return out;
 }
 
+// uhd-lint: test-reference test_unary's per-bit min/max reference reads it
 bool bitstream::bit(std::size_t i) const {
     UHD_REQUIRE(i < size_, "bit index out of range");
     return (words_[i / word_bits] >> (i % word_bits)) & 1u;
@@ -40,13 +42,8 @@ std::size_t bitstream::popcount() const noexcept {
     return ones;
 }
 
+// uhd-lint: test-reference test_unary's gate-level Fig. 4 comparator reduces with it
 bool bitstream::all() const noexcept { return popcount() == size_; }
-
-bool bitstream::any() const noexcept {
-    for (const std::uint64_t w : words_)
-        if (w != 0) return true;
-    return false;
-}
 
 void bitstream::mask_tail() noexcept {
     if (words_.empty()) return;
@@ -54,28 +51,26 @@ void bitstream::mask_tail() noexcept {
     if (used != 0) words_.back() &= low_mask(used);
 }
 
+// uhd-lint: test-reference test_bitstream's LengthMismatchThrows reaches it through & and |
 void bitstream::check_same_size(const bitstream& rhs) const {
     UHD_REQUIRE(size_ == rhs.size_, "bitstream length mismatch");
 }
 
+// uhd-lint: test-reference test_unary checks the comparator's minimum (AND) with it
 bitstream& bitstream::operator&=(const bitstream& rhs) {
     check_same_size(rhs);
     for (std::size_t w = 0; w < words_.size(); ++w) words_[w] &= rhs.words_[w];
     return *this;
 }
 
+// uhd-lint: test-reference test_unary checks the comparator's maximum (OR) with it
 bitstream& bitstream::operator|=(const bitstream& rhs) {
     check_same_size(rhs);
     for (std::size_t w = 0; w < words_.size(); ++w) words_[w] |= rhs.words_[w];
     return *this;
 }
 
-bitstream& bitstream::operator^=(const bitstream& rhs) {
-    check_same_size(rhs);
-    for (std::size_t w = 0; w < words_.size(); ++w) words_[w] ^= rhs.words_[w];
-    return *this;
-}
-
+// uhd-lint: test-reference test_unary's gate-level Fig. 4 comparator inverts with it
 bitstream bitstream::operator~() const {
     bitstream out = *this;
     for (auto& w : out.words_) w = ~w;
@@ -83,6 +78,7 @@ bitstream bitstream::operator~() const {
     return out;
 }
 
+// uhd-lint: test-reference test_unary checks unary_encode's streams as text with it
 std::string bitstream::to_string() const {
     std::string text(size_, '0');
     for (std::size_t i = 0; i < size_; ++i) {

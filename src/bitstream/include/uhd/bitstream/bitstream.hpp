@@ -49,12 +49,6 @@ public:
     /// True when every bit is 1 (vacuously true for empty streams).
     [[nodiscard]] bool all() const noexcept;
 
-    /// True when at least one bit is 1.
-    [[nodiscard]] bool any() const noexcept;
-
-    /// True when every bit is 0.
-    [[nodiscard]] bool none() const noexcept { return !any(); }
-
     /// Read-only access to the packed words (tail bits beyond size() are 0).
     [[nodiscard]] std::span<const std::uint64_t> words() const noexcept {
         return {words_.data(), words_.size()};
@@ -72,17 +66,12 @@ public:
     // Element-wise logic; all binary operators require equal lengths.
     bitstream& operator&=(const bitstream& rhs);
     bitstream& operator|=(const bitstream& rhs);
-    bitstream& operator^=(const bitstream& rhs);
     [[nodiscard]] friend bitstream operator&(bitstream lhs, const bitstream& rhs) {
         lhs &= rhs;
         return lhs;
     }
     [[nodiscard]] friend bitstream operator|(bitstream lhs, const bitstream& rhs) {
         lhs |= rhs;
-        return lhs;
-    }
-    [[nodiscard]] friend bitstream operator^(bitstream lhs, const bitstream& rhs) {
-        lhs ^= rhs;
         return lhs;
     }
     /// Bit-wise NOT (tail bits remain 0).

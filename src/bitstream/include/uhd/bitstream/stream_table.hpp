@@ -36,9 +36,6 @@ public:
     /// Fetch stream Uq (the associative-memory lookup); throws when q >= levels.
     [[nodiscard]] const bitstream& fetch(std::size_t q) const;
 
-    /// Reverse lookup: value of a fetched stream (sanity-checked decode).
-    [[nodiscard]] std::size_t value_of(const bitstream& stream) const;
-
     /// Heap footprint of the whole table (Table I memory accounting).
     [[nodiscard]] std::size_t memory_bytes() const noexcept;
 

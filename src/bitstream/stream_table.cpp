@@ -21,11 +21,6 @@ const bitstream& unary_stream_table::fetch(std::size_t q) const {
     return table_[q];
 }
 
-std::size_t unary_stream_table::value_of(const bitstream& stream) const {
-    UHD_REQUIRE(stream.size() == stream_length_, "stream length does not match UST");
-    return unary_decode(stream, align_);
-}
-
 std::size_t unary_stream_table::memory_bytes() const noexcept {
     std::size_t bytes = table_.capacity() * sizeof(bitstream);
     for (const auto& s : table_) bytes += s.memory_bytes();

@@ -32,6 +32,7 @@ bitstream unary_encode(std::size_t value, std::size_t length, unary_alignment al
     return out;
 }
 
+// uhd-lint: test-reference test_unary checks unary_encode's output and the min/max closure with it
 bool is_unary(const bitstream& stream, unary_alignment align) {
     const std::size_t n = stream.size();
     const std::size_t v = stream.popcount();
@@ -44,6 +45,7 @@ bool is_unary(const bitstream& stream, unary_alignment align) {
     return stream.bit(n - v) && (v == n || !stream.bit(n - v - 1));
 }
 
+// uhd-lint: test-reference test_unary reads the comparator algebra's results back with it
 std::size_t unary_decode(const bitstream& stream, unary_alignment align) {
     UHD_REQUIRE(is_unary(stream, align), "stream is not a valid thermometer code");
     return stream.popcount();

@@ -22,11 +22,9 @@ std::uint32_t read_header(std::istream& is, std::uint32_t magic, std::uint32_t m
 
 void write_u32(std::ostream& os, std::uint32_t v);
 void write_u64(std::ostream& os, std::uint64_t v);
-void write_f64(std::ostream& os, double v);
 
 std::uint32_t read_u32(std::istream& is);
 std::uint64_t read_u64(std::istream& is);
-double read_f64(std::istream& is);
 
 /// CRC32C (Castagnoli) of `n` bytes, continued from `crc`, the CRC of the
 /// bytes before them (0 for none): crc32c(crc32c(0, a), b) is the CRC of

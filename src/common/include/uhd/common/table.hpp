@@ -24,9 +24,6 @@ public:
     /// Render with padded columns and box-drawing rules.
     [[nodiscard]] std::string to_string() const;
 
-    /// Number of data rows added so far (rules excluded).
-    [[nodiscard]] std::size_t row_count() const noexcept;
-
 private:
     struct row_entry {
         std::vector<std::string> cells;

@@ -40,7 +40,6 @@ std::uint32_t read_header(std::istream& is, std::uint32_t magic, std::uint32_t m
 
 void write_u32(std::ostream& os, std::uint32_t v) { write_bytes(os, &v, sizeof v); }
 void write_u64(std::ostream& os, std::uint64_t v) { write_bytes(os, &v, sizeof v); }
-void write_f64(std::ostream& os, double v) { write_bytes(os, &v, sizeof v); }
 
 std::uint32_t read_u32(std::istream& is) {
     std::uint32_t v{};
@@ -50,12 +49,6 @@ std::uint32_t read_u32(std::istream& is) {
 
 std::uint64_t read_u64(std::istream& is) {
     std::uint64_t v{};
-    read_bytes(is, &v, sizeof v);
-    return v;
-}
-
-double read_f64(std::istream& is) {
-    double v{};
     read_bytes(is, &v, sizeof v);
     return v;
 }

@@ -126,6 +126,7 @@ const kernel_table& active() {
     return *t;
 }
 
+// uhd-lint: test-reference test_backend_dispatch, test_block_kernels and test_inference_snapshot pin each backend in turn with it
 void force_backend(std::string_view request) {
     const kernel_table& selected = select_backend(request, cpu());
     g_active.store(&selected, std::memory_order_release);

@@ -14,13 +14,6 @@ void text_table::add_row(std::vector<std::string> row) {
 
 void text_table::add_rule() { rows_.push_back({{}, /*is_rule=*/true}); }
 
-std::size_t text_table::row_count() const noexcept {
-    std::size_t n = 0;
-    for (const auto& r : rows_)
-        if (!r.is_rule) ++n;
-    return n;
-}
-
 std::string text_table::to_string() const {
     // Compute column widths across header and all rows.
     std::size_t columns = header_.size();

@@ -3,8 +3,6 @@
 #include <cstdlib>
 #include <exception>
 
-#include "uhd/common/affinity.hpp"
-
 namespace uhd {
 
 thread_pool::thread_pool(std::size_t threads) {
@@ -12,10 +10,6 @@ thread_pool::thread_pool(std::size_t threads) {
         const unsigned hw = std::thread::hardware_concurrency();
         threads = hw == 0 ? 1 : hw;
     }
-    // Resolve UHD_AFFINITY here so an invalid value throws on the
-    // constructing thread; the workers then pin themselves (no-op under
-    // the default `none` mode).
-    (void)resolved_affinity();
     workers_.reserve(threads);
     for (std::size_t i = 0; i < threads; ++i) {
         workers_.emplace_back([this] { worker_loop(); });
@@ -32,7 +26,6 @@ thread_pool::~thread_pool() {
 }
 
 void thread_pool::worker_loop() {
-    pin_this_thread(); // UHD_AFFINITY=auto: distinct core per worker
     for (;;) {
         std::function<void()> task;
         {

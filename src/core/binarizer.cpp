@@ -17,12 +17,6 @@ popcount_binarizer::popcount_binarizer(std::size_t h, std::size_t tob)
     UHD_REQUIRE(tob >= 1 && tob <= h + 1, "threshold out of counter range");
 }
 
-void popcount_binarizer::reset() noexcept {
-    count_ = 0;
-    consumed_ = 0;
-    sign_ = false;
-}
-
 void popcount_binarizer::feed(bool bit) {
     UHD_REQUIRE(consumed_ < h_, "binarizer fed more than H bits");
     ++consumed_;

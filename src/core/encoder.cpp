@@ -452,12 +452,7 @@ void uhd_encoder::encode_batch(std::span<const std::uint8_t> images, std::size_t
     });
 }
 
-void uhd_encoder::encode_batch(const data::dataset& set, std::span<std::int32_t> out,
-                               thread_pool* pool) const {
-    UHD_REQUIRE(set.shape() == shape_, "dataset shape mismatch");
-    encode_batch(set.images(0, set.size()), set.size(), out, pool);
-}
-
+// uhd-lint: test-reference test_uhd_encoder and test_simd_kernels hold encode() to the paper's unary datapath with it
 void uhd_encoder::encode_unary(std::span<const std::uint8_t> image,
                                std::span<std::int32_t> out,
                                unary_fidelity fidelity) const {

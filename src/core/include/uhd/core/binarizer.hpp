@@ -43,13 +43,10 @@ public:
     /// The AND-mask over counter bits that detects TOB (the masking logic).
     [[nodiscard]] std::uint32_t mask() const noexcept { return mask_; }
 
-    /// Restart for a new dimension.
-    void reset() noexcept;
-
     /// Feed one traversed bit (one pixel's level-hypervector bit).
     void feed(bool bit);
 
-    /// Bits consumed since reset().
+    /// Bits consumed so far.
     [[nodiscard]] std::size_t consumed() const noexcept { return consumed_; }
 
     /// Current popcount value.

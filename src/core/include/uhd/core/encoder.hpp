@@ -206,10 +206,6 @@ public:
     void encode_batch(std::span<const std::uint8_t> images, std::size_t count,
                       std::span<std::int32_t> out, thread_pool* pool = nullptr) const;
 
-    /// Batch-encode a whole dataset (shape must match this encoder).
-    void encode_batch(const data::dataset& set, std::span<std::int32_t> out,
-                      thread_pool* pool = nullptr) const;
-
     /// The doubled binarization threshold 2*TOB used by encode() for this
     /// image under the configured policy (exposed for tests and the
     /// datapath simulator).

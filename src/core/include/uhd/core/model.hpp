@@ -33,11 +33,12 @@ public:
     // The classifier holds a non-owning pointer to encoder_, so the
     // compiler-generated copy/move would leave it aimed at the source
     // object (dangling once the source dies — NRVO hid this until a
-    // caller genuinely moved a model). These rebind it.
+    // caller genuinely moved a model). These rebind it. Nothing assigns a
+    // model, so assignment is deleted rather than rebound too.
     uhd_model(const uhd_model& other);
     uhd_model(uhd_model&& other) noexcept;
-    uhd_model& operator=(const uhd_model& other);
-    uhd_model& operator=(uhd_model&& other) noexcept;
+    uhd_model& operator=(const uhd_model&) = delete;
+    uhd_model& operator=(uhd_model&&) = delete;
     ~uhd_model() = default;
 
     /// Train on a dataset in one pass and return the model.
@@ -60,23 +61,15 @@ public:
     /// Predicted class of one image.
     [[nodiscard]] std::size_t predict(std::span<const std::uint8_t> image) const;
 
-    /// Predicted classes of a whole dataset (pool-parallel when given;
-    /// bit-identical for every thread count).
-    [[nodiscard]] std::vector<std::size_t> predict_batch(
-        const data::dataset& set, thread_pool* pool = nullptr) const;
-
     /// Accuracy over a dataset; optionally fills a confusion matrix.
     /// Predictions run through the batch engine (pool-parallel when given).
     [[nodiscard]] double evaluate(const data::dataset& test,
                                   data::confusion_matrix* matrix = nullptr,
                                   thread_pool* pool = nullptr) const;
 
-    /// AdaptHD-style retraining extension (see hdc::hd_classifier::retrain).
-    std::size_t retrain(const data::dataset& train_set, std::size_t epochs);
-
-    /// Mini-batch thread-parallel retraining (binarized query mode;
-    /// bit-identical to the sequential retrain — integer mode falls back
-    /// to it, see hdc::hd_classifier).
+    /// AdaptHD-style retraining (see hdc::hd_classifier::retrain), in
+    /// mini-batches over `pool` in binarized query mode: bit-identical to
+    /// the sequential retrain, which a null pool or integer mode runs.
     std::size_t retrain(const data::dataset& train_set, std::size_t epochs,
                         thread_pool* pool, std::size_t batch_images = 256);
 

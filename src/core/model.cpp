@@ -133,24 +133,6 @@ uhd_model::uhd_model(uhd_model&& other) noexcept
     classifier_.rebind_encoder(encoder_);
 }
 
-uhd_model& uhd_model::operator=(const uhd_model& other) {
-    if (this != &other) {
-        encoder_ = other.encoder_;
-        classifier_ = other.classifier_;
-        classifier_.rebind_encoder(encoder_);
-    }
-    return *this;
-}
-
-uhd_model& uhd_model::operator=(uhd_model&& other) noexcept {
-    if (this != &other) {
-        encoder_ = std::move(other.encoder_);
-        classifier_ = std::move(other.classifier_);
-        classifier_.rebind_encoder(encoder_);
-    }
-    return *this;
-}
-
 uhd_model uhd_model::train(const uhd_config& config, const data::dataset& train_set,
                            hdc::train_mode mode, hdc::query_mode inference) {
     UHD_REQUIRE(!train_set.empty(), "training set is empty");
@@ -176,15 +158,6 @@ std::size_t uhd_model::predict(std::span<const std::uint8_t> image) const {
 double uhd_model::evaluate(const data::dataset& test, data::confusion_matrix* matrix,
                            thread_pool* pool) const {
     return classifier_.evaluate(test, matrix, pool);
-}
-
-std::vector<std::size_t> uhd_model::predict_batch(const data::dataset& set,
-                                                  thread_pool* pool) const {
-    return classifier_.predict_batch(set, pool);
-}
-
-std::size_t uhd_model::retrain(const data::dataset& train_set, std::size_t epochs) {
-    return classifier_.retrain(train_set, epochs);
 }
 
 std::size_t uhd_model::retrain(const data::dataset& train_set, std::size_t epochs,
@@ -286,11 +259,9 @@ uhd_model uhd_model::load(std::istream& is) {
     std::vector<hdc::accumulator> accumulators;
     accumulators.reserve(classes);
     for (std::size_t c = 0; c < classes; ++c) {
-        const auto values = io::read_pod_vector<std::int32_t>(in, cfg.dim);
+        auto values = io::read_pod_vector<std::int32_t>(in, cfg.dim);
         UHD_REQUIRE(values.size() == cfg.dim, "model file accumulator size mismatch");
-        hdc::accumulator acc(cfg.dim);
-        for (std::size_t d = 0; d < values.size(); ++d) acc.values()[d] = values[d];
-        accumulators.push_back(std::move(acc));
+        accumulators.emplace_back(std::move(values));
     }
     // The trailer is checked before the encoder is built: a flipped header
     // byte that still names a valid geometry costs only the read.

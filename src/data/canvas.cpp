@@ -12,19 +12,16 @@ canvas::canvas(std::size_t rows, std::size_t cols, float background)
     UHD_REQUIRE(rows > 0 && cols > 0, "canvas must be non-empty");
 }
 
+// uhd-lint: test-reference test_dataset reads the blurred canvas back with it
 float canvas::at(std::size_t r, std::size_t c) const {
     UHD_REQUIRE(r < rows_ && c < cols_, "canvas index out of range");
     return data_[r * cols_ + c];
 }
 
+// uhd-lint: test-reference test_dataset paints the pixels its clamp and blur checks start from with it
 void canvas::set(std::size_t r, std::size_t c, float value) {
     UHD_REQUIRE(r < rows_ && c < cols_, "canvas index out of range");
     data_[r * cols_ + c] = value;
-}
-
-void canvas::accumulate(std::size_t r, std::size_t c, float value) {
-    UHD_REQUIRE(r < rows_ && c < cols_, "canvas index out of range");
-    data_[r * cols_ + c] += value;
 }
 
 void canvas::add_disk(double cy, double cx, double radius, float value, double softness) {

@@ -88,29 +88,4 @@ void dataset::shuffle(std::uint64_t seed) {
     labels_ = std::move(new_labels);
 }
 
-std::pair<dataset, dataset> dataset::split(double train_fraction,
-                                           std::uint64_t seed) const {
-    UHD_REQUIRE(train_fraction > 0.0 && train_fraction < 1.0,
-                "train fraction must be in (0, 1)");
-    dataset shuffled = *this;
-    shuffled.shuffle(seed);
-    const std::size_t train_count =
-        static_cast<std::size_t>(std::llround(train_fraction * static_cast<double>(size())));
-    dataset train(shape_, num_classes_);
-    dataset test(shape_, num_classes_);
-    for (std::size_t i = 0; i < shuffled.size(); ++i) {
-        if (i < train_count) {
-            train.add(shuffled.image(i), shuffled.label(i));
-        } else {
-            test.add(shuffled.image(i), shuffled.label(i));
-        }
-    }
-    return {std::move(train), std::move(test)};
-}
-
-std::size_t dataset::memory_bytes() const noexcept {
-    return values_.capacity() * sizeof(std::uint8_t) +
-           labels_.capacity() * sizeof(std::uint16_t);
-}
-
 } // namespace uhd::data

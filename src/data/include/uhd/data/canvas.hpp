@@ -23,7 +23,6 @@ public:
 
     [[nodiscard]] float at(std::size_t r, std::size_t c) const;
     void set(std::size_t r, std::size_t c, float value);
-    void accumulate(std::size_t r, std::size_t c, float value);
 
     /// Filled soft-edged disk centered at (cy, cx) with radius `radius`.
     void add_disk(double cy, double cx, double radius, float value, double softness = 1.0);

@@ -13,7 +13,6 @@
 #include <initializer_list>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace uhd::data {
@@ -77,14 +76,6 @@ public:
 
     /// Deterministically shuffle sample order.
     void shuffle(std::uint64_t seed);
-
-    /// Split into (train, test) with `train_fraction` of samples (after an
-    /// internal shuffle with `seed`) going to train.
-    [[nodiscard]] std::pair<dataset, dataset> split(double train_fraction,
-                                                    std::uint64_t seed) const;
-
-    /// Heap footprint (Table I memory accounting).
-    [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
 private:
     image_shape shape_{};

@@ -3,8 +3,6 @@
 #define UHD_DATA_METRICS_HPP
 
 #include <cstddef>
-#include <span>
-#include <string>
 #include <vector>
 
 namespace uhd::data {
@@ -25,9 +23,6 @@ public:
     /// Total recorded samples.
     [[nodiscard]] std::size_t total() const noexcept { return total_; }
 
-    /// Overall accuracy in [0, 1]; 0 when no samples recorded.
-    [[nodiscard]] double accuracy() const noexcept;
-
     /// Recall of one class (diagonal / row sum); 0 for empty rows.
     [[nodiscard]] double recall(std::size_t truth) const;
 
@@ -37,18 +32,11 @@ public:
     /// Macro-averaged F1 score across classes.
     [[nodiscard]] double macro_f1() const;
 
-    /// Multi-line human-readable rendering.
-    [[nodiscard]] std::string to_string() const;
-
 private:
     std::size_t classes_;
     std::size_t total_ = 0;
     std::vector<std::size_t> cells_; // row-major truth x predicted
 };
-
-/// Accuracy of parallel truth/prediction vectors (must be equally long).
-[[nodiscard]] double accuracy_of(std::span<const std::size_t> truth,
-                                 std::span<const std::size_t> predicted);
 
 } // namespace uhd::data
 

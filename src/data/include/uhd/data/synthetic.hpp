@@ -51,13 +51,8 @@ struct dataset_info {
 [[nodiscard]] dataset make_synthetic(dataset_kind kind, std::size_t count,
                                      std::uint64_t seed);
 
-// Individual generators (equivalent to make_synthetic with the given kind).
+// The digits generator (make_synthetic with dataset_kind::mnist).
 [[nodiscard]] dataset make_synthetic_digits(std::size_t count, std::uint64_t seed);
-[[nodiscard]] dataset make_synthetic_fashion(std::size_t count, std::uint64_t seed);
-[[nodiscard]] dataset make_synthetic_blood(std::size_t count, std::uint64_t seed);
-[[nodiscard]] dataset make_synthetic_breast(std::size_t count, std::uint64_t seed);
-[[nodiscard]] dataset make_synthetic_cifar10(std::size_t count, std::uint64_t seed);
-[[nodiscard]] dataset make_synthetic_svhn(std::size_t count, std::uint64_t seed);
 
 } // namespace uhd::data
 

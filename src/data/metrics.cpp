@@ -1,8 +1,5 @@
 #include "uhd/data/metrics.hpp"
 
-#include <iomanip>
-#include <sstream>
-
 #include "uhd/common/error.hpp"
 
 namespace uhd::data {
@@ -18,16 +15,10 @@ void confusion_matrix::record(std::size_t truth, std::size_t predicted) {
     ++total_;
 }
 
+// uhd-lint: test-reference test_simd_kernels compares pooled and serial matrices cell by cell with it
 std::size_t confusion_matrix::count(std::size_t truth, std::size_t predicted) const {
     UHD_REQUIRE(truth < classes_ && predicted < classes_, "label out of range");
     return cells_[truth * classes_ + predicted];
-}
-
-double confusion_matrix::accuracy() const noexcept {
-    if (total_ == 0) return 0.0;
-    std::size_t correct = 0;
-    for (std::size_t c = 0; c < classes_; ++c) correct += cells_[c * classes_ + c];
-    return static_cast<double>(correct) / static_cast<double>(total_);
 }
 
 double confusion_matrix::recall(std::size_t truth) const {
@@ -56,31 +47,6 @@ double confusion_matrix::macro_f1() const {
         sum += (p + r) > 0.0 ? 2.0 * p * r / (p + r) : 0.0;
     }
     return sum / static_cast<double>(classes_);
-}
-
-std::string confusion_matrix::to_string() const {
-    std::ostringstream os;
-    os << "confusion matrix (rows = truth, cols = predicted):\n";
-    for (std::size_t t = 0; t < classes_; ++t) {
-        for (std::size_t p = 0; p < classes_; ++p) {
-            os << std::setw(6) << cells_[t * classes_ + p];
-        }
-        os << '\n';
-    }
-    os << "accuracy: " << std::fixed << std::setprecision(4) << accuracy()
-       << "  macro-F1: " << macro_f1() << '\n';
-    return os.str();
-}
-
-double accuracy_of(std::span<const std::size_t> truth,
-                   std::span<const std::size_t> predicted) {
-    UHD_REQUIRE(truth.size() == predicted.size(), "prediction count mismatch");
-    UHD_REQUIRE(!truth.empty(), "accuracy of empty prediction set");
-    std::size_t correct = 0;
-    for (std::size_t i = 0; i < truth.size(); ++i) {
-        if (truth[i] == predicted[i]) ++correct;
-    }
-    return static_cast<double>(correct) / static_cast<double>(truth.size());
 }
 
 } // namespace uhd::data

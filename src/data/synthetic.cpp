@@ -494,20 +494,5 @@ dataset make_synthetic(dataset_kind kind, std::size_t count, std::uint64_t seed)
 dataset make_synthetic_digits(std::size_t count, std::uint64_t seed) {
     return make_synthetic(dataset_kind::mnist, count, seed);
 }
-dataset make_synthetic_fashion(std::size_t count, std::uint64_t seed) {
-    return make_synthetic(dataset_kind::fashion_mnist, count, seed);
-}
-dataset make_synthetic_blood(std::size_t count, std::uint64_t seed) {
-    return make_synthetic(dataset_kind::blood_mnist, count, seed);
-}
-dataset make_synthetic_breast(std::size_t count, std::uint64_t seed) {
-    return make_synthetic(dataset_kind::breast_mnist, count, seed);
-}
-dataset make_synthetic_cifar10(std::size_t count, std::uint64_t seed) {
-    return make_synthetic(dataset_kind::cifar10, count, seed);
-}
-dataset make_synthetic_svhn(std::size_t count, std::uint64_t seed) {
-    return make_synthetic(dataset_kind::svhn, count, seed);
-}
 
 } // namespace uhd::data

@@ -4,16 +4,6 @@
 
 namespace uhd::hdc {
 
-std::int32_t accumulator::value(std::size_t i) const {
-    UHD_REQUIRE(i < values_.size(), "accumulator index out of range");
-    return values_[i];
-}
-
-void accumulator::add(const hypervector& v) {
-    UHD_REQUIRE(v.dim() == dim(), "hypervector dimension mismatch");
-    add_sign_words(v.bits().words());
-}
-
 void accumulator::add_sign_words(std::span<const std::uint64_t> words) {
     UHD_REQUIRE(words.size() == (dim() + 63) / 64, "sign word count mismatch");
     for (std::size_t w = 0; w < words.size(); ++w) {
@@ -41,10 +31,6 @@ void accumulator::add_values(std::span<const std::int32_t> other) {
 void accumulator::subtract_values(std::span<const std::int32_t> other) {
     UHD_REQUIRE(other.size() == dim(), "accumulator dimension mismatch");
     for (std::size_t i = 0; i < values_.size(); ++i) values_[i] -= other[i];
-}
-
-void accumulator::clear() noexcept {
-    for (auto& v : values_) v = 0;
 }
 
 hypervector accumulator::sign() const {

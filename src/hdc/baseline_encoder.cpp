@@ -52,6 +52,7 @@ void baseline_encoder::encode(std::span<const std::uint8_t> image,
     }
 }
 
+// uhd-lint: test-reference test_sim checks the baseline datapath model against it
 hypervector baseline_encoder::encode_sign(std::span<const std::uint8_t> image) const {
     std::vector<std::int32_t> acc(config_.dim);
     encode(image, acc);

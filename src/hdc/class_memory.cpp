@@ -59,12 +59,7 @@ void class_memory::nearest_block(std::span<const std::uint64_t> queries_words,
     }
 }
 
-std::size_t class_memory::nearest(const hypervector& query,
-                                  std::uint64_t* distance_out) const {
-    UHD_REQUIRE(query.dim() == dim_, "query dimension mismatch");
-    return nearest(query.bits().words(), distance_out);
-}
-
+// uhd-lint: test-reference test_inference_snapshot compares snapshots, and with them their packed memories, through it
 bool class_memory::operator==(const class_memory& other) const noexcept {
     return classes_ == other.classes_ && dim_ == other.dim_ && rows_ == other.rows_;
 }

@@ -9,6 +9,7 @@
 
 namespace uhd::hdc {
 
+// uhd-lint: test-reference test_dynamic_query and test_serve_engine build a one-stage cascade with it
 dynamic_query_policy dynamic_query_policy::full_scan(const class_memory& mem) {
     dynamic_query_policy policy;
     policy.stages_.push_back(dynamic_stage{mem.words_per_class(), 0});

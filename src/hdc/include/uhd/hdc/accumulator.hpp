@@ -1,13 +1,14 @@
 // Bundling accumulator: the integer-domain hypervector used between
 // binding and binarization (the "non-quantized class hypervector" of the
-// paper). Supports adding packed hypervectors, other accumulators, and the
-// sign/threshold binarization that produces class hypervectors.
+// paper). Supports adding packed sign words, raw integer rows and other
+// accumulators, and the sign binarization that produces class hypervectors.
 #ifndef UHD_HDC_ACCUMULATOR_HPP
 #define UHD_HDC_ACCUMULATOR_HPP
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "uhd/hdc/hypervector.hpp"
@@ -22,9 +23,12 @@ public:
     /// Zero accumulator of dimension `dim`.
     explicit accumulator(std::size_t dim) : values_(dim, 0) {}
 
-    [[nodiscard]] std::size_t dim() const noexcept { return values_.size(); }
+    /// Accumulator holding `values` (its dimension is their count); takes
+    /// the vector's storage without copying it.
+    explicit accumulator(std::vector<std::int32_t> values) noexcept
+        : values_(std::move(values)) {}
 
-    [[nodiscard]] std::int32_t value(std::size_t i) const;
+    [[nodiscard]] std::size_t dim() const noexcept { return values_.size(); }
 
     [[nodiscard]] std::span<const std::int32_t> values() const noexcept {
         return {values_.data(), values_.size()};
@@ -33,13 +37,10 @@ public:
         return {values_.data(), values_.size()};
     }
 
-    /// Add a packed hypervector element-wise (+1/-1 per dimension).
-    void add(const hypervector& v);
-
     /// Add a +-1 vector given as ceil(dim/64) packed sign words (bit 1 =
-    /// -1, tail bits beyond dim() zero — the sign_binarize output). Same
-    /// semantics as add(hypervector) without materializing one: the
-    /// allocation-free bundling path of the training engine.
+    /// -1, tail bits beyond dim() zero — the sign_binarize output, and a
+    /// hypervector's bits().words()): the allocation-free bundling path of
+    /// the training engine.
     void add_sign_words(std::span<const std::uint64_t> words);
 
     /// Add another accumulator element-wise.
@@ -50,9 +51,6 @@ public:
 
     /// Subtract a raw integer vector element-wise.
     void subtract_values(std::span<const std::int32_t> other);
-
-    /// Reset all dimensions to zero.
-    void clear() noexcept;
 
     /// Binarize with the sign function: value >= 0 maps to +1.
     /// (Ties to +1, matching the hardware's popcount >= TOB rule.)

@@ -59,10 +59,6 @@ public:
     [[nodiscard]] std::size_t nearest(std::span<const std::uint64_t> query_words,
                                       std::uint64_t* distance_out = nullptr) const;
 
-    /// Convenience overload over a packed hypervector query.
-    [[nodiscard]] std::size_t nearest(const hypervector& query,
-                                      std::uint64_t* distance_out = nullptr) const;
-
     /// Answer a block of `n_queries` packed queries (words_per_class()
     /// words each, back-to-back in `queries_words`) in one register-blocked
     /// pass over the class rows (kernels::hamming_block_argmin2_prefix over

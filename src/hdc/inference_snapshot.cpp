@@ -16,6 +16,7 @@ inference_snapshot::inference_snapshot(query_mode mode, std::size_t classes,
     }
 }
 
+// uhd-lint: test-reference test_inference_snapshot compares integer class rows with it
 std::span<const std::int32_t> inference_snapshot::class_values(std::size_t c) const {
     UHD_REQUIRE(c < classes(), "class index out of range");
     if (mode_ != query_mode::integer) return {};
@@ -131,6 +132,7 @@ void inference_snapshot::predict_packed_block(
     mem_.nearest_block(queries_words, n_queries, out);
 }
 
+// uhd-lint: test-reference test_inference_snapshot checks published and loaded snapshots for bit-identity with it
 bool inference_snapshot::operator==(const inference_snapshot& other) const noexcept {
     return mode_ == other.mode_ && mem_ == other.mem_ && values_ == other.values_ &&
            norm_sq_ == other.norm_sq_;

@@ -118,6 +118,7 @@ std::span<const std::uint64_t> position_item_memory::row_words(std::size_t p) co
     return {row.data(), row.size()};
 }
 
+// uhd-lint: test-reference test_baseline_encoder's reference encode and test_rematerialize read position vectors with it
 hypervector position_item_memory::vector(std::size_t p) const {
     const auto row = row_words(p);
     bs::bitstream bits(dim_);
@@ -178,6 +179,7 @@ std::span<const std::uint64_t> level_item_memory::row_words(std::size_t k) const
     return {row.data(), row.size()};
 }
 
+// uhd-lint: test-reference test_baseline_encoder's reference encode and test_rematerialize read level vectors with it
 hypervector level_item_memory::vector(std::size_t k) const {
     const auto row = row_words(k);
     bs::bitstream bits(dim_);

@@ -29,6 +29,7 @@ double cosine(std::span<const std::int32_t> a, std::span<const std::int32_t> b) 
     return dot / std::sqrt(na * nb);
 }
 
+// uhd-lint: test-reference test_class_memory's seed cosine argmax and test_hypervector score queries with it
 double cosine(const hypervector& query, std::span<const std::int32_t> cls) {
     UHD_REQUIRE(query.dim() == cls.size() && query.dim() > 0,
                 "query/class dimension mismatch");

@@ -69,7 +69,6 @@ struct memory_model {
     std::string name;
     std::size_t bits = 0;
     double read_energy_fj_per_bit = 0.0;
-    double write_energy_fj_per_bit = 0.0;
     double area_um2_per_bit = 0.0;
     double access_delay_ps = 0.0;
 

@@ -16,6 +16,7 @@ void cell_counts::add(const cell_counts& other, std::size_t times) {
     }
 }
 
+// uhd-lint: test-reference test_hw checks module cell inventories with it
 std::size_t cell_counts::count(cell_kind kind) const {
     const auto index = static_cast<std::size_t>(kind);
     UHD_REQUIRE(index < cell_kind_count, "invalid cell kind");
@@ -57,7 +58,6 @@ memory_model memory_model::bram(std::string name, std::size_t bits) {
     m.name = std::move(name);
     m.bits = bits;
     m.read_energy_fj_per_bit = 2.0;  // block RAM access, amortized per bit
-    m.write_energy_fj_per_bit = 2.6;
     m.area_um2_per_bit = 0.35;       // dense SRAM macro
     m.access_delay_ps = 450.0;
     return m;
@@ -68,7 +68,6 @@ memory_model memory_model::regfile(std::string name, std::size_t bits) {
     m.name = std::move(name);
     m.bits = bits;
     m.read_energy_fj_per_bit = 0.4;  // local register read (mux tree)
-    m.write_energy_fj_per_bit = 2.5; // DFF clock energy
     m.area_um2_per_bit = 4.52;       // one DFF per bit
     m.access_delay_ps = 120.0;
     return m;

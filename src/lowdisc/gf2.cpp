@@ -11,6 +11,7 @@ int gf2_degree(gf2_poly p) noexcept {
     return 63 - std::countl_zero(p);
 }
 
+// uhd-lint: test-reference test_gf2 checks it, and its reference enumerator reaches it through gf2_pow_x
 std::uint64_t gf2_mul(std::uint64_t a, std::uint64_t b) noexcept {
     // Valid while deg(a) + deg(b) < 64 — always true for the degree <= 32
     // polynomials used here.
@@ -24,6 +25,7 @@ std::uint64_t gf2_mul(std::uint64_t a, std::uint64_t b) noexcept {
     return acc;
 }
 
+// uhd-lint: test-reference test_gf2 checks it, and its reference enumerator reaches it through gf2_pow_x
 std::uint64_t gf2_mod(std::uint64_t a, gf2_poly mod) noexcept {
     const int dm = gf2_degree(mod);
     int da = gf2_degree(a);
@@ -34,10 +36,12 @@ std::uint64_t gf2_mod(std::uint64_t a, gf2_poly mod) noexcept {
     return a;
 }
 
+// uhd-lint: test-reference test_gf2 checks it, and its reference enumerator reaches it through gf2_pow_x
 std::uint64_t gf2_mulmod(std::uint64_t a, std::uint64_t b, gf2_poly p) noexcept {
     return gf2_mod(gf2_mul(a, b), p);
 }
 
+// uhd-lint: test-reference test_gf2's reference enumerator (reference_is_primitive) takes orders of x with it
 std::uint64_t gf2_pow_x(std::uint64_t e, gf2_poly p) noexcept {
     std::uint64_t result = gf2_mod(1u, p); // handles degree-0 moduli gracefully
     std::uint64_t base = gf2_mod(2u, p);   // the polynomial "x"
@@ -122,14 +126,6 @@ void for_each_primitive(int degree, Take take) {
 }
 
 } // namespace
-
-bool is_primitive(gf2_poly p) {
-    const int d = gf2_degree(p);
-    if (d < 1 || d > 32) return false;
-    if ((p & 1u) == 0) return false; // constant term must be 1
-    if (d == 1) return p == 0b11;    // x + 1 is the only degree-1 primitive
-    return has_full_order(p, d, prime_factors((std::uint64_t{1} << d) - 1));
-}
 
 std::vector<gf2_poly> primitive_polynomials(std::size_t count) {
     std::vector<gf2_poly> polys;

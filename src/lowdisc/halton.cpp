@@ -19,6 +19,7 @@ double radical_inverse(std::uint64_t index, unsigned base) {
     return value;
 }
 
+// uhd-lint: test-reference test_halton_lfsr and test_discrepancy measure its uniformity
 std::vector<double> van_der_corput(std::size_t count, unsigned base) {
     std::vector<double> points;
     points.reserve(count);
@@ -55,6 +56,7 @@ double halton_sequence::at(std::uint64_t index, std::size_t dim) const {
     return radical_inverse(index, bases_[dim]);
 }
 
+// uhd-lint: test-reference test_halton_lfsr checks that its points lie in [0, 1)
 std::vector<double> halton_sequence::points(std::size_t dim, std::size_t count) const {
     std::vector<double> out;
     out.reserve(count);
@@ -84,6 +86,7 @@ double r2_sequence::at(std::uint64_t index, std::size_t dim) const {
     return x - std::floor(x);
 }
 
+// uhd-lint: test-reference test_halton_lfsr checks that its points lie in [0, 1)
 std::vector<double> r2_sequence::points(std::size_t dim, std::size_t count) const {
     std::vector<double> out;
     out.reserve(count);

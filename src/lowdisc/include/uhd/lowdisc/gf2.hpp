@@ -43,9 +43,6 @@ using gf2_poly = std::uint64_t;
 /// Prime factors (deduplicated) of n >= 2 by trial division.
 [[nodiscard]] std::vector<std::uint64_t> prime_factors(std::uint64_t n);
 
-/// Exact primitivity test for polynomials of degree 1..32.
-[[nodiscard]] bool is_primitive(gf2_poly p);
-
 /// The first `count` primitive polynomials in (degree, value) order.
 /// Degrees up to 16 provide more than 4000 polynomials — enough for one
 /// Sobol dimension per pixel of any image size used in the paper.

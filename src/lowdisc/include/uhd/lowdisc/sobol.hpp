@@ -87,18 +87,8 @@ public:
     /// Next point as a double in [0, 1).
     double next() noexcept { return fraction_to_unit(next_fraction()); }
 
-    /// Restart from index 0.
-    void reset() noexcept;
-
     /// Index of the next point to be emitted.
     [[nodiscard]] std::uint64_t index() const noexcept { return index_; }
-
-    /// Random access: the fraction that next_fraction() would return after
-    /// `target` points have been emitted (Gray-code direct formula).
-    [[nodiscard]] std::uint32_t fraction_at(std::uint64_t target) const noexcept;
-
-    /// Jump so the next emitted point has index `target`.
-    void seek(std::uint64_t target) noexcept;
 
     /// Convert a 32-bit fraction to a double in [0, 1).
     [[nodiscard]] static double fraction_to_unit(std::uint32_t fraction) noexcept {

@@ -92,6 +92,7 @@ std::span<const std::uint32_t, sobol_bits> sobol_directions::direction_numbers(
                                                       sobol_bits);
 }
 
+// uhd-lint: test-reference test_sobol checks the generated direction table's polynomials and m-values with it
 const sobol_dimension_params& sobol_directions::params(std::size_t dim) const {
     UHD_REQUIRE(dim < params_.size(), "Sobol dimension out of range");
     return params_[dim];
@@ -111,29 +112,7 @@ sobol_sequence::sobol_sequence(std::span<const std::uint32_t, sobol_bits> direct
         v_[static_cast<std::size_t>(i)] = directions[static_cast<std::size_t>(i)];
 }
 
-void sobol_sequence::reset() noexcept {
-    state_ = 0;
-    index_ = 0;
-}
-
-std::uint32_t sobol_sequence::fraction_at(std::uint64_t target) const noexcept {
-    // Direct Gray-code formula: x_n = XOR of v_i over set bits of gray(n).
-    std::uint64_t gray = target ^ (target >> 1);
-    std::uint32_t x = 0;
-    int i = 0;
-    while (gray != 0 && i < sobol_bits) {
-        if (gray & 1u) x ^= v_[static_cast<std::size_t>(i)];
-        gray >>= 1;
-        ++i;
-    }
-    return x;
-}
-
-void sobol_sequence::seek(std::uint64_t target) noexcept {
-    state_ = fraction_at(target);
-    index_ = target;
-}
-
+// uhd-lint: test-reference test_sobol measures the sequences' discrepancy and correlation with it
 std::vector<double> sobol_points(const sobol_directions& directions, std::size_t dim,
                                  std::size_t count) {
     sobol_sequence seq(directions.direction_numbers(dim));
@@ -178,6 +157,7 @@ std::vector<std::uint32_t> quantize_bounds(unsigned levels) {
     return bounds;
 }
 
+// uhd-lint: test-reference test_rematerialize builds the old-way bank from explicit directions with it, and test_sobol checks it
 quantized_sobol_bank::quantized_sobol_bank(const sobol_directions& directions,
                                            std::size_t dims, std::size_t samples,
                                            unsigned levels, std::uint64_t scramble_seed)

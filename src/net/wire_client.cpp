@@ -92,6 +92,7 @@ namespace {
 
 } // namespace
 
+// uhd-lint: test-reference test_wire_protocol and test_wire_reactors send one-shot encoded predicts with it
 predict_reply wire_client::predict_encoded(
     std::span<const std::int32_t> encoded, bool dynamic) {
     const std::uint32_t id = next_request_id_++;
@@ -107,6 +108,7 @@ predict_reply wire_client::predict_encoded(
     return *parsed;
 }
 
+// uhd-lint: test-reference test_wire_protocol and test_wire_reactors send one-shot raw predicts with it
 predict_reply wire_client::predict_raw(std::span<const std::uint8_t> features,
                                        bool dynamic) {
     const std::uint32_t id = next_request_id_++;
@@ -121,6 +123,7 @@ predict_reply wire_client::predict_raw(std::span<const std::uint8_t> features,
     return *parsed;
 }
 
+// uhd-lint: test-reference test_wire_protocol and test_wire_reactors send one-shot fits with it
 partial_fit_reply wire_client::partial_fit(
     std::uint32_t label, std::span<const std::uint8_t> features) {
     const std::uint32_t id = next_request_id_++;

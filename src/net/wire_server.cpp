@@ -14,7 +14,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "uhd/common/affinity.hpp"
 #include "uhd/common/config.hpp"
 #include "uhd/common/error.hpp"
 #include "uhd/common/kernels.hpp"
@@ -173,10 +172,9 @@ wire_server::wire_server(serve::inference_engine& engine,
     UHD_REQUIRE(options_.inflight_cap >= 1, "in-flight cap must be positive");
     UHD_REQUIRE(options_.max_payload >= 1, "payload cap must be positive");
     if (options_.publish_every == 0) options_.publish_every = 1;
-    // Resolve the env knobs on the constructing thread so bad values throw
+    // Resolve the env knob on the constructing thread so a bad value throws
     // here, not inside a reactor.
     options_.reactors = resolve_reactors(options_.reactors);
-    (void)resolved_affinity();
 }
 
 wire_server::~wire_server() { stop(); }
@@ -292,7 +290,6 @@ wire_stats wire_server::reactor_stats(std::size_t i) const {
 }
 
 void wire_server::loop(reactor& r) {
-    pin_this_thread(); // UHD_AFFINITY=auto: distinct core per reactor
     epoll_event events[64];
     while (running_.load(std::memory_order_acquire)) {
         // A parked connection may wait on queue slots that another

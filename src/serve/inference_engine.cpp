@@ -6,7 +6,6 @@
 #include <span>
 #include <utility>
 
-#include "uhd/common/affinity.hpp"
 #include "uhd/common/error.hpp"
 #include "uhd/common/kernels.hpp"
 #include "uhd/core/encoder.hpp"
@@ -47,9 +46,6 @@ inference_engine::~inference_engine() { stop(); }
 
 void inference_engine::start_workers(std::size_t workers) {
     if (workers == 0) workers = 1;
-    // Resolve UHD_AFFINITY on the constructing thread so a bad value throws
-    // here, not inside a worker (pin_this_thread is noexcept).
-    (void)resolved_affinity();
     workers_.reserve(workers);
     for (std::size_t i = 0; i < workers; ++i) {
         workers_.emplace_back([this] { worker_loop(); });
@@ -278,7 +274,6 @@ void inference_engine::stop() {
 }
 
 void inference_engine::worker_loop() {
-    pin_this_thread(); // UHD_AFFINITY=auto: distinct core per worker
     std::vector<request> batch;
     // Worker-local block scratch, reused across drains: the group index
     // list, the packed query block (one row per request), the answer

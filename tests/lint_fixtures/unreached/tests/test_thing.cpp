@@ -1,0 +1,7 @@
+// Fixture: the test that uses the marked functions and module.
+#include "uhd/core/module.hpp"
+#include "uhd/core/thing.hpp"
+
+int main() {
+    return uhd::core::probe() < uhd::core::reference() + uhd::core::module_value() ? 0 : 1;
+}

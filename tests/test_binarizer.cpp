@@ -47,19 +47,6 @@ TEST(Binarizer, OverfeedThrows) {
     EXPECT_THROW(bin.feed(true), uhd::error);
 }
 
-TEST(Binarizer, ResetClearsState) {
-    popcount_binarizer bin(4);
-    bin.feed(true);
-    bin.feed(true); // TOB = 2 -> latched
-    EXPECT_TRUE(bin.sign_bit());
-    bin.reset();
-    EXPECT_FALSE(bin.sign_bit());
-    EXPECT_EQ(bin.count(), 0u);
-    EXPECT_EQ(bin.consumed(), 0u);
-    bin.feed(false);
-    EXPECT_FALSE(bin.sign_bit());
-}
-
 TEST(Binarizer, DecideMatchesFeedSemantics) {
     for (const std::size_t h : {7u, 8u, 784u}) {
         popcount_binarizer reference(h);

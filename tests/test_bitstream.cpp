@@ -13,7 +13,7 @@ TEST(Bitstream, DefaultIsEmpty) {
     EXPECT_TRUE(s.empty());
     EXPECT_EQ(s.size(), 0u);
     EXPECT_TRUE(s.all()); // vacuous
-    EXPECT_TRUE(s.none());
+    EXPECT_EQ(s.popcount(), 0u);
 }
 
 TEST(Bitstream, FillConstructor) {
@@ -60,7 +60,6 @@ TEST(Bitstream, LogicOps) {
     const bitstream b = bitstream::from_string("1010");
     EXPECT_EQ((a & b).to_string(), "1000");
     EXPECT_EQ((a | b).to_string(), "1110");
-    EXPECT_EQ((a ^ b).to_string(), "0110");
     EXPECT_EQ((~a).to_string(), "0011");
 }
 
@@ -69,7 +68,6 @@ TEST(Bitstream, LengthMismatchThrows) {
     bitstream b(5);
     EXPECT_THROW((void)(a & b), uhd::error);
     EXPECT_THROW((void)(a | b), uhd::error);
-    EXPECT_THROW((void)(a ^ b), uhd::error);
 }
 
 TEST(Bitstream, NotKeepsTailZero) {

@@ -87,7 +87,7 @@ TEST(ClassMemory, NearestFindsExactMatch) {
     }
     for (std::size_t c = 0; c < 8; ++c) {
         std::uint64_t distance = 1;
-        EXPECT_EQ(mem.nearest(stored[c], &distance), c);
+        EXPECT_EQ(mem.nearest(stored[c].bits().words(), &distance), c);
         EXPECT_EQ(distance, 0u);
     }
 }
@@ -101,7 +101,7 @@ TEST(ClassMemory, TiesResolveToLowestIndex) {
     mem.store(1, shared_row);
     mem.store(2, -shared_row);
     mem.store(3, shared_row);
-    EXPECT_EQ(mem.nearest(shared_row), 1u);
+    EXPECT_EQ(mem.nearest(shared_row.bits().words()), 1u);
 }
 
 TEST(ClassMemory, NearestMatchesScalarReference) {
@@ -120,7 +120,7 @@ TEST(ClassMemory, NearestMatchesScalarReference) {
             query.bits().words().data(), mem.words_per_class(), 1, mem.rows().data(),
             mem.words_per_class(), mem.words_per_class(), classes, &ref);
         std::uint64_t distance = 0;
-        ASSERT_EQ(mem.nearest(query, &distance), ref.index)
+        ASSERT_EQ(mem.nearest(query.bits().words(), &distance), ref.index)
             << "dim=" << dim << " classes=" << classes;
         ASSERT_EQ(distance, ref.distance);
     }

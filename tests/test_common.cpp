@@ -194,7 +194,6 @@ TEST(Table, RendersAlignedColumns) {
     const std::string out = t.to_string();
     EXPECT_NE(out.find("| name  | value |"), std::string::npos);
     EXPECT_NE(out.find("| alpha | 1     |"), std::string::npos);
-    EXPECT_EQ(t.row_count(), 2u);
 }
 
 TEST(Table, Formatters) {
@@ -207,10 +206,8 @@ TEST(Io, RoundTripScalars) {
     std::stringstream ss;
     io::write_header(ss, 0x1234u, 3);
     io::write_u64(ss, 77);
-    io::write_f64(ss, 2.5);
     EXPECT_EQ(io::read_header(ss, 0x1234u, 5), 3u);
     EXPECT_EQ(io::read_u64(ss), 77u);
-    EXPECT_DOUBLE_EQ(io::read_f64(ss), 2.5);
 }
 
 TEST(Io, HeaderMagicMismatchThrows) {

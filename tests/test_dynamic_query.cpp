@@ -146,7 +146,7 @@ TEST(DynamicQuery, UncalibratedLadderAnswersExactlyLikeNearest) {
         const hypervector query = random_hv(2048, rng);
         dynamic_query_stats stats;
         const std::size_t answer = policy.answer(mem, query.bits().words(), &stats);
-        EXPECT_EQ(answer, mem.nearest(query));
+        EXPECT_EQ(answer, mem.nearest(query.bits().words()));
         // Every early stage is disabled, so the cascade must run to the end.
         EXPECT_EQ(stats.exit_stage, policy.stages().size() - 1);
         EXPECT_EQ(stats.window_words, mem.words_per_class());

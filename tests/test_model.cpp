@@ -490,7 +490,7 @@ TEST(Model, RetrainRuns) {
     const auto train = data::make_synthetic_digits(100, 26);
     uhd_model model(small_config(), train.shape(), 10, hdc::train_mode::raw_sums);
     model.fit(train);
-    const std::size_t updates = model.retrain(train, 2);
+    const std::size_t updates = model.retrain(train, 2, nullptr);
     EXPECT_LE(updates, train.size());
 }
 

@@ -908,13 +908,13 @@ TEST(EncoderEquivalence, EncodeBatchMatchesPerImageEncode) {
     }
 }
 
-TEST(EncoderEquivalence, DatasetBatchOverloadMatchesFlatOverload) {
+TEST(EncoderEquivalence, DatasetImagesBatchMatchesSingleEncodes) {
     const auto ds = data::make_synthetic_digits(12, 5);
     const core::uhd_config cfg{.dim = 128};
     const core::uhd_encoder enc(cfg, ds.shape());
 
     std::vector<std::int32_t> from_dataset(ds.size() * enc.dim());
-    enc.encode_batch(ds, from_dataset);
+    enc.encode_batch(ds.images(0, ds.size()), ds.size(), from_dataset);
     for (std::size_t i = 0; i < ds.size(); ++i) {
         std::vector<std::int32_t> single(enc.dim());
         enc.encode(ds.image(i), single);

@@ -37,10 +37,13 @@ TEST(SobolDirections, DimensionZeroIsVanDerCorput) {
 
 TEST(SobolDirections, PolynomialsArePrimitiveAndDistinct) {
     const auto table = sobol_directions::standard(64);
+    // Dimension d takes the d-th primitive polynomial of the search that
+    // test_gf2 checks against its reference enumerator.
+    const auto primitive = primitive_polynomials(table.dimensions() - 1);
     std::vector<gf2_poly> polys;
     for (std::size_t d = 1; d < table.dimensions(); ++d) {
         const auto& params = table.params(d);
-        EXPECT_TRUE(is_primitive(params.polynomial)) << "dim " << d;
+        EXPECT_EQ(params.polynomial, primitive[d - 1]) << "dim " << d;
         polys.push_back(params.polynomial);
         // m_k constraints: odd and < 2^k.
         for (std::size_t k = 0; k < params.initial_m.size(); ++k) {
@@ -93,30 +96,6 @@ TEST(SobolSequence, SortedPrefixMatchesVdcSet) {
     for (int i = 0; i < 64; ++i) points.push_back(seq.next());
     std::sort(points.begin(), points.end());
     for (int i = 0; i < 64; ++i) EXPECT_DOUBLE_EQ(points[i], i / 64.0);
-}
-
-TEST(SobolSequence, SeekMatchesSequentialGeneration) {
-    const auto table = sobol_directions::standard(4);
-    for (std::size_t dim = 0; dim < 4; ++dim) {
-        sobol_sequence seq(table.direction_numbers(dim));
-        std::vector<std::uint32_t> sequential;
-        for (int i = 0; i < 200; ++i) sequential.push_back(seq.next_fraction());
-        sobol_sequence random_access(table.direction_numbers(dim));
-        for (const std::uint64_t idx : {0ULL, 1ULL, 17ULL, 128ULL, 199ULL}) {
-            EXPECT_EQ(random_access.fraction_at(idx), sequential[idx]) << "dim " << dim;
-            random_access.seek(idx);
-            EXPECT_EQ(random_access.next_fraction(), sequential[idx]);
-        }
-    }
-}
-
-TEST(SobolSequence, ResetRestarts) {
-    const auto table = sobol_directions::standard(2);
-    sobol_sequence seq(table.direction_numbers(1));
-    const double first = seq.next();
-    seq.next();
-    seq.reset();
-    EXPECT_DOUBLE_EQ(seq.next(), first);
 }
 
 TEST(SobolSequence, LowDiscrepancyBeatsRandomRate) {

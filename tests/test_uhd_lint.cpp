@@ -4,7 +4,8 @@
 // `clean` passes every rule; the violation trees each seed the violations
 // one rule class must catch (among them a dropped kernel-table backend
 // slot, a kernel slot only a test calls, an immintrin.h include in a
-// portable header, and a public header only a test includes). The
+// portable header, a public header only a test includes, and a library
+// function no product binary links, given hand-written nm listings). The
 // assertions pin rule id, file, and line, so a rule that silently stops
 // firing — or fires on the wrong thing — fails here even while the real
 // tree stays green. The real-tree zero-finding gate is the separate
@@ -68,14 +69,15 @@ TEST(UhdLint, CleanTreePasses) {
     EXPECT_TRUE(findings.empty()) << dump(findings);
 }
 
-TEST(UhdLint, RuleRegistryListsAllSixClasses) {
+TEST(UhdLint, RuleRegistryListsAllSevenClasses) {
     std::vector<std::string> ids;
     for (const uhd_lint::rule& r : uhd_lint::all_rules()) {
         ids.emplace_back(r.id);
     }
     const std::vector<std::string> expected = {
         "isa-hermeticity", "kernel-table-parity", "dispatch-only",
-        "bench-schema-sync", "header-hygiene", "test-only-header"};
+        "bench-schema-sync", "header-hygiene", "test-only-header",
+        "unreached-function"};
     EXPECT_EQ(ids, expected);
 }
 
@@ -183,6 +185,29 @@ TEST(UhdLint, TestOnlyHeaderFiresOnUnreachedHeaderAndStaleMarker) {
     // test includes it) must not fire.
     EXPECT_EQ(findings.size(), 2u) << dump(findings);
     EXPECT_TRUE(only_rule(findings, "test-only-header")) << dump(findings);
+}
+
+TEST(UhdLint, UnreachedFunctionFiresOnUnmarkedFunctionAndStaleMarker) {
+    const std::string tree = std::string(UHD_LINT_FIXTURES_DIR) + "/unreached";
+    uhd_lint::project p = uhd_lint::load_project(tree);
+    // Without the two listings the rule does not run.
+    EXPECT_TRUE(uhd_lint::run_rules(p).empty()) << dump(uhd_lint::run_rules(p));
+    uhd_lint::load_symbol_listings(p, tree + "/libuhd.nm", tree + "/products.nm");
+    const std::vector<finding> findings = uhd_lint::run_rules(p);
+    // probe(): linked by no product and unmarked. The finding anchors at the
+    // definition line that the library listing gives.
+    EXPECT_TRUE(has(findings, "unreached-function", "src/core/thing.cpp", 11))
+        << dump(findings);
+    // stale(): marked, yet thing_demo links it. The finding anchors at the
+    // marker, two comment lines above the definition.
+    EXPECT_TRUE(has(findings, "unreached-function", "src/core/thing.cpp", 17))
+        << dump(findings);
+    // Quiet: reference() (marked), the constructor (two symbols, one
+    // linked), module_value() (its public header is marked), and the
+    // inline thing::value() (a W symbol, not an external definition, that
+    // no product keeps).
+    EXPECT_EQ(findings.size(), 2u) << dump(findings);
+    EXPECT_TRUE(only_rule(findings, "unreached-function")) << dump(findings);
 }
 
 TEST(UhdLint, RuleFilterRunsOnlySelectedRules) {

@@ -104,7 +104,7 @@ TEST(StreamTable, HoldsAllLevels) {
     EXPECT_EQ(ust.levels(), 16u);
     EXPECT_EQ(ust.stream_length(), 16u);
     for (std::size_t q = 0; q < 16; ++q) {
-        EXPECT_EQ(ust.value_of(ust.fetch(q)), q);
+        EXPECT_EQ(unary_decode(ust.fetch(q), ust.alignment()), q);
     }
 }
 

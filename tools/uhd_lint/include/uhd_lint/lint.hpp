@@ -32,6 +32,15 @@
 //                        header that is included there is a stale marker.
 //                        perfbench/ is not scanned, so a header only it
 //                        included would be flagged (none is today)
+//   unreached-function — given the reach listings (nm of libuhd.a and of
+//                        every product binary), every external libuhd.a
+//                        function is linked into some product unless a
+//                        `uhd-lint: test-reference <reason>` comment above
+//                        its definition, or on its TU's public header,
+//                        marks it; a marked function that a product links
+//                        is a stale marker. Inline functions and templates
+//                        emit no external symbol, so header-only code is
+//                        out of its sight (test-only-header covers it)
 #ifndef UHD_LINT_LINT_HPP
 #define UHD_LINT_LINT_HPP
 
@@ -90,6 +99,13 @@ struct project {
     std::filesystem::path root;
     std::vector<source_file> files;
 
+    /// The reach listings unreached-function reads, empty (and the rule
+    /// silent) unless load_symbol_listings() filled them: the output of
+    /// `nm -C -l --defined-only` on libuhd.a, and of `nm -C --defined-only`
+    /// on every product binary.
+    std::string library_symbols;
+    std::string product_symbols;
+
     /// File by exact relative path; nullptr when absent.
     [[nodiscard]] const source_file* find(std::string_view rel_path) const noexcept;
 };
@@ -97,6 +113,11 @@ struct project {
 /// Load a project tree from disk. Throws std::runtime_error when root is
 /// not a directory.
 [[nodiscard]] project load_project(const std::filesystem::path& root);
+
+/// Read the two reach listings into `p`. Throws std::runtime_error when
+/// either file cannot be read or is empty.
+void load_symbol_listings(project& p, const std::filesystem::path& library,
+                          const std::filesystem::path& products);
 
 /// One registered rule.
 struct rule {

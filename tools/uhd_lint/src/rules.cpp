@@ -1,4 +1,4 @@
-// The six project-invariant rules of uhd_lint.
+// The seven project-invariant rules of uhd_lint.
 //
 // Each rule is a structural property of the tree that the build system and
 // reviewers used to guard by hand. They all operate on the stripped "code"
@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
+#include <charconv>
 #include <map>
 #include <regex>
 #include <set>
@@ -698,10 +699,12 @@ void rule_header_hygiene(const project& p, std::vector<finding>& out) {
 constexpr std::string_view kTestOnlyHeader = "test-only-header";
 constexpr std::string_view kTestReferenceMarker = "uhd-lint: test-reference";
 
-/// Offset of a test-reference marker that sits in a comment and is followed
-/// by a reason on its line; npos when the header has none.
-[[nodiscard]] std::size_t test_reference_marker(const source_file& f) {
-    for (std::size_t at = f.raw.find(kTestReferenceMarker); at != std::string::npos;
+/// Offset of the first test-reference marker in f.raw[from, to) that sits
+/// in a comment and is followed by a reason on its line; npos when none.
+[[nodiscard]] std::size_t test_reference_marker(const source_file& f,
+                                                std::size_t from = 0,
+                                                std::size_t to = std::string::npos) {
+    for (std::size_t at = f.raw.find(kTestReferenceMarker, from); at < to;
          at = f.raw.find(kTestReferenceMarker, at + 1)) {
         if (f.code[at] != ' ') continue;  // not blanked: outside a comment
         const std::size_t begin = at + kTestReferenceMarker.size();
@@ -753,7 +756,160 @@ void rule_test_only_header(const project& p, std::vector<finding>& out) {
     }
 }
 
-constexpr std::array<rule, 6> kRules = {{
+// --- rule: unreached-function ----------------------------------------------
+//
+// Runs only when the project carries the reach listings (uhd_lint
+// --library-symbols/--product-symbols). The products are built with
+// inlining off, one section per function and --gc-sections, so a library
+// function's symbol survives in a binary only if some product path calls
+// it. An external function of libuhd.a (a `T` line of the library listing,
+// with the `file:line` that `nm -l` gives its definition) is reached when
+// its demangled name appears in the product listing. One demangled name is
+// one function: a constructor's complete- and base-object symbols count
+// once, and one linked symbol reaches it.
+//
+// An unreached function is a finding at its definition unless it is
+// marked: the comment lines directly above the definition line carry the
+// test-reference marker with a reason, or its TU src/<m>/<name>.cpp has a
+// public header src/<m>/include/uhd/<m>/<name>.hpp that carries it (a
+// module kept as a test reference). A function marker on a function that a
+// product links is a stale marker, a finding at the marker. Paths in the
+// library listing resolve to the scanned file they end with.
+//
+// Limit: inline functions and templates emit no `T` symbol, so header-only
+// code is out of this rule's sight; test-only-header judges it per header.
+
+constexpr std::string_view kUnreachedFunction = "unreached-function";
+
+/// One defined symbol of an `nm -C [-l]` line:
+/// "<hex address> <type> <name>[\t<file>:<line>]".
+struct nm_symbol {
+    char type = 0;
+    std::string_view name;
+    std::string_view location;  ///< empty without -l or debug info
+};
+
+/// Parse one listing line; false for archive-member and binary headers,
+/// blank lines, and symbols without an address.
+[[nodiscard]] bool parse_nm_line(std::string_view line, nm_symbol& out) {
+    std::size_t i = 0;
+    while (i < line.size() && std::isxdigit(static_cast<unsigned char>(line[i])) != 0) ++i;
+    if (i == 0 || i + 3 > line.size() || line[i] != ' ' || line[i + 2] != ' ') {
+        return false;
+    }
+    out.type = line[i + 1];
+    const std::string_view rest = line.substr(i + 3);
+    const std::size_t tab = rest.find('\t');
+    out.name = rest.substr(0, tab);
+    out.location = tab == std::string_view::npos ? std::string_view{} : rest.substr(tab + 1);
+    return true;
+}
+
+template <typename Visit>
+void for_each_nm_symbol(std::string_view listing, Visit visit) {
+    nm_symbol sym;
+    for (std::size_t pos = 0; pos < listing.size();) {
+        const std::size_t eol = std::min(listing.find('\n', pos), listing.size());
+        if (parse_nm_line(listing.substr(pos, eol - pos), sym)) visit(sym);
+        pos = eol + 1;
+    }
+}
+
+/// The scanned file that `path` names: its relative path, or the longest
+/// relative path it ends with after a '/'. nullptr when none.
+[[nodiscard]] const source_file* file_named(const project& p, std::string_view path) {
+    const source_file* best = nullptr;
+    for (const source_file& f : p.files) {
+        const bool names =
+            path == f.rel_path ||
+            (path.ends_with(f.rel_path) && path[path.size() - f.rel_path.size() - 1] == '/');
+        if (names && (best == nullptr || f.rel_path.size() > best->rel_path.size())) {
+            best = &f;
+        }
+    }
+    return best;
+}
+
+/// Offset of the start of 1-based line `line` of f; raw.size() past the end.
+[[nodiscard]] std::size_t line_start(const source_file& f, std::size_t line) {
+    std::size_t pos = 0;
+    for (std::size_t l = 1; l < line && pos < f.raw.size(); ++l) {
+        pos = std::min(f.raw.find('\n', pos), f.raw.size()) + 1;
+    }
+    return std::min(pos, f.raw.size());
+}
+
+/// Offset of a test-reference marker in the run of `//` comment lines
+/// directly above line `line` of f; npos when there is none.
+[[nodiscard]] std::size_t function_marker(const source_file& f, std::size_t line) {
+    const std::size_t end = line_start(f, line);
+    std::size_t begin = end;
+    while (begin > 0) {
+        const std::size_t newline = begin - 1;  // ends the line above `begin`
+        const std::size_t prev =
+            newline == 0 ? std::string::npos : f.raw.rfind('\n', newline - 1);
+        const std::size_t above = prev == std::string::npos ? 0 : prev + 1;
+        const std::size_t text = skip_ws(f.raw, above);
+        if (text >= newline || f.raw.compare(text, 2, "//") != 0) break;
+        begin = above;
+    }
+    return begin == end ? std::string::npos : test_reference_marker(f, begin, end);
+}
+
+/// True when TU src/<m>/<name>.cpp has a public header
+/// src/<m>/include/uhd/<m>/<name>.hpp that carries the marker.
+[[nodiscard]] bool module_marked(const project& p, std::string_view tu) {
+    if (!tu.starts_with("src/") || !tu.ends_with(".cpp")) return false;
+    const std::size_t slash = tu.find('/', 4);
+    if (slash == std::string_view::npos || tu.find('/', slash + 1) != std::string_view::npos) {
+        return false;
+    }
+    const std::string_view module = tu.substr(4, slash - 4);
+    const std::string_view name = tu.substr(slash + 1, tu.size() - slash - 5);
+    const std::string header = "src/" + std::string(module) + "/include/uhd/" +
+                               std::string(module) + "/" + std::string(name) + ".hpp";
+    const source_file* h = p.find(header);
+    return h != nullptr && test_reference_marker(*h) != std::string::npos;
+}
+
+void rule_unreached_function(const project& p, std::vector<finding>& out) {
+    if (p.library_symbols.empty() && p.product_symbols.empty()) return;
+    std::set<std::string_view> linked;
+    for_each_nm_symbol(p.product_symbols, [&](const nm_symbol& s) { linked.insert(s.name); });
+    // Demangled name -> where nm -l places its definition (first symbol).
+    std::map<std::string_view, std::string_view> functions;
+    for_each_nm_symbol(p.library_symbols, [&](const nm_symbol& s) {
+        if (s.type == 'T') functions.emplace(s.name, s.location);
+    });
+    for (const auto& [name, location] : functions) {
+        const bool reached = linked.contains(name);
+        const std::size_t colon = location.rfind(':');
+        const std::string_view path = location.substr(0, colon);
+        std::size_t line = 0;  // stays 0 without a line number
+        if (colon != std::string_view::npos) {
+            std::from_chars(location.data() + colon + 1, location.data() + location.size(),
+                            line);
+        }
+        const source_file* f = file_named(p, path);
+        const std::size_t marker =
+            f != nullptr && line != 0 ? function_marker(*f, line) : std::string::npos;
+        if (!reached && marker == std::string::npos &&
+            (f == nullptr || !module_marked(p, f->rel_path))) {
+            out.push_back({std::string(kUnreachedFunction),
+                           f != nullptr ? f->rel_path : std::string(path), line,
+                           "no product binary links " + std::string(name) +
+                               ": delete it, or mark a test reference with a '// " +
+                               std::string(kTestReferenceMarker) +
+                               " <reason>' comment above its definition"});
+        } else if (reached && marker != std::string::npos) {
+            add(out, kUnreachedFunction, *f, marker,
+                "stale '" + std::string(kTestReferenceMarker) +
+                    "' marker: a product binary links " + std::string(name));
+        }
+    }
+}
+
+constexpr std::array<rule, 7> kRules = {{
     {kIsaHermeticity,
      "intrinsics headers and __AVX*/__SSE*/_mm* tokens only in the "
      "designated backend TUs",
@@ -778,6 +934,10 @@ constexpr std::array<rule, 6> kRules = {{
      "every public header is included outside tests/ (its own TU aside) "
      "unless marked as a test reference, and no marked header is",
      rule_test_only_header},
+    {kUnreachedFunction,
+     "given the reach listings, every external libuhd.a function is linked "
+     "into a product unless marked as a test reference, and no marked one is",
+     rule_unreached_function},
 }};
 
 } // namespace

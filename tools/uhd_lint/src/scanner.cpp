@@ -194,4 +194,14 @@ project load_project(const std::filesystem::path& root) {
     return p;
 }
 
+void load_symbol_listings(project& p, const std::filesystem::path& library,
+                          const std::filesystem::path& products) {
+    p.library_symbols = read_file(library);
+    p.product_symbols = read_file(products);
+    if (p.library_symbols.empty() || p.product_symbols.empty()) {
+        throw std::runtime_error("empty symbol listing: " + library.string() + " or " +
+                                 products.string());
+    }
+}
+
 } // namespace uhd_lint

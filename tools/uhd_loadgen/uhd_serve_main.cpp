@@ -12,7 +12,7 @@
 // Knobs (see README.md): UHD_SERVE_PORT, UHD_SERVE_BACKLOG,
 // UHD_SERVE_INFLIGHT, UHD_SERVE_WORKERS, UHD_SERVE_BATCH,
 // UHD_SERVE_PUBLISH_EVERY, UHD_SERVE_DYNAMIC, UHD_SERVE_PORT_FILE,
-// UHD_NET_REACTORS / UHD_AFFINITY (resolved by the server/engine),
+// UHD_NET_REACTORS (resolved by the server),
 // UHD_BENCH_SERVE_DIM (workload geometry, shared with the loadgen).
 #include <atomic>
 #include <chrono>
