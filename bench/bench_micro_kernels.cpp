@@ -252,7 +252,7 @@ bench::timing time_search(const kernels::kernel_table& table, std::size_t dim,
     kernels::argmin2_result r{};
     return bench::time_median([&] {
         table.hamming_block_argmin2_prefix(query.data(), words, 1, memory.data(), words,
-                                           prefix_words, search_classes, &r);
+                                           0, prefix_words, search_classes, nullptr, &r);
     });
 }
 

@@ -197,34 +197,32 @@ struct kernel_table {
     void (*sign_binarize)(const std::int32_t* v, std::size_t n,
                           std::uint64_t* words);
 
-    /// Query-block window extension — the bitwise-GEMM tile kernel:
-    /// distances[q * n_rows + r] += popcount(query_q ^ row_r) over words
-    /// [from_word, to_word), for every q in [0, n_queries) and r in
-    /// [0, n_rows). `queries` holds n_queries packed queries back-to-back,
-    /// `query_words` words each (>= to_word). Wide backends register-block
-    /// the (query, row) plane so each class row is streamed once per query
-    /// tile instead of once per query; the accumulated distances are exact
-    /// integers, so any blocking — n_queries = 1 included, which is how the
-    /// single-query cascade calls it — gives the same sums.
-    void (*hamming_block_extend)(const std::uint64_t* queries,
-                                 std::size_t query_words, std::size_t n_queries,
-                                 const std::uint64_t* rows, std::size_t row_words,
-                                 std::size_t from_word, std::size_t to_word,
-                                 std::size_t n_rows, std::uint64_t* distances);
-
-    /// Fused query-block argmin + runner-up over the first `prefix_words`
-    /// of every row: results[q] is the per-query scan of query_q (first-wins
-    /// ties, all-ones runner-up when n_rows < 2), computed with the same
-    /// row-streaming tile as hamming_block_extend but without materializing
-    /// the queries x rows distance matrix. The one associative-search
-    /// primitive: a single query is the n_queries = 1 call.
+    /// The one associative-search kernel: query-block argmin + runner-up
+    /// over the first `prefix_words` words of every row. `queries` holds
+    /// n_queries packed queries back-to-back, `query_words` words each
+    /// (>= prefix_words); `rows` holds n_rows rows of `row_words` words.
+    ///  * distances == nullptr: from_word is 0, and results[q] is the scan
+    ///    of query_q over words [0, prefix_words), with no distance matrix
+    ///    written (class_memory::nearest_block's full scan).
+    ///  * With a buffer: distances[q * n_rows + r] holds query_q's distance
+    ///    to row r over words [0, from_word). The call extends it to
+    ///    [0, prefix_words), reading only the new words, and results[q] is
+    ///    argmin2 over those totals (the dynamic cascade, stage by stage).
+    /// Rows compete in ascending order per query: ties go to the lowest row
+    /// index, and the runner-up is all-ones when n_rows < 2. Wide backends
+    /// register-block the (query, row) plane so each class row is streamed
+    /// once per query tile; distances are exact integers, so any blocking,
+    /// n_queries = 1 included, gives the same results. Each body picks the
+    /// running-distance step once per call, never per (query, row) pair.
     void (*hamming_block_argmin2_prefix)(const std::uint64_t* queries,
                                          std::size_t query_words,
                                          std::size_t n_queries,
                                          const std::uint64_t* rows,
                                          std::size_t row_words,
+                                         std::size_t from_word,
                                          std::size_t prefix_words,
                                          std::size_t n_rows,
+                                         std::uint64_t* distances,
                                          argmin2_result* results);
 
     /// Sum of squares of an int32 span (fixed 4-lane double accumulation).
@@ -311,21 +309,14 @@ inline void sign_binarize(const std::int32_t* v, std::size_t n,
     active().sign_binarize(v, n, words);
 }
 
-inline void hamming_block_extend(const std::uint64_t* queries,
-                                 std::size_t query_words, std::size_t n_queries,
-                                 const std::uint64_t* rows, std::size_t row_words,
-                                 std::size_t from_word, std::size_t to_word,
-                                 std::size_t n_rows, std::uint64_t* distances) {
-    active().hamming_block_extend(queries, query_words, n_queries, rows, row_words,
-                                  from_word, to_word, n_rows, distances);
-}
-
 inline void hamming_block_argmin2_prefix(
     const std::uint64_t* queries, std::size_t query_words, std::size_t n_queries,
-    const std::uint64_t* rows, std::size_t row_words, std::size_t prefix_words,
-    std::size_t n_rows, argmin2_result* results) {
+    const std::uint64_t* rows, std::size_t row_words, std::size_t from_word,
+    std::size_t prefix_words, std::size_t n_rows, std::uint64_t* distances,
+    argmin2_result* results) {
     active().hamming_block_argmin2_prefix(queries, query_words, n_queries, rows,
-                                          row_words, prefix_words, n_rows, results);
+                                          row_words, from_word, prefix_words, n_rows,
+                                          distances, results);
 }
 
 [[nodiscard]] inline double sum_squares_i32(const std::int32_t* v, std::size_t n) {
@@ -335,25 +326,6 @@ inline void hamming_block_argmin2_prefix(
 [[nodiscard]] inline double dot_i32(const std::int32_t* a, const std::int32_t* b,
                                     std::size_t n) {
     return active().dot_i32(a, b, n);
-}
-
-/// argmin + runner-up over a u64 distance array (first-wins on ties; the
-/// runner-up may equal the winner when two rows tie). O(n_rows) scalar
-/// reduction — deliberately not dispatched.
-[[nodiscard]] inline argmin2_result argmin2_u64(const std::uint64_t* distances,
-                                                std::size_t n_rows) noexcept {
-    argmin2_result r{0, ~std::uint64_t{0}, ~std::uint64_t{0}};
-    for (std::size_t i = 0; i < n_rows; ++i) {
-        const std::uint64_t d = distances[i];
-        if (d < r.distance) {
-            r.runner_up = r.distance;
-            r.distance = d;
-            r.index = i;
-        } else if (d < r.runner_up) {
-            r.runner_up = d;
-        }
-    }
-    return r;
 }
 
 } // namespace uhd::kernels

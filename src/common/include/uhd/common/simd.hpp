@@ -57,7 +57,6 @@
 namespace uhd::simd {
 
 using kernels::argmin2_result;
-using kernels::argmin2_u64;
 using kernels::sign_words;
 
 /// True byte-at-a-time oracle: geq16[d] += (q >= thresholds[d]) for d in
@@ -634,7 +633,7 @@ inline void sign_binarize_swar(const std::int32_t* v, std::size_t n,
 }
 
 /// popcount(a XOR b) over `n` packed words: the Hamming reduction the
-/// block kernels' ragged query and row edges fall back to.
+/// search kernel's ragged query and row edges fall back to.
 [[nodiscard]] inline std::uint64_t xor_popcount_words(const std::uint64_t* a,
                                                       const std::uint64_t* b,
                                                       std::size_t n) noexcept {
@@ -643,7 +642,7 @@ inline void sign_binarize_swar(const std::int32_t* v, std::size_t n,
     return total;
 }
 
-// --- query-block Hamming kernels (multi-query bitwise GEMM) ---------------
+// --- query-block Hamming search (multi-query bitwise GEMM) ---------------
 //
 // The associative search over a packed memory: `rows` holds `n_rows`
 // binarized class vectors back-to-back, `row_words` u64 words each, and a
@@ -653,55 +652,69 @@ inline void sign_binarize_swar(const std::int32_t* v, std::size_t n,
 // backends use the same shape over vector words) so each class row is
 // streamed from memory once per query *tile* instead of once per query.
 // Distances are exact integer popcounts, so any tile order gives the same
-// sums. The fused argmin2 variant applies row updates in ascending row
-// order per query, so ties resolve to the lowest row index (strict <) —
-// the first-wins argmax of the per-class cosine scan it replaces, because
-// cosine = (D - 2 * hamming) / D is strictly decreasing in the distance.
+// sums. Row updates are applied in ascending row order per query, so ties
+// resolve to the lowest row index (strict <) — the first-wins argmax of the
+// per-class cosine scan it replaces, because cosine = (D - 2 * hamming) / D
+// is strictly decreasing in the distance. With a running-distance buffer
+// the call reads only words [from_word, prefix_words) and adds them to the
+// buffer's distances over [0, from_word) (kernels.hpp states the contract).
 
-/// Pinned scalar oracle for the query-block window extension.
-UHD_SCALAR_REFERENCE inline void hamming_block_extend_reference(
-    const std::uint64_t* queries, std::size_t query_words, std::size_t n_queries,
-    const std::uint64_t* rows, std::size_t row_words, std::size_t from_word,
-    std::size_t to_word, std::size_t n_rows, std::uint64_t* distances) noexcept {
-    for (std::size_t q = 0; q < n_queries; ++q) {
-        const std::uint64_t* query = queries + q * query_words;
-        for (std::size_t row = 0; row < n_rows; ++row) {
-            std::uint64_t distance = 0;
-            UHD_NOVECTOR_LOOP
-            for (std::size_t w = from_word; w < to_word; ++w) {
-                distance += static_cast<std::uint64_t>(
-                    std::popcount(query[w] ^ rows[row * row_words + w]));
-            }
-            distances[q * n_rows + row] += distance;
-        }
+/// argmin2 update for one row's distance over the call's words — rows must
+/// be fed in ascending order per query to preserve the first-wins tie rule.
+/// With Running, the distance first extends the running total
+/// distances[at], and the total is what competes.
+template <bool Running>
+[[gnu::always_inline]] inline void argmin2_update(argmin2_result& r, std::size_t row,
+                                                  std::uint64_t distance,
+                                                  std::uint64_t* distances,
+                                                  std::size_t at) noexcept {
+    if constexpr (Running) {
+        distance += distances[at];
+        distances[at] = distance;
+    }
+    if (distance < r.distance) {
+        r.runner_up = r.distance;
+        r.distance = distance;
+        r.index = row;
+    } else if (distance < r.runner_up) {
+        r.runner_up = distance;
     }
 }
 
-/// Pinned scalar oracle for the fused query-block argmin + runner-up.
-UHD_SCALAR_REFERENCE inline void hamming_block_argmin2_prefix_reference(
+/// Pinned scalar oracle for the query-block argmin + runner-up: one
+/// pair at a time, words in order.
+template <bool Running>
+UHD_SCALAR_REFERENCE inline void hamming_block_argmin2_prefix_reference_body(
     const std::uint64_t* queries, std::size_t query_words, std::size_t n_queries,
-    const std::uint64_t* rows, std::size_t row_words, std::size_t prefix_words,
-    std::size_t n_rows, argmin2_result* results) noexcept {
+    const std::uint64_t* rows, std::size_t row_words, std::size_t from_word,
+    std::size_t prefix_words, std::size_t n_rows, std::uint64_t* distances,
+    argmin2_result* results) noexcept {
     for (std::size_t q = 0; q < n_queries; ++q) {
         const std::uint64_t* query = queries + q * query_words;
         argmin2_result r{0, ~std::uint64_t{0}, ~std::uint64_t{0}};
         for (std::size_t row = 0; row < n_rows; ++row) {
             std::uint64_t distance = 0;
             UHD_NOVECTOR_LOOP
-            for (std::size_t w = 0; w < prefix_words; ++w) {
+            for (std::size_t w = from_word; w < prefix_words; ++w) {
                 distance += static_cast<std::uint64_t>(
                     std::popcount(query[w] ^ rows[row * row_words + w]));
             }
-            if (distance < r.distance) {
-                r.runner_up = r.distance;
-                r.distance = distance;
-                r.index = row;
-            } else if (distance < r.runner_up) {
-                r.runner_up = distance;
-            }
+            argmin2_update<Running>(r, row, distance, distances, q * n_rows + row);
         }
         results[q] = r;
     }
+}
+
+/// The scalar backend's search entry and the tests' oracle.
+inline void hamming_block_argmin2_prefix_reference(
+    const std::uint64_t* queries, std::size_t query_words, std::size_t n_queries,
+    const std::uint64_t* rows, std::size_t row_words, std::size_t from_word,
+    std::size_t prefix_words, std::size_t n_rows, std::uint64_t* distances,
+    argmin2_result* results) noexcept {
+    (distances == nullptr ? hamming_block_argmin2_prefix_reference_body<false>
+                          : hamming_block_argmin2_prefix_reference_body<true>)(
+        queries, query_words, n_queries, rows, row_words, from_word, prefix_words,
+        n_rows, distances, results);
 }
 
 /// Register-blocked portable tile: distances over [from_word, to_word) for
@@ -732,102 +745,68 @@ inline void hamming_block_tile_4x2(const std::uint64_t* q0, const std::uint64_t*
     d[3][0] = e0; d[3][1] = e1;
 }
 
-/// Portable register-blocked query-block window extension (4 queries x
-/// 2 rows per inner tile; ragged edges fall back to per-pair reductions).
-inline void hamming_block_extend_portable(
+/// Portable query-block argmin + runner-up (4x2 tiles; ragged edges fall
+/// back to per-pair reductions), with the running-distance step fixed at
+/// compile time.
+template <bool Running>
+inline void hamming_block_argmin2_prefix_body(
     const std::uint64_t* queries, std::size_t query_words, std::size_t n_queries,
     const std::uint64_t* rows, std::size_t row_words, std::size_t from_word,
-    std::size_t to_word, std::size_t n_rows, std::uint64_t* distances) noexcept {
-    const std::size_t span = to_word - from_word;
+    std::size_t prefix_words, std::size_t n_rows, std::uint64_t* distances,
+    argmin2_result* results) noexcept {
+    for (std::size_t q = 0; q < n_queries; ++q) {
+        results[q] = argmin2_result{0, ~std::uint64_t{0}, ~std::uint64_t{0}};
+    }
+    const std::size_t span = prefix_words - from_word;
     std::size_t q = 0;
     for (; q + 4 <= n_queries; q += 4) {
-        const std::uint64_t* q0 = queries + (q + 0) * query_words;
-        const std::uint64_t* q1 = queries + (q + 1) * query_words;
-        const std::uint64_t* q2 = queries + (q + 2) * query_words;
-        const std::uint64_t* q3 = queries + (q + 3) * query_words;
+        const std::uint64_t* qp[4] = {
+            queries + (q + 0) * query_words, queries + (q + 1) * query_words,
+            queries + (q + 2) * query_words, queries + (q + 3) * query_words};
         std::size_t row = 0;
         for (; row + 2 <= n_rows; row += 2) {
             std::uint64_t d[4][2];
-            hamming_block_tile_4x2(q0, q1, q2, q3, rows + row * row_words,
-                                   rows + (row + 1) * row_words, from_word, to_word,
-                                   d);
+            hamming_block_tile_4x2(qp[0], qp[1], qp[2], qp[3], rows + row * row_words,
+                                   rows + (row + 1) * row_words, from_word,
+                                   prefix_words, d);
             for (std::size_t qi = 0; qi < 4; ++qi) {
-                distances[(q + qi) * n_rows + row] += d[qi][0];
-                distances[(q + qi) * n_rows + row + 1] += d[qi][1];
+                const std::size_t at = (q + qi) * n_rows + row;
+                argmin2_update<Running>(results[q + qi], row, d[qi][0], distances, at);
+                argmin2_update<Running>(results[q + qi], row + 1, d[qi][1], distances,
+                                        at + 1);
             }
         }
         for (; row < n_rows; ++row) {
             const std::uint64_t* r0 = rows + row * row_words + from_word;
-            distances[(q + 0) * n_rows + row] += xor_popcount_words(q0 + from_word, r0, span);
-            distances[(q + 1) * n_rows + row] += xor_popcount_words(q1 + from_word, r0, span);
-            distances[(q + 2) * n_rows + row] += xor_popcount_words(q2 + from_word, r0, span);
-            distances[(q + 3) * n_rows + row] += xor_popcount_words(q3 + from_word, r0, span);
-        }
-    }
-    for (; q < n_queries; ++q) {
-        const std::uint64_t* query = queries + q * query_words;
-        for (std::size_t row = 0; row < n_rows; ++row) {
-            distances[q * n_rows + row] += xor_popcount_words(
-                query + from_word, rows + row * row_words + from_word, span);
-        }
-    }
-}
-
-/// argmin2 update for one (row, distance) observation — rows must be fed in
-/// ascending order per query to preserve the first-wins tie rule.
-inline void argmin2_update(argmin2_result& r, std::size_t row,
-                           std::uint64_t distance) noexcept {
-    if (distance < r.distance) {
-        r.runner_up = r.distance;
-        r.distance = distance;
-        r.index = row;
-    } else if (distance < r.runner_up) {
-        r.runner_up = distance;
-    }
-}
-
-/// Portable fused query-block argmin + runner-up (same 4x2 tiling as the
-/// window extension; per-query argmin2 state updated in ascending row
-/// order, so the result is bit-identical to per-query prefix scans).
-inline void hamming_block_argmin2_prefix_portable(
-    const std::uint64_t* queries, std::size_t query_words, std::size_t n_queries,
-    const std::uint64_t* rows, std::size_t row_words, std::size_t prefix_words,
-    std::size_t n_rows, argmin2_result* results) noexcept {
-    for (std::size_t q = 0; q < n_queries; ++q) {
-        results[q] = argmin2_result{0, ~std::uint64_t{0}, ~std::uint64_t{0}};
-    }
-    std::size_t q = 0;
-    for (; q + 4 <= n_queries; q += 4) {
-        const std::uint64_t* q0 = queries + (q + 0) * query_words;
-        const std::uint64_t* q1 = queries + (q + 1) * query_words;
-        const std::uint64_t* q2 = queries + (q + 2) * query_words;
-        const std::uint64_t* q3 = queries + (q + 3) * query_words;
-        std::size_t row = 0;
-        for (; row + 2 <= n_rows; row += 2) {
-            std::uint64_t d[4][2];
-            hamming_block_tile_4x2(q0, q1, q2, q3, rows + row * row_words,
-                                   rows + (row + 1) * row_words, 0, prefix_words, d);
             for (std::size_t qi = 0; qi < 4; ++qi) {
-                argmin2_update(results[q + qi], row, d[qi][0]);
-                argmin2_update(results[q + qi], row + 1, d[qi][1]);
+                argmin2_update<Running>(results[q + qi], row,
+                                        xor_popcount_words(qp[qi] + from_word, r0, span),
+                                        distances, (q + qi) * n_rows + row);
             }
         }
-        for (; row < n_rows; ++row) {
-            const std::uint64_t* r0 = rows + row * row_words;
-            argmin2_update(results[q + 0], row, xor_popcount_words(q0, r0, prefix_words));
-            argmin2_update(results[q + 1], row, xor_popcount_words(q1, r0, prefix_words));
-            argmin2_update(results[q + 2], row, xor_popcount_words(q2, r0, prefix_words));
-            argmin2_update(results[q + 3], row, xor_popcount_words(q3, r0, prefix_words));
-        }
     }
     for (; q < n_queries; ++q) {
-        const std::uint64_t* query = queries + q * query_words;
+        const std::uint64_t* query = queries + q * query_words + from_word;
         for (std::size_t row = 0; row < n_rows; ++row) {
-            argmin2_update(results[q], row,
-                           xor_popcount_words(query, rows + row * row_words,
-                                              prefix_words));
+            argmin2_update<Running>(
+                results[q], row,
+                xor_popcount_words(query, rows + row * row_words + from_word, span),
+                distances, q * n_rows + row);
         }
     }
+}
+
+/// Portable query-block argmin + runner-up: the running-distance step is
+/// picked once per call, so the full scan pays nothing for the buffer.
+inline void hamming_block_argmin2_prefix_portable(
+    const std::uint64_t* queries, std::size_t query_words, std::size_t n_queries,
+    const std::uint64_t* rows, std::size_t row_words, std::size_t from_word,
+    std::size_t prefix_words, std::size_t n_rows, std::uint64_t* distances,
+    argmin2_result* results) noexcept {
+    (distances == nullptr ? hamming_block_argmin2_prefix_body<false>
+                          : hamming_block_argmin2_prefix_body<true>)(
+        queries, query_words, n_queries, rows, row_words, from_word, prefix_words,
+        n_rows, distances, results);
 }
 
 // --- blocked int32 dot-product kernels (integer-cosine inference) ---------

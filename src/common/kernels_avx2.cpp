@@ -353,7 +353,7 @@ __m256i popcount256(__m256i x, __m256i lut, __m256i low_nibble) {
 }
 
 /// popcount(a XOR b), 4 words (256 bits) per step — the per-pair reduction
-/// of the block kernels' ragged query and row edges. Bit-exact with the
+/// of the search kernel's ragged query and row edges. Bit-exact with the
 /// portable word loop.
 std::uint64_t xor_popcount_words(const std::uint64_t* a, const std::uint64_t* b,
                                  std::size_t n) {
@@ -380,10 +380,14 @@ std::uint64_t xor_popcount_words(const std::uint64_t* a, const std::uint64_t* b,
 /// to_word) for a full 4-query x 2-row tile. Eight ymm accumulators live
 /// across one pass over the two rows, 4 words (256 bits) per step; word
 /// tails finish with scalar popcounts. Each row word is loaded once per
-/// query tile — the cache-blocking the block kernels exist for.
-void block_tile_4x2(const std::uint64_t* const q[4], const std::uint64_t* r0,
-                    const std::uint64_t* r1, std::size_t from_word,
-                    std::size_t to_word, std::uint64_t d[4][2]) {
+/// query tile — the cache-blocking the block search exists for. Inlined
+/// into both search bodies, so the accumulators stay in registers.
+[[gnu::always_inline]] inline void block_tile_4x2(const std::uint64_t* const q[4],
+                                                  const std::uint64_t* r0,
+                                                  const std::uint64_t* r1,
+                                                  std::size_t from_word,
+                                                  std::size_t to_word,
+                                                  std::uint64_t d[4][2]) {
     const __m256i low_nibble = _mm256_set1_epi8(0x0F);
     const __m256i lut =
         _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1, 1, 2,
@@ -421,46 +425,18 @@ void block_tile_4x2(const std::uint64_t* const q[4], const std::uint64_t* r0,
     }
 }
 
-void hamming_block_extend(const std::uint64_t* queries, std::size_t query_words,
-                          std::size_t n_queries, const std::uint64_t* rows,
-                          std::size_t row_words, std::size_t from_word,
-                          std::size_t to_word, std::size_t n_rows,
-                          std::uint64_t* distances) {
-    const std::size_t span = to_word - from_word;
-    std::size_t q = 0;
-    for (; q + 4 <= n_queries; q += 4) {
-        const std::uint64_t* qp[4] = {
-            queries + (q + 0) * query_words, queries + (q + 1) * query_words,
-            queries + (q + 2) * query_words, queries + (q + 3) * query_words};
-        std::size_t row = 0;
-        for (; row + 2 <= n_rows; row += 2) {
-            std::uint64_t d[4][2];
-            block_tile_4x2(qp, rows + row * row_words, rows + (row + 1) * row_words,
-                           from_word, to_word, d);
-            for (std::size_t qi = 0; qi < 4; ++qi) {
-                distances[(q + qi) * n_rows + row] += d[qi][0];
-                distances[(q + qi) * n_rows + row + 1] += d[qi][1];
-            }
-        }
-        for (; row < n_rows; ++row) {
-            const std::uint64_t* r0 = rows + row * row_words + from_word;
-            for (std::size_t qi = 0; qi < 4; ++qi) {
-                distances[(q + qi) * n_rows + row] +=
-                    xor_popcount_words(qp[qi] + from_word, r0, span);
-            }
-        }
-    }
-    for (; q < n_queries; ++q) {
-        const std::uint64_t* query = queries + q * query_words;
-        for (std::size_t row = 0; row < n_rows; ++row) {
-            distances[q * n_rows + row] += xor_popcount_words(
-                query + from_word, rows + row * row_words + from_word, span);
-        }
-    }
-}
-
 /// argmin2 update (rows fed in ascending order keep the first-wins rule).
-void argmin2_update(argmin2_result& r, std::size_t row, std::uint64_t distance) {
+/// With Running, the distance first extends the running total
+/// distances[at], and the total competes.
+template <bool Running>
+[[gnu::always_inline]] inline void argmin2_update(argmin2_result& r, std::size_t row,
+                                                  std::uint64_t distance,
+                                                  std::uint64_t* distances,
+                                                  std::size_t at) {
+    if constexpr (Running) {
+        distance += distances[at];
+        distances[at] = distance;
+    }
     if (distance < r.distance) {
         r.runner_up = r.distance;
         r.distance = distance;
@@ -470,14 +446,19 @@ void argmin2_update(argmin2_result& r, std::size_t row, std::uint64_t distance) 
     }
 }
 
-void hamming_block_argmin2_prefix(const std::uint64_t* queries,
-                                  std::size_t query_words, std::size_t n_queries,
-                                  const std::uint64_t* rows, std::size_t row_words,
-                                  std::size_t prefix_words, std::size_t n_rows,
-                                  argmin2_result* results) {
+/// The search body with its running-distance step fixed at compile time:
+/// 4x2 tiles over words [from_word, prefix_words), per-pair reductions on
+/// the ragged edges.
+template <bool Running>
+void argmin2_prefix_body(const std::uint64_t* queries, std::size_t query_words,
+                         std::size_t n_queries, const std::uint64_t* rows,
+                         std::size_t row_words, std::size_t from_word,
+                         std::size_t prefix_words, std::size_t n_rows,
+                         std::uint64_t* distances, argmin2_result* results) {
     for (std::size_t q = 0; q < n_queries; ++q) {
         results[q] = argmin2_result{0, ~std::uint64_t{0}, ~std::uint64_t{0}};
     }
+    const std::size_t span = prefix_words - from_word;
     std::size_t q = 0;
     for (; q + 4 <= n_queries; q += 4) {
         const std::uint64_t* qp[4] = {
@@ -487,28 +468,43 @@ void hamming_block_argmin2_prefix(const std::uint64_t* queries,
         for (; row + 2 <= n_rows; row += 2) {
             std::uint64_t d[4][2];
             block_tile_4x2(qp, rows + row * row_words, rows + (row + 1) * row_words,
-                           0, prefix_words, d);
+                           from_word, prefix_words, d);
             for (std::size_t qi = 0; qi < 4; ++qi) {
-                argmin2_update(results[q + qi], row, d[qi][0]);
-                argmin2_update(results[q + qi], row + 1, d[qi][1]);
+                const std::size_t at = (q + qi) * n_rows + row;
+                argmin2_update<Running>(results[q + qi], row, d[qi][0], distances, at);
+                argmin2_update<Running>(results[q + qi], row + 1, d[qi][1], distances,
+                                        at + 1);
             }
         }
         for (; row < n_rows; ++row) {
-            const std::uint64_t* r0 = rows + row * row_words;
+            const std::uint64_t* r0 = rows + row * row_words + from_word;
             for (std::size_t qi = 0; qi < 4; ++qi) {
-                argmin2_update(results[q + qi], row,
-                               xor_popcount_words(qp[qi], r0, prefix_words));
+                argmin2_update<Running>(results[q + qi], row,
+                                        xor_popcount_words(qp[qi] + from_word, r0, span),
+                                        distances, (q + qi) * n_rows + row);
             }
         }
     }
     for (; q < n_queries; ++q) {
-        const std::uint64_t* query = queries + q * query_words;
+        const std::uint64_t* query = queries + q * query_words + from_word;
         for (std::size_t row = 0; row < n_rows; ++row) {
-            argmin2_update(results[q], row,
-                           xor_popcount_words(query, rows + row * row_words,
-                                              prefix_words));
+            argmin2_update<Running>(
+                results[q], row,
+                xor_popcount_words(query, rows + row * row_words + from_word, span),
+                distances, q * n_rows + row);
         }
     }
+}
+
+void hamming_block_argmin2_prefix(const std::uint64_t* queries,
+                                  std::size_t query_words, std::size_t n_queries,
+                                  const std::uint64_t* rows, std::size_t row_words,
+                                  std::size_t from_word, std::size_t prefix_words,
+                                  std::size_t n_rows, std::uint64_t* distances,
+                                  argmin2_result* results) {
+    (distances == nullptr ? argmin2_prefix_body<false> : argmin2_prefix_body<true>)(
+        queries, query_words, n_queries, rows, row_words, from_word, prefix_words,
+        n_rows, distances, results);
 }
 
 // --- Sobol bit-plane bank build -------------------------------------------
@@ -691,7 +687,6 @@ constexpr kernel_table table{
     plane_count_center,
     geq_rematerialize_accumulate,
     sign_binarize,
-    hamming_block_extend,
     hamming_block_argmin2_prefix,
     sum_squares_i32,
     dot_i32,

@@ -11,8 +11,8 @@
 // compiled here under -mavx512* could be COMDAT-selected for the whole
 // program and execute AVX-512 code on machines the probe rejected.
 //
-// Popcount: the XOR-popcount family (the two query-block Hamming kernels
-// and their per-pair reduction) exists in two flavors, expanded from
+// Popcount: the XOR-popcount family (the query-block search kernel and its
+// per-pair reduction) exists in two flavors, expanded from
 // kernels_avx512_family.inc — a VPOPCNTDQ flavor using the native
 // _mm512_popcnt_epi64 (compiled in a #pragma GCC target region, so the
 // TU's base flags never include it), and an AVX-512BW nibble-LUT +
@@ -56,7 +56,17 @@ bool use_vpopcnt() {
 // --- scalar helpers (TU-local copies) -------------------------------------
 
 /// argmin2 update (rows fed in ascending order keep the first-wins rule).
-void argmin2_update(argmin2_result& r, std::size_t row, std::uint64_t distance) {
+/// With Running, the distance first extends the running total
+/// distances[at], and the total competes.
+template <bool Running>
+[[gnu::always_inline]] inline void argmin2_update(argmin2_result& r, std::size_t row,
+                                                  std::uint64_t distance,
+                                                  std::uint64_t* distances,
+                                                  std::size_t at) {
+    if constexpr (Running) {
+        distance += distances[at];
+        distances[at] = distance;
+    }
     if (distance < r.distance) {
         r.runner_up = r.distance;
         r.distance = distance;
@@ -493,37 +503,22 @@ void sobol_plane_row(const std::uint32_t* directions, std::uint32_t shift,
 #undef UHD_AVX512_POPCNT
 #pragma GCC pop_options
 
-// Table entries dispatch on the probed flavor. Both flavors compute exact
-// integer popcounts, so the choice is invisible to results — only to speed.
-
-void hamming_block_extend(const std::uint64_t* queries, std::size_t query_words,
-                          std::size_t n_queries, const std::uint64_t* rows,
-                          std::size_t row_words, std::size_t from_word,
-                          std::size_t to_word, std::size_t n_rows,
-                          std::uint64_t* distances) {
-    if (use_vpopcnt()) {
-        hamming_block_extend_vpopcnt(queries, query_words, n_queries, rows,
-                                     row_words, from_word, to_word, n_rows,
-                                     distances);
-    } else {
-        hamming_block_extend_lut(queries, query_words, n_queries, rows, row_words,
-                                 from_word, to_word, n_rows, distances);
-    }
-}
-
+// The table entry picks the probed flavor and the running-distance step
+// once per call. Both flavors compute exact integer popcounts, so the
+// flavor is invisible to results — only to speed.
 void hamming_block_argmin2_prefix(const std::uint64_t* queries,
                                   std::size_t query_words, std::size_t n_queries,
                                   const std::uint64_t* rows, std::size_t row_words,
-                                  std::size_t prefix_words, std::size_t n_rows,
+                                  std::size_t from_word, std::size_t prefix_words,
+                                  std::size_t n_rows, std::uint64_t* distances,
                                   argmin2_result* results) {
-    if (use_vpopcnt()) {
-        hamming_block_argmin2_prefix_vpopcnt(queries, query_words, n_queries, rows,
-                                             row_words, prefix_words, n_rows,
-                                             results);
-    } else {
-        hamming_block_argmin2_prefix_lut(queries, query_words, n_queries, rows,
-                                         row_words, prefix_words, n_rows, results);
-    }
+    const bool running = distances != nullptr;
+    const auto body = use_vpopcnt() ? (running ? argmin2_prefix_body_vpopcnt<true>
+                                               : argmin2_prefix_body_vpopcnt<false>)
+                                    : (running ? argmin2_prefix_body_lut<true>
+                                               : argmin2_prefix_body_lut<false>);
+    body(queries, query_words, n_queries, rows, row_words, from_word, prefix_words,
+         n_rows, distances, results);
 }
 
 // --- blocked int32 dot kernels --------------------------------------------
@@ -572,7 +567,6 @@ constexpr kernel_table table{
     plane_count_center,
     geq_rematerialize_accumulate,
     sign_binarize,
-    hamming_block_extend,
     hamming_block_argmin2_prefix,
     sum_squares_i32,
     dot_i32,

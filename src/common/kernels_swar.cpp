@@ -50,24 +50,16 @@ void sign_binarize(const std::int32_t* v, std::size_t n, std::uint64_t* words) {
     simd::sign_binarize_swar(v, n, words);
 }
 
-void hamming_block_extend(const std::uint64_t* queries, std::size_t query_words,
-                          std::size_t n_queries, const std::uint64_t* rows,
-                          std::size_t row_words, std::size_t from_word,
-                          std::size_t to_word, std::size_t n_rows,
-                          std::uint64_t* distances) {
-    simd::hamming_block_extend_portable(queries, query_words, n_queries, rows,
-                                        row_words, from_word, to_word, n_rows,
-                                        distances);
-}
-
 void hamming_block_argmin2_prefix(const std::uint64_t* queries,
                                   std::size_t query_words, std::size_t n_queries,
                                   const std::uint64_t* rows, std::size_t row_words,
-                                  std::size_t prefix_words, std::size_t n_rows,
+                                  std::size_t from_word, std::size_t prefix_words,
+                                  std::size_t n_rows, std::uint64_t* distances,
                                   argmin2_result* results) {
     simd::hamming_block_argmin2_prefix_portable(queries, query_words, n_queries,
-                                                rows, row_words, prefix_words,
-                                                n_rows, results);
+                                                rows, row_words, from_word,
+                                                prefix_words, n_rows, distances,
+                                                results);
 }
 
 double sum_squares_i32(const std::int32_t* v, std::size_t n) {
@@ -86,7 +78,6 @@ constexpr kernel_table table{
     plane_count_center,
     geq_rematerialize_accumulate,
     sign_binarize,
-    hamming_block_extend,
     hamming_block_argmin2_prefix,
     sum_squares_i32,
     dot_i32,

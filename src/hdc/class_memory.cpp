@@ -51,8 +51,8 @@ void class_memory::nearest_block(std::span<const std::uint64_t> queries_words,
     static thread_local std::vector<kernels::argmin2_result> results;
     results.resize(n_queries);
     kernels::hamming_block_argmin2_prefix(queries_words.data(), words_, n_queries,
-                                          rows_.data(), words_, words_, classes_,
-                                          results.data());
+                                          rows_.data(), words_, 0, words_, classes_,
+                                          nullptr, results.data());
     for (std::size_t q = 0; q < n_queries; ++q) {
         out[q] = results[q].index;
         if (distances_out != nullptr) distances_out[q] = results[q].distance;

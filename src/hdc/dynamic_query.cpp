@@ -47,10 +47,11 @@ dynamic_query_policy dynamic_query_policy::calibrate(
     if (count == 0) return policy; // nothing to calibrate on: stay full-scan
 
     // One incremental pass per query (the same word economy as answer()):
-    // extend the per-class distances stage by stage, recording every early
-    // stage's (argmin, margin); the final stage yields the full-D answer
-    // the agreement flags compare against. Bit-identical to a fresh prefix
-    // scan per stage at a fraction of the words touched.
+    // one kernel call per stage extends the per-class distances over the
+    // stage's new words and returns its (argmin, margin); the final stage
+    // yields the full-D answer the agreement flags compare against.
+    // Bit-identical to a fresh prefix scan per stage at a fraction of the
+    // words touched.
     const std::size_t early_stages = policy.stages_.size() - 1;
     std::vector<std::vector<std::pair<std::uint64_t, bool>>> stage_outcomes(
         early_stages, std::vector<std::pair<std::uint64_t, bool>>(count));
@@ -62,12 +63,11 @@ dynamic_query_policy dynamic_query_policy::calibrate(
         std::size_t scanned_to = 0;
         std::size_t full_answer = 0;
         for (std::size_t s = 0; s < policy.stages_.size(); ++s) {
-            kernels::hamming_block_extend(query, words, 1, mem.rows().data(), words,
-                                          scanned_to, policy.stages_[s].window_words,
-                                          mem.classes(), distances.data());
+            kernels::argmin2_result r{};
+            kernels::hamming_block_argmin2_prefix(
+                query, words, 1, mem.rows().data(), words, scanned_to,
+                policy.stages_[s].window_words, mem.classes(), distances.data(), &r);
             scanned_to = policy.stages_[s].window_words;
-            const kernels::argmin2_result r =
-                kernels::argmin2_u64(distances.data(), mem.classes());
             if (s < early_stages) {
                 const std::uint64_t margin = r.runner_up == ~std::uint64_t{0}
                                                  ? ~std::uint64_t{0}
@@ -141,31 +141,33 @@ void dynamic_query_policy::answer_block(const class_memory& mem,
     if (n_queries == 0) return;
     const std::size_t classes = mem.classes();
     // Per-thread block state: a compacting copy of the still-active queries,
-    // their running per-class distances, and each slot's original index.
-    // Compaction keeps the active set contiguous, so every stage is one
-    // block-extend call that streams each class row once for all survivors.
+    // their running per-class distances, each slot's original index, and
+    // each slot's stage result. Compaction keeps the active set contiguous,
+    // so every stage is one search call that streams each class row's new
+    // words once for all survivors.
     static thread_local std::vector<std::uint64_t> active_queries;
     static thread_local std::vector<std::uint64_t> distances;
     static thread_local std::vector<std::size_t> origin;
+    static thread_local std::vector<kernels::argmin2_result> results;
     active_queries.assign(queries_words.begin(), queries_words.end());
     distances.assign(n_queries * classes, 0);
     origin.resize(n_queries);
+    results.resize(n_queries);
     for (std::size_t q = 0; q < n_queries; ++q) origin[q] = q;
 
     std::size_t active = n_queries;
     std::size_t scanned_to = 0;
     for (std::size_t s = 0; s < stages_.size() && active > 0; ++s) {
         const dynamic_stage& stage = stages_[s];
-        kernels::hamming_block_extend(active_queries.data(), words, active,
-                                      mem.rows().data(), words, scanned_to,
-                                      stage.window_words, classes,
-                                      distances.data());
+        kernels::hamming_block_argmin2_prefix(active_queries.data(), words, active,
+                                              mem.rows().data(), words, scanned_to,
+                                              stage.window_words, classes,
+                                              distances.data(), results.data());
         scanned_to = stage.window_words;
         const bool last = s + 1 == stages_.size();
         std::size_t kept = 0;
         for (std::size_t slot = 0; slot < active; ++slot) {
-            const kernels::argmin2_result r =
-                kernels::argmin2_u64(distances.data() + slot * classes, classes);
+            const kernels::argmin2_result& r = results[slot];
             const std::uint64_t margin = r.runner_up == ~std::uint64_t{0}
                                              ? ~std::uint64_t{0}
                                              : r.runner_up - r.distance;

@@ -62,9 +62,10 @@ public:
     /// Answer a block of `n_queries` packed queries (words_per_class()
     /// words each, back-to-back in `queries_words`) in one register-blocked
     /// pass over the class rows (kernels::hamming_block_argmin2_prefix over
-    /// the full row width). out[q] is the first-wins Hamming argmin of
-    /// query q whatever the block size — the blocking only changes how many
-    /// queries share each streamed row. When `distances_out` is non-null it
+    /// the full row width, with no running-distance buffer, so no queries x
+    /// classes distance matrix is written). out[q] is the first-wins
+    /// Hamming argmin of query q whatever the block size — the blocking
+    /// only changes how many queries share each streamed row. When `distances_out` is non-null it
     /// receives the n_queries winning distances.
     void nearest_block(std::span<const std::uint64_t> queries_words,
                        std::size_t n_queries, std::span<std::size_t> out,

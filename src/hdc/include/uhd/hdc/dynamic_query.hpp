@@ -12,7 +12,8 @@
 // from held-out data for a target agreement rate with the full-D answer.
 //
 // Determinism: the cascade extends one running distance per class
-// incrementally (kernels::hamming_block_extend), so its full-D stage is
+// incrementally (kernels::hamming_block_argmin2_prefix with a running-
+// distance buffer, one call per stage), so its full-D stage is
 // bit-identical to class_memory::nearest() — same exact distances, same
 // first-wins tie rule. Calibration is a deterministic function of the
 // memory and the calibration queries (no RNG, no data-dependent float
@@ -141,10 +142,12 @@ public:
     /// Answer a block of `n_queries` packed queries (mem.words_per_class()
     /// words each, back-to-back in `queries_words`) through the cascade in
     /// one stage-synchronized sweep: every stage extends the distances of
-    /// all still-active queries with one register-blocked kernel call
-    /// (kernels::hamming_block_extend), queries whose margin clears the
-    /// stage threshold are answered, and the survivors are compacted so the
-    /// next stage streams each class row once for the whole remainder.
+    /// all still-active queries over the stage's new words and takes their
+    /// argmin and runner-up with one register-blocked kernel call
+    /// (kernels::hamming_block_argmin2_prefix with a running-distance
+    /// buffer), queries whose margin clears the stage threshold are
+    /// answered, and the survivors are compacted so the next stage streams
+    /// each class row once for the whole remainder.
     /// out[q] — and, when `stats` is non-empty (it must then hold n_queries
     /// slots), stats[q] — do not depend on the block size: the per-query
     /// distances, margins, and exit decisions are untouched by the blocking.

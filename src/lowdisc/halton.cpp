@@ -56,14 +56,6 @@ double halton_sequence::at(std::uint64_t index, std::size_t dim) const {
     return radical_inverse(index, bases_[dim]);
 }
 
-// uhd-lint: test-reference test_halton_lfsr checks that its points lie in [0, 1)
-std::vector<double> halton_sequence::points(std::size_t dim, std::size_t count) const {
-    std::vector<double> out;
-    out.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) out.push_back(at(i, dim));
-    return out;
-}
-
 r2_sequence::r2_sequence(std::size_t dimensions) {
     UHD_REQUIRE(dimensions >= 1, "need at least one R2 dimension");
     // phi_d is the unique positive root of x^(d+1) = x + 1; alpha_d = phi^-(k).
@@ -84,14 +76,6 @@ double r2_sequence::at(std::uint64_t index, std::size_t dim) const {
     UHD_REQUIRE(dim < alphas_.size(), "R2 dimension out of range");
     const double x = static_cast<double>(index + 1) * alphas_[dim];
     return x - std::floor(x);
-}
-
-// uhd-lint: test-reference test_halton_lfsr checks that its points lie in [0, 1)
-std::vector<double> r2_sequence::points(std::size_t dim, std::size_t count) const {
-    std::vector<double> out;
-    out.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) out.push_back(at(i, dim));
-    return out;
 }
 
 } // namespace uhd::ld

@@ -30,9 +30,6 @@ public:
     /// Point `index` of dimension `dim`.
     [[nodiscard]] double at(std::uint64_t index, std::size_t dim) const;
 
-    /// First `count` points of one dimension.
-    [[nodiscard]] std::vector<double> points(std::size_t dim, std::size_t count) const;
-
 private:
     std::vector<unsigned> bases_;
 };
@@ -46,8 +43,6 @@ public:
     [[nodiscard]] std::size_t dimensions() const noexcept { return alphas_.size(); }
 
     [[nodiscard]] double at(std::uint64_t index, std::size_t dim) const;
-
-    [[nodiscard]] std::vector<double> points(std::size_t dim, std::size_t count) const;
 
 private:
     std::vector<double> alphas_;

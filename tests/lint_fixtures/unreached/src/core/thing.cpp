@@ -19,4 +19,8 @@ int reference() { return 2; }
 // thing_demo links this function, so the marker (line 17) is stale.
 int stale() { return 3; }
 
+// uhd-lint: test-reference tests/test_thing.cpp called orphan()
+// orphan() was deleted, so this marker (line 22) sits above no library
+// function: a stale marker too.
+
 } // namespace uhd::core

@@ -1,7 +1,8 @@
 // Tests for the one associative-search primitive, the query-block Hamming
-// kernels: every admissible backend (the pinned scalar one included)
+// kernel: every admissible backend (the pinned scalar one included)
 // against an independent in-test oracle over ragged query/row/word counts,
-// n_queries = 1 — the single-query search — among them; and the
+// n_queries = 1 — the single-query search — among them, with and without
+// the cascade's running distances; and the
 // bit-identity of every block read path — nearest_block, the
 // stage-synchronized block cascade, predict_block, predict_batch/evaluate,
 // and the serve engine's one-call micro-batch drain — with its one-query
@@ -77,34 +78,94 @@ constexpr std::size_t kQueryCounts[] = {1, 3, 4, 5, 7, 8, 17};
 constexpr std::size_t kRowCounts[] = {1, 2, 3, 5};
 constexpr std::size_t kWordCounts[] = {1, 3, 8, 11, 19};
 
-TEST(BlockKernels, BlockExtendMatchesPairOracleOnEveryAdmissibleBackend) {
-    backend_reset reset;
-    for (const kernels::kernel_table* backend : kernels::admissible_backends()) {
-        kernels::force_backend(backend->name);
-        std::uint64_t seed = 1;
-        for (const std::size_t n_queries : kQueryCounts) {
-            for (const std::size_t n_rows : kRowCounts) {
-                for (const std::size_t words : kWordCounts) {
-                    const auto queries = random_words(n_queries * words, ++seed);
-                    const auto rows = random_words(n_rows * words, ++seed);
-                    // Split the word range in two extends: the distances must
-                    // accumulate exactly like the cascade uses them.
-                    const std::size_t mid = words / 2;
-                    std::vector<std::uint64_t> got(n_queries * n_rows, 7);
-                    kernels::hamming_block_extend(queries.data(), words, n_queries,
-                                                  rows.data(), words, 0, mid,
-                                                  n_rows, got.data());
-                    kernels::hamming_block_extend(queries.data(), words, n_queries,
-                                                  rows.data(), words, mid, words,
-                                                  n_rows, got.data());
+// The running-distance leg: the cascade's stage sequence on every
+// admissible backend against the pinned scalar reference, which is itself
+// held to the pair oracle. Stage starts of 3, 7 and 13 words sit off the
+// 4- and 8-word vector steps; 33 queries leave a ragged query tile, and
+// 4,097 rows an odd row after the 2-row tiles.
+constexpr std::size_t kStageQueryCounts[] = {1, 3, 4, 5, 33};
+constexpr std::size_t kStageRowCounts[] = {1, 2, 3, 10, 4097};
+constexpr std::size_t kStageDims[] = {64, 1024, 1088};
+
+void expect_same(const kernels::argmin2_result& got, const kernels::argmin2_result& want,
+                 const char* backend, std::size_t q, std::size_t stage_end) {
+    EXPECT_EQ(got.index, want.index)
+        << "backend=" << backend << " q=" << q << " end=" << stage_end;
+    EXPECT_EQ(got.distance, want.distance)
+        << "backend=" << backend << " q=" << q << " end=" << stage_end;
+    EXPECT_EQ(got.runner_up, want.runner_up)
+        << "backend=" << backend << " q=" << q << " end=" << stage_end;
+}
+
+TEST(BlockKernels, BlockArgmin2RunningDistancesMatchReferenceOnEveryAdmissibleBackend) {
+    const kernels::kernel_table& reference = *kernels::find_backend("scalar");
+    std::uint64_t seed = 500;
+    for (const std::size_t dim : kStageDims) {
+        const std::size_t words = kernels::sign_words(dim);
+        std::vector<std::size_t> ends;
+        for (const std::size_t end : {std::size_t{3}, std::size_t{7}, std::size_t{13}}) {
+            if (end < words) ends.push_back(end);
+        }
+        ends.push_back(words);
+        for (const std::size_t n_queries : kStageQueryCounts) {
+            for (const std::size_t n_rows : kStageRowCounts) {
+                const auto queries = random_words(n_queries * words, ++seed);
+                auto rows = random_words(n_rows * words, ++seed);
+                // The last row repeats the first: a tie between distant rows.
+                if (n_rows > 1) {
+                    std::copy_n(rows.begin(), words,
+                                rows.end() - static_cast<std::ptrdiff_t>(words));
+                }
+                const std::size_t cells = n_queries * n_rows;
+                // The reference's stage sequence, checked against the oracle.
+                std::vector<std::vector<std::uint64_t>> want_distances;
+                std::vector<std::vector<kernels::argmin2_result>> want_results;
+                std::vector<std::uint64_t> running(cells, 0);
+                std::vector<kernels::argmin2_result> results(n_queries);
+                std::size_t from = 0;
+                for (const std::size_t end : ends) {
+                    reference.hamming_block_argmin2_prefix(
+                        queries.data(), words, n_queries, rows.data(), words, from, end,
+                        n_rows, running.data(), results.data());
                     for (std::size_t q = 0; q < n_queries; ++q) {
+                        const std::uint64_t* query = queries.data() + q * words;
                         for (std::size_t r = 0; r < n_rows; ++r) {
-                            EXPECT_EQ(got[q * n_rows + r],
-                                      7 + pair_distance(queries.data() + q * words,
-                                                        rows.data() + r * words, 0,
-                                                        words))
-                                << "backend=" << backend->name << " q=" << q
-                                << " r=" << r << " words=" << words;
+                            ASSERT_EQ(running[q * n_rows + r],
+                                      pair_distance(query, rows.data() + r * words, 0,
+                                                    end));
+                        }
+                        expect_same(results[q],
+                                    oracle_argmin2(query, rows.data(), words, end, n_rows),
+                                    "oracle", q, end);
+                    }
+                    want_distances.push_back(running);
+                    want_results.push_back(results);
+                    from = end;
+                }
+                for (const kernels::kernel_table* backend :
+                     kernels::admissible_backends()) {
+                    std::fill(running.begin(), running.end(), 0);
+                    std::vector<kernels::argmin2_result> fresh(n_queries);
+                    from = 0;
+                    for (std::size_t s = 0; s < ends.size(); ++s) {
+                        backend->hamming_block_argmin2_prefix(
+                            queries.data(), words, n_queries, rows.data(), words, from,
+                            ends[s], n_rows, running.data(), results.data());
+                        from = ends[s];
+                        EXPECT_EQ(running, want_distances[s])
+                            << "backend=" << backend->name << " words=" << words
+                            << " queries=" << n_queries << " rows=" << n_rows
+                            << " end=" << ends[s];
+                        // No buffer: the fresh scan of the same window. At the
+                        // first stage this is the zero buffer against nullptr.
+                        backend->hamming_block_argmin2_prefix(
+                            queries.data(), words, n_queries, rows.data(), words, 0,
+                            ends[s], n_rows, nullptr, fresh.data());
+                        for (std::size_t q = 0; q < n_queries; ++q) {
+                            expect_same(results[q], want_results[s][q], backend->name,
+                                        q, ends[s]);
+                            expect_same(fresh[q], want_results[s][q], backend->name, q,
+                                        ends[s]);
                         }
                     }
                 }
@@ -135,8 +196,8 @@ TEST(BlockKernels, BlockArgmin2MatchesPairOracleOnEveryAdmissibleBackend) {
                         }
                         std::vector<kernels::argmin2_result> got(n_queries);
                         kernels::hamming_block_argmin2_prefix(
-                            queries.data(), words, n_queries, rows.data(), words,
-                            prefix, n_rows, got.data());
+                            queries.data(), words, n_queries, rows.data(), words, 0,
+                            prefix, n_rows, nullptr, got.data());
                         for (std::size_t q = 0; q < n_queries; ++q) {
                             const kernels::argmin2_result want =
                                 oracle_argmin2(queries.data() + q * words,
@@ -168,8 +229,8 @@ TEST(BlockKernels, TiedRowsResolveFirstWins) {
         kernels::force_backend(backend->name);
         std::vector<kernels::argmin2_result> got(n_queries);
         kernels::hamming_block_argmin2_prefix(query_block.data(), words, n_queries,
-                                              rows.data(), words, words, n_rows,
-                                              got.data());
+                                              rows.data(), words, 0, words, n_rows,
+                                              nullptr, got.data());
         for (std::size_t q = 0; q < n_queries; ++q) {
             EXPECT_EQ(got[q].index, 0u) << "backend=" << backend->name;
             EXPECT_EQ(got[q].runner_up, got[q].distance);

@@ -118,7 +118,7 @@ TEST(ClassMemory, NearestMatchesScalarReference) {
         kernels::argmin2_result ref{};
         simd::hamming_block_argmin2_prefix_reference(
             query.bits().words().data(), mem.words_per_class(), 1, mem.rows().data(),
-            mem.words_per_class(), mem.words_per_class(), classes, &ref);
+            mem.words_per_class(), 0, mem.words_per_class(), classes, nullptr, &ref);
         std::uint64_t distance = 0;
         ASSERT_EQ(mem.nearest(query.bits().words(), &distance), ref.index)
             << "dim=" << dim << " classes=" << classes;

@@ -1,8 +1,8 @@
 // Tests for the dynamic-dimension query path: prefix-window associative
-// search through the one-query block kernels (vs the pinned scalar oracle,
-// and incremental extension vs a fresh prefix scan), the early-exit
+// search through the one-query search kernel (vs the pinned scalar oracle,
+// and running-distance stages vs a fresh prefix scan), the early-exit
 // cascade's full-D fallback bit-identity with predict_encoded, calibration
-// guarantees, and stats accounting.
+// guarantees and pinned thresholds, and stats accounting.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -41,8 +41,8 @@ kernels::argmin2_result prefix_scan(const class_memory& mem,
                                     std::size_t window) {
     kernels::argmin2_result r{};
     kernels::hamming_block_argmin2_prefix(query.data(), mem.words_per_class(), 1,
-                                          mem.rows().data(), mem.words_per_class(),
-                                          window, mem.classes(), &r);
+                                          mem.rows().data(), mem.words_per_class(), 0,
+                                          window, mem.classes(), nullptr, &r);
     return r;
 }
 
@@ -59,7 +59,7 @@ TEST(DynamicQuery, PrefixKernelMatchesPinnedReference) {
                 kernels::argmin2_result ref{};
                 simd::hamming_block_argmin2_prefix_reference(
                     words.data(), mem.words_per_class(), 1, mem.rows().data(),
-                    mem.words_per_class(), window, classes, &ref);
+                    mem.words_per_class(), 0, window, classes, nullptr, &ref);
                 ASSERT_EQ(fast.index, ref.index);
                 ASSERT_EQ(fast.distance, ref.distance);
                 ASSERT_EQ(fast.runner_up, ref.runner_up);
@@ -77,14 +77,17 @@ TEST(DynamicQuery, ExtendKernelMatchesFreshPrefixScan) {
     const auto qwords = query.bits().words();
     const std::size_t words = mem.words_per_class();
 
+    // The cascade's stage calls: each one extends the running distances over
+    // its new words only, and must answer like a fresh scan of its window.
     std::vector<std::uint64_t> running(classes, 0);
     std::size_t from = 0;
     for (const std::size_t to : {words / 8, words / 4, words / 2, words}) {
-        kernels::hamming_block_extend(qwords.data(), words, 1, mem.rows().data(),
-                                      words, from, to, classes, running.data());
+        kernels::argmin2_result incremental{};
+        kernels::hamming_block_argmin2_prefix(qwords.data(), words, 1,
+                                              mem.rows().data(), words, from, to,
+                                              classes, running.data(), &incremental);
         from = to;
         const auto fresh = prefix_scan(mem, qwords, to);
-        const auto incremental = kernels::argmin2_u64(running.data(), classes);
         EXPECT_EQ(incremental.index, fresh.index);
         EXPECT_EQ(incremental.distance, fresh.distance);
         EXPECT_EQ(incremental.runner_up, fresh.runner_up);
@@ -228,6 +231,46 @@ TEST(DynamicQuery, CalibrationHitsTargetAgreementOnCalibrationSet) {
         EXPECT_GE(static_cast<double>(agree),
                   target * static_cast<double>(kept))
             << "stage " << s;
+    }
+}
+
+TEST(DynamicQuery, CalibratedThresholdsArePinned) {
+    // A fixed memory and query set: 26 random rows at D = 4096 (the
+    // 8/16/32/64-word ladder) and 260 queries, each a class row with 42-48%
+    // of its bits flipped, so the early windows often disagree with the
+    // full scan. uhd_serve and uhd_loadgen calibrate their policies with
+    // this code, and an agreement-rate check would not see the thresholds
+    // drift, so the exact values are pinned.
+    xoshiro256ss rng(2718);
+    const std::size_t classes = 26;
+    const class_memory mem = random_memory(classes, 4096, rng);
+    const std::size_t words = mem.words_per_class();
+    const std::size_t count = 260;
+    std::vector<std::uint64_t> queries(count * words);
+    for (std::size_t i = 0; i < count; ++i) {
+        const std::uint64_t* row = mem.rows().data() + (i % classes) * words;
+        const std::uint64_t flip_per_mille = 420 + 60 * (i % 7) / 6;
+        for (std::size_t w = 0; w < words; ++w) {
+            std::uint64_t mask = 0;
+            for (unsigned b = 0; b < 64; ++b) {
+                if (rng.next() % 1000 < flip_per_mille) mask |= std::uint64_t{1} << b;
+            }
+            queries[i * words + w] = row[w] ^ mask;
+        }
+    }
+    struct pinned {
+        double target;
+        std::uint64_t thresholds[3];
+    };
+    for (const pinned& pin : {pinned{0.99, {24, 18, 20}}, pinned{0.9, {12, 10, 2}}}) {
+        const auto policy = dynamic_query_policy::calibrate(mem, queries, count, pin.target);
+        ASSERT_EQ(policy.stages().size(), 4u);
+        for (std::size_t s = 0; s < 3; ++s) {
+            EXPECT_EQ(policy.stages()[s].window_words, std::size_t{8} << s);
+            EXPECT_EQ(policy.stages()[s].margin_threshold, pin.thresholds[s])
+                << "target " << pin.target << " stage " << s;
+        }
+        EXPECT_EQ(policy.stages()[3].margin_threshold, 0u);
     }
 }
 

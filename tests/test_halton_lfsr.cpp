@@ -57,9 +57,9 @@ TEST(Halton, DimensionsUseSuccessivePrimes) {
 TEST(Halton, PointsInUnitInterval) {
     const halton_sequence seq(4);
     for (std::size_t d = 0; d < 4; ++d) {
-        for (const double x : seq.points(d, 500)) {
-            EXPECT_GE(x, 0.0);
-            EXPECT_LT(x, 1.0);
+        for (std::uint64_t i = 0; i < 500; ++i) {
+            EXPECT_GE(seq.at(i, d), 0.0);
+            EXPECT_LT(seq.at(i, d), 1.0);
         }
     }
 }
@@ -67,9 +67,9 @@ TEST(Halton, PointsInUnitInterval) {
 TEST(R2Sequence, DeterministicAndInRange) {
     const r2_sequence seq(8);
     for (std::size_t d = 0; d < 8; ++d) {
-        for (const double x : seq.points(d, 500)) {
-            EXPECT_GE(x, 0.0);
-            EXPECT_LT(x, 1.0);
+        for (std::uint64_t i = 0; i < 500; ++i) {
+            EXPECT_GE(seq.at(i, d), 0.0);
+            EXPECT_LT(seq.at(i, d), 1.0);
         }
         EXPECT_DOUBLE_EQ(seq.at(3, d), seq.at(3, d));
     }

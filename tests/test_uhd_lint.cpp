@@ -202,11 +202,15 @@ TEST(UhdLint, UnreachedFunctionFiresOnUnmarkedFunctionAndStaleMarker) {
     // marker, two comment lines above the definition.
     EXPECT_TRUE(has(findings, "unreached-function", "src/core/thing.cpp", 17))
         << dump(findings);
+    // The orphan marker after stale(): it sits above no library function,
+    // so it keeps nothing. The finding anchors at the marker.
+    EXPECT_TRUE(has(findings, "unreached-function", "src/core/thing.cpp", 22))
+        << dump(findings);
     // Quiet: reference() (marked), the constructor (two symbols, one
     // linked), module_value() (its public header is marked), and the
     // inline thing::value() (a W symbol, not an external definition, that
     // no product keeps).
-    EXPECT_EQ(findings.size(), 2u) << dump(findings);
+    EXPECT_EQ(findings.size(), 3u) << dump(findings);
     EXPECT_TRUE(only_rule(findings, "unreached-function")) << dump(findings);
 }
 

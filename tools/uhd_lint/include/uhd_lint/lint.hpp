@@ -38,9 +38,11 @@
 //                        `uhd-lint: test-reference <reason>` comment above
 //                        its definition, or on its TU's public header,
 //                        marks it; a marked function that a product links
-//                        is a stale marker. Inline functions and templates
-//                        emit no external symbol, so header-only code is
-//                        out of its sight (test-only-header covers it)
+//                        is a stale marker, and so is a src/**/*.cpp marker
+//                        above no such function. Inline functions and
+//                        templates emit no external symbol, so header-only
+//                        code is out of its sight (test-only-header covers
+//                        it)
 #ifndef UHD_LINT_LINT_HPP
 #define UHD_LINT_LINT_HPP
 

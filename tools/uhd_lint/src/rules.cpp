@@ -16,6 +16,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace uhd_lint {
@@ -773,7 +774,9 @@ void rule_test_only_header(const project& p, std::vector<finding>& out) {
 // test-reference marker with a reason, or its TU src/<m>/<name>.cpp has a
 // public header src/<m>/include/uhd/<m>/<name>.hpp that carries it (a
 // module kept as a test reference). A function marker on a function that a
-// product links is a stale marker, a finding at the marker. Paths in the
+// product links is a stale marker, a finding at the marker. So is a marker
+// in a src/**/*.cpp file that sits above no external libuhd.a function (its
+// function deleted, moved, or internal): it keeps nothing. Paths in the
 // library listing resolve to the scanned file they end with.
 //
 // Limit: inline functions and templates emit no `T` symbol, so header-only
@@ -881,6 +884,8 @@ void rule_unreached_function(const project& p, std::vector<finding>& out) {
     for_each_nm_symbol(p.library_symbols, [&](const nm_symbol& s) {
         if (s.type == 'T') functions.emplace(s.name, s.location);
     });
+    // (file, offset) of every marker that sits above a library function.
+    std::set<std::pair<const source_file*, std::size_t>> attached;
     for (const auto& [name, location] : functions) {
         const bool reached = linked.contains(name);
         const std::size_t colon = location.rfind(':');
@@ -893,6 +898,7 @@ void rule_unreached_function(const project& p, std::vector<finding>& out) {
         const source_file* f = file_named(p, path);
         const std::size_t marker =
             f != nullptr && line != 0 ? function_marker(*f, line) : std::string::npos;
+        if (marker != std::string::npos) attached.emplace(f, marker);
         if (!reached && marker == std::string::npos &&
             (f == nullptr || !module_marked(p, f->rel_path))) {
             out.push_back({std::string(kUnreachedFunction),
@@ -905,6 +911,16 @@ void rule_unreached_function(const project& p, std::vector<finding>& out) {
             add(out, kUnreachedFunction, *f, marker,
                 "stale '" + std::string(kTestReferenceMarker) +
                     "' marker: a product binary links " + std::string(name));
+        }
+    }
+    for (const source_file& f : p.files) {
+        if (!f.rel_path.starts_with("src/") || !f.rel_path.ends_with(".cpp")) continue;
+        for (std::size_t at = test_reference_marker(f); at != std::string::npos;
+             at = test_reference_marker(f, at + 1)) {
+            if (attached.contains({&f, at})) continue;
+            add(out, kUnreachedFunction, f, at,
+                "stale '" + std::string(kTestReferenceMarker) +
+                    "' marker: it sits above no external libuhd.a function");
         }
     }
 }
@@ -936,7 +952,8 @@ constexpr std::array<rule, 7> kRules = {{
      rule_test_only_header},
     {kUnreachedFunction,
      "given the reach listings, every external libuhd.a function is linked "
-     "into a product unless marked as a test reference, and no marked one is",
+     "into a product unless marked as a test reference, and every marker "
+     "sits on an unlinked one",
      rule_unreached_function},
 }};
 
