@@ -19,18 +19,16 @@
 //   start() from the engine's geometry) in pages that grow to its
 //   in-flight high-water mark; a slot never moves while its reactor
 //   lives. handle_predict puts each query into a slot once, in the form
-//   its route reads, and submits a view of it: a pre-encoded query on a
-//   packed route (a full scan on a binarized snapshot, or any cascade) is
+//   every route reads, and submits a view of it: a pre-encoded query is
 //   sign-binarized there, so 128 B per query travel to the worker at
-//   D = 1024 instead of 4 KiB of int32, and no worker binarizes; the
-//   integer-mode full scan gets its int32 values; raw features are copied
-//   in, and the worker gathers each drained micro-batch's raw requests
-//   into one block for a single batch encode call, so encode throughput
-//   scales with workers, not loops. The slot index rides in the answer
-//   tag, which the engine echoes, and the slot returns to the pool when
-//   its answer is drained (connection open or not), when
-//   close_connection drops a parked tail, and at stop(), which first
-//   waits until no worker still holds one of the reactor's requests.
+//   D = 1024 instead of 4 KiB of int32, and no worker binarizes; raw
+//   features are copied in, and the worker gathers each drained
+//   micro-batch's raw requests into one block for a single batch encode
+//   call, so encode throughput scales with workers, not loops. The slot
+//   index rides in the answer tag, which the engine echoes, and the slot
+//   returns to the pool when its answer is drained (connection open or
+//   not), when close_connection drops a parked tail, and at stop(), which
+//   first waits until no worker still holds one of the reactor's requests.
 //   Only the reactor touches its pool; the queue mutex orders its write
 //   of a slot before a worker's read, and the mailbox mutex orders that
 //   read before the slot's reuse (wire_stats::query_slots and
@@ -133,9 +131,11 @@ class wire_server {
 public:
     /// Serve `engine` over TCP. `trainer`, when given, enables
     /// partial_fit (updates are serialized across reactors by an internal
-    /// mutex). Raw-feature predicts are answered through the engine's
-    /// encode stage when it is raw_capable(), and get `unsupported`
-    /// otherwise. The engine must outlive the server.
+    /// mutex); its snapshots must be ones the engine can publish (same
+    /// dim and classes, binarized), or this throws uhd::error. Raw-feature
+    /// predicts are answered through the engine's encode stage when it is
+    /// raw_capable(), and get `unsupported` otherwise. The engine must
+    /// outlive the server.
     explicit wire_server(serve::inference_engine& engine,
                          wire_server_options options = {},
                          core::uhd_model* trainer = nullptr);

@@ -172,6 +172,14 @@ wire_server::wire_server(serve::inference_engine& engine,
     UHD_REQUIRE(options_.inflight_cap >= 1, "in-flight cap must be positive");
     UHD_REQUIRE(options_.max_payload >= 1, "payload cap must be positive");
     if (options_.publish_every == 0) options_.publish_every = 1;
+    if (trainer_ != nullptr) {
+        // partial_fit publishes the trainer's snapshots: one the engine
+        // would refuse must fail here, not after a fit has been applied.
+        const hdc::inference_snapshot snap = trainer_->snapshot();
+        UHD_REQUIRE(snap.dim() == engine_.dim() && snap.classes() == engine_.classes() &&
+                        snap.mode() == hdc::query_mode::binarized,
+                    "trainer snapshots do not fit the engine (geometry or query mode)");
+    }
     // Resolve the env knob on the constructing thread so a bad value throws
     // here, not inside a reactor.
     options_.reactors = resolve_reactors(options_.reactors);
@@ -189,13 +197,11 @@ void wire_server::start() {
     // kernel load-balances accepts. The first bind may be ephemeral
     // (port 0); the rest bind the concrete port it resolved to.
     const bool reuse = n > 1;
-    // A slot holds the largest payload a predict can put in it: raw
-    // pixels, a packed route's sign words, or (integer-mode full scan
-    // only) int32 values.
+    // A slot holds the larger payload a predict can put in it: raw pixels
+    // or a pre-encoded query's sign words.
     const std::size_t dim = engine_.dim();
     const std::size_t slot_bytes = std::max(
-        {engine_.raw_pixels(), kernels::sign_words(dim) * sizeof(std::uint64_t),
-         engine_.packed_route(false) ? std::size_t{0} : dim * sizeof(std::int32_t)});
+        engine_.raw_pixels(), kernels::sign_words(dim) * sizeof(std::uint64_t));
     try {
         for (std::size_t i = 0; i < n; ++i) {
             auto r = std::make_unique<reactor>();
@@ -710,18 +716,13 @@ void wire_server::handle_predict(reactor& r, connection& conn, std::uint8_t op,
         request.raw = {reinterpret_cast<const std::uint8_t*>(words), body_len};
     } else {
         // The body sits at any offset of the read buffer: decode it into
-        // the aligned scratch, then put the form the route reads into the
-        // slot — the only transform between socket and kernel.
+        // the aligned scratch, then sign-binarize it into the slot — the
+        // only transform between socket and kernel.
         for (std::size_t i = 0; i < dim; ++i) {
             r.decoded[i] = static_cast<std::int32_t>(load_u32(body + i * 4));
         }
-        if (engine_.packed_route(dynamic)) {
-            kernels::sign_binarize(r.decoded.data(), dim, words);
-            request.packed = {words, kernels::sign_words(dim)};
-        } else {
-            std::memcpy(words, r.decoded.data(), dim * sizeof(std::int32_t));
-            request.encoded = {reinterpret_cast<const std::int32_t*>(words), dim};
-        }
+        kernels::sign_binarize(r.decoded.data(), dim, words);
+        request.packed = {words, kernels::sign_words(dim)};
     }
     // Submitted with the rest of this read's predicts (submit_pending).
     conn.pending.push_back(request);

@@ -18,11 +18,12 @@
 //   request in the batch from that one immutable state, with no lock held
 //   during inference; they never wait on training work and never observe
 //   a half-updated model.
-// * A drained micro-batch is answered with ONE block-kernel call whenever
-//   the engine serves from the packed memory (binarized mode, or any
-//   policy-configured engine): the requests' sign words are gathered into
-//   one contiguous packed block and pushed through the register-blocked
-//   query-GEMM kernels (inference_snapshot::predict_packed_block /
+// * The engine serves binarized snapshots only, so it always answers from
+//   the packed memory. A drained micro-batch is answered with ONE
+//   block-kernel call per route: the requests' sign words are gathered
+//   into one contiguous packed block and pushed through the
+//   register-blocked query-GEMM kernels
+//   (inference_snapshot::predict_packed_block /
 //   dynamic_query_policy::answer_block), so each packed class row is
 //   streamed once per query tile instead of once per request. Bit-identical
 //   per request to the single-query paths; serve_stats::kernel_calls
@@ -39,13 +40,11 @@
 //   are bit-identical to predict_encoded / predict_dynamic on the same
 //   snapshot for every backend.
 //
-// A request views its query; it does not own it. The view is in the form
-// its route reads: sign words on a packed route (a full scan on a
-// binarized snapshot, or any cascade), int32 accumulators on the one
-// route that reads them (a full scan on an integer-mode snapshot), or, on
-// an engine with an encoder, raw pixels that the workers batch-encode. So
-// a pre-encoded query is sign-binarized once, by whoever submits it, and
-// no worker ever binarizes. Every request is answered through an
+// A request views its query; it does not own it. The view is either the
+// query's sign words, which every route reads, or, on an engine with an
+// encoder, raw pixels that the workers batch-encode into sign words. So a
+// pre-encoded query is sign-binarized once, by whoever submits it, and no
+// worker ever binarizes. Every request is answered through an
 // answer_sink: after a micro-batch is answered, its worker hands each
 // sink all of that batch's answers for it in ONE deliver() call — the
 // wire front-end's reactors are sinks, so a batch costs them one mailbox
@@ -98,9 +97,8 @@ struct engine_options {
     /// pixel queries (sink_request::raw, try_submit_raw()) and its workers
     /// encode each drained raw micro-batch with ONE encode call before
     /// answering — the off-loop encode stage: encode_sign_batch straight
-    /// into packed query rows on a binarized snapshot, encode_batch into
-    /// int32 accumulators on an integer one. The encoder must outlive the
-    /// engine and produce dim() accumulators; encoders are immutable after
+    /// into packed query rows. The encoder must outlive the engine and
+    /// produce dim() accumulators; encoders are immutable after
     /// construction, so concurrent worker use is safe.
     const core::uhd_encoder* encoder = nullptr;
 };
@@ -142,18 +140,15 @@ protected:
 };
 
 /// One request of a batch try_submit(): a view of its query, in exactly
-/// one of three forms. The submitter keeps the viewed bytes alive, and
+/// one of two forms. The submitter keeps the viewed bytes alive, and
 /// unchanged, until the request's answer is delivered.
 struct sink_request {
     /// raw_pixels() bytes, encoded by the workers' encode stage.
     std::span<const std::uint8_t> raw;
-    /// A packed route's query: sign_words(dim()) words, bit d set iff
-    /// value d is negative (the kernels::sign_binarize layout), tail bits
-    /// past dim() zero.
+    /// A pre-encoded query: sign_words(dim()) words, bit d set iff value d
+    /// is negative (the kernels::sign_binarize layout), tail bits past
+    /// dim() zero.
     std::span<const std::uint64_t> packed;
-    /// dim() int32 accumulators, only for a full scan on an integer-mode
-    /// snapshot (the one route that reads them).
-    std::span<const std::int32_t> encoded;
     answer_tag tag;       ///< echoed in the answer
     bool dynamic = false; ///< answer through the cascade (needs a policy)
 };
@@ -169,18 +164,16 @@ using answer_callback = std::function<void(
 /// Micro-batching query server over an atomically swappable snapshot.
 class inference_engine {
 public:
-    /// Start `options.workers` workers serving `initial`.
+    /// Start `options.workers` workers serving `initial`, which must be a
+    /// binarized snapshot (query_mode::binarized): the engine answers from
+    /// the packed memory only, so it throws uhd::error on an integer-mode
+    /// snapshot rather than answer differently from its predict_encoded.
     explicit inference_engine(hdc::inference_snapshot initial,
                               engine_options options = {});
 
     /// Same, answering through the early-exit cascade: `policy` must match
     /// the snapshot's row width (and every snapshot published later — the
-    /// engine enforces fixed geometry across publishes). Like
-    /// hd_classifier::predict_dynamic, the cascade always answers from the
-    /// packed associative memory regardless of the snapshot's query_mode:
-    /// a policy-configured engine over an integer-mode snapshot serves the
-    /// binarized cascade answers, not the integer cosine ones (tested —
-    /// bit-identical to predict_dynamic_encoded either way).
+    /// engine enforces fixed geometry across publishes).
     inference_engine(hdc::inference_snapshot initial,
                      hdc::dynamic_query_policy policy,
                      engine_options options = {});
@@ -192,7 +185,8 @@ public:
     ~inference_engine();
 
     /// Swap in a new snapshot (single atomic pointer store). The trainer's
-    /// publish path: geometry and query mode must match the engine's.
+    /// publish path: geometry must match the engine's, and the snapshot
+    /// must be binarized.
     /// In-flight batches finish on the snapshot they hold; the swap never
     /// waits for them.
     void publish(hdc::inference_snapshot next);
@@ -213,9 +207,8 @@ public:
     /// tail is not consumed (park it and retry after a completion frees a
     /// slot). Validates every request first and throws uhd::error —
     /// consuming nothing — unless it views exactly one payload of the right
-    /// size and form for its route (packed on a packed_route(), int32
-    /// otherwise, raw only with an encoder, a packed view's tail bits
-    /// zero), on `dynamic` without a policy, or on a stopped engine.
+    /// size (raw only with an encoder, a packed view's tail bits zero), on
+    /// `dynamic` without a policy, or on a stopped engine.
     ///
     /// Per-request routing (unlike submit(), which always answers through
     /// the engine's configured default): `dynamic = false` answers with the
@@ -224,17 +217,16 @@ public:
     /// (predict_dynamic_encoded semantics). A drained micro-batch holding
     /// both kinds is answered with one block-kernel call per kind. Raw
     /// requests are batch-encoded by the workers with one encode call per
-    /// micro-batch (packed sign rows on a binarized snapshot), then
-    /// answered through the same block path.
+    /// micro-batch, into packed sign rows, then answered through the same
+    /// block path.
     [[nodiscard]] std::size_t try_submit(std::span<sink_request> requests,
                                          answer_sink& sink);
 
     /// One-request adapter: enqueue one pre-encoded query (dim() int32
     /// values), blocking while the queue is full, answered through the
-    /// engine's default route. The request's sink owns the payload: on a
-    /// packed route the values are sign-binarized here, on the calling
-    /// thread, and only their sign words are kept; otherwise the vector
-    /// moves into the sink. The future yields the predicted class, or
+    /// engine's default route. The request's sink owns the payload: the
+    /// values are sign-binarized here, on the calling thread, and only
+    /// their sign words are kept. The future yields the predicted class, or
     /// rethrows the error of the stage that failed the request. Throws
     /// uhd::error on a size mismatch or when already stopped.
     [[nodiscard]] std::future<std::size_t> submit(std::vector<std::int32_t> encoded);
@@ -244,9 +236,9 @@ public:
 
     /// One-request adapter of the batch try_submit, answering through
     /// `done`, with its payload owned by the request's sink as in submit():
-    /// true when queued (`encoded` is left empty); false on a full queue,
-    /// with `encoded` handed back intact and `done` never invoked. Throws
-    /// like the batch form, leaving `encoded` intact.
+    /// true when queued (`encoded` is then cleared); false on a full queue,
+    /// with `encoded` left intact and `done` never invoked. Throws like the
+    /// batch form, leaving `encoded` intact.
     [[nodiscard]] bool try_submit(std::vector<std::int32_t>& encoded,
                                   answer_callback done, bool dynamic = false);
 
@@ -270,14 +262,6 @@ public:
     /// Raw query payload size in bytes (0 when !raw_capable()).
     [[nodiscard]] std::size_t raw_pixels() const noexcept;
 
-    /// Whether a request with this `dynamic` flag is answered from sign
-    /// words: through the cascade, or by the full scan of a binarized
-    /// snapshot. A pre-encoded query on such a route must be submitted as
-    /// its packed view; only the integer-mode full scan reads int32 values.
-    [[nodiscard]] bool packed_route(bool dynamic) const noexcept {
-        return dynamic || mode_ == hdc::query_mode::binarized;
-    }
-
     /// Point-in-time counters (see serve_stats for the consistency note).
     [[nodiscard]] serve_stats stats() const;
 
@@ -293,8 +277,7 @@ public:
 
 private:
     /// A queued request: the submitted view (raw pixels are encoded by the
-    /// worker's encode stage into a packed row, or into an int32 row on the
-    /// integer-mode full scan) plus where its answer goes.
+    /// worker's encode stage into a packed row) plus where its answer goes.
     struct request : sink_request {
         request(const sink_request& query, answer_sink* to)
             : sink_request(query), sink(to) {}
@@ -303,6 +286,12 @@ private:
         std::exception_ptr error; ///< set when a stage failed it; later
                                   ///< stages skip it
     };
+
+    /// The public constructors' one body; `policy` empty for a full-scan
+    /// engine.
+    inference_engine(hdc::inference_snapshot initial,
+                     std::optional<hdc::dynamic_query_policy> policy,
+                     engine_options options);
 
     void start_workers(std::size_t workers);
     void worker_loop();
@@ -313,7 +302,6 @@ private:
     // a worker mid-batch can never see a dimension change under its feet.
     std::size_t dim_ = 0;
     std::size_t classes_ = 0;
-    hdc::query_mode mode_;
 
     snapshot_cell current_;
     std::optional<hdc::dynamic_query_policy> policy_;

@@ -12,32 +12,42 @@
 
 namespace uhd::serve {
 
+namespace {
+
+/// `snap` as the engine holds it. Throws unless it is binarized: the engine
+/// answers from the packed memory only.
+std::shared_ptr<const hdc::inference_snapshot> servable(hdc::inference_snapshot snap) {
+    UHD_REQUIRE(snap.mode() == hdc::query_mode::binarized,
+                "the engine serves binarized snapshots only");
+    return std::make_shared<const hdc::inference_snapshot>(std::move(snap));
+}
+
+} // namespace
+
 inference_engine::inference_engine(hdc::inference_snapshot initial,
                                    engine_options options)
-    : dim_(initial.dim()), classes_(initial.classes()), mode_(initial.mode()),
-      current_(std::make_shared<const hdc::inference_snapshot>(std::move(initial))),
-      encoder_(options.encoder), queue_(options.queue_capacity),
-      max_batch_(options.max_batch == 0 ? 1 : options.max_batch) {
-    UHD_REQUIRE(dim_ >= 1, "engine needs a non-empty snapshot");
-    UHD_REQUIRE(encoder_ == nullptr || encoder_->dim() == dim_,
-                "engine encoder dim does not match the snapshot");
-    start_workers(options.workers);
-}
+    : inference_engine(std::move(initial), std::nullopt, options) {}
 
 inference_engine::inference_engine(hdc::inference_snapshot initial,
                                    hdc::dynamic_query_policy policy,
                                    engine_options options)
-    : dim_(initial.dim()), classes_(initial.classes()), mode_(initial.mode()),
-      current_(std::make_shared<const hdc::inference_snapshot>(std::move(initial))),
-      policy_(std::move(policy)), encoder_(options.encoder),
-      queue_(options.queue_capacity),
+    : inference_engine(std::move(initial),
+                       std::optional<hdc::dynamic_query_policy>(std::move(policy)),
+                       options) {}
+
+inference_engine::inference_engine(hdc::inference_snapshot initial,
+                                   std::optional<hdc::dynamic_query_policy> policy,
+                                   engine_options options)
+    : dim_(initial.dim()), classes_(initial.classes()),
+      current_(servable(std::move(initial))), policy_(std::move(policy)),
+      encoder_(options.encoder), queue_(options.queue_capacity),
       max_batch_(options.max_batch == 0 ? 1 : options.max_batch) {
     UHD_REQUIRE(dim_ >= 1, "engine needs a non-empty snapshot");
     UHD_REQUIRE(encoder_ == nullptr || encoder_->dim() == dim_,
                 "engine encoder dim does not match the snapshot");
     // Policies are keyed on the row width; a mismatched one would fail on
     // the first query — fail at construction instead.
-    UHD_REQUIRE(policy_->full_words() == current_.load()->words_per_class(),
+    UHD_REQUIRE(!policy_ || policy_->full_words() == current_.load()->words_per_class(),
                 "dynamic policy row width does not match the snapshot");
     start_workers(options.workers);
 }
@@ -55,11 +65,10 @@ void inference_engine::start_workers(std::size_t workers) {
 void inference_engine::publish(hdc::inference_snapshot next) {
     UHD_REQUIRE(next.dim() == dim_ && next.classes() == classes_,
                 "published snapshot geometry mismatch");
-    UHD_REQUIRE(next.mode() == mode_, "published snapshot query-mode mismatch");
     // The whole swap: one pointer store in the cell. Readers that already
     // loaded the old snapshot keep it alive through their shared_ptr; the
     // old state is freed when the last of them finishes.
-    current_.store(std::make_shared<const hdc::inference_snapshot>(std::move(next)));
+    current_.store(servable(std::move(next)));
     counters_.record_swap();
 }
 
@@ -73,8 +82,7 @@ namespace {
 /// until the answer is delivered, and the queued request views it.
 class owning_sink : public answer_sink {
 public:
-    std::vector<std::int32_t> encoded; ///< the integer-mode full scan's values
-    std::vector<std::uint64_t> packed; ///< a packed route's sign words
+    std::vector<std::uint64_t> packed; ///< a pre-encoded query's sign words
     std::vector<std::uint8_t> raw;     ///< raw pixels
 
     /// Keep `values` as sign words, binarized on the calling thread.
@@ -85,7 +93,7 @@ public:
 
     /// The request viewing this payload.
     [[nodiscard]] sink_request request(bool dynamic) const {
-        return {raw, packed, encoded, {}, dynamic};
+        return {raw, packed, {}, dynamic};
     }
 
 protected:
@@ -164,24 +172,16 @@ bool submit_one(inference_engine& engine, std::unique_ptr<callback_sink> sink,
 } // namespace
 
 void inference_engine::check(const sink_request& req) const {
-    const int views = static_cast<int>(!req.raw.empty()) +
-                      static_cast<int>(!req.packed.empty()) +
-                      static_cast<int>(!req.encoded.empty());
-    UHD_REQUIRE(views == 1, "a request must view exactly one query payload");
+    UHD_REQUIRE(req.raw.empty() != req.packed.empty(),
+                "a request must view exactly one query payload");
     if (!req.raw.empty()) {
         UHD_REQUIRE(encoder_ != nullptr, "raw submit on an engine without an encoder");
         UHD_REQUIRE(req.raw.size() == encoder_->pixels(), "raw query size mismatch");
-    } else if (!req.packed.empty()) {
+    } else {
         UHD_REQUIRE(req.packed.size() == kernels::sign_words(dim_),
                     "packed query size mismatch");
         UHD_REQUIRE(dim_ % 64 == 0 || (req.packed.back() >> (dim_ % 64)) == 0,
                     "packed query has bits set past dim");
-        UHD_REQUIRE(packed_route(req.dynamic),
-                    "packed query on an integer-mode full scan");
-    } else {
-        UHD_REQUIRE(req.encoded.size() == dim_, "encoded query size mismatch");
-        UHD_REQUIRE(!packed_route(req.dynamic),
-                    "int32 query on a packed route: submit its sign words");
     }
     UHD_REQUIRE(!req.dynamic || policy_.has_value(),
                 "dynamic request on an engine without a dynamic policy");
@@ -201,16 +201,11 @@ std::size_t inference_engine::try_submit(std::span<sink_request> requests,
 std::future<std::size_t> inference_engine::submit(
     std::vector<std::int32_t> encoded) {
     UHD_REQUIRE(encoded.size() == dim_, "encoded query size mismatch");
+    auto sink = std::make_unique<promise_sink>();
+    sink->binarize(encoded);
     // The future path keeps the engine's configured default: a policy
     // engine answers through the cascade, a plain one with the full scan.
-    const bool dynamic = policy_.has_value();
-    auto sink = std::make_unique<promise_sink>();
-    if (packed_route(dynamic)) {
-        sink->binarize(encoded);
-    } else {
-        sink->encoded = std::move(encoded);
-    }
-    request req(sink->request(dynamic), sink.get());
+    request req(sink->request(policy_.has_value()), sink.get());
     check(req);
     std::future<std::size_t> result = sink->future();
     if (!queue_.push(std::move(req))) {
@@ -229,18 +224,11 @@ bool inference_engine::try_submit(std::vector<std::int32_t>& encoded,
     UHD_REQUIRE(done != nullptr, "try_submit() needs a completion callback");
     UHD_REQUIRE(encoded.size() == dim_, "encoded query size mismatch");
     auto sink = std::make_unique<callback_sink>(std::move(done));
-    // A packed route keeps only the sign words; the caller's values are
-    // then consumed by clearing them once the request is queued.
-    const bool packed = packed_route(dynamic);
-    if (packed) {
-        sink->binarize(encoded);
-    } else {
-        sink->encoded = std::move(encoded);
-    }
-    const bool queued = submit_one(*this, std::move(sink), dynamic, [&](owning_sink& s) {
-        if (!packed) encoded = std::move(s.encoded);
-    });
-    if (queued && packed) encoded.clear();
+    // The sink keeps only the sign words; the caller's values are consumed
+    // by clearing them once the request is queued.
+    sink->binarize(encoded);
+    const bool queued = submit_one(*this, std::move(sink), dynamic, [](owning_sink&) {});
+    if (queued) encoded.clear();
     return queued;
 }
 
@@ -282,13 +270,11 @@ void inference_engine::worker_loop() {
     std::vector<std::uint64_t> packed;
     std::vector<std::size_t> answers;
     std::vector<std::uint8_t> raw_gather;
-    // The encode stage's output: raw_row[i] is batch[i]'s row (no_row for
-    // a submitted view), in raw_packed on a packed route and in raw_values
-    // on the integer-mode full scan.
+    // The encode stage's output: raw_row[i] is batch[i]'s row in
+    // raw_packed (no_row for a submitted view).
     constexpr std::size_t no_row = ~std::size_t{0};
     const std::size_t words = kernels::sign_words(dim_);
     std::vector<std::uint64_t> raw_packed;
-    std::vector<std::int32_t> raw_values;
     std::vector<std::size_t> raw_row;
     // Delivery scratch: the batch's request indices ordered by sink, and
     // one sink's answers.
@@ -303,61 +289,45 @@ void inference_engine::worker_loop() {
         std::uint64_t kernel_calls = 0;
         raw_row.assign(batch.size(), no_row);
 
-        // Encode stage: the drained batch's raw requests whose routes read
-        // the same form are gathered into one contiguous image block and
-        // pushed through ONE encode call — encode_sign_batch into packed
-        // rows on a packed route, encode_batch into int32 rows on the
-        // integer-mode full scan — so encoding is amortized exactly like
-        // the distance kernels below, and bit-identical to the single-image
-        // encode (tested per backend). Only an integer-mode engine with a
-        // policy can need both calls for one batch.
-        if (encoder_ != nullptr) {
-            for (const bool to_packed : {true, false}) {
-                group.clear();
-                for (std::size_t i = 0; i < batch.size(); ++i) {
-                    if (!batch[i].raw.empty() &&
-                        packed_route(batch[i].dynamic) == to_packed) {
-                        group.push_back(i);
-                    }
+        // Encode stage: the drained batch's raw requests are gathered into
+        // one contiguous image block and pushed through ONE
+        // encode_sign_batch call straight into packed rows, so encoding is
+        // amortized exactly like the distance kernels below, and
+        // bit-identical to the single-image encode (tested per backend).
+        // check() admits raw views only on an engine with an encoder.
+        group.clear();
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            if (!batch[i].raw.empty()) group.push_back(i);
+        }
+        if (!group.empty()) {
+            const std::size_t pixels = encoder_->pixels();
+            raw_gather.resize(group.size() * pixels);
+            try {
+                raw_packed.resize(group.size() * words);
+                for (std::size_t g = 0; g < group.size(); ++g) {
+                    std::ranges::copy(batch[group[g]].raw,
+                                      raw_gather.begin() +
+                                          static_cast<std::ptrdiff_t>(g * pixels));
                 }
-                if (group.empty()) continue;
-                const std::size_t pixels = encoder_->pixels();
-                raw_gather.resize(group.size() * pixels);
-                try {
-                    for (std::size_t g = 0; g < group.size(); ++g) {
-                        std::ranges::copy(batch[group[g]].raw,
-                                          raw_gather.begin() +
-                                              static_cast<std::ptrdiff_t>(g * pixels));
-                    }
-                    const std::span<const std::uint8_t> images(raw_gather);
-                    if (to_packed) {
-                        raw_packed.resize(group.size() * words);
-                        encoder_->encode_sign_batch(images, group.size(),
-                                                    std::span<std::uint64_t>(raw_packed));
-                    } else {
-                        raw_values.resize(group.size() * dim_);
-                        encoder_->encode_batch(images, group.size(),
-                                               std::span<std::int32_t>(raw_values));
-                    }
-                    for (std::size_t g = 0; g < group.size(); ++g) {
-                        raw_row[group[g]] = g;
-                    }
-                } catch (...) {
-                    for (const std::size_t i : group) {
-                        batch[i].error = std::current_exception();
-                    }
+                encoder_->encode_sign_batch(std::span<const std::uint8_t>(raw_gather),
+                                            group.size(),
+                                            std::span<std::uint64_t>(raw_packed));
+                for (std::size_t g = 0; g < group.size(); ++g) {
+                    raw_row[group[g]] = g;
                 }
-                counters_.record_encode(group.size());
+            } catch (...) {
+                for (const std::size_t i : group) {
+                    batch[i].error = std::current_exception();
+                }
             }
+            counters_.record_encode(group.size());
         }
 
         // Requests route per-request since the wire path arrived: a drained
         // batch may mix full-scan (dynamic == false) and cascade
         // (dynamic == true) requests; each kind is answered with its own
         // single block-kernel call, so a homogeneous batch still costs
-        // exactly one call. The cascade always answers from the packed
-        // memory; the full scan answers from packed memory in binarized
-        // mode and falls back to per-request integer cosine otherwise.
+        // exactly one call.
         const auto answer_group = [&](bool dynamic) {
             group.clear();
             for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -367,23 +337,6 @@ void inference_engine::worker_loop() {
                 }
             }
             if (group.empty()) return;
-            if (!packed_route(dynamic)) {
-                // Integer full-cosine has no block kernel: per-request loop.
-                for (const std::size_t i : group) {
-                    request& req = batch[i];
-                    const std::size_t row = raw_row[i];
-                    try {
-                        req.label = snap->predict_encoded(
-                            row == no_row ? req.encoded
-                                          : std::span<const std::int32_t>(
-                                                raw_values.data() + row * dim_, dim_));
-                    } catch (...) {
-                        req.error = std::current_exception();
-                    }
-                    ++kernel_calls;
-                }
-                return;
-            }
             // ONE block-kernel call for the whole group: every request's
             // packed row — the encode stage's row for a raw request, the
             // submitted sign words otherwise — goes into one contiguous

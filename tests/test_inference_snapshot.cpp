@@ -62,23 +62,44 @@ TEST(InferenceSnapshot, MatchesClassifierPredictionsBothModes) {
 }
 
 TEST(InferenceSnapshot, MatchesDynamicCascadeAnswersAndStats) {
+    // The cascade answers from the packed memory in either query mode: an
+    // integer-mode snapshot's answers, exit stages and words scanned equal
+    // the binarized snapshot's.
     const auto train = data::make_synthetic_digits(150, 53);
     const auto test = data::make_synthetic_digits(60, 54);
     const auto enc = make_encoder(train, 1024);
     hd_classifier<core::uhd_encoder> clf(enc, 10, train_mode::binarized_images,
                                          query_mode::binarized);
     clf.fit(train);
+    hd_classifier<core::uhd_encoder> integer_clf(enc, 10, train_mode::binarized_images,
+                                                 query_mode::integer);
+    integer_clf.fit(train);
     const dynamic_query_policy policy = clf.calibrate_dynamic(train, 0.95);
     const inference_snapshot snap = clf.snapshot();
+    const inference_snapshot integer_snap = integer_clf.snapshot();
+    ASSERT_EQ(integer_snap.mode(), query_mode::integer);
+    std::size_t modes_differ = 0;
     for (std::size_t i = 0; i < test.size(); ++i) {
         const auto encoded = encode_one(enc, test, i);
+        if (integer_snap.predict_encoded(encoded) != snap.predict_encoded(encoded)) {
+            ++modes_differ;
+        }
         dynamic_query_stats from_snap{};
         dynamic_query_stats from_clf{};
-        EXPECT_EQ(snap.predict_dynamic_encoded(encoded, policy, &from_snap),
-                  clf.predict_dynamic_encoded(encoded, policy, &from_clf));
+        dynamic_query_stats from_integer{};
+        const std::size_t answer = snap.predict_dynamic_encoded(encoded, policy, &from_snap);
+        EXPECT_EQ(answer, clf.predict_dynamic_encoded(encoded, policy, &from_clf));
         EXPECT_EQ(from_snap.exit_stage, from_clf.exit_stage);
         EXPECT_EQ(from_snap.words_scanned, from_clf.words_scanned);
+        EXPECT_EQ(integer_snap.predict_dynamic_encoded(encoded, policy, &from_integer),
+                  answer)
+            << "query " << i;
+        EXPECT_EQ(from_integer.exit_stage, from_snap.exit_stage);
+        EXPECT_EQ(from_integer.words_scanned, from_snap.words_scanned);
     }
+    // The modes' full scans must disagree somewhere, or a cascade that
+    // fell back to the integer cosine would go unseen.
+    EXPECT_GT(modes_differ, 0u);
 }
 
 TEST(InferenceSnapshot, PackedBlockPathsMatchClassMemoryOnes) {

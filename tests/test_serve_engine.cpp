@@ -98,59 +98,56 @@ TEST(MicroBatchQueue, BlockedProducerUnblocksOnClose) {
 // --- inference_engine: identity and stats ---------------------------------
 
 TEST(InferenceEngine, AnswersMatchDirectSnapshotPredictions) {
-    // Every one-request adapter answers like the snapshot in both query
-    // modes. On a packed route (binarized full scan, or the cascade) the
-    // adapter keeps the query's sign words, binarized on the calling
-    // thread; on the integer-mode full scan it keeps the int32 values.
+    // Every one-request adapter answers like the snapshot: it keeps the
+    // query's sign words, binarized on the calling thread, on either route
+    // (full scan or cascade).
     const auto train = data::make_synthetic_digits(150, 71);
     const auto test = data::make_synthetic_digits(80, 72);
     const auto enc = make_encoder(train);
-    for (const query_mode qm : {query_mode::binarized, query_mode::integer}) {
-        SCOPED_TRACE(qm == query_mode::integer ? "integer" : "binarized");
-        hd_classifier<core::uhd_encoder> clf(enc, 10, train_mode::raw_sums, qm);
-        clf.fit(train);
-        engine_options opts;
-        opts.workers = 2;
-        opts.max_batch = 8;
-        inference_engine engine(clf.snapshot(), opts);
-        std::vector<std::future<std::size_t>> answers;
-        for (std::size_t i = 0; i < test.size(); ++i) {
-            answers.push_back(engine.submit(encode_one(enc, test, i)));
-        }
-        for (std::size_t i = 0; i < test.size(); ++i) {
-            EXPECT_EQ(answers[i].get(),
-                      clf.predict_encoded(encode_one(enc, test, i)))
-                << "query=" << i;
-        }
-        for (std::size_t i = 0; i < 10; ++i) {
-            const auto encoded = encode_one(enc, test, i);
-            EXPECT_EQ(engine.predict(encoded), clf.predict_encoded(encoded)) << "query=" << i;
-        }
+    hd_classifier<core::uhd_encoder> clf(enc, 10, train_mode::raw_sums,
+                                         query_mode::binarized);
+    clf.fit(train);
+    engine_options opts;
+    opts.workers = 2;
+    opts.max_batch = 8;
+    inference_engine engine(clf.snapshot(), opts);
+    std::vector<std::future<std::size_t>> answers;
+    for (std::size_t i = 0; i < test.size(); ++i) {
+        answers.push_back(engine.submit(encode_one(enc, test, i)));
+    }
+    for (std::size_t i = 0; i < test.size(); ++i) {
+        EXPECT_EQ(answers[i].get(),
+                  clf.predict_encoded(encode_one(enc, test, i)))
+            << "query=" << i;
+    }
+    for (std::size_t i = 0; i < 10; ++i) {
+        const auto encoded = encode_one(enc, test, i);
+        EXPECT_EQ(engine.predict(encoded), clf.predict_encoded(encoded)) << "query=" << i;
+    }
 
-        // The callback adapter on a policy engine, both routes interleaved.
-        const dynamic_query_policy policy = clf.calibrate_dynamic(train, 0.95);
-        inference_engine routed(clf.snapshot(), policy, opts);
-        std::mutex mutex;
-        std::vector<std::size_t> labels(test.size(), ~std::size_t{0});
-        for (std::size_t i = 0; i < test.size(); ++i) {
-            auto encoded = encode_one(enc, test, i);
-            ASSERT_TRUE(routed.try_submit(
-                encoded,
-                [&, i](std::size_t label, std::uint64_t, std::exception_ptr error) {
-                    if (error != nullptr) return;
-                    const std::lock_guard<std::mutex> lock(mutex);
-                    labels[i] = label;
-                },
-                /*dynamic=*/i % 2 == 1));
-            EXPECT_TRUE(encoded.empty()); // consumed by the request
-        }
-        routed.stop(); // drains: every callback has run
-        for (std::size_t i = 0; i < test.size(); ++i) {
-            const auto encoded = encode_one(enc, test, i);
-            EXPECT_EQ(labels[i], i % 2 == 1 ? clf.predict_dynamic_encoded(encoded, policy)
-                                            : clf.predict_encoded(encoded))
-                << "query=" << i;
-        }
+    // The callback adapter on a policy engine, both routes interleaved.
+    const dynamic_query_policy policy = clf.calibrate_dynamic(train, 0.95);
+    inference_engine routed(clf.snapshot(), policy, opts);
+    std::mutex mutex;
+    std::vector<std::size_t> labels(test.size(), ~std::size_t{0});
+    for (std::size_t i = 0; i < test.size(); ++i) {
+        auto encoded = encode_one(enc, test, i);
+        ASSERT_TRUE(routed.try_submit(
+            encoded,
+            [&, i](std::size_t label, std::uint64_t, std::exception_ptr error) {
+                if (error != nullptr) return;
+                const std::lock_guard<std::mutex> lock(mutex);
+                labels[i] = label;
+            },
+            /*dynamic=*/i % 2 == 1));
+        EXPECT_TRUE(encoded.empty()); // consumed by the request
+    }
+    routed.stop(); // drains: every callback has run
+    for (std::size_t i = 0; i < test.size(); ++i) {
+        const auto encoded = encode_one(enc, test, i);
+        EXPECT_EQ(labels[i], i % 2 == 1 ? clf.predict_dynamic_encoded(encoded, policy)
+                                        : clf.predict_encoded(encoded))
+            << "query=" << i;
     }
 }
 
@@ -169,24 +166,21 @@ TEST(InferenceEngine, DynamicPolicyEngineMatchesPredictDynamic) {
     }
 }
 
-TEST(InferenceEngine, DynamicPolicyOverIntegerSnapshotServesCascadeAnswers) {
-    // The documented mode/policy interaction: a policy-configured engine
-    // answers from the packed memory regardless of the snapshot's
-    // query_mode — exactly predict_dynamic's semantics, never a silent
-    // third behavior.
+TEST(InferenceEngine, BothConstructorsRejectAnIntegerModeSnapshot) {
+    // The engine answers from the packed memory only, so it refuses an
+    // integer-mode snapshot, whose predict_encoded is the integer cosine,
+    // with or without a policy (publish refuses one too: see
+    // RejectsBadQueriesAndBadPublishes). The cascade over an integer-mode
+    // snapshot stays covered at the snapshot
+    // (InferenceSnapshot.MatchesDynamicCascadeAnswersAndStats).
     const auto train = data::make_synthetic_digits(150, 78);
-    const auto test = data::make_synthetic_digits(60, 79);
     const auto enc = make_encoder(train, 1024);
     hd_classifier<core::uhd_encoder> clf(enc, 10, train_mode::raw_sums,
                                          query_mode::integer);
     clf.fit(train);
     const dynamic_query_policy policy = clf.calibrate_dynamic(train, 0.95);
-    inference_engine engine(clf.snapshot(), policy);
-    for (std::size_t i = 0; i < test.size(); ++i) {
-        const auto encoded = encode_one(enc, test, i);
-        EXPECT_EQ(engine.predict(encoded),
-                  clf.predict_dynamic_encoded(encoded, policy));
-    }
+    EXPECT_THROW(inference_engine(clf.snapshot()), uhd::error);
+    EXPECT_THROW(inference_engine(clf.snapshot(), policy), uhd::error);
 }
 
 TEST(InferenceEngine, StatsAccountForEveryQueryAndSwap) {
@@ -624,56 +618,58 @@ TEST(InferenceEngine, RawSubmitBatchEncodesBitIdenticalToDirectPredict) {
     // The off-loop encode stage: raw pixels through try_submit_raw must
     // answer exactly like encoding on the caller's thread and submitting
     // pre-encoded — and the encode accounting must show batched encode
-    // calls, not one call per query. Both stages: packed sign rows for the
-    // cascade and a binarized snapshot's full scan, int32 accumulators for
-    // an integer snapshot's full scan, in one micro-batch when the two
-    // routes mix.
+    // calls, not one call per query: a micro-batch mixing the full scan
+    // and the cascade makes one encode_sign_batch call into packed rows,
+    // and one search call per route.
     const auto train = data::make_synthetic_digits(150, 71);
     const auto test = data::make_synthetic_digits(80, 72);
     const auto enc = make_encoder(train);
-    for (const query_mode qm : {query_mode::binarized, query_mode::integer}) {
-        hd_classifier<core::uhd_encoder> clf(enc, 10, train_mode::binarized_images, qm);
-        clf.fit(train);
-        const dynamic_query_policy policy = clf.calibrate_dynamic(train, 0.95);
-        engine_options opts;
-        opts.workers = 2;
-        opts.max_batch = 16;
-        opts.encoder = &enc;
-        inference_engine engine(clf.snapshot(), policy, opts);
-        ASSERT_TRUE(engine.raw_capable());
-        ASSERT_EQ(engine.raw_pixels(), test.image(0).size());
-        std::mutex mutex;
-        std::vector<std::size_t> labels(test.size(), ~std::size_t{0});
-        std::atomic<std::size_t> errors{0};
-        for (std::size_t i = 0; i < test.size(); ++i) {
-            std::vector<std::uint8_t> raw(test.image(i).begin(), test.image(i).end());
-            const bool accepted = engine.try_submit_raw(
-                raw, [&, i](std::size_t label, std::uint64_t, std::exception_ptr error) {
-                    if (error != nullptr) {
-                        errors.fetch_add(1);
-                        return;
-                    }
-                    const std::lock_guard<std::mutex> lock(mutex);
-                    labels[i] = label;
-                },
-                /*dynamic=*/i % 3 == 1);
-            ASSERT_TRUE(accepted); // queue far larger than the test set
-            EXPECT_TRUE(raw.empty());
-        }
-        engine.stop(); // drains: every callback has run
-        EXPECT_EQ(errors.load(), 0u);
-        for (std::size_t i = 0; i < test.size(); ++i) {
-            const auto encoded = encode_one(enc, test, i);
-            EXPECT_EQ(labels[i], i % 3 == 1 ? clf.predict_dynamic_encoded(encoded, policy)
-                                            : clf.predict_encoded(encoded))
-                << "query " << i << " integer=" << (qm == query_mode::integer);
-        }
-        const serve::serve_stats stats = engine.stats();
-        EXPECT_EQ(stats.raw_queries, test.size());
-        EXPECT_GE(stats.encode_kernel_calls, 1u);
-        EXPECT_LE(stats.encode_kernel_calls, stats.raw_queries);
-        EXPECT_GE(stats.encode_utilization(), 1.0);
+    hd_classifier<core::uhd_encoder> clf(enc, 10, train_mode::binarized_images,
+                                         query_mode::binarized);
+    clf.fit(train);
+    const dynamic_query_policy policy = clf.calibrate_dynamic(train, 0.95);
+    engine_options opts;
+    opts.workers = 2;
+    opts.max_batch = 16;
+    opts.encoder = &enc;
+    inference_engine engine(clf.snapshot(), policy, opts);
+    ASSERT_TRUE(engine.raw_capable());
+    ASSERT_EQ(engine.raw_pixels(), test.image(0).size());
+    std::mutex mutex;
+    std::vector<std::size_t> labels(test.size(), ~std::size_t{0});
+    std::atomic<std::size_t> errors{0};
+    for (std::size_t i = 0; i < test.size(); ++i) {
+        std::vector<std::uint8_t> raw(test.image(i).begin(), test.image(i).end());
+        const bool accepted = engine.try_submit_raw(
+            raw, [&, i](std::size_t label, std::uint64_t, std::exception_ptr error) {
+                if (error != nullptr) {
+                    errors.fetch_add(1);
+                    return;
+                }
+                const std::lock_guard<std::mutex> lock(mutex);
+                labels[i] = label;
+            },
+            /*dynamic=*/i % 3 == 1);
+        ASSERT_TRUE(accepted); // queue far larger than the test set
+        EXPECT_TRUE(raw.empty());
     }
+    engine.stop(); // drains: every callback has run
+    EXPECT_EQ(errors.load(), 0u);
+    for (std::size_t i = 0; i < test.size(); ++i) {
+        const auto encoded = encode_one(enc, test, i);
+        EXPECT_EQ(labels[i], i % 3 == 1 ? clf.predict_dynamic_encoded(encoded, policy)
+                                        : clf.predict_encoded(encoded))
+            << "query " << i;
+    }
+    const serve::serve_stats stats = engine.stats();
+    EXPECT_EQ(stats.raw_queries, test.size());
+    EXPECT_GE(stats.encode_kernel_calls, 1u);
+    EXPECT_LE(stats.encode_kernel_calls, stats.raw_queries);
+    EXPECT_GE(stats.encode_utilization(), 1.0);
+    // At most one encode call per micro-batch, and one search call per
+    // route (full scan, cascade) that the micro-batch holds.
+    EXPECT_LE(stats.encode_kernel_calls, stats.batches);
+    EXPECT_LE(stats.kernel_calls, 2 * stats.batches);
 }
 
 TEST(InferenceEngine, RawSubmitValidatesEncoderPixelsAndShutdown) {
@@ -720,7 +716,7 @@ private:
     std::vector<std::vector<serve::answer>> calls_;
 };
 
-/// Sign words of one pre-encoded query: the view a packed route reads.
+/// Sign words of one pre-encoded query: the view a request submits.
 std::vector<std::uint64_t> packed_one(const core::uhd_encoder& enc,
                                       const data::dataset& set, std::size_t i) {
     const auto encoded = encode_one(enc, set, i);
@@ -730,32 +726,22 @@ std::vector<std::uint64_t> packed_one(const core::uhd_encoder& enc,
 }
 
 /// `n` queries for images first..first+n-1 and the batch requests viewing
-/// them, tagged with item = the image index: sign words for a packed
-/// route, int32 values for the integer-mode full scan. The queries outlive
-/// every delivery of the requests.
+/// their sign words, tagged with item = the image index. The queries
+/// outlive every delivery of the requests.
 struct tagged_batch {
     std::vector<std::vector<std::uint64_t>> packed;
-    std::vector<std::vector<std::int32_t>> values;
     std::vector<serve::sink_request> requests;
 };
 
 tagged_batch tagged_requests(const core::uhd_encoder& enc, const data::dataset& set,
-                             std::size_t first, std::size_t n, bool packed = true) {
+                             std::size_t first, std::size_t n) {
     tagged_batch out;
     out.requests.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-        if (packed) {
-            out.packed.push_back(packed_one(enc, set, first + i));
-        } else {
-            out.values.push_back(encode_one(enc, set, first + i));
-        }
+        out.packed.push_back(packed_one(enc, set, first + i));
     }
     for (std::size_t i = 0; i < n; ++i) {
-        if (packed) {
-            out.requests[i].packed = out.packed[i];
-        } else {
-            out.requests[i].encoded = out.values[i];
-        }
+        out.requests[i].packed = out.packed[i];
         out.requests[i].tag = {7, first + i};
     }
     return out;
@@ -839,75 +825,58 @@ TEST(InferenceEngine, BatchSubmitPushesThePrefixThatFitsAndDeliversPerSink) {
 }
 
 TEST(InferenceEngine, BatchSubmitRejectsBadRequestsWithoutConsumingAny) {
-    // A view its request's route cannot read fails the whole call before
-    // anything is queued, in either query mode: the engine neither answers
-    // nor counts any request of the batch, and the same batch with the bad
-    // request put back is then served.
+    // A view the engine cannot read fails the whole call before anything
+    // is queued: the engine neither answers nor counts any request of the
+    // batch, and the same batch with the bad request put back is then
+    // served.
     const auto train = data::make_synthetic_digits(60, 89);
     const auto enc = make_encoder(train, 200); // a ragged last sign word
     const std::size_t words = kernels::sign_words(enc.dim());
-    const auto values = encode_one(enc, train, 2);
     const auto signs = packed_one(enc, train, 2);
     auto tail_bit = signs;
     tail_bit.back() |= std::uint64_t{1} << 63; // past dim = 200
     const std::vector<std::uint8_t> pixels(train.image(1).begin(), train.image(1).end());
-    for (const query_mode qm : {query_mode::binarized, query_mode::integer}) {
-        SCOPED_TRACE(qm == query_mode::integer ? "integer" : "binarized");
-        hd_classifier<core::uhd_encoder> clf(enc, 10, train_mode::raw_sums, qm);
-        clf.fit(train);
-        recording_sink sink;
-        inference_engine engine(clf.snapshot());
-        const bool packed = engine.packed_route(false);
-        EXPECT_EQ(packed, qm == query_mode::binarized);
-        auto batch = tagged_requests(enc, train, 0, 3, packed);
-        const auto rejected = [&](std::size_t i, const serve::sink_request& bad) {
-            const serve::sink_request good = batch.requests[i];
-            batch.requests[i] = bad;
-            EXPECT_THROW((void)engine.try_submit(batch.requests, sink), uhd::error);
-            batch.requests[i] = good;
-        };
-        serve::sink_request bad;
-        bad.packed = std::span<const std::uint64_t>(signs).first(words - 1);
-        rejected(2, bad); // a packed view of the wrong length
-        bad.packed = tail_bit;
-        rejected(2, bad); // sign bits past dim
-        bad = {};
-        bad.encoded = std::span<const std::int32_t>(values).first(enc.dim() - 1);
-        rejected(2, bad); // an int32 view of the wrong length
-        bad = {};
-        bad.raw = pixels;
-        rejected(1, bad); // a raw view on an engine without an encoder
-        bad = batch.requests[1];
-        bad.dynamic = true;
-        rejected(1, bad); // a cascade on an engine without a policy
-        bad = batch.requests[1];
-        bad.raw = pixels;
-        rejected(1, bad); // two views
-        rejected(1, serve::sink_request{}); // no view
-        // The other route's form: int32 values on a packed route, sign
-        // words on the integer-mode full scan.
-        bad = {};
-        if (packed) {
-            bad.encoded = values;
-        } else {
-            bad.packed = signs;
-        }
-        rejected(0, bad);
-        EXPECT_TRUE(sink.calls().empty());
-        EXPECT_EQ(engine.stats().queries, 0u);
-
-        ASSERT_EQ(engine.try_submit(batch.requests, sink), 3u);
-        engine.stop();
+    hd_classifier<core::uhd_encoder> clf(enc, 10, train_mode::raw_sums,
+                                         query_mode::binarized);
+    clf.fit(train);
+    recording_sink sink;
+    inference_engine engine(clf.snapshot());
+    auto batch = tagged_requests(enc, train, 0, 3);
+    const auto rejected = [&](std::size_t i, const serve::sink_request& bad) {
+        const serve::sink_request good = batch.requests[i];
+        batch.requests[i] = bad;
         EXPECT_THROW((void)engine.try_submit(batch.requests, sink), uhd::error);
-        std::size_t answered = 0;
-        for (const auto& call : sink.calls()) {
-            for (const serve::answer& got : call) {
-                EXPECT_EQ(got.label, clf.predict_encoded(encode_one(enc, train, got.tag.item)));
-                ++answered;
-            }
+        batch.requests[i] = good;
+    };
+    serve::sink_request bad;
+    bad.packed = std::span<const std::uint64_t>(signs).first(words - 1);
+    rejected(2, bad); // a packed view of the wrong length
+    bad.packed = tail_bit;
+    rejected(2, bad); // sign bits past dim
+    bad = {};
+    bad.raw = pixels;
+    rejected(1, bad); // a raw view on an engine without an encoder
+    bad = batch.requests[1];
+    bad.dynamic = true;
+    rejected(1, bad); // a cascade on an engine without a policy
+    bad = batch.requests[1];
+    bad.raw = pixels;
+    rejected(1, bad); // two views
+    rejected(1, serve::sink_request{}); // no view
+    EXPECT_TRUE(sink.calls().empty());
+    EXPECT_EQ(engine.stats().queries, 0u);
+
+    ASSERT_EQ(engine.try_submit(batch.requests, sink), 3u);
+    engine.stop();
+    EXPECT_THROW((void)engine.try_submit(batch.requests, sink), uhd::error);
+    std::size_t answered = 0;
+    for (const auto& call : sink.calls()) {
+        for (const serve::answer& got : call) {
+            EXPECT_EQ(got.label, clf.predict_encoded(encode_one(enc, train, got.tag.item)));
+            ++answered;
         }
-        EXPECT_EQ(answered, 3u);
     }
+    EXPECT_EQ(answered, 3u);
 }
 
 /// Every delivery waits (for at most 5 s) until `expected` answers have

@@ -321,56 +321,21 @@ TEST(WireServer, WireRoutingMatchesBothDirectPathsOnAPolicyServer) {
     }
 }
 
-TEST(WireServer, IntegerModeEngineAnswersBothRoutesLikeTheSnapshot) {
-    // An integer-mode snapshot with a calibrated policy: a predict frame
-    // takes the integer cosine route, which reads int32 values, and a
-    // predict_dynamic frame the cascade, which reads sign words. One
-    // connection pipelines both kinds, pre-encoded and raw; every reply
-    // must equal the snapshot's own answer for that route.
-    const server_fixture fx(/*dynamic=*/true, {}, {}, hdc::query_mode::integer);
-    const hdc::inference_snapshot oracle = fx.model.snapshot();
-    ASSERT_EQ(oracle.mode(), hdc::query_mode::integer);
-    const hdc::dynamic_query_policy policy = fx.model.calibrate_dynamic(fx.train, 0.95);
-    constexpr std::size_t burst_size = 96;
-    std::vector<std::uint8_t> burst;
-    std::vector<std::size_t> expected(burst_size);
-    std::vector<bool> dynamic(burst_size);
-    std::size_t routes_differ = 0;
-    for (std::size_t i = 0; i < burst_size; ++i) {
-        dynamic[i] = i % 2 == 1;
-        const opcode op = dynamic[i] ? opcode::predict_dynamic : opcode::predict;
-        const auto id = static_cast<std::uint32_t>(i);
-        const auto encoded = fx.encoded_query(i / 2);
-        if (i % 4 < 2) {
-            append_predict_encoded(burst, op, id, encoded);
-        } else {
-            append_predict_raw(burst, op, id, fx.test.image((i / 2) % fx.test.size()));
-        }
-        expected[i] = dynamic[i] ? oracle.predict_dynamic_encoded(encoded, policy)
-                                 : oracle.predict_encoded(encoded);
-        if (oracle.predict_dynamic_encoded(encoded, policy) !=
-            oracle.predict_encoded(encoded)) {
-            ++routes_differ;
-        }
-    }
-    // The two routes must disagree somewhere, or a mixed-up route would
-    // go unseen.
-    EXPECT_GT(routes_differ, 0u);
-    wire_client client = fx.connect();
-    client.send_bytes(burst);
-    std::vector<bool> answered(burst_size, false);
-    for (std::size_t r = 0; r < burst_size; ++r) {
-        const wire_frame reply = client.read_frame();
-        const std::size_t id = reply.header.request_id;
-        ASSERT_LT(id, burst_size);
-        EXPECT_EQ(reply.header.op, reply_opcode(dynamic[id] ? opcode::predict_dynamic
-                                                            : opcode::predict));
-        const auto parsed = parse_predict_reply(reply.payload);
-        ASSERT_TRUE(parsed.has_value());
-        EXPECT_FALSE(answered[id]) << "duplicate reply";
-        answered[id] = true;
-        EXPECT_EQ(parsed->label, expected[id]) << "request " << id;
-    }
+TEST(WireServer, IntegerModeModelIsRefusedAsSnapshotAndAsTrainer) {
+    // The engine serves binarized snapshots only, so an integer-mode model
+    // is refused by either engine constructor. Behind a binarized engine
+    // it is refused as the server's trainer too, at construction: every
+    // partial_fit would publish a snapshot the engine refuses.
+    EXPECT_THROW(server_fixture(/*dynamic=*/false, {}, {}, hdc::query_mode::integer),
+                 uhd::error);
+    EXPECT_THROW(server_fixture(/*dynamic=*/true, {}, {}, hdc::query_mode::integer),
+                 uhd::error);
+    server_fixture fx;
+    core::uhd_model integer_model(server_fixture::make_config(), fx.train.shape(),
+                                  fx.train.num_classes(), hdc::train_mode::raw_sums,
+                                  hdc::query_mode::integer);
+    integer_model.fit(fx.train);
+    EXPECT_THROW(wire_server(*fx.engine, {}, &integer_model), uhd::error);
 }
 
 TEST(WireServer, DynamicOpcodeOnAPlainEngineGetsUnsupported) {
@@ -408,6 +373,19 @@ TEST(WireServer, PartialFitUpdatesTheServedModel) {
     // Bad label: clean error frame, connection lives.
     EXPECT_THROW((void)client.partial_fit(1000, stream.image(0)), uhd::error);
     client.ping();
+}
+
+TEST(WireServer, RefusesATrainerOfAnotherGeometry) {
+    // A D = 256 trainer behind a D = 512 engine: its first partial_fit
+    // would be applied and then fail to publish, and the fits after it
+    // would never reach the engine. The server refuses it at construction.
+    server_fixture fx;
+    core::uhd_config narrow = server_fixture::make_config();
+    narrow.dim = 256;
+    core::uhd_model model(narrow, fx.train.shape(), fx.train.num_classes(),
+                          hdc::train_mode::raw_sums, hdc::query_mode::binarized);
+    model.fit(fx.train);
+    EXPECT_THROW(wire_server(*fx.engine, {}, &model), uhd::error);
 }
 
 TEST(WireServer, StatsAndPingReportServerCounters) {
