@@ -71,7 +71,7 @@ row measure(std::size_t dim, const data::dataset& images, std::size_t repeats) {
     r.uhd_ms = watch.milliseconds() / static_cast<double>(repeats);
 
     alloc_ledger uhd_ledger;
-    uhd_ledger.add("bit-plane Sobol bank + UST + directions", uhd.memory_bytes());
+    uhd_ledger.add("bit-plane Sobol bank + directions", uhd.memory_bytes());
     uhd_ledger.add("accumulator", acc.capacity() * sizeof(std::int32_t));
     r.uhd_measured_kib = uhd_ledger.total_kib();
     // Paper convention: H x D quantized scalars, one byte each.

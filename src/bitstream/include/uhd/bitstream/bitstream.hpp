@@ -34,9 +34,6 @@ public:
     /// Number of bits in the stream.
     [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
-    /// True when the stream holds no bits.
-    [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-
     /// Read bit `i`; throws when out of range.
     [[nodiscard]] bool bit(std::size_t i) const;
 
@@ -66,10 +63,12 @@ public:
     // Element-wise logic; all binary operators require equal lengths.
     bitstream& operator&=(const bitstream& rhs);
     bitstream& operator|=(const bitstream& rhs);
+    // uhd-lint: test-reference test_unary checks the comparator's minimum against it
     [[nodiscard]] friend bitstream operator&(bitstream lhs, const bitstream& rhs) {
         lhs &= rhs;
         return lhs;
     }
+    // uhd-lint: test-reference test_unary checks the comparator's maximum against it
     [[nodiscard]] friend bitstream operator|(bitstream lhs, const bitstream& rhs) {
         lhs |= rhs;
         return lhs;
@@ -81,11 +80,6 @@ public:
 
     /// '0'/'1' rendering, index 0 first.
     [[nodiscard]] std::string to_string() const;
-
-    /// Heap footprint of the packed words.
-    [[nodiscard]] std::size_t memory_bytes() const noexcept {
-        return words_.capacity() * sizeof(std::uint64_t);
-    }
 
 private:
     void check_same_size(const bitstream& rhs) const;

@@ -28,14 +28,6 @@ public:
     /// Total expressed in KiB (rounded up), the unit Table I uses.
     [[nodiscard]] std::size_t total_kib() const noexcept;
 
-    /// All entries in insertion order (merged by label).
-    [[nodiscard]] const std::vector<std::pair<std::string, std::size_t>>& entries() const noexcept {
-        return entries_;
-    }
-
-    /// Remove all entries.
-    void clear() noexcept { entries_.clear(); }
-
 private:
     std::vector<std::pair<std::string, std::size_t>> entries_;
 };

@@ -34,22 +34,6 @@ inline constexpr std::size_t word_bits = 64;
     return 64 - std::countl_zero(x - 1);
 }
 
-/// Is x a power of two (x > 0)?
-[[nodiscard]] constexpr bool is_pow2(std::uint64_t x) noexcept {
-    return x != 0 && (x & (x - 1)) == 0;
-}
-
-/// Reverse the low `nbits` bits of x (used by the van der Corput radical
-/// inverse, the basis of every Sobol dimension).
-[[nodiscard]] constexpr std::uint64_t reverse_bits(std::uint64_t x, int nbits) noexcept {
-    std::uint64_t r = 0;
-    for (int i = 0; i < nbits; ++i) {
-        r = (r << 1) | (x & 1);
-        x >>= 1;
-    }
-    return r;
-}
-
 } // namespace uhd
 
 #endif // UHD_COMMON_BITS_HPP

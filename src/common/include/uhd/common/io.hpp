@@ -37,11 +37,7 @@ std::uint64_t read_u64(std::istream& is);
 template <typename T>
 void write_pod_span(std::ostream& os, std::span<const T> v);
 
-/// Write a vector of trivially-copyable elements (length-prefixed).
-template <typename T>
-void write_pod_vector(std::ostream& os, const std::vector<T>& v);
-
-/// Read a vector of trivially-copyable elements written by write_pod_vector.
+/// Read a vector of trivially-copyable elements written by write_pod_span.
 /// Throws uhd::error, before allocating, when the stored element count
 /// exceeds `max_count`. The vector grows with the bytes that arrive, not
 /// with the stored count: a stream that ends early throws uhd::error after
@@ -59,11 +55,6 @@ void write_pod_span(std::ostream& os, std::span<const T> v) {
     static_assert(std::is_trivially_copyable_v<T>, "POD serialization only");
     write_u64(os, static_cast<std::uint64_t>(v.size()));
     if (!v.empty()) write_bytes(os, v.data(), v.size() * sizeof(T));
-}
-
-template <typename T>
-void write_pod_vector(std::ostream& os, const std::vector<T>& v) {
-    write_pod_span(os, std::span<const T>(v.data(), v.size()));
 }
 
 void require_count(std::uint64_t count, std::size_t max_count);

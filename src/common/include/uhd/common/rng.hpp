@@ -10,7 +10,6 @@
 
 #include <array>
 #include <cstdint>
-#include <limits>
 
 namespace uhd {
 
@@ -38,22 +37,12 @@ private:
 }
 
 /// xoshiro256**: general-purpose 64-bit PRNG (Blackman & Vigna).
-/// Satisfies UniformRandomBitGenerator so it can drive <random> adaptors.
 class xoshiro256ss {
 public:
-    using result_type = std::uint64_t;
-
     explicit xoshiro256ss(std::uint64_t seed) noexcept {
         splitmix64 sm(seed);
         for (auto& word : state_) word = sm.next();
     }
-
-    static constexpr result_type min() noexcept { return 0; }
-    static constexpr result_type max() noexcept {
-        return std::numeric_limits<result_type>::max();
-    }
-
-    result_type operator()() noexcept { return next(); }
 
     std::uint64_t next() noexcept {
         const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;

@@ -254,7 +254,7 @@ struct byte_spread_table {
     std::uint64_t lanes[256];
 };
 
-[[nodiscard]] constexpr byte_spread_table make_byte_spread_table() noexcept {
+[[nodiscard]] consteval byte_spread_table make_byte_spread_table() noexcept {
     byte_spread_table table{};
     for (unsigned x = 0; x < 256; ++x) {
         for (unsigned i = 0; i < 8; ++i) {
@@ -862,6 +862,7 @@ inline void hamming_block_argmin2_prefix_portable(
 /// row): with bit 1 = -1, dot(query, v) = sum(v) - 2 * masked_sum(mask, v).
 /// A plain portable function, not a dispatched kernel: it has one caller,
 /// and every backend ran this same loop when it was a table slot.
+/// uhd-lint: test-reference its one caller is the marked hdc::cosine; test_simd_kernels checks it
 [[nodiscard]] inline std::int64_t masked_sum_i32(const std::uint64_t* mask,
                                                  const std::int32_t* v,
                                                  std::size_t n) noexcept {

@@ -22,9 +22,6 @@ public:
     /// Milliseconds elapsed since construction or the last reset().
     [[nodiscard]] double milliseconds() const { return seconds() * 1e3; }
 
-    /// Microseconds elapsed since construction or the last reset().
-    [[nodiscard]] double microseconds() const { return seconds() * 1e6; }
-
 private:
     using clock = std::chrono::steady_clock;
     clock::time_point start_;

@@ -1,6 +1,5 @@
 #include "uhd/core/binarizer.hpp"
 
-#include "uhd/common/bits.hpp"
 #include "uhd/common/error.hpp"
 
 namespace uhd::core {
@@ -9,10 +8,7 @@ popcount_binarizer::popcount_binarizer(std::size_t h)
     : popcount_binarizer(h, (h + 1) / 2) {} // ceil(H/2): ties -> +1
 
 popcount_binarizer::popcount_binarizer(std::size_t h, std::size_t tob)
-    : h_(h),
-      tob_(tob),
-      counter_bits_(static_cast<unsigned>(ceil_log2(h + 1))),
-      mask_(static_cast<std::uint32_t>(tob_)) {
+    : h_(h), tob_(tob) {
     UHD_REQUIRE(h >= 1, "binarizer needs at least one input");
     UHD_REQUIRE(tob >= 1 && tob <= h + 1, "threshold out of counter range");
 }

@@ -7,7 +7,6 @@
 #include <memory>
 #include <numeric>
 
-#include "uhd/bitstream/unary.hpp"
 #include "uhd/common/error.hpp"
 #include "uhd/common/kernels.hpp"
 #include "uhd/common/simd.hpp" // plane_count_sign; pinned-scalar oracles (encode_scalar)
@@ -16,8 +15,7 @@ namespace uhd::core {
 namespace {
 
 /// The quantization range every encoder supports. Both constructors check
-/// it first, in the member-init list: the level count sizes the unary
-/// stream table.
+/// it first, in the member-init list, before anything is sized from it.
 void require_levels(unsigned levels) {
     UHD_REQUIRE(levels >= 2 && levels <= 256, "quantization levels must be in [2, 256]");
 }
@@ -27,8 +25,7 @@ void require_levels(unsigned levels) {
 uhd_encoder::uhd_encoder(const uhd_config& config, data::image_shape shape)
     : config_((require_levels(config.quant_levels), config)),
       shape_(shape),
-      directions_(ld::sobol_directions::standard(shape.pixels(), config.sobol_seed)),
-      ust_(config.quant_levels, config.stream_length()) {
+      directions_(ld::sobol_directions::standard(shape.pixels(), config.sobol_seed)) {
     UHD_REQUIRE(config.dim >= 64, "dimension too small to be hyperdimensional");
     UHD_REQUIRE(shape.channels == 1, "uHD encoder expects grayscale images");
 
@@ -57,8 +54,7 @@ uhd_encoder::uhd_encoder(const uhd_config& config, data::image_shape shape,
                          ld::quantized_sobol_bank custom_bank)
     : config_((require_levels(config.quant_levels), config)),
       shape_(shape),
-      directions_(ld::sobol_directions::standard(shape.pixels(), config.sobol_seed)),
-      ust_(config.quant_levels, config.stream_length()) {
+      directions_(ld::sobol_directions::standard(shape.pixels(), config.sobol_seed)) {
     UHD_REQUIRE(config.bank == bank_mode::stored,
                 "a custom threshold bank has no generator to rematerialize from");
     UHD_REQUIRE(config.dim >= 64, "dimension too small to be hyperdimensional");
@@ -152,8 +148,7 @@ void uhd_encoder::build_tables(const ld::quantized_sobol_bank* custom) {
 
 std::span<const std::uint8_t> uhd_encoder::sobol_row(std::size_t p) const {
     UHD_REQUIRE(p < shape_.pixels(), "bank dimension out of range");
-    // Reused per thread: gate-exact unary encode and encode_scalar fetch
-    // rows one pixel at a time.
+    // Reused per thread: encode_scalar fetches rows one pixel at a time.
     static thread_local std::vector<std::uint8_t> row;
     row.resize(config_.dim);
     if (config_.bank == bank_mode::rematerialize) {
@@ -452,36 +447,6 @@ void uhd_encoder::encode_batch(std::span<const std::uint8_t> images, std::size_t
     });
 }
 
-// uhd-lint: test-reference test_uhd_encoder and test_simd_kernels hold encode() to the paper's unary datapath with it
-void uhd_encoder::encode_unary(std::span<const std::uint8_t> image,
-                               std::span<std::int32_t> out,
-                               unary_fidelity fidelity) const {
-    if (fidelity == unary_fidelity::monotone_fast) {
-        // A thermometer stream's value is its popcount, and both operands
-        // of the Fig. 4 comparator are fetched from the same UST (same
-        // length, same alignment), so unary_compare_geq(U[q], U[s])
-        // is exactly q >= s — the comparison encode() already performs.
-        encode(image, out);
-        return;
-    }
-    UHD_REQUIRE(image.size() == shape_.pixels(), "image size mismatch");
-    UHD_REQUIRE(out.size() == config_.dim, "output accumulator size mismatch");
-
-    std::vector<std::int32_t> ones(config_.dim, 0);
-    for (std::size_t p = 0; p < image.size(); ++p) {
-        // Fetch the intensity's unary stream from the UST (Fig. 3(c))...
-        const bs::bitstream& data_stream = ust_.fetch(quantize_intensity(image[p]));
-        const std::uint8_t* row = sobol_row(p).data();
-        for (std::size_t d = 0; d < config_.dim; ++d) {
-            // ...and the Sobol scalar's stream, then run the Fig. 4 comparator.
-            const bs::bitstream& sobol_stream = ust_.fetch(row[d]);
-            if (bs::unary_compare_geq(data_stream, sobol_stream)) ++ones[d];
-        }
-    }
-    const std::int32_t tau2 = doubled_threshold(image);
-    for (std::size_t d = 0; d < config_.dim; ++d) out[d] = 2 * ones[d] - tau2;
-}
-
 void uhd_encoder::encode_exact(std::span<const std::uint8_t> image,
                                std::span<std::int32_t> out) const {
     UHD_REQUIRE(image.size() == shape_.pixels(), "image size mismatch");
@@ -491,10 +456,7 @@ void uhd_encoder::encode_exact(std::span<const std::uint8_t> image,
     for (std::size_t p = 0; p < image.size(); ++p) {
         const double x = static_cast<double>(image[p]) / 255.0;
         ld::sobol_sequence seq(directions_.direction_numbers(p));
-        const std::uint32_t shift =
-            config_.scramble ? static_cast<std::uint32_t>(
-                                   hash64(config_.sobol_seed ^ (0x9e3779b9ULL * (p + 1))))
-                             : 0u;
+        const std::uint32_t shift = pixel_shift(p);
         for (std::size_t d = 0; d < config_.dim; ++d) {
             const std::uint32_t fraction = seq.next_fraction() ^ shift;
             if (x >= ld::sobol_sequence::fraction_to_unit(fraction)) ++ones[d];
@@ -528,7 +490,7 @@ std::size_t uhd_encoder::memory_bytes() const noexcept {
     // Exact Table I accounting: every resident byte of encoder state,
     // including the CDF sidecar, the Z0 planes and the 256-entry intensity
     // LUT.
-    return threshold_bytes() + ust_.memory_bytes() + directions_.memory_bytes() +
+    return threshold_bytes() + directions_.memory_bytes() +
            cdf_counts_.size() * sizeof(std::uint32_t) +
            zero_base_.size() * sizeof(std::uint64_t) + sizeof(quant_lut_);
 }

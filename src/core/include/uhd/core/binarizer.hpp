@@ -15,7 +15,6 @@
 #define UHD_CORE_BINARIZER_HPP
 
 #include <cstddef>
-#include <cstdint>
 
 namespace uhd::core {
 
@@ -31,38 +30,16 @@ public:
     /// the hard-wired H/2 pattern).
     popcount_binarizer(std::size_t h, std::size_t tob);
 
-    /// Number of inputs H this binarizer was wired for.
-    [[nodiscard]] std::size_t inputs() const noexcept { return h_; }
-
-    /// The hard-wired binarization threshold TOB.
-    [[nodiscard]] std::size_t threshold() const noexcept { return tob_; }
-
-    /// Counter width ceil(log2(H+1)) in bits.
-    [[nodiscard]] unsigned counter_bits() const noexcept { return counter_bits_; }
-
-    /// The AND-mask over counter bits that detects TOB (the masking logic).
-    [[nodiscard]] std::uint32_t mask() const noexcept { return mask_; }
-
-    /// Feed one traversed bit (one pixel's level-hypervector bit).
+    /// Feed one traversed bit (one pixel's level-hypervector bit); throws
+    /// past H bits.
     void feed(bool bit);
-
-    /// Bits consumed so far.
-    [[nodiscard]] std::size_t consumed() const noexcept { return consumed_; }
-
-    /// Current popcount value.
-    [[nodiscard]] std::size_t count() const noexcept { return count_; }
 
     /// Latched sign bit: 1 once the count has reached TOB.
     [[nodiscard]] bool sign_bit() const noexcept { return sign_; }
 
-    /// Pure decision function: would `ones` of `h` bits binarize to +1?
-    [[nodiscard]] bool decide(std::size_t ones) const noexcept { return ones >= tob_; }
-
 private:
     std::size_t h_;
     std::size_t tob_;
-    unsigned counter_bits_;
-    std::uint32_t mask_;
     std::size_t count_ = 0;
     std::size_t consumed_ = 0;
     bool sign_ = false;

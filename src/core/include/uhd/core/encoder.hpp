@@ -71,7 +71,7 @@
 // core of a 4-vCPU AVX-512 VM); at D = 1024, where the bank fits in L2,
 // the two were within noise.
 //
-// Four equivalent encode paths are provided:
+// Three encode paths are provided:
 //  * encode()        — the production path. Stored mode counts
 //                      #{p : q_p >= S_p[d]} for every d with bitwise logic
 //                      over the active pixels' planes on top of Z0
@@ -89,14 +89,15 @@
 //                      the int32 accumulator.
 //  * encode_scalar() — the byte-at-a-time formulation, retained as the
 //                      correctness oracle and the benchmark baseline
-//  * encode_unary()  — the unary datapath. Its monotone_fast fidelity uses
-//                      the O(1) comparator identity (a thermometer stream's
-//                      value IS its popcount, so Fig. 4 reduces to an
-//                      integer compare); gate_exact keeps the bit-faithful
-//                      UST fetch + gate-level comparator.
 //  * encode_exact()  — unquantized double comparison (reference for the
 //                      quantization-error ablation)
-// All integer paths are bit-identical by construction; tests enforce it.
+// Both integer paths are bit-identical by construction; tests enforce it.
+// Each evaluates the Fig. 4 unary comparator as the integer compare
+// q >= S: a thermometer stream's value is its popcount, so comparing two
+// streams of one Unary Stream Table is comparing their levels. The
+// gate-level datapath that fetches both streams from the table and runs
+// the comparator gate for gate is sim::uhd_datapath_sim, which tests hold
+// bit-identical to encode_sign().
 #ifndef UHD_CORE_ENCODER_HPP
 #define UHD_CORE_ENCODER_HPP
 
@@ -106,7 +107,6 @@
 #include <span>
 #include <vector>
 
-#include "uhd/bitstream/stream_table.hpp"
 #include "uhd/common/aligned_vector.hpp"
 #include "uhd/common/kernels.hpp"
 #include "uhd/common/thread_pool.hpp"
@@ -117,13 +117,6 @@
 
 namespace uhd::core {
 
-/// How encode_unary() evaluates the Fig. 4 comparator.
-enum class unary_fidelity {
-    monotone_fast, ///< O(1) identity: value(stream) = popcount, so >= on
-                   ///< streams is >= on quantized values
-    gate_exact,    ///< bit-faithful UST fetch + gate-level comparator
-};
-
 /// Sobol-index-embedding level encoder (no position hypervectors).
 class uhd_encoder {
 public:
@@ -132,8 +125,8 @@ public:
     /// engine's default micro-batch, serve::engine_options::max_batch).
     static constexpr std::size_t sub_batch_images = 32;
 
-    /// Build the threshold state for images of `shape` and the unary stream
-    /// table. With bank_mode::stored this builds the bit-plane bank (the
+    /// Build the threshold state for images of `shape`. With
+    /// bank_mode::stored this builds the bit-plane bank (the
     /// BRAM of Fig. 3(a)) with one kernels::sobol_plane_row call per pixel
     /// — no byte row or byte bank ever exists; with
     /// bank_mode::rematerialize it keeps only O(1)
@@ -228,15 +221,6 @@ public:
     std::int32_t add_level_counts(std::span<const std::uint8_t> image,
                                   std::span<std::uint32_t> counts) const;
 
-    /// Unary datapath. monotone_fast exploits the thermometer-code identity
-    /// value(stream) = popcount(stream), collapsing the Fig. 4 comparator
-    /// to the same quantized integer compare as encode() — O(H * D).
-    /// gate_exact runs the UST fetch + gate-level comparator per
-    /// (pixel, dim) — O(H * D * N), use small D in tests. Both fidelities
-    /// are bit-identical to encode(); tests enforce it.
-    void encode_unary(std::span<const std::uint8_t> image, std::span<std::int32_t> out,
-                      unary_fidelity fidelity = unary_fidelity::monotone_fast) const;
-
     /// Reference path without quantization: compares x_p/255 >= S_p[d] in
     /// double precision (regenerates Sobol scalars on the fly).
     void encode_exact(std::span<const std::uint8_t> image,
@@ -269,16 +253,6 @@ public:
     /// (rematerialize).
     [[nodiscard]] std::uint8_t threshold(std::size_t p, std::size_t d) const;
 
-    /// The unary stream table (Fig. 3(c)).
-    [[nodiscard]] const bs::unary_stream_table& stream_table() const noexcept {
-        return ust_;
-    }
-
-    /// Direction-number table backing the Sobol bank.
-    [[nodiscard]] const ld::sobol_directions& directions() const noexcept {
-        return directions_;
-    }
-
     /// Bytes of threshold state: the resident bit planes in stored mode
     /// (pixels x M x sign_words(D) x 8; the Z0 planes are a sidecar,
     /// counted in memory_bytes()), or the compact per-pixel generator state
@@ -288,9 +262,9 @@ public:
     /// encoder shrinks; the bench footprint gate reads it directly.
     [[nodiscard]] std::size_t threshold_bytes() const noexcept;
 
-    /// Heap footprint: threshold state + UST + direction table + the
-    /// per-pixel CDF sidecar + the Z0 planes + the intensity quantization
-    /// LUT — the exact uHD dynamic-memory term in Table I.
+    /// Heap footprint: threshold state + direction table + the per-pixel
+    /// CDF sidecar + the Z0 planes + the intensity quantization LUT — the
+    /// exact uHD dynamic-memory term in Table I.
     [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
 private:
@@ -309,7 +283,6 @@ private:
     // count_planes(pixels) planes under kernels::plane_word_offset, so each
     // bank chunk's base is one contiguous block.
     cache_aligned_vector<std::uint64_t> zero_base_;
-    bs::unary_stream_table ust_;
     // Threshold state, rematerialize mode: per-pixel generator state fed to
     // kernels::geq_rematerialize_accumulate. remat_dirs_ holds the first
     // dir_words_ = bit_width(dim) direction numbers of each pixel (all the

@@ -91,9 +91,6 @@ public:
 
     [[nodiscard]] const uhd_encoder& encoder() const noexcept { return encoder_; }
     [[nodiscard]] std::size_t classes() const noexcept { return classifier_.classes(); }
-    [[nodiscard]] hdc::hypervector class_hypervector(std::size_t c) const {
-        return classifier_.class_hypervector(c);
-    }
 
     /// Packed associative memory backing binarized-mode inference.
     [[nodiscard]] const hdc::class_memory& packed_class_memory() const noexcept {
@@ -122,8 +119,8 @@ public:
     void save_file(const std::string& path) const;
 
     /// Deserialize a model previously written by save(). Throws uhd::error
-    /// on a corrupt stream, before building the encoder when a v3 file's
-    /// CRC32C does not match.
+    /// on a corrupt stream, before building the encoder when a v3 or v4
+    /// file's CRC32C does not match.
     [[nodiscard]] static uhd_model load(std::istream& is);
 
     /// Load from a file path; throws on I/O failure.

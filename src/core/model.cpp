@@ -23,8 +23,11 @@ constexpr std::uint32_t model_magic = 0x6d444875u; // "uHDm" little-endian
 // so the on-disk format is O(classes * D) in both modes). v1 files — the
 // stored-bank era — load as bank_mode::stored. v3 appends a CRC32C of every
 // byte from the magic through the last accumulator, so a flipped byte cannot
-// load as another valid model; v1 and v2 files carry no trailer.
-constexpr std::uint32_t model_version = 3;
+// load as another valid model; v1 and v2 files carry no trailer. v4 adds the
+// scramble and binarize-policy words after the bank word, so the encoder
+// loads as it was trained; v1-v3 files load with the defaults (scramble on,
+// mean_intensity).
+constexpr std::uint32_t model_version = 4;
 
 // Geometry bounds shared by construction and load: every model the library
 // can build passes them (so save/load round-trips by construction), and a
@@ -194,6 +197,8 @@ void uhd_model::save(std::ostream& os) const {
     io::write_u32(out, classifier_.mode() == hdc::train_mode::raw_sums ? 1u : 0u);
     io::write_u32(out, classifier_.inference() == hdc::query_mode::integer ? 1u : 0u);
     io::write_u32(out, cfg.bank == bank_mode::rematerialize ? 1u : 0u);
+    io::write_u32(out, cfg.scramble ? 1u : 0u);
+    io::write_u32(out, cfg.policy == binarize_policy::half_inputs ? 1u : 0u);
     for (std::size_t c = 0; c < classifier_.classes(); ++c) {
         io::write_pod_span(out, classifier_.class_accumulator(c).values());
     }
@@ -253,6 +258,11 @@ uhd_model uhd_model::load(std::istream& is) {
     if (version >= 2) {
         cfg.bank = read_mode_flag(in, "bank_mode") ? bank_mode::rematerialize
                                                    : bank_mode::stored;
+    }
+    if (version >= 4) {
+        cfg.scramble = read_mode_flag(in, "scramble");
+        cfg.policy = read_mode_flag(in, "binarize_policy") ? binarize_policy::half_inputs
+                                                           : binarize_policy::mean_intensity;
     }
     // Every accumulator is read and checked before the model and its
     // O(pixels * D) encoder are built, each count before its allocation.

@@ -18,9 +18,6 @@ class canvas {
 public:
     canvas(std::size_t rows, std::size_t cols, float background = 0.0F);
 
-    [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
-    [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
-
     [[nodiscard]] float at(std::size_t r, std::size_t c) const;
     void set(std::size_t r, std::size_t c, float value);
 

@@ -10,7 +10,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <initializer_list>
 #include <span>
 #include <string>
 #include <vector>
@@ -28,8 +27,6 @@ struct image_shape {
 
     /// Stored values per image: rows * cols * channels.
     [[nodiscard]] std::size_t values() const noexcept { return rows * cols * channels; }
-
-    [[nodiscard]] bool operator==(const image_shape&) const noexcept = default;
 };
 
 /// A labeled set of equally shaped 8-bit images.
@@ -44,12 +41,6 @@ public:
     /// Append one image; `pixels` must have shape.values() entries and
     /// `label` must be < num_classes().
     void add(std::span<const std::uint8_t> pixels, std::size_t label);
-
-    /// Braced-list convenience: span cannot bind an initializer_list
-    /// directly until C++26.
-    void add(std::initializer_list<std::uint8_t> pixels, std::size_t label) {
-        add(std::span<const std::uint8_t>(pixels.begin(), pixels.size()), label);
-    }
 
     [[nodiscard]] std::size_t size() const noexcept { return labels_.size(); }
     [[nodiscard]] bool empty() const noexcept { return labels_.empty(); }

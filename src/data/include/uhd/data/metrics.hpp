@@ -15,13 +15,8 @@ public:
     /// Record one (truth, prediction) pair.
     void record(std::size_t truth, std::size_t predicted);
 
-    [[nodiscard]] std::size_t classes() const noexcept { return classes_; }
-
     /// Count of samples with true label `truth` predicted as `predicted`.
     [[nodiscard]] std::size_t count(std::size_t truth, std::size_t predicted) const;
-
-    /// Total recorded samples.
-    [[nodiscard]] std::size_t total() const noexcept { return total_; }
 
     /// Recall of one class (diagonal / row sum); 0 for empty rows.
     [[nodiscard]] double recall(std::size_t truth) const;
@@ -34,7 +29,6 @@ public:
 
 private:
     std::size_t classes_;
-    std::size_t total_ = 0;
     std::vector<std::size_t> cells_; // row-major truth x predicted
 };
 

@@ -12,7 +12,6 @@ confusion_matrix::confusion_matrix(std::size_t classes)
 void confusion_matrix::record(std::size_t truth, std::size_t predicted) {
     UHD_REQUIRE(truth < classes_ && predicted < classes_, "label out of range");
     ++cells_[truth * classes_ + predicted];
-    ++total_;
 }
 
 // uhd-lint: test-reference test_simd_kernels compares pooled and serial matrices cell by cell with it

@@ -43,12 +43,6 @@ public:
     /// Pixel count H of the images this encoder accepts.
     [[nodiscard]] std::size_t pixels() const noexcept { return shape_.pixels(); }
 
-    /// Image shape this encoder was built for.
-    [[nodiscard]] const data::image_shape& shape() const noexcept { return shape_; }
-
-    /// Active configuration.
-    [[nodiscard]] const baseline_config& config() const noexcept { return config_; }
-
     /// Regenerate P and L with a new seed (one "iteration" of the paper's
     /// iterative hypervector search).
     void reseed(std::uint64_t seed);

@@ -34,12 +34,6 @@ public:
 
     [[nodiscard]] std::size_t dim() const noexcept { return bits_.size(); }
 
-    /// Element i as +1 or -1.
-    [[nodiscard]] int element(std::size_t i) const { return bits_.bit(i) ? -1 : +1; }
-
-    /// Set element i to +1 (value >= 0) or -1 (value < 0).
-    void set_element(std::size_t i, int value) { bits_.set_bit(i, value < 0); }
-
     /// Underlying packed representation (bit 1 = -1).
     [[nodiscard]] const bs::bitstream& bits() const noexcept { return bits_; }
     [[nodiscard]] bs::bitstream& bits() noexcept { return bits_; }
@@ -47,21 +41,10 @@ public:
     /// Number of -1 entries.
     [[nodiscard]] std::size_t count_negative() const noexcept { return bits_.popcount(); }
 
-    /// Number of +1 entries.
-    [[nodiscard]] std::size_t count_positive() const noexcept {
-        return dim() - count_negative();
-    }
-
     /// Dot product with another hypervector of the same dimension.
     [[nodiscard]] std::int64_t dot(const hypervector& other) const;
 
-    /// Element-wise negation.
-    [[nodiscard]] hypervector operator-() const { return hypervector(~bits_); }
-
     [[nodiscard]] bool operator==(const hypervector&) const noexcept = default;
-
-    /// Heap footprint (Table I memory accounting).
-    [[nodiscard]] std::size_t memory_bytes() const noexcept { return bits_.memory_bytes(); }
 
 private:
     bs::bitstream bits_;

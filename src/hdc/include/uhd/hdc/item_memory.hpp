@@ -46,10 +46,6 @@ public:
     position_item_memory(std::size_t count, std::size_t dim, randomness_source source,
                          std::uint64_t seed, bank_mode mode = bank_mode::stored);
 
-    [[nodiscard]] std::size_t count() const noexcept { return count_; }
-    [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
-    [[nodiscard]] bank_mode mode() const noexcept { return mode_; }
-
     /// Packed words of row `p` (tail bits zero). In rematerialize mode the
     /// row is regenerated into a per-thread buffer, so the span is valid
     /// until the calling thread's next row_words() call on any
@@ -93,10 +89,6 @@ public:
     level_item_memory(std::size_t levels, std::size_t dim, randomness_source source,
                       std::uint64_t seed, bank_mode mode = bank_mode::stored);
 
-    [[nodiscard]] std::size_t levels() const noexcept { return levels_; }
-    [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
-    [[nodiscard]] bank_mode mode() const noexcept { return mode_; }
-
     /// Map an 8-bit intensity to its level index k in [1, levels].
     [[nodiscard]] std::size_t level_of(std::uint8_t intensity) const noexcept {
         return (static_cast<std::size_t>(intensity) * levels_) / 256 + 1;
@@ -110,11 +102,6 @@ public:
 
     /// Level `k` as a hypervector (copies; for tests/diagnostics).
     [[nodiscard]] hypervector vector(std::size_t k) const;
-
-    /// Per-dimension flip levels tau_d (for tests of the thermometer law).
-    [[nodiscard]] std::span<const std::uint16_t> flip_levels() const noexcept {
-        return {tau_.data(), tau_.size()};
-    }
 
     /// Heap footprint (Table I memory accounting; exact — size(), not
     /// capacity()). In rematerialize mode only tau_ remains resident.

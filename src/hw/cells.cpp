@@ -19,7 +19,7 @@ const cell_library& cell_library::generic_45nm() {
         /* full_adder */ {"FA_X1", 4.79, 3.2, 50.0, 3},
         /* dff        */ {"DFF_X1", 4.52, 2.5, 90.0, 2},
     };
-    static const cell_library library("generic-45nm", specs);
+    static const cell_library library(specs);
     return library;
 }
 

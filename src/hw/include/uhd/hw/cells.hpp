@@ -12,8 +12,6 @@
 #define UHD_HW_CELLS_HPP
 
 #include <cstddef>
-#include <string>
-#include <utility>
 
 namespace uhd::hw {
 
@@ -54,15 +52,11 @@ public:
     /// Spec for one cell kind.
     [[nodiscard]] const cell_spec& spec(cell_kind kind) const;
 
-    /// Library name for reports.
-    [[nodiscard]] const std::string& name() const noexcept { return name_; }
-
 private:
-    cell_library(std::string name, const cell_spec* specs) : name_(std::move(name)) {
+    explicit cell_library(const cell_spec* specs) {
         for (std::size_t i = 0; i < cell_kind_count; ++i) specs_[i] = specs[i];
     }
 
-    std::string name_;
     cell_spec specs_[cell_kind_count];
 };
 

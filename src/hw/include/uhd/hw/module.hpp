@@ -78,7 +78,6 @@ struct memory_model {
     /// Register/flip-flop bank (fast, cheap reads, large area).
     [[nodiscard]] static memory_model regfile(std::string name, std::size_t bits);
 
-    [[nodiscard]] double area_um2() const { return area_um2_per_bit * static_cast<double>(bits); }
     [[nodiscard]] double read_energy_fj(std::size_t bits_read) const {
         return read_energy_fj_per_bit * static_cast<double>(bits_read);
     }

@@ -73,8 +73,6 @@ public:
     /// "energy efficiency" for this work).
     [[nodiscard]] double system_efficiency_ratio(const design_point& p) const;
 
-    [[nodiscard]] const cell_library& library() const noexcept { return *library_; }
-
 private:
     const cell_library* library_;
 };

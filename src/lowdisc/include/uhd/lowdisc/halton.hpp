@@ -25,8 +25,6 @@ class halton_sequence {
 public:
     explicit halton_sequence(std::size_t dimensions);
 
-    [[nodiscard]] std::size_t dimensions() const noexcept { return bases_.size(); }
-
     /// Point `index` of dimension `dim`.
     [[nodiscard]] double at(std::uint64_t index, std::size_t dim) const;
 
@@ -39,8 +37,6 @@ private:
 class r2_sequence {
 public:
     explicit r2_sequence(std::size_t dimensions);
-
-    [[nodiscard]] std::size_t dimensions() const noexcept { return alphas_.size(); }
 
     [[nodiscard]] double at(std::uint64_t index, std::size_t dim) const;
 

@@ -30,9 +30,6 @@ public:
     /// the lock-up state); throws otherwise.
     lfsr(unsigned width, std::uint32_t seed, lfsr_kind kind = lfsr_kind::fibonacci);
 
-    [[nodiscard]] unsigned width() const noexcept { return width_; }
-    [[nodiscard]] lfsr_kind kind() const noexcept { return kind_; }
-
     /// Current register contents (low `width` bits).
     [[nodiscard]] std::uint32_t state() const noexcept { return state_; }
 
@@ -45,12 +42,6 @@ public:
     /// Full register snapshot interpreted as a value in (0, 1): state / 2^width.
     /// Advances the register one cycle first, like hardware sampling on clk.
     [[nodiscard]] double next_unit() noexcept;
-
-    /// Sequence period (2^width - 1) — verified exhaustively by the tests for
-    /// small widths.
-    [[nodiscard]] std::uint64_t period() const noexcept {
-        return (std::uint64_t{1} << width_) - 1;
-    }
 
 private:
     unsigned width_;

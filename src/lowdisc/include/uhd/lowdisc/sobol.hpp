@@ -47,9 +47,6 @@ public:
     /// Deterministic default seed for the standard table.
     static constexpr std::uint64_t default_seed = 0x536f626f6cULL; // "Sobol"
 
-    /// Number of dimensions in the table.
-    [[nodiscard]] std::size_t dimensions() const noexcept { return params_.size(); }
-
     /// Direction numbers v_1..v_32 of `dim` (already shifted into place).
     [[nodiscard]] std::span<const std::uint32_t, sobol_bits> direction_numbers(
         std::size_t dim) const;
@@ -83,12 +80,6 @@ public:
         ++index_;
         return out;
     }
-
-    /// Next point as a double in [0, 1).
-    double next() noexcept { return fraction_to_unit(next_fraction()); }
-
-    /// Index of the next point to be emitted.
-    [[nodiscard]] std::uint64_t index() const noexcept { return index_; }
 
     /// Convert a 32-bit fraction to a double in [0, 1).
     [[nodiscard]] static double fraction_to_unit(std::uint32_t fraction) noexcept {
@@ -160,18 +151,6 @@ public:
 
     /// Quantized thresholds of dimension `d` (length samples()).
     [[nodiscard]] std::span<const std::uint8_t> row(std::size_t d) const;
-
-    /// Whole bank, row-major dims() x samples() — the contiguous layout the
-    /// word-parallel block kernels stream through (row stride = samples()).
-    [[nodiscard]] std::span<const std::uint8_t> data() const noexcept {
-        return {data_.data(), data_.size()};
-    }
-
-    /// Heap footprint (Table I memory accounting; exact — size(), not
-    /// capacity(), so the number gates cleanly in the benches).
-    [[nodiscard]] std::size_t memory_bytes() const noexcept {
-        return data_.size() * sizeof(std::uint8_t);
-    }
 
 private:
     quantized_sobol_bank() = default; // for from_raw

@@ -118,7 +118,9 @@ std::vector<double> sobol_points(const sobol_directions& directions, std::size_t
     sobol_sequence seq(directions.direction_numbers(dim));
     std::vector<double> points;
     points.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) points.push_back(seq.next());
+    for (std::size_t i = 0; i < count; ++i) {
+        points.push_back(sobol_sequence::fraction_to_unit(seq.next_fraction()));
+    }
     return points;
 }
 
@@ -163,7 +165,7 @@ quantized_sobol_bank::quantized_sobol_bank(const sobol_directions& directions,
                                            unsigned levels, std::uint64_t scramble_seed)
     : dims_(dims), samples_(samples), levels_(levels) {
     UHD_REQUIRE(dims >= 1, "bank needs at least one dimension");
-    UHD_REQUIRE(dims <= directions.dimensions(), "directions table has too few dimensions");
+    (void)directions.direction_numbers(dims - 1); // throws when the table is too short
     UHD_REQUIRE(levels >= 2 && levels <= 256, "quantization levels must be in [2, 256]");
     data_.resize(dims * samples);
     for (std::size_t d = 0; d < dims; ++d) {

@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 
 namespace uhd::net {
 
@@ -17,6 +16,9 @@ public:
     explicit socket_fd(int fd) noexcept : fd_(fd) {}
     socket_fd(const socket_fd&) = delete;
     socket_fd& operator=(const socket_fd&) = delete;
+    // listen_tcp and connect_tcp return by value, so the products need it
+    // declared, but elide every move; tests move sockets.
+    // uhd-lint: test-reference test_wire_reactors moves socket_fds into its fd-exhaustion vector
     socket_fd(socket_fd&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
     socket_fd& operator=(socket_fd&& other) noexcept {
         if (this != &other) {
@@ -33,9 +35,6 @@ public:
 
     /// Close the held descriptor (if any) and adopt `fd`.
     void reset(int fd = -1) noexcept;
-
-    /// Give up ownership without closing.
-    [[nodiscard]] int release() noexcept { return std::exchange(fd_, -1); }
 
 private:
     int fd_ = -1;

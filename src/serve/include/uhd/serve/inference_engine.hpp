@@ -229,9 +229,9 @@ public:
     /// their sign words are kept. The future yields the predicted class, or
     /// rethrows the error of the stage that failed the request. Throws
     /// uhd::error on a size mismatch or when already stopped.
-    [[nodiscard]] std::future<std::size_t> submit(std::vector<std::int32_t> encoded);
+    [[nodiscard]] std::future<std::size_t> submit(std::span<const std::int32_t> encoded);
 
-    /// Blocking convenience: submit a copy of the span + wait.
+    /// Blocking convenience: submit + wait.
     [[nodiscard]] std::size_t predict(std::span<const std::int32_t> encoded);
 
     /// One-request adapter of the batch try_submit, answering through

@@ -198,8 +198,7 @@ std::size_t inference_engine::try_submit(std::span<sink_request> requests,
     return *pushed;
 }
 
-std::future<std::size_t> inference_engine::submit(
-    std::vector<std::int32_t> encoded) {
+std::future<std::size_t> inference_engine::submit(std::span<const std::int32_t> encoded) {
     UHD_REQUIRE(encoded.size() == dim_, "encoded query size mismatch");
     auto sink = std::make_unique<promise_sink>();
     sink->binarize(encoded);
@@ -216,7 +215,7 @@ std::future<std::size_t> inference_engine::submit(
 }
 
 std::size_t inference_engine::predict(std::span<const std::int32_t> encoded) {
-    return submit(std::vector<std::int32_t>(encoded.begin(), encoded.end())).get();
+    return submit(encoded).get();
 }
 
 bool inference_engine::try_submit(std::vector<std::int32_t>& encoded,

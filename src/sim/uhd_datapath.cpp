@@ -6,14 +6,14 @@
 namespace uhd::sim {
 
 uhd_datapath_sim::uhd_datapath_sim(const core::uhd_encoder& encoder)
-    : encoder_(&encoder) {}
+    : encoder_(&encoder),
+      ust_(encoder.config().quant_levels, encoder.config().stream_length()) {}
 
 hdc::hypervector uhd_datapath_sim::run(std::span<const std::uint8_t> image,
                                        event_counts* events) const {
     UHD_REQUIRE(image.size() == encoder_->pixels(), "image size mismatch");
     const std::size_t dim = encoder_->dim();
     const std::size_t pixels = encoder_->pixels();
-    const auto& ust = encoder_->stream_table();
 
     // The mean_intensity policy loads the threshold register from the
     // image's expected popcount; half_inputs hard-wires ceil(H/2).
@@ -32,13 +32,13 @@ hdc::hypervector uhd_datapath_sim::run(std::span<const std::uint8_t> image,
         for (std::size_t p = 0; p < pixels; ++p) {
             // Data stream fetch (register read + UST lookup).
             const std::uint8_t q = encoder_->quantize_intensity(image[p]);
-            const bs::bitstream& data_stream = ust.fetch(q);
+            const bs::bitstream& data_stream = ust_.fetch(q);
             local.reg_scalar_reads += 1;
             local.ust_fetches += 1;
 
             // Sobol scalar fetch (BRAM read + UST lookup).
             const std::uint8_t s = encoder_->threshold(p, d);
-            const bs::bitstream& sobol_stream = ust.fetch(s);
+            const bs::bitstream& sobol_stream = ust_.fetch(s);
             local.bram_scalar_reads += 1;
             local.ust_fetches += 1;
 

@@ -1,4 +1,7 @@
 // Fixture: the product of this tree (products.nm lists its symbols).
 #include "uhd/core/thing.hpp"
 
-int main() { return uhd::core::thing(uhd::core::stale()).value(); }
+int main() {
+    const uhd::core::thing t(uhd::core::stale());
+    return t.value() + t.stale_value();
+}

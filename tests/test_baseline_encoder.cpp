@@ -40,8 +40,11 @@ TEST(BaselineEncoder, MatchesNaiveReference) {
         std::int32_t acc = 0;
         for (std::size_t p = 0; p < 16; ++p) {
             const std::size_t k = enc.level_memory().level_of(image[p]);
-            const int bound = enc.positions().vector(p).element(d) *
-                              enc.level_memory().vector(k).element(d);
+            // Bipolar binding is XOR on the packed bits (bit 1 = -1).
+            const int bound = enc.positions().vector(p).bits().bit(d) !=
+                                      enc.level_memory().vector(k).bits().bit(d)
+                                  ? -1
+                                  : +1;
             acc += bound;
         }
         ASSERT_EQ(fast[d], acc) << "dimension " << d;
@@ -56,7 +59,7 @@ TEST(BaselineEncoder, SignMatchesAccumulator) {
     enc.encode(image, acc);
     const auto signed_hv = enc.encode_sign(image);
     for (std::size_t d = 0; d < enc.dim(); ++d) {
-        EXPECT_EQ(signed_hv.element(d), acc[d] >= 0 ? +1 : -1);
+        EXPECT_EQ(signed_hv.bits().bit(d), acc[d] < 0);
     }
 }
 

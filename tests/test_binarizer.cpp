@@ -8,16 +8,19 @@ namespace {
 
 using uhd::core::popcount_binarizer;
 
-TEST(Binarizer, DefaultThresholdIsCeilHalf) {
-    EXPECT_EQ(popcount_binarizer(784).threshold(), 392u);
-    EXPECT_EQ(popcount_binarizer(785).threshold(), 393u);
-    EXPECT_EQ(popcount_binarizer(1).threshold(), 1u);
+/// Ones fed before the sign latches: the binarizer's TOB.
+std::size_t ones_to_latch(popcount_binarizer bin, std::size_t h) {
+    for (std::size_t ones = 1; ones <= h; ++ones) {
+        bin.feed(true);
+        if (bin.sign_bit()) return ones;
+    }
+    return h + 1;
 }
 
-TEST(Binarizer, CounterBitsCoverInputCount) {
-    EXPECT_EQ(popcount_binarizer(784).counter_bits(), 10u);
-    EXPECT_EQ(popcount_binarizer(1024).counter_bits(), 11u);
-    EXPECT_EQ(popcount_binarizer(1).counter_bits(), 1u);
+TEST(Binarizer, DefaultThresholdIsCeilHalf) {
+    EXPECT_EQ(ones_to_latch(popcount_binarizer(784), 784), 392u);
+    EXPECT_EQ(ones_to_latch(popcount_binarizer(785), 785), 393u);
+    EXPECT_EQ(ones_to_latch(popcount_binarizer(1), 1), 1u);
 }
 
 TEST(Binarizer, SignLatchesAtThreshold) {
@@ -29,15 +32,14 @@ TEST(Binarizer, SignLatchesAtThreshold) {
     // Latched: further zeros don't clear the sign.
     for (int i = 0; i < 4; ++i) bin.feed(false);
     EXPECT_TRUE(bin.sign_bit());
-    EXPECT_EQ(bin.count(), 4u);
-    EXPECT_EQ(bin.consumed(), 8u);
+    // All 8 inputs consumed.
+    EXPECT_THROW(bin.feed(false), uhd::error);
 }
 
 TEST(Binarizer, ZerosNeverLatch) {
     popcount_binarizer bin(6);
     for (int i = 0; i < 6; ++i) bin.feed(false);
     EXPECT_FALSE(bin.sign_bit());
-    EXPECT_EQ(bin.count(), 0u);
 }
 
 TEST(Binarizer, OverfeedThrows) {
@@ -47,13 +49,12 @@ TEST(Binarizer, OverfeedThrows) {
     EXPECT_THROW(bin.feed(true), uhd::error);
 }
 
-TEST(Binarizer, DecideMatchesFeedSemantics) {
+TEST(Binarizer, SignIsOnesAtLeastCeilHalf) {
     for (const std::size_t h : {7u, 8u, 784u}) {
-        popcount_binarizer reference(h);
         for (std::size_t ones = 0; ones <= h; ++ones) {
             popcount_binarizer bin(h);
             for (std::size_t i = 0; i < h; ++i) bin.feed(i < ones);
-            EXPECT_EQ(bin.sign_bit(), reference.decide(ones))
+            EXPECT_EQ(bin.sign_bit(), ones >= (h + 1) / 2)
                 << "h=" << h << " ones=" << ones;
         }
     }
@@ -61,7 +62,6 @@ TEST(Binarizer, DecideMatchesFeedSemantics) {
 
 TEST(Binarizer, ExplicitThresholdVariant) {
     popcount_binarizer bin(10, 7);
-    EXPECT_EQ(bin.threshold(), 7u);
     for (int i = 0; i < 6; ++i) bin.feed(true);
     EXPECT_FALSE(bin.sign_bit());
     bin.feed(true);
@@ -76,12 +76,6 @@ TEST(Binarizer, TieGoesPositiveForEvenH) {
     popcount_binarizer bin(8);
     for (int i = 0; i < 8; ++i) bin.feed(i % 2 == 0);
     EXPECT_TRUE(bin.sign_bit());
-}
-
-TEST(Binarizer, MaskEncodesThreshold) {
-    const popcount_binarizer bin(784);
-    EXPECT_EQ(bin.mask(), 392u);
-    EXPECT_EQ(bin.inputs(), 784u);
 }
 
 } // namespace

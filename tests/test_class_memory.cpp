@@ -97,9 +97,10 @@ TEST(ClassMemory, TiesResolveToLowestIndex) {
     xoshiro256ss rng(8);
     const hypervector shared_row = hypervector::random(192, rng);
     class_memory mem(4, 192);
-    mem.store(0, -shared_row); // maximally far
+    const hypervector far_row(~shared_row.bits());
+    mem.store(0, far_row); // maximally far
     mem.store(1, shared_row);
-    mem.store(2, -shared_row);
+    mem.store(2, far_row);
     mem.store(3, shared_row);
     EXPECT_EQ(mem.nearest(shared_row.bits().words()), 1u);
 }

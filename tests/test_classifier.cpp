@@ -270,9 +270,13 @@ TEST(Classifier, ConfusionMatrixFilledDuringEvaluate) {
     clf.fit(train);
     data::confusion_matrix matrix(10);
     const double accuracy = clf.evaluate(test, &matrix);
-    EXPECT_EQ(matrix.total(), test.size());
+    std::size_t recorded = 0;
     std::size_t correct = 0;
-    for (std::size_t c = 0; c < 10; ++c) correct += matrix.count(c, c);
+    for (std::size_t c = 0; c < 10; ++c) {
+        for (std::size_t p = 0; p < 10; ++p) recorded += matrix.count(c, p);
+        correct += matrix.count(c, c);
+    }
+    EXPECT_EQ(recorded, test.size());
     EXPECT_NEAR(static_cast<double>(correct) / static_cast<double>(test.size()),
                 accuracy, 1e-12);
 }

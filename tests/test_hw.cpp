@@ -101,7 +101,7 @@ TEST(MemoryModel, BramVsRegfileTradeoffs) {
     EXPECT_GT(bram.read_energy_fj_per_bit, regs.read_energy_fj_per_bit);
     EXPECT_LT(bram.area_um2_per_bit, regs.area_um2_per_bit);
     EXPECT_GT(bram.read_energy_fj(8), 0.0);
-    EXPECT_GT(regs.area_um2(), 0.0);
+    EXPECT_GT(regs.area_um2_per_bit, 0.0);
 }
 
 class CostModelPoints : public ::testing::TestWithParam<std::size_t> {};

@@ -2,6 +2,8 @@
 // and bit-flip level vectors (paper Fig. 1(a)).
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "uhd/common/error.hpp"
 #include "uhd/hdc/item_memory.hpp"
 #include "uhd/hdc/similarity.hpp"
@@ -53,14 +55,18 @@ TEST(PositionMemory, Validation) {
 TEST(LevelMemory, ThermometerFlipLaw) {
     // L_k[d] = +1 iff k >= tau_d: once an element flips to +1 it stays +1.
     const level_item_memory mem(64, 256, randomness_source::xoshiro, 5);
-    const auto tau = mem.flip_levels();
+    std::set<std::size_t> tau; // the distinct flip levels
     for (std::size_t d = 0; d < 256; ++d) {
+        std::size_t flip = 0; // the first level where element d is +1
         for (std::size_t k = 1; k <= 64; ++k) {
-            const int expected = k >= tau[d] ? +1 : -1;
-            EXPECT_EQ(mem.vector(k).element(d), expected)
-                << "d=" << d << " k=" << k << " tau=" << tau[d];
+            const bool plus = !mem.vector(k).bits().bit(d); // bit 1 = -1
+            EXPECT_TRUE(plus || flip == 0) << "d=" << d << " flips back at k=" << k;
+            if (plus && flip == 0) flip = k;
         }
+        tau.insert(flip);
     }
+    // The flip levels spread over the range rather than sitting at one level.
+    EXPECT_GT(tau.size(), 32u);
 }
 
 TEST(LevelMemory, AdjacentLevelsAreSimilarDistantLevelsAreNot) {
@@ -76,7 +82,7 @@ TEST(LevelMemory, AdjacentLevelsAreSimilarDistantLevelsAreNot) {
 TEST(LevelMemory, TopLevelIsAllPlus) {
     const level_item_memory mem(16, 128, randomness_source::xoshiro, 7);
     // tau_d <= levels always, so L_levels = all +1.
-    EXPECT_EQ(mem.vector(16).count_positive(), 128u);
+    EXPECT_EQ(mem.vector(16).count_negative(), 0u);
 }
 
 TEST(LevelMemory, LevelOfMapsFullIntensityRange) {

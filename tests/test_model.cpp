@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "uhd/common/error.hpp"
+#include "uhd/common/io.hpp"
 #include "uhd/common/rng.hpp"
 #include "uhd/common/thread_pool.hpp"
 #include "uhd/core/model.hpp"
@@ -110,13 +111,16 @@ TEST(Model, LoadRejectsImplausibleHeaderFields) {
     std::stringstream corrupt(bytes);
     EXPECT_THROW((void)uhd_model::load(corrupt), uhd::error);
 
-    // The three v2 mode words (train, query, bank) at offsets 60/64/68
-    // accept only 0 and 1: a 2 is a corrupt or future file, not the default.
+    // The five mode words (train, query, bank, scramble, policy) at offsets
+    // 60-76 accept only 0 and 1: a 2 is a corrupt or future file, not the
+    // default.
     const std::string saved = buffer.str();
     for (const auto& [offset, field] :
          {std::pair<std::size_t, std::string>{60, "train_mode"},
           {64, "query_mode"},
-          {68, "bank_mode"}}) {
+          {68, "bank_mode"},
+          {72, "scramble"},
+          {76, "binarize_policy"}}) {
         std::string stamped = saved;
         const char two[4] = {2, 0, 0, 0}; // little-endian u32
         stamped.replace(offset, 4, two, 4);
@@ -130,8 +134,8 @@ TEST(Model, LoadRejectsImplausibleHeaderFields) {
         }
     }
 
-    // quant_levels (offset 16) sizes the encoder's unary stream table, and
-    // the first accumulator's element count (offset 72) sizes a vector.
+    // quant_levels (offset 16) sizes the encoder's quantization tables, and
+    // the first accumulator's element count (offset 80) sizes a vector.
     // Both must be range-checked before anything is allocated from them:
     // an absurd value is a uhd::error, never bad_alloc or length_error.
     const auto stamp = [&](std::size_t offset, auto value, std::uint32_t bank) {
@@ -151,7 +155,7 @@ TEST(Model, LoadRejectsImplausibleHeaderFields) {
         for (const std::uint64_t count :
              {std::uint64_t{0}, std::uint64_t{255}, std::uint64_t{1} << 28,
               std::uint64_t{1} << 36, std::uint64_t{1} << 62}) {
-            std::stringstream stream(stamp(72, count, bank));
+            std::stringstream stream(stamp(80, count, bank));
             EXPECT_THROW((void)uhd_model::load(stream), uhd::error)
                 << "accumulator count " << count << ", bank word " << bank;
         }
@@ -277,8 +281,8 @@ TEST(Model, TruncatedFileClaimingAHugeAccumulatorFailsWithoutAllocatingIt) {
     std::string bytes = buffer.str();
     const std::uint64_t dim = std::uint64_t{1} << 30;
     bytes.replace(8, sizeof dim, reinterpret_cast<const char*>(&dim), sizeof dim);
-    bytes.replace(72, sizeof dim, reinterpret_cast<const char*>(&dim), sizeof dim);
-    bytes.resize(72 + sizeof dim + 16);
+    bytes.replace(80, sizeof dim, reinterpret_cast<const char*>(&dim), sizeof dim);
+    bytes.resize(80 + sizeof dim + 16);
     std::stringstream truncated(bytes);
     const address_space_limit_guard limit(rlim_t{1} << 30);
     EXPECT_THROW((void)uhd_model::load(truncated), uhd::error);
@@ -310,7 +314,7 @@ std::optional<std::string> load_or_reject(const std::string& bytes, const std::s
 
 TEST(Model, LoadSurvivesADeterministicMutationFuzz) {
     // Small models in both train modes and both bank modes, mutated from a
-    // fixed seed: single-byte flips across the 72-byte header and the first
+    // fixed seed: single-byte flips across the 80-byte header and the first
     // accumulator (its count and D = 64 values), three random masks per
     // byte, truncation at every length through the header and at 32 random
     // longer lengths, and 1-64 appended random bytes.
@@ -327,7 +331,7 @@ TEST(Model, LoadSurvivesADeterministicMutationFuzz) {
         for (std::uint8_t& v : image) v = static_cast<std::uint8_t>(rng.next_below(256));
         train.add(image, i % 3);
     }
-    constexpr std::size_t header_bytes = 72;
+    constexpr std::size_t header_bytes = 80;
     for (const auto mode : {hdc::train_mode::raw_sums, hdc::train_mode::binarized_images}) {
         for (const auto bank : {bank_mode::stored, bank_mode::rematerialize}) {
             uhd_config cfg;
@@ -374,19 +378,18 @@ TEST(Model, LoadSurvivesADeterministicMutationFuzz) {
     }
 }
 
-TEST(Model, EverySingleByteFlipOfAV3FileIsRejected) {
-    // A v3 file ends in a CRC32C of every byte before it, and a CRC32C
+TEST(Model, EverySingleByteFlipOfAV4FileIsRejected) {
+    // A v4 file ends in a CRC32C of every byte before it, and a CRC32C
     // catches any change confined to 32 consecutive bits, so no flip of one
     // byte loads a model. Every offset is flipped: with all 255 masks in
     // the header, whose fields load parses before it reaches the trailer,
     // and in the trailer; with the 8 one-bit masks and 0xFF in the
     // accumulator rows (a rejected load costs about 12 us here).
     //
-    // The version word is the exception. Flipping one of its two low bits
-    // names version 2 or 1. A v2 parse reads the same fields and ignores
-    // the trailer, so it loads the same model. A v1 parse expects no bank
-    // word, reads the first accumulator's count 4 bytes early, and rejects
-    // the file.
+    // That includes the version word. A flip that names v1, v2 or v3 parses
+    // without the scramble and policy words, so it reads them as the first
+    // accumulator's count (2^32 for v1, 1 for v2 and v3) and rejects the
+    // file; version 0 parses as v1.
     const data::image_shape shape{2, 2, 1};
     data::dataset train(shape, 2);
     xoshiro256ss rng(20261020);
@@ -400,15 +403,9 @@ TEST(Model, EverySingleByteFlipOfAV3FileIsRejected) {
     uhd_model model(cfg, shape, 2);
     model.fit(train);
     const std::string original = saved_bytes(model);
-    constexpr std::size_t header_bytes = 72;
+    constexpr std::size_t header_bytes = 80;
     EXPECT_EQ(original.size(), header_bytes + 2 * (8 + 64 * 4) + 4); // rows, trailer
 
-    constexpr std::size_t version_byte = 4;
-    const auto flipped = [&](std::size_t at, unsigned mask) {
-        std::string bytes = original;
-        bytes[at] = static_cast<char>(static_cast<unsigned char>(bytes[at]) ^ mask);
-        return bytes;
-    };
     const std::vector<unsigned> row_masks = {0x01, 0x02, 0x04, 0x08, 0x10,
                                              0x20, 0x40, 0x80, 0xFF};
     std::vector<unsigned> all_masks;
@@ -417,9 +414,10 @@ TEST(Model, EverySingleByteFlipOfAV3FileIsRejected) {
     for (std::size_t at = 0; at < original.size(); ++at) {
         const bool row = at >= header_bytes && at + 4 < original.size();
         for (const unsigned mask : row ? row_masks : all_masks) {
-            if (at == version_byte && mask == 1) continue; // the v2 parse below
+            std::string bytes = original;
+            bytes[at] = static_cast<char>(static_cast<unsigned char>(bytes[at]) ^ mask);
             stream.clear();
-            stream.str(flipped(at, mask));
+            stream.str(bytes);
             try {
                 (void)uhd_model::load(stream);
             } catch (const uhd::error&) {
@@ -430,28 +428,65 @@ TEST(Model, EverySingleByteFlipOfAV3FileIsRejected) {
             FAIL() << "byte " << at << " ^ " << mask << " loaded a model";
         }
     }
-
-    std::stringstream as_v1(flipped(version_byte, 2));
-    EXPECT_THROW((void)uhd_model::load(as_v1), uhd::error);
-    std::stringstream as_v2(flipped(version_byte, 1));
-    EXPECT_EQ(saved_bytes(uhd_model::load(as_v2)), original);
 }
 
-TEST(Model, V1AndV2FilesLoadToTheSameModel) {
-    // v2 is v3 without the trailer, and v1 (the stored-bank era) is v2
-    // without the bank word at offset 68. Both load as the model that
-    // saves back to the v3 bytes.
+TEST(Model, V1ToV3FilesLoadToTheSameModel) {
+    // v3 is v4 without the scramble and policy words at offsets 72-79, its
+    // trailer the CRC32C of what remains; v2 is v3 without the trailer, and
+    // v1 (the stored-bank era) is v2 without the bank word at offset 68.
+    // Each loads as the default-encoder model that saves back to the v4
+    // bytes.
     const auto train = data::make_synthetic_digits(60, 37);
     const uhd_model model = uhd_model::train(small_config(), train);
-    const std::string v3 = saved_bytes(model);
+    const std::string v4 = saved_bytes(model);
+    std::string v3 = v4.substr(0, v4.size() - 4);
+    v3[4] = 3;
+    v3.erase(72, 8);
+    const std::uint32_t crc = io::crc32c(0, v3.data(), v3.size());
+    v3.append(reinterpret_cast<const char*>(&crc), sizeof crc); // little-endian host
     std::string v2 = v3.substr(0, v3.size() - 4);
     v2[4] = 2;
     std::string v1 = v2;
     v1[4] = 1;
     v1.erase(68, 4);
-    for (const auto& [bytes, version] : {std::pair{v1, "v1"}, std::pair{v2, "v2"}}) {
+    for (const auto& [bytes, version] :
+         {std::pair{v1, "v1"}, std::pair{v2, "v2"}, std::pair{v3, "v3"}}) {
         std::stringstream stream(bytes);
-        EXPECT_EQ(saved_bytes(uhd_model::load(stream)), v3) << version;
+        EXPECT_EQ(saved_bytes(uhd_model::load(stream)), v4) << version;
+    }
+}
+
+TEST(Model, SaveLoadKeepsScrambleAndPolicy) {
+    // The encoder settings a model file stores since v4: a model trained
+    // with scramble off, or under half_inputs, must load with them, or its
+    // class vectors meet queries encoded against other thresholds.
+    const auto train = data::make_synthetic_digits(300, 44);
+    const auto test = data::make_synthetic_digits(200, 45);
+    for (const auto& [scramble, policy] :
+         {std::pair{false, core::binarize_policy::mean_intensity},
+          std::pair{true, core::binarize_policy::half_inputs},
+          std::pair{false, core::binarize_policy::half_inputs}}) {
+        uhd_config cfg = small_config();
+        cfg.scramble = scramble;
+        cfg.policy = policy;
+        const uhd_model model = uhd_model::train(cfg, train, hdc::train_mode::binarized_images,
+                                                 hdc::query_mode::binarized);
+        std::stringstream buffer;
+        model.save(buffer);
+        const uhd_model loaded = uhd_model::load(buffer);
+        const uhd_config& got = loaded.encoder().config();
+        EXPECT_EQ(got.scramble, scramble);
+        EXPECT_EQ(got.policy, policy);
+        EXPECT_EQ(got.dim, cfg.dim);
+        EXPECT_EQ(got.quant_levels, cfg.quant_levels);
+        EXPECT_EQ(got.sobol_seed, cfg.sobol_seed);
+        EXPECT_EQ(got.bank, cfg.bank);
+        std::size_t differ = 0;
+        for (std::size_t i = 0; i < test.size(); ++i) {
+            differ += loaded.predict(test.image(i)) != model.predict(test.image(i)) ? 1 : 0;
+        }
+        EXPECT_EQ(differ, 0u) << "scramble=" << scramble << " half_inputs="
+                              << (policy == core::binarize_policy::half_inputs);
     }
 }
 
@@ -494,10 +529,10 @@ TEST(Model, RetrainRuns) {
     EXPECT_LE(updates, train.size());
 }
 
-TEST(Model, ClassHypervectorAccessible) {
+TEST(Model, PackedClassMemoryAccessible) {
     const auto train = data::make_synthetic_digits(60, 27);
     const uhd_model model = uhd_model::train(small_config(), train);
-    EXPECT_EQ(model.class_hypervector(0).dim(), 256u);
+    EXPECT_EQ(model.packed_class_memory().dim(), 256u);
     EXPECT_GT(model.memory_bytes(), 0u);
 }
 

@@ -205,8 +205,6 @@ TEST(RematEncoder, BitIdenticalToStoredOnEveryPath) {
                 EXPECT_EQ(a, b) << "encode, scramble=" << scramble;
                 remat.encode_scalar(image, b);
                 EXPECT_EQ(a, b) << "encode_scalar";
-                remat.encode_unary(image, b, core::unary_fidelity::monotone_fast);
-                EXPECT_EQ(a, b) << "encode_unary monotone";
                 EXPECT_EQ(stored.encode_sign(image), remat.encode_sign(image));
                 std::vector<std::uint64_t> sa(kernels::sign_words(cfg.dim));
                 std::vector<std::uint64_t> sb(sa.size());
@@ -216,21 +214,6 @@ TEST(RematEncoder, BitIdenticalToStoredOnEveryPath) {
             }
         }
     }
-}
-
-TEST(RematEncoder, GateExactUnaryPathMatches) {
-    xoshiro256ss rng(61);
-    core::uhd_config cfg;
-    cfg.dim = 64; // gate_exact is O(H * D * N): keep it small
-    const data::image_shape shape{5, 5, 1};
-    const core::uhd_encoder stored(cfg, shape);
-    const core::uhd_encoder remat(remat_config(cfg), shape);
-    const auto image = random_image(shape.pixels(), rng);
-    std::vector<std::int32_t> a(cfg.dim);
-    std::vector<std::int32_t> b(cfg.dim);
-    stored.encode_unary(image, a, core::unary_fidelity::gate_exact);
-    remat.encode_unary(image, b, core::unary_fidelity::gate_exact);
-    EXPECT_EQ(a, b);
 }
 
 TEST(RematEncoder, ThresholdStateShrinksAndBatchMatches) {
@@ -341,7 +324,7 @@ TEST(RematItemMemory, RowsMatchStoredForBothSources) {
         const hdc::position_item_memory remat_pos(37, dim, source, 99,
                                                   bank_mode::rematerialize);
         EXPECT_GT(stored_pos.memory_bytes(), remat_pos.memory_bytes());
-        for (std::size_t p = 0; p < stored_pos.count(); ++p) {
+        for (std::size_t p = 0; p < 37; ++p) {
             EXPECT_EQ(stored_pos.vector(p), remat_pos.vector(p)) << "row " << p;
         }
 
@@ -349,7 +332,7 @@ TEST(RematItemMemory, RowsMatchStoredForBothSources) {
         const hdc::level_item_memory remat_lvl(16, dim, source, 123,
                                                bank_mode::rematerialize);
         EXPECT_GT(stored_lvl.memory_bytes(), remat_lvl.memory_bytes());
-        for (std::size_t k = 1; k <= stored_lvl.levels(); ++k) {
+        for (std::size_t k = 1; k <= 16; ++k) {
             EXPECT_EQ(stored_lvl.vector(k), remat_lvl.vector(k)) << "level " << k;
         }
     }
@@ -406,14 +389,15 @@ TEST(RematModel, StoredBankEraV1FileLoadsAsStored) {
     model.save(buffer);
     std::string bytes = buffer.str();
 
-    // Rewrite the v2 stream as its v1 (stored-bank era) equivalent: stamp
-    // version 1 into the header and drop the bank-mode word. v1 layout =
-    // 8-byte header, dim u64, quant u32, seed u64, shape 3 x u64, classes
-    // u64, train u32, query u32 — the bank word sits at offset 68.
+    // Rewrite the v4 stream as its v1 (stored-bank era) equivalent: stamp
+    // version 1 into the header and drop the bank-mode, scramble and policy
+    // words. v1 layout = 8-byte header, dim u64, quant u32, seed u64, shape
+    // 3 x u64, classes u64, train u32, query u32 — the three words v2 and
+    // v4 added sit at offsets 68-79. A v1 parse ignores the v4 trailer.
     const std::uint32_t v1 = 1;
     bytes[4] = static_cast<char>(v1 & 0xff);
     bytes[5] = bytes[6] = bytes[7] = 0;
-    bytes.erase(68, 4);
+    bytes.erase(68, 12);
 
     std::stringstream v1_stream(bytes);
     const auto loaded = core::uhd_model::load(v1_stream);

@@ -18,18 +18,23 @@ std::vector<std::uint8_t> test_image() {
 
 TEST(UhdDatapath, MatchesFastEncoderMeanPolicy) {
     // Both threshold sources: the simulator reads one threshold per
-    // (pixel, dimension) from the bit planes or by a Gray-code jump.
+    // (pixel, dimension) from the bit planes or by a Gray-code jump. With
+    // scramble off, every pixel's thresholds are the unshifted sequence.
     for (const auto bank : {uhd::bank_mode::stored, uhd::bank_mode::rematerialize}) {
-        core::uhd_config cfg;
-        cfg.dim = 128;
-        cfg.bank = bank;
-        const core::uhd_encoder enc(cfg, {28, 28, 1});
-        const sim::uhd_datapath_sim datapath(enc);
-        const auto image = test_image();
-        const auto from_sim = datapath.run(image);
-        const auto from_encoder = enc.encode_sign(image);
-        EXPECT_EQ(from_sim, from_encoder)
-            << (bank == uhd::bank_mode::stored ? "stored" : "rematerialize");
+        for (const bool scramble : {true, false}) {
+            core::uhd_config cfg;
+            cfg.dim = 128;
+            cfg.bank = bank;
+            cfg.scramble = scramble;
+            const core::uhd_encoder enc(cfg, {28, 28, 1});
+            const sim::uhd_datapath_sim datapath(enc);
+            const auto image = test_image();
+            const auto from_sim = datapath.run(image);
+            const auto from_encoder = enc.encode_sign(image);
+            EXPECT_EQ(from_sim, from_encoder)
+                << (bank == uhd::bank_mode::stored ? "stored" : "rematerialize")
+                << " scramble=" << scramble;
+        }
     }
 }
 

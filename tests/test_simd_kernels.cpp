@@ -859,20 +859,6 @@ TEST(EncoderEquivalence, MoreThan65535PixelsMatchScalarOracle) {
                           std::string("65792 pixels, backend=") + kernels::active().name);
 }
 
-TEST(EncoderEquivalence, MonotoneFastMatchesGateExactUnaryPath) {
-    xoshiro256ss rng(7);
-    for (int config_i = 0; config_i < 10; ++config_i) {
-        const encoder_case c = random_case(rng);
-        const core::uhd_encoder enc(c.cfg, c.shape);
-        const auto image = random_bytes(c.shape.pixels(), 255, rng);
-        std::vector<std::int32_t> fast(enc.dim());
-        std::vector<std::int32_t> gates(enc.dim());
-        enc.encode_unary(image, fast, core::unary_fidelity::monotone_fast);
-        enc.encode_unary(image, gates, core::unary_fidelity::gate_exact);
-        ASSERT_EQ(fast, gates);
-    }
-}
-
 TEST(EncoderEquivalence, EncodeBatchMatchesPerImageEncode) {
     const core::uhd_config cfg{.dim = 128};
     const data::image_shape shape{6, 6, 1};

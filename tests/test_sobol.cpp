@@ -16,6 +16,11 @@ namespace {
 
 using namespace uhd::ld;
 
+/// Next point of `seq` as a double in [0, 1).
+double next_unit(sobol_sequence& seq) {
+    return sobol_sequence::fraction_to_unit(seq.next_fraction());
+}
+
 TEST(SobolDirections, Deterministic) {
     const auto a = sobol_directions::standard(16);
     const auto b = sobol_directions::standard(16);
@@ -39,9 +44,9 @@ TEST(SobolDirections, PolynomialsArePrimitiveAndDistinct) {
     const auto table = sobol_directions::standard(64);
     // Dimension d takes the d-th primitive polynomial of the search that
     // test_gf2 checks against its reference enumerator.
-    const auto primitive = primitive_polynomials(table.dimensions() - 1);
+    const auto primitive = primitive_polynomials(63);
     std::vector<gf2_poly> polys;
-    for (std::size_t d = 1; d < table.dimensions(); ++d) {
+    for (std::size_t d = 1; d < 64; ++d) {
         const auto& params = table.params(d);
         EXPECT_EQ(params.polynomial, primitive[d - 1]) << "dim " << d;
         polys.push_back(params.polynomial);
@@ -65,11 +70,11 @@ TEST(SobolSequence, FirstPointsOfVdcDimension) {
     const auto table = sobol_directions::standard(1);
     sobol_sequence seq(table.direction_numbers(0));
     // Gray-code order of the base-2 radical inverse: 0, 1/2, 3/4, 1/4, ...
-    EXPECT_DOUBLE_EQ(seq.next(), 0.0);
-    EXPECT_DOUBLE_EQ(seq.next(), 0.5);
-    EXPECT_DOUBLE_EQ(seq.next(), 0.75);
-    EXPECT_DOUBLE_EQ(seq.next(), 0.25);
-    EXPECT_DOUBLE_EQ(seq.next(), 0.375);
+    EXPECT_DOUBLE_EQ(next_unit(seq), 0.0);
+    EXPECT_DOUBLE_EQ(next_unit(seq), 0.5);
+    EXPECT_DOUBLE_EQ(next_unit(seq), 0.75);
+    EXPECT_DOUBLE_EQ(next_unit(seq), 0.25);
+    EXPECT_DOUBLE_EQ(next_unit(seq), 0.375);
 }
 
 TEST(SobolSequence, PowerOfTwoPrefixIsExactlyEquidistributed) {
@@ -82,7 +87,7 @@ TEST(SobolSequence, PowerOfTwoPrefixIsExactlyEquidistributed) {
         const std::size_t k = 256;
         std::vector<int> buckets(k, 0);
         for (std::size_t i = 0; i < k; ++i) {
-            ++buckets[static_cast<std::size_t>(seq.next() * static_cast<double>(k))];
+            ++buckets[static_cast<std::size_t>(next_unit(seq) * static_cast<double>(k))];
         }
         for (const int count : buckets) EXPECT_EQ(count, 1) << "dim " << dim;
     }
@@ -93,7 +98,7 @@ TEST(SobolSequence, SortedPrefixMatchesVdcSet) {
     const auto table = sobol_directions::standard(1);
     sobol_sequence seq(table.direction_numbers(0));
     std::vector<double> points;
-    for (int i = 0; i < 64; ++i) points.push_back(seq.next());
+    for (int i = 0; i < 64; ++i) points.push_back(next_unit(seq));
     std::sort(points.begin(), points.end());
     for (int i = 0; i < 64; ++i) EXPECT_DOUBLE_EQ(points[i], i / 64.0);
 }
@@ -141,7 +146,7 @@ TEST(QuantizedBank, RowsMatchSequencePlusQuantize) {
         sobol_sequence seq(table.direction_numbers(d));
         const auto row = bank.row(d);
         for (std::size_t i = 0; i < 64; ++i) {
-            EXPECT_EQ(row[i], quantize_unit(seq.next(), 16));
+            EXPECT_EQ(row[i], quantize_unit(next_unit(seq), 16));
         }
     }
 }
@@ -179,7 +184,7 @@ TEST(QuantizedBank, GeometryValidation) {
     EXPECT_THROW(quantized_sobol_bank(table, 2, 64, 1), uhd::error);
     const quantized_sobol_bank bank(table, 2, 64, 16);
     EXPECT_THROW((void)bank.row(2), uhd::error);
-    EXPECT_GT(bank.memory_bytes(), 0u);
+    EXPECT_EQ(bank.row(1).size(), 64u);
 }
 
 } // namespace

@@ -5,7 +5,8 @@
 // one rule class must catch (among them a dropped kernel-table backend
 // slot, a kernel slot only a test calls, an immintrin.h include in a
 // portable header, a public header only a test includes, and a library
-// function no product binary links, given hand-written nm listings). The
+// function or header inline function no product binary links, given
+// hand-written nm listings). The
 // assertions pin rule id, file, and line, so a rule that silently stops
 // firing — or fires on the wrong thing — fails here even while the real
 // tree stays green. The real-tree zero-finding gate is the separate
@@ -195,7 +196,8 @@ TEST(UhdLint, UnreachedFunctionFiresOnUnmarkedFunctionAndStaleMarker) {
     uhd_lint::load_symbol_listings(p, tree + "/libuhd.nm", tree + "/products.nm");
     const std::vector<finding> findings = uhd_lint::run_rules(p);
     // probe(): linked by no product and unmarked. The finding anchors at the
-    // definition line that the library listing gives.
+    // definition line that the library listing gives. A function marker in
+    // thing.hpp must not exempt thing.cpp as a marked module.
     EXPECT_TRUE(has(findings, "unreached-function", "src/core/thing.cpp", 11))
         << dump(findings);
     // stale(): marked, yet thing_demo links it. The finding anchors at the
@@ -206,11 +208,22 @@ TEST(UhdLint, UnreachedFunctionFiresOnUnmarkedFunctionAndStaleMarker) {
     // so it keeps nothing. The finding anchors at the marker.
     EXPECT_TRUE(has(findings, "unreached-function", "src/core/thing.cpp", 22))
         << dump(findings);
-    // Quiet: reference() (marked), the constructor (two symbols, one
-    // linked), module_value() (its public header is marked), and the
-    // inline thing::value() (a W symbol, not an external definition, that
-    // no product keeps).
-    EXPECT_EQ(findings.size(), 3u) << dump(findings);
+    const std::string header = "src/core/include/uhd/core/thing.hpp";
+    // thing::twice(): a header function (a W symbol located in a public
+    // header) that no product links, unmarked.
+    EXPECT_TRUE(has(findings, "unreached-function", header, 20)) << dump(findings);
+    // thing::stale_value(): function-marked, yet thing_demo links it.
+    EXPECT_TRUE(has(findings, "unreached-function", header, 25)) << dump(findings);
+    // A function marker in a header above no library function.
+    EXPECT_TRUE(has(findings, "unreached-function", header, 36)) << dump(findings);
+    // Quiet: reference() and thing::reference_twice() (function-marked), the
+    // constructor (two symbols, one linked), module_value() and
+    // module_twice() (their header carries a header marker), the implicit
+    // thing_options constructor on its class head, the defaulted thing(),
+    // and the always_inline fold(). test-only-header reads none of
+    // thing.hpp's function markers as a header marker, although an example
+    // includes thing.hpp.
+    EXPECT_EQ(findings.size(), 6u) << dump(findings);
     EXPECT_TRUE(only_rule(findings, "unreached-function")) << dump(findings);
 }
 

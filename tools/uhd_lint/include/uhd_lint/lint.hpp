@@ -27,22 +27,30 @@
 //   header-hygiene     — public headers carry include guards and directly
 //                        include what they use (std symbol map)
 //   test-only-header   — every public header is included by a file outside
-//                        tests/ other than its own TU, unless a comment marks
-//                        it `uhd-lint: test-reference <reason>`; a marked
-//                        header that is included there is a stale marker.
-//                        perfbench/ is not scanned, so a header only it
-//                        included would be flagged (none is today)
-//   unreached-function — given the reach listings (nm of libuhd.a and of
-//                        every product binary), every external libuhd.a
-//                        function is linked into some product unless a
+//                        tests/ other than its own TU, unless a header
+//                        marker (`uhd-lint: test-reference <reason>` in the
+//                        comment block before its include guard) marks it;
+//                        a marked header that is included there is a stale
+//                        marker. perfbench/ is not scanned, so a header only
+//                        it included would be flagged (none is today)
+//   unreached-function — given the reach listings (nm -l of libuhd.a built
+//                        with -fkeep-inline-functions, and nm of every
+//                        product binary), every external libuhd.a function
+//                        and every inline function located in a public
+//                        header is linked into some product unless a
 //                        `uhd-lint: test-reference <reason>` comment above
-//                        its definition, or on its TU's public header,
-//                        marks it; a marked function that a product links
-//                        is a stale marker, and so is a src/**/*.cpp marker
-//                        above no such function. Inline functions and
-//                        templates emit no external symbol, so header-only
-//                        code is out of its sight (test-only-header covers
-//                        it)
+//                        its definition, or a header marker on its header
+//                        or its TU's public header, marks it. Implicitly
+//                        defined or defaulted constructors and destructors
+//                        and always_inline definitions are skipped. A
+//                        marked function that a product links is a stale
+//                        marker, and so is a function marker in a
+//                        src/**/*.cpp file or a public header above no
+//                        judged function. Three limits: a template no
+//                        library TU instantiates, a defaulted function
+//                        (operator== = default) and a header no library TU
+//                        includes emit no symbol into the listing, so they
+//                        are out of its sight
 #ifndef UHD_LINT_LINT_HPP
 #define UHD_LINT_LINT_HPP
 
@@ -103,8 +111,9 @@ struct project {
 
     /// The reach listings unreached-function reads, empty (and the rule
     /// silent) unless load_symbol_listings() filled them: the output of
-    /// `nm -C -l --defined-only` on libuhd.a, and of `nm -C --defined-only`
-    /// on every product binary.
+    /// `nm -C -l --defined-only` on libuhd.a (built with
+    /// -fkeep-inline-functions, so header inline functions are listed), and
+    /// of `nm -C --defined-only` on every product binary.
     std::string library_symbols;
     std::string product_symbols;
 

@@ -690,9 +690,11 @@ void rule_header_hygiene(const project& p, std::vector<finding>& out) {
 // scanned file outside tests/ includes it directly; its own TU,
 // src/<m>/<name>.cpp, does not count. Another header counts, since it is a
 // scanned file too. An unreached header is library code only tests use, so
-// it is a finding unless a comment in it carries the test-reference marker
-// and a reason (a reference the tests compare against). A marked header
-// that is reached is a finding too, so a marker cannot go stale.
+// it is a finding unless it carries a header marker: the test-reference
+// marker and a reason in the comment block before its first preprocessor
+// directive (a reference the tests compare against). A marked header that
+// is reached is a finding too, so a marker cannot go stale. A marker further
+// down a header is a function marker; unreached-function judges it.
 //
 // Limit: perfbench/ is not scanned, so a header that only perfbench
 // includes would be flagged. No header is in that position today.
@@ -720,6 +722,24 @@ constexpr std::string_view kTestReferenceMarker = "uhd-lint: test-reference";
     return std::string::npos;
 }
 
+/// Offset of the first line of f whose code starts with '#' (a header's
+/// include guard); raw.size() when there is none.
+[[nodiscard]] std::size_t first_directive(const source_file& f) {
+    for (std::size_t pos = 0; pos < f.code.size();) {
+        const std::size_t eol = std::min(f.code.find('\n', pos), f.code.size());
+        const std::size_t text = skip_ws(f.code, pos);
+        if (text < eol && f.code[text] == '#') return pos;
+        pos = eol + 1;
+    }
+    return f.raw.size();
+}
+
+/// Offset of the header marker of f, a marker in the comment block before
+/// its include guard; npos when there is none.
+[[nodiscard]] std::size_t header_marker(const source_file& f) {
+    return test_reference_marker(f, 0, first_directive(f));
+}
+
 void rule_test_only_header(const project& p, std::vector<finding>& out) {
     // Include spelling -> the files outside tests/ that include it directly.
     std::map<std::string, std::vector<std::string_view>> includers;
@@ -742,13 +762,13 @@ void rule_test_only_header(const project& p, std::vector<finding>& out) {
             it != includers.end() &&
             std::any_of(it->second.begin(), it->second.end(),
                         [&](std::string_view by) { return by != own_tu; });
-        const std::size_t marker = test_reference_marker(f);
+        const std::size_t marker = header_marker(f);
         if (!reached && marker == std::string::npos) {
             add(out, kTestOnlyHeader, f, 0,
                 "no file outside tests/ includes this header (its own TU " + own_tu +
                     " aside): delete the code only tests reach, or mark a test "
                     "reference with a '" + std::string(kTestReferenceMarker) +
-                    " <reason>' comment");
+                    " <reason>' comment before its include guard");
         } else if (reached && marker != std::string::npos) {
             add(out, kTestOnlyHeader, f, marker,
                 "stale '" + std::string(kTestReferenceMarker) +
@@ -763,24 +783,37 @@ void rule_test_only_header(const project& p, std::vector<finding>& out) {
 // --library-symbols/--product-symbols). The products are built with
 // inlining off, one section per function and --gc-sections, so a library
 // function's symbol survives in a binary only if some product path calls
-// it. An external function of libuhd.a (a `T` line of the library listing,
-// with the `file:line` that `nm -l` gives its definition) is reached when
-// its demangled name appears in the product listing. One demangled name is
-// one function: a constructor's complete- and base-object symbols count
-// once, and one linked symbol reaches it.
+// it. The library listing comes from libuhd.a built once more with
+// -fkeep-inline-functions as well, so each library TU also emits every
+// inline function of the headers it includes. The rule judges
+//   - every external function of libuhd.a: a `T` line;
+//   - every header function: a `W`, `T` or `t` line whose `nm -l` location
+//     is a public header src/<m>/include/uhd/<m>/<name>.hpp.
+// A judged function is reached when its demangled name appears in the
+// product listing. One demangled name is one function: a constructor's
+// complete- and base-object symbols, or the copies of one inline function
+// that several TUs emit, count once, and one linked symbol reaches it.
+//
+// Two kinds of header function are skipped: an implicitly defined
+// constructor or destructor, which nm -l places on its class head, where no
+// `Name(` appears, or on its `= default` line (GCC may build a defaulted one
+// in place even at -O0, so no product need hold it); and a
+// [[gnu::always_inline]] definition, which no binary holds out of line.
 //
 // An unreached function is a finding at its definition unless it is
 // marked: the comment lines directly above the definition line carry the
-// test-reference marker with a reason, or its TU src/<m>/<name>.cpp has a
-// public header src/<m>/include/uhd/<m>/<name>.hpp that carries it (a
-// module kept as a test reference). A function marker on a function that a
-// product links is a stale marker, a finding at the marker. So is a marker
-// in a src/**/*.cpp file that sits above no external libuhd.a function (its
-// function deleted, moved, or internal): it keeps nothing. Paths in the
-// library listing resolve to the scanned file they end with.
+// test-reference marker with a reason (a function marker), or the header
+// that holds it, or the public header src/<m>/include/uhd/<m>/<name>.hpp of
+// its TU src/<m>/<name>.cpp, carries a header marker (a module kept as a
+// test reference). A function marker on a function that a product links is
+// a stale marker, a finding at the marker. So is a function marker in a
+// src/**/*.cpp file or a public header that sits above no judged function
+// (its function deleted, moved, internal or skipped): it keeps nothing.
+// Paths in the library listing resolve to the scanned file they end with.
 //
-// Limit: inline functions and templates emit no `T` symbol, so header-only
-// code is out of this rule's sight; test-only-header judges it per header.
+// Limits: a template that no library TU instantiates, a defaulted function
+// and a function of a header that no library TU includes emit no symbol
+// into the library listing, so they are out of this rule's sight.
 
 constexpr std::string_view kUnreachedFunction = "unreached-function";
 
@@ -859,35 +892,96 @@ void for_each_nm_symbol(std::string_view listing, Visit visit) {
     return begin == end ? std::string::npos : test_reference_marker(f, begin, end);
 }
 
-/// True when TU src/<m>/<name>.cpp has a public header
-/// src/<m>/include/uhd/<m>/<name>.hpp that carries the marker.
-[[nodiscard]] bool module_marked(const project& p, std::string_view tu) {
-    if (!tu.starts_with("src/") || !tu.ends_with(".cpp")) return false;
+/// The public header src/<m>/include/uhd/<m>/<name>.hpp of TU
+/// src/<m>/<name>.cpp, or `file` itself when it is a public header;
+/// nullptr when there is none.
+[[nodiscard]] const source_file* own_header(const project& p, const source_file& file) {
+    if (public_header(file.rel_path)) return &file;
+    const std::string_view tu = file.rel_path;
+    if (!tu.starts_with("src/") || !tu.ends_with(".cpp")) return nullptr;
     const std::size_t slash = tu.find('/', 4);
     if (slash == std::string_view::npos || tu.find('/', slash + 1) != std::string_view::npos) {
-        return false;
+        return nullptr;
     }
     const std::string_view module = tu.substr(4, slash - 4);
     const std::string_view name = tu.substr(slash + 1, tu.size() - slash - 5);
-    const std::string header = "src/" + std::string(module) + "/include/uhd/" +
-                               std::string(module) + "/" + std::string(name) + ".hpp";
-    const source_file* h = p.find(header);
-    return h != nullptr && test_reference_marker(*h) != std::string::npos;
+    return p.find("src/" + std::string(module) + "/include/uhd/" + std::string(module) +
+                  "/" + std::string(name) + ".hpp");
+}
+
+/// The unqualified name of a demangled constructor or destructor symbol:
+/// "b" for "a::b<int>::b(int)", "~b" for "a::b::~b()"; empty for any other
+/// symbol.
+[[nodiscard]] std::string_view special_member_name(std::string_view symbol) {
+    // The parameter list is the last balanced (...) group.
+    std::size_t open = symbol.rfind(')');
+    if (open == std::string_view::npos) return {};
+    for (int depth = 0;; --open) {
+        if (symbol[open] == ')') ++depth;
+        if (symbol[open] == '(' && --depth == 0) break;
+        if (open == 0) return {};
+    }
+    const std::string_view head = symbol.substr(0, open);
+    const std::size_t scope = head.rfind("::");
+    if (scope == std::string_view::npos) return {};
+    const std::string_view name = head.substr(scope + 2);
+    std::string_view owner = head.substr(0, scope);
+    const std::size_t outer = owner.rfind("::");
+    if (outer != std::string_view::npos) owner = owner.substr(outer + 2);
+    owner = owner.substr(0, owner.find('<'));
+    const std::string_view bare = name.starts_with('~') ? name.substr(1) : name;
+    return !bare.empty() && bare == owner ? name : std::string_view{};
+}
+
+/// True when a header function's definition at line `line` of f is one the
+/// rule skips: an implicitly defined constructor or destructor (its line
+/// names no `Name(`, or declares it `= default`), or a
+/// [[gnu::always_inline]] definition (the attribute in the declaration that
+/// ends on that line).
+[[nodiscard]] bool skipped_header_function(const source_file& f, std::string_view symbol,
+                                           std::size_t line) {
+    const std::size_t begin = line_start(f, line);
+    const std::size_t eol = std::min(f.code.find('\n', begin), f.code.size());
+    const std::string_view text(f.code.data() + begin, eol - begin);
+    const std::string_view name = special_member_name(symbol);
+    if (!name.empty()) {
+        bool named = false;
+        for (std::size_t at = text.find(name); at != std::string_view::npos && !named;
+             at = text.find(name, at + 1)) {
+            const std::size_t after = skip_ws(text, at + name.size());
+            named = (at == 0 || !ident_char(text[at - 1])) && after < text.size() &&
+                    text[after] == '(';
+        }
+        const std::size_t defaulted = find_token(text, "default");
+        const std::size_t before = defaulted == std::string_view::npos || defaulted == 0
+                                       ? std::string_view::npos
+                                       : text.find_last_not_of(" \t", defaulted - 1);
+        if (!named || (before != std::string_view::npos && text[before] == '=')) return true;
+    }
+    // The declaration starts after the last ';', '{' or '}' above its line.
+    const std::size_t decl = f.code.find_last_of(";{}", begin == 0 ? 0 : begin - 1);
+    const std::size_t from = decl == std::string::npos || begin == 0 ? 0 : decl + 1;
+    const std::size_t attribute = find_token(f.code, "always_inline", from);
+    return attribute != std::string::npos && attribute < eol;
 }
 
 void rule_unreached_function(const project& p, std::vector<finding>& out) {
     if (p.library_symbols.empty() && p.product_symbols.empty()) return;
     std::set<std::string_view> linked;
     for_each_nm_symbol(p.product_symbols, [&](const nm_symbol& s) { linked.insert(s.name); });
-    // Demangled name -> where nm -l places its definition (first symbol).
-    std::map<std::string_view, std::string_view> functions;
+    // Demangled name -> its first symbol: every T line, and every W or t
+    // line that nm -l may place in a public header.
+    std::map<std::string_view, nm_symbol> functions;
     for_each_nm_symbol(p.library_symbols, [&](const nm_symbol& s) {
-        if (s.type == 'T') functions.emplace(s.name, s.location);
+        if (s.type == 'T' || ((s.type == 'W' || s.type == 't') &&
+                              s.location.find("/include/uhd/") != std::string_view::npos)) {
+            functions.emplace(s.name, s);
+        }
     });
-    // (file, offset) of every marker that sits above a library function.
+    // (file, offset) of every marker that sits above a judged function.
     std::set<std::pair<const source_file*, std::size_t>> attached;
-    for (const auto& [name, location] : functions) {
-        const bool reached = linked.contains(name);
+    for (const auto& [name, symbol] : functions) {
+        const std::string_view location = symbol.location;
         const std::size_t colon = location.rfind(':');
         const std::string_view path = location.substr(0, colon);
         std::size_t line = 0;  // stays 0 without a line number
@@ -896,11 +990,17 @@ void rule_unreached_function(const project& p, std::vector<finding>& out) {
                             line);
         }
         const source_file* f = file_named(p, path);
+        const bool in_header = f != nullptr && public_header(f->rel_path);
+        if (!in_header && symbol.type != 'T') continue;
+        if (in_header && line != 0 && skipped_header_function(*f, name, line)) continue;
+        const bool reached = linked.contains(name);
         const std::size_t marker =
             f != nullptr && line != 0 ? function_marker(*f, line) : std::string::npos;
         if (marker != std::string::npos) attached.emplace(f, marker);
-        if (!reached && marker == std::string::npos &&
-            (f == nullptr || !module_marked(p, f->rel_path))) {
+        const source_file* header = f != nullptr ? own_header(p, *f) : nullptr;
+        const bool module_marked =
+            header != nullptr && header_marker(*header) != std::string::npos;
+        if (!reached && marker == std::string::npos && !module_marked) {
             out.push_back({std::string(kUnreachedFunction),
                            f != nullptr ? f->rel_path : std::string(path), line,
                            "no product binary links " + std::string(name) +
@@ -914,13 +1014,17 @@ void rule_unreached_function(const project& p, std::vector<finding>& out) {
         }
     }
     for (const source_file& f : p.files) {
-        if (!f.rel_path.starts_with("src/") || !f.rel_path.ends_with(".cpp")) continue;
-        for (std::size_t at = test_reference_marker(f); at != std::string::npos;
+        const bool tu = f.rel_path.starts_with("src/") && f.rel_path.ends_with(".cpp");
+        if (!tu && !public_header(f.rel_path)) continue;
+        // A header's marker block before its include guard is its header
+        // marker, which test-only-header judges.
+        const std::size_t from = tu ? 0 : first_directive(f);
+        for (std::size_t at = test_reference_marker(f, from); at != std::string::npos;
              at = test_reference_marker(f, at + 1)) {
             if (attached.contains({&f, at})) continue;
             add(out, kUnreachedFunction, f, at,
                 "stale '" + std::string(kTestReferenceMarker) +
-                    "' marker: it sits above no external libuhd.a function");
+                    "' marker: it sits above no function of the library listing");
         }
     }
 }
@@ -948,12 +1052,12 @@ constexpr std::array<rule, 7> kRules = {{
      rule_header_hygiene},
     {kTestOnlyHeader,
      "every public header is included outside tests/ (its own TU aside) "
-     "unless marked as a test reference, and no marked header is",
+     "unless header-marked as a test reference, and no marked header is",
      rule_test_only_header},
     {kUnreachedFunction,
-     "given the reach listings, every external libuhd.a function is linked "
-     "into a product unless marked as a test reference, and every marker "
-     "sits on an unlinked one",
+     "given the reach listings, every external libuhd.a function and every "
+     "public-header inline function is linked into a product unless marked "
+     "as a test reference, and every marker sits on an unlinked one",
      rule_unreached_function},
 }};
 
